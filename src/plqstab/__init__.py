@@ -5,7 +5,8 @@ The kernel (rationals, LP, QP, polyhedral geometry, penalty calculus)
 is exact; floating point appears only in the opt-in numeric probes.
 """
 
-from .enlp import EnlpProblem, InternalConsistencyError, StabilityReport
+from .enlp import EnlpProblem, StabilityReport
+from .errors import InternalConsistencyError
 from .exprparse import ParseError, parse_expression
 from .linalg import RatMatrix, identity, psd_check
 from .lp import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded, lp_max,

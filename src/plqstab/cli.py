@@ -10,6 +10,7 @@ failed (a theorem-level equivalence was violated; always a bug).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .exprparse import ParseError
@@ -42,8 +43,21 @@ def _build_parser():
     return parser
 
 
+def _flag_error(args):
+    """Why an analysis flag is out of range, or None."""
+    if args.probe_grid is not None and args.probe_grid < 1:
+        return "--probe-grid must be a positive integer"
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return "--tol must be a positive finite number"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    bad_flag = _flag_error(args)
+    if bad_flag:
+        print("input error: %s" % bad_flag, file=sys.stderr)
+        return 1
     try:
         pf = parse_problem_file(args.file)
         doc, csvs = analyze_problem(pf, probe=args.probe,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalConsistencyError
 from .linalg import RatMatrix, pseudo_inverse_psd, solve_general, zeros
 from .lp import LpOptimal, lp_feasible_point, lp_max
 from .plq import PlqPenalty, subdiff_graph_normal_cones
@@ -37,10 +38,6 @@ __all__ = [
     "InternalConsistencyError",
     "copositive_on_cone",
 ]
-
-
-class InternalConsistencyError(AssertionError):
-    """A theorem-level equivalence failed on exact data; always a bug."""
 
 
 @dataclass(frozen=True)

