@@ -8,8 +8,10 @@ Grammar (whitespace insensitive):
     base   := rational | 'x'index | '(' expr ')'
     rational := digits ('/' digits)?
 
-Variables are x1..xn; exponents are nonnegative integer literals.
-Errors carry the character position.
+Variables are x1..xn; exponents are nonnegative integer literals of at
+most MAX_EXPONENT, and a power may not raise the degree above it either,
+so that a short input cannot ask for an unbounded expansion.  Errors
+carry the character position.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ from __future__ import annotations
 from .polymap import Polynomial
 from .rational import Rat
 
-__all__ = ["ParseError", "parse_expression"]
+__all__ = ["MAX_EXPONENT", "ParseError", "parse_expression"]
+
+# The largest exponent, and the largest degree of a power, that parses.
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -91,9 +96,15 @@ def _factor(sc, n):
         pos = sc.pos
         if sc.peek() == "-":
             raise ParseError("negative exponent", pos)
-        power = int(sc.digits())
+        text = sc.digits()
         if sc.peek() == "/":
             raise ParseError("fractional exponent", sc.pos)
+        # compare the length first: int() of a huge literal is itself slow
+        if len(text) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
+            raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
+        power = int(text)
+        if base.degree() * power > MAX_EXPONENT:
+            raise ParseError("power of degree above %d" % MAX_EXPONENT, pos)
         return base ** power
     return base
 

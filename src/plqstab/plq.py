@@ -4,7 +4,8 @@ theta(u) = sup_{y in Y} { <y, u> - 1/2 <y, B y> }
 
 for a nonempty convex polyhedron Y and a symmetric PSD matrix B.  The
 module provides exact evaluation, the domain cone, subdifferentials and
-their inverses, the proximal map (with a per-call verified identity),
+their inverses, the proximal map (with a per-call verified identity,
+and a float evaluator on its cached exact affine pieces),
 second subderivatives, graphical derivatives, second-order difference
 quotients, and the polyhedral decomposition of the subdifferential
 graph together with its limiting normal cones (the coderivative test).
@@ -14,7 +15,8 @@ All values are exact rationals; +infinity is represented by ExtReal.
 
 from __future__ import annotations
 
-from .linalg import RatMatrix, invert, psd_check, rank
+from .errors import InternalConsistencyError
+from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
                         fm_project, limiting_normal_cone_union, normal_cone)
 from .qp import QpOptimal, QpUnbounded, StrictQpSolver, qp_solve
@@ -87,6 +89,10 @@ class ExtReal:
 PLUS_INF = ExtReal(None)
 
 
+def _float_rows(mat: RatMatrix):
+    return tuple(tuple(float(v) for v in row) for row in mat.rows)
+
+
 class PlqPenalty:
     """The pair (Y, B) and the calculus of its dualizing penalty."""
 
@@ -107,7 +113,8 @@ class PlqPenalty:
         out = qp_solve(self.B, tuple(-v for v in u), self.Y)
         if isinstance(out, QpUnbounded):
             return PLUS_INF, None
-        assert isinstance(out, QpOptimal)  # Y nonempty was checked
+        if not isinstance(out, QpOptimal):  # Y nonempty was checked
+            raise InternalConsistencyError("QP over nonempty Y is infeasible")
         return ExtReal(-out.value), out.point
 
     def theta(self, u) -> ExtReal:
@@ -166,7 +173,9 @@ class PlqPenalty:
         val = self.theta(u)
         fenchel = val.is_finite and \
             val.value == vdot(lam, u) - vdot(lam, self.B.matvec(lam)) / 2
-        assert result == fenchel, "subgradient test disagrees with Fenchel equality"
+        if result != fenchel:
+            raise InternalConsistencyError(
+                "subgradient test disagrees with Fenchel equality")
         return result
 
     def inverse_subdiff(self, lam) -> Polyhedron:
@@ -188,58 +197,67 @@ class PlqPenalty:
             self._cache["prox"] = StrictQpSolver(q, self.Y)
         return self._cache["prox"]
 
-    def prox(self, x):
+    def prox(self, x, with_subset=False):
         """Proximal point, via the conjugate pair: prox(x) = x - y*(x)
-        with y* the minimizer of 1/2<y,By> + 1/2|x-y|^2 over Y.
+        with y* the minimizer of 1/2<y,By> + 1/2|x-y|^2 over Y.  With
+        `with_subset`, the pair (prox(x), active set of the solve).
 
         Postcondition verified on every call: x - prox(x) is a
         subgradient at prox(x), through the normal-cone characterization
         prox(x) - B y* in N_Y(y*).
         """
         x = tuple(rat(v) for v in x)
-        ystar = self._prox_solver().solve(tuple(-v for v in x))
+        ystar, subset = self._prox_solver().solve(tuple(-v for v in x),
+                                                  with_subset=True)
         p = vsub(x, ystar)
         resid = vsub(p, self.B.matvec(ystar))
-        assert self.Y.contains(ystar) and \
-            normal_cone(self.Y, ystar).contains(resid), "proximal identity failed"
-        return p
+        if not (self.Y.contains(ystar) and normal_cone(self.Y, ystar).contains(resid)):
+            raise InternalConsistencyError("proximal identity failed")
+        return (p, subset) if with_subset else p
+
+    def _piece(self, subset):
+        """Exact (J, o) and float J of prox on the active set `subset`:
+        prox(v) = v - y*(v) = J v + o there, with y*(v) = M v + d and
+        J = I - M, o = -d."""
+        pieces = self._cache.setdefault("prox_pieces", {})
+        if subset not in pieces:
+            mmat, d = self._prox_solver().piece(subset)
+            jac = RatMatrix([[(ONE if i == j else ZERO) - mmat[i][j]
+                              for j in range(self.m)] for i in range(self.m)])
+            pieces[subset] = (jac, tuple(-v for v in d), _float_rows(jac))
+        return pieces[subset]
 
     def prox_linearization(self, x):
         """An active-piece affine model of prox at x: (matrix J, offset o).
 
-        On the active piece the prox map is affine, prox(v) = J v + o;
-        J is a generalized Jacobian element at kinks.
+        On the active piece of the exact, postcondition-checked prox the
+        map is affine, prox(v) = J v + o; J is a generalized Jacobian
+        element at kinks.
         """
         x = tuple(rat(v) for v in x)
-        solver = self._prox_solver()
-        ystar = solver.solve(tuple(-v for v in x))
-        eq_rows, _ = self.Y.eq_system()
-        _, ineq = self.Y._split()
-        tight = [i for i in ineq
-                 if vdot(self.Y.b[i], ystar) == self.Y.alpha[i]]
-        act = list(eq_rows) + [self.Y.b[i] for i in tight]
-        # keep a maximal independent subset of the active rows
-        rows_indep = []
-        for r in act:
-            if rank(rows_indep + [list(r)]) > len(rows_indep):
-                rows_indep.append(list(r))
-        n, na = self.m, len(rows_indep)
-        kkt = [[ZERO] * (n + na) for _ in range(n + na)]
-        for i in range(n):
-            for j in range(n):
-                kkt[i][j] = self.B.rows[i][j] + (ONE if i == j else ZERO)
-            for k in range(na):
-                kkt[i][n + k] = rows_indep[k][i]
-                kkt[n + k][i] = rows_indep[k][i]
-        inv = invert(RatMatrix(kkt))
-        assert inv is not None
-        # y(v) = M v + d with M the top-left n x n block of the inverse
-        mrows = [[inv.rows[i][j] for j in range(n)] for i in range(n)]
-        mmat = RatMatrix(mrows)
-        jac = RatMatrix([[ (ONE if i == j else ZERO) - mrows[i][j]
-                           for j in range(n)] for i in range(n)])
-        offset = vsub(self.prox(x), jac.matvec(x))
+        p, subset = self.prox(x, with_subset=True)
+        jac, offset, _ = self._piece(subset)
+        if vadd(jac.matvec(x), offset) != p:
+            raise InternalConsistencyError("active prox piece misses prox(x)")
         return jac, offset
+
+    def prox_float(self, v):
+        """(prox(v), J) in float for a float point v, J as a tuple of rows.
+
+        The active piece is chosen by `StrictQpSolver.solve_float` and
+        evaluated from float copies of its exact data.  The first time a
+        piece is chosen, `prox_linearization` runs the exact prox at the
+        exact value of v before the piece enters the cache; when no piece
+        passes in float, the exact piece it returns is used.
+        """
+        hit = self._prox_solver().solve_float(tuple(-a for a in v))
+        if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
+            jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
+            if hit is None:
+                jac = _float_rows(jac)
+                return (tuple(sum(a * b for a, b in zip(row, v)) + float(o)
+                              for row, o in zip(jac, offset)), jac)
+        return tuple(a - b for a, b in zip(v, hit[1])), self._piece(hit[0])[2]
 
     # -- second-order objects ----------------------------------------------------------
     def critical_cone_at(self, zbar, lam) -> PolyCone:

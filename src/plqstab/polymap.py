@@ -2,9 +2,10 @@
 
 Sparse monomial dictionaries keyed by exponent tuples; differentiation
 is symbolic, so evaluation, Jacobians and Hessians at rational points
-are exact.  Canonical printing orders monomials by descending total
-degree, then descending exponent tuple, and round-trips through the
-expression parser.
+are exact.  The float evaluators (numeric probes only) use float
+coefficients cached once per polynomial.  Canonical printing orders
+monomials by descending total degree, then descending exponent tuple,
+and round-trips through the expression parser.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ __all__ = ["Polynomial", "PolyMap"]
 class Polynomial:
     """A polynomial in n variables as {exponent tuple: coefficient}."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_float_terms")
 
     def __init__(self, n, terms=None):
         self.n = n
+        self._float_terms = None
         clean = {}
         for exps, coef in (terms or {}).items():
             coef = rat(coef)
@@ -125,11 +127,15 @@ class Polynomial:
         return total
 
     def eval_float(self, point):
+        """Value at a float point, from float coefficients converted once."""
+        if self._float_terms is None:
+            self._float_terms = tuple(
+                (float(c), tuple((j, k) for j, k in enumerate(e) if k))
+                for e, c in self.terms.items())
         total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for x, k in zip(point, e):
-                term *= float(x) ** k
+        for term, powers in self._float_terms:
+            for j, k in powers:
+                term *= float(point[j]) ** k
             total += term
         return total
 
@@ -217,6 +223,12 @@ class PolyMap:
         """n x n Hessian of component i at a rational point."""
         return RatMatrix(tuple(tuple(p.eval(point) for p in row)
                                for row in self._hessian_polys(i)))
+
+    def hessian_at_float(self, i, point):
+        import numpy as np
+
+        return np.array([[p.eval_float(point) for p in row]
+                         for row in self._hessian_polys(i)], dtype=float)
 
     def gradient_map(self) -> "PolyMap":
         """For a scalar map (k == 1), the gradient as an n -> n map."""

@@ -60,7 +60,8 @@ def _expect(doc, key, types, path):
     if key not in doc:
         raise ProblemFileError("%s.%s" % (path, key), "missing field")
     v = doc[key]
-    if not isinstance(v, types):
+    # JSON true/false are Python bools, and bool is a subclass of int
+    if not isinstance(v, types) or isinstance(v, bool):
         raise ProblemFileError("%s.%s" % (path, key),
                                "expected %s" % (types,))
     return v
@@ -165,7 +166,7 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.probe", "expected an object")
     grid = probe.get("grid", 8)
     tol = probe.get("tol", 1e-10)
-    if not isinstance(grid, int) or grid < 1:
+    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
         raise ProblemFileError("$.probe.grid", "expected a positive integer")
     # the upper bound rejects inf, and ints too large for a float; NaN
     # fails every comparison

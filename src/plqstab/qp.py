@@ -14,12 +14,18 @@ at desk scale (at most 2^p subsets for p inequality rows):
   any solution is a global minimizer.
 
 Returned optima satisfy the KKT conditions exactly by construction.
+
+For the proximal map's repeated solves, `StrictQpSolver` also keeps a
+float copy of each active set's affine solution map, so that the
+numeric probes can pick the active piece in float (`solve_float`) and
+read its exact data (`piece`) without an exact solve per evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalConsistencyError
 from .linalg import RatMatrix, invert, is_positive_definite, psd_check, rank
 from .lp import lp_feasible_point
 from .polyhedra import Polyhedron, _subsets
@@ -116,14 +122,17 @@ def _solve_singular(qmat: RatMatrix, c, poly: Polyhedron):
         sol = lp_feasible_point(tuple(a_ub), tuple(b_ub), tuple(a_eq), tuple(b_eq), n=nv)
         if sol is not None:
             return tuple(sol[:n])
-    raise AssertionError("feasible bounded QP without a KKT point")
+    raise InternalConsistencyError("feasible bounded QP without a KKT point")
 
 
 class StrictQpSolver:
     """Repeated exact solves of min 1/2 y^T Q y + c^T y over a fixed P, Q PD.
 
     Bordered KKT systems are factored once per active set and reused
-    across calls (the proximal map evaluates this with varying c).
+    across calls (the proximal map evaluates this with varying c).  On
+    an active set the solution is affine in c, y(c) = d - M c, and so
+    are its multipliers; `piece` gives (M, d) exactly and `solve_float`
+    tests the active sets in float from cached float copies of both maps.
     """
 
     def __init__(self, qmat: RatMatrix, poly: Polyhedron):
@@ -131,6 +140,7 @@ class StrictQpSolver:
         self.poly = poly.with_dim(qmat.nrows)
         self.n = qmat.nrows
         self._solvers: dict = {}
+        self._float: dict = {}
         eq_rows, eq_rhs = poly.eq_system()
         # dependent equality rows are implied (P nonempty): keep a basis
         self._eq_rows, self._eq_rhs = [], []
@@ -139,7 +149,6 @@ class StrictQpSolver:
                 self._eq_rows.append(list(r))
                 self._eq_rhs.append(a)
         _, self._ineq = poly._split()
-        self._last_subset = None  # warm start across repeated solves
 
     def _subset_solver(self, subset):
         if subset in self._solvers:
@@ -158,7 +167,9 @@ class StrictQpSolver:
                 kkt[i][n + k] = act_rows[k][i]
                 kkt[n + k][i] = act_rows[k][i]
         inv = invert(RatMatrix(kkt))
-        assert inv is not None, "PD bordered system with independent rows is regular"
+        if inv is None:
+            raise InternalConsistencyError(
+                "PD bordered system with independent rows is singular")
         self._solvers[subset] = (inv, tuple(act_rhs), len(self._eq_rows))
         return self._solvers[subset]
 
@@ -178,16 +189,61 @@ class StrictQpSolver:
             return tuple(y)
         return None
 
-    def solve(self, c):
-        """The unique minimizer for the linear term c."""
+    def solve(self, c, with_subset=False):
+        """The unique minimizer for the linear term c; with `with_subset`,
+        the pair (minimizer, active set that produced it).
+
+        The active sets are tried in one fixed order, so the active set
+        is a function of c alone.
+        """
         c = tuple(rat(v) for v in c)
-        if self._last_subset is not None:
-            y = self._try_subset(self._last_subset, c)
-            if y is not None:
-                return y
         for subset in _subsets(tuple(self._ineq)):
             y = self._try_subset(subset, c)
             if y is not None:
-                self._last_subset = subset
-                return y
-        raise AssertionError("strictly convex QP over nonempty P has a minimizer")
+                return (y, subset) if with_subset else y
+        raise InternalConsistencyError(
+            "strictly convex QP over nonempty P has a minimizer")
+
+    def piece(self, subset):
+        """Exact (M, d) with y(c) = d - M c on the active set `subset`."""
+        inv, act_rhs, _ = self._subset_solver(subset)
+        n = self.n
+        mmat = tuple(tuple(row[:n]) for row in inv.rows[:n])
+        d = tuple(vdot(row[n:], act_rhs) for row in inv.rows[:n])
+        return mmat, d
+
+    def _float_maps(self, subset):
+        """Float copies of the affine maps of `subset`, or None for a
+        dependent subset: (row of M, d) pairs with y_i(c) = d_i - <M_i, c>,
+        the same pairs for the inequality multipliers mu(c), and the
+        (b_i, alpha_i) of the inequality rows outside the subset."""
+        if subset not in self._float:
+            solver = self._subset_solver(subset)
+            maps = None
+            if solver is not None:
+                inv, act_rhs, ne = solver
+                n = self.n
+                rows = [([float(v) for v in row[:n]], float(vdot(row[n:], act_rhs)))
+                        for row in inv.rows]
+                inactive = [([float(v) for v in self.poly.b[i]], float(self.poly.alpha[i]))
+                            for i in self._ineq if i not in subset]
+                maps = (rows[:n], rows[n + ne:], inactive)
+            self._float[subset] = maps
+        return self._float[subset]
+
+    def solve_float(self, c):
+        """(subset, y) for the first active set, in the order of `solve`,
+        that passes in float for the float linear term c: multipliers
+        >= 0 and every inactive row feasible.  None when no set passes,
+        which rounding can cause at a kink."""
+        for subset in _subsets(tuple(self._ineq)):
+            maps = self._float_maps(subset)
+            if maps is None:
+                continue
+            yrows, murows, inactive = maps
+            if any(d - sum(a * b for a, b in zip(row, c)) < 0 for row, d in murows):
+                continue
+            y = [d - sum(a * b for a, b in zip(row, c)) for row, d in yrows]
+            if all(sum(a * b for a, b in zip(row, y)) <= alpha for row, alpha in inactive):
+                return subset, y
+        return None

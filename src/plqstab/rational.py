@@ -115,10 +115,6 @@ def to_float_vec(a):
     return tuple(float(x) for x in a)
 
 
-def from_float_vec(a):
-    return tuple(rat(float(x)) for x in a)
-
-
 def primitive(a):
     """Scale a rational vector to a canonical primitive integer vector.
 

@@ -64,13 +64,19 @@ def _residual_table(system, xbar, lam_bar, n, m):
 
 
 def _trace_doc(trace):
-    return [{
-        "t": r.t,
-        "p1": list(r.p1), "p2": list(r.p2),
-        "x": list(r.x), "lambda": list(r.lam),
-        "lhs": _fmt_float(r.lhs), "rhs": _fmt_float(r.rhs),
-        "ratio": _fmt_float(r.ratio),
-    } for r in trace]
+    docs = []
+    for r in trace:
+        doc = {
+            "t": r.t,
+            "p1": list(r.p1), "p2": list(r.p2),
+            "x": list(r.x), "lambda": list(r.lam),
+            "lhs": _fmt_float(r.lhs), "rhs": _fmt_float(r.rhs),
+            "ratio": _fmt_float(r.ratio),
+        }
+        if r.newton is not None:
+            doc["newton"] = r.newton
+        docs.append(doc)
+    return docs
 
 
 def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):

@@ -14,7 +14,14 @@ face whose nontriviality is decided by LPs under a box normalization.
 
 Floating point enters only in the probes: error-bound residuals, the
 divergence probe along a critical direction, and a damped semismooth
-Newton solver for canonically perturbed systems.
+Newton solver for canonically perturbed systems.  The Newton iteration
+runs in float: the proximal map is affine on each active set of its QP,
+so its value and generalized Jacobian are read off a cached exact piece
+(Qi and Sun, Math. Prog. 58, 1993), and the polynomial data are
+evaluated from cached float coefficients.  A piece enters the cache
+through one exact, postcondition-checked prox.  The returned iterate
+gets one exact residual evaluation, and only that value decides whether
+the solve converged.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ class ProbeRecord:
     lhs: float
     rhs: float
     ratio: float
+    newton: str | None = None  # NewtonResult.reason of a perturbed solve
 
 
 class ProbeTrace:
@@ -364,24 +372,58 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
 
 @dataclass(frozen=True)
 class NewtonResult:
+    """Outcome of one perturbed solve.  `residual_norm` is the exact
+    residual at the returned float iterate, rounded to float, and
+    `converged` means it is <= tol.  `reason` is "converged",
+    "no_descent" (the line search found no decrease), "max_iter", or
+    "exact_check" (the float residual reached tol and the exact one did
+    not)."""
+
     converged: bool
     x: tuple
     lam: tuple
     residual_norm: float
     iterations: int
+    reason: str
 
 
-def _residual_float(system: VarSystem, p1, p2, x, lam):
+def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
+    """|R(x, lam)| from the exact residual at the exact values of the
+    float data (exact prox included), rounded to float."""
     import numpy as np
 
     xr = tuple(rat(float(v)) for v in x)
     lr = tuple(rat(float(v)) for v in lam)
-    phix = system.phi.eval(xr)
-    arg = vadd(lr, vadd(phix, tuple(rat(float(v)) for v in p2)))
-    prox_pt = system.penalty.prox(arg)
+    zr = vadd(system.phi.eval(xr), tuple(rat(float(v)) for v in p2))
+    prox_pt = system.penalty.prox(vadd(lr, zr))
     r1 = vsub(system.psi(xr, lr), tuple(rat(float(v)) for v in p1))
-    r2 = vsub(vadd(phix, tuple(rat(float(v)) for v in p2)), prox_pt)
-    return np.array(to_float_vec(r1 + r2), dtype=float), arg
+    r2 = vsub(zr, prox_pt)
+    return float(np.linalg.norm(np.array(to_float_vec(r1 + r2), dtype=float)))
+
+
+def _float_residual(system: VarSystem, p1, p2, x, lam):
+    """(R(x, lam), DPhi(x), J) in float, with J the prox Jacobian on the
+    active piece at lam + Phi(x) + p2."""
+    import numpy as np
+
+    xs = x.tolist()
+    g = system.phi.jacobian_at_float(xs)
+    z = np.array(system.phi.eval_float(xs)) + p2
+    arg = lam + z
+    prox_pt, pj = system.penalty.prox_float(tuple(arg.tolist()))
+    r1 = np.array(system.f.eval_float(xs)) + g.T @ lam - p1
+    r2 = z - np.array(prox_pt)
+    return np.concatenate([r1, r2]), g, np.array(pj)
+
+
+def _psi_jacobian_x_float(system: VarSystem, x, lam):
+    """d(Psi)/dx = Df(x) + sum_i lam_i Hess(Phi_i)(x), in float."""
+    xs = x.tolist()
+    a = system.f.jacobian_at_float(xs)
+    for i, li in enumerate(lam.tolist()):
+        if li != 0:
+            a = a + li * system.phi.hessian_at_float(i, xs)
+    return a
 
 
 def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
@@ -390,25 +432,27 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     Residual R(x, lam) = (Psi(x, lam) - p1,
                           Phi(x) + p2 - prox(lam + Phi(x) + p2));
     generalized Jacobian elements come from the active piece of the
-    proximal map.  Reports NewtonResult; never raises on stagnation.
+    proximal map.  The iteration runs in float: the prox value and its
+    Jacobian come from cached exact affine pieces (`PlqPenalty.prox_float`).
+    The returned iterate gets one exact residual evaluation, which
+    decides `converged`.  Reports NewtonResult; never raises on
+    stagnation.
     """
     import numpy as np
 
     n, m = system.n, system.m
+    p1f = np.array([float(v) for v in p1], dtype=float)
+    p2f = np.array([float(v) for v in p2], dtype=float)
     x = np.array([float(v) for v in start[0]], dtype=float)
     lam = np.array([float(v) for v in start[1]], dtype=float)
-    r, arg = _residual_float(system, p1, p2, x, lam)
+    r, g, pj = _float_residual(system, p1f, p2f, x, lam)
     rnorm = float(np.linalg.norm(r))
+    iterations, reason = max_iter, "max_iter"
     for it in range(max_iter):
         if rnorm <= tol:
-            return NewtonResult(True, tuple(x.tolist()), tuple(lam.tolist()),
-                                rnorm, it)
-        xr = tuple(rat(float(v)) for v in x)
-        lr = tuple(rat(float(v)) for v in lam)
-        a = system.psi_jacobian_x(xr, lr).to_float()
-        g = system.phi.jacobian_at_float(tuple(float(v) for v in x))
-        jac_prox, _ = system.penalty.prox_linearization(arg)
-        pj = jac_prox.to_float()
+            iterations = it
+            break
+        a = _psi_jacobian_x_float(system, x, lam)
         top = np.hstack([a, g.T])
         bottom = np.hstack([(np.eye(m) - pj) @ g, -pj])
         jmat = np.vstack([top, bottom])
@@ -421,19 +465,23 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
         for _ in range(30):
             xn = x + damp * step[:n]
             ln = lam + damp * step[n:]
-            rn, argn = _residual_float(system, p1, p2, xn, ln)
+            rn, gn, pjn = _float_residual(system, p1f, p2f, xn, ln)
             rn_norm = float(np.linalg.norm(rn))
             if rn_norm < rnorm:
-                best = (xn, ln, rn, argn, rn_norm)
+                best = (xn, ln, rn, gn, pjn, rn_norm)
                 break
             damp /= 2
         if best is None:
-            return NewtonResult(False, tuple(x.tolist()), tuple(lam.tolist()),
-                                rnorm, it + 1)
-        x, lam, r, arg, rnorm = best
-    converged = rnorm <= tol
-    return NewtonResult(converged, tuple(x.tolist()), tuple(lam.tolist()),
-                        rnorm, max_iter)
+            iterations, reason = it + 1, "no_descent"
+            break
+        x, lam, r, g, pj, rnorm = best
+    exact_norm = _exact_residual_norm(system, p1, p2, x, lam)
+    if exact_norm <= tol:
+        reason = "converged"
+    elif rnorm <= tol:
+        reason = "exact_check"
+    return NewtonResult(exact_norm <= tol, tuple(x.tolist()),
+                        tuple(lam.tolist()), exact_norm, iterations, reason)
 
 
 def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
@@ -483,7 +531,8 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
         pert = math.hypot(*p1) + math.hypot(*p2)
         if not res.converged:
             records.append(ProbeRecord(t=t, p1=p1, p2=p2, x=res.x, lam=res.lam,
-                                       lhs=math.nan, rhs=pert, ratio=math.nan))
+                                       lhs=math.nan, rhs=pert, ratio=math.nan,
+                                       newton=res.reason))
             continue
         lam_exact = tuple(rat(float(v)) for v in res.lam)
         _, d2dist = mset.poly.project_point(lam_exact)
@@ -492,5 +541,6 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
         ratio = lhs / pert if pert > 0 else 0.0
         modulus = max(modulus, ratio)
         records.append(ProbeRecord(t=t, p1=p1, p2=p2, x=res.x, lam=res.lam,
-                                   lhs=lhs, rhs=pert, ratio=ratio))
+                                   lhs=lhs, rhs=pert, ratio=ratio,
+                                   newton=res.reason))
     return ProbeTrace(records), modulus

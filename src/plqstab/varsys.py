@@ -77,13 +77,6 @@ class VarSystem:
                     rows[a][b] += lam[i] * h.rows[a][b]
         return RatMatrix(rows)
 
-    # -- float counterparts (numeric probes only) -------------------------------
-    def psi_float(self, x, lam):
-        import numpy as np
-
-        jac = self.phi.jacobian_at_float(x)
-        return np.array(self.f.eval_float(x), dtype=float) + jac.T @ np.asarray(lam)
-
     # -- multipliers ----------------------------------------------------------
     def multiplier_set(self, x) -> MultiplierSet:
         """All lam with Psi(x, lam) = 0 and lam a subgradient at Phi(x)."""

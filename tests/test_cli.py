@@ -58,6 +58,9 @@ def test_parse_corpus_files():
     (lambda d: d.update(probe={"tol": float("nan")}), "$.probe.tol"),
     (lambda d: d.update(probe={"tol": 10 ** 400}), "$.probe.tol"),
     (lambda d: d.update(probe={"tol": "1e-8"}), "$.probe.tol"),
+    (lambda d: d.update(n=True), "$.n"),
+    (lambda d: d.update(m=True), "$.m"),
+    (lambda d: d.update(probe={"grid": True}), "$.probe.grid"),
 ])
 def test_schema_violations_carry_paths(mutate, path_hint):
     doc = _doc()
@@ -150,6 +153,15 @@ def test_cli_rejects_out_of_range_flags(flags, capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("input error: %s " % flags[0])
+
+
+def test_cli_rejects_huge_exponent_quickly(tmp_path):
+    bad = tmp_path / "huge_exponent.json"
+    bad.write_text(json.dumps(_doc(f=["x1^99999999"])))
+    out = subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                          str(bad)], capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert out.stderr.startswith("input error: $.f[0]: exponent above 64")
 
 
 def test_cli_probe_csv_files(tmp_path, capsys):

@@ -2,12 +2,15 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
-from plqstab import (classify_multiplier, critical_ray_probe, dqc_holds,
-                     error_bound_residuals, rat, semi_isolated_probe,
-                     solve_perturbed, trace_is_divergent, uniqueness_report)
+from plqstab import (classify_multiplier, corpus_path, critical_ray_probe,
+                     dqc_holds, error_bound_residuals, parse_problem_file, rat,
+                     semi_isolated_probe, solve_perturbed, trace_is_divergent,
+                     uniqueness_report)
 from plqstab.rational import vadd, vdot, vscale, vsub
 from support import (ball_sample, embed_system_full_rank,
                      embed_system_rank_drop, flat_system, parabola_system,
@@ -220,3 +223,102 @@ def test_semi_isolated_zero_perturbation_ratio_zero():
     assert res.converged
     lhs = abs(res.x[0])
     assert lhs == 0.0
+
+
+def test_solve_perturbed_reports_why_it_stopped():
+    s = scalar_system()
+    res = solve_perturbed(s, (1e-3,), (0.0,), ((0,), (0,)))
+    assert res.converged and res.reason == "converged"
+    res = solve_perturbed(s, (1e-3,), (0.0,), ((0,), (0,)), max_iter=0)
+    assert not res.converged and res.reason == "max_iter"
+    # the float residual vanishes at the returned iterate, the exact
+    # residual there does not
+    res = solve_perturbed(s, (0.1,), (0.3,), ((0,), (0,)), tol=1e-300)
+    assert not res.converged and res.reason == "exact_check"
+    assert 0 < res.residual_norm < 1e-15
+    res = solve_perturbed(parabola_system(), (1e-3,), (0.0, 0.0),
+                          ((0,), (0, 0)))
+    assert not res.converged and res.reason == "no_descent"
+
+
+def test_semi_isolated_records_carry_the_newton_reason():
+    pf = parse_problem_file(corpus_path("example_3_3"))
+    x, lam = pf.points[0]
+    trace, _ = semi_isolated_probe(pf.problem, x, lam, grid=4)
+    reasons = [r.newton for r in trace]
+    assert reasons == ["no_descent", "no_descent", "converged", "converged"]
+    assert [math.isnan(r.lhs) for r in trace] == [True, True, False, False]
+
+
+def test_probe_record_does_not_depend_on_earlier_solves():
+    def probe_last(indices):
+        pf = parse_problem_file(corpus_path("example_3_3"))
+        for i in indices:
+            trace, modulus = semi_isolated_probe(pf.problem, *pf.points[i])
+        return repr(trace.records), modulus
+
+    assert probe_last([3]) == probe_last([0, 1, 2, 3])
+
+
+_PROBE_PROX_COUNTER_SCRIPT = """
+import plqstab.plq as plq, plqstab.stability as st
+from plqstab import analyze_problem, corpus_path, parse_problem_file
+pf = parse_problem_file(corpus_path("example_3_3"))
+counts = {"prox": 0, "solves": 0, "inside": 0}
+prox, solve = plq.PlqPenalty.prox, st.solve_perturbed
+def counted_prox(self, x, **kwargs):
+    counts["prox"] += counts["inside"]
+    return prox(self, x, **kwargs)
+def counted_solve(*args, **kwargs):
+    counts["solves"] += 1
+    counts["inside"] = 1
+    try:
+        return solve(*args, **kwargs)
+    finally:
+        counts["inside"] = 0
+plq.PlqPenalty.prox = counted_prox
+st.solve_perturbed = counted_solve
+analyze_problem(pf, probe=True)
+print(counts["prox"], counts["solves"])
+"""
+
+
+def test_probe_exact_prox_work_on_example_3_3():
+    # Exact prox calls under the 40 Newton solves at the default grid: one
+    # exact residual check per returned iterate, plus one per prox piece
+    # the float evaluator meets first (3 pieces).  Pinned in a fresh
+    # interpreter, as the piece caches live on the parsed penalty.
+    out = subprocess.run([sys.executable, "-c", _PROBE_PROX_COUNTER_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["43", "40"]
+
+
+_FORGED_PROX_SCRIPT = """
+import sys
+import plqstab.plq as plq
+from plqstab import corpus_path
+from plqstab.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+make_solver = plq.PlqPenalty._prox_solver
+def forged_solver(self):
+    solver = make_solver(self)
+    if "solve" not in vars(solver):
+        solve = solver.solve
+        def forged(c, with_subset=False):
+            y, subset = solve(c, with_subset=True)
+            y = tuple(v + 1 for v in y)
+            return (y, subset) if with_subset else y
+        solver.solve = forged
+    return solver
+plq.PlqPenalty._prox_solver = forged_solver
+sys.exit(main(["analyze", corpus_path("example_4_4")]))
+"""
+
+
+def test_prox_identity_failure_exits_2_under_optimize():
+    out = subprocess.run([sys.executable, "-O", "-c", _FORGED_PROX_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("internal consistency failure: proximal identity")
+    assert "Traceback" not in out.stderr
