@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, pseudo_inverse_psd, solve_general, zeros
-from .lp import LpOptimal, lp_feasible_point, lp_max
+from .lp import LpOptimal, lp_feasible_point, lp_max_each
 from .plq import PlqPenalty, subdiff_graph_normal_cones
 from .polyhedra import (PolyCone, Polyhedron, _subsets, fm_project,
                         normal_cone)
@@ -448,13 +448,11 @@ def _nonzero_direction(a_eq, b_eq, k, gens, subset):
         row[i] = -ONE
         a_ub.append(tuple(row))
         b_ub.append(ZERO)
-    for j in range(n):
-        obj = [gens[i][j] for i in subset] + [ZERO]
-        for sign in (1, -1):
-            o = lp_max(tuple(v * sign for v in obj), tuple(a_ub), tuple(b_ub),
-                       tuple(a_eq), tuple(b_eq))
-            if isinstance(o, LpOptimal) and o.value > 0:
-                return _combine(gens, subset, o.point[:k])
+    objectives = (tuple(gens[i][j] * sign for i in subset) + (ZERO,)
+                  for j in range(n) for sign in (1, -1))
+    for o in lp_max_each(objectives, a_ub, b_ub, a_eq, b_eq):
+        if isinstance(o, LpOptimal) and o.value > 0:
+            return _combine(gens, subset, o.point[:k])
     return None
 
 

@@ -58,6 +58,16 @@ class _Scanner:
             raise ParseError("expected digits", start)
         return self.text[start:self.pos]
 
+    def integer(self):
+        """The next digits as an int."""
+        pos = self.pos
+        text = self.digits()
+        try:
+            return int(text)
+        except ValueError:  # beyond the interpreter's integer string limit
+            raise ParseError("numeral of %d digits is too long" % len(text),
+                             pos) from None
+
 
 def parse_expression(text, n) -> Polynomial:
     """Parse `text` into a canonical polynomial in variables x1..xn."""
@@ -121,17 +131,17 @@ def _base(sc, n):
         return inner
     if ch == "x":
         sc.take()
-        idx = int(sc.digits())
+        idx = sc.integer()
         if not 1 <= idx <= n:
             raise ParseError("variable x%d out of range 1..%d" % (idx, n), pos)
         return Polynomial.variable(n, idx - 1)
     if ch.isdigit():
-        num = sc.digits()
+        num = sc.integer()
         if sc.peek() == "/":
             sc.take()
-            den = sc.digits()
-            if int(den) == 0:
+            den = sc.integer()
+            if den == 0:
                 raise ParseError("zero denominator", pos)
-            return Polynomial.constant(n, Rat(int(num), int(den)))
-        return Polynomial.constant(n, int(num))
+            return Polynomial.constant(n, Rat(num, den))
+        return Polynomial.constant(n, num)
     raise ParseError("expected a rational, a variable, or '('", pos)

@@ -4,7 +4,7 @@ Maximization over mixed <= and == rows.  Free variables are split into
 differences of nonnegatives, a two-phase tableau method with Bland's
 rule (lowest eligible index enters; ratio ties leave by lowest basis
 index) guarantees termination, and every outcome ships a certificate
-that is re-verified by exact substitution before it is returned:
+that is re-verified exactly before it is returned:
 
 * Optimal:    primal feasibility, dual feasibility, equal objectives.
 * Unbounded:  a feasible point plus a feasible ray improving the objective.
@@ -16,7 +16,15 @@ a pivot cross-multiplies and divides each changed row by its gcd, and the
 reduced-cost row is held over one positive denominator and updated with
 every pivot.  Every decision compares the same rationals a Fraction
 tableau would, so the pivots are the same; points, rays and multipliers
-are returned as Rat.  Desk-scale solver: dense, no factorization reuse.
+are returned as Rat.  The certificates are checked on the input rows
+scaled to integers, by cross-multiplying.
+
+One phase 1 serves every objective over one constraint system:
+`lp_max_each` runs phase 1 and the artificial pivot-out step once, then
+phase 2 for each objective on a copy of that tableau.  Under Bland's rule
+every pivot is a function of the tableau alone, so each objective gets
+the pivots, point, multipliers and certificate of a fresh solve;
+`lp_solve` is the one-objective case.  Desk-scale solver: dense.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError
-from .rational import ONE, ZERO, Rat, rat, vdot
+from .rational import ONE, ZERO, Rat, rat
 
 __all__ = [
     "LpProblem",
@@ -34,8 +42,14 @@ __all__ = [
     "LpInfeasible",
     "lp_solve",
     "lp_max",
+    "lp_max_each",
     "lp_feasible_point",
 ]
+
+
+def _rats(values):
+    """The values as a tuple of Rat, converting only entries of another type."""
+    return tuple(v if type(v) is Rat else rat(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -49,11 +63,11 @@ class LpProblem:
     b_eq: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(rat(v) for v in self.objective))
-        object.__setattr__(self, "a_ub", tuple(tuple(rat(v) for v in r) for r in self.a_ub))
-        object.__setattr__(self, "b_ub", tuple(rat(v) for v in self.b_ub))
-        object.__setattr__(self, "a_eq", tuple(tuple(rat(v) for v in r) for r in self.a_eq))
-        object.__setattr__(self, "b_eq", tuple(rat(v) for v in self.b_eq))
+        object.__setattr__(self, "objective", _rats(self.objective))
+        object.__setattr__(self, "a_ub", tuple(_rats(r) for r in self.a_ub))
+        object.__setattr__(self, "b_ub", _rats(self.b_ub))
+        object.__setattr__(self, "a_eq", tuple(_rats(r) for r in self.a_eq))
+        object.__setattr__(self, "b_eq", _rats(self.b_eq))
         n = len(self.objective)
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
             raise ValueError("constraint row length does not match objective")
@@ -83,59 +97,6 @@ class LpInfeasible:
 
 class _CertificateError(InternalConsistencyError):
     pass
-
-
-def _verify_optimal(p: LpProblem, out: LpOptimal):
-    x, y_ub, y_eq = out.point, out.dual_ub, out.dual_eq
-    for row, rhs in zip(p.a_ub, p.b_ub):
-        if vdot(row, x) > rhs:
-            raise _CertificateError("optimal point violates an inequality")
-    for row, rhs in zip(p.a_eq, p.b_eq):
-        if vdot(row, x) != rhs:
-            raise _CertificateError("optimal point violates an equality")
-    if any(y < 0 for y in y_ub):
-        raise _CertificateError("negative inequality dual")
-    n = len(p.objective)
-    for j in range(n):
-        s = ZERO
-        for row, y in zip(p.a_ub, y_ub):
-            s += row[j] * y
-        for row, y in zip(p.a_eq, y_eq):
-            s += row[j] * y
-        if s != p.objective[j]:
-            raise _CertificateError("dual stationarity fails")
-    dual_val = vdot(p.b_ub, y_ub) + vdot(p.b_eq, y_eq)
-    if dual_val != out.value or vdot(p.objective, x) != out.value:
-        raise _CertificateError("objective values disagree")
-
-
-def _verify_unbounded(p: LpProblem, out: LpUnbounded):
-    d, x = out.ray, out.feasible_point
-    for row, rhs in zip(p.a_ub, p.b_ub):
-        if vdot(row, x) > rhs or vdot(row, d) > 0:
-            raise _CertificateError("unbounded certificate infeasible")
-    for row, rhs in zip(p.a_eq, p.b_eq):
-        if vdot(row, x) != rhs or vdot(row, d) != 0:
-            raise _CertificateError("unbounded certificate breaks equality")
-    if vdot(p.objective, d) <= 0:
-        raise _CertificateError("ray does not improve the objective")
-
-
-def _verify_infeasible(p: LpProblem, out: LpInfeasible):
-    y_ub, y_eq = out.farkas_ub, out.farkas_eq
-    if any(y < 0 for y in y_ub):
-        raise _CertificateError("negative Farkas component")
-    n = len(p.objective)
-    for j in range(n):
-        s = ZERO
-        for row, y in zip(p.a_ub, y_ub):
-            s += row[j] * y
-        for row, y in zip(p.a_eq, y_eq):
-            s += row[j] * y
-        if s != 0:
-            raise _CertificateError("Farkas combination is not zero")
-    if vdot(p.b_ub, y_ub) + vdot(p.b_eq, y_eq) >= 0:
-        raise _CertificateError("Farkas value not negative")
 
 
 # The star-calls below unpack lists and take no leading fixed argument: on
@@ -171,6 +132,11 @@ class _Tableau:
         self.m = m = mu + me
         self.ncols = 2 * n + mu + m
         self.sign = []
+        # [a_i | b_i] times its row's scale, before any sign flip: the rows
+        # the certificates are checked on; row i's rationals are
+        # system[i] * weight[i] / system_den
+        self.system = []
+        scales = []
         rows = []
         for i in range(m):
             if i < mu:
@@ -180,17 +146,31 @@ class _Tableau:
             s = -1 if rhs < 0 else 1
             self.sign.append(s)
             ints, scale = _scaled_ints(base + (rhs,))
+            self.system.append(ints)
+            scales.append(scale)
             ints = [s * v for v in ints]
             row = ints[:-1] + [-v for v in ints[:-1]]
             row += [s * scale if i == k else 0 for k in range(mu)]
             row += [scale if i == k else 0 for k in range(m)]
             row.append(ints[-1])
             rows.append(row)
+        self.system_den = lcm(*scales)
+        self.weight = [self.system_den // s for s in scales]
         self.t = rows
         self.basis = [2 * n + mu + i for i in range(m)]
         self.art0 = 2 * n + mu
         self.z = [0] * (self.ncols + 1)
         self.zden = 1
+
+    def copy(self):
+        """A tableau that pivots apart from this one.  Pivots and cost
+        updates replace rows and the cost row rather than edit them, so
+        only the row list and the basis are copied."""
+        twin = object.__new__(_Tableau)
+        twin.__dict__.update(self.__dict__)
+        twin.t = self.t[:]
+        twin.basis = self.basis[:]
+        return twin
 
     def is_artificial(self, j):
         return j >= self.art0
@@ -290,8 +270,106 @@ class _Tableau:
         return [yi * s for yi, s in zip(y, self.sign)]
 
 
-def lp_solve(p: LpProblem):
-    """Solve exactly; outcome is LpOptimal | LpUnbounded | LpInfeasible."""
+# -- certificate checks on the integer rows ----------------------------------
+# Every check multiplies through by positive denominators, so it decides the
+# same rational (in)equality as substituting into the Rat data would.
+
+def _check_rows(t, v, homogeneous, message):
+    """Raise unless a_i . v <= b_i on the inequality rows and a_i . v == b_i
+    on the equality rows (with b = 0 when homogeneous); returns (V, den)
+    with v = V / den."""
+    vv, den = _scaled_ints(v)
+    for i, row in enumerate(t.system):
+        lhs = sum(a * b for a, b in zip(row, vv))
+        rhs = 0 if homogeneous else row[-1] * den
+        if lhs > rhs if i < t.mu else lhs != rhs:
+            raise _CertificateError(message % ("an inequality" if i < t.mu
+                                               else "an equality"))
+    return vv, den
+
+
+def _combination(t, y):
+    """(s, den) with sum_i y_i [a_i | b_i] = s / den over all rows."""
+    yy, den = _scaled_ints(y)
+    s = [0] * (t.n + 1)
+    for w, k, row in zip(yy, t.weight, t.system):
+        if w:
+            w *= k
+            s = [a + w * b for a, b in zip(s, row)]
+    return s, den * t.system_den
+
+
+def _check_optimal(t, c, out: LpOptimal):
+    xx, xden = _check_rows(t, out.point, False, "optimal point violates %s")
+    if any(y < 0 for y in out.dual_ub):
+        raise _CertificateError("negative inequality dual")
+    s, den = _combination(t, out.dual_ub + out.dual_eq)
+    cc, cden = _scaled_ints(c)
+    if any(a * cden != b * den for a, b in zip(s, cc)):
+        raise _CertificateError("dual stationarity fails")
+    # b . y = s[-1] / den and c . x = (cc . xx) / (cden xden)
+    num, vden = int(out.value.numerator), int(out.value.denominator)
+    cx = sum(a * b for a, b in zip(cc, xx))
+    if s[-1] * vden != num * den or cx * vden != num * cden * xden:
+        raise _CertificateError("objective values disagree")
+
+
+def _check_unbounded(t, c, out: LpUnbounded):
+    _check_rows(t, out.feasible_point, False,
+                "unbounded certificate: point violates %s")
+    dd, _ = _check_rows(t, out.ray, True, "unbounded certificate: ray violates %s")
+    cc, _ = _scaled_ints(c)
+    if sum(a * b for a, b in zip(cc, dd)) <= 0:
+        raise _CertificateError("ray does not improve the objective")
+
+
+def _check_infeasible(t, out: LpInfeasible):
+    if any(y < 0 for y in out.farkas_ub):
+        raise _CertificateError("negative Farkas component")
+    s, _ = _combination(t, out.farkas_ub + out.farkas_eq)
+    if any(s[:-1]):
+        raise _CertificateError("Farkas combination is not zero")
+    if s[-1] >= 0:
+        raise _CertificateError("Farkas value not negative")
+
+
+# -- solving -------------------------------------------------------------------
+
+def _objective(c, n):
+    c = _rats(c)
+    if len(c) != n:
+        raise ValueError("objective length does not match the constraint rows")
+    return c
+
+
+def _phase_2(t: _Tableau, c):
+    """The checked outcome for objective c, from a copy of the tableau t
+    left by phase 1 and the artificial pivot-out step."""
+    t = t.copy()
+    # artificials may stay basic at zero but never re-enter
+    cost = list(c) + [-v for v in c] + [ZERO] * (t.mu + t.m)
+    status, enter = t.run(cost, allow_artificial=False)
+    if status == "unbounded":
+        out = LpUnbounded(ray=t.ray_x(enter), feasible_point=t.solution_x())
+        _check_unbounded(t, c, out)
+        return out
+    y = t.duals(cost)
+    # z[-1] / zden is the objective value of the basic solution
+    out = LpOptimal(point=t.solution_x(), value=Rat(t.z[-1], t.zden),
+                    dual_ub=tuple(y[:t.mu]), dual_eq=tuple(y[t.mu:]))
+    _check_optimal(t, c, out)
+    return out
+
+
+def _solve_each(p: LpProblem, more=()):
+    """Outcomes for p's objective and then for each objective in `more`,
+    all over p's constraints, computed as they are asked for.
+
+    The tableau, phase 1 and the artificial pivot-out step are made once;
+    each objective runs phase 2 on its own copy of that tableau.  An
+    infeasible system gets one Farkas certificate, checked once, for every
+    objective.
+    """
     t = _Tableau(p)
     n, mu, m = t.n, t.mu, t.m
 
@@ -304,8 +382,12 @@ def lp_solve(p: LpProblem):
     if t.z[-1] < 0:
         y = t.duals(cost1)
         out = LpInfeasible(farkas_ub=tuple(y[:mu]), farkas_eq=tuple(y[mu:]))
-        _verify_infeasible(p, out)
-        return out
+        _check_infeasible(t, out)
+        yield out
+        for c in more:
+            _objective(c, n)
+            yield out
+        return
 
     # pivot remaining zero-valued artificials out of the basis when possible
     for i in range(m):
@@ -314,25 +396,30 @@ def lp_solve(p: LpProblem):
             if j is not None:
                 t.pivot(i, j)
 
-    # phase 2: original objective (artificials may stay basic at zero but
-    # never re-enter)
-    cost2 = list(p.objective) + [-v for v in p.objective] + [ZERO] * (mu + m)
-    status, enter = t.run(cost2, allow_artificial=False)
-    if status == "unbounded":
-        out = LpUnbounded(ray=t.ray_x(enter), feasible_point=t.solution_x())
-        _verify_unbounded(p, out)
-        return out
-    x = t.solution_x()
-    y = t.duals(cost2)
-    out = LpOptimal(point=x, value=vdot(p.objective, x),
-                    dual_ub=tuple(y[:mu]), dual_eq=tuple(y[mu:]))
-    _verify_optimal(p, out)
-    return out
+    yield _phase_2(t, p.objective)
+    for c in more:
+        yield _phase_2(t, _objective(c, n))
+
+
+def lp_solve(p: LpProblem):
+    """Solve exactly; outcome is LpOptimal | LpUnbounded | LpInfeasible."""
+    return next(_solve_each(p))
 
 
 def lp_max(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return lp_solve(LpProblem(tuple(objective), tuple(a_ub), tuple(b_ub),
                               tuple(a_eq), tuple(b_eq)))
+
+
+def lp_max_each(objectives, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """The outcome of max <c, x> over one constraint system for each c in
+    `objectives`, in order and lazily: no LP work is done for an objective
+    before its outcome is asked for.  Phase 1 runs once, for the first."""
+    objectives = iter(objectives)
+    first = next(objectives, None)
+    if first is not None:
+        yield from _solve_each(LpProblem(first, a_ub, b_ub, a_eq, b_eq),
+                               objectives)
 
 
 def lp_feasible_point(a_ub=(), b_ub=(), a_eq=(), b_eq=(), n=None):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalConsistencyError
 from .linalg import RatMatrix, pseudo_inverse_psd, rank, rref
-from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max
+from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
 from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
                        vscale, vsub)
 
@@ -197,8 +198,8 @@ class Polyhedron:
             return self._cache["implicit"]
         _, ineq = self._split()
         out = []
-        for i in ineq:
-            o = lp_max(tuple(-v for v in self.b[i]), self.b, self.alpha)
+        objectives = (tuple(-v for v in self.b[i]) for i in ineq)
+        for i, o in zip(ineq, lp_max_each(objectives, self.b, self.alpha)):
             if isinstance(o, LpOptimal) and -o.value == self.alpha[i]:
                 out.append(i)
         self._cache["implicit"] = out
@@ -280,7 +281,9 @@ class Polyhedron:
             d = vdot(vsub(x, cand), vsub(x, cand))
             if best_d is None or d < best_d:
                 best, best_d = cand, d
-        assert best is not None, "nonempty polyhedron with no projection candidate"
+        if best is None:
+            raise InternalConsistencyError(
+                "nonempty polyhedron with no projection candidate")
         return best, best_d
 
     # -- serialization ---------------------------------------------------------
@@ -395,7 +398,9 @@ class PolyCone:
         if key not in _GEN_MEMO:
             lin, rays = _cone_generators(self.rows, self.dim)
             for g in list(lin) + [tuple(-v for v in l) for l in lin] + list(rays):
-                assert self.contains(g), "generator violates H-representation"
+                if not self.contains(g):
+                    raise InternalConsistencyError(
+                        "generator violates H-representation")
             _GEN_MEMO[key] = (lin, rays)
         return _GEN_MEMO[key]
 
@@ -503,16 +508,19 @@ class PolyCone:
         a_eq = [tuple(r) + (ZERO,) for r in eq]
         b_eq = [ZERO] * len(eq)
         o = lp_max((ZERO,) * n + (ONE,), a_ub, b_ub, a_eq, b_eq)
-        assert isinstance(o, LpOptimal)
+        if not isinstance(o, LpOptimal):
+            raise InternalConsistencyError("face probe LP is not optimal")
         if o.value > 0:
             return frozenset(subset)
+        # row i is identically zero on the face iff max -<b_i, x> is 0 there
         closure = set(subset)
-        for i in others:
-            o = lp_max(tuple(-v for v in self.rows[i]),
-                       tuple(list(self.rows) + box_rows),
-                       tuple([ZERO] * len(self.rows) + list(box_rhs)),
-                       tuple(eq), tuple([ZERO] * len(eq)))
-            assert isinstance(o, LpOptimal)
+        objectives = (tuple(-v for v in self.rows[i]) for i in others)
+        outcomes = lp_max_each(objectives, list(self.rows) + box_rows,
+                               [ZERO] * len(self.rows) + list(box_rhs),
+                               eq, [ZERO] * len(eq))
+        for i, o in zip(others, outcomes):
+            if not isinstance(o, LpOptimal):
+                raise InternalConsistencyError("face closure LP is not optimal")
             if o.value == 0:
                 closure.add(i)
         return frozenset(closure)
@@ -702,7 +710,8 @@ def fm_project(p: Polyhedron, keep) -> Polyhedron:
 
     out_rows = []
     for r in rows:
-        assert all(r[j] == 0 for j in drop), "eliminated coordinate survives"
+        if any(r[j] != 0 for j in drop):
+            raise InternalConsistencyError("eliminated coordinate survives")
         out_rows.append(tuple(r[j] for j in keep))
     return Polyhedron(out_rows, rhs).with_dim(len(keep))
 
@@ -834,8 +843,9 @@ def limiting_normal_cone_union(union: PolyUnion, point):
     regular = intersect_cones(
         [PolyCone.from_generators((), list(t.rows), dim) for t in tangents], dim)
     for g in _all_generator_vectors(regular):
-        assert any(c.contains(g) for c in cones), \
-            "regular normal cone escaped the limiting cone union"
+        if not any(c.contains(g) for c in cones):
+            raise InternalConsistencyError(
+                "regular normal cone escaped the limiting cone union")
     return PolyUnion(cones)
 
 

@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InternalConsistencyError
 from .linalg import RatMatrix
-from .lp import LpOptimal, lp_max
+from .lp import LpOptimal, lp_max_each
 from .polyhedra import PolyCone
 from .rational import (ONE, ZERO, norm2, rat, to_float_vec, vadd, vdot,
                        vscale, vsub)
@@ -182,7 +183,8 @@ def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
     """A system point with some tested coordinate nonzero, or None.
 
     Maximizes each tested coordinate under the box |coord| <= 1 (the
-    solution set is a cone, so any nonzero value rescales to the box).
+    solution set is a cone, so any nonzero value rescales to the box), one
+    phase 1 for all of them, and stops at the first positive maximum.
     """
     box_ub = list(a_ub)
     box_rhs = list(b_ub)
@@ -192,14 +194,11 @@ def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
             row[j] = s
             box_ub.append(tuple(row))
             box_rhs.append(ONE)
-    for j in test_coords:
-        for sign in (ONE, -ONE):
-            obj = [ZERO] * nvars
-            obj[j] = sign
-            out = lp_max(tuple(obj), tuple(box_ub), tuple(box_rhs),
-                         tuple(a_eq), tuple(b_eq))
-            if isinstance(out, LpOptimal) and out.value > 0:
-                return out.point
+    objectives = (tuple(sign if k == j else ZERO for k in range(nvars))
+                  for j in test_coords for sign in (ONE, -ONE))
+    for out in lp_max_each(objectives, box_ub, box_rhs, a_eq, b_eq):
+        if isinstance(out, LpOptimal) and out.value > 0:
+            return out.point
     return None
 
 
@@ -242,12 +241,17 @@ def _assert_witness(system, xbar, lam, kcone, xi, eta):
     amat = system.psi_jacobian_x(xbar, lam)
     gmat = system.phi.jacobian_at(xbar)
     lhs = vadd(amat.matvec(xi), gmat.rmatvec(eta))
-    assert all(v == 0 for v in lhs), "witness breaks the linear equation"
+    if any(v != 0 for v in lhs):
+        raise InternalConsistencyError("witness breaks the linear equation")
     resid = vsub(gmat.matvec(xi), pen.B.matvec(eta))
-    assert kcone.contains(eta), "witness eta escapes the critical cone"
-    assert kcone.polar().contains(resid), "witness residual escapes the polar"
-    assert vdot(resid, eta) == 0, "witness breaks complementarity"
-    assert any(v != 0 for v in xi), "trivial witness"
+    if not kcone.contains(eta):
+        raise InternalConsistencyError("witness eta escapes the critical cone")
+    if not kcone.polar().contains(resid):
+        raise InternalConsistencyError("witness residual escapes the polar")
+    if vdot(resid, eta) != 0:
+        raise InternalConsistencyError("witness breaks complementarity")
+    if all(v == 0 for v in xi):
+        raise InternalConsistencyError("trivial witness")
 
 
 def dqc_holds(system: VarSystem, xbar, lam) -> bool:
@@ -358,8 +362,9 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
         p1 = system.psi(xt, lt)
         p2 = vsub(zt, system.phi.eval(xt))
         # exact membership in the perturbed solution set
-        assert system.penalty.subdiff_contains(vadd(system.phi.eval(xt), p2), lt), \
-            "ray point left the perturbed solution set; shrink the grid"
+        if not system.penalty.subdiff_contains(vadd(system.phi.eval(xt), p2), lt):
+            raise InternalConsistencyError(
+                "ray point left the perturbed solution set; shrink the grid")
         move = norm2(vsub(xt, xbar))
         pert = norm2(p1) + norm2(p2)
         ratio = move / pert if pert > 0 else math.inf

@@ -1,14 +1,74 @@
 """Reference LP solver for differential tests: a dense simplex tableau of
 `Rat` entries (`Fraction` without gmpy2) with the column layout, Bland's
-rule, the two phases and the artificial pivot-out step of `plqstab.lp`.
-The integer tableau in `plqstab.lp` must take the same pivots and return
-the same outcomes.
+rule, the two phases and the artificial pivot-out step of `plqstab.lp`,
+one fresh solve per objective, and certificate checks by substitution
+into the `Rat` data.  The integer tableau in `plqstab.lp` must take the
+same pivots and return the same outcomes, and its integer certificate
+checks must accept and reject what these checks do.
 """
 
 from plqstab.lp import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
-                        _verify_infeasible, _verify_optimal,
-                        _verify_unbounded)
+                        _CertificateError)
 from plqstab.rational import ONE, ZERO, vdot
+
+
+def _verify_optimal(p: LpProblem, out: LpOptimal):
+    x, y_ub, y_eq = out.point, out.dual_ub, out.dual_eq
+    for row, rhs in zip(p.a_ub, p.b_ub):
+        if vdot(row, x) > rhs:
+            raise _CertificateError("optimal point violates an inequality")
+    for row, rhs in zip(p.a_eq, p.b_eq):
+        if vdot(row, x) != rhs:
+            raise _CertificateError("optimal point violates an equality")
+    if any(y < 0 for y in y_ub):
+        raise _CertificateError("negative inequality dual")
+    n = len(p.objective)
+    for j in range(n):
+        s = ZERO
+        for row, y in zip(p.a_ub, y_ub):
+            s += row[j] * y
+        for row, y in zip(p.a_eq, y_eq):
+            s += row[j] * y
+        if s != p.objective[j]:
+            raise _CertificateError("dual stationarity fails")
+    dual_val = vdot(p.b_ub, y_ub) + vdot(p.b_eq, y_eq)
+    if dual_val != out.value or vdot(p.objective, x) != out.value:
+        raise _CertificateError("objective values disagree")
+
+
+def _verify_unbounded(p: LpProblem, out: LpUnbounded):
+    d, x = out.ray, out.feasible_point
+    for row, rhs in zip(p.a_ub, p.b_ub):
+        if vdot(row, x) > rhs or vdot(row, d) > 0:
+            raise _CertificateError("unbounded certificate infeasible")
+    for row, rhs in zip(p.a_eq, p.b_eq):
+        if vdot(row, x) != rhs or vdot(row, d) != 0:
+            raise _CertificateError("unbounded certificate breaks equality")
+    if vdot(p.objective, d) <= 0:
+        raise _CertificateError("ray does not improve the objective")
+
+
+def _verify_infeasible(p: LpProblem, out: LpInfeasible):
+    y_ub, y_eq = out.farkas_ub, out.farkas_eq
+    if any(y < 0 for y in y_ub):
+        raise _CertificateError("negative Farkas component")
+    n = len(p.objective)
+    for j in range(n):
+        s = ZERO
+        for row, y in zip(p.a_ub, y_ub):
+            s += row[j] * y
+        for row, y in zip(p.a_eq, y_eq):
+            s += row[j] * y
+        if s != 0:
+            raise _CertificateError("Farkas combination is not zero")
+    if vdot(p.b_ub, y_ub) + vdot(p.b_eq, y_eq) >= 0:
+        raise _CertificateError("Farkas value not negative")
+
+
+def reference_verify(p: LpProblem, out):
+    """Check the certificate of an outcome of `p` by substitution."""
+    {LpOptimal: _verify_optimal, LpUnbounded: _verify_unbounded,
+     LpInfeasible: _verify_infeasible}[type(out)](p, out)
 
 
 class FractionTableau:

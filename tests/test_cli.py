@@ -164,6 +164,20 @@ def test_cli_rejects_huge_exponent_quickly(tmp_path):
     assert out.stderr.startswith("input error: $.f[0]: exponent above 64")
 
 
+@pytest.mark.parametrize("expr, pos", [("1" * 5000 + "*x1", 0),
+                                        ("x" + "1" * 5000, 1),
+                                        ("1/" + "3" * 5000, 2)])
+def test_cli_rejects_huge_numerals(tmp_path, expr, pos):
+    # int() refuses decimal strings beyond 4300 digits with ValueError
+    bad = tmp_path / "huge_numeral.json"
+    bad.write_text(json.dumps(_doc(f=[expr])))
+    out = subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                          str(bad)], capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ("input error: $.f[0]: numeral of 5000 digits is too "
+                          "long (at position %d)\n" % pos)
+
+
 def test_cli_probe_csv_files(tmp_path, capsys):
     out = tmp_path / "trace"
     rc = cli_main(["analyze", corpus_path("example_3_3"), "--probe",

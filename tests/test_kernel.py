@@ -10,6 +10,7 @@ from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
                      Polyhedron, QpInfeasible, QpOptimal, QpUnbounded,
                      RatMatrix, identity, lp_max, lp_solve, psd_check,
                      qp_solve, rat)
+from plqstab.lp import lp_max_each
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
                             pseudo_inverse_psd, rank, solve_general)
 from plqstab.rational import format_rat, parse_rat, primitive, vdot
@@ -169,33 +170,187 @@ def test_lp_matches_fraction_reference(monkeypatch):
     assert min(outcomes.values()) >= 60, outcomes
 
 
+def _record_phases(monkeypatch, cls, log):
+    """Log (phase, r, j) for every pivot of `cls`; the artificial pivot-out
+    step, which runs between the phases, is logged as phase 1."""
+    pivot, run = cls.pivot, cls.run
+    phase = [1]
+
+    def logged_pivot(self, r, j):
+        log.append((phase[0], r, j))
+        return pivot(self, r, j)
+
+    def logged_run(self, cost, allow_artificial):
+        phase[0] = 1 if allow_artificial else 2
+        try:
+            return run(self, cost, allow_artificial)
+        finally:
+            phase[0] = 1
+
+    monkeypatch.setattr(cls, "pivot", logged_pivot)
+    monkeypatch.setattr(cls, "run", logged_run)
+
+
+def test_shared_phase_1_matches_fresh_solves(monkeypatch):
+    from lp_reference import FractionTableau, reference_lp_solve
+    import plqstab.lp as lp
+
+    log = []
+    _record_phases(monkeypatch, lp._Tableau, log)
+    _record_phases(monkeypatch, FractionTableau, log)
+
+    def logged(solve, p):
+        log.clear()
+        return solve(p), list(log)
+
+    rng = random.Random(4711)
+    later = {LpOptimal: 0, LpUnbounded: 0, LpInfeasible: 0}
+    for _ in range(250):
+        p = _random_lp(rng)
+        n = len(p.objective)
+        objectives = [p.objective, tuple(-v for v in p.objective),
+                      (rat(0),) * n]
+        for _ in range(rng.randint(0, 3)):
+            objectives.append(tuple(rat(rng.randint(-36, 36), rng.randint(1, 12))
+                                    for _ in range(n)))
+        rng.shuffle(objectives)
+        log.clear()
+        shared = []
+        for out in lp_max_each(objectives, p.a_ub, p.b_ub, p.a_eq, p.b_eq):
+            shared.append((out, list(log)))
+            log.clear()
+        assert len(shared) == len(objectives)
+        for k, (c, (out, pivots)) in enumerate(zip(objectives, shared)):
+            q = LpProblem(c, p.a_ub, p.b_ub, p.a_eq, p.b_eq)
+            fresh, fresh_pivots = logged(lp_solve, q)
+            ref, ref_pivots = logged(reference_lp_solve, q)
+            assert out == fresh == ref, q
+            assert fresh_pivots == ref_pivots, q
+            # the first objective pays for phase 1; every objective makes
+            # the phase-2 pivots of a fresh solve
+            if k == 0:
+                assert pivots == fresh_pivots, q
+            else:
+                assert pivots == [e for e in fresh_pivots if e[0] == 2], q
+                later[type(out)] += 1
+    assert min(later.values()) >= 60, later
+
+
+def test_lp_max_each_is_lazy(monkeypatch):
+    import plqstab.lp as lp
+
+    tableaux = []
+    init = lp._Tableau.__init__
+
+    def counted_init(self, p):
+        tableaux.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
+    box = dict(a_ub=((1, 0), (-1, 0), (0, 1), (0, -1)), b_ub=(1, 1, 1, 1))
+    asked = []
+
+    def objectives():
+        for c in ((1, 0), (0, 1), (1, 1)):
+            asked.append(c)
+            yield c
+
+    outcomes = lp_max_each(objectives(), **box)
+    assert not tableaux and not asked
+    first = next(outcomes)
+    assert first.value == 1 and len(tableaux) == 1 and len(asked) == 1
+    assert [o.value for o in outcomes] == [1, 2] and len(tableaux) == 1
+    assert list(lp_max_each((), **box)) == [] and len(tableaux) == 1
+    with pytest.raises(ValueError):
+        list(lp_max_each(((1, 0), (1,)), **box))
+
+
+def _forgeries(out, rng):
+    """Copies of an outcome with one certificate entry moved, some of
+    which stay valid (a scaled ray, an unchanged entry)."""
+    import dataclasses
+
+    def moved(v):
+        return rng.choice((v + rat(1, 7), v - 1, -v, v * 2, rat(0), v))
+
+    forged = []
+    for f in dataclasses.fields(out):
+        value = getattr(out, f.name)
+        if isinstance(value, tuple):
+            for _ in range(2):
+                if value:
+                    i = rng.randrange(len(value))
+                    v = list(value)
+                    v[i] = moved(v[i])
+                    forged.append(dataclasses.replace(out, **{f.name: tuple(v)}))
+            forged.append(dataclasses.replace(
+                out, **{f.name: tuple(2 * v for v in value)}))
+        else:
+            forged.append(dataclasses.replace(out, **{f.name: moved(value)}))
+    return forged
+
+
+def test_lp_integer_checks_match_substitution():
+    from lp_reference import reference_verify
+    import plqstab.lp as lp
+
+    def rejects(check, *args):
+        try:
+            check(*args)
+        except lp._CertificateError:
+            return True
+        return False
+
+    rng = random.Random(99)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        p = _random_lp(rng)
+        t = lp._Tableau(p)
+        out = lp_solve(p)
+        for forged in [out] + _forgeries(out, rng):
+            if isinstance(forged, LpOptimal):
+                args = (lp._check_optimal, t, p.objective, forged)
+            elif isinstance(forged, LpUnbounded):
+                args = (lp._check_unbounded, t, p.objective, forged)
+            else:
+                args = (lp._check_infeasible, t, forged)
+            expect = rejects(reference_verify, p, forged)
+            assert rejects(*args) == expect, (p, forged)
+            verdicts[expect] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
 _WORK_COUNTER_SCRIPT = """
-import plqstab, plqstab.lp as lp, sys
+import plqstab.lp as lp
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_6_2"))
-counts = {"lp_solve": 0, "pivot": 0}
-solve, pivot = lp.lp_solve, lp._Tableau.pivot
-def counted_solve(p):
-    counts["lp_solve"] += 1
-    return solve(p)
+counts = {"outcomes": 0, "tableaux": 0, "pivots": 0}
+solve_each, init, pivot = lp._solve_each, lp._Tableau.__init__, lp._Tableau.pivot
+def counted_solve_each(*args):
+    for out in solve_each(*args):
+        counts["outcomes"] += 1
+        yield out
+def counted_init(self, p):
+    counts["tableaux"] += 1
+    init(self, p)
 def counted_pivot(self, r, j):
-    counts["pivot"] += 1
+    counts["pivots"] += 1
     return pivot(self, r, j)
-for mod in list(sys.modules.values()):
-    if mod.__name__.startswith("plqstab") and getattr(mod, "lp_solve", None) is solve:
-        mod.lp_solve = counted_solve
+lp._solve_each = counted_solve_each
+lp._Tableau.__init__ = counted_init
 lp._Tableau.pivot = counted_pivot
 analyze_problem(pf)
-print(counts["lp_solve"], counts["pivot"])
+print(counts["outcomes"], counts["tableaux"], counts["pivots"])
 """
 
 
 def test_lp_work_counts_on_example_6_2():
     # A fresh interpreter: the polyhedra memo tables change the counts
-    # once they are warm.  Pivots include the artificial pivot-out step.
+    # once they are warm.  LP outcomes, tableaux built (one phase 1 each)
+    # and pivots, the artificial pivot-out step included.
     out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["578", "4924"]
+    assert out.stdout.split() == ["578", "433", "2142"]
 
 
 _FORGED_DUALS_SCRIPT = """

@@ -322,3 +322,27 @@ def test_prox_identity_failure_exits_2_under_optimize():
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("internal consistency failure: proximal identity")
     assert "Traceback" not in out.stderr
+
+
+_FORGED_WITNESS_SCRIPT = """
+import sys
+import plqstab.stability as stability
+from plqstab import corpus_path
+from plqstab.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+nontrivial_point = stability._nontrivial_point
+def forged(*args):
+    point = nontrivial_point(*args)
+    return None if point is None else tuple(v + 1 for v in point)
+stability._nontrivial_point = forged
+sys.exit(main(["analyze", corpus_path("example_4_4")]))
+"""
+
+
+def test_witness_failure_exits_2_under_optimize():
+    out = subprocess.run([sys.executable, "-O", "-c", _FORGED_WITNESS_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("internal consistency failure: witness")
+    assert "Traceback" not in out.stderr
