@@ -140,36 +140,6 @@ def _random_lp(rng):
     return LpProblem(c, tuple(rows), tuple(rhs), tuple(eq), tuple(erhs))
 
 
-def test_lp_matches_fraction_reference(monkeypatch):
-    from lp_reference import FractionTableau, reference_lp_solve
-    import plqstab.lp as lp
-
-    pivots = {"int": [], "ref": []}
-
-    def recording(key, original):
-        def pivot(self, r, j):
-            pivots[key].append((r, j))
-            return original(self, r, j)
-        return pivot
-
-    monkeypatch.setattr(lp._Tableau, "pivot",
-                        recording("int", lp._Tableau.pivot))
-    monkeypatch.setattr(FractionTableau, "pivot",
-                        recording("ref", FractionTableau.pivot))
-    rng = random.Random(2024)
-    outcomes = {LpOptimal: 0, LpUnbounded: 0, LpInfeasible: 0}
-    for _ in range(600):
-        p = _random_lp(rng)
-        pivots["int"].clear()
-        pivots["ref"].clear()
-        ref = reference_lp_solve(p)
-        out = lp_solve(p)
-        assert type(out) is type(ref) and out == ref, p
-        assert pivots["int"] == pivots["ref"], p
-        outcomes[type(out)] += 1
-    assert min(outcomes.values()) >= 60, outcomes
-
-
 def _record_phases(monkeypatch, cls, log):
     """Log (phase, r, j) for every pivot of `cls`; the artificial pivot-out
     step, which runs between the phases, is logged as phase 1."""
@@ -189,6 +159,27 @@ def _record_phases(monkeypatch, cls, log):
 
     monkeypatch.setattr(cls, "pivot", logged_pivot)
     monkeypatch.setattr(cls, "run", logged_run)
+
+
+def test_lp_matches_fraction_reference(monkeypatch):
+    from lp_reference import FractionTableau, reference_lp_solve
+    import plqstab.lp as lp
+
+    pivots = {"int": [], "ref": []}
+    _record_phases(monkeypatch, lp._Tableau, pivots["int"])
+    _record_phases(monkeypatch, FractionTableau, pivots["ref"])
+    rng = random.Random(2024)
+    outcomes = {LpOptimal: 0, LpUnbounded: 0, LpInfeasible: 0}
+    for _ in range(600):
+        p = _random_lp(rng)
+        pivots["int"].clear()
+        pivots["ref"].clear()
+        ref = reference_lp_solve(p)
+        out = lp_solve(p)
+        assert type(out) is type(ref) and out == ref, p
+        assert pivots["int"] == pivots["ref"], p
+        outcomes[type(out)] += 1
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 def test_shared_phase_1_matches_fresh_solves(monkeypatch):
