@@ -14,6 +14,10 @@ explicit quadratic form (solved on the span of the face with a rational
 pseudo-inverse), and strict or non-strict copositivity of each pulled
 back form is decided exactly by enumerating stationary families over
 the simplex of cone generators.
+
+The criteria at (x, lam) share one memoized point context of the induced
+system (`stability.PointContext`): one solution check, and the Hessian,
+critical cone, faces, face regions and graph normal cones built once.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, pseudo_inverse_psd, solve_general, zeros
+from .linalg import RatMatrix, solve_general
 from .lp import LpOptimal, lp_feasible_point, lp_max_each
-from .plq import PlqPenalty, subdiff_graph_normal_cones
-from .polyhedra import (PolyCone, Polyhedron, _subsets, fm_project,
-                        normal_cone)
+from .plq import PlqPenalty
+from .polyhedra import PolyCone, Polyhedron, _subsets, normal_cone
 from .polymap import Polynomial, PolyMap
 from .rational import ONE, ZERO, norm2, rat, vadd, vdot, vsub
 from .stability import (_face_system, _nontrivial_point, classify_multiplier,
@@ -108,21 +111,15 @@ class EnlpProblem:
     # -- first-order tests -------------------------------------------------------
     def kkt_check(self, x, lam):
         """(exact KKT truth, float residual)."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        grad = self.lagrangian_gradient_x(x, lam)
-        stationary = all(v == 0 for v in grad)
-        phix = self.phi.eval(x)
-        in_subdiff = self.penalty.subdiff_contains(phix, lam)
-        resid = norm2(grad)
-        if not in_subdiff:
-            resid += norm2(vsub(phix, self.penalty.prox(vadd(lam, phix))))
-        return stationary and in_subdiff, resid
+        ctx = self._vs.point(x, lam)
+        resid = norm2(ctx.psi)
+        if not ctx.in_subdiff:
+            resid += norm2(vsub(ctx.zbar, self.penalty.prox(vadd(ctx.lam, ctx.zbar))))
+        return ctx.solves, resid
 
     def _require_kkt(self, x, lam):
-        ok, _ = self.kkt_check(x, lam)
-        if not ok:
-            raise ValueError("the pair does not solve the KKT system exactly")
+        return self._vs.point(x, lam).require(
+            "the pair does not solve the KKT system exactly")
 
     def multiplier_set(self, x):
         return self._vs.multiplier_set(x)
@@ -147,65 +144,11 @@ class EnlpProblem:
                                  range(self.m)) is None
 
     # -- second-order conditions -----------------------------------------------------
-    def _regions(self, kcone: PolyCone, hess: RatMatrix, gmat: RatMatrix):
-        """(cone in direction space, quadratic form matrix) per face region."""
-        bmat = self.penalty.B
-        m, n = self.m, self.n
-        out = []
-        for face in kcone.faces():
-            span = face.piece.span_basis()
-            if span:
-                gspan = RatMatrix.from_cols(list(span))
-                core = gspan.T @ bmat @ gspan
-                smat = gspan @ pseudo_inverse_psd(core) @ gspan.T
-            else:
-                smat = zeros(m, m)
-            region = self._face_region(kcone, face)
-            wrows = [tuple(gmat.rmatvec(r)) for r in region.rows]
-            wcone = PolyCone(wrows, dim=n)
-            gsg = gmat.T @ smat @ gmat
-            qform = hess + gsg
-            out.append((wcone, qform))
-        return out
-
-    def _face_region(self, kcone: PolyCone, face) -> PolyCone:
-        """{u : exists y in F with u - B y in polar(K) cap F-perp}."""
-        from .stability import _residual_rows
-
-        m = self.m
-        bmat = self.penalty.B
-        rows, rhs = [], []
-        # variables (u, y) in R^{2m}
-        for b in face.piece.rows:
-            rows.append((ZERO,) * m + tuple(b))
-            rhs.append(ZERO)
-        for h, kind in _residual_rows(kcone, face.piece):
-            bh = bmat.matvec(h)
-            row = tuple(h) + tuple(-v for v in bh)
-            rows.append(row)
-            rhs.append(ZERO)
-            if kind == "eq":
-                rows.append(tuple(-v for v in row))
-                rhs.append(ZERO)
-        lifted = Polyhedron(rows, rhs).with_dim(2 * m)
-        proj = fm_project(lifted, range(m))
-        return PolyCone(proj.b, dim=m)
-
     def sosc_holds(self, x, lam) -> bool:
         """Strict copositivity of the Lagrangian-plus-penalty form on the
         directions whose image lies in the restricted penalty domain."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        self._require_kkt(x, lam)
-        zbar = self.phi.eval(x)
-        kcone = self.penalty.critical_cone_at(zbar, lam)
-        hess = self.lagrangian_hessian_xx(x, lam)
-        gmat = self.phi.jacobian_at(x)
-        for wcone, qform in self._regions(kcone, hess, gmat):
-            ok, _ = copositive_on_cone(qform, wcone, strict=True)
-            if not ok:
-                return False
-        return True
+        return all(copositive_on_cone(qform, wcone, strict=True)[0]
+                   for wcone, qform in self._require_kkt(x, lam).regions)
 
     def sonc_holds(self, x):
         """Non-strict second-order necessary condition.
@@ -221,17 +164,10 @@ class EnlpProblem:
         mset = self.multiplier_set(x)
         if mset.empty:
             raise ValueError("no multipliers at the base point")
-        zbar = self.phi.eval(x)
-        gmat = self.phi.jacobian_at(x)
 
         def check(lam) -> bool:
-            kcone = self.penalty.critical_cone_at(zbar, lam)
-            hess = self.lagrangian_hessian_xx(x, lam)
-            for wcone, qform in self._regions(kcone, hess, gmat):
-                ok, _ = copositive_on_cone(qform, wcone, strict=False)
-                if not ok:
-                    return False
-            return True
+            return all(copositive_on_cone(qform, wcone, strict=False)[0]
+                       for wcone, qform in self._vs.point(x, lam).regions)
 
         if mset.singleton:
             return check(mset.representative)
@@ -247,19 +183,10 @@ class EnlpProblem:
     def isolated_calmness_skkt(self, x, lam) -> bool:
         """Graphical-derivative criterion: the linearized KKT system
         admits only the zero direction pair."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        self._require_kkt(x, lam)
-        pen = self.penalty
-        zbar = self.phi.eval(x)
-        kcone = pen.critical_cone_at(zbar, lam)
-        hess = self.lagrangian_hessian_xx(x, lam)
-        gmat = self.phi.jacobian_at(x)
+        ctx = self._require_kkt(x, lam)
         n, m = self.n, self.m
-        for face in kcone.faces():
-            a_eq, b_eq, a_ub, b_ub = _face_system(hess, gmat, pen.B, kcone,
-                                                  face.piece)
-            if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, n + m,
+        for face in ctx.faces:
+            if _nontrivial_point(*_face_system(ctx, face.piece), n + m,
                                  range(n + m)) is not None:
                 return False
         return True
@@ -268,26 +195,16 @@ class EnlpProblem:
         """Coderivative criterion: only the zero pair satisfies the
         linearized inclusion through the limiting normals of the
         subdifferential graph."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        self._require_kkt(x, lam)
-        pen = self.penalty
-        zbar = self.phi.eval(x)
-        hess = self.lagrangian_hessian_xx(x, lam)
-        gmat = self.phi.jacobian_at(x)
-        n, m = self.n, self.m
-        cones = subdiff_graph_normal_cones(pen, zbar, lam)
-        for cone in cones:
+        ctx = self._require_kkt(x, lam)
+        hess, gmat, n, m = ctx.amat, ctx.gmat, self.n, self.m
+        for cone in ctx.graph_normals:
             a_eq, b_eq, a_ub, b_ub = [], [], [], []
             for i in range(n):  # H xi + G^T eta = 0
                 row = list(hess.rows[i]) + [gmat.rows[k][i] for k in range(m)]
                 a_eq.append(tuple(row))
                 b_eq.append(ZERO)
             for h in cone.rows:  # (eta, -G xi) in the normal cone piece
-                hz, hl = h[:m], h[m:]
-                gh = gmat.rmatvec(hl)
-                row = tuple(-v for v in gh) + tuple(hz)
-                a_ub.append(row)
+                a_ub.append(tuple(-v for v in gmat.rmatvec(h[m:])) + h[:m])
                 b_ub.append(ZERO)
             if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, n + m,
                                  range(n + m)) is not None:
@@ -296,10 +213,8 @@ class EnlpProblem:
 
     def robust_ic_report(self, x, lam) -> StabilityReport:
         """Full stability report with exact theorem-level cross-checks."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        self._require_kkt(x, lam)
-        vs = self._vs
+        ctx = self._require_kkt(x, lam)
+        x, lam, vs = ctx.x, ctx.lam, self._vs
         verdict = classify_multiplier(vs, x, lam)
         noncritical = not verdict.critical
         uniq = uniqueness_report(vs, x, lam)

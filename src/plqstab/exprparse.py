@@ -9,9 +9,10 @@ Grammar (whitespace insensitive):
     rational := digits ('/' digits)?
 
 Variables are x1..xn; exponents are nonnegative integer literals of at
-most MAX_EXPONENT, and a power may not raise the degree above it either,
-so that a short input cannot ask for an unbounded expansion.  Errors
-carry the character position.
+most MAX_EXPONENT, a power may not raise the degree above it either, and
+no product may multiply out over MAX_EXPANSION term pairs, so that a
+short input cannot ask for an unbounded expansion.  Errors carry the
+character position.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from __future__ import annotations
 from .polymap import Polynomial
 from .rational import Rat
 
-__all__ = ["MAX_EXPONENT", "ParseError", "parse_expression"]
+__all__ = ["MAX_EXPANSION", "MAX_EXPONENT", "ParseError", "parse_expression"]
 
 # The largest exponent, and the largest degree of a power, that parses.
 MAX_EXPONENT = 64
+# The most term pairs one product may multiply out, checked before the
+# product is formed: a short power of a sum can ask for a huge expansion.
+MAX_EXPANSION = 100_000
 
 
 class ParseError(ValueError):
@@ -52,7 +56,7 @@ class _Scanner:
     def digits(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
@@ -95,8 +99,16 @@ def _term(sc, n):
     total = _factor(sc, n)
     while sc.peek() == "*":
         sc.take()
-        total = total * _factor(sc, n)
+        pos = sc.pos
+        total = _product(total, _factor(sc, n), pos)
     return total
+
+
+def _product(a, b, pos):
+    """a * b, refused before it is formed past MAX_EXPANSION term pairs."""
+    if len(a.terms) * len(b.terms) > MAX_EXPANSION:
+        raise ParseError("product of over %d term pairs" % MAX_EXPANSION, pos)
+    return a * b
 
 
 def _factor(sc, n):
@@ -115,7 +127,7 @@ def _factor(sc, n):
         power = int(text)
         if base.degree() * power > MAX_EXPONENT:
             raise ParseError("power of degree above %d" % MAX_EXPONENT, pos)
-        return base ** power
+        return base.power(power, lambda a, b: _product(a, b, pos))
     return base
 
 
@@ -135,7 +147,7 @@ def _base(sc, n):
         if not 1 <= idx <= n:
             raise ParseError("variable x%d out of range 1..%d" % (idx, n), pos)
         return Polynomial.variable(n, idx - 1)
-    if ch.isdigit():
+    if "0" <= ch <= "9":  # ASCII only: str.isdigit() admits other digits
         num = sc.integer()
         if sc.peek() == "/":
             sc.take()

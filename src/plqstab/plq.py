@@ -378,15 +378,10 @@ class PlqPenalty:
 
 
 def subdiff_graph_normal_cones(penalty: PlqPenalty, zbar, lam):
-    """Limiting normal cones to gph(subdiff) at (zbar, lam), memoized."""
-    zbar = tuple(rat(v) for v in zbar)
-    lam = tuple(rat(v) for v in lam)
-    cache = penalty._cache.setdefault("graph_normals", {})
-    key = (zbar, lam)
-    if key not in cache:
-        union = penalty.graph_pieces()
-        cache[key] = limiting_normal_cone_union(union, zbar + lam)
-    return cache[key]
+    """Limiting normal cones to gph(subdiff) at (zbar, lam); the point
+    context of a solution keeps them for its criteria."""
+    point = tuple(rat(v) for v in zbar) + tuple(rat(v) for v in lam)
+    return limiting_normal_cone_union(penalty.graph_pieces(), point)
 
 
 def coderivative_contains(penalty: PlqPenalty, zbar, lam, w, u) -> bool:

@@ -95,15 +95,6 @@ class Polyhedron:
         p._dim = dim
         return p
 
-    @staticmethod
-    def from_eq_ineq(eq_rows, eq_rhs, ineq_rows, ineq_rhs, dim=None):
-        rows = list(ineq_rows) + [r for r in eq_rows] + [tuple(-v for v in r) for r in eq_rows]
-        rhs = list(ineq_rhs) + list(eq_rhs) + [-a for a in eq_rhs]
-        p = Polyhedron(rows, rhs)
-        if p._dim is None:
-            p._dim = dim
-        return p
-
     @property
     def dim(self):
         if self._dim is None:
@@ -144,10 +135,6 @@ class Polyhedron:
         """(rows, rhs) of the recognized equality part."""
         pairs, _ = self._split()
         return ([self.b[i] for i, _ in pairs], [self.alpha[i] for i, _ in pairs])
-
-    def ineq_system(self):
-        _, ineq = self._split()
-        return ([self.b[i] for i in ineq], [self.alpha[i] for i in ineq])
 
     # -- membership --------------------------------------------------------
     def contains(self, y) -> bool:
@@ -291,15 +278,6 @@ class Polyhedron:
         return {"b": [[str(v) for v in row] for row in self.b],
                 "alpha": [str(a) for a in self.alpha]}
 
-    @staticmethod
-    def from_doc(doc, dim=None):
-        from .rational import parse_rat
-
-        rows = [tuple(parse_rat(v) for v in row) for row in doc["b"]]
-        alpha = [parse_rat(a) for a in doc["alpha"]]
-        return Polyhedron(rows, alpha).with_dim(dim) if dim is not None else \
-            Polyhedron(rows, alpha)
-
     def __repr__(self):
         return "Polyhedron(rows=%d, dim=%s)" % (len(self.b), self._dim)
 
@@ -437,9 +415,6 @@ class PolyCone:
         """Nonnegative polar {v : <v, x> >= 0 for all x in the cone}."""
         p = self.polar()
         return PolyCone([tuple(-v for v in r) for r in p.rows], dim=self.dim)
-
-    def negate(self) -> "PolyCone":
-        return PolyCone([tuple(-v for v in r) for r in self.rows], dim=self.dim)
 
     def set_equal(self, other: "PolyCone") -> bool:
         """Exact set equality via mutual generator membership."""

@@ -85,15 +85,21 @@ class Polynomial:
         return Polynomial(self.n, out)
 
     def __pow__(self, k):
+        return self.power(k)
+
+    def power(self, k, mul=lambda a, b: a * b):
+        """self ** k by binary powering, each product formed by `mul`,
+        which may check the factors first and refuse by raising."""
         if k < 0:
             raise ValueError("negative exponent")
         result = Polynomial.constant(self.n, 1)
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = mul(result, base)
             k >>= 1
+            if k:  # no squaring past the last bit
+                base = mul(base, base)
         return result
 
     def __eq__(self, other):
@@ -141,9 +147,6 @@ class Polynomial:
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self):
-        return not self.terms
 
     # -- printing ------------------------------------------------------------
     def _sorted_terms(self):

@@ -34,8 +34,11 @@ from .polymap import PolyMap
 from .rational import parse_rat
 from .varsys import VarSystem
 
-__all__ = ["ProblemFile", "ProblemFileError", "parse_problem_file",
-           "parse_problem_doc"]
+__all__ = ["MAX_DIMENSION", "ProblemFile", "ProblemFileError",
+           "parse_problem_file", "parse_problem_doc"]
+
+# The largest n and m a file may declare, refused before anything is built.
+MAX_DIMENSION = 1000
 
 
 class ProblemFileError(ValueError):
@@ -105,8 +108,8 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.kind", "must be 'enlp' or 'varsys'")
     n = _expect(doc, "n", int, "$")
     m = _expect(doc, "m", int, "$")
-    if n < 1 or m < 1:
-        raise ProblemFileError("$.n", "dimensions must be positive")
+    if not (1 <= n <= MAX_DIMENSION and 1 <= m <= MAX_DIMENSION):
+        raise ProblemFileError("$.n", "dimensions must be in 1..%d" % MAX_DIMENSION)
 
     ydoc = _expect(doc, "Y", dict, "$")
     brows = _expect(ydoc, "b", list, "$.Y")

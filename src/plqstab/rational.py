@@ -8,6 +8,7 @@ times faster than ``fractions.Fraction``) and ``Fraction`` otherwise.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -63,20 +64,12 @@ def vec(values):
     return tuple(rat(v) for v in values)
 
 
-def vzeros(n):
-    return (ZERO,) * n
-
-
 def vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vneg(a):
-    return tuple(-x for x in a)
 
 
 def vscale(t, a):
@@ -94,17 +87,21 @@ def norm_sq(a):
     return vdot(a, a)
 
 
+def sqrt_float(value) -> float:
+    """sqrt(value) for a Rat value >= 0, as a float: past float range the
+    value is divided by 4**k and the root scaled back by 2**k, or inf."""
+    try:
+        return float(value) ** 0.5
+    except OverflowError:
+        k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+        try:
+            return math.ldexp(float(value / 4 ** k) ** 0.5, k)
+        except OverflowError:
+            return math.inf
+
+
 def norm2(a) -> float:
-    return float(norm_sq(a)) ** 0.5
-
-
-def norm_inf(a):
-    m = ZERO
-    for x in a:
-        ax = -x if x < 0 else x
-        if ax > m:
-            m = ax
-    return m
+    return sqrt_float(norm_sq(a))
 
 
 def is_zero_vec(a) -> bool:

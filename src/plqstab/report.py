@@ -1,7 +1,8 @@
 """Analysis driver and report rendering.
 
-`analyze_problem` runs, per declared point: the exact solution / KKT
-check, the multiplier-set description, the criticality verdict with its
+`analyze_problem` runs, per declared point and on one point context
+(`stability.PointContext`): the exact solution / KKT check, the
+multiplier-set description, the criticality verdict with its
 witness, the uniqueness report, a deterministic error-bound residual
 table, the (ENLP-only) stability report, and the opt-in floating-point
 probes.  The resulting document is pure data; `render_json` and
@@ -85,7 +86,8 @@ def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
     system = problem.to_varsys() if is_enlp else problem
 
     doc = {"x": _fmt_vec(x), "lambda": _fmt_vec(lam)}
-    solves = system.is_solution(x, lam)
+    ctx = system.point(x, lam)
+    x, lam, solves = ctx.x, ctx.lam, ctx.solves
     doc["is_solution"] = solves
     if is_enlp:
         kkt_ok, kkt_res = problem.kkt_check(x, lam)

@@ -12,6 +12,9 @@ of K (complementarity is automatic when eta in F and the residual lies
 in polar(K) with F orthogonal), leaving one linear-conic system per
 face whose nontriviality is decided by LPs under a box normalization.
 
+Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
+`VarSystem.point`: one solution check, each per-point object built once.
+
 Floating point enters only in the probes: error-bound residuals, the
 divergence probe along a critical direction, and a damped semismooth
 Newton solver for canonically perturbed systems.  The Newton iteration
@@ -28,16 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix
+from .linalg import RatMatrix, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
-from .polyhedra import PolyCone
-from .rational import (ONE, ZERO, norm2, rat, to_float_vec, vadd, vdot,
-                       vscale, vsub)
+from .plq import subdiff_graph_normal_cones
+from .polyhedra import PolyCone, Polyhedron, critical_cone, fm_project
+from .rational import (ONE, ZERO, norm2, rat, sqrt_float, to_float_vec, vadd,
+                       vdot, vscale, vsub)
 from .varsys import VarSystem
 
 __all__ = [
+    "PointContext",
     "CriticalityVerdict",
     "UniquenessReport",
     "ProbeRecord",
@@ -152,11 +158,11 @@ def _residual_rows(kcone: PolyCone, face_piece: PolyCone):
     return rows
 
 
-def _face_system(amat: RatMatrix, gmat: RatMatrix, bmat: RatMatrix,
-                 kcone: PolyCone, face_piece: PolyCone):
-    """Equality/inequality rows over (xi, eta) for one face system."""
-    n = amat.ncols
-    m = gmat.nrows
+def _face_system(ctx, face_piece: PolyCone):
+    """Equality/inequality rows over (xi, eta) for one face system at a
+    point context: A = d(Psi)/dx, G = DPhi(x), K its critical cone."""
+    amat, gmat, bmat = ctx.amat, ctx.gmat, ctx.system.penalty.B
+    n, m = amat.ncols, gmat.nrows
     a_eq, b_eq, a_ub, b_ub = [], [], [], []
     for i in range(n):  # A xi + G^T eta = 0
         row = list(amat.rows[i]) + [gmat.rows[k][i] for k in range(m)]
@@ -165,17 +171,11 @@ def _face_system(amat: RatMatrix, gmat: RatMatrix, bmat: RatMatrix,
     for b in face_piece.rows:  # eta in F
         a_ub.append((ZERO,) * n + tuple(b))
         b_ub.append(ZERO)
-    for h, kind in _residual_rows(kcone, face_piece):
+    for h, kind in _residual_rows(ctx.kcone, face_piece):
         # <h, G xi - B eta> = (G^T h) . xi - (B h) . eta
-        gh = gmat.rmatvec(h)
-        bh = bmat.matvec(h)
-        row = tuple(gh) + tuple(-v for v in bh)
-        if kind == "eq":
-            a_eq.append(row)
-            b_eq.append(ZERO)
-        else:
-            a_ub.append(row)
-            b_ub.append(ZERO)
+        row = tuple(gmat.rmatvec(h)) + tuple(-v for v in bmat.matvec(h))
+        (a_eq if kind == "eq" else a_ub).append(row)
+        (b_eq if kind == "eq" else b_ub).append(ZERO)
     return a_eq, b_eq, a_ub, b_ub
 
 
@@ -202,51 +202,172 @@ def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
     return None
 
 
+# -- the per-point context ------------------------------------------------------
+
+
+class PointContext:
+    """The exact objects every criterion reads at one pair (x, lam).
+
+    Made by `VarSystem.point`, which memoizes contexts on the system
+    instance, so each member is computed at most once per parsed problem;
+    every member is a pure function of (system, x, lam).  `solves` is the
+    one exact solution check: Psi(x, lam) = 0 and lam a subgradient at
+    Phi(x), through `subdiff_contains` and its Fenchel cross-check.  The
+    members from `kcone` on exist at solutions only.
+    """
+
+    def __init__(self, system, x, lam):
+        self.system, self.x, self.lam = system, x, lam
+
+    @cached_property
+    def zbar(self):
+        return self.system.phi.eval(self.x)
+
+    @cached_property
+    def gmat(self) -> RatMatrix:
+        """DPhi(x)."""
+        return self.system.phi.jacobian_at(self.x)
+
+    @cached_property
+    def psi(self):
+        return vadd(self.system.f.eval(self.x), self.gmat.rmatvec(self.lam))
+
+    @cached_property
+    def in_subdiff(self) -> bool:
+        return self.system.penalty.subdiff_contains(self.zbar, self.lam)
+
+    @cached_property
+    def solves(self) -> bool:
+        return all(v == 0 for v in self.psi) and self.in_subdiff
+
+    def require(self, message):
+        """This context, or ValueError(message) when the pair is no solution."""
+        if not self.solves:
+            raise ValueError(message)
+        return self
+
+    @cached_property
+    def amat(self) -> RatMatrix:
+        """d(Psi)/dx, the Lagrangian Hessian of an ENLP."""
+        return self.system.psi_jacobian_x(self.x, self.lam)
+
+    @cached_property
+    def kcone(self) -> PolyCone:
+        """The critical cone K_Y(lam, zbar - B lam) of the verified pair."""
+        self.require("the critical cone needs an exact solution")
+        pen = self.system.penalty
+        return critical_cone(pen.Y, self.lam,
+                             vsub(self.zbar, pen.B.matvec(self.lam)))
+
+    @cached_property
+    def faces(self):
+        return self.kcone.faces()
+
+    @cached_property
+    def criticality(self) -> CriticalityVerdict:
+        n, m = self.system.n, self.system.m
+        certificates = []
+        for face in self.faces:
+            point = _nontrivial_point(*_face_system(self, face.piece), n + m,
+                                      range(n))
+            if point is not None:
+                xi, eta = tuple(point[:n]), tuple(point[n:])
+                _assert_witness(self, xi, eta)
+                return CriticalityVerdict(critical=True, xi=xi, eta=eta,
+                                          face_tight=face.tight,
+                                          face_count=len(self.faces),
+                                          face_certificates=tuple(certificates))
+            certificates.append((face.tight, "only xi = 0"))
+        return CriticalityVerdict(critical=False, face_count=len(self.faces),
+                                  face_certificates=tuple(certificates))
+
+    @cached_property
+    def dqc(self) -> bool:
+        bmat, gmat = self.system.penalty.B, self.gmat
+        m, n = self.system.m, self.system.n
+        for face in self.faces:
+            a_eq, b_eq, a_ub, b_ub = [], [], [], []
+            for b in face.piece.rows:  # eta in F
+                a_ub.append(tuple(b))
+                b_ub.append(ZERO)
+            # -B eta in polar(K) cap F-perp
+            for h, kind in _residual_rows(self.kcone, face.piece):
+                row = tuple(-v for v in bmat.matvec(h))
+                (a_eq if kind == "eq" else a_ub).append(row)
+                (b_eq if kind == "eq" else b_ub).append(ZERO)
+            for j in range(n):  # eta in ker(DPhi^T)
+                a_eq.append(tuple(gmat.rows[i][j] for i in range(m)))
+                b_eq.append(ZERO)
+            if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, m, range(m)) is not None:
+                return False
+        return True
+
+    @cached_property
+    def regions(self):
+        """(cone in direction space, quadratic form matrix) per face region
+        of the second-order conditions."""
+        bmat, m = self.system.penalty.B, self.system.m
+        out = []
+        for face in self.faces:
+            span = face.piece.span_basis()
+            if span:
+                gspan = RatMatrix.from_cols(list(span))
+                core = gspan.T @ bmat @ gspan
+                smat = gspan @ pseudo_inverse_psd(core) @ gspan.T
+            else:
+                smat = zeros(m, m)
+            region = _face_region(self, face)
+            wcone = PolyCone([tuple(self.gmat.rmatvec(r)) for r in region.rows],
+                             dim=self.system.n)
+            out.append((wcone, self.amat + self.gmat.T @ smat @ self.gmat))
+        return out
+
+    @cached_property
+    def graph_normals(self):
+        """Limiting normal cones to the subdifferential graph at (zbar, lam)."""
+        return subdiff_graph_normal_cones(self.system.penalty, self.zbar, self.lam)
+
+    @cached_property
+    def inverse_subdiff(self):
+        return self.system.penalty.inverse_subdiff(self.lam)
+
+
+def _face_region(ctx: PointContext, face) -> PolyCone:
+    """{u : exists y in F with u - B y in polar(K) cap F-perp}."""
+    m, bmat = ctx.system.m, ctx.system.penalty.B
+    rows, rhs = [], []
+    # variables (u, y) in R^{2m}
+    for b in face.piece.rows:
+        rows.append((ZERO,) * m + tuple(b))
+        rhs.append(ZERO)
+    for h, kind in _residual_rows(ctx.kcone, face.piece):
+        row = tuple(h) + tuple(-v for v in bmat.matvec(h))
+        rows.append(row)
+        rhs.append(ZERO)
+        if kind == "eq":
+            rows.append(tuple(-v for v in row))
+            rhs.append(ZERO)
+    lifted = Polyhedron(rows, rhs).with_dim(2 * m)
+    return PolyCone(fm_project(lifted, range(m)).b, dim=m)
+
+
 # -- classification ---------------------------------------------------------------
 
 
 def classify_multiplier(system: VarSystem, xbar, lam) -> CriticalityVerdict:
     """Exact Critical/Noncritical verdict with a rational witness."""
-    xbar = tuple(rat(v) for v in xbar)
-    lam = tuple(rat(v) for v in lam)
-    if not system.is_solution(xbar, lam):
-        raise ValueError("criticality is defined at exact solutions only")
-    pen = system.penalty
-    zbar = system.phi.eval(xbar)
-    kcone = pen.critical_cone_at(zbar, lam)
-    amat = system.psi_jacobian_x(xbar, lam)
-    gmat = system.phi.jacobian_at(xbar)
-    n, m = system.n, system.m
-
-    certificates = []
-    faces = kcone.faces()
-    for face in faces:
-        a_eq, b_eq, a_ub, b_ub = _face_system(amat, gmat, pen.B, kcone, face.piece)
-        point = _nontrivial_point(a_eq, b_eq, a_ub, b_ub, n + m, range(n))
-        if point is not None:
-            xi = tuple(point[:n])
-            eta = tuple(point[n:])
-            _assert_witness(system, xbar, lam, kcone, xi, eta)
-            return CriticalityVerdict(critical=True, xi=xi, eta=eta,
-                                      face_tight=face.tight,
-                                      face_count=len(faces),
-                                      face_certificates=tuple(certificates))
-        certificates.append((face.tight, "only xi = 0"))
-    return CriticalityVerdict(critical=False, face_count=len(faces),
-                              face_certificates=tuple(certificates))
+    return system.point(xbar, lam).require(
+        "criticality is defined at exact solutions only").criticality
 
 
-def _assert_witness(system, xbar, lam, kcone, xi, eta):
-    pen = system.penalty
-    amat = system.psi_jacobian_x(xbar, lam)
-    gmat = system.phi.jacobian_at(xbar)
-    lhs = vadd(amat.matvec(xi), gmat.rmatvec(eta))
+def _assert_witness(ctx: PointContext, xi, eta):
+    lhs = vadd(ctx.amat.matvec(xi), ctx.gmat.rmatvec(eta))
     if any(v != 0 for v in lhs):
         raise InternalConsistencyError("witness breaks the linear equation")
-    resid = vsub(gmat.matvec(xi), pen.B.matvec(eta))
-    if not kcone.contains(eta):
+    resid = vsub(ctx.gmat.matvec(xi), ctx.system.penalty.B.matvec(eta))
+    if not ctx.kcone.contains(eta):
         raise InternalConsistencyError("witness eta escapes the critical cone")
-    if not kcone.polar().contains(resid):
+    if not ctx.kcone.polar().contains(resid):
         raise InternalConsistencyError("witness residual escapes the polar")
     if vdot(resid, eta) != 0:
         raise InternalConsistencyError("witness breaks complementarity")
@@ -257,45 +378,16 @@ def _assert_witness(system, xbar, lam, kcone, xi, eta):
 def dqc_holds(system: VarSystem, xbar, lam) -> bool:
     """Dual qualification: the graphical derivative of the subgradient
     map at zero meets the kernel of the adjoint Jacobian only at zero."""
-    xbar = tuple(rat(v) for v in xbar)
-    lam = tuple(rat(v) for v in lam)
-    if not system.is_solution(xbar, lam):
-        raise ValueError("dual qualification is defined at exact solutions only")
-    pen = system.penalty
-    zbar = system.phi.eval(xbar)
-    kcone = pen.critical_cone_at(zbar, lam)
-    gmat = system.phi.jacobian_at(xbar)
-    m, n = system.m, system.n
-    for face in kcone.faces():
-        a_eq, b_eq, a_ub, b_ub = [], [], [], []
-        for b in face.piece.rows:  # eta in F
-            a_ub.append(tuple(b))
-            b_ub.append(ZERO)
-        for h, kind in _residual_rows(kcone, face.piece):  # -B eta in polar(K) cap F-perp
-            bh = pen.B.matvec(h)
-            row = tuple(-v for v in bh)
-            if kind == "eq":
-                a_eq.append(row)
-                b_eq.append(ZERO)
-            else:
-                a_ub.append(row)
-                b_ub.append(ZERO)
-        for j in range(n):  # eta in ker(DPhi^T)
-            col = tuple(gmat.rows[i][j] for i in range(m))
-            a_eq.append(col)
-            b_eq.append(ZERO)
-        if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, m, range(m)) is not None:
-            return False
-    return True
+    return system.point(xbar, lam).require(
+        "dual qualification is defined at exact solutions only").dqc
 
 
 def uniqueness_report(system: VarSystem, xbar, lam) -> UniquenessReport:
     """Multiplier uniqueness, directly and through dual qualification."""
-    if not system.is_solution(xbar, lam):
-        raise ValueError("uniqueness report needs an exact solution")
-    singleton = system.multiplier_set(tuple(rat(v) for v in xbar)).singleton
-    dqc = dqc_holds(system, xbar, lam)
-    return UniquenessReport(singleton=singleton, dqc=dqc)
+    ctx = system.point(xbar, lam).require(
+        "uniqueness report needs an exact solution")
+    return UniquenessReport(singleton=system.multiplier_set(ctx.x).singleton,
+                            dqc=dqc_holds(system, ctx.x, ctx.lam))
 
 
 # -- error bounds --------------------------------------------------------------------
@@ -308,23 +400,22 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
     rhs_iii = |Psi(x, lam)| + dist(Phi(x), inverse subdifferential of lam)
     rhs_iv  = |Psi(x, lam)| + |Phi(x) - prox(lam + Phi(x))|
     """
-    xbar = tuple(rat(v) for v in xbar)
+    ctx = system.point(xbar, lam_bar).require(
+        "error bounds are anchored at an exact solution")
     x = tuple(rat(v) for v in x)
     lam = tuple(rat(v) for v in lam)
-    if not system.is_solution(xbar, lam_bar):
-        raise ValueError("error bounds are anchored at an exact solution")
-    mset = system.multiplier_set(xbar)
-    _, d2 = mset.poly.project_point(lam)
-    lhs = norm2(vsub(x, xbar)) + float(d2) ** 0.5
+    _, d2 = system.multiplier_set(ctx.x).poly.project_point(lam)
+    lhs = norm2(vsub(x, ctx.x)) + sqrt_float(d2)
 
     psi_norm = norm2(system.psi(x, lam))
     phix = system.phi.eval(x)
-    inv = system.penalty.inverse_subdiff(lam)
+    inv = ctx.inverse_subdiff if lam == ctx.lam else \
+        system.penalty.inverse_subdiff(lam)
     if inv.is_empty():
         rhs_iii = math.inf
     else:
         _, d2i = inv.project_point(phix)
-        rhs_iii = psi_norm + float(d2i) ** 0.5
+        rhs_iii = psi_norm + sqrt_float(d2i)
     prox_pt = system.penalty.prox(vadd(lam, phix))
     rhs_iv = psi_norm + norm2(vsub(phix, prox_pt))
     return lhs, rhs_iii, rhs_iv
@@ -347,12 +438,10 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
         raise ValueError("ray probe requires a critical verdict with a witness")
     if t_grid is None:
         t_grid = [rat(1, 2 ** k) for k in range(1, 11)]
-    xbar = tuple(rat(v) for v in xbar)
-    lam_bar = tuple(rat(v) for v in lam_bar)
+    ctx = system.point(xbar, lam_bar)
+    xbar, lam_bar, gmat, zbar = ctx.x, ctx.lam, ctx.gmat, ctx.zbar
     xi = verdict.xi
     eta = verdict.eta
-    gmat = system.phi.jacobian_at(xbar)
-    zbar = system.phi.eval(xbar)
     records = []
     for t in t_grid:
         t = rat(t)
@@ -501,10 +590,9 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
 
     import numpy as np
 
-    xbar = tuple(rat(v) for v in xbar)
-    lam_bar = tuple(rat(v) for v in lam_bar)
-    if not system.is_solution(xbar, lam_bar):
-        raise ValueError("probe is anchored at an exact solution")
+    ctx = system.point(xbar, lam_bar).require(
+        "probe is anchored at an exact solution")
+    xbar, lam_bar = ctx.x, ctx.lam
     n, m = system.n, system.m
     mset = system.multiplier_set(xbar)
     rng = _random.Random(seed)
@@ -542,7 +630,7 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
         lam_exact = tuple(rat(float(v)) for v in res.lam)
         _, d2dist = mset.poly.project_point(lam_exact)
         lhs = norm2(vsub(tuple(rat(float(v)) for v in res.x), xbar)) \
-            + float(d2dist) ** 0.5
+            + sqrt_float(d2dist)
         ratio = lhs / pert if pert > 0 else 0.0
         modulus = max(modulus, ratio)
         records.append(ProbeRecord(t=t, p1=p1, p2=p2, x=res.x, lam=res.lam,

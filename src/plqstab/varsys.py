@@ -105,12 +105,16 @@ class VarSystem:
         self._cache[key] = out
         return out
 
+    def point(self, x, lam):
+        """The `stability.PointContext` of (x, lam), one per pair on this
+        instance: the criteria share its solution check and objects."""
+        from .stability import PointContext
+
+        key = ("point", tuple(rat(v) for v in x), tuple(rat(v) for v in lam))
+        return self._cache.setdefault(key, PointContext(self, key[1], key[2]))
+
     def is_solution(self, x, lam) -> bool:
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
-        if any(v != 0 for v in self.psi(x, lam)):
-            return False
-        return self.penalty.subdiff_contains(self.phi.eval(x), lam)
+        return self.point(x, lam).solves
 
     def is_stationary(self, x) -> bool:
         return not self.multiplier_set(x).empty

@@ -3,13 +3,17 @@
 import json
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
-from plqstab.problemfile import parse_problem_doc
+from plqstab.exprparse import ParseError
+from plqstab.problemfile import MAX_DIMENSION, parse_problem_doc
 
 
 def _doc(**overrides):
@@ -61,6 +65,10 @@ def test_parse_corpus_files():
     (lambda d: d.update(n=True), "$.n"),
     (lambda d: d.update(m=True), "$.m"),
     (lambda d: d.update(probe={"grid": True}), "$.probe.grid"),
+    (lambda d: d.update(n=MAX_DIMENSION + 1),
+     "dimensions must be in 1..%d" % MAX_DIMENSION),
+    (lambda d: d.update(m=10 ** 9), "$.n: dimensions must be in 1..%d"
+     % MAX_DIMENSION),
 ])
 def test_schema_violations_carry_paths(mutate, path_hint):
     doc = _doc()
@@ -164,6 +172,39 @@ def test_cli_rejects_huge_exponent_quickly(tmp_path):
     assert out.stderr.startswith("input error: $.f[0]: exponent above 64")
 
 
+def test_cli_rejects_huge_expansions_quickly(tmp_path):
+    # (x1+x2+x3+x4)^40 has degree 40, under the exponent cap, but one of its
+    # products would multiply out 969 x 969 term pairs
+    bad = tmp_path / "huge_expansion.json"
+    bad.write_text(json.dumps(_doc(n=4, f=["(x1+x2+x3+x4)^40", "0", "0", "0"],
+                                   points=[{"x": ["0"] * 4,
+                                            "lambda": ["0", "1/2"]}])))
+    out = subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                          str(bad)], capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert out.stderr == ("input error: $.f[0]: product of over 100000 term "
+                          "pairs (at position 14)\n")
+
+
+def test_cli_reports_overflowing_residuals_as_inf(tmp_path, capsys):
+    # |Psi| at the error-bound samples is about 10^3999: its square, and the
+    # norm itself, are beyond float range
+    path = tmp_path / "huge_coefficient.json"
+    path.write_text(json.dumps(_doc(
+        n=2, f=["1" * 4000 + "*x1", "x2"], Phi=["0", "0"],
+        points=[{"x": ["0", "0"], "lambda": ["0", "0"]}])))
+    rc = cli_main(["analyze", str(path), "--report", "json"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    rows = json.loads(captured.out)["points"][0]["error_bound_samples"]
+    assert len(rows) == 8
+    for r in rows:
+        huge = r["dx"][0] != "0"          # the rows that move x1
+        assert (r["rhs_inverse_subdiff"] == "inf") == huge
+        assert (r["rhs_prox"] == "inf") == huge
+        assert isinstance(r["lhs"], float)
+
+
 @pytest.mark.parametrize("expr, pos", [("1" * 5000 + "*x1", 0),
                                         ("x" + "1" * 5000, 1),
                                         ("1/" + "3" * 5000, 2)])
@@ -196,3 +237,53 @@ def test_cli_subprocess_byte_determinism():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
+
+
+# -- fuzzing the problem-file boundary --------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.sampled_from(["0", "1/2", "-3", "x1", "x1^2 - x2", "1/0",
+                               "enlp", "varsys", "(x1+x2)^9"]),
+              st.text(max_size=12)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=12)
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON document."""
+    out = [prefix]
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        out += _paths(child, prefix + (key,))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2))
+@given(st.data())
+def test_fuzz_parse_problem_doc(data):
+    # a valid document with up to three of its values replaced or removed
+    doc = _doc(kind=data.draw(st.sampled_from(["varsys", "enlp"])))
+    if doc["kind"] == "enlp":
+        del doc["f"]
+        doc["phi0"] = "x1^2"
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(_paths(doc)))
+        if not path:
+            doc = data.draw(_JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+    try:
+        pf = parse_problem_doc(doc)
+    except (ProblemFileError, ParseError):
+        return
+    assert pf.kind in ("varsys", "enlp") and pf.points

@@ -1,5 +1,6 @@
 """Exact kernel: rationals, linear algebra, LP, QP, PSD tests."""
 
+import math
 import random
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
 from plqstab.lp import lp_max_each
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
                             pseudo_inverse_psd, rank, solve_general)
-from plqstab.rational import format_rat, parse_rat, primitive, vdot
+from plqstab.rational import (format_rat, norm2, parse_rat, primitive,
+                              sqrt_float, vdot)
 
 
 def test_rational_parsing_and_formatting():
@@ -27,6 +29,16 @@ def test_rational_parsing_and_formatting():
         parse_rat("")
     with pytest.raises(ValueError):
         parse_rat(0.1)
+
+
+def test_norm2_beyond_float_range():
+    assert norm2((10 ** 200,)) == 1e200          # the square overflows a float
+    assert norm2((10 ** 400,)) == math.inf       # the norm itself does
+    assert norm2((rat(3), rat(4))) == 5.0
+    big = rat(10 ** 300, 3)
+    assert norm2((big, big)) == math.hypot(float(big), float(big))
+    assert sqrt_float(rat(2) ** 2047) == 2.0 ** 1023.5
+    assert sqrt_float(rat(2) ** 2048) == math.inf
 
 
 def test_primitive_scaling():
@@ -341,7 +353,7 @@ def test_lp_work_counts_on_example_6_2():
     # and pivots, the artificial pivot-out step included.
     out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["578", "433", "2142"]
+    assert out.stdout.split() == ["487", "366", "1836"]
 
 
 _FORGED_DUALS_SCRIPT = """

@@ -1,6 +1,7 @@
 """Expression grammar and polynomial map calculus."""
 
 import random
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -104,3 +105,73 @@ def test_polymap_guards():
         PolyMap([Polynomial(2, {}), Polynomial(3, {})])
     with pytest.raises(ValueError):
         PolyMap([Polynomial(2, {}), Polynomial(2, {})]).gradient_map()
+
+
+def test_power_skips_the_last_squaring():
+    base = parse_expression("x1+x2+x3+x4", 4)
+    products = []
+
+    def mul(a, b):
+        products.append((len(a.terms), len(b.terms)))
+        return a * b
+
+    result = base.power(8, mul)
+    # base^2, base^4, base^8 by squaring, then 1 * base^8; no base^16
+    assert products == [(4, 4), (10, 10), (35, 35), (1, 165)]
+    expanded = Polynomial.constant(4, 1)
+    for _ in range(8):
+        expanded = expanded * base
+    assert result == expanded == base ** 8
+
+
+# -- fuzzing the expression boundary ----------------------------------------------
+
+_EXPR_ALPHABET = list("x0123456789+-*^/() ")
+
+
+def _grammar_expressions(n):
+    """Expressions from the grammar, with exponents past the caps."""
+    every = "(%s)" % "+".join("x%d" % i for i in range(1, n + 1))
+    leaves = st.one_of(st.integers(1, n + 1).map(lambda i: "x%d" % i),
+                       st.just(every),
+                       st.integers(0, 10 ** 6).map(str),
+                       st.tuples(st.integers(0, 9), st.integers(0, 9))
+                       .map(lambda t: "%d/%d" % t))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner)
+        .map(lambda t: "%s%s%s" % t),
+        st.tuples(inner, st.integers(0, 80)).map(lambda t: "(%s)^%d" % t),
+        inner.map(lambda e: "-(%s)" % e)), max_leaves=8)
+
+
+def _parses_or_refuses(text, n):
+    try:
+        poly = parse_expression(text, n)
+    except ParseError:
+        return
+    assert isinstance(poly, Polynomial) and poly.n == n
+
+
+@settings(derandomize=True, max_examples=400, deadline=timedelta(seconds=2))
+@given(st.text(st.one_of(st.sampled_from(_EXPR_ALPHABET), st.characters()),
+               max_size=40), st.integers(1, 4))
+def test_fuzz_parse_expression_text(text, n):
+    _parses_or_refuses(text, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=2))
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_grammar_expressions(n),
+                                                     st.just(n))))
+def test_fuzz_parse_expression_grammar(case):
+    _parses_or_refuses(*case)
+
+
+def test_only_ascii_digits_are_numerals():
+    # str.isdigit() holds for "²" and "٣", and int() accepts "٣"
+    with pytest.raises(ParseError, match="expected a rational"):
+        parse_expression("²", 1)
+    with pytest.raises(ParseError, match="unexpected trailing input"):
+        parse_expression("1٣", 1)
+    for text in ("x٣", "x1^٣"):
+        with pytest.raises(ParseError, match="expected digits"):
+            parse_expression(text, 3)

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from plqstab import (classify_multiplier, corpus_path, critical_ray_probe,
-                     dqc_holds, error_bound_residuals, parse_problem_file, rat,
-                     semi_isolated_probe, solve_perturbed, trace_is_divergent,
-                     uniqueness_report)
+from plqstab import (analyze_problem, classify_multiplier, corpus_path,
+                     critical_ray_probe, dqc_holds, error_bound_residuals,
+                     parse_problem_file, rat, semi_isolated_probe,
+                     solve_perturbed, trace_is_divergent, uniqueness_report)
 from plqstab.rational import vadd, vdot, vscale, vsub
 from support import (ball_sample, embed_system_full_rank,
                      embed_system_rank_drop, flat_system, parabola_system,
@@ -346,3 +346,159 @@ def test_witness_failure_exits_2_under_optimize():
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("internal consistency failure: witness")
     assert "Traceback" not in out.stderr
+
+
+# -- the per-point context ----------------------------------------------------------
+
+_THETA_COUNTER_SCRIPT = """
+import plqstab.plq as plq
+from plqstab import analyze_problem, corpus_path, parse_problem_file
+pf = parse_problem_file(corpus_path("example_6_2"))
+calls = [0]
+theta_with_argmax = plq.PlqPenalty.theta_with_argmax
+def counted(self, u):
+    calls[0] += 1
+    return theta_with_argmax(self, u)
+plq.PlqPenalty.theta_with_argmax = counted
+analyze_problem(pf)
+print(calls[0])
+"""
+
+
+def test_theta_qps_of_a_fresh_example_6_2_analysis():
+    # Exact theta QPs of one ENLP point: the point's solution check (one
+    # subdiff_contains, Fenchel cross-check included) and the
+    # subdifferential of the multiplier set.  Every criterion, the KKT check
+    # and the error-bound table read the checked point context.
+    out = subprocess.run([sys.executable, "-c", _THETA_COUNTER_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["2"]
+
+
+def _criterion_calls(pf, idx, pdoc):
+    """(name, thunk, value the report holds) for each public criterion at
+    point idx of a parsed problem file."""
+    problem = pf.problem
+    system = problem.to_varsys() if pf.kind == "enlp" else problem
+    x, lam = pf.points[idx]
+    calls = [("is_solution", lambda: system.is_solution(x, lam),
+              pdoc["is_solution"])]
+    if not pdoc["is_solution"]:
+        return calls
+
+    def criticality():
+        v = classify_multiplier(system, x, lam)
+        return (str(v).lower(), v.face_count, None if not v.critical else
+                {"xi": [str(a) for a in v.xi], "eta": [str(a) for a in v.eta],
+                 "face_tight_rows": sorted(v.face_tight)})
+
+    def uniqueness():
+        u = uniqueness_report(system, x, lam)
+        return {"singleton": u.singleton, "dqc": u.dqc, "consistent": u.consistent}
+
+    def error_bounds():
+        rows = []
+        for row in pdoc["error_bound_samples"]:
+            xr = vadd(x, tuple(rat(v) for v in row["dx"]))
+            lr = vadd(lam, tuple(rat(v) for v in row["dlambda"]))
+            rows.append([v if math.isfinite(v) else str(v)
+                         for v in error_bound_residuals(system, x, lam, xr, lr)])
+        return rows
+
+    crit = pdoc["criticality"]
+    calls += [
+        ("criticality", criticality,
+         (crit["verdict"], crit["faces_examined"], crit["witness"])),
+        ("uniqueness", uniqueness, pdoc["uniqueness"]),
+        ("dqc", lambda: dqc_holds(system, x, lam), pdoc["uniqueness"]["dqc"]),
+        ("error_bounds", error_bounds,
+         [[r["lhs"], r["rhs_inverse_subdiff"], r["rhs_prox"]]
+          for r in pdoc["error_bound_samples"]]),
+    ]
+    if pf.kind == "enlp":
+        stab = pdoc["stability"]
+        assert stab["bcq"]  # so that sonc_holds returns the reported value
+        calls += [
+            ("kkt", lambda: list(problem.kkt_check(x, lam)),
+             [pdoc["kkt"]["holds"], pdoc["kkt"]["residual"]]),
+            ("bcq", lambda: problem.bcq_holds(x), stab["bcq"]),
+            ("sosc", lambda: problem.sosc_holds(x, lam), stab["sosc"]),
+            ("sonc", lambda: problem.sonc_holds(x), stab["sonc"]),
+            ("icalm", lambda: problem.isolated_calmness_skkt(x, lam),
+             stab["isolated_calm_skkt"]),
+            ("liplike", lambda: problem.lipschitz_like_skkt(x, lam),
+             stab["lipschitz_like_skkt"]),
+            ("robust_ic", lambda: problem.robust_ic_report(x, lam).to_doc(),
+             stab),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("name", ["example_3_3", "example_6_2"])
+def test_public_criteria_alone_and_shuffled_match_the_report(name):
+    pf = parse_problem_file(corpus_path(name))
+    doc, _ = analyze_problem(pf)
+    assert len(doc["points"]) == {"example_3_3": 5, "example_6_2": 1}[name]
+    assert "not-a-solution" not in doc["verdicts"]
+    # alone: each criterion is the first and only call on a fresh parse
+    for idx, pdoc in enumerate(doc["points"]):
+        count = len(_criterion_calls(pf, idx, pdoc))
+        for k in range(count):
+            fresh = parse_problem_file(corpus_path(name))
+            label, call, want = _criterion_calls(fresh, idx, pdoc)[k]
+            assert call() == want, (idx, label)
+    # shuffled: every criterion at every point, in a seeded order, on one parse
+    shared = parse_problem_file(corpus_path(name))
+    calls = [(idx, c) for idx, pdoc in enumerate(doc["points"])
+             for c in _criterion_calls(shared, idx, pdoc)]
+    for seed in range(3):
+        random.Random(seed).shuffle(calls)
+        for idx, (label, call, want) in calls:
+            assert call() == want, (seed, idx, label)
+
+
+_VARSYS_MESSAGES = [
+    (classify_multiplier, "criticality is defined at exact solutions only"),
+    (dqc_holds, "dual qualification is defined at exact solutions only"),
+    (uniqueness_report, "uniqueness report needs an exact solution"),
+    (lambda s, x, lam: error_bound_residuals(s, x, lam, x, lam),
+     "error bounds are anchored at an exact solution"),
+    (lambda s, x, lam: semi_isolated_probe(s, x, lam, grid=1),
+     "probe is anchored at an exact solution"),
+]
+
+
+def test_non_solutions_raise_the_same_value_errors():
+    pf = parse_problem_file(corpus_path("example_3_3"))
+    x, lam = pf.points[1]
+    off_y = (rat(0), rat(-1))                 # lambda outside Y
+    # example_4_4 at x = (1, 0), lambda = (1, 0): lambda is a subgradient
+    # at Phi(x), but Psi(x, lambda) = (1, 0)
+    psi_off = parse_problem_file(corpus_path("example_4_4")).problem
+    assert psi_off.point((1, 0), (1, 0)).in_subdiff
+    for system, bad in [(pf.problem, (x, off_y)),
+                        (psi_off, ((1, 0), (1, 0)))]:
+        assert not system.is_solution(*bad)
+        for call, message in _VARSYS_MESSAGES:
+            for _ in range(2):                # the memoized context raises again
+                with pytest.raises(ValueError) as err:
+                    call(system, *bad)
+                assert str(err.value) == message
+    # the solution next to them is unaffected
+    assert pf.problem.is_solution(x, lam)
+    assert classify_multiplier(pf.problem, x, lam).critical is False
+
+    enlp = parse_problem_file(corpus_path("example_6_2"))
+    problem = enlp.problem
+    ex, elam = enlp.points[0]
+    bad_lam = tuple(v + 1 for v in elam)
+    assert problem.kkt_check(ex, bad_lam)[0] is False
+    for call in (problem.sosc_holds, problem.isolated_calmness_skkt,
+                 problem.lipschitz_like_skkt, problem.robust_ic_report):
+        with pytest.raises(ValueError) as err:
+            call(ex, bad_lam)
+        assert str(err.value) == "the pair does not solve the KKT system exactly"
+    with pytest.raises(ValueError) as err:
+        classify_multiplier(problem.to_varsys(), ex, bad_lam)
+    assert str(err.value) == "criticality is defined at exact solutions only"
+    assert problem.kkt_check(ex, elam)[0] is True
