@@ -17,7 +17,20 @@ the simplex of cone generators.
 
 The criteria at (x, lam) share one memoized point context of the induced
 system (`stability.PointContext`): one solution check, and the Hessian,
-critical cone, faces, face regions and graph normal cones built once.
+critical cone, faces and face regions built once.
+
+The coderivative (Lipschitz-like) criterion reads the limiting normals
+of the subdifferential graph from pairs of faces F2 <= F1 of the
+critical cone K (Dontchev and Rockafellar, SIAM J. Optim. 6, 1996; see
+`plq`): with D = F1 - F2, only the zero pair (xi, eta) may satisfy
+
+    H xi + G^T eta = 0,   eta in D,   B eta - G xi in polar(D),
+
+one homogeneous LP system per face pair, with polar(D) written through
+multipliers on the rows of K.  No graph decomposition or hyperplane
+arrangement is built; `PlqPenalty.graph_pieces` and
+`polyhedra.limiting_normal_cone_union` remain as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -28,10 +41,11 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, solve_general
 from .lp import LpOptimal, lp_feasible_point, lp_max_each
 from .plq import PlqPenalty
-from .polyhedra import PolyCone, Polyhedron, _subsets, normal_cone
+from .polyhedra import (PolyCone, Polyhedron, _subsets, face_differences,
+                        normal_cone)
 from .polymap import Polynomial, PolyMap
 from .rational import ONE, ZERO, norm2, rat, vadd, vdot, vsub
-from .stability import (_face_system, _nontrivial_point, classify_multiplier,
+from .stability import (_face_system, classify_multiplier, nontrivial_over,
                         uniqueness_report)
 from .varsys import VarSystem
 
@@ -87,6 +101,7 @@ class EnlpProblem:
         self.m = phi.k
         self._grad0 = PolyMap(tuple(phi0.diff(j) for j in range(self.n)), n=self.n)
         self._vs = VarSystem(self._grad0, phi, penalty)
+        self._bcq: dict = {}
 
     def to_varsys(self) -> VarSystem:
         return self._vs
@@ -125,23 +140,23 @@ class EnlpProblem:
         return self._vs.multiplier_set(x)
 
     def bcq_holds(self, x) -> bool:
-        """Normals of dom(theta) at Phi(x) meet ker(DPhi^T) only at zero."""
+        """Normals of dom(theta) at Phi(x) meet ker(DPhi^T) only at zero.
+
+        Decided once per exact x and kept on the instance."""
         x = tuple(rat(v) for v in x)
-        phix = self.phi.eval(x)
-        dom = self.penalty.domain_cone()
-        if not dom.contains(phix):
-            raise ValueError("base point is infeasible for the penalty domain")
-        nc = normal_cone(dom.as_polyhedron(), phix)
-        gmat = self.phi.jacobian_at(x)
-        a_eq, b_eq, a_ub, b_ub = [], [], [], []
-        for b in nc.rows:  # v in the normal cone of the domain
-            a_ub.append(tuple(b))
-            b_ub.append(ZERO)
-        for j in range(self.n):  # DPhi^T v = 0
-            a_eq.append(tuple(gmat.rows[i][j] for i in range(self.m)))
-            b_eq.append(ZERO)
-        return _nontrivial_point(a_eq, b_eq, a_ub, b_ub, self.m,
-                                 range(self.m)) is None
+        if x not in self._bcq:
+            phix = self.phi.eval(x)
+            dom = self.penalty.domain_cone()
+            if not dom.contains(phix):
+                raise ValueError("base point is infeasible for the penalty domain")
+            gmat = self.phi.jacobian_at(x)
+            a_eq = [tuple(gmat.rows[i][j] for i in range(self.m))
+                    for j in range(self.n)]  # DPhi^T v = 0
+            # v in the normal cone of the domain
+            a_ub = list(normal_cone(dom.as_polyhedron(), phix).rows)
+            self._bcq[x] = nontrivial_over([(self.m, a_eq, a_ub)],
+                                           range(self.m)) is None
+        return self._bcq[x]
 
     # -- second-order conditions -----------------------------------------------------
     def sosc_holds(self, x, lam) -> bool:
@@ -184,32 +199,18 @@ class EnlpProblem:
         """Graphical-derivative criterion: the linearized KKT system
         admits only the zero direction pair."""
         ctx = self._require_kkt(x, lam)
-        n, m = self.n, self.m
-        for face in ctx.faces:
-            if _nontrivial_point(*_face_system(ctx, face.piece), n + m,
-                                 range(n + m)) is not None:
-                return False
-        return True
+        return nontrivial_over((_face_system(ctx, f.piece) for f in ctx.faces),
+                               range(self.n + self.m)) is None
 
     def lipschitz_like_skkt(self, x, lam) -> bool:
         """Coderivative criterion: only the zero pair satisfies the
         linearized inclusion through the limiting normals of the
-        subdifferential graph."""
+        subdifferential graph, read from the face pairs of the critical
+        cone."""
         ctx = self._require_kkt(x, lam)
-        hess, gmat, n, m = ctx.amat, ctx.gmat, self.n, self.m
-        for cone in ctx.graph_normals:
-            a_eq, b_eq, a_ub, b_ub = [], [], [], []
-            for i in range(n):  # H xi + G^T eta = 0
-                row = list(hess.rows[i]) + [gmat.rows[k][i] for k in range(m)]
-                a_eq.append(tuple(row))
-                b_eq.append(ZERO)
-            for h in cone.rows:  # (eta, -G xi) in the normal cone piece
-                a_ub.append(tuple(-v for v in gmat.rmatvec(h[m:])) + h[:m])
-                b_ub.append(ZERO)
-            if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, n + m,
-                                 range(n + m)) is not None:
-                return False
-        return True
+        return nontrivial_over((_face_pair_system(ctx, eq, le)
+                                for eq, le in face_differences(ctx.kcone)),
+                               range(self.n + self.m)) is None
 
     def robust_ic_report(self, x, lam) -> StabilityReport:
         """Full stability report with exact theorem-level cross-checks."""
@@ -261,6 +262,30 @@ class EnlpProblem:
                                isolated_calm_skkt=icalm,
                                lipschitz_like_skkt=liplike, robust_ic=robust,
                                consistency_notes=tuple(notes))
+
+
+def _face_pair_system(ctx, eq, le):
+    """The homogeneous system of one face pair over (xi, eta, mu):
+    H xi + G^T eta = 0, eta in D = {<r, eta> = 0 on eq, <= 0 on le} and
+    B eta - G xi = sum mu_r r with mu free on eq and mu >= 0 on le, the
+    last two saying B eta - G xi in polar(D) = span(eq) + cone(le)."""
+    hess, gmat, bmat = ctx.amat, ctx.gmat, ctx.system.penalty.B
+    n, m = hess.ncols, gmat.nrows
+    gens = list(eq) + list(le)
+    nvars = n + m + len(gens)
+    mu0 = (ZERO,) * len(gens)
+    a_eq = [tuple(hess.rows[i]) + tuple(gmat.rows[k][i] for k in range(m)) + mu0
+            for i in range(n)]
+    a_eq += [(ZERO,) * n + tuple(r) + mu0 for r in eq]
+    a_ub = [(ZERO,) * n + tuple(r) + mu0 for r in le]
+    for j in range(m):
+        a_eq.append(tuple(-v for v in gmat.rows[j]) + tuple(bmat.rows[j])
+                    + tuple(-r[j] for r in gens))
+    for k in range(len(eq), len(gens)):
+        row = [ZERO] * nvars
+        row[n + m + k] = -ONE
+        a_ub.append(tuple(row))
+    return nvars, a_eq, a_ub
 
 
 # -- exact copositivity ---------------------------------------------------------------

@@ -7,8 +7,19 @@ module provides exact evaluation, the domain cone, subdifferentials and
 their inverses, the proximal map (with a per-call verified identity,
 and a float evaluator on its cached exact affine pieces),
 second subderivatives, graphical derivatives, second-order difference
-quotients, and the polyhedral decomposition of the subdifferential
-graph together with its limiting normal cones (the coderivative test).
+quotients, and the limiting normal cones of the subdifferential graph
+(the coderivative test).
+
+The subdifferential graph is the preimage of gph N_Y under the
+invertible map A(z, lam) = (lam, z - B lam).  By the reduction lemma
+and Dontchev and Rockafellar (SIAM J. Optim. 6, 1996), the limiting
+normal cone of gph N_Y at (lam, z - B lam) is the union, over faces
+F2 <= F1 of the critical cone K, of polar(F1 - F2) x (F1 - F2); pulled
+back through A^T it is the union of the cones
+{(u, v) : u in F1 - F2, v + B u in polar(F1 - F2)}.  `graph_pieces` (one
+polyhedron per face of Y) with `polyhedra.limiting_normal_cone_union`
+computes the same union through a hyperplane arrangement; the two are
+kept as the differential reference, off the verdict path.
 
 All values are exact rationals; +infinity is represented by ExtReal.
 """
@@ -18,7 +29,7 @@ from __future__ import annotations
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
-                        fm_project, limiting_normal_cone_union, normal_cone)
+                        face_differences, fm_project, normal_cone)
 from .qp import QpOptimal, QpUnbounded, StrictQpSolver, qp_solve
 from .rational import ONE, ZERO, rat, vadd, vdot, vscale, vsub
 
@@ -315,7 +326,9 @@ class PlqPenalty:
 
         One piece per face of Y: lam tight on the face, z - B lam in the
         cone spanned by the tight rows (lifted multipliers eliminated by
-        Fourier-Motzkin projection).
+        Fourier-Motzkin projection).  The reference for the limiting
+        normals of `subdiff_graph_normal_cones`, through
+        `polyhedra.limiting_normal_cone_union`; no verdict reads it.
         """
         if "graph" in self._cache:
             return self._cache["graph"]
@@ -377,18 +390,26 @@ class PlqPenalty:
         return "PlqPenalty(m=%d, rows=%d)" % (self.m, len(self.Y.b))
 
 
-def subdiff_graph_normal_cones(penalty: PlqPenalty, zbar, lam):
-    """Limiting normal cones to gph(subdiff) at (zbar, lam); the point
-    context of a solution keeps them for its criteria."""
-    point = tuple(rat(v) for v in zbar) + tuple(rat(v) for v in lam)
-    return limiting_normal_cone_union(penalty.graph_pieces(), point)
+def subdiff_graph_normal_cones(penalty: PlqPenalty, zbar, lam) -> PolyUnion:
+    """Limiting normal cones to gph(subdiff) at (zbar, lam), in (z, lam)
+    space: one cone {(u, v) : u in D, v + B u in polar(D)} per pair of
+    faces F2 <= F1 of the critical cone, D = F1 - F2."""
+    kcone = penalty.critical_cone_at(zbar, lam)
+    m, bmat = penalty.m, penalty.B
+    zero = (ZERO,) * m
+    cones = []
+    for eq, le in face_differences(kcone):
+        rows = [tuple(r) + zero for r in le]
+        rows += [tuple(s * v for v in r) + zero for r in eq for s in (ONE, -ONE)]
+        # <h, v + B u> <= 0 for the rows h of polar(D) = span(eq) + cone(le)
+        rows += [tuple(bmat.matvec(h)) + tuple(h)
+                 for h in PolyCone.from_generators(eq, le, m).rows]
+        cones.append(PolyCone(rows, dim=2 * m))
+    return PolyUnion(cones)
 
 
 def coderivative_contains(penalty: PlqPenalty, zbar, lam, w, u) -> bool:
     """u in D*(subdiff)(zbar, lam)(w), i.e. (u, -w) is a limiting normal
     of the subdifferential graph at (zbar, lam)."""
-    if not penalty.subdiff_contains(zbar, lam):
-        raise ValueError("(zbar, lam) is not in the subdifferential graph")
     cones = subdiff_graph_normal_cones(penalty, zbar, lam)
-    vec = tuple(rat(v) for v in u) + tuple(-rat(v) for v in w)
-    return cones.contains(vec)
+    return cones.contains(tuple(rat(v) for v in u) + tuple(-rat(v) for v in w))

@@ -2,8 +2,10 @@
 
 H-representation polyhedra and cones over the rationals, with the cone
 calculus used by the stability analyses: tangent, normal, critical and
-polar cones, face enumeration, horizon cones, Euclidean projection,
-Fourier-Motzkin projection, and limiting normal cones of finite unions.
+polar cones, face enumeration and the differences F1 - F2 of nested
+faces, horizon cones, Euclidean projection, Fourier-Motzkin projection,
+and limiting normal cones of finite unions (through a hyperplane
+arrangement; the reference for the face-pair formula in `plq`).
 
 Generator representations are computed by an incremental double
 description sweep and are intended for desk scale (dimension <= 8 or
@@ -28,6 +30,7 @@ __all__ = [
     "tangent_cone",
     "normal_cone",
     "critical_cone",
+    "face_differences",
     "dual_cone",
     "polar_cone",
     "horizon_cone",
@@ -428,25 +431,30 @@ class PolyCone:
 
     # -- faces ---------------------------------------------------------------
     def faces(self):
-        """All nonempty faces as Face(tight rows, sub-cone), memoized."""
+        """All nonempty faces as Face(tight rows, sub-cone), memoized.
+
+        The memo is keyed by the set of rows and keeps each face's tight
+        rows as vectors, so the indices in `tight` refer to the row order
+        of this cone, whichever cone with the same rows filled the memo.
+        """
         key = self._key()
-        if key in _FACES_MEMO:
-            return _FACES_MEMO[key]
-        pairs, ineq = self._poly_split()
-        always = frozenset(i for pair in pairs for i in pair)
-        box_rows, box_rhs = _box_rows(self.dim)
-        found = {}
-        for subset in _subsets(tuple(ineq)):
-            closure = self._face_closure(subset, ineq, box_rows, box_rhs)
-            if closure in found:
-                continue
-            rows = list(self.rows) + [tuple(-v for v in self.rows[i])
-                                      for i in sorted(closure)]
-            found[closure] = Face(tight=closure | always,
-                                  piece=PolyCone(rows, dim=self.dim))
-        faces = tuple(found.values())
-        _FACES_MEMO[key] = faces
-        return faces
+        if key not in _FACES_MEMO:
+            pairs, ineq = self._poly_split()
+            always = frozenset(i for pair in pairs for i in pair)
+            box_rows, box_rhs = _box_rows(self.dim)
+            found = {}
+            for subset in _subsets(tuple(ineq)):
+                closure = self._face_closure(subset, ineq, box_rows, box_rhs)
+                if closure in found:
+                    continue
+                rows = list(self.rows) + [tuple(-v for v in self.rows[i])
+                                          for i in sorted(closure)]
+                found[closure] = (frozenset(self.rows[i] for i in closure | always),
+                                  PolyCone(rows, dim=self.dim))
+            _FACES_MEMO[key] = tuple(found.values())
+        index = {r: i for i, r in enumerate(self.rows)}
+        return tuple(Face(tight=frozenset(index[r] for r in tight), piece=piece)
+                     for tight, piece in _FACES_MEMO[key])
 
     def _poly_split(self):
         n = len(self.rows)
@@ -641,6 +649,28 @@ def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
         rows.append(v)
         rows.append(tuple(-x for x in v))
     return PolyCone(rows, dim=p.dim)
+
+
+def face_differences(cone: PolyCone):
+    """F1 - F2 for each pair of faces F2 <= F1 of the cone, as (eq, le).
+
+    With T1 <= T2 the tight row sets of F1 and F2, F1 - F2 is the tangent
+    cone of F1 at a relative interior point of F2:
+    {v : <r, v> = 0 for r in eq, <r, v> <= 0 for r in le}, eq the rows in
+    T1 (one of each opposite pair) and le the rows in T2 - T1.  Its polar
+    is span(eq) + cone(le).
+    """
+    faces = cone.faces()
+    out = []
+    for f1 in faces:
+        eq = []
+        for i in sorted(f1.tight):
+            if tuple(-v for v in cone.rows[i]) not in eq:
+                eq.append(cone.rows[i])
+        for f2 in faces:
+            if f1.tight <= f2.tight:
+                out.append((eq, [cone.rows[i] for i in sorted(f2.tight - f1.tight)]))
+    return out
 
 
 def dual_cone(c: PolyCone) -> PolyCone:

@@ -10,6 +10,8 @@ and round-trips through the expression parser.
 
 from __future__ import annotations
 
+import math
+
 from .linalg import RatMatrix
 from .rational import ONE, ZERO, format_rat, rat
 
@@ -132,14 +134,27 @@ class Polynomial:
             total += term
         return total
 
-    def eval_float(self, point):
-        """Value at a float point, from float coefficients converted once."""
+    def _float_coefficients(self):
+        """(float coefficient, powers) per term, converted once; raises
+        OverflowError past float range."""
         if self._float_terms is None:
             self._float_terms = tuple(
                 (float(c), tuple((j, k) for j, k in enumerate(e) if k))
                 for e, c in self.terms.items())
+        return self._float_terms
+
+    def fits_float(self) -> bool:
+        """Whether every coefficient converts to a finite float."""
+        try:
+            terms = self._float_coefficients()
+        except OverflowError:
+            return False
+        return all(math.isfinite(c) for c, _ in terms)
+
+    def eval_float(self, point):
+        """Value at a float point, from float coefficients converted once."""
         total = 0.0
-        for term, powers in self._float_terms:
+        for term, powers in self._float_coefficients():
             for j, k in powers:
                 term *= float(point[j]) ** k
             total += term
@@ -226,6 +241,17 @@ class PolyMap:
         """n x n Hessian of component i at a rational point."""
         return RatMatrix(tuple(tuple(p.eval(point) for p in row)
                                for row in self._hessian_polys(i)))
+
+    def fits_float(self, i, order) -> bool:
+        """Whether component i and its derivatives up to `order` (at most
+        2), the polynomials the float evaluators read, have coefficients in
+        float range."""
+        polys = [self.components[i]]
+        if order >= 1:
+            polys += self._jacobian_polys()[i]
+        if order >= 2:
+            polys += [p for row in self._hessian_polys(i) for p in row]
+        return all(p.fits_float() for p in polys)
 
     def hessian_at_float(self, i, point):
         import numpy as np

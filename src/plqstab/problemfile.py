@@ -58,6 +58,22 @@ class ProblemFile:
     probe_grid: int
     probe_tol: float
 
+    def require_float_data(self):
+        """Raise ProblemFileError naming the first polynomial the float
+        probes cannot evaluate: its coefficients, or those of the
+        derivatives they read, lie past float range."""
+        if self.kind == "enlp":
+            system, f_names = self.problem.to_varsys(), ["$.phi0"] * self.n
+        else:
+            system, f_names = self.problem, ["$.f[%d]" % i for i in range(self.n)]
+        named = [(name, system.f, i, 1) for i, name in enumerate(f_names)]
+        named += [("$.Phi[%d]" % i, system.phi, i, 2) for i in range(self.m)]
+        for name, pmap, i, order in named:
+            if not pmap.fits_float(i, order):
+                raise ProblemFileError(
+                    name, "coefficients beyond float range (in it or its "
+                          "derivatives); --probe evaluates them in float")
+
 
 def _expect(doc, key, types, path):
     if key not in doc:

@@ -9,6 +9,7 @@ times faster than ``fractions.Fraction``) and ``Fraction`` otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 try:
@@ -88,16 +89,22 @@ def norm_sq(a):
 
 
 def sqrt_float(value) -> float:
-    """sqrt(value) for a Rat value >= 0, as a float: past float range the
-    value is divided by 4**k and the root scaled back by 2**k, or inf."""
+    """sqrt(value) for a Rat value >= 0, as a float.  A value past float
+    range, or nonzero and below the normal floats, is divided by 4**k and
+    the root scaled back by 2**k; the result is inf or 0.0 only when the
+    root itself lies outside float range."""
     try:
-        return float(value) ** 0.5
+        f = float(value)
     except OverflowError:
-        k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
-        try:
-            return math.ldexp(float(value / 4 ** k) ** 0.5, k)
-        except OverflowError:
-            return math.inf
+        f = math.inf
+    if value == 0 or sys.float_info.min <= f < math.inf:
+        return f ** 0.5
+    k = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+    scaled = value / 4 ** k if k >= 0 else value * 4 ** -k
+    try:
+        return math.ldexp(float(scaled) ** 0.5, k)
+    except OverflowError:
+        return math.inf
 
 
 def norm2(a) -> float:

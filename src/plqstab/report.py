@@ -157,8 +157,12 @@ def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
 def analyze_problem(pf: ProblemFile, probe=False, probe_grid=None, tol=None):
     """Analysis document for a parsed problem file.
 
-    Returns (document, list of (point index, ray-probe CSV text)).
+    Returns (document, list of (point index, ray-probe CSV text)).  With
+    `probe`, data the float probes cannot evaluate raises
+    ProblemFileError before any point is analyzed.
     """
+    if probe:
+        pf.require_float_data()
     grid = probe_grid if probe_grid is not None else pf.probe_grid
     tolerance = tol if tol is not None else pf.probe_tol
     doc = {

@@ -11,6 +11,9 @@ and K the critical cone.  The solution set decomposes over the faces F
 of K (complementarity is automatic when eta in F and the residual lies
 in polar(K) with F orthogonal), leaving one linear-conic system per
 face whose nontriviality is decided by LPs under a box normalization.
+`nontrivial_over` is that decision for a family of homogeneous systems;
+criticality, dual qualification and, in `enlp`, isolated calmness,
+Lipschitz-likeness and the basic qualification all make it.
 
 Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
 `VarSystem.point`: one solution check, each per-point object built once.
@@ -36,7 +39,6 @@ from functools import cached_property
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
-from .plq import subdiff_graph_normal_cones
 from .polyhedra import PolyCone, Polyhedron, critical_cone, fm_project
 from .rational import (ONE, ZERO, norm2, rat, sqrt_float, to_float_vec, vadd,
                        vdot, vscale, vsub)
@@ -51,6 +53,7 @@ __all__ = [
     "NewtonResult",
     "classify_multiplier",
     "dqc_holds",
+    "nontrivial_over",
     "uniqueness_report",
     "error_bound_residuals",
     "critical_ray_probe",
@@ -159,24 +162,35 @@ def _residual_rows(kcone: PolyCone, face_piece: PolyCone):
 
 
 def _face_system(ctx, face_piece: PolyCone):
-    """Equality/inequality rows over (xi, eta) for one face system at a
-    point context: A = d(Psi)/dx, G = DPhi(x), K its critical cone."""
+    """The homogeneous system (nvars, eq rows, le rows) over (xi, eta) of one
+    face at a point context: A = d(Psi)/dx, G = DPhi(x), K its critical
+    cone."""
     amat, gmat, bmat = ctx.amat, ctx.gmat, ctx.system.penalty.B
     n, m = amat.ncols, gmat.nrows
-    a_eq, b_eq, a_ub, b_ub = [], [], [], []
+    a_eq, a_ub = [], []
     for i in range(n):  # A xi + G^T eta = 0
-        row = list(amat.rows[i]) + [gmat.rows[k][i] for k in range(m)]
-        a_eq.append(tuple(row))
-        b_eq.append(ZERO)
+        a_eq.append(tuple(amat.rows[i]) + tuple(gmat.rows[k][i] for k in range(m)))
     for b in face_piece.rows:  # eta in F
         a_ub.append((ZERO,) * n + tuple(b))
-        b_ub.append(ZERO)
     for h, kind in _residual_rows(ctx.kcone, face_piece):
         # <h, G xi - B eta> = (G^T h) . xi - (B h) . eta
         row = tuple(gmat.rmatvec(h)) + tuple(-v for v in bmat.matvec(h))
         (a_eq if kind == "eq" else a_ub).append(row)
-        (b_eq if kind == "eq" else b_ub).append(ZERO)
-    return a_eq, b_eq, a_ub, b_ub
+    return n + m, a_eq, a_ub
+
+
+def _dqc_system(ctx, face_piece: PolyCone):
+    """The homogeneous system over eta of one face: eta in F, -B eta in
+    polar(K) cap F-perp, DPhi(x)^T eta = 0."""
+    bmat, gmat = ctx.system.penalty.B, ctx.gmat
+    m, n = ctx.system.m, ctx.system.n
+    a_ub = [tuple(b) for b in face_piece.rows]  # eta in F
+    a_eq = []
+    for h, kind in _residual_rows(ctx.kcone, face_piece):
+        (a_eq if kind == "eq" else a_ub).append(tuple(-v for v in bmat.matvec(h)))
+    for j in range(n):  # eta in ker(DPhi^T)
+        a_eq.append(tuple(gmat.rows[i][j] for i in range(m)))
+    return m, a_eq, a_ub
 
 
 def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
@@ -199,6 +213,24 @@ def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
     for out in lp_max_each(objectives, box_ub, box_rhs, a_eq, b_eq):
         if isinstance(out, LpOptimal) and out.value > 0:
             return out.point
+    return None
+
+
+def nontrivial_over(systems, coords):
+    """(index, point) of the first homogeneous system with a point that is
+    nonzero in one of the coordinates `coords`, or None when every system
+    vanishes there.
+
+    Each system is (nvars, eq rows, le rows): {v : <a, v> = 0 for the eq
+    rows, <a, v> <= 0 for the le rows}.  Systems are decided in order, each
+    by `_nontrivial_point`, and the iterable is read no further than the
+    first hit, so a lazy iterable builds no system past it.
+    """
+    for index, (nvars, a_eq, a_ub) in enumerate(systems):
+        point = _nontrivial_point(a_eq, [ZERO] * len(a_eq), a_ub,
+                                  [ZERO] * len(a_ub), nvars, coords)
+        if point is not None:
+            return index, point
     return None
 
 
@@ -265,42 +297,26 @@ class PointContext:
 
     @cached_property
     def criticality(self) -> CriticalityVerdict:
-        n, m = self.system.n, self.system.m
-        certificates = []
-        for face in self.faces:
-            point = _nontrivial_point(*_face_system(self, face.piece), n + m,
-                                      range(n))
-            if point is not None:
-                xi, eta = tuple(point[:n]), tuple(point[n:])
-                _assert_witness(self, xi, eta)
-                return CriticalityVerdict(critical=True, xi=xi, eta=eta,
-                                          face_tight=face.tight,
-                                          face_count=len(self.faces),
-                                          face_certificates=tuple(certificates))
-            certificates.append((face.tight, "only xi = 0"))
-        return CriticalityVerdict(critical=False, face_count=len(self.faces),
-                                  face_certificates=tuple(certificates))
+        n, faces = self.system.n, self.faces
+        hit = nontrivial_over((_face_system(self, f.piece) for f in faces),
+                              range(n))
+        examined = faces if hit is None else faces[:hit[0]]
+        certificates = tuple((f.tight, "only xi = 0") for f in examined)
+        if hit is None:
+            return CriticalityVerdict(critical=False, face_count=len(faces),
+                                      face_certificates=certificates)
+        index, point = hit
+        xi, eta = tuple(point[:n]), tuple(point[n:])
+        _assert_witness(self, xi, eta)
+        return CriticalityVerdict(critical=True, xi=xi, eta=eta,
+                                  face_tight=faces[index].tight,
+                                  face_count=len(faces),
+                                  face_certificates=certificates)
 
     @cached_property
     def dqc(self) -> bool:
-        bmat, gmat = self.system.penalty.B, self.gmat
-        m, n = self.system.m, self.system.n
-        for face in self.faces:
-            a_eq, b_eq, a_ub, b_ub = [], [], [], []
-            for b in face.piece.rows:  # eta in F
-                a_ub.append(tuple(b))
-                b_ub.append(ZERO)
-            # -B eta in polar(K) cap F-perp
-            for h, kind in _residual_rows(self.kcone, face.piece):
-                row = tuple(-v for v in bmat.matvec(h))
-                (a_eq if kind == "eq" else a_ub).append(row)
-                (b_eq if kind == "eq" else b_ub).append(ZERO)
-            for j in range(n):  # eta in ker(DPhi^T)
-                a_eq.append(tuple(gmat.rows[i][j] for i in range(m)))
-                b_eq.append(ZERO)
-            if _nontrivial_point(a_eq, b_eq, a_ub, b_ub, m, range(m)) is not None:
-                return False
-        return True
+        return nontrivial_over((_dqc_system(self, f.piece) for f in self.faces),
+                               range(self.system.m)) is None
 
     @cached_property
     def regions(self):
@@ -321,11 +337,6 @@ class PointContext:
                              dim=self.system.n)
             out.append((wcone, self.amat + self.gmat.T @ smat @ self.gmat))
         return out
-
-    @cached_property
-    def graph_normals(self):
-        """Limiting normal cones to the subdifferential graph at (zbar, lam)."""
-        return subdiff_graph_normal_cones(self.system.penalty, self.zbar, self.lam)
 
     @cached_property
     def inverse_subdiff(self):

@@ -205,6 +205,26 @@ def test_cli_reports_overflowing_residuals_as_inf(tmp_path, capsys):
         assert isinstance(r["lhs"], float)
 
 
+@pytest.mark.parametrize("overrides, path", [
+    # the file of the test above
+    (dict(n=2, f=["1" * 4000 + "*x1", "x2"], Phi=["0", "0"],
+          points=[{"x": ["0", "0"], "lambda": ["0", "0"]}]), "$.f[0]"),
+    # 10^308 is a float, the derivative 2 * 10^308 is not
+    (dict(Phi=["0", "1" + "0" * 308 + "*x1^2"]), "$.Phi[1]"),
+])
+def test_cli_probe_rejects_data_beyond_float_range(tmp_path, overrides, path):
+    bad = tmp_path / "beyond_float.json"
+    bad.write_text(json.dumps(_doc(**overrides)))
+    cmd = [sys.executable, "-m", "plqstab.cli", "analyze", str(bad)]
+    assert subprocess.run(cmd, capture_output=True, timeout=60).returncode == 0
+    out = subprocess.run(cmd + ["--probe"], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("input error: %s: coefficients beyond float "
+                                 "range" % path)
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("expr, pos", [("1" * 5000 + "*x1", 0),
                                         ("x" + "1" * 5000, 1),
                                         ("1/" + "3" * 5000, 2)])

@@ -212,6 +212,35 @@ def test_robust_ic_reports():
     assert rep.robust_ic is False and not rep.unique
 
 
+def test_bcq_lps_of_one_robust_ic_report(monkeypatch):
+    # robust_ic_report reads BCQ, and sonc_holds reads it again at the same
+    # x; only the first read may solve LPs.
+    import plqstab.stability as stability
+    from plqstab import EnlpProblem
+
+    per_call, inside = [], []
+    bcq, lp_max_each = EnlpProblem.bcq_holds, stability.lp_max_each
+
+    def counted_bcq(self, x):
+        per_call.append(0)
+        inside.append(True)
+        try:
+            return bcq(self, x)
+        finally:
+            inside.pop()
+
+    def counted_lps(*args):
+        for out in lp_max_each(*args):
+            if inside:
+                per_call[-1] += 1
+            yield out
+
+    monkeypatch.setattr(EnlpProblem, "bcq_holds", counted_bcq)
+    monkeypatch.setattr(stability, "lp_max_each", counted_lps)
+    quad_cost_enlp(2).robust_ic_report((0, 0), (0, 0))
+    assert len(per_call) == 2 and per_call[0] > 0 and per_call[1] == 0
+
+
 def test_robust_ic_reports_randomized_consistency():
     rng = random.Random(137)
     for _ in range(20):

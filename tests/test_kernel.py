@@ -41,6 +41,15 @@ def test_norm2_beyond_float_range():
     assert sqrt_float(rat(2) ** 2048) == math.inf
 
 
+def test_norm2_below_float_range():
+    assert norm2((rat(1, 10 ** 200),)) == 1e-200    # the square underflows
+    assert math.isclose(sqrt_float(rat(3, 10 ** 310)), math.sqrt(3) * 1e-155,
+                        rel_tol=1e-15)                 # a subnormal square
+    assert sqrt_float(rat(2) ** -2148) == 2.0 ** -1074   # least subnormal root
+    assert sqrt_float(rat(2) ** -2150) == 0.0            # the root underflows
+    assert norm2((rat(0), rat(0))) == 0.0
+
+
 def test_primitive_scaling():
     assert primitive((rat(1, 2), rat(-3, 4))) == (rat(2), rat(-3))
     assert primitive((rat(0), rat(0))) == (rat(0), rat(0))
@@ -353,7 +362,7 @@ def test_lp_work_counts_on_example_6_2():
     # and pivots, the artificial pivot-out step included.
     out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["487", "366", "1836"]
+    assert out.stdout.split() == ["203", "85", "593"]
 
 
 _FORGED_DUALS_SCRIPT = """

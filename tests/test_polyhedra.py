@@ -175,6 +175,20 @@ def test_faces_match_brute_force_tight_sets():
         assert len(faces) == len(seen)
 
 
+def test_face_tight_rows_follow_each_cones_row_order():
+    # The same rows in two orders share one memo entry; each cone's tight
+    # indices must name its own rows that vanish on the face.
+    rows = [(-1, 0, 1), (-1, -1, 0), (1, 1, 0), (0, 0, -1)]
+    for order in (rows, rows[::-1], rows[1:] + rows[:1]):
+        cone = PolyCone(order, dim=3)
+        for face in cone.faces():
+            lin, rays = face.piece.generators()
+            gens = list(lin) + list(rays)
+            vanish = {i for i, r in enumerate(cone.rows)
+                      if all(vdot(r, g) == 0 for g in gens)}
+            assert face.tight == vanish
+
+
 def test_faces_closed_under_intersection():
     cone = PolyCone([(-1, 0, 0), (0, -1, 0), (0, 0, -1)], dim=3)
     faces = cone.faces()
