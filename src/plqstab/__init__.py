@@ -2,7 +2,8 @@
 KKT systems with piecewise linear-quadratic penalties.
 
 The kernel (rationals, LP, QP, polyhedral geometry, penalty calculus)
-is exact; floating point appears only in the opt-in numeric probes.
+is exact; floating point appears only in the opt-in numeric probes and
+in the error-bound table, whose exact distances are rounded once.
 """
 
 from .enlp import EnlpProblem, StabilityReport

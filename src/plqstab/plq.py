@@ -26,12 +26,14 @@ All values are exact rationals; +infinity is represented by ExtReal.
 
 from __future__ import annotations
 
+import math
+
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
                         face_differences, fm_project, normal_cone)
 from .qp import QpOptimal, QpUnbounded, StrictQpSolver, qp_solve
-from .rational import ONE, ZERO, rat, vadd, vdot, vscale, vsub
+from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
 
 __all__ = ["ExtReal", "PLUS_INF", "PlqPenalty", "coderivative_contains",
            "subdiff_graph_normal_cones"]
@@ -101,7 +103,7 @@ PLUS_INF = ExtReal(None)
 
 
 def _float_rows(mat: RatMatrix):
-    return tuple(tuple(float(v) for v in row) for row in mat.rows)
+    return tuple(tuple(to_float(v) for v in row) for row in mat.rows)
 
 
 class PlqPenalty:
@@ -200,6 +202,17 @@ class PlqPenalty:
         rhs = [vdot(r, shift) for r in rows]
         return Polyhedron(rows, rhs).with_dim(self.m)
 
+    def inverse_subdiff_dist2(self, u, lam):
+        """Squared distance from u to `inverse_subdiff(lam)`, exact; None
+        off Y.  The set is B lam + N_Y(lam), so this projects u - B lam
+        onto the normal cone, one memoized cone per tight set of Y."""
+        u = tuple(rat(v) for v in u)
+        lam = tuple(rat(v) for v in lam)
+        if not self.Y.contains(lam):
+            return None
+        cone = normal_cone(self.Y, lam).as_polyhedron()
+        return cone.project_point(vsub(u, self.B.matvec(lam)))[1]
+
     # -- proximal map ---------------------------------------------------------------
     def _prox_solver(self) -> StrictQpSolver:
         if "prox" not in self._cache:
@@ -259,14 +272,18 @@ class PlqPenalty:
         evaluated from float copies of its exact data.  The first time a
         piece is chosen, `prox_linearization` runs the exact prox at the
         exact value of v before the piece enters the cache; when no piece
-        passes in float, the exact piece it returns is used.
+        passes in float, the exact piece it returns is used.  A v past
+        float range has no exact value; where one is needed, prox(v) and
+        J are nan.
         """
         hit = self._prox_solver().solve_float(tuple(-a for a in v))
         if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
+            if not all(map(math.isfinite, v)):
+                return (math.nan,) * self.m, ((math.nan,) * self.m,) * self.m
             jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
             if hit is None:
                 jac = _float_rows(jac)
-                return (tuple(sum(a * b for a, b in zip(row, v)) + float(o)
+                return (tuple(sum(a * b for a, b in zip(row, v)) + to_float(o)
                               for row, o in zip(jac, offset)), jac)
         return tuple(a - b for a, b in zip(v, hit[1])), self._piece(hit[0])[2]
 

@@ -3,9 +3,10 @@
 H-representation polyhedra and cones over the rationals, with the cone
 calculus used by the stability analyses: tangent, normal, critical and
 polar cones, face enumeration and the differences F1 - F2 of nested
-faces, horizon cones, Euclidean projection, Fourier-Motzkin projection,
-and limiting normal cones of finite unions (through a hyperplane
-arrangement; the reference for the face-pair formula in `plq`).
+faces, horizon cones, Euclidean projection (a strictly convex QP solved
+by `qp.StrictQpSolver`), Fourier-Motzkin projection, and limiting normal
+cones of finite unions (through a hyperplane arrangement; the reference
+for the face-pair formula in `plq`).
 
 Generator representations are computed by an incremental double
 description sweep and are intended for desk scale (dimension <= 8 or
@@ -17,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, pseudo_inverse_psd, rank, rref
+from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
+from .qp import StrictQpSolver, _subsets
 from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
                        vscale, vsub)
 
@@ -225,56 +227,25 @@ class Polyhedron:
         return Polyhedron(rows, rhs).with_dim(self.dim)
 
     # -- Euclidean projection -------------------------------------------------
-    def _subset_projector(self, subset):
-        cache = self._cache.setdefault("projectors", {})
-        if subset in cache:
-            return cache[subset]
-        eq_rows, eq_rhs = self.eq_system()
-        rows = list(eq_rows) + [self.b[i] for i in subset]
-        rhs = list(eq_rhs) + [self.alpha[i] for i in subset]
-        if not rows:
-            cache[subset] = ("free", None, None, None)
-            return cache[subset]
-        amat = RatMatrix(rows)
-        gram_inv = pseudo_inverse_psd(amat @ amat.T)
-        cache[subset] = ("proj", amat, gram_inv, tuple(rhs))
-        return cache[subset]
-
     def project_point(self, x):
         """Euclidean projection: (nearest point, squared distance), exact.
 
-        The projection lies on some face, where it equals the affine
-        projection onto the rows tight there, so scanning the affine
-        projections of all inequality subsets and keeping the nearest
-        feasible one is exact.
+        The nearest point minimizes 1/2 |y|^2 - <x, y> over the set, a
+        strictly convex QP: `StrictQpSolver` (Q = I, one solver per
+        polyhedron) tries active sets by increasing size and returns the
+        first whose exact KKT certificate holds, multipliers >= 0 and
+        every inactive row feasible.  The minimizer is unique, so the
+        first certified active set gives it.
         """
         if self.is_empty():
             raise ValueError("projection onto an empty polyhedron")
         x = tuple(rat(v) for v in x)
         if self.contains(x):
             return x, ZERO
-        _, ineq = self._split()
-        best = None
-        best_d = None
-        for subset in _subsets(tuple(ineq)):
-            kind, amat, gram_inv, rhs = self._subset_projector(subset)
-            if kind == "free":
-                cand = x
-            else:
-                resid = vsub(amat.matvec(x), rhs)
-                mu = gram_inv.matvec(resid)
-                cand = vsub(x, amat.rmatvec(mu))
-                if amat.matvec(cand) != tuple(rhs):
-                    continue  # inconsistent affine system
-            if not self.contains(cand):
-                continue
-            d = vdot(vsub(x, cand), vsub(x, cand))
-            if best_d is None or d < best_d:
-                best, best_d = cand, d
-        if best is None:
-            raise InternalConsistencyError(
-                "nonempty polyhedron with no projection candidate")
-        return best, best_d
+        if "projector" not in self._cache:
+            self._cache["projector"] = StrictQpSolver(identity(self.dim), self)
+        y = self._cache["projector"].solve(tuple(-v for v in x))
+        return y, vdot(vsub(x, y), vsub(x, y))
 
     # -- serialization ---------------------------------------------------------
     def to_doc(self):
@@ -283,15 +254,6 @@ class Polyhedron:
 
     def __repr__(self):
         return "Polyhedron(rows=%d, dim=%s)" % (len(self.b), self._dim)
-
-
-def _subsets(items):
-    """All subsets, by increasing cardinality (deterministic order)."""
-    from itertools import combinations
-
-    for k in range(len(items) + 1):
-        for c in combinations(items, k):
-            yield c
 
 
 @dataclass(frozen=True)
@@ -331,6 +293,7 @@ class PolyCone:
             self._dim = dim
         if self._dim is None:
             raise ValueError("cone dimension cannot be inferred from no rows")
+        self._poly = None
 
     @property
     def dim(self):
@@ -361,7 +324,12 @@ class PolyCone:
         return _FROM_GEN_MEMO[key]
 
     def as_polyhedron(self) -> Polyhedron:
-        return Polyhedron(self.rows, (ZERO,) * len(self.rows)).with_dim(self.dim)
+        """The cone as a Polyhedron, one instance per cone, so that its memo
+        tables (emptiness, the projection solver) serve every caller."""
+        if self._poly is None:
+            self._poly = Polyhedron(self.rows, (ZERO,) * len(self.rows))
+            self._poly.with_dim(self.dim)
+        return self._poly
 
     def contains(self, v) -> bool:
         v = tuple(rat(x) for x in v)

@@ -152,12 +152,17 @@ class Polynomial:
         return all(math.isfinite(c) for c, _ in terms)
 
     def eval_float(self, point):
-        """Value at a float point, from float coefficients converted once."""
+        """Value at a float point, from float coefficients converted once.
+        Past float range a product gives +-inf; a power of a coordinate
+        raises OverflowError instead, and the value is then nan."""
         total = 0.0
-        for term, powers in self._float_coefficients():
-            for j, k in powers:
-                term *= float(point[j]) ** k
-            total += term
+        try:
+            for term, powers in self._float_coefficients():
+                for j, k in powers:
+                    term *= float(point[j]) ** k
+                total += term
+        except OverflowError:
+            return math.nan
         return total
 
     def degree(self):

@@ -22,6 +22,7 @@ Validation failures raise ProblemFileError with the offending path.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .linalg import RatMatrix, psd_check
 from .plq import PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
-from .rational import parse_rat
+from .rational import parse_rat, to_float
 from .varsys import VarSystem
 
 __all__ = ["MAX_DIMENSION", "ProblemFile", "ProblemFileError",
@@ -57,11 +58,24 @@ class ProblemFile:
     points: list             # [(x tuple, lambda tuple), ...]
     probe_grid: int
     probe_tol: float
+    y_input: tuple           # (rows, alpha) of Y as written, before Polyhedron
+                             # scales rows to integers and drops duplicates
 
     def require_float_data(self):
-        """Raise ProblemFileError naming the first polynomial the float
-        probes cannot evaluate: its coefficients, or those of the
-        derivatives they read, lie past float range."""
+        """Raise ProblemFileError naming the first datum the float probes
+        cannot evaluate: an entry of Y, B or a point past float range, or
+        a polynomial whose coefficients, or those of the derivatives they
+        read, lie past it."""
+        rows, alpha = self.y_input
+        data = [("$.Y.b", rows), ("$.Y.alpha", alpha),
+                ("$.B", self.problem.penalty.B.rows)]
+        for k, (x, lam) in enumerate(self.points):
+            data += [("$.points[%d].x" % k, x), ("$.points[%d].lambda" % k, lam)]
+        for path, values in data:
+            for name, value in _entries(path, values):
+                if not math.isfinite(to_float(value)):
+                    raise ProblemFileError(
+                        name, "beyond float range; --probe evaluates it in float")
         if self.kind == "enlp":
             system, f_names = self.problem.to_varsys(), ["$.phi0"] * self.n
         else:
@@ -73,6 +87,15 @@ class ProblemFile:
                 raise ProblemFileError(
                     name, "coefficients beyond float range (in it or its "
                           "derivatives); --probe evaluates them in float")
+
+
+def _entries(path, values):
+    """(path, entry) for each entry of a nested sequence of rationals."""
+    for i, v in enumerate(values):
+        if isinstance(v, (list, tuple)):
+            yield from _entries("%s[%d]" % (path, i), v)
+        else:
+            yield "%s[%d]" % (path, i), v
 
 
 def _expect(doc, key, types, path):
@@ -194,7 +217,8 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.probe.tol", "expected a positive finite number")
 
     return ProblemFile(name=name, kind=kind, n=n, m=m, problem=problem,
-                       points=points, probe_grid=grid, probe_tol=float(tol))
+                       points=points, probe_grid=grid, probe_tol=float(tol),
+                       y_input=(yrows, yalpha))
 
 
 def parse_problem_file(path) -> ProblemFile:

@@ -14,6 +14,8 @@ at desk scale (at most 2^p subsets for p inequality rows):
   any solution is a global minimizer.
 
 Returned optima satisfy the KKT conditions exactly by construction.
+P is a `polyhedra.Polyhedron`; this module does not import `polyhedra`,
+which projects points with `StrictQpSolver` (Q = I).
 
 For the proximal map's repeated solves, `StrictQpSolver` also keeps a
 float copy of each active set's affine solution map, so that the
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, invert, is_positive_definite, psd_check, rank
 from .lp import lp_feasible_point
-from .polyhedra import Polyhedron, _subsets
-from .rational import ONE, ZERO, rat, vdot
+from .rational import ONE, ZERO, rat, to_float, vdot
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
 
@@ -50,11 +51,20 @@ class QpInfeasible:
     pass
 
 
+def _subsets(items):
+    """All subsets, by increasing cardinality (deterministic order)."""
+    from itertools import combinations
+
+    for k in range(len(items) + 1):
+        for c in combinations(items, k):
+            yield c
+
+
 def _objective(qmat: RatMatrix, c, y):
     return vdot(qmat.matvec(y), y) / 2 + vdot(c, y)
 
 
-def _descent_ray(qmat: RatMatrix, c, poly: Polyhedron):
+def _descent_ray(qmat: RatMatrix, c, poly):
     """Feasible recession direction with Q d = 0 and <c, d> <= -1, or None."""
     n = qmat.nrows
     a_ub = list(poly.b) + [tuple(c)]
@@ -64,7 +74,7 @@ def _descent_ray(qmat: RatMatrix, c, poly: Polyhedron):
     return lp_feasible_point(tuple(a_ub), tuple(b_ub), tuple(a_eq), tuple(b_eq), n=n)
 
 
-def qp_solve(qmat: RatMatrix, c, poly: Polyhedron):
+def qp_solve(qmat: RatMatrix, c, poly):
     """Exact outcome: QpInfeasible | QpUnbounded(ray) | QpOptimal(point, value)."""
     if not psd_check(qmat):
         raise ValueError("quadratic term must be symmetric positive semidefinite")
@@ -85,7 +95,7 @@ def qp_solve(qmat: RatMatrix, c, poly: Polyhedron):
     return QpOptimal(point=y, value=_objective(qmat, c, y))
 
 
-def _solve_singular(qmat: RatMatrix, c, poly: Polyhedron):
+def _solve_singular(qmat: RatMatrix, c, poly):
     """Subset enumeration with full-KKT LP feasibility checks."""
     eq_rows, eq_rhs = poly.eq_system()
     _, ineq = poly._split()
@@ -135,7 +145,7 @@ class StrictQpSolver:
     tests the active sets in float from cached float copies of both maps.
     """
 
-    def __init__(self, qmat: RatMatrix, poly: Polyhedron):
+    def __init__(self, qmat: RatMatrix, poly):
         self.q = qmat
         self.poly = poly.with_dim(qmat.nrows)
         self.n = qmat.nrows
@@ -216,16 +226,18 @@ class StrictQpSolver:
         """Float copies of the affine maps of `subset`, or None for a
         dependent subset: (row of M, d) pairs with y_i(c) = d_i - <M_i, c>,
         the same pairs for the inequality multipliers mu(c), and the
-        (b_i, alpha_i) of the inequality rows outside the subset."""
+        (b_i, alpha_i) of the inequality rows outside the subset.  Values
+        past float range become +-inf (`rational.to_float`)."""
         if subset not in self._float:
             solver = self._subset_solver(subset)
             maps = None
             if solver is not None:
                 inv, act_rhs, ne = solver
                 n = self.n
-                rows = [([float(v) for v in row[:n]], float(vdot(row[n:], act_rhs)))
-                        for row in inv.rows]
-                inactive = [([float(v) for v in self.poly.b[i]], float(self.poly.alpha[i]))
+                rows = [([to_float(v) for v in row[:n]],
+                         to_float(vdot(row[n:], act_rhs))) for row in inv.rows]
+                inactive = [([to_float(v) for v in self.poly.b[i]],
+                             to_float(self.poly.alpha[i]))
                             for i in self._ineq if i not in subset]
                 maps = (rows[:n], rows[n + ne:], inactive)
             self._float[subset] = maps

@@ -56,7 +56,11 @@ def format_rat(value) -> str:
 
 
 def to_float(value) -> float:
-    return float(value)
+    """float(value), with +-inf past float range where float() raises."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # -- small tuple-vector helpers (vectors are tuples of Rat) ------------------

@@ -338,10 +338,6 @@ class PointContext:
             out.append((wcone, self.amat + self.gmat.T @ smat @ self.gmat))
         return out
 
-    @cached_property
-    def inverse_subdiff(self):
-        return self.system.penalty.inverse_subdiff(self.lam)
-
 
 def _face_region(ctx: PointContext, face) -> PolyCone:
     """{u : exists y in F with u - B y in polar(K) cap F-perp}."""
@@ -410,6 +406,10 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
     lhs     = |x - xbar| + dist(lam, multiplier set at xbar)
     rhs_iii = |Psi(x, lam)| + dist(Phi(x), inverse subdifferential of lam)
     rhs_iv  = |Psi(x, lam)| + |Phi(x) - prox(lam + Phi(x))|
+
+    The distance in rhs_iii is `PlqPenalty.inverse_subdiff_dist2`, a
+    projection onto the normal cone N_Y(lam); it is inf off Y.  Every
+    distance is exact and rounded once.
     """
     ctx = system.point(xbar, lam_bar).require(
         "error bounds are anchored at an exact solution")
@@ -420,13 +420,8 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
 
     psi_norm = norm2(system.psi(x, lam))
     phix = system.phi.eval(x)
-    inv = ctx.inverse_subdiff if lam == ctx.lam else \
-        system.penalty.inverse_subdiff(lam)
-    if inv.is_empty():
-        rhs_iii = math.inf
-    else:
-        _, d2i = inv.project_point(phix)
-        rhs_iii = psi_norm + sqrt_float(d2i)
+    d2i = system.penalty.inverse_subdiff_dist2(phix, lam)
+    rhs_iii = math.inf if d2i is None else psi_norm + sqrt_float(d2i)
     prox_pt = system.penalty.prox(vadd(lam, phix))
     rhs_iv = psi_norm + norm2(vsub(phix, prox_pt))
     return lhs, rhs_iii, rhs_iv
@@ -480,9 +475,10 @@ class NewtonResult:
     """Outcome of one perturbed solve.  `residual_norm` is the exact
     residual at the returned float iterate, rounded to float, and
     `converged` means it is <= tol.  `reason` is "converged",
-    "no_descent" (the line search found no decrease), "max_iter", or
+    "no_descent" (the line search found no decrease), "max_iter",
     "exact_check" (the float residual reached tol and the exact one did
-    not)."""
+    not), or "overflow" (a float residual or Newton matrix left float
+    range; the iterate returned is the last one whose residual did not)."""
 
     converged: bool
     x: tuple
@@ -495,20 +491,19 @@ class NewtonResult:
 def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
     """|R(x, lam)| from the exact residual at the exact values of the
     float data (exact prox included), rounded to float."""
-    import numpy as np
-
     xr = tuple(rat(float(v)) for v in x)
     lr = tuple(rat(float(v)) for v in lam)
     zr = vadd(system.phi.eval(xr), tuple(rat(float(v)) for v in p2))
     prox_pt = system.penalty.prox(vadd(lr, zr))
     r1 = vsub(system.psi(xr, lr), tuple(rat(float(v)) for v in p1))
     r2 = vsub(zr, prox_pt)
-    return float(np.linalg.norm(np.array(to_float_vec(r1 + r2), dtype=float)))
+    return norm2(r1 + r2)
 
 
 def _float_residual(system: VarSystem, p1, p2, x, lam):
-    """(R(x, lam), DPhi(x), J) in float, with J the prox Jacobian on the
-    active piece at lam + Phi(x) + p2."""
+    """(R(x, lam), |R|, DPhi(x), J) in float, with J the prox Jacobian on
+    the active piece at lam + Phi(x) + p2.  |R| is inf or nan when a
+    value overflows."""
     import numpy as np
 
     xs = x.tolist()
@@ -518,7 +513,8 @@ def _float_residual(system: VarSystem, p1, p2, x, lam):
     prox_pt, pj = system.penalty.prox_float(tuple(arg.tolist()))
     r1 = np.array(system.f.eval_float(xs)) + g.T @ lam - p1
     r2 = z - np.array(prox_pt)
-    return np.concatenate([r1, r2]), g, np.array(pj)
+    r = np.concatenate([r1, r2])
+    return r, float(np.linalg.norm(r)), g, np.array(pj)
 
 
 def _psi_jacobian_x_float(system: VarSystem, x, lam):
@@ -539,9 +535,10 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     generalized Jacobian elements come from the active piece of the
     proximal map.  The iteration runs in float: the prox value and its
     Jacobian come from cached exact affine pieces (`PlqPenalty.prox_float`).
-    The returned iterate gets one exact residual evaluation, which
-    decides `converged`.  Reports NewtonResult; never raises on
-    stagnation.
+    A residual or Newton matrix past float range stops the solve
+    ("overflow"), with numpy's floating-point warnings off.  The
+    returned iterate gets one exact residual evaluation, which decides
+    `converged`.  Reports NewtonResult; never raises on stagnation.
     """
     import numpy as np
 
@@ -550,36 +547,44 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     p2f = np.array([float(v) for v in p2], dtype=float)
     x = np.array([float(v) for v in start[0]], dtype=float)
     lam = np.array([float(v) for v in start[1]], dtype=float)
-    r, g, pj = _float_residual(system, p1f, p2f, x, lam)
-    rnorm = float(np.linalg.norm(r))
-    iterations, reason = max_iter, "max_iter"
-    for it in range(max_iter):
-        if rnorm <= tol:
-            iterations = it
-            break
-        a = _psi_jacobian_x_float(system, x, lam)
-        top = np.hstack([a, g.T])
-        bottom = np.hstack([(np.eye(m) - pj) @ g, -pj])
-        jmat = np.vstack([top, bottom])
-        try:
-            step = np.linalg.solve(jmat, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
-        damp = 1.0
-        best = None
-        for _ in range(30):
-            xn = x + damp * step[:n]
-            ln = lam + damp * step[n:]
-            rn, gn, pjn = _float_residual(system, p1f, p2f, xn, ln)
-            rn_norm = float(np.linalg.norm(rn))
-            if rn_norm < rnorm:
-                best = (xn, ln, rn, gn, pjn, rn_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, rnorm, g, pj = _float_residual(system, p1f, p2f, x, lam)
+        iterations, reason = max_iter, "max_iter"
+        for it in range(max_iter):
+            if rnorm <= tol:
+                iterations = it
                 break
-            damp /= 2
-        if best is None:
-            iterations, reason = it + 1, "no_descent"
-            break
-        x, lam, r, g, pj, rnorm = best
+            if not math.isfinite(rnorm):  # at the start; later steps check below
+                iterations, reason = it, "overflow"
+                break
+            a = _psi_jacobian_x_float(system, x, lam)
+            top = np.hstack([a, g.T])
+            bottom = np.hstack([(np.eye(m) - pj) @ g, -pj])
+            jmat = np.vstack([top, bottom])
+            if not np.isfinite(jmat).all():
+                iterations, reason = it + 1, "overflow"
+                break
+            try:
+                step = np.linalg.solve(jmat, -r)
+            except np.linalg.LinAlgError:
+                step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
+            damp = 1.0
+            best = None
+            for _ in range(30):
+                xn = x + damp * step[:n]
+                ln = lam + damp * step[n:]
+                rn, rn_norm, gn, pjn = _float_residual(system, p1f, p2f, xn, ln)
+                if rn_norm < rnorm or not math.isfinite(rn_norm):
+                    best = (xn, ln, rn, rn_norm, gn, pjn)
+                    break
+                damp /= 2
+            if best is None:
+                iterations, reason = it + 1, "no_descent"
+                break
+            if not math.isfinite(best[3]):
+                iterations, reason = it + 1, "overflow"
+                break
+            x, lam, r, rnorm, g, pj = best
     exact_norm = _exact_residual_norm(system, p1, p2, x, lam)
     if exact_norm <= tol:
         reason = "converged"

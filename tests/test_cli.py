@@ -225,6 +225,90 @@ def test_cli_probe_rejects_data_beyond_float_range(tmp_path, overrides, path):
     assert "Traceback" not in out.stderr
 
 
+def _example_3_2a(**overrides):
+    with open(corpus_path("example_3_2a"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(overrides)
+    return doc
+
+
+def _run_cli(doc, tmp_path, *flags):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                           str(path), *flags], capture_output=True, text=True,
+                          timeout=30)
+
+
+_HUGE = "7" * 400
+
+
+@pytest.mark.parametrize("overrides, path", [
+    (dict(Y={"b": [["-1", "0"], ["0", "-1"], ["1", "1"]],
+             "alpha": ["0", "0", _HUGE]}), "$.Y.alpha[2]"),
+    (dict(Y={"b": [["-1", "0"], ["0", "-1"], [_HUGE, "1"]],
+             "alpha": ["0", "0", "1"]}), "$.Y.b[2][0]"),
+    (dict(B=[[_HUGE, "0"], ["0", "1"]]), "$.B[0][0]"),
+    (dict(points=[{"x": ["0", "0"], "lambda": ["0", "0"]},
+                  {"x": ["0", "-" + _HUGE], "lambda": ["0", "0"]}]),
+     "$.points[1].x[1]"),
+])
+def test_cli_probe_rejects_entries_beyond_float_range(tmp_path, overrides,
+                                                      path):
+    doc = _example_3_2a(**overrides)
+    assert _run_cli(doc, tmp_path).returncode == 0
+    out = _run_cli(doc, tmp_path, "--probe")
+    assert out.returncode == 1
+    assert out.stderr == ("input error: %s: beyond float range; --probe "
+                          "evaluates it in float\n" % path)
+
+
+def test_cli_probe_saturates_derived_floats(tmp_path):
+    # every entry is a float, but the row in lowest integer terms,
+    # (1000, 1) <= 10^310, and the prox pieces it enters are not
+    doc = _example_3_2a(Y={"b": [["-1", "0"], ["0", "-1"], ["1", "1/1000"]],
+                           "alpha": ["0", "0", "1" + "0" * 307]})
+    out = _run_cli(doc, tmp_path, "--probe", "--report", "json")
+    assert out.returncode == 0 and out.stderr == ""
+
+
+def test_cli_probe_stops_newton_on_overflow(tmp_path):
+    # the float residual at the line search's trial points is about
+    # 10^298: its squared norm overflows
+    doc = _example_3_2a(Phi=["x1 + 1" + "0" * 307 + "*x2^3", "0"])
+    out = _run_cli(doc, tmp_path, "--probe", "--report", "json")
+    assert out.returncode == 0 and out.stderr == ""
+    records = json.loads(out.stdout)["points"][0]["probes"]["semi_isolated"][
+        "records"]
+    assert "overflow" in [r["newton"] for r in records]
+
+
+def test_cli_corpus_probes_print_nothing_and_never_overflow(capfd):
+    for name in corpus_names():
+        pf = parse_problem_file(corpus_path(name))
+        doc, _ = analyze_problem(pf, probe=True)
+        for point in doc["points"]:
+            records = point.get("probes", {}).get("semi_isolated", {}).get(
+                "records", [])
+            assert all(r["newton"] != "overflow" for r in records), name
+    assert capfd.readouterr() == ("", "")
+
+
+def test_cli_many_slack_rows_in_y(tmp_path):
+    # example_3_2a with 24 more rows in Y, none tight at the solution and
+    # none binding at the error-bound samples: 26 rows, 2^26 row subsets
+    doc = _example_3_2a()
+    doc["Y"] = {"b": doc["Y"]["b"] + [[str(k), "1"] for k in range(1, 25)],
+                "alpha": doc["Y"]["alpha"] + ["100"] * 24}
+    reference = _run_cli(_example_3_2a(), tmp_path, "--report", "json")
+    samples = json.loads(reference.stdout)["points"][0]["error_bound_samples"]
+    for flags in ((), ("--probe",)):
+        out = _run_cli(doc, tmp_path, "--report", "json", *flags)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["points"][0]["error_bound_samples"] == samples
+
+
 @pytest.mark.parametrize("expr, pos", [("1" * 5000 + "*x1", 0),
                                         ("x" + "1" * 5000, 1),
                                         ("1/" + "3" * 5000, 2)])

@@ -1,5 +1,6 @@
 """Exact kernel: rationals, linear algebra, LP, QP, PSD tests."""
 
+import functools
 import math
 import random
 import subprocess
@@ -15,7 +16,7 @@ from plqstab.lp import lp_max_each
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
                             pseudo_inverse_psd, rank, solve_general)
 from plqstab.rational import (format_rat, norm2, parse_rat, primitive,
-                              sqrt_float, vdot)
+                              sqrt_float, to_float, vdot)
 
 
 def test_rational_parsing_and_formatting():
@@ -48,6 +49,12 @@ def test_norm2_below_float_range():
     assert sqrt_float(rat(2) ** -2148) == 2.0 ** -1074   # least subnormal root
     assert sqrt_float(rat(2) ** -2150) == 0.0            # the root underflows
     assert norm2((rat(0), rat(0))) == 0.0
+
+
+def test_to_float_saturates_past_float_range():
+    assert to_float(rat(10) ** 400) == math.inf
+    assert to_float(-rat(10) ** 400) == -math.inf
+    assert to_float(rat(1, 3)) == 1 / 3
 
 
 def test_primitive_scaling():
@@ -334,10 +341,14 @@ def test_lp_integer_checks_match_substitution():
 
 _WORK_COUNTER_SCRIPT = """
 import plqstab.lp as lp
+import plqstab.polyhedra as polyhedra
+import plqstab.qp as qp
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_6_2"))
-counts = {"outcomes": 0, "tableaux": 0, "pivots": 0}
+counts = {"outcomes": 0, "tableaux": 0, "pivots": 0, "projecting": 0,
+          "active_sets": 0}
 solve_each, init, pivot = lp._solve_each, lp._Tableau.__init__, lp._Tableau.pivot
+project, try_subset = polyhedra.Polyhedron.project_point, qp.StrictQpSolver._try_subset
 def counted_solve_each(*args):
     for out in solve_each(*args):
         counts["outcomes"] += 1
@@ -348,21 +359,45 @@ def counted_init(self, p):
 def counted_pivot(self, r, j):
     counts["pivots"] += 1
     return pivot(self, r, j)
+def counted_project(self, x):
+    counts["projecting"] += 1
+    try:
+        return project(self, x)
+    finally:
+        counts["projecting"] -= 1
+def counted_try_subset(self, subset, c):
+    if counts["projecting"]:
+        counts["active_sets"] += 1
+    return try_subset(self, subset, c)
 lp._solve_each = counted_solve_each
 lp._Tableau.__init__ = counted_init
 lp._Tableau.pivot = counted_pivot
+polyhedra.Polyhedron.project_point = counted_project
+qp.StrictQpSolver._try_subset = counted_try_subset
 analyze_problem(pf)
-print(counts["outcomes"], counts["tableaux"], counts["pivots"])
+print(counts["outcomes"], counts["tableaux"], counts["pivots"],
+      counts["active_sets"])
 """
 
 
-def test_lp_work_counts_on_example_6_2():
+@functools.lru_cache(maxsize=None)
+def _example_6_2_work_counts():
     # A fresh interpreter: the polyhedra memo tables change the counts
-    # once they are warm.  LP outcomes, tableaux built (one phase 1 each)
-    # and pivots, the artificial pivot-out step included.
+    # once they are warm.
     out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["203", "85", "593"]
+    return out.stdout.split()
+
+
+def test_lp_work_counts_on_example_6_2():
+    # LP outcomes, tableaux built (one phase 1 each) and pivots, the
+    # artificial pivot-out step included.
+    assert _example_6_2_work_counts()[:3] == ["201", "83", "587"]
+
+
+def test_projection_active_sets_on_example_6_2():
+    # Active sets the exact projections try before one is certified.
+    assert _example_6_2_work_counts()[3] == "18"
 
 
 _FORGED_DUALS_SCRIPT = """

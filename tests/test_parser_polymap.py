@@ -1,5 +1,6 @@
 """Expression grammar and polynomial map calculus."""
 
+import math
 import random
 from datetime import timedelta
 
@@ -96,6 +97,13 @@ def test_polymap_jacobian_hessian_values():
     assert f.hessian_at(0, (1, 2)).rows == ((rat(2), rat(0)), (rat(0), rat(0)))
     grad = PolyMap([parse_expression("x1^2 + x2^2", 2)]).gradient_map()
     assert grad.eval((3, 4)) == (rat(6), rat(8))
+
+
+def test_eval_float_past_float_range():
+    # a product past float range gives inf; a power there raises in
+    # Python, and the value is nan
+    assert parse_expression("x1*x2", 2).eval_float((1e200, 1e200)) == math.inf
+    assert math.isnan(parse_expression("x1^2 + 1", 1).eval_float((1e200,)))
 
 
 def test_polymap_guards():

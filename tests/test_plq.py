@@ -156,6 +156,14 @@ def test_prox_float_matches_exact_prox_on_random_points():
     assert points >= 1000
 
 
+def test_prox_float_past_float_range():
+    # the float solve picks a piece that is not cached yet, and v has no
+    # exact value to run the exact prox at
+    p, jac = quad_penalty_2d().prox_float((math.inf, 0.0))
+    assert all(math.isnan(v) for v in p)
+    assert all(math.isnan(v) for row in jac for v in row)
+
+
 def test_prox_linearization_is_the_active_piece():
     pen = quad_penalty_2d()  # prox halves positive entries, keeps the others
     jac, offset = pen.prox_linearization((2, -3))

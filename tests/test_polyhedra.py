@@ -8,7 +8,9 @@ import pytest
 from plqstab import (PolyCone, Polyhedron, PolyUnion, critical_cone, dual_cone,
                      fm_project, horizon_cone, limiting_normal_cone_union,
                      normal_cone, polar_cone, rat, tangent_cone)
+from plqstab.linalg import rank
 from plqstab.rational import vdot
+from projection_reference import project_by_subsets
 
 ORTHANT2 = Polyhedron([(-1, 0), (0, -1)], [0, 0])
 
@@ -253,6 +255,62 @@ def test_projection_optimality_randomized():
         resid = tuple(a - b for a, b in zip(x, pt))
         assert vdot(resid, resid) == d2
         assert normal_cone(p, pt).contains(resid)
+
+
+def _projection_instance(rng):
+    """(polyhedron, base point y0 in it, points to project, whether a row
+    was written twice): dimension 1-4,
+    at most 6 rows written, several tight at y0, with equality pairs,
+    duplicate (also rescaled) rows and rows that are sums of others."""
+    dim = rng.randint(1, 4)
+    y0 = tuple(rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(dim))
+    rows, rhs, dup = [], [], False
+    target = rng.randint(1, 6)
+    while len(rows) < target:
+        kind = rng.choice(["tight", "tight", "slack", "eq", "dup", "sum"])
+        b = tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
+        if kind == "eq" and len(rows) + 2 <= target:
+            rows += [b, tuple(-v for v in b)]
+            rhs += [vdot(b, y0), -vdot(b, y0)]
+        elif kind == "dup" and rows:
+            i, s = rng.randrange(len(rows)), rng.randint(1, 2)
+            rows.append(tuple(s * v for v in rows[i]))
+            rhs.append(s * rhs[i])
+            dup = True
+        elif kind == "sum" and len(rows) >= 2:
+            i, j = rng.sample(range(len(rows)), 2)
+            rows.append(tuple(u + v for u, v in zip(rows[i], rows[j])))
+            rhs.append(rhs[i] + rhs[j] + rng.randint(0, 1))
+        else:
+            rows.append(b)
+            rhs.append(vdot(b, y0) + (rng.randint(1, 3) if kind == "slack" else 0))
+    poly = Polyhedron(rows, rhs).with_dim(dim)
+    tight = [poly.b[i] for i in sorted(poly.tight_rows(y0))]
+    # y0 plus a normal vector at y0 (zero weights included) projects to y0
+    normal = [rat(rng.randint(0, 2), rng.randint(1, 3)) for _ in tight]
+    pushed = tuple(y + sum((w * b[k] for w, b in zip(normal, tight)), rat(0))
+                   for k, y in enumerate(y0))
+    far = tuple(rat(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(dim))
+    return poly, y0, [y0, pushed, far], dup
+
+
+def test_project_point_matches_the_all_subsets_reference():
+    rng = random.Random(2024)
+    seen = {"eq": 0, "dup": 0, "dependent": 0, "degenerate": 0}
+    for _ in range(240):
+        poly, y0, points, dup = _projection_instance(rng)
+        eq_pairs, ineq = poly._split()
+        seen["dup"] += dup
+        seen["eq"] += bool(eq_pairs)
+        seen["dependent"] += len(ineq) > 1 and rank([poly.b[i] for i in ineq]) < len(ineq)
+        for x in points:
+            pt, d2 = poly.project_point(x)
+            assert (pt, d2) == project_by_subsets(poly, x), (poly.b, poly.alpha, x)
+            tight = [poly.b[i] for i in poly.tight_rows(pt)]
+            seen["degenerate"] += d2 > 0 and rank(tight) < len(tight)
+        assert poly.project_point(points[1])[0] == y0
+    # the row patterns the instances are built to contain did occur
+    assert min(seen.values()) >= 20, seen
 
 
 # -- Fourier-Motzkin -----------------------------------------------------------------------

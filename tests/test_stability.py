@@ -11,7 +11,7 @@ from plqstab import (analyze_problem, classify_multiplier, corpus_path,
                      critical_ray_probe, dqc_holds, error_bound_residuals,
                      parse_problem_file, rat, semi_isolated_probe,
                      solve_perturbed, trace_is_divergent, uniqueness_report)
-from plqstab.rational import vadd, vdot, vscale, vsub
+from plqstab.rational import norm2, sqrt_float, vadd, vdot, vscale, vsub
 from support import (ball_sample, embed_system_full_rank,
                      embed_system_rank_drop, flat_system, parabola_system,
                      random_varsys_with_solution, scalar_system)
@@ -103,6 +103,31 @@ def test_error_bound_hand_instance():
     _, rhs_iii, _ = error_bound_residuals(s, (0,), (0,), (rat(1, 10),),
                                           (rat(-1, 20),))
     assert math.isinf(rhs_iii)
+
+
+def test_rhs_iii_is_the_distance_to_the_inverse_subdifferential():
+    rng = random.Random(811)
+    outside = 0
+    for _ in range(60):
+        system, xbar, lam_bar = random_varsys_with_solution(rng)
+        pen, n, m = system.penalty, system.n, system.m
+        for j in range(n + m + 3):
+            dx, dl = ball_sample(rng, n, 1, 10), ball_sample(rng, m, 1, 10)
+            if j < n + m:  # the error-bound table's axis steps
+                dx = tuple(rat(1, 10) if k == j else rat(0) for k in range(n))
+                dl = tuple(rat(1, 10) if n + k == j else rat(0) for k in range(m))
+            x, lam = vadd(xbar, dx), vadd(lam_bar, dl)
+            u = system.phi.eval(x)
+            inv = pen.inverse_subdiff(lam)
+            d2 = pen.inverse_subdiff_dist2(u, lam)
+            _, rhs_iii, _ = error_bound_residuals(system, xbar, lam_bar, x, lam)
+            if inv.is_empty():
+                outside += 1
+                assert d2 is None and math.isinf(rhs_iii)
+                continue
+            assert d2 == inv.project_point(u)[1]
+            assert rhs_iii == norm2(system.psi(x, lam)) + sqrt_float(d2)
+    assert outside >= 20
 
 
 def test_error_bound_finite_ratio_at_noncritical_instances():
