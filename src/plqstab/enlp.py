@@ -41,9 +41,10 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, solve_general
 from .lp import LpOptimal, lp_feasible_point, lp_max_each
 from .plq import PlqPenalty
-from .polyhedra import (PolyCone, Polyhedron, _subsets, face_differences,
-                        normal_cone)
+from .polyhedra import (PolyCone, Polyhedron, _all_generator_vectors,
+                        face_differences, normal_cone)
 from .polymap import Polynomial, PolyMap
+from .qp import _subsets
 from .rational import ONE, ZERO, norm2, rat, vadd, vdot, vsub
 from .stability import (_face_system, classify_multiplier, nontrivial_over,
                         uniqueness_report)
@@ -301,11 +302,7 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     realizability plus the existence of a nonzero represented direction
     are decided by LPs.  Returns (verdict, witness direction or None).
     """
-    lin, rays = cone.generators()
-    gens = list(rays)
-    for l in lin:
-        gens.append(l)
-        gens.append(tuple(-v for v in l))
+    gens = _all_generator_vectors(cone.generators())
     if not gens:
         return True, None
     nvec = len(gens)

@@ -32,7 +32,7 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
                         face_differences, fm_project, normal_cone)
-from .qp import QpOptimal, QpUnbounded, StrictQpSolver, qp_solve
+from .qp import QpOptimal, QpUnbounded, StrictQpSolver, _subsets, qp_solve
 from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
 
 __all__ = ["ExtReal", "PLUS_INF", "PlqPenalty", "coderivative_contains",
@@ -353,8 +353,6 @@ class PlqPenalty:
         eq_pairs, ineq = self.Y._split()
         eq_rows, eq_rhs = self.Y.eq_system()
         pieces = []
-        from .polyhedra import _subsets
-
         for subset in _subsets(tuple(ineq)):
             gen_rows = list(eq_rows) + [self.Y.b[i] for i in subset]
             nb = len(gen_rows)

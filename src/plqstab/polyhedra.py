@@ -10,7 +10,10 @@ for the face-pair formula in `plq`).
 
 Generator representations are computed by an incremental double
 description sweep and are intended for desk scale (dimension <= 8 or
-so); complexity is exponential in the number of rows.
+so); complexity is exponential in the number of rows.  The sweep and
+the face enumeration are combinatorial: rays are combined only when
+adjacent, and face closures are read off the rays' zero sets, so
+neither solves an LP.
 """
 
 from __future__ import annotations
@@ -270,7 +273,8 @@ class PolyCone:
     The generator form (lineality basis + extreme rays modulo lineality)
     is produced by double description and memoized per canonical
     H-representation; both forms are cross-checked on creation of the
-    generator form.
+    generator form.  Faces are enumerated from the incidences of the
+    extreme rays with the rows.
     """
 
     def __init__(self, rows, dim=None):
@@ -345,12 +349,11 @@ class PolyCone:
         """(lineality basis, extreme rays), memoized."""
         key = self._key()
         if key not in _GEN_MEMO:
-            lin, rays = _cone_generators(self.rows, self.dim)
-            for g in list(lin) + [tuple(-v for v in l) for l in lin] + list(rays):
-                if not self.contains(g):
-                    raise InternalConsistencyError(
-                        "generator violates H-representation")
-            _GEN_MEMO[key] = (lin, rays)
+            gens = _cone_generators(self.rows, self.dim)
+            if not all(self.contains(g) for g in _all_generator_vectors(gens)):
+                raise InternalConsistencyError(
+                    "generator violates H-representation")
+            _GEN_MEMO[key] = gens
         return _GEN_MEMO[key]
 
     def lineality_basis(self):
@@ -375,12 +378,7 @@ class PolyCone:
     # -- polarity ---------------------------------------------------------------
     def polar(self) -> "PolyCone":
         """Nonpositive polar {v : <v, x> <= 0 for all x in the cone}."""
-        lin, rays = self.generators()
-        rows = list(rays)
-        for l in lin:
-            rows.append(l)
-            rows.append(tuple(-v for v in l))
-        return PolyCone(rows, dim=self.dim)
+        return PolyCone(_all_generator_vectors(self.generators()), dim=self.dim)
 
     def dual(self) -> "PolyCone":
         """Nonnegative polar {v : <v, x> >= 0 for all x in the cone}."""
@@ -389,10 +387,10 @@ class PolyCone:
 
     def set_equal(self, other: "PolyCone") -> bool:
         """Exact set equality via mutual generator membership."""
-        for g in _all_generator_vectors(self):
+        for g in _all_generator_vectors(self.generators()):
             if not other.contains(g):
                 return False
-        for g in _all_generator_vectors(other):
+        for g in _all_generator_vectors(other.generators()):
             if not self.contains(g):
                 return False
         return True
@@ -401,18 +399,25 @@ class PolyCone:
     def faces(self):
         """All nonempty faces as Face(tight rows, sub-cone), memoized.
 
-        The memo is keyed by the set of rows and keeps each face's tight
-        rows as vectors, so the indices in `tight` refer to the row order
-        of this cone, whichever cone with the same rows filled the memo.
+        The face tight on a subset S of the inequality rows is spanned by
+        the lineality space and the extreme rays that vanish on S, so its
+        closure (every inequality row tight on the whole face) is the set
+        of rows vanishing on all of those rays, or every inequality row
+        when no ray does.  The memo is keyed by the set of rows and keeps
+        each face's tight rows as vectors, so the indices in `tight` refer
+        to the row order of this cone, whichever cone with the same rows
+        filled the memo.
         """
         key = self._key()
         if key not in _FACES_MEMO:
-            pairs, ineq = self._poly_split()
+            pairs, ineq = self.as_polyhedron()._split()
             always = frozenset(i for pair in pairs for i in pair)
-            box_rows, box_rhs = _box_rows(self.dim)
+            zero_sets = [frozenset(i for i in ineq if vdot(self.rows[i], r) == 0)
+                         for r in self.extreme_rays()]
             found = {}
             for subset in _subsets(tuple(ineq)):
-                closure = self._face_closure(subset, ineq, box_rows, box_rhs)
+                closure = frozenset(ineq).intersection(
+                    *(z for z in zero_sets if z.issuperset(subset)))
                 if closure in found:
                     continue
                 rows = list(self.rows) + [tuple(-v for v in self.rows[i])
@@ -424,76 +429,14 @@ class PolyCone:
         return tuple(Face(tight=frozenset(index[r] for r in tight), piece=piece)
                      for tight, piece in _FACES_MEMO[key])
 
-    def _poly_split(self):
-        n = len(self.rows)
-        index = {self.rows[i]: i for i in range(n)}
-        used = set()
-        pairs = []
-        for i in range(n):
-            if i in used:
-                continue
-            j = index.get(tuple(-v for v in self.rows[i]))
-            if j is not None and j not in used and j != i:
-                pairs.append((i, j))
-                used.update((i, j))
-        ineq = [i for i in range(n) if i not in used]
-        return pairs, ineq
-
-    def _face_closure(self, subset, ineq, box_rows, box_rhs):
-        """Inequality rows identically zero on the face tight on `subset`."""
-        eq = [self.rows[i] for i in subset]
-        others = [i for i in ineq if i not in subset]
-        # relative-interior probe over (x, t): maximize t subject to
-        # <b_i, x> <= -t for the rows outside the subset; t* > 0 means the
-        # subset is already closed
-        n = self.dim
-        a_ub = [tuple(r) + (ZERO,) for r in self.rows]
-        b_ub = [ZERO] * len(self.rows)
-        for i in others:
-            a_ub.append(tuple(self.rows[i]) + (ONE,))
-            b_ub.append(ZERO)
-        a_ub += [tuple(r) + (ZERO,) for r in box_rows]
-        b_ub += list(box_rhs)
-        a_ub.append((ZERO,) * n + (ONE,))
-        b_ub.append(ONE)
-        a_eq = [tuple(r) + (ZERO,) for r in eq]
-        b_eq = [ZERO] * len(eq)
-        o = lp_max((ZERO,) * n + (ONE,), a_ub, b_ub, a_eq, b_eq)
-        if not isinstance(o, LpOptimal):
-            raise InternalConsistencyError("face probe LP is not optimal")
-        if o.value > 0:
-            return frozenset(subset)
-        # row i is identically zero on the face iff max -<b_i, x> is 0 there
-        closure = set(subset)
-        objectives = (tuple(-v for v in self.rows[i]) for i in others)
-        outcomes = lp_max_each(objectives, list(self.rows) + box_rows,
-                               [ZERO] * len(self.rows) + list(box_rhs),
-                               eq, [ZERO] * len(eq))
-        for i, o in zip(others, outcomes):
-            if not isinstance(o, LpOptimal):
-                raise InternalConsistencyError("face closure LP is not optimal")
-            if o.value == 0:
-                closure.add(i)
-        return frozenset(closure)
-
     def __repr__(self):
         return "PolyCone(rows=%d, dim=%d)" % (len(self.rows), self.dim)
 
 
-def _box_rows(n):
-    rows = []
-    for i in range(n):
-        e = [ZERO] * n
-        e[i] = ONE
-        rows.append(tuple(e))
-        e2 = [ZERO] * n
-        e2[i] = -ONE
-        rows.append(tuple(e2))
-    return rows, [ONE] * (2 * n)
-
-
-def _all_generator_vectors(cone: PolyCone):
-    lin, rays = cone.generators()
+def _all_generator_vectors(generators):
+    """The rays, then each lineality vector and its negative, of a
+    (lineality basis, extreme rays) pair: the cone is their conic hull."""
+    lin, rays = generators
     out = list(rays)
     for l in lin:
         out.append(l)
@@ -502,11 +445,20 @@ def _all_generator_vectors(cone: PolyCone):
 
 
 def _cone_generators(rows, dim):
-    """Double description: H-rows -> (lineality basis, extreme rays)."""
+    """Double description: H-rows -> (lineality basis, extreme rays).
+
+    A row that leaves some lineality vector nonzero turns that vector
+    into a ray and shrinks the lineality space.  Any other row keeps the
+    rays on its nonpositive side and combines each positive ray with each
+    adjacent negative one.  Two rays are adjacent when no third ray
+    vanishes on every processed row on which both vanish; the combination
+    of a non-adjacent pair is never extreme, so the rays stay exactly the
+    extreme rays without pruning (Fukuda and Prodon, 1996).
+    """
     lineality = [tuple(ONE if j == i else ZERO for j in range(dim))
                  for i in range(dim)]
     rays: list = []
-    for b in rows:
+    for k, b in enumerate(rows):
         lv = [vdot(b, l) for l in lineality]
         hit = next((i for i, v in enumerate(lv) if v != 0), None)
         if hit is not None:
@@ -524,59 +476,27 @@ def _cone_generators(rows, dim):
             rays.append(l0)
             lineality = new_lin
         else:
-            pos = [r for r in rays if vdot(b, r) > 0]
-            neg = [r for r in rays if vdot(b, r) < 0]
-            zero = [r for r in rays if vdot(b, r) == 0]
+            slack = [vdot(b, r) for r in rays]
+            zeros = [frozenset(j for j in range(k) if vdot(rows[j], r) == 0)
+                     for r in rays]
+            pos = [i for i, v in enumerate(slack) if v > 0]
+            neg = [i for i, v in enumerate(slack) if v < 0]
             combo = []
-            for rp in pos:
-                ap = vdot(b, rp)
-                for rn in neg:
-                    an = vdot(b, rn)
-                    combo.append(vadd(vscale(ap, rn), vscale(-an, rp)))
-            rays = neg + zero + combo
-        rays = _prune_rays(rays, lineality)
+            for i in pos:
+                for j in neg:
+                    common = zeros[i] & zeros[j]
+                    if not any(common <= z for t, z in enumerate(zeros)
+                               if t not in (i, j)):
+                        combo.append(vadd(vscale(slack[i], rays[j]),
+                                          vscale(-slack[j], rays[i])))
+            rays = ([rays[j] for j in neg]
+                    + [r for r, v in zip(rays, slack) if v == 0] + combo)
+        rays = [primitive(r) for r in rays]
     lin_basis = ()
     if lineality:
         red, piv = rref(lineality)
         lin_basis = tuple(primitive(tuple(red[i])) for i in range(len(piv)))
     return lin_basis, tuple(rays)
-
-
-def _prune_rays(rays, lineality):
-    rays = [primitive(r) for r in rays if not is_zero_vec(primitive(r))]
-    out = []
-    seen = set()
-    for r in rays:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    i = 0
-    while i < len(out):
-        if _in_cone_span(out[i], out[:i] + out[i + 1:], lineality):
-            out.pop(i)
-        else:
-            i += 1
-    return out
-
-
-def _in_cone_span(v, rays, lineality):
-    """v in cone(rays) + span(lineality)?  LP feasibility."""
-    n = len(v)
-    k, kl = len(rays), len(lineality)
-    if k == 0 and kl == 0:
-        return is_zero_vec(v)
-    a_eq = []
-    for j in range(n):
-        a_eq.append(tuple(r[j] for r in rays) + tuple(l[j] for l in lineality))
-    b_eq = list(v)
-    a_ub = []
-    for i in range(k):
-        row = [ZERO] * (k + kl)
-        row[i] = -ONE
-        a_ub.append(tuple(row))
-    b_ub = [ZERO] * k
-    return lp_feasible_point(tuple(a_ub), tuple(b_ub), tuple(a_eq), tuple(b_eq),
-                             n=k + kl) is not None
 
 
 # -- cone operations on polyhedra -------------------------------------------
@@ -607,11 +527,9 @@ def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
     Requires v to be a normal vector at lam (verified exactly).
     """
     t = tangent_cone(p, lam)
-    tight = p.tight_rows(lam)
-    if not _in_cone_span(tuple(rat(x) for x in v),
-                         [p.b[i] for i in sorted(tight)], []):
-        raise ValueError("v is not in the normal cone at the base point")
     v = tuple(rat(x) for x in v)
+    if not normal_cone(p, lam).contains(v):
+        raise ValueError("v is not in the normal cone at the base point")
     rows = list(t.rows)
     if not is_zero_vec(v):
         rows.append(v)
@@ -815,7 +733,7 @@ def limiting_normal_cone_union(union: PolyUnion, point):
     # the regular normal cone at the point must be covered
     regular = intersect_cones(
         [PolyCone.from_generators((), list(t.rows), dim) for t in tangents], dim)
-    for g in _all_generator_vectors(regular):
+    for g in _all_generator_vectors(regular.generators()):
         if not any(c.contains(g) for c in cones):
             raise InternalConsistencyError(
                 "regular normal cone escaped the limiting cone union")

@@ -1,0 +1,142 @@
+"""Reference double description and face enumeration for differential
+tests: the LP-based versions that `polyhedra` replaced by incidence tests.
+
+`cone_generators_by_lp` combines every positive ray with every negative
+one and then drops each ray that a feasibility LP finds in the cone of
+the others plus the lineality space.  `faces_by_lp` closes each subset
+of the inequality rows with a relative-interior LP and, when that LP
+finds the face thinner, one LP per remaining row, all under a box
+normalisation.  `in_cone_span` is the LP membership test v in
+cone(rays) + span(lineality).
+"""
+
+from plqstab.linalg import rref
+from plqstab.lp import LpOptimal, lp_feasible_point, lp_max, lp_max_each
+from plqstab.polyhedra import PolyCone
+from plqstab.qp import _subsets
+from plqstab.rational import (ONE, ZERO, is_zero_vec, primitive, vadd, vdot,
+                              vscale, vsub)
+
+
+def cone_generators_by_lp(rows, dim):
+    """H-rows -> (lineality basis, extreme rays), pruned by LPs."""
+    lineality = [tuple(ONE if j == i else ZERO for j in range(dim))
+                 for i in range(dim)]
+    rays = []
+    for b in rows:
+        lv = [vdot(b, l) for l in lineality]
+        hit = next((i for i, v in enumerate(lv) if v != 0), None)
+        if hit is not None:
+            l0, s = lineality[hit], lv[hit]
+            if s > 0:
+                l0 = tuple(-v for v in l0)
+                s = -s
+            lineality = [vsub(l, vscale(lv[i] / s, l0))
+                         for i, l in enumerate(lineality) if i != hit]
+            rays = [vsub(r, vscale(vdot(b, r) / s, l0)) for r in rays]
+            rays.append(l0)
+        else:
+            pos = [r for r in rays if vdot(b, r) > 0]
+            neg = [r for r in rays if vdot(b, r) < 0]
+            zero = [r for r in rays if vdot(b, r) == 0]
+            combo = [vadd(vscale(vdot(b, rp), rn), vscale(-vdot(b, rn), rp))
+                     for rp in pos for rn in neg]
+            rays = neg + zero + combo
+        rays = _prune_rays(rays, lineality)
+    lin_basis = ()
+    if lineality:
+        red, piv = rref(lineality)
+        lin_basis = tuple(primitive(tuple(red[i])) for i in range(len(piv)))
+    return lin_basis, tuple(rays)
+
+
+def _prune_rays(rays, lineality):
+    out = []
+    for r in rays:
+        r = primitive(r)
+        if not is_zero_vec(r) and r not in out:
+            out.append(r)
+    i = 0
+    while i < len(out):
+        if in_cone_span(out[i], out[:i] + out[i + 1:], lineality):
+            out.pop(i)
+        else:
+            i += 1
+    return out
+
+
+def in_cone_span(v, rays, lineality):
+    """v in cone(rays) + span(lineality)?  LP feasibility."""
+    n = len(v)
+    k, kl = len(rays), len(lineality)
+    if k == 0 and kl == 0:
+        return is_zero_vec(v)
+    a_eq = [tuple(r[j] for r in rays) + tuple(l[j] for l in lineality)
+            for j in range(n)]
+    a_ub = [tuple(-ONE if j == i else ZERO for j in range(k + kl))
+            for i in range(k)]
+    return lp_feasible_point(tuple(a_ub), (ZERO,) * k, tuple(a_eq), tuple(v),
+                             n=k + kl) is not None
+
+
+def faces_by_lp(cone):
+    """((tight row indices, face piece rows), ...) in `PolyCone.faces` order."""
+    pairs, ineq = _opposite_pairs(cone.rows)
+    always = frozenset(i for pair in pairs for i in pair)
+    found = {}
+    for subset in _subsets(tuple(ineq)):
+        closure = _face_closure(cone, subset, ineq)
+        if closure not in found:
+            rows = list(cone.rows) + [tuple(-v for v in cone.rows[i])
+                                      for i in sorted(closure)]
+            found[closure] = (closure | always, PolyCone(rows, dim=cone.dim).rows)
+    return tuple(found.values())
+
+
+def _opposite_pairs(rows):
+    index = {r: i for i, r in enumerate(rows)}
+    used = set()
+    pairs = []
+    for i, r in enumerate(rows):
+        if i in used:
+            continue
+        j = index.get(tuple(-v for v in r))
+        if j is not None and j not in used and j != i:
+            pairs.append((i, j))
+            used.update((i, j))
+    return pairs, [i for i in range(len(rows)) if i not in used]
+
+
+def _face_closure(cone, subset, ineq):
+    """Inequality rows identically zero on the face tight on `subset`."""
+    n = cone.dim
+    box_rows = [tuple(s if j == i else ZERO for j in range(n))
+                for i in range(n) for s in (ONE, -ONE)]
+    box_rhs = [ONE] * (2 * n)
+    eq = [cone.rows[i] for i in subset]
+    others = [i for i in ineq if i not in subset]
+    # relative-interior probe over (x, t): maximize t subject to
+    # <b_i, x> <= -t for the rows outside the subset; t* > 0 means the
+    # subset is already closed
+    a_ub = [tuple(r) + (ZERO,) for r in cone.rows]
+    a_ub += [tuple(cone.rows[i]) + (ONE,) for i in others]
+    a_ub += [tuple(r) + (ZERO,) for r in box_rows]
+    a_ub.append((ZERO,) * n + (ONE,))
+    b_ub = [ZERO] * (len(cone.rows) + len(others)) + box_rhs + [ONE]
+    o = lp_max((ZERO,) * n + (ONE,), a_ub, b_ub,
+               [tuple(r) + (ZERO,) for r in eq], [ZERO] * len(eq))
+    if not isinstance(o, LpOptimal):
+        raise AssertionError("face probe LP is not optimal")
+    if o.value > 0:
+        return frozenset(subset)
+    # row i is identically zero on the face iff max -<b_i, x> is 0 there
+    closure = set(subset)
+    objectives = (tuple(-v for v in cone.rows[i]) for i in others)
+    outcomes = lp_max_each(objectives, list(cone.rows) + box_rows,
+                           [ZERO] * len(cone.rows) + box_rhs, eq, [ZERO] * len(eq))
+    for i, o in zip(others, outcomes):
+        if not isinstance(o, LpOptimal):
+            raise AssertionError("face closure LP is not optimal")
+        if o.value == 0:
+            closure.add(i)
+    return frozenset(closure)

@@ -5,11 +5,14 @@ import random
 
 import pytest
 
-from plqstab import (PolyCone, Polyhedron, PolyUnion, critical_cone, dual_cone,
+from plqstab import (PolyCone, Polyhedron, PolyUnion, analyze_problem,
+                     corpus_names, corpus_path, critical_cone, dual_cone,
                      fm_project, horizon_cone, limiting_normal_cone_union,
-                     normal_cone, polar_cone, rat, tangent_cone)
+                     normal_cone, parse_problem_file, polar_cone, polyhedra,
+                     rat, tangent_cone)
 from plqstab.linalg import rank
 from plqstab.rational import vdot
+from dd_reference import cone_generators_by_lp, faces_by_lp, in_cone_span
 from projection_reference import project_by_subsets
 
 ORTHANT2 = Polyhedron([(-1, 0), (0, -1)], [0, 0])
@@ -198,6 +201,88 @@ def test_faces_closed_under_intersection():
         for f2 in faces:
             meet = PolyCone(list(f1.piece.rows) + list(f2.piece.rows), dim=3)
             assert any(meet.set_equal(f.piece) for f in faces)
+
+
+# -- double description and faces against the LP reference --------------------------
+
+
+def _assert_matches_dd_reference(cone, monkeypatch):
+    assert (polyhedra._cone_generators(cone.rows, cone.dim)
+            == cone_generators_by_lp(cone.rows, cone.dim)), cone.rows
+    monkeypatch.setattr(polyhedra, "_FACES_MEMO", {})
+    got = tuple((f.tight, f.piece.rows) for f in cone.faces())
+    assert got == faces_by_lp(cone), cone.rows
+
+
+def test_double_description_and_faces_match_the_lp_reference(monkeypatch):
+    # A cone over a square cut by x <= 0 along one diagonal: the rays of
+    # the other diagonal are not adjacent, and the only third rays on
+    # their common face lie on the cutting hyperplane.
+    pyramid = [(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (1, 0, 0)]
+    _assert_matches_dd_reference(PolyCone(pyramid, dim=3), monkeypatch)
+    assert len(PolyCone(pyramid, dim=3).extreme_rays()) == 3
+    rng = random.Random(1953)
+    seen = {"lineality": 0, "rays": 0, "equality pair": 0, "many faces": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
+                for _ in range(rng.randint(0, 7))]
+        cone = PolyCone(rows, dim=dim)
+        _assert_matches_dd_reference(cone, monkeypatch)
+        lin, rays = cone.generators()
+        seen["lineality"] += bool(lin) and bool(rays)
+        seen["rays"] += len(rays) >= 3
+        seen["equality pair"] += bool(cone.as_polyhedron()._split()[0])
+        seen["many faces"] += len(cone.faces()) >= 8
+    assert min(seen.values()) >= 20, seen
+
+
+def test_corpus_cones_match_the_lp_reference(monkeypatch):
+    # Every cone the corpus analyses meet: the normal cones of Y (through
+    # `from_generators`), the critical cones and their faces.
+    for memo in ("_GEN_MEMO", "_FACES_MEMO", "_FROM_GEN_MEMO"):
+        monkeypatch.setattr(polyhedra, memo, {})
+    calls, faced = set(), set()
+    cone_generators, faces = polyhedra._cone_generators, PolyCone.faces
+
+    def recording_generators(rows, dim):
+        calls.add((tuple(rows), dim))
+        return cone_generators(rows, dim)
+
+    def recording_faces(cone):
+        faced.add((cone.rows, cone.dim))
+        return faces(cone)
+
+    monkeypatch.setattr(polyhedra, "_cone_generators", recording_generators)
+    monkeypatch.setattr(PolyCone, "faces", recording_faces)
+    for name in corpus_names():
+        analyze_problem(parse_problem_file(corpus_path(name)))
+    monkeypatch.undo()
+    assert len(calls) >= 10 and len(faced) >= 2, (len(calls), len(faced))
+    for rows, dim in calls:
+        assert cone_generators(rows, dim) == cone_generators_by_lp(rows, dim), rows
+    for rows, dim in faced:
+        _assert_matches_dd_reference(PolyCone(rows, dim=dim), monkeypatch)
+
+
+def test_critical_cone_membership_matches_the_lp_reference():
+    rng = random.Random(1996)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        p = rand_polyhedron(rng, rng.randint(1, 3))
+        pt = p.some_point()
+        tight = [p.b[i] for i in sorted(p.tight_rows(pt))]
+        weights = [rat(rng.randint(-1, 2)) for _ in tight]
+        v = tuple(sum((w * b[k] for w, b in zip(weights, tight)), rat(0))
+                  for k in range(p.dim))
+        inside = in_cone_span(v, tight, [])
+        verdicts[inside] += 1
+        if inside:
+            assert critical_cone(p, pt, v).dim == p.dim
+        else:
+            with pytest.raises(ValueError):
+                critical_cone(p, pt, v)
+    assert min(verdicts.values()) >= 10, verdicts
 
 
 # -- horizon ----------------------------------------------------------------------------
