@@ -240,15 +240,15 @@ class PlqPenalty:
         return (p, subset) if with_subset else p
 
     def _piece(self, subset):
-        """Exact (J, o) and float J of prox on the active set `subset`:
-        prox(v) = v - y*(v) = J v + o there, with y*(v) = M v + d and
-        J = I - M, o = -d."""
+        """Exact (J, o) of prox on the active set `subset`: prox(v) =
+        v - y*(v) = J v + o there, with y*(v) = M v + d and J = I - M,
+        o = -d."""
         pieces = self._cache.setdefault("prox_pieces", {})
         if subset not in pieces:
             mmat, d = self._prox_solver().piece(subset)
             jac = RatMatrix([[(ONE if i == j else ZERO) - mmat[i][j]
                               for j in range(self.m)] for i in range(self.m)])
-            pieces[subset] = (jac, tuple(-v for v in d), _float_rows(jac))
+            pieces[subset] = (jac, tuple(-v for v in d))
         return pieces[subset]
 
     def prox_linearization(self, x):
@@ -260,32 +260,40 @@ class PlqPenalty:
         """
         x = tuple(rat(v) for v in x)
         p, subset = self.prox(x, with_subset=True)
-        jac, offset, _ = self._piece(subset)
+        jac, offset = self._piece(subset)
         if vadd(jac.matvec(x), offset) != p:
             raise InternalConsistencyError("active prox piece misses prox(x)")
         return jac, offset
 
     def prox_float(self, v):
-        """(prox(v), J) in float for a float point v, J as a tuple of rows.
+        """(prox(v), J) in float for a float point v: prox(v) a list of
+        floats, J an m x m numpy array.
 
-        The active piece is chosen by `StrictQpSolver.solve_float` and
-        evaluated from float copies of its exact data.  The first time a
-        piece is chosen, `prox_linearization` runs the exact prox at the
-        exact value of v before the piece enters the cache; when no piece
-        passes in float, the exact piece it returns is used.  A v past
-        float range has no exact value; where one is needed, prox(v) and
-        J are nan.
+        The active piece is chosen by `StrictQpSolver.solve_float`, and
+        prox(v) = v - y is one float subtraction per entry; J is the
+        piece's exact Jacobian rounded once, cached as an array per piece.
+        The first time a piece is chosen, `prox_linearization` runs the
+        exact prox at the exact value of v before the piece enters the
+        cache; when no piece passes in float, the exact piece it returns
+        is used.  A v past float range has no exact value; where one is
+        needed, prox(v) and J are nan.
         """
-        hit = self._prox_solver().solve_float(tuple(-a for a in v))
+        hit = self._prox_solver().solve_float([-a for a in v])
+        float_jacs = self._cache.setdefault("prox_float_jacs", {})
+        if hit is not None and hit[0] in float_jacs:
+            return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
+        import numpy as np
+
         if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
             if not all(map(math.isfinite, v)):
-                return (math.nan,) * self.m, ((math.nan,) * self.m,) * self.m
+                return [math.nan] * self.m, np.full((self.m, self.m), math.nan)
             jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
             if hit is None:
                 jac = _float_rows(jac)
-                return (tuple(sum(a * b for a, b in zip(row, v)) + to_float(o)
-                              for row, o in zip(jac, offset)), jac)
-        return tuple(a - b for a, b in zip(v, hit[1])), self._piece(hit[0])[2]
+                return ([sum(a * b for a, b in zip(row, v)) + to_float(o)
+                         for row, o in zip(jac, offset)], np.array(jac))
+        float_jacs[hit[0]] = np.array(_float_rows(self._piece(hit[0])[0]))
+        return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
 
     # -- second-order objects ----------------------------------------------------------
     def critical_cone_at(self, zbar, lam) -> PolyCone:

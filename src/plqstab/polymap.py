@@ -3,19 +3,44 @@
 Sparse monomial dictionaries keyed by exponent tuples; differentiation
 is symbolic, so evaluation, Jacobians and Hessians at rational points
 are exact.  The float evaluators (numeric probes only) use float
-coefficients cached once per polynomial.  Canonical printing orders
-monomials by descending total degree, then descending exponent tuple,
-and round-trips through the expression parser.
+coefficients cached once per polynomial, flattened into one list per
+map and derivative order, so that a map is evaluated in one loop with
+the float operations of the per-polynomial evaluator.  Canonical
+printing orders monomials by descending total degree, then descending
+exponent tuple, and round-trips through the expression parser.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .linalg import RatMatrix
 from .rational import ONE, ZERO, format_rat, rat
 
 __all__ = ["Polynomial", "PolyMap"]
+
+
+def _float_values(term_lists, point):
+    """The value at a float point of each polynomial in `term_lists`, each
+    given by its float terms (`Polynomial._float_coefficients`): the terms in
+    order, each multiplied by x_j ** k per power and added to a total that
+    starts at 0.0; nan when a power of a coordinate raises OverflowError.
+    One loop over flat lists, so the float evaluators of a map make no call
+    per polynomial."""
+    point = [float(v) for v in point]
+    out = []
+    for terms in term_lists:
+        total = 0.0
+        try:
+            for term, powers in terms:
+                for j, k in powers:
+                    term *= point[j] ** k
+                total += term
+        except OverflowError:
+            total = math.nan
+        out.append(total)
+    return out
 
 
 class Polynomial:
@@ -135,35 +160,27 @@ class Polynomial:
         return total
 
     def _float_coefficients(self):
-        """(float coefficient, powers) per term, converted once; raises
-        OverflowError past float range."""
+        """(float coefficient, powers) per term, converted once; one nan
+        term in their place when a coefficient is past float range, so
+        that every float value is then nan."""
         if self._float_terms is None:
-            self._float_terms = tuple(
-                (float(c), tuple((j, k) for j, k in enumerate(e) if k))
-                for e, c in self.terms.items())
+            try:
+                self._float_terms = tuple(
+                    (float(c), tuple((j, k) for j, k in enumerate(e) if k))
+                    for e, c in self.terms.items())
+            except OverflowError:
+                self._float_terms = ((math.nan, ()),)
         return self._float_terms
 
     def fits_float(self) -> bool:
         """Whether every coefficient converts to a finite float."""
-        try:
-            terms = self._float_coefficients()
-        except OverflowError:
-            return False
-        return all(math.isfinite(c) for c, _ in terms)
+        return all(math.isfinite(c) for c, _ in self._float_coefficients())
 
     def eval_float(self, point):
         """Value at a float point, from float coefficients converted once.
         Past float range a product gives +-inf; a power of a coordinate
         raises OverflowError instead, and the value is then nan."""
-        total = 0.0
-        try:
-            for term, powers in self._float_coefficients():
-                for j, k in powers:
-                    term *= float(point[j]) ** k
-                total += term
-        except OverflowError:
-            return math.nan
-        return total
+        return _float_values((self._float_coefficients(),), point)[0]
 
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -211,12 +228,24 @@ class PolyMap:
         self.k = len(comps)
         self._jac = None
         self._hess = {}
+        self._hess_terms = {}
 
     def eval(self, point):
         return tuple(c.eval(point) for c in self.components)
 
+    @cached_property
+    def _component_terms(self):
+        return tuple(c._float_coefficients() for c in self.components)
+
+    @cached_property
+    def _jacobian_terms(self):
+        return tuple(p._float_coefficients() for row in self._jacobian_polys()
+                     for p in row)
+
     def eval_float(self, point):
-        return tuple(c.eval_float(point) for c in self.components)
+        """The value at a float point, each component as
+        `Polynomial.eval_float` computes it."""
+        return tuple(_float_values(self._component_terms, point))
 
     def _jacobian_polys(self):
         if self._jac is None:
@@ -230,10 +259,12 @@ class PolyMap:
                                for row in self._jacobian_polys()))
 
     def jacobian_at_float(self, point):
+        """k x n numpy array of the first partials at a float point, each
+        entry as `Polynomial.eval_float` computes it."""
         import numpy as np
 
-        return np.array([[p.eval_float(point) for p in row]
-                         for row in self._jacobian_polys()], dtype=float)
+        return np.array(_float_values(self._jacobian_terms, point),
+                        dtype=float).reshape(self.k, self.n)
 
     def _hessian_polys(self, i):
         if i not in self._hess:
@@ -261,8 +292,12 @@ class PolyMap:
     def hessian_at_float(self, i, point):
         import numpy as np
 
-        return np.array([[p.eval_float(point) for p in row]
-                         for row in self._hessian_polys(i)], dtype=float)
+        if i not in self._hess_terms:
+            self._hess_terms[i] = tuple(p._float_coefficients()
+                                        for row in self._hessian_polys(i)
+                                        for p in row)
+        return np.array(_float_values(self._hess_terms[i], point),
+                        dtype=float).reshape(self.n, self.n)
 
     def gradient_map(self) -> "PolyMap":
         """For a scalar map (k == 1), the gradient as an n -> n map."""

@@ -26,6 +26,7 @@ read its exact data (`piece`) without an exact solve per evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, invert, is_positive_definite, psd_check, rank
@@ -150,7 +151,6 @@ class StrictQpSolver:
         self.poly = poly.with_dim(qmat.nrows)
         self.n = qmat.nrows
         self._solvers: dict = {}
-        self._float: dict = {}
         eq_rows, eq_rhs = poly.eq_system()
         # dependent equality rows are implied (P nonempty): keep a basis
         self._eq_rows, self._eq_rhs = [], []
@@ -159,6 +159,10 @@ class StrictQpSolver:
                 self._eq_rows.append(list(r))
                 self._eq_rhs.append(a)
         _, self._ineq = poly._split()
+        # the float scan of `solve_float`: (subset, float maps) of the
+        # independent active sets reached so far, and the sets after them
+        self._reached = []
+        self._unreached = _subsets(tuple(self._ineq))
 
     def _subset_solver(self, subset):
         if subset in self._solvers:
@@ -228,34 +232,56 @@ class StrictQpSolver:
         the same pairs for the inequality multipliers mu(c), and the
         (b_i, alpha_i) of the inequality rows outside the subset.  Values
         past float range become +-inf (`rational.to_float`)."""
-        if subset not in self._float:
-            solver = self._subset_solver(subset)
-            maps = None
-            if solver is not None:
-                inv, act_rhs, ne = solver
-                n = self.n
-                rows = [([to_float(v) for v in row[:n]],
-                         to_float(vdot(row[n:], act_rhs))) for row in inv.rows]
-                inactive = [([to_float(v) for v in self.poly.b[i]],
-                             to_float(self.poly.alpha[i]))
-                            for i in self._ineq if i not in subset]
-                maps = (rows[:n], rows[n + ne:], inactive)
-            self._float[subset] = maps
-        return self._float[subset]
+        solver = self._subset_solver(subset)
+        if solver is None:
+            return None
+        inv, act_rhs, ne = solver
+        n = self.n
+        rows = [([to_float(v) for v in row[:n]],
+                 to_float(vdot(row[n:], act_rhs))) for row in inv.rows]
+        inactive = [([to_float(v) for v in self.poly.b[i]],
+                     to_float(self.poly.alpha[i]))
+                    for i in self._ineq if i not in subset]
+        return rows[:n], rows[n + ne:], inactive
+
+    def _reach(self) -> bool:
+        """Append the next independent active set of the scan, with its
+        float maps, to `_reached`; False once every set is reached."""
+        for subset in self._unreached:
+            maps = self._float_maps(subset)
+            if maps is not None:
+                self._reached.append((subset, maps))
+                return True
+        return False
 
     def solve_float(self, c):
         """(subset, y) for the first active set, in the order of `solve`,
         that passes in float for the float linear term c: multipliers
         >= 0 and every inactive row feasible.  None when no set passes,
-        which rounding can cause at a kink."""
-        for subset in _subsets(tuple(self._ineq)):
-            maps = self._float_maps(subset)
-            if maps is None:
-                continue
-            yrows, murows, inactive = maps
-            if any(d - sum(a * b for a, b in zip(row, c)) < 0 for row, d in murows):
-                continue
-            y = [d - sum(a * b for a, b in zip(row, c)) for row, d in yrows]
-            if all(sum(a * b for a, b in zip(row, y)) <= alpha for row, alpha in inactive):
-                return subset, y
+        which rounding can cause at a kink.
+
+        Every call scans from the first set, over the list of sets the
+        scan has reached so far, which grows only when a scan runs past
+        its end (so a file with many slack rows factors no set beyond the
+        one that passes).  The scan does not start at the last winner: at
+        a kink more than one set passes in float, and the order decides
+        which piece, and so which generalized Jacobian, is used.  Each
+        inner product is `sum(map(mul, ...))`, the same float sum as a
+        loop over the pairs.
+        """
+        reached = self._reached
+        i = 0
+        while i < len(reached) or self._reach():
+            subset, (yrows, murows, inactive) = reached[i]
+            i += 1
+            for row, d in murows:
+                if d - sum(map(mul, row, c)) < 0:
+                    break
+            else:
+                y = [d - sum(map(mul, row, c)) for row, d in yrows]
+                for row, alpha in inactive:
+                    if not sum(map(mul, row, y)) <= alpha:
+                        break
+                else:
+                    return subset, y
         return None

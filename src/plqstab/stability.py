@@ -478,7 +478,9 @@ class NewtonResult:
     "no_descent" (the line search found no decrease), "max_iter",
     "exact_check" (the float residual reached tol and the exact one did
     not), or "overflow" (a float residual or Newton matrix left float
-    range; the iterate returned is the last one whose residual did not)."""
+    range; the iterate returned is the last one whose residual did not).
+    `evaluations` counts the float residual evaluations: the start and
+    every line-search trial."""
 
     converged: bool
     x: tuple
@@ -486,6 +488,7 @@ class NewtonResult:
     residual_norm: float
     iterations: int
     reason: str
+    evaluations: int = 0
 
 
 def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
@@ -502,28 +505,31 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
 
 def _float_residual(system: VarSystem, p1, p2, x, lam):
     """(R(x, lam), |R|, DPhi(x), J) in float, with J the prox Jacobian on
-    the active piece at lam + Phi(x) + p2.  |R| is inf or nan when a
-    value overflows."""
+    the active piece at lam + Phi(x) + p2; x, lam, p1 and p2 are lists of
+    floats, R, DPhi(x) and J numpy arrays.  |R| is inf or nan when a value
+    overflows.
+
+    Entrywise sums and differences run on Python floats, which round as
+    numpy's do.  DPhi(x)^T lam and the inner product under |R| stay in
+    numpy: a sequential Python sum can round differently from numpy's
+    (BLAS, fused multiply-add)."""
     import numpy as np
 
-    xs = x.tolist()
-    g = system.phi.jacobian_at_float(xs)
-    z = np.array(system.phi.eval_float(xs)) + p2
-    arg = lam + z
-    prox_pt, pj = system.penalty.prox_float(tuple(arg.tolist()))
-    r1 = np.array(system.f.eval_float(xs)) + g.T @ lam - p1
-    r2 = z - np.array(prox_pt)
-    r = np.concatenate([r1, r2])
-    return r, float(np.linalg.norm(r)), g, np.array(pj)
+    g = system.phi.jacobian_at_float(x)
+    z = [a + b for a, b in zip(system.phi.eval_float(x), p2)]
+    prox_pt, pj = system.penalty.prox_float([a + b for a, b in zip(lam, z)])
+    gl = (g.T @ np.array(lam)).tolist()
+    r = np.array([a + b - c for a, b, c in zip(system.f.eval_float(x), gl, p1)]
+                 + [a - b for a, b in zip(z, prox_pt)])
+    return r, math.sqrt(r.dot(r)), g, pj
 
 
 def _psi_jacobian_x_float(system: VarSystem, x, lam):
     """d(Psi)/dx = Df(x) + sum_i lam_i Hess(Phi_i)(x), in float."""
-    xs = x.tolist()
-    a = system.f.jacobian_at_float(xs)
-    for i, li in enumerate(lam.tolist()):
+    a = system.f.jacobian_at_float(x)
+    for i, li in enumerate(lam):
         if li != 0:
-            a = a + li * system.phi.hessian_at_float(i, xs)
+            a = a + li * system.phi.hessian_at_float(i, x)
     return a
 
 
@@ -535,20 +541,24 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     generalized Jacobian elements come from the active piece of the
     proximal map.  The iteration runs in float: the prox value and its
     Jacobian come from cached exact affine pieces (`PlqPenalty.prox_float`).
-    A residual or Newton matrix past float range stops the solve
-    ("overflow"), with numpy's floating-point warnings off.  The
-    returned iterate gets one exact residual evaluation, which decides
-    `converged`.  Reports NewtonResult; never raises on stagnation.
+    Iterates, trial points and entrywise residual arithmetic are Python
+    floats; DPhi(x)^T lam, the norm's inner product and the Newton system
+    are numpy (see `_float_residual`).  A residual or Newton matrix past
+    float range stops the solve ("overflow"), with numpy's floating-point
+    warnings off.  The returned iterate gets one exact residual
+    evaluation, which decides `converged`.  Reports NewtonResult; never
+    raises on stagnation.
     """
     import numpy as np
 
     n, m = system.n, system.m
-    p1f = np.array([float(v) for v in p1], dtype=float)
-    p2f = np.array([float(v) for v in p2], dtype=float)
-    x = np.array([float(v) for v in start[0]], dtype=float)
-    lam = np.array([float(v) for v in start[1]], dtype=float)
+    p1f = [float(v) for v in p1]
+    p2f = [float(v) for v in p2]
+    x = [float(v) for v in start[0]]
+    lam = [float(v) for v in start[1]]
     with np.errstate(over="ignore", invalid="ignore"):
         r, rnorm, g, pj = _float_residual(system, p1f, p2f, x, lam)
+        evaluations = 1
         iterations, reason = max_iter, "max_iter"
         for it in range(max_iter):
             if rnorm <= tol:
@@ -568,12 +578,14 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
                 step = np.linalg.solve(jmat, -r)
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
+            step = step.tolist()
             damp = 1.0
             best = None
             for _ in range(30):
-                xn = x + damp * step[:n]
-                ln = lam + damp * step[n:]
+                xn = [a + damp * b for a, b in zip(x, step)]
+                ln = [a + damp * b for a, b in zip(lam, step[n:])]
                 rn, rn_norm, gn, pjn = _float_residual(system, p1f, p2f, xn, ln)
+                evaluations += 1
                 if rn_norm < rnorm or not math.isfinite(rn_norm):
                     best = (xn, ln, rn, rn_norm, gn, pjn)
                     break
@@ -590,8 +602,8 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
         reason = "converged"
     elif rnorm <= tol:
         reason = "exact_check"
-    return NewtonResult(exact_norm <= tol, tuple(x.tolist()),
-                        tuple(lam.tolist()), exact_norm, iterations, reason)
+    return NewtonResult(exact_norm <= tol, tuple(x), tuple(lam), exact_norm,
+                        iterations, reason, evaluations)
 
 
 def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
@@ -632,7 +644,7 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
     records = []
     modulus = 0.0
     for k in range(1, grid + 1):
-        t = scale / (2 ** (k - 1))
+        t = math.ldexp(scale, 1 - k)  # scale / 2^(k-1), 0.0 past underflow
         d1, d2 = dirs[(k - 1) % len(dirs)]
         p1 = tuple(t * v for v in d1)
         p2 = tuple(t * v for v in d2)

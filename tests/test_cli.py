@@ -1,5 +1,6 @@
 """Problem files, analysis driver, CLI determinism and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -120,6 +121,28 @@ def test_byte_determinism_across_runs():
         doc2, _ = analyze_problem(pf2, probe=True, probe_grid=3)
         assert render_json(doc1) == render_json(doc2)
         assert render_text(doc1) == render_text(doc2)
+
+
+# sha256 of `plqstab analyze <file> --report json` per corpus file, without
+# --probe.  The exact reports carry no float that depends on the host's
+# BLAS, so their bytes are pinned here; a change to any byte must be
+# explained and the pin updated with it.  The probe reports are covered by
+# the bitwise differential test of the Newton solver instead.
+_EXACT_REPORT_SHA256 = {
+    "example_3_2a": "34792f3dd4f7b5217462ea92b7dbcac75177262d3aa5a0f1add9f02bf021d1fe",
+    "example_3_2b": "3bafae1f87252169261be272c6d21ece6b1e05320e56b5f984fc00f52a15a017",
+    "example_3_3": "b40f98e921936f23be8dc447eb32bc5712d9176399e4f0d0d62c4b85b0952daf",
+    "example_4_4": "0a7e924d43d081051438a12cae151221a5d13410caa41340d095ae5247a0c3ba",
+    "example_6_2": "10a0c0aaa55da50c7997a93067b149853ca2c1c7b32900a0282e15f5ded75b3c",
+}
+
+
+def test_cli_exact_report_bytes_are_pinned(capsys):
+    assert sorted(_EXACT_REPORT_SHA256) == sorted(corpus_names())
+    for name, digest in _EXACT_REPORT_SHA256.items():
+        assert cli_main(["analyze", corpus_path(name), "--report", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_cli_exit_codes(tmp_path, capsys):

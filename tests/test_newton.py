@@ -1,0 +1,109 @@
+"""The float Newton probe against its numpy reference, bit for bit."""
+
+import importlib.util
+import math
+import os
+import random
+
+import newton_reference
+import plqstab.stability as stability
+from plqstab import analyze_problem, corpus_names, corpus_path, parse_problem_file
+from plqstab.problemfile import parse_problem_doc
+from plqstab.rational import rat, vdot
+from support import quad_penalty_2d, random_penalty
+
+
+def _random_enlp_docs(seed, count):
+    """The problems of the benchmark's random-enlp pool `seed`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.random_enlp_docs(seed, count)
+
+
+def _probe_solves(monkeypatch, problem_files):
+    """(system, args, kwargs, result) of every Newton solve the default-grid
+    probe analyses of `problem_files` make."""
+    calls = []
+    solve = stability.solve_perturbed
+
+    def recorded(system, *args, **kwargs):
+        calls.append((system, args, kwargs, solve(system, *args, **kwargs)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(stability, "solve_perturbed", recorded)
+    for pf in problem_files:
+        analyze_problem(pf, probe=True)
+    monkeypatch.undo()
+    return calls
+
+
+def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
+    # Every default-grid solve of the corpus and of random-enlp pool seed 1:
+    # iterates, residual, iterations, reason and evaluations are the
+    # reference's to the last bit.  The reference runs after the program,
+    # on the same parsed systems; the piece caches it then finds warm
+    # decide only which first-met pieces get an exact prox check.
+    files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
+    files += [parse_problem_doc(doc) for _, doc in _random_enlp_docs(1, 5)]
+    calls = _probe_solves(monkeypatch, files)
+    assert len(calls) >= 100
+    assert {r.reason for _, _, _, r in calls} >= {"converged", "no_descent",
+                                                  "max_iter"}
+    for system, args, kwargs, result in calls:
+        expected = newton_reference.solve_perturbed(system, *args, **kwargs)
+        assert repr(result) == repr(expected)
+
+
+def _boundary_terms(pen, rng):
+    """Linear terms c of the prox QP whose unconstrained minimizer
+    y = -Q^-1 c lies on the hyperplane of a row of Y: c = -Q y for such a
+    y, rounded to float.  At these kinks more than one active set can pass
+    in float."""
+    q = pen._prox_solver().q
+    rows = list(zip(pen.Y.b, pen.Y.alpha))
+    out = []
+    for b, alpha in rows:
+        nb = vdot(b, b)
+        if nb == 0:
+            continue
+        base = tuple(alpha * v / nb for v in b)  # on the row
+        for _ in range(3):
+            shift = tuple(rat(rng.randint(-2, 2), rng.randint(1, 3))
+                          for _ in range(pen.m))
+            # move along the row: drop the component along b
+            along = vdot(shift, b) / nb
+            y = tuple(p + s - along * v for p, s, v in zip(base, shift, b))
+            out.append(tuple(-float(v) for v in q.matvec(y)))
+        out.append(tuple(-float(v) for v in q.matvec(base)))
+    return out
+
+
+def test_solve_float_matches_the_restarting_scan():
+    # Seeded random c, c on row boundaries and c with +-inf entries, each
+    # sequence on one solver, so that the program's list of reached active
+    # sets grows while the reference rescans from the empty set.
+    rng = random.Random(61)
+    penalties = [quad_penalty_2d()]
+    penalties += [parse_problem_file(corpus_path(name)).problem.penalty
+                  for name in corpus_names()]
+    penalties += [random_penalty(rng, rng.randint(1, 3))[0] for _ in range(40)]
+    checked = inf_checked = 0
+    for pen in penalties:
+        solver = pen._prox_solver()
+        terms = [tuple(rng.uniform(-3, 3) for _ in range(pen.m))
+                 for _ in range(15)]
+        terms += _boundary_terms(pen, rng)
+        for _ in range(3):
+            c = [rng.uniform(-3, 3) for _ in range(pen.m)]
+            c[rng.randrange(pen.m)] = rng.choice((math.inf, -math.inf))
+            terms.append(tuple(c))
+        rng.shuffle(terms)
+        for c in terms:
+            got = solver.solve_float(c)
+            assert repr(got) == repr(newton_reference.solve_float(solver, c))
+            checked += 1
+            inf_checked += any(math.isinf(v) for v in c)
+    assert checked >= 800 and inf_checked >= 100

@@ -137,7 +137,7 @@ def test_prox_identity_randomized():
 def test_prox_float_matches_exact_prox_on_random_points():
     # The float evaluator reads cached exact pieces; at 1125 float points
     # of 25 random penalties its value agrees with the rounded exact prox
-    # and its Jacobian is the exact active piece's, rounded.
+    # and its Jacobian (an array) is the exact active piece's, rounded.
     rng = random.Random(89)
     points = 0
     for _ in range(25):
@@ -150,8 +150,8 @@ def test_prox_float_matches_exact_prox_on_random_points():
             bound = 1e-12 * (1 + math.hypot(*v))
             assert max(abs(a - float(b)) for a, b in zip(p, exact)) <= bound
             jac_exact, _ = pen.prox_linearization(vr)
-            assert jac == tuple(tuple(float(a) for a in row)
-                                for row in jac_exact.rows)
+            assert jac.tolist() == [[float(a) for a in row]
+                                    for row in jac_exact.rows]
             points += 1
     assert points >= 1000
 

@@ -266,6 +266,18 @@ def test_solve_perturbed_reports_why_it_stopped():
     assert not res.converged and res.reason == "no_descent"
 
 
+def test_semi_isolated_probe_past_the_float_exponent_range():
+    # t = scale / 2^(k-1) underflows to 0.0 from k = 1067 on instead of
+    # raising at k = 1025; the records before are those of a short grid.
+    a = embed_system_full_rank()
+    trace, modulus = semi_isolated_probe(a, (0, 0), (0, 0), grid=1100)
+    short, _ = semi_isolated_probe(a, (0, 0), (0, 0), grid=8)
+    assert len(trace) == 1100 and math.isfinite(modulus)
+    assert repr(trace.records[:8]) == repr(short.records)
+    assert trace.records[1024].t == math.ldexp(1e-3, -1024) > 0
+    assert trace.records[-1].t == 0.0
+
+
 def test_semi_isolated_records_carry_the_newton_reason():
     pf = parse_problem_file(corpus_path("example_3_3"))
     x, lam = pf.points[0]
@@ -316,6 +328,34 @@ def test_probe_exact_prox_work_on_example_3_3():
     out = subprocess.run([sys.executable, "-c", _PROBE_PROX_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["43", "40"]
+
+
+_PROBE_NEWTON_COUNTER_SCRIPT = """
+import collections
+import plqstab.stability as st
+from plqstab import analyze_problem, corpus_path, parse_problem_file
+results = []
+solve = st.solve_perturbed
+def recorded(*args, **kwargs):
+    results.append(solve(*args, **kwargs))
+    return results[-1]
+st.solve_perturbed = recorded
+analyze_problem(parse_problem_file(corpus_path("example_3_3")), probe=True)
+reasons = collections.Counter(r.reason for r in results)
+print(len(results), sum(r.iterations for r in results),
+      sum(r.evaluations for r in results),
+      *("%s=%d" % kv for kv in sorted(reasons.items())))
+"""
+
+
+def test_probe_newton_work_on_example_3_3():
+    # The 40 Newton solves at the default grid: iterations, float residual
+    # evaluations (the start and every line-search trial) and how each
+    # solve stopped.  Pinned in a fresh interpreter, as the exact-prox pin.
+    out = subprocess.run([sys.executable, "-c", _PROBE_NEWTON_COUNTER_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["40", "1966", "28058", "converged=15",
+                                  "max_iter=7", "no_descent=18"]
 
 
 _FORGED_PROX_SCRIPT = """
