@@ -26,11 +26,11 @@ critical cone K (Dontchev and Rockafellar, SIAM J. Optim. 6, 1996; see
 
     H xi + G^T eta = 0,   eta in D,   B eta - G xi in polar(D),
 
-one homogeneous LP system per face pair, with polar(D) written through
-multipliers on the rows of K.  No graph decomposition or hyperplane
-arrangement is built; `PlqPenalty.graph_pieces` and
-`polyhedra.limiting_normal_cone_union` remain as the reference the tests
-compare against.
+one homogeneous system per face pair, with polar(D) written through
+multipliers on the rows of K, decided by `stability.nontrivial_over`.
+No graph decomposition or hyperplane arrangement is built;
+`PlqPenalty.graph_pieces` and `polyhedra.limiting_normal_cone_union`
+remain as the reference the tests compare against.
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ with A the partial Jacobian of the residual, G the constraint Jacobian
 and K the critical cone.  The solution set decomposes over the faces F
 of K (complementarity is automatic when eta in F and the residual lies
 in polar(K) with F orthogonal), leaving one linear-conic system per
-face whose nontriviality is decided by LPs under a box normalization.
-`nontrivial_over` is that decision for a family of homogeneous systems;
-criticality, dual qualification and, in `enlp`, isolated calmness,
-Lipschitz-likeness and the basic qualification all make it.
+face.  `nontrivial_over` decides a family of such homogeneous systems,
+each by double description on the kernel of its equality rows (Fukuda
+and Prodon, 1996), with no LP; criticality, dual qualification and, in
+`enlp`, isolated calmness, Lipschitz-likeness and the basic
+qualification all make that decision.  Only a critical verdict solves
+LPs: its witness maximizes the tested coordinates of the first
+nontrivial face system under a box normalization.
 
 Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
 `VarSystem.point`: one solution check, each per-point object built once.
@@ -37,11 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, pseudo_inverse_psd, zeros
+from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
-from .polyhedra import PolyCone, Polyhedron, critical_cone, fm_project
-from .rational import (ONE, ZERO, norm2, rat, sqrt_float, to_float_vec, vadd,
-                       vdot, vscale, vsub)
+from .polyhedra import (PolyCone, Polyhedron, _all_generator_vectors,
+                        _cone_generators, critical_cone, fm_project)
+from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
+                       sqrt_float, to_float_vec, vadd, vdot, vscale, vsub)
 from .varsys import VarSystem
 
 __all__ = [
@@ -193,44 +197,73 @@ def _dqc_system(ctx, face_piece: PolyCone):
     return m, a_eq, a_ub
 
 
-def _nontrivial_point(a_eq, b_eq, a_ub, b_ub, nvars, test_coords):
-    """A system point with some tested coordinate nonzero, or None.
+def _nontrivial_point(nvars, a_eq, a_ub, coords):
+    """A point of the system (nvars, a_eq, a_ub) with some coordinate in
+    `coords` nonzero, or None.
 
     Maximizes each tested coordinate under the box |coord| <= 1 (the
     solution set is a cone, so any nonzero value rescales to the box), one
     phase 1 for all of them, and stops at the first positive maximum.
     """
     box_ub = list(a_ub)
-    box_rhs = list(b_ub)
-    for j in test_coords:
+    for j in coords:
         for s in (ONE, -ONE):
             row = [ZERO] * nvars
             row[j] = s
             box_ub.append(tuple(row))
-            box_rhs.append(ONE)
+    box_rhs = [ZERO] * len(a_ub) + [ONE] * (len(box_ub) - len(a_ub))
     objectives = (tuple(sign if k == j else ZERO for k in range(nvars))
-                  for j in test_coords for sign in (ONE, -ONE))
+                  for j in coords for sign in (ONE, -ONE))
+    b_eq = [ZERO] * len(a_eq)
     for out in lp_max_each(objectives, box_ub, box_rhs, a_eq, b_eq):
         if isinstance(out, LpOptimal) and out.value > 0:
             return out.point
     return None
 
 
+def _is_nontrivial(nvars, a_eq, a_ub, coords) -> bool:
+    """Does {v : a_eq v = 0, a_ub v <= 0} hold a point nonzero in `coords`?
+
+    With N a basis of the kernel of the eq rows (the identity without eq
+    rows), the set is N applied to the cone {z : (a_ub N) z <= 0}, whose
+    lineality basis and extreme rays come from double description.  The
+    set is nonzero in a coordinate iff one of those generators, lifted by
+    N, is.  Every lifted generator is checked against the unreduced rows.
+    """
+    if a_eq:
+        basis = [primitive(g) for g in kernel_basis(a_eq)]
+        if not basis:
+            return False
+    else:
+        basis = [tuple(ONE if i == j else ZERO for j in range(nvars))
+                 for i in range(nvars)]
+    rows = dict.fromkeys(primitive(tuple(vdot(a, g) for g in basis))
+                         for a in a_ub)
+    gens = _cone_generators([r for r in rows if not is_zero_vec(r)], len(basis))
+    lifted = [tuple(sum(c * g[j] for c, g in zip(z, basis) if c)
+                    for j in range(nvars))
+              for z in _all_generator_vectors(gens)]
+    for v in lifted:
+        if any(vdot(a, v) != 0 for a in a_eq) or any(vdot(a, v) > 0 for a in a_ub):
+            raise InternalConsistencyError(
+                "lifted kernel generator leaves its system")
+    return any(v[j] != 0 for v in lifted for j in coords)
+
+
 def nontrivial_over(systems, coords):
-    """(index, point) of the first homogeneous system with a point that is
-    nonzero in one of the coordinates `coords`, or None when every system
-    vanishes there.
+    """Index of the first homogeneous system with a point that is nonzero
+    in one of the coordinates `coords`, or None when every system vanishes
+    there.
 
     Each system is (nvars, eq rows, le rows): {v : <a, v> = 0 for the eq
     rows, <a, v> <= 0 for the le rows}.  Systems are decided in order, each
-    by `_nontrivial_point`, and the iterable is read no further than the
-    first hit, so a lazy iterable builds no system past it.
+    by double description on the kernel of its eq rows (`_is_nontrivial`),
+    with no LP, and the iterable is read no further than the first hit, so
+    a lazy iterable builds no system past it.
     """
     for index, (nvars, a_eq, a_ub) in enumerate(systems):
-        point = _nontrivial_point(a_eq, [ZERO] * len(a_eq), a_ub,
-                                  [ZERO] * len(a_ub), nvars, coords)
-        if point is not None:
-            return index, point
+        if _is_nontrivial(nvars, a_eq, a_ub, coords):
+            return index
     return None
 
 
@@ -298,14 +331,18 @@ class PointContext:
     @cached_property
     def criticality(self) -> CriticalityVerdict:
         n, faces = self.system.n, self.faces
-        hit = nontrivial_over((_face_system(self, f.piece) for f in faces),
-                              range(n))
-        examined = faces if hit is None else faces[:hit[0]]
+        index = nontrivial_over((_face_system(self, f.piece) for f in faces),
+                                range(n))
+        examined = faces if index is None else faces[:index]
         certificates = tuple((f.tight, "only xi = 0") for f in examined)
-        if hit is None:
+        if index is None:
             return CriticalityVerdict(critical=False, face_count=len(faces),
                                       face_certificates=certificates)
-        index, point = hit
+        point = _nontrivial_point(*_face_system(self, faces[index].piece),
+                                  range(n))
+        if point is None:
+            raise InternalConsistencyError(
+                "the witness LP finds no point on a nontrivial face system")
         xi, eta = tuple(point[:n]), tuple(point[n:])
         _assert_witness(self, xi, eta)
         return CriticalityVerdict(critical=True, xi=xi, eta=eta,

@@ -8,6 +8,8 @@ verified exact solution by construction.
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
 
 from plqstab import (EnlpProblem, PlqPenalty, PolyMap, Polyhedron, Polynomial,
@@ -216,3 +218,13 @@ def ball_sample(rng: random.Random, n, radius_num=1, radius_den=100):
     """A random rational point with infinity norm <= radius."""
     scale = rat(radius_num, radius_den)
     return tuple(scale * rat(rng.randint(-8, 8), 8) for _ in range(n))
+
+
+def random_enlp_docs(seed, count):
+    """The problems of the benchmark's random-enlp pool `seed`."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.random_enlp_docs(seed, count)

@@ -212,14 +212,14 @@ def test_robust_ic_reports():
     assert rep.robust_ic is False and not rep.unique
 
 
-def test_bcq_lps_of_one_robust_ic_report(monkeypatch):
+def test_bcq_decisions_of_one_robust_ic_report(monkeypatch):
     # robust_ic_report reads BCQ, and sonc_holds reads it again at the same
-    # x; only the first read may solve LPs.
+    # x; only the first read may decide a nontriviality system.
     import plqstab.stability as stability
     from plqstab import EnlpProblem
 
     per_call, inside = [], []
-    bcq, lp_max_each = EnlpProblem.bcq_holds, stability.lp_max_each
+    bcq, is_nontrivial = EnlpProblem.bcq_holds, stability._is_nontrivial
 
     def counted_bcq(self, x):
         per_call.append(0)
@@ -229,16 +229,15 @@ def test_bcq_lps_of_one_robust_ic_report(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_lps(*args):
-        for out in lp_max_each(*args):
-            if inside:
-                per_call[-1] += 1
-            yield out
+    def counted_decision(*args):
+        if inside:
+            per_call[-1] += 1
+        return is_nontrivial(*args)
 
     monkeypatch.setattr(EnlpProblem, "bcq_holds", counted_bcq)
-    monkeypatch.setattr(stability, "lp_max_each", counted_lps)
+    monkeypatch.setattr(stability, "_is_nontrivial", counted_decision)
     quad_cost_enlp(2).robust_ic_report((0, 0), (0, 0))
-    assert len(per_call) == 2 and per_call[0] > 0 and per_call[1] == 0
+    assert per_call == [1, 0]
 
 
 def test_robust_ic_reports_randomized_consistency():

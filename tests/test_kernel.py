@@ -343,10 +343,11 @@ _WORK_COUNTER_SCRIPT = """
 import plqstab.lp as lp
 import plqstab.polyhedra as polyhedra
 import plqstab.qp as qp
+import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_6_2"))
 counts = {"outcomes": 0, "tableaux": 0, "pivots": 0, "projecting": 0,
-          "active_sets": 0}
+          "active_sets": 0, "systems": 0, "trivial_kernels": 0, "hits": 0}
 solve_each, init, pivot = lp._solve_each, lp._Tableau.__init__, lp._Tableau.pivot
 project, try_subset = polyhedra.Polyhedron.project_point, qp.StrictQpSolver._try_subset
 def counted_solve_each(*args):
@@ -369,6 +370,18 @@ def counted_try_subset(self, subset, c):
     if counts["projecting"]:
         counts["active_sets"] += 1
     return try_subset(self, subset, c)
+is_nontrivial, kernel_basis = stability._is_nontrivial, stability.kernel_basis
+def counted_is_nontrivial(*args):
+    counts["systems"] += 1
+    hit = is_nontrivial(*args)
+    counts["hits"] += hit
+    return hit
+def counted_kernel_basis(a_eq):
+    basis = kernel_basis(a_eq)
+    counts["trivial_kernels"] += not basis
+    return basis
+stability._is_nontrivial = counted_is_nontrivial
+stability.kernel_basis = counted_kernel_basis
 lp._solve_each = counted_solve_each
 lp._Tableau.__init__ = counted_init
 lp._Tableau.pivot = counted_pivot
@@ -376,7 +389,8 @@ polyhedra.Polyhedron.project_point = counted_project
 qp.StrictQpSolver._try_subset = counted_try_subset
 analyze_problem(pf)
 print(counts["outcomes"], counts["tableaux"], counts["pivots"],
-      counts["active_sets"])
+      counts["active_sets"], counts["systems"], counts["trivial_kernels"],
+      counts["hits"])
 """
 
 
@@ -391,13 +405,20 @@ def _example_6_2_work_counts():
 
 def test_lp_work_counts_on_example_6_2():
     # LP outcomes, tableaux built (one phase 1 each) and pivots, the
-    # artificial pivot-out step included.
-    assert _example_6_2_work_counts()[:3] == ["170", "52", "504"]
+    # artificial pivot-out step included.  No nontriviality system solves
+    # an LP: example_6_2's multiplier is noncritical, so no witness either.
+    assert _example_6_2_work_counts()[:3] == ["30", "30", "92"]
 
 
 def test_projection_active_sets_on_example_6_2():
     # Active sets the exact projections try before one is certified.
     assert _example_6_2_work_counts()[3] == "18"
+
+
+def test_nontriviality_systems_on_example_6_2():
+    # Homogeneous systems decided by double description, those whose eq
+    # rows leave only the zero kernel, and those found nontrivial.
+    assert _example_6_2_work_counts()[4:] == ["22", "11", "0"]
 
 
 _FORGED_DUALS_SCRIPT = """

@@ -1,8 +1,6 @@
 """The float Newton probe against its numpy reference, bit for bit."""
 
-import importlib.util
 import math
-import os
 import random
 
 import newton_reference
@@ -10,17 +8,7 @@ import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_names, corpus_path, parse_problem_file
 from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import rat, vdot
-from support import quad_penalty_2d, random_penalty
-
-
-def _random_enlp_docs(seed, count):
-    """The problems of the benchmark's random-enlp pool `seed`."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.random_enlp_docs(seed, count)
+from support import quad_penalty_2d, random_enlp_docs, random_penalty
 
 
 def _probe_solves(monkeypatch, problem_files):
@@ -47,7 +35,7 @@ def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
     # on the same parsed systems; the piece caches it then finds warm
     # decide only which first-met pieces get an exact prox check.
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
-    files += [parse_problem_doc(doc) for _, doc in _random_enlp_docs(1, 5)]
+    files += [parse_problem_doc(doc) for _, doc in random_enlp_docs(1, 5)]
     calls = _probe_solves(monkeypatch, files)
     assert len(calls) >= 100
     assert {r.reason for _, _, _, r in calls} >= {"converged", "no_descent",
