@@ -39,7 +39,7 @@ def _build_parser():
                     help="Newton stopping tolerance for probes")
     an.add_argument("--probe-csv", default=None, metavar="PATH",
                     help="write critical-ray probe traces as CSV files "
-                         "PATH.point<i>.csv")
+                         "PATH.point<i>.csv (needs --probe)")
     return parser
 
 
@@ -49,6 +49,8 @@ def _flag_error(args):
         return "--probe-grid must be a positive integer"
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         return "--tol must be a positive finite number"
+    if args.probe_csv is not None and not args.probe:
+        return "--probe-csv needs --probe"
     return None
 
 
@@ -71,8 +73,13 @@ def main(argv=None) -> int:
     if args.probe_csv:
         for idx, text in csvs:
             path = "%s.point%d.csv" % (args.probe_csv, idx)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as e:
+                print("input error: cannot write %s (%s)"
+                      % (path, e.strerror or e), file=sys.stderr)
+                return 1
     if args.report == "json":
         sys.stdout.write(render_json(doc))
     else:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .rational import ONE, ZERO, rat, vdot
+from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints, vdot
 
 __all__ = [
     "RatMatrix",
@@ -125,28 +125,46 @@ def zeros(nrows, ncols):
 
 
 def rref(rows):
-    """Reduced row echelon form. Returns (rref row list, pivot column list)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form. Returns (rref row list, pivot column list).
+
+    Fraction-free Gauss-Jordan elimination on integer rows, as in
+    Bareiss (Math. Comp. 22, 1968), with gcd reduction in place of his
+    exact divisions: each row is scaled to primitive integers, the pivot
+    row is the first row at or below the current one that is nonzero in
+    the column, every other row is updated as
+    ``piv * row - row[c] * pivot_row`` and divided by its gcd, and each
+    pivot row is divided by its pivot once at the end.  Every row stays
+    a nonzero multiple of the row that elimination in ``Rat`` arithmetic
+    holds, so the pivots and the row order are the same, and so is the
+    RREF, which is unique.  Entries are read through ``numerator`` and
+    ``denominator`` only, so either ``Rat`` backend (and int entries)
+    works; every output entry is a ``Rat``, and a zero one builds none.
+    """
+    m = [primitive_ints(scaled_ints(r)[0]) for r in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     pivots = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, nr) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
+        prow = m[r]
+        piv = prow[c]
         for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if f and i != r:
+                m[i] = primitive_ints([piv * a - f * b
+                                       for a, b in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return m, pivots
+    red = [[Rat(v, row[c]) if v else ZERO for v in row]
+           for row, c in zip(m, pivots)]
+    red.extend([ZERO] * nc for _ in range(nr - r))
+    return red, pivots
 
 
 def rank(mat) -> int:

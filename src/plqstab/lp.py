@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError
-from .rational import ONE, ZERO, Rat, rat
+from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints
 
 __all__ = [
     "LpProblem",
@@ -103,18 +103,6 @@ class _CertificateError(InternalConsistencyError):
 # CPython 3.11 `f(*generator)` and `f(x, *list)` build argument tuples that
 # pile up on the tuple free lists, which raised peak RSS by about 1.5 MB.
 
-def _scaled_ints(values):
-    """(ints, scale): the values times the least common denominator."""
-    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
-    scale = lcm(*[d for _, d in fracs])
-    return [num * (scale // d) for num, d in fracs], scale
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 class _Tableau:
     """Integer tableau over columns [x+ | x- | slacks | artificials | rhs].
 
@@ -145,7 +133,7 @@ class _Tableau:
                 base, rhs = p.a_eq[i - mu], p.b_eq[i - mu]
             s = -1 if rhs < 0 else 1
             self.sign.append(s)
-            ints, scale = _scaled_ints(base + (rhs,))
+            ints, scale = scaled_ints(base + (rhs,))
             self.system.append(ints)
             scales.append(scale)
             ints = [s * v for v in ints]
@@ -190,8 +178,8 @@ class _Tableau:
         for i, other in enumerate(self.t):
             f = other[j]
             if i != r and f:
-                self.t[i] = _primitive([piv * a - f * b
-                                        for a, b in zip(other, row)])
+                self.t[i] = primitive_ints([piv * a - f * b
+                                            for a, b in zip(other, row)])
         f = self.z[j]
         if f:
             self._store_cost([piv * a - f * b for a, b in zip(self.z, row)],
@@ -205,7 +193,7 @@ class _Tableau:
 
     def set_cost(self, cost):
         """Recompute z / zden = c_B B^{-1} A - c for the cost vector."""
-        c, cden = _scaled_ints(cost)
+        c, cden = scaled_ints(cost)
         basic = [(c[b], row, row[b]) for b, row in zip(self.basis, self.t)
                  if c[b]]
         scale = lcm(*[d for _, _, d in basic])
@@ -278,7 +266,7 @@ def _check_rows(t, v, homogeneous, message):
     """Raise unless a_i . v <= b_i on the inequality rows and a_i . v == b_i
     on the equality rows (with b = 0 when homogeneous); returns (V, den)
     with v = V / den."""
-    vv, den = _scaled_ints(v)
+    vv, den = scaled_ints(v)
     for i, row in enumerate(t.system):
         lhs = sum(a * b for a, b in zip(row, vv))
         rhs = 0 if homogeneous else row[-1] * den
@@ -290,7 +278,7 @@ def _check_rows(t, v, homogeneous, message):
 
 def _combination(t, y):
     """(s, den) with sum_i y_i [a_i | b_i] = s / den over all rows."""
-    yy, den = _scaled_ints(y)
+    yy, den = scaled_ints(y)
     s = [0] * (t.n + 1)
     for w, k, row in zip(yy, t.weight, t.system):
         if w:
@@ -304,7 +292,7 @@ def _check_optimal(t, c, out: LpOptimal):
     if any(y < 0 for y in out.dual_ub):
         raise _CertificateError("negative inequality dual")
     s, den = _combination(t, out.dual_ub + out.dual_eq)
-    cc, cden = _scaled_ints(c)
+    cc, cden = scaled_ints(c)
     if any(a * cden != b * den for a, b in zip(s, cc)):
         raise _CertificateError("dual stationarity fails")
     # b . y = s[-1] / den and c . x = (cc . xx) / (cden xden)
@@ -318,7 +306,7 @@ def _check_unbounded(t, c, out: LpUnbounded):
     _check_rows(t, out.feasible_point, False,
                 "unbounded certificate: point violates %s")
     dd, _ = _check_rows(t, out.ray, True, "unbounded certificate: ray violates %s")
-    cc, _ = _scaled_ints(c)
+    cc, _ = scaled_ints(c)
     if sum(a * b for a, b in zip(cc, dd)) <= 0:
         raise _CertificateError("ray does not improve the objective")
 

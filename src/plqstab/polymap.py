@@ -154,9 +154,13 @@ class Polynomial:
         for e, c in self.terms.items():
             term = c
             for x, k in zip(point, e):
-                for _ in range(k):
-                    term *= x
-            total += term
+                if k:
+                    if not x:
+                        break  # a zero factor: the monomial vanishes
+                    for _ in range(k):
+                        term *= x
+            else:
+                total += term
         return total
 
     def _float_coefficients(self):

@@ -4,6 +4,15 @@ Every kernel computation in this package is exact; floating point only
 appears in the numeric probes, which go through ``to_float``.  ``Rat``
 is ``gmpy2.mpq`` when available (a drop-in rational that is several
 times faster than ``fractions.Fraction``) and ``Fraction`` otherwise.
+
+The scalar kernels (``vdot``, ``primitive`` and ``linalg.rref``) are
+fraction-free: a product with a zero factor is skipped and builds no
+``Rat``, and a sum or an elimination runs on integer numerators over
+integer denominators, with one normalization at the end.  They read only
+``numerator``, ``denominator`` and the truth value of their entries and
+build results with ``Rat(n, d)``, so they run unchanged on either
+backend, and their results are the values that step-by-step ``Rat``
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -22,7 +31,10 @@ ONE = Rat(1)
 
 
 def rat(value, den=None):
-    """Exact rational from int/str/Rat/float, or a (num, den) pair."""
+    """Exact rational from int/str/Rat/float, or a (num, den) pair; a Rat
+    is returned as it is."""
+    if type(value) is Rat and den is None:
+        return value
     if den is not None:
         return Rat(value, den)
     if isinstance(value, float):
@@ -70,11 +82,11 @@ def vec(values):
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(x + y if y else x for x, y in zip(a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(x - y if y else x for x, y in zip(a, b))
 
 
 def vscale(t, a):
@@ -82,10 +94,24 @@ def vscale(t, a):
 
 
 def vdot(a, b):
-    s = ZERO
+    """The exact dot product, as a Rat.  Pairs with a zero factor are
+    skipped; the other products are summed as one integer numerator over
+    the least common denominator so far, and a single Rat is built at
+    the end."""
+    num, den = 0, 1
     for x, y in zip(a, b):
-        s += x * y
-    return s
+        xn = x.numerator
+        if xn:
+            yn = y.numerator
+            if yn:
+                q = x.denominator * y.denominator
+                if q == den:
+                    num += xn * yn
+                else:
+                    g = math.gcd(den, q)
+                    num = num * (q // g) + xn * yn * (den // g)
+                    den = den // g * q
+    return Rat(num, den) if num else ZERO
 
 
 def norm_sq(a):
@@ -123,23 +149,28 @@ def to_float_vec(a):
     return tuple(float(x) for x in a)
 
 
+# Integer rows, for `primitive`, `linalg.rref` and the `lp` tableau.  The
+# star-calls unpack lists, not generators (see the note in `lp`).
+
+def scaled_ints(values):
+    """(ints, scale): the values times their least common denominator."""
+    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
+    scale = math.lcm(*[d for _, d in fracs])
+    return [num * (scale // d) for num, d in fracs], scale
+
+
+def primitive_ints(row):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def primitive(a):
     """Scale a rational vector to a canonical primitive integer vector.
 
     The result has integer entries with gcd 1 and the same direction;
-    the zero vector maps to itself.
+    the zero vector maps to itself.  The scaling is integer arithmetic on
+    the numerators and denominators.
     """
-    from math import gcd
-
-    nums = [rat(x) for x in a]
-    if all(x == 0 for x in nums):
-        return tuple(ZERO for _ in nums)
-    den_lcm = 1
-    for x in nums:
-        d = int(x.denominator)
-        den_lcm = den_lcm // gcd(den_lcm, d) * d
-    ints = [int(x * den_lcm) for x in nums]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Rat(v // g) for v in ints)
+    ints = primitive_ints(scaled_ints([rat(x) for x in a])[0])
+    return tuple(Rat(v) for v in ints)

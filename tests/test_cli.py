@@ -357,6 +357,25 @@ def test_cli_probe_csv_files(tmp_path, capsys):
     assert written[0].read_text().startswith("t,p1,p2,x,lambda,lhs,rhs,ratio")
 
 
+def test_cli_probe_csv_unwritable_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "trace"
+    rc = cli_main(["analyze", corpus_path("example_3_2b"), "--probe",
+                   "--probe-grid", "3", "--probe-csv", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("input error: cannot write %s.point0.csv ("
+                                   % out)
+
+
+def test_cli_probe_csv_needs_probe(tmp_path, capsys):
+    rc = cli_main(["analyze", corpus_path("example_3_2b"),
+                   "--probe-csv", str(tmp_path / "trace")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "input error: --probe-csv needs --probe\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_subprocess_byte_determinism():
     cmd = [sys.executable, "-m", "plqstab.cli", "analyze",
            corpus_path("example_3_2b"), "--report", "json"]

@@ -9,14 +9,18 @@ import sys
 import pytest
 
 from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
-                     Polyhedron, QpInfeasible, QpOptimal, QpUnbounded,
-                     RatMatrix, identity, lp_max, lp_solve, psd_check,
-                     qp_solve, rat)
+                     Polyhedron, Polynomial, QpInfeasible, QpOptimal,
+                     QpUnbounded, RatMatrix, identity, lp_max, lp_solve,
+                     psd_check, qp_solve, rat)
 from plqstab.lp import lp_max_each
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
-                            pseudo_inverse_psd, rank, solve_general)
-from plqstab.rational import (format_rat, norm2, parse_rat, primitive,
-                              sqrt_float, to_float, vdot)
+                            pseudo_inverse_psd, rank, rref, solve_general)
+from plqstab.rational import (ZERO, Rat, format_rat, norm2, parse_rat,
+                              primitive, sqrt_float, to_float, vdot)
+from rational_reference import (eval_reference, invert_reference,
+                                kernel_basis_reference, primitive_reference,
+                                rank_reference, rref_reference,
+                                solve_general_reference, vdot_reference)
 
 
 def test_rational_parsing_and_formatting():
@@ -87,6 +91,115 @@ def test_pseudo_inverse_psd_properties():
         assert m @ p @ m == m
         assert p @ m @ p == p
         assert (m @ p).T == m @ p
+
+
+# -- fraction-free kernels against step-by-step Rat arithmetic -----------------
+
+
+def _entry(rng, zeros):
+    """An int or a Rat, zero with probability `zeros`; the nonzero Rats
+    have denominators up to 10**6."""
+    if rng.random() < zeros:
+        return rng.choice((0, ZERO))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((-1, 1)) * rng.randint(1, 20)
+    if kind == 1:
+        return rat(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+    return rat(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 6))
+
+
+def _random_rows(rng):
+    """A matrix of mixed int/Rat entries: sparse (about 60% zeros), dense,
+    all-zero, or rank-deficient with dependent rows; empty, 1 x n, n x 1,
+    wide and tall shapes all occur."""
+    nr, nc = rng.choice(((0, 0), (1, rng.randint(1, 6)), (rng.randint(1, 6), 1),
+                         (rng.randint(1, 3), rng.randint(4, 7)),
+                         (rng.randint(4, 7), rng.randint(1, 3)),
+                         (rng.randint(2, 5), rng.randint(2, 5))))
+    kind = rng.choice(("sparse", "sparse", "dense", "zero", "dependent"))
+    if kind == "zero":
+        return [[rng.choice((0, ZERO)) for _ in range(nc)] for _ in range(nr)]
+    zeros = 0.1 if kind == "dense" else 0.6
+    rows = [[_entry(rng, zeros) for _ in range(nc)] for _ in range(nr)]
+    if kind == "dependent" and nr > 1:
+        base = rows[:rng.randint(1, nr - 1)]
+        for i in range(len(base), nr):
+            coef = [_entry(rng, 0.4) for _ in base]
+            rows[i] = [vdot_reference(coef, [rat(r[j]) for r in base])
+                       for j in range(nc)]
+        rng.shuffle(rows)
+    return rows
+
+
+def _rats(rows):
+    return [[rat(v) for v in r] for r in rows]
+
+
+def test_vdot_primitive_match_reference():
+    rng = random.Random(41)
+    for case in range(600):
+        n = rng.randint(0, 7)
+        zeros = 0.6 if case % 2 else 0.1
+        a = [_entry(rng, zeros) for _ in range(n)]
+        b = [_entry(rng, zeros) for _ in range(n)]
+        got = vdot(a, b)
+        assert got == vdot_reference(a, b) and isinstance(got, Rat), (a, b)
+        got = primitive(a)
+        assert got == primitive_reference(a), a
+        assert all(isinstance(v, Rat) for v in got)
+
+
+def test_rref_matches_reference():
+    rng = random.Random(42)
+    shapes = set()
+    for _ in range(600):
+        rows = _random_rows(rng)
+        red, piv = rref(rows)
+        ref_red, ref_piv = rref_reference(_rats(rows))
+        assert piv == ref_piv, rows
+        assert red == ref_red, rows     # same values in the same row order
+        assert all(isinstance(v, Rat) for r in red for v in r)
+        shapes.add((len(rows), len(rows[0]) if rows else 0, len(piv)))
+    # empty, 1 x n, n x 1, rank-deficient and zero matrices all occurred
+    assert (0, 0, 0) in shapes
+    assert any(r == 1 < c for r, c, _ in shapes)
+    assert any(c == 1 < r for r, c, _ in shapes)
+    assert any(0 < k < min(r, c) for r, c, k in shapes)
+    assert any(r > 1 and c > 1 and k == 0 for r, c, k in shapes)
+
+
+def test_linalg_solvers_match_reference():
+    rng = random.Random(43)
+    square = 0
+    for _ in range(500):
+        rows = _random_rows(rng)
+        if not rows or not rows[0]:
+            continue
+        mat = RatMatrix(rows)
+        ref = mat.rows
+        assert rank(mat) == rank_reference(ref)
+        assert kernel_basis(mat) == kernel_basis_reference(ref)
+        x0 = [_entry(rng, 0.5) for _ in range(mat.ncols)]
+        b = mat.matvec(x0) if rng.random() < 0.6 else \
+            [_entry(rng, 0.5) for _ in range(mat.nrows)]
+        assert solve_general(mat, b) == solve_general_reference(ref, b)
+        if mat.is_square():
+            square += 1
+            assert invert(mat) == invert_reference(ref)
+    assert square >= 50
+
+
+def test_polynomial_eval_matches_reference():
+    rng = random.Random(44)
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        terms = {tuple(rng.randint(0, 3) for _ in range(n)): _entry(rng, 0.0)
+                 for _ in range(rng.randint(0, 6))}
+        poly = Polynomial(n, terms)
+        point = [_entry(rng, 0.5) for _ in range(n)]
+        got = poly.eval(point)
+        assert got == eval_reference(poly, point) and isinstance(got, Rat)
 
 
 # -- LP ------------------------------------------------------------------------
@@ -340,14 +453,31 @@ def test_lp_integer_checks_match_substitution():
 
 
 _WORK_COUNTER_SCRIPT = """
+import sys
+import plqstab.linalg as linalg
 import plqstab.lp as lp
 import plqstab.polyhedra as polyhedra
 import plqstab.qp as qp
+import plqstab.rational as rational
 import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_6_2"))
 counts = {"outcomes": 0, "tableaux": 0, "pivots": 0, "projecting": 0,
-          "active_sets": 0, "systems": 0, "trivial_kernels": 0, "hits": 0}
+          "active_sets": 0, "systems": 0, "trivial_kernels": 0, "hits": 0,
+          "rref": 0, "vdot": 0}
+def count_calls(module, name):
+    # rebound in every plqstab module that holds the function by name
+    original = getattr(module, name)
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+    for mname, mod in list(sys.modules.items()):
+        if mod is not None and mname.split(".")[0] == "plqstab":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, attr, counted)
+count_calls(linalg, "rref")
+count_calls(rational, "vdot")
 solve_each, init, pivot = lp._solve_each, lp._Tableau.__init__, lp._Tableau.pivot
 project, try_subset = polyhedra.Polyhedron.project_point, qp.StrictQpSolver._try_subset
 def counted_solve_each(*args):
@@ -390,7 +520,7 @@ qp.StrictQpSolver._try_subset = counted_try_subset
 analyze_problem(pf)
 print(counts["outcomes"], counts["tableaux"], counts["pivots"],
       counts["active_sets"], counts["systems"], counts["trivial_kernels"],
-      counts["hits"])
+      counts["hits"], counts["rref"], counts["vdot"])
 """
 
 
@@ -418,7 +548,13 @@ def test_projection_active_sets_on_example_6_2():
 def test_nontriviality_systems_on_example_6_2():
     # Homogeneous systems decided by double description, those whose eq
     # rows leave only the zero kernel, and those found nontrivial.
-    assert _example_6_2_work_counts()[4:] == ["22", "11", "0"]
+    assert _example_6_2_work_counts()[4:7] == ["22", "11", "0"]
+
+
+def test_exact_kernel_calls_on_example_6_2():
+    # Calls of the fraction-free eliminations and dot products, in every
+    # module that binds them.
+    assert _example_6_2_work_counts()[7:] == ["115", "931"]
 
 
 _FORGED_DUALS_SCRIPT = """
