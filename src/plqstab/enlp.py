@@ -9,11 +9,13 @@ linear-quadratic penalty theta; its Lagrangian is
 so the induced variational system has f = grad(phi0) and the residual
 Jacobian equals the Lagrangian Hessian.  The second-order engine
 decomposes the domain of the restricted penalty by the faces of the
-critical cone; on the region attached to a face the penalty is an
+critical cone; the region attached to a face is a Minkowski sum built
+from generators (`stability._face_region`), on it the penalty is an
 explicit quadratic form (solved on the span of the face with a rational
 pseudo-inverse), and strict or non-strict copositivity of each pulled
-back form is decided exactly by enumerating stationary families over
-the simplex of cone generators.
+back form is decided exactly: definiteness on the lineality space of
+the pulled back cone, then stationary families of the Schur complement
+over the simplex of its extreme rays (`copositive_on_cone`).
 
 The criteria at (x, lam) share one memoized point context of the induced
 system (`stability.PointContext`): one solution check, and the Hessian,
@@ -39,13 +41,14 @@ from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, solve_general
-from .lp import LpOptimal, lp_feasible_point, lp_max_each
+from .lp import lp_feasible_point
 from .plq import PlqPenalty
-from .polyhedra import (PolyCone, Polyhedron, _all_generator_vectors,
+from .polyhedra import (PolyCone, Polyhedron, _cone_generators,
                         face_differences, normal_cone)
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
-from .rational import ONE, ZERO, norm2, rat, vadd, vdot, vsub
+from .rational import (ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vscale,
+                       vsub)
 from .stability import (_face_system, classify_multiplier, nontrivial_over,
                         uniqueness_report)
 from .varsys import VarSystem
@@ -295,54 +298,142 @@ def _face_pair_system(ctx, eq, le):
 def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     """Is w^T Q w > 0 (>= 0 when strict=False) for all nonzero w in the cone?
 
-    Exact decision by generator representation: the minimum of the form
-    over the simplex of generator coefficients is attained at a
-    stationary family of some simplex face; families are solved by
-    rational elimination, their (constant) value is thresholded, and
-    realizability plus the existence of a nonzero represented direction
-    are decided by LPs.  Returns (verdict, witness direction or None).
+    Exact decision over the generators K = span(L) + cone(R), from double
+    description (`_cone_generators`, called directly, so no memo grows;
+    every generator is checked against the cone's rows).  With
+    M = [L R]^T Q [L R], blocks Q_LL, Q_LR, Q_RR, the lineality block is
+    eliminated by one symmetrically pivoted LDL^T (`_reduce_lineality`):
+    on a subspace, copositivity is definiteness (Martin and Jacobson,
+    Linear Algebra Appl. 35, 1981), and the rays see the Schur complement
+    S = Q_RR - Q_LR^T Q_LL^+ Q_LR (Hiriart-Urruty and Seeger, SIAM
+    Review 52, 2010).
+
+    - strict: Q_LL is positive definite and S is strictly copositive on
+      the orthant;
+    - non-strict: Q_LL is PSD, the columns of Q_LR lie in range(Q_LL)
+      and S is copositive on the orthant.
+
+    S is decided by the subset loop over the unit generators of the
+    orthant (`_orthant_copositive`): at most 2^|R| - 1 subsets, none for
+    a subspace.  A nonzero ray coefficient vector gives a nonzero
+    direction, since the cone is pointed modulo its lineality space.
+
+    Returns (verdict, witness direction or None).  A False verdict's
+    witness w is checked exactly: nonzero, in the cone, and w^T Q w < 0
+    (<= 0 when strict); a failure raises InternalConsistencyError.
     """
-    gens = _all_generator_vectors(cone.generators())
+    lin, rays = _cone_generators(cone.rows, cone.dim)
+    gens = list(lin) + list(rays)
+    if not all(cone.contains(g) for g in gens):
+        raise InternalConsistencyError("generator violates H-representation")
     if not gens:
         return True, None
-    nvec = len(gens)
-    gcols = RatMatrix.from_cols(gens)  # n x N
-    mhat = gcols.T @ qform @ gcols
+    gcols = RatMatrix.from_cols(gens)
+    coeffs, schur, lifts = _reduce_lineality(gcols.T @ qform @ gcols,
+                                             len(lin), strict)
+    if coeffs is None:
+        c = _orthant_copositive(schur, strict)
+        if c is None:
+            return True, None
+        coeffs = [vdot(c, row) for row in zip(*lifts)]  # sum of c_j lifts_j
+    witness = gcols.matvec(coeffs)
+    _check_witness(qform, cone, witness, strict)
+    return False, witness
 
-    for subset in _subsets(tuple(range(nvec))):
+
+def _reduce_lineality(mhat: RatMatrix, nlin, strict):
+    """Eliminate the first `nlin` (lineality) coordinates of the form
+    c^T Mhat c by congruence, pivoting on positive diagonal entries.
+
+    Returns (coefficients of a witness, None, None) when the lineality
+    block is not positive definite (strict) or not PSD, or when a ray
+    column leaves its range (non-strict); otherwise (None, S, lifts),
+    with S the Schur complement on the ray coordinates and lifts[j] the
+    coefficient vector of ray j with its lineality part minimizing the
+    form, so that sum c_j lifts[j] attains c^T S c.  The working matrix is W = T^T Mhat T with T unit triangular, kept as
+    its pivot steps; `column(i)` is T e_i, so that W_ij is the form
+    between T e_i and T e_j.
+    """
+    size = mhat.nrows
+    w = [list(r) for r in mhat.rows]
+    steps = []  # (pivot, {i: W_pi / W_pp})
+    free = list(range(nlin))
+    rays = list(range(nlin, size))
+    while True:
+        piv = next((i for i in free if w[i][i] > 0), None)
+        if piv is None:
+            break
+        free.remove(piv)
+        d, prow = w[piv][piv], w[piv]
+        f = {i: prow[i] / d for i in free + rays if prow[i]}
+        for i, fi in f.items():
+            wi = w[i]
+            for j in f:
+                wi[j] -= fi * prow[j]
+        steps.append((piv, f))
+
+    def column(i):
+        v = [ZERO] * size
+        v[i] = ONE
+        for piv, f in reversed(steps):
+            s = sum(fj * v[j] for j, fj in f.items() if v[j])
+            if s:
+                v[piv] -= s
+        return v
+
+    # the unpivoted lineality block has no positive diagonal entry left
+    for i in free:
+        if w[i][i] < 0:
+            return column(i), None, None
+    for a, i in enumerate(free):
+        for j in free[a + 1:]:
+            if w[i][j]:
+                sign = ONE if w[i][j] < 0 else -ONE
+                return vadd(column(i), vscale(sign, column(j))), None, None
+    if free and strict:  # Q_LL singular: a kernel direction has value 0
+        return column(free[0]), None, None
+    for i in free:  # column(i) spans ker Q_LL together with the others
+        for j in rays:
+            if w[i][j]:  # Q_LR e_j leaves range(Q_LL)
+                t = -(abs(w[j][j]) + 1) / w[i][j]
+                return vadd(vscale(t, column(i)), column(j)), None, None
+    schur = RatMatrix(tuple(tuple(w[i][j] for j in rays) for i in rays))
+    return None, schur, [column(j) for j in rays]
+
+
+def _orthant_copositive(smat: RatMatrix, strict):
+    """A nonzero c >= 0 with c^T S c < 0 (<= 0 when strict), or None.
+
+    The minimum of the form over the simplex is attained at a stationary
+    family of some simplex face: 2 (S c)_i = nu on the face's support,
+    sum c = 1, c zero elsewhere.  Families are solved by rational
+    elimination, their (constant) value is thresholded, and a
+    nonnegative family point is found by an LP.  On the simplex c is
+    never zero, so a zero value under the strict test is a witness too.
+    """
+    k = smat.nrows
+    for subset in _subsets(tuple(range(k))):
         if not subset:
             continue
-        k = len(subset)
-        # stationarity of c^T Mhat c on the face affine hull:
-        # 2 (Mhat c)_i = nu on the subset, sum c = 1, c zero elsewhere
-        a = []
-        b = []
-        for i in subset:
-            row = [2 * mhat.rows[i][j] for j in subset] + [-ONE]
-            a.append(tuple(row))
-            b.append(ZERO)
-        a.append(tuple([ONE] * k + [ZERO]))
-        b.append(ONE)
+        size = len(subset)
+        a = [tuple([2 * smat.rows[i][j] for j in subset] + [-ONE])
+             for i in subset]
+        a.append(tuple([ONE] * size + [ZERO]))
+        b = [ZERO] * size + [ONE]
         fam = solve_general(a, b)
         if fam is None:
             continue
-        c0 = fam[0][:k]
-        val = _form_value(mhat, subset, c0)
-        if strict and val > 0:
+        val = _form_value(smat, subset, fam[0][:size])
+        if val > 0 or (val == 0 and not strict):
             continue
-        if not strict and val >= 0:
-            continue
-        feasible = _family_point(a, b, k)
+        feasible = _family_point(a, b, size)
         if feasible is None:
             continue
-        if val < 0:
-            witness = _combine(gens, subset, feasible[:k])
-            return False, witness
-        # strict case, val == 0: a represented nonzero direction?
-        witness = _nonzero_direction(a, b, k, gens, subset)
-        if witness is not None:
-            return False, witness
-    return True, None
+        c = [ZERO] * k
+        for i, v in zip(subset, feasible):
+            c[i] = v
+        return tuple(c)
+    return None
 
 
 def _form_value(mhat: RatMatrix, subset, coeffs):
@@ -366,31 +457,17 @@ def _family_point(a_eq, b_eq, k):
                              tuple(b_eq), n=k + 1)
 
 
-def _combine(gens, subset, coeffs):
-    n = len(gens[0])
-    out = [ZERO] * n
-    for c, i in zip(coeffs, subset):
-        for j in range(n):
-            out[j] += c * gens[i][j]
-    return tuple(out)
-
-
-def _nonzero_direction(a_eq, b_eq, k, gens, subset):
-    """A family point whose generator combination is nonzero, or None."""
-    n = len(gens[0])
-    a_ub = []
-    b_ub = []
-    for i in range(k):
-        row = [ZERO] * (k + 1)
-        row[i] = -ONE
-        a_ub.append(tuple(row))
-        b_ub.append(ZERO)
-    objectives = (tuple(gens[i][j] * sign for i in subset) + (ZERO,)
-                  for j in range(n) for sign in (1, -1))
-    for o in lp_max_each(objectives, a_ub, b_ub, a_eq, b_eq):
-        if isinstance(o, LpOptimal) and o.value > 0:
-            return _combine(gens, subset, o.point[:k])
-    return None
+def _check_witness(qform: RatMatrix, cone: PolyCone, w, strict):
+    """Raise InternalConsistencyError unless w is a nonzero direction of
+    the cone with w^T Q w < 0 (<= 0 when strict)."""
+    if is_zero_vec(w):
+        raise InternalConsistencyError("zero copositivity witness")
+    if not cone.contains(w):
+        raise InternalConsistencyError("copositivity witness leaves its cone")
+    value = vdot(qform.matvec(w), w)
+    if value > 0 or (value == 0 and not strict):
+        raise InternalConsistencyError(
+            "copositivity witness does not decrease the form")
 
 
 def _vertices_and_rays(poly: Polyhedron):

@@ -4,7 +4,8 @@ H-representation polyhedra and cones over the rationals, with the cone
 calculus used by the stability analyses: tangent, normal, critical and
 polar cones, face enumeration and the differences F1 - F2 of nested
 faces, horizon cones, Euclidean projection (a strictly convex QP solved
-by `qp.StrictQpSolver`), Fourier-Motzkin projection, and limiting normal
+by `qp.StrictQpSolver`), and, off the verdict path, Fourier-Motzkin
+projection (for `plq.PlqPenalty.graph_pieces`) and limiting normal
 cones of finite unions (through a hyperplane arrangement; the reference
 for the face-pair formula in `plq`).
 

@@ -42,8 +42,8 @@ from functools import cached_property
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
-from .polyhedra import (PolyCone, Polyhedron, _all_generator_vectors,
-                        _cone_generators, critical_cone, fm_project)
+from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
+                        critical_cone)
 from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
                        sqrt_float, to_float_vec, vadd, vdot, vscale, vsub)
 from .varsys import VarSystem
@@ -377,22 +377,27 @@ class PointContext:
 
 
 def _face_region(ctx: PointContext, face) -> PolyCone:
-    """{u : exists y in F with u - B y in polar(K) cap F-perp}."""
-    m, bmat = ctx.system.m, ctx.system.penalty.B
-    rows, rhs = [], []
-    # variables (u, y) in R^{2m}
-    for b in face.piece.rows:
-        rows.append((ZERO,) * m + tuple(b))
-        rhs.append(ZERO)
-    for h, kind in _residual_rows(ctx.kcone, face.piece):
-        row = tuple(h) + tuple(-v for v in bmat.matvec(h))
-        rows.append(row)
-        rhs.append(ZERO)
-        if kind == "eq":
-            rows.append(tuple(-v for v in row))
-            rhs.append(ZERO)
-    lifted = Polyhedron(rows, rhs).with_dim(2 * m)
-    return PolyCone(fm_project(lifted, range(m)).b, dim=m)
+    """{u : exists y in F with u - B y in polar(K) cap F-perp}, the
+    Minkowski sum B F + (polar(K) cap F-perp), from generators.
+
+    B applied to F's lineality basis and extreme rays generates B F.
+    polar(K) is generated by the rows of K (Farkas), and the rows that
+    vanish on F, K's rows tight on F, generate polar(K) cap F-perp.  Double
+    description (`_cone_generators`, called directly, so no memo grows)
+    on the sum's generators gives the generators of its polar, which are
+    the sum's rows.  No projection and no LP.
+    """
+    bmat = ctx.system.penalty.B
+    lin, rays = face.piece.generators()
+    gens = [bmat.matvec(r) for r in rays]
+    for l in lin:
+        bl = bmat.matvec(l)
+        gens += [bl, tuple(-v for v in bl)]
+    gens += [ctx.kcone.rows[i] for i in sorted(face.tight)]
+    rows = dict.fromkeys(primitive(g) for g in gens)
+    polar = _cone_generators([r for r in rows if not is_zero_vec(r)],
+                             ctx.system.m)
+    return PolyCone(_all_generator_vectors(polar), dim=ctx.system.m)
 
 
 # -- classification ---------------------------------------------------------------

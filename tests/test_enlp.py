@@ -269,3 +269,31 @@ def test_copositivity_engine_simple_forms():
     ok, _ = copositive_on_cone(indef, PolyCone([(1, 0), (-1, 0), (0, 1),
                                                 (0, -1)], dim=2), strict=True)
     assert ok
+    # a half-plane: the first coordinate spans the lineality space, the
+    # second is the ray; one cone per early exit of the reduction
+    half = PolyCone([(0, -1)], dim=2)
+
+    def refuted(qform, strict):
+        ok, wit = copositive_on_cone(qform, half, strict)
+        assert not ok and any(v != 0 for v in wit) and half.contains(wit)
+        value = vdot(qform.matvec(wit), wit)
+        assert value <= 0 if strict else value < 0
+        return wit
+
+    # Q_LL singular, so not positive definite: a lineality direction
+    wit = refuted(RatMatrix([(0, 0), (0, 1)]), strict=True)
+    assert wit[1] == 0
+    ok, _ = copositive_on_cone(RatMatrix([(0, 0), (0, 1)]), half, strict=False)
+    assert ok
+    # Q_LL not PSD
+    wit = refuted(RatMatrix([(-1, 0), (0, 1)]), strict=False)
+    assert wit[1] == 0
+    # Q_LL = 0 is PSD, but the column Q_LR = 1 leaves its range: the form
+    # 2 a c is unbounded below along ker Q_LL with c = 1
+    wit = refuted(RatMatrix([(0, 1), (1, 0)]), strict=False)
+    assert wit[1] > 0
+    # the Schur complement on the ray: Q_RR - Q_LR^2 / Q_LL = 1 - 4/2
+    wit = refuted(RatMatrix([(2, 2), (2, 1)]), strict=False)
+    assert wit[1] > 0
+    ok, _ = copositive_on_cone(RatMatrix([(2, 1), (1, 1)]), half, strict=True)
+    assert ok

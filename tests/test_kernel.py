@@ -537,7 +537,9 @@ def test_lp_work_counts_on_example_6_2():
     # LP outcomes, tableaux built (one phase 1 each) and pivots, the
     # artificial pivot-out step included.  No nontriviality system solves
     # an LP: example_6_2's multiplier is noncritical, so no witness either.
-    assert _example_6_2_work_counts()[:3] == ["30", "30", "92"]
+    # The SOSC face regions solve none either (generators, no projection);
+    # what is left is the copositivity loop's family points over the rays.
+    assert _example_6_2_work_counts()[:3] == ["6", "6", "20"]
 
 
 def test_projection_active_sets_on_example_6_2():
@@ -554,7 +556,7 @@ def test_nontriviality_systems_on_example_6_2():
 def test_exact_kernel_calls_on_example_6_2():
     # Calls of the fraction-free eliminations and dot products, in every
     # module that binds them.
-    assert _example_6_2_work_counts()[7:] == ["115", "931"]
+    assert _example_6_2_work_counts()[7:] == ["112", "971"]
 
 
 _FORGED_DUALS_SCRIPT = """

@@ -112,6 +112,32 @@ def test_decisions_leave_the_generator_memos_alone():
     for system in systems:
         stability.nontrivial_over([system], range(system[0]))
     assert [len(memo) for memo in memos] == sizes
+    # The second-order conditions: face regions and copositivity run
+    # double description directly too.  Each point's own cones (the
+    # critical cone and its faces, at the point's multiplier and at the
+    # vertices SONC visits) are built first.
+    checked = 0
+    for name, doc in random_enlp_docs(4, 10) + random_enlp_docs(5, 10):
+        pf = parse_problem_doc(doc, name_hint=name)
+        problem, ((x, lam),) = pf.problem, pf.points
+        bcq = problem.bcq_holds(x)
+        mset = problem.multiplier_set(x)
+        lams = [lam]
+        if not mset.singleton:
+            lams += enlp._vertices_and_rays(mset.poly)[0]
+        for point in lams:
+            ctx = problem.to_varsys().point(x, point)
+            ctx.kcone.generators()
+            for face in ctx.faces:
+                face.piece.generators()
+        sizes = [len(memo) for memo in memos]
+        problem.sosc_holds(x, lam)
+        if bcq:
+            problem.sonc_holds(x)
+        assert [len(memo) for memo in memos] == sizes, name
+        checked += sum(len(problem.to_varsys().point(x, point).regions)
+                       for point in lams)
+    assert checked >= 30, checked
 
 
 _FORGED_DD_SCRIPT = """

@@ -10,6 +10,7 @@ from plqstab import (PolyCone, Polyhedron, PolyUnion, analyze_problem,
                      fm_project, horizon_cone, limiting_normal_cone_union,
                      normal_cone, parse_problem_file, polar_cone, polyhedra,
                      rat, tangent_cone)
+from plqstab import enlp, stability
 from plqstab.linalg import rank
 from plqstab.rational import vdot
 from dd_reference import cone_generators_by_lp, faces_by_lp, in_cone_span
@@ -239,7 +240,9 @@ def test_double_description_and_faces_match_the_lp_reference(monkeypatch):
 
 def test_corpus_cones_match_the_lp_reference(monkeypatch):
     # Every cone the corpus analyses meet: the normal cones of Y (through
-    # `from_generators`), the critical cones and their faces.
+    # `from_generators`), the critical cones and their faces, and the
+    # cones `stability` and `enlp` hand to double description directly
+    # (reduced nontriviality systems, SOSC face regions, copositivity).
     for memo in ("_GEN_MEMO", "_FACES_MEMO", "_FROM_GEN_MEMO"):
         monkeypatch.setattr(polyhedra, memo, {})
     calls, faced = set(), set()
@@ -253,7 +256,8 @@ def test_corpus_cones_match_the_lp_reference(monkeypatch):
         faced.add((cone.rows, cone.dim))
         return faces(cone)
 
-    monkeypatch.setattr(polyhedra, "_cone_generators", recording_generators)
+    for module in (polyhedra, stability, enlp):
+        monkeypatch.setattr(module, "_cone_generators", recording_generators)
     monkeypatch.setattr(PolyCone, "faces", recording_faces)
     for name in corpus_names():
         analyze_problem(parse_problem_file(corpus_path(name)))
