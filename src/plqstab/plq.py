@@ -121,14 +121,21 @@ class PlqPenalty:
 
     # -- evaluation ------------------------------------------------------------
     def theta_with_argmax(self, u):
-        """(theta(u), a maximizer or None when the value is +infinity)."""
+        """(theta(u), a maximizer or None when the value is +infinity),
+        memoized per exact u on this instance: the solution check of a
+        point (`subdiff_contains`) and its multiplier set (`subdiff`) share
+        one QP at Phi(x)."""
         u = tuple(rat(v) for v in u)
-        out = qp_solve(self.B, tuple(-v for v in u), self.Y)
-        if isinstance(out, QpUnbounded):
-            return PLUS_INF, None
-        if not isinstance(out, QpOptimal):  # Y nonempty was checked
-            raise InternalConsistencyError("QP over nonempty Y is infeasible")
-        return ExtReal(-out.value), out.point
+        memo = self._cache.setdefault("theta", {})
+        if u not in memo:
+            out = qp_solve(self.B, tuple(-v for v in u), self.Y)
+            if isinstance(out, QpUnbounded):
+                memo[u] = PLUS_INF, None
+            elif isinstance(out, QpOptimal):
+                memo[u] = ExtReal(-out.value), out.point
+            else:  # Y nonempty was checked
+                raise InternalConsistencyError("QP over nonempty Y is infeasible")
+        return memo[u]
 
     def theta(self, u) -> ExtReal:
         return self.theta_with_argmax(u)[0]

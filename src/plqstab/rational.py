@@ -2,8 +2,19 @@
 
 Every kernel computation in this package is exact; floating point only
 appears in the numeric probes, which go through ``to_float``.  ``Rat``
-is ``gmpy2.mpq`` when available (a drop-in rational that is several
-times faster than ``fractions.Fraction``) and ``Fraction`` otherwise.
+has two backends:
+
+* ``gmpy2.mpq`` when gmpy2 is installed, a drop-in rational in C;
+* otherwise a ``fractions.Fraction`` subclass with integer fast paths.
+  Its constructor from ints, ``+``, ``-``, ``*``, ``/``, negation,
+  ``abs``, the comparisons and the hash of an integer read
+  ``_numerator`` and ``_denominator`` directly when the other operand is
+  a ``Rat`` or an ``int``, and return a ``Rat``.  Sums and products
+  reduce by gcds as in Henrici's method (Knuth, TAOCP Vol. 2, 4.5.1), so
+  each result is in lowest terms without a final normalization.  Any
+  other operand (a ``float``, a plain ``Fraction``) goes to the
+  ``Fraction`` method, so values, ``str``, hashes and equality with
+  ``int`` and ``Fraction`` are those of ``Fraction``.
 
 The scalar kernels (``vdot``, ``primitive`` and ``linalg.rref``) are
 fraction-free: a product with a zero factor is skipped and builds no
@@ -24,7 +35,172 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    Rat = Fraction
+    _gcd = math.gcd
+
+    class Rat(Fraction):
+        """A ``Fraction`` with fast paths for ``Rat`` and ``int`` operands;
+        see the module docstring."""
+
+        __slots__ = ()
+
+        def __new__(cls, numerator=0, denominator=None):
+            if type(numerator) is int:
+                if denominator is None:
+                    return _make(numerator, 1)
+                if type(denominator) is int:
+                    if not denominator:
+                        raise ZeroDivisionError("Fraction(%s, 0)" % numerator)
+                    g = _gcd(numerator, denominator)
+                    if denominator < 0:
+                        g = -g
+                    return _make(numerator // g, denominator // g)
+            return Fraction.__new__(cls, numerator, denominator)
+
+        def __add__(a, b):
+            if type(b) is Rat:
+                return _add(a._numerator, a._denominator,
+                            b._numerator, b._denominator)
+            if type(b) is int:
+                return _make(a._numerator + b * a._denominator, a._denominator)
+            return Fraction.__add__(a, b)
+
+        def __radd__(a, b):
+            if type(b) is int:
+                return _make(a._numerator + b * a._denominator, a._denominator)
+            return Fraction.__radd__(a, b)
+
+        def __sub__(a, b):
+            if type(b) is Rat:
+                return _add(a._numerator, a._denominator,
+                            -b._numerator, b._denominator)
+            if type(b) is int:
+                return _make(a._numerator - b * a._denominator, a._denominator)
+            return Fraction.__sub__(a, b)
+
+        def __rsub__(a, b):
+            if type(b) is int:
+                return _make(b * a._denominator - a._numerator, a._denominator)
+            return Fraction.__rsub__(a, b)
+
+        def __mul__(a, b):
+            if type(b) is Rat:
+                na, da, nb, db = (a._numerator, a._denominator,
+                                  b._numerator, b._denominator)
+                g = _gcd(na, db)
+                if g > 1:
+                    na //= g
+                    db //= g
+                g = _gcd(nb, da)
+                if g > 1:
+                    nb //= g
+                    da //= g
+                return _make(na * nb, da * db)
+            if type(b) is int:
+                g = _gcd(b, a._denominator)
+                return _make(a._numerator * (b // g), a._denominator // g)
+            return Fraction.__mul__(a, b)
+
+        def __rmul__(a, b):
+            if type(b) is int:
+                g = _gcd(b, a._denominator)
+                return _make(a._numerator * (b // g), a._denominator // g)
+            return Fraction.__rmul__(a, b)
+
+        def __truediv__(a, b):
+            if type(b) is Rat:
+                return _div(a._numerator, a._denominator,
+                            b._numerator, b._denominator)
+            if type(b) is int:
+                return _div(a._numerator, a._denominator, b, 1)
+            return Fraction.__truediv__(a, b)
+
+        def __rtruediv__(a, b):
+            if type(b) is int:
+                return _div(b, 1, a._numerator, a._denominator)
+            return Fraction.__rtruediv__(a, b)
+
+        def __neg__(a):
+            return _make(-a._numerator, a._denominator)
+
+        def __abs__(a):
+            return _make(abs(a._numerator), a._denominator)
+
+        def __eq__(a, b):
+            if type(b) is Rat:
+                return (a._numerator == b._numerator
+                        and a._denominator == b._denominator)
+            if type(b) is int:
+                return a._numerator == b and a._denominator == 1
+            return Fraction.__eq__(a, b)
+
+        def __lt__(a, b):
+            if type(b) is Rat:
+                return a._numerator * b._denominator < b._numerator * a._denominator
+            if type(b) is int:
+                return a._numerator < b * a._denominator
+            return Fraction.__lt__(a, b)
+
+        def __le__(a, b):
+            if type(b) is Rat:
+                return a._numerator * b._denominator <= b._numerator * a._denominator
+            if type(b) is int:
+                return a._numerator <= b * a._denominator
+            return Fraction.__le__(a, b)
+
+        def __gt__(a, b):
+            if type(b) is Rat:
+                return a._numerator * b._denominator > b._numerator * a._denominator
+            if type(b) is int:
+                return a._numerator > b * a._denominator
+            return Fraction.__gt__(a, b)
+
+        def __ge__(a, b):
+            if type(b) is Rat:
+                return a._numerator * b._denominator >= b._numerator * a._denominator
+            if type(b) is int:
+                return a._numerator >= b * a._denominator
+            return Fraction.__ge__(a, b)
+
+        def __hash__(a):
+            # Fraction's hash of n/1 is hash(n)
+            if a._denominator == 1:
+                return hash(a._numerator)
+            return Fraction.__hash__(a)
+
+    def _make(n, d):
+        """The Rat n/d of a reduced pair with d > 0, not normalized again."""
+        q = object.__new__(Rat)
+        q._numerator = n
+        q._denominator = d
+        return q
+
+    def _add(na, da, nb, db):
+        """na/da + nb/db in lowest terms (Henrici): with g = gcd(da, db),
+        only gcd(t, g) can divide the numerator t over da/g * db."""
+        g = _gcd(da, db)
+        if g == 1:
+            return _make(na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = _gcd(t, g)
+        if g2 == 1:
+            return _make(t, s * db)
+        return _make(t // g2, s * (db // g2))
+
+    def _div(na, da, nb, db):
+        """(na/da) / (nb/db) in lowest terms, by cross-cancellation."""
+        if not nb:
+            raise ZeroDivisionError("Fraction(%s, 0)" % (na * db))
+        g = _gcd(na, nb)
+        if g > 1:
+            na //= g
+            nb //= g
+        g = _gcd(db, da)
+        if g > 1:
+            da //= g
+            db //= g
+        n, d = na * db, nb * da
+        return _make(-n, -d) if d < 0 else _make(n, d)
 
 ZERO = Rat(0)
 ONE = Rat(1)

@@ -43,7 +43,7 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
-                        critical_cone)
+                        critical_cone, normal_cone)
 from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
                        sqrt_float, to_float_vec, vadd, vdot, vscale, vsub)
 from .varsys import VarSystem
@@ -294,8 +294,12 @@ class PointContext:
         return self.system.phi.jacobian_at(self.x)
 
     @cached_property
+    def fx(self):
+        return self.system.f.eval(self.x)
+
+    @cached_property
     def psi(self):
-        return vadd(self.system.f.eval(self.x), self.gmat.rmatvec(self.lam))
+        return vadd(self.fx, self.gmat.rmatvec(self.lam))
 
     @cached_property
     def in_subdiff(self) -> bool:
@@ -317,12 +321,26 @@ class PointContext:
         return self.system.psi_jacobian_x(self.x, self.lam)
 
     @cached_property
+    def blam(self):
+        """B lam."""
+        return self.system.penalty.B.matvec(self.lam)
+
+    @cached_property
     def kcone(self) -> PolyCone:
         """The critical cone K_Y(lam, zbar - B lam) of the verified pair."""
         self.require("the critical cone needs an exact solution")
-        pen = self.system.penalty
-        return critical_cone(pen.Y, self.lam,
-                             vsub(self.zbar, pen.B.matvec(self.lam)))
+        return critical_cone(self.system.penalty.Y, self.lam,
+                             vsub(self.zbar, self.blam))
+
+    @cached_property
+    def ncone(self) -> PolyCone:
+        """The normal cone N_Y(lam)."""
+        return normal_cone(self.system.penalty.Y, self.lam)
+
+    @cached_property
+    def multiplier_dist2(self):
+        """Squared distance from lam to the multiplier set at x."""
+        return self.system.multiplier_set(self.x).poly.project_point(self.lam)[1]
 
     @cached_property
     def faces(self):
@@ -451,18 +469,32 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
 
     The distance in rhs_iii is `PlqPenalty.inverse_subdiff_dist2`, a
     projection onto the normal cone N_Y(lam); it is inf off Y.  Every
-    distance is exact and rounded once.
+    distance is exact and rounded once.  A row with lam = lam_bar reads
+    its distance to the multiplier set, N_Y(lam_bar) and B lam_bar from
+    the point context, and a row with x = xbar reads f(xbar), DPhi(xbar)
+    and Phi(xbar) from it.
     """
     ctx = system.point(xbar, lam_bar).require(
         "error bounds are anchored at an exact solution")
     x = tuple(rat(v) for v in x)
     lam = tuple(rat(v) for v in lam)
-    _, d2 = system.multiplier_set(ctx.x).poly.project_point(lam)
+    at_lam_bar = lam == ctx.lam
+    if at_lam_bar:
+        d2 = ctx.multiplier_dist2
+    else:
+        _, d2 = system.multiplier_set(ctx.x).poly.project_point(lam)
     lhs = norm2(vsub(x, ctx.x)) + sqrt_float(d2)
 
-    psi_norm = norm2(system.psi(x, lam))
-    phix = system.phi.eval(x)
-    d2i = system.penalty.inverse_subdiff_dist2(phix, lam)
+    if x == ctx.x:
+        psi, phix = vadd(ctx.fx, ctx.gmat.rmatvec(lam)), ctx.zbar
+    else:
+        psi, phix = system.psi(x, lam), system.phi.eval(x)
+    psi_norm = norm2(psi)
+    if at_lam_bar:
+        cone = ctx.ncone.as_polyhedron()
+        d2i = cone.project_point(vsub(phix, ctx.blam))[1]
+    else:
+        d2i = system.penalty.inverse_subdiff_dist2(phix, lam)
     rhs_iii = math.inf if d2i is None else psi_norm + sqrt_float(d2i)
     prox_pt = system.penalty.prox(vadd(lam, phix))
     rhs_iv = psi_norm + norm2(vsub(phix, prox_pt))

@@ -464,7 +464,7 @@ from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_6_2"))
 counts = {"outcomes": 0, "tableaux": 0, "pivots": 0, "projecting": 0,
           "active_sets": 0, "systems": 0, "trivial_kernels": 0, "hits": 0,
-          "rref": 0, "vdot": 0}
+          "rref": 0, "vdot": 0, "qp_solve": 0}
 def count_calls(module, name):
     # rebound in every plqstab module that holds the function by name
     original = getattr(module, name)
@@ -478,6 +478,7 @@ def count_calls(module, name):
                     setattr(mod, attr, counted)
 count_calls(linalg, "rref")
 count_calls(rational, "vdot")
+count_calls(qp, "qp_solve")
 solve_each, init, pivot = lp._solve_each, lp._Tableau.__init__, lp._Tableau.pivot
 project, try_subset = polyhedra.Polyhedron.project_point, qp.StrictQpSolver._try_subset
 def counted_solve_each(*args):
@@ -520,7 +521,7 @@ qp.StrictQpSolver._try_subset = counted_try_subset
 analyze_problem(pf)
 print(counts["outcomes"], counts["tableaux"], counts["pivots"],
       counts["active_sets"], counts["systems"], counts["trivial_kernels"],
-      counts["hits"], counts["rref"], counts["vdot"])
+      counts["hits"], counts["rref"], counts["vdot"], counts["qp_solve"])
 """
 
 
@@ -537,9 +538,11 @@ def test_lp_work_counts_on_example_6_2():
     # LP outcomes, tableaux built (one phase 1 each) and pivots, the
     # artificial pivot-out step included.  No nontriviality system solves
     # an LP: example_6_2's multiplier is noncritical, so no witness either.
-    # The SOSC face regions solve none either (generators, no projection);
-    # what is left is the copositivity loop's family points over the rays.
-    assert _example_6_2_work_counts()[:3] == ["6", "6", "20"]
+    # The SOSC face regions solve none either (generators, no projection).
+    # What is left: the emptiness of Y, of the multiplier set and of the
+    # three normal cones the error-bound table projects onto, and the
+    # recession-ray LP of the point's theta QP, which runs once.
+    assert _example_6_2_work_counts()[:3] == ["5", "5", "16"]
 
 
 def test_projection_active_sets_on_example_6_2():
@@ -556,7 +559,13 @@ def test_nontriviality_systems_on_example_6_2():
 def test_exact_kernel_calls_on_example_6_2():
     # Calls of the fraction-free eliminations and dot products, in every
     # module that binds them.
-    assert _example_6_2_work_counts()[7:] == ["112", "971"]
+    assert _example_6_2_work_counts()[7:9] == ["110", "923"]
+
+
+def test_theta_qp_once_per_point_on_example_6_2():
+    # The solution check's Fenchel cross-check and the multiplier set's
+    # subdifferential share one exact theta QP at Phi(xbar).
+    assert _example_6_2_work_counts()[9] == "1"
 
 
 _FORGED_DUALS_SCRIPT = """

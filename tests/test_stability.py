@@ -431,10 +431,11 @@ print(calls[0])
 
 
 def test_theta_qps_of_a_fresh_example_6_2_analysis():
-    # Exact theta QPs of one ENLP point: the point's solution check (one
+    # theta evaluations at one ENLP point: the point's solution check (one
     # subdiff_contains, Fenchel cross-check included) and the
-    # subdifferential of the multiplier set.  Every criterion, the KKT check
-    # and the error-bound table read the checked point context.
+    # subdifferential of the multiplier set, which share one memoized QP.
+    # Every criterion, the KKT check and the error-bound table read the
+    # checked point context.
     out = subprocess.run([sys.executable, "-c", _THETA_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["2"]
