@@ -28,11 +28,13 @@ critical cone K (Dontchev and Rockafellar, SIAM J. Optim. 6, 1996; see
 
     H xi + G^T eta = 0,   eta in D,   B eta - G xi in polar(D),
 
-one homogeneous system per face pair, with polar(D) written through
-multipliers on the rows of K, decided by `stability.nontrivial_over`.
-No graph decomposition or hyperplane arrangement is built;
-`PlqPenalty.graph_pieces` and `polyhedra.limiting_normal_cone_union`
-remain as the reference the tests compare against.
+one homogeneous system per face pair over (xi, eta) alone, written by
+`stability._linearized_system` with the rows of
+polar(D) = polar(F1) cap span(F2)-perp (`polyhedra.difference_polar`),
+and decided by `stability.nontrivial_over`.  No graph decomposition or
+hyperplane arrangement is built; `PlqPenalty.graph_pieces` and
+`polyhedra.limiting_normal_cone_union` remain as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .polymap import Polynomial, PolyMap
 from .qp import _subsets
 from .rational import (ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vscale,
                        vsub)
-from .stability import (_face_system, classify_multiplier, nontrivial_over,
-                        uniqueness_report)
+from .stability import (_linearized_system, classify_multiplier,
+                        nontrivial_over, uniqueness_report)
 from .varsys import VarSystem
 
 __all__ = [
@@ -203,8 +205,7 @@ class EnlpProblem:
         """Graphical-derivative criterion: the linearized KKT system
         admits only the zero direction pair."""
         ctx = self._require_kkt(x, lam)
-        return nontrivial_over((_face_system(ctx, f.piece) for f in ctx.faces),
-                               range(self.n + self.m)) is None
+        return nontrivial_over(ctx.face_systems, range(self.n + self.m)) is None
 
     def lipschitz_like_skkt(self, x, lam) -> bool:
         """Coderivative criterion: only the zero pair satisfies the
@@ -212,9 +213,11 @@ class EnlpProblem:
         subdifferential graph, read from the face pairs of the critical
         cone."""
         ctx = self._require_kkt(x, lam)
-        return nontrivial_over((_face_pair_system(ctx, eq, le)
-                                for eq, le in face_differences(ctx.kcone)),
-                               range(self.n + self.m)) is None
+        # B eta - G xi in polar(D): <-h, G xi - B eta> <= 0 on its le rows h
+        systems = (_linearized_system(ctx, diff,
+                                      (peq, [tuple(-v for v in h) for h in ple]))
+                   for diff, (peq, ple) in face_differences(ctx.kcone))
+        return nontrivial_over(systems, range(self.n + self.m)) is None
 
     def robust_ic_report(self, x, lam) -> StabilityReport:
         """Full stability report with exact theorem-level cross-checks."""
@@ -266,30 +269,6 @@ class EnlpProblem:
                                isolated_calm_skkt=icalm,
                                lipschitz_like_skkt=liplike, robust_ic=robust,
                                consistency_notes=tuple(notes))
-
-
-def _face_pair_system(ctx, eq, le):
-    """The homogeneous system of one face pair over (xi, eta, mu):
-    H xi + G^T eta = 0, eta in D = {<r, eta> = 0 on eq, <= 0 on le} and
-    B eta - G xi = sum mu_r r with mu free on eq and mu >= 0 on le, the
-    last two saying B eta - G xi in polar(D) = span(eq) + cone(le)."""
-    hess, gmat, bmat = ctx.amat, ctx.gmat, ctx.system.penalty.B
-    n, m = hess.ncols, gmat.nrows
-    gens = list(eq) + list(le)
-    nvars = n + m + len(gens)
-    mu0 = (ZERO,) * len(gens)
-    a_eq = [tuple(hess.rows[i]) + tuple(gmat.rows[k][i] for k in range(m)) + mu0
-            for i in range(n)]
-    a_eq += [(ZERO,) * n + tuple(r) + mu0 for r in eq]
-    a_ub = [(ZERO,) * n + tuple(r) + mu0 for r in le]
-    for j in range(m):
-        a_eq.append(tuple(-v for v in gmat.rows[j]) + tuple(bmat.rows[j])
-                    + tuple(-r[j] for r in gens))
-    for k in range(len(eq), len(gens)):
-        row = [ZERO] * nvars
-        row[n + m + k] = -ONE
-        a_ub.append(tuple(row))
-    return nvars, a_eq, a_ub
 
 
 # -- exact copositivity ---------------------------------------------------------------

@@ -13,7 +13,6 @@ __all__ = [
     "kernel_basis",
     "column_space_basis",
     "solve_general",
-    "solve_unique",
     "invert",
     "psd_check",
     "is_positive_definite",
@@ -220,17 +219,6 @@ def solve_general(amat, b):
         x[pc] = red[i][nc]
     null = kernel_basis(rows)
     return tuple(x), null
-
-
-def solve_unique(amat, b):
-    """Unique solution of A x = b; None when inconsistent or underdetermined."""
-    sol = solve_general(amat, b)
-    if sol is None:
-        return None
-    x, null = sol
-    if null:
-        return None
-    return x
 
 
 def invert(mat):

@@ -16,7 +16,9 @@ and Dontchev and Rockafellar (SIAM J. Optim. 6, 1996), the limiting
 normal cone of gph N_Y at (lam, z - B lam) is the union, over faces
 F2 <= F1 of the critical cone K, of polar(F1 - F2) x (F1 - F2); pulled
 back through A^T it is the union of the cones
-{(u, v) : u in F1 - F2, v + B u in polar(F1 - F2)}.  `graph_pieces` (one
+{(u, v) : u in F1 - F2, v + B u in polar(F1 - F2)}, with the rows of
+polar(F1 - F2) = polar(F1) cap span(F2)-perp read off the generators of
+F1 and the span of F2 (`polyhedra.difference_polar`).  `graph_pieces` (one
 polyhedron per face of Y) with `polyhedra.limiting_normal_cone_union`
 computes the same union through a hyperplane arrangement; the two are
 kept as the differential reference, off the verdict path.
@@ -423,17 +425,20 @@ class PlqPenalty:
 def subdiff_graph_normal_cones(penalty: PlqPenalty, zbar, lam) -> PolyUnion:
     """Limiting normal cones to gph(subdiff) at (zbar, lam), in (z, lam)
     space: one cone {(u, v) : u in D, v + B u in polar(D)} per pair of
-    faces F2 <= F1 of the critical cone, D = F1 - F2."""
+    faces F2 <= F1 of the critical cone, D = F1 - F2, with the rows of
+    polar(D) from `polyhedra.difference_polar`."""
     kcone = penalty.critical_cone_at(zbar, lam)
     m, bmat = penalty.m, penalty.B
     zero = (ZERO,) * m
     cones = []
-    for eq, le in face_differences(kcone):
-        rows = [tuple(r) + zero for r in le]
-        rows += [tuple(s * v for v in r) + zero for r in eq for s in (ONE, -ONE)]
-        # <h, v + B u> <= 0 for the rows h of polar(D) = span(eq) + cone(le)
-        rows += [tuple(bmat.matvec(h)) + tuple(h)
-                 for h in PolyCone.from_generators(eq, le, m).rows]
+    for (eq, le), (polar_eq, polar_le) in face_differences(kcone):
+        # u in D, and <h, v + B u> = <(B h, h), (u, v)> is <= 0 on the le
+        # rows h of polar(D) and = 0 on its eq rows
+        le_rows = [tuple(r) + zero for r in le]
+        le_rows += [tuple(bmat.matvec(h)) + tuple(h) for h in polar_le]
+        eq_rows = [tuple(r) + zero for r in eq]
+        eq_rows += [tuple(bmat.matvec(h)) + tuple(h) for h in polar_eq]
+        rows = le_rows + eq_rows + [tuple(-v for v in r) for r in eq_rows]
         cones.append(PolyCone(rows, dim=2 * m))
     return PolyUnion(cones)
 

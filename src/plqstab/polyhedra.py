@@ -2,9 +2,9 @@
 
 H-representation polyhedra and cones over the rationals, with the cone
 calculus used by the stability analyses: tangent, normal, critical and
-polar cones, face enumeration and the differences F1 - F2 of nested
-faces, horizon cones, Euclidean projection (a strictly convex QP solved
-by `qp.StrictQpSolver`), and, off the verdict path, Fourier-Motzkin
+polar cones, face enumeration, the differences F1 - F2 of nested faces
+and their polars, horizon cones, Euclidean projection (a strictly convex
+QP solved by `qp.StrictQpSolver`), and, off the verdict path, Fourier-Motzkin
 projection (for `plq.PlqPenalty.graph_pieces`) and limiting normal
 cones of finite unions (through a hyperplane arrangement; the reference
 for the face-pair formula in `plq`).
@@ -37,6 +37,7 @@ __all__ = [
     "normal_cone",
     "critical_cone",
     "face_differences",
+    "difference_polar",
     "dual_cone",
     "polar_cone",
     "horizon_cone",
@@ -92,12 +93,6 @@ class Polyhedron:
         self._cache: dict = {}
 
     # -- construction ------------------------------------------------------
-    @staticmethod
-    def whole_space(dim):
-        p = Polyhedron((), ())
-        p._dim = dim
-        return p
-
     @staticmethod
     def empty(dim):
         p = Polyhedron(((ZERO,) * dim,), (-ONE,))
@@ -166,9 +161,10 @@ class Polyhedron:
         return Face(tight=tight, piece=Polyhedron(rows, rhs).with_dim(self.dim))
 
     def is_empty(self) -> bool:
+        """Decided by one LP, unless the origin satisfies every row."""
         if "empty" in self._cache:
             return self._cache["empty"]
-        if self._dim is None:
+        if self._dim is None or all(a >= 0 for a in self.alpha):
             self._cache["empty"] = False
             return False
         pt = lp_feasible_point(self.b, self.alpha, n=self.dim)
@@ -185,9 +181,6 @@ class Polyhedron:
         return self._cache["point"]
 
     # -- misc geometry -------------------------------------------------------
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        return Polyhedron(self.b + other.b, self.alpha + other.alpha).with_dim(self.dim)
-
     def implicit_equality_rows(self):
         """Inequality rows satisfied with equality everywhere on the set."""
         if "implicit" in self._cache:
@@ -299,14 +292,11 @@ class PolyCone:
         if self._dim is None:
             raise ValueError("cone dimension cannot be inferred from no rows")
         self._poly = None
+        self._span = None
 
     @property
     def dim(self):
         return self._dim
-
-    @staticmethod
-    def whole_space(dim):
-        return PolyCone((), dim=dim)
 
     @staticmethod
     def from_generators(lineality, rays, dim):
@@ -364,13 +354,16 @@ class PolyCone:
         return self.generators()[1]
 
     def span_basis(self):
-        """Basis of the linear span of the cone."""
-        lin, rays = self.generators()
-        stacked = list(lin) + list(rays)
-        if not stacked:
-            return ()
-        red, piv = rref(stacked)
-        return tuple(primitive(tuple(red[i])) for i in range(len(piv)))
+        """Basis of the linear span of the cone, memoized on the instance."""
+        if self._span is None:
+            lin, rays = self.generators()
+            stacked = list(lin) + list(rays)
+            self._span = ()
+            if stacked:
+                red, piv = rref(stacked)
+                self._span = tuple(primitive(tuple(red[i]))
+                                   for i in range(len(piv)))
+        return self._span
 
     def is_trivial(self) -> bool:
         lin, rays = self.generators()
@@ -538,14 +531,28 @@ def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
     return PolyCone(rows, dim=p.dim)
 
 
+def difference_polar(f1: PolyCone, f2: PolyCone):
+    """polar(F1 - F2) for cones F2 <= F1, as rows (eq, le):
+    {w : <h, w> = 0 for h in eq, <h, w> <= 0 for h in le}.
+
+    polar(F1 - F2) = polar(F1) cap polar(-F2), and every w in polar(F1)
+    is <= 0 on F2 already, so the set is polar(F1) cap span(F2)-perp: eq
+    holds F1's lineality basis and a basis of span(F2), le F1's extreme
+    rays.  Both generator forms come from the memos, so no double
+    description runs per pair.
+    """
+    lin, rays = f1.generators()
+    return list(lin) + list(f2.span_basis()), list(rays)
+
+
 def face_differences(cone: PolyCone):
-    """F1 - F2 for each pair of faces F2 <= F1 of the cone, as (eq, le).
+    """F1 - F2 for each pair of faces F2 <= F1 of the cone, as the pair
+    ((eq, le), polar), polar = `difference_polar(F1, F2)`.
 
     With T1 <= T2 the tight row sets of F1 and F2, F1 - F2 is the tangent
     cone of F1 at a relative interior point of F2:
     {v : <r, v> = 0 for r in eq, <r, v> <= 0 for r in le}, eq the rows in
-    T1 (one of each opposite pair) and le the rows in T2 - T1.  Its polar
-    is span(eq) + cone(le).
+    T1 (one of each opposite pair) and le the rows in T2 - T1.
     """
     faces = cone.faces()
     out = []
@@ -556,7 +563,8 @@ def face_differences(cone: PolyCone):
                 eq.append(cone.rows[i])
         for f2 in faces:
             if f1.tight <= f2.tight:
-                out.append((eq, [cone.rows[i] for i in sorted(f2.tight - f1.tight)]))
+                le = [cone.rows[i] for i in sorted(f2.tight - f1.tight)]
+                out.append(((eq, le), difference_polar(f1.piece, f2.piece)))
     return out
 
 

@@ -253,10 +253,6 @@ def to_float(value) -> float:
 
 # -- small tuple-vector helpers (vectors are tuples of Rat) ------------------
 
-def vec(values):
-    return tuple(rat(v) for v in values)
-
-
 def vadd(a, b):
     return tuple(x + y if y else x for x, y in zip(a, b))
 

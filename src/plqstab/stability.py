@@ -10,12 +10,18 @@ with A the partial Jacobian of the residual, G the constraint Jacobian
 and K the critical cone.  The solution set decomposes over the faces F
 of K (complementarity is automatic when eta in F and the residual lies
 in polar(K) with F orthogonal), leaving one linear-conic system per
-face.  `nontrivial_over` decides a family of such homogeneous systems,
-each by double description on the kernel of its equality rows (Fukuda
-and Prodon, 1996), with no LP; criticality, dual qualification and, in
-`enlp`, isolated calmness, Lipschitz-likeness and the basic
-qualification all make that decision.  Only a critical verdict solves
-LPs: its witness maximizes the tested coordinates of the first
+face.  Every criterion asks whether such a system is nontrivial, and one
+builder, `_linearized_system`, writes them all: eta in a cone C and the
+residual G xi - B eta in (or, for the coderivative, its negative in) the
+polar of a face difference F1 - F2, whose rows `polyhedra.difference_polar`
+reads off F1's generators and F2's span.  Criticality and isolated
+calmness take C = F with polar(K - F) = polar(K) cap F-perp, dual
+qualification takes the same face systems at xi = 0, and, in `enlp`,
+the coderivative test takes C = F1 - F2.  `nontrivial_over` decides a
+family of such homogeneous systems, each by double description on the
+kernel of its equality rows (Fukuda and Prodon, 1996), with no LP; the
+basic qualification makes that decision too.  Only a critical verdict
+solves LPs: its witness maximizes the tested coordinates of the first
 nontrivial face system under a box normalization.
 
 Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
@@ -43,7 +49,7 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
-                        critical_cone, normal_cone)
+                        critical_cone, difference_polar, normal_cone)
 from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
                        sqrt_float, to_float_vec, vadd, vdot, vscale, vsub)
 from .varsys import VarSystem
@@ -150,51 +156,29 @@ def trace_is_divergent(trace: ProbeTrace, tail=5, threshold=1e3) -> bool:
     return tail_rs[-1] > threshold
 
 
-# -- shared face-system machinery ------------------------------------------------
+# -- the linearized system ------------------------------------------------------
 
 
-def _residual_rows(kcone: PolyCone, face_piece: PolyCone):
-    """Rows (h, kind) describing membership in polar(K) intersect F-perp.
+def _linearized_system(ctx, eta_rows, polar_rows):
+    """The homogeneous system (n + m, eq rows, le rows) over (xi, eta)
 
-    kind is 'le' for <h, v> <= 0 and 'eq' for <h, v> = 0.
-    """
-    lin, rays = kcone.generators()
-    rows = [(r, "le") for r in rays]
-    rows += [(l, "eq") for l in lin]
-    rows += [(g, "eq") for g in face_piece.span_basis()]
-    return rows
+        A xi + G^T eta = 0,   eta in C,   <h, G xi - B eta> = 0 or <= 0,
 
-
-def _face_system(ctx, face_piece: PolyCone):
-    """The homogeneous system (nvars, eq rows, le rows) over (xi, eta) of one
-    face at a point context: A = d(Psi)/dx, G = DPhi(x), K its critical
-    cone."""
-    amat, gmat, bmat = ctx.amat, ctx.gmat, ctx.system.penalty.B
+    at a point context: A = d(Psi)/dx, G = DPhi(x), C the cone of the row
+    pair `eta_rows` = (eq, le), and one condition on the residual
+    G xi - B eta per row h of `polar_rows` = (eq, le), = 0 on the eq rows
+    and <= 0 on the le rows."""
+    amat, gmat = ctx.amat, ctx.gmat
     n, m = amat.ncols, gmat.nrows
-    a_eq, a_ub = [], []
-    for i in range(n):  # A xi + G^T eta = 0
-        a_eq.append(tuple(amat.rows[i]) + tuple(gmat.rows[k][i] for k in range(m)))
-    for b in face_piece.rows:  # eta in F
-        a_ub.append((ZERO,) * n + tuple(b))
-    for h, kind in _residual_rows(ctx.kcone, face_piece):
-        # <h, G xi - B eta> = (G^T h) . xi - (B h) . eta
-        row = tuple(gmat.rmatvec(h)) + tuple(-v for v in bmat.matvec(h))
-        (a_eq if kind == "eq" else a_ub).append(row)
+    zero = (ZERO,) * n
+    (eta_eq, eta_le), (polar_eq, polar_le) = eta_rows, polar_rows
+    a_eq = [tuple(amat.rows[i]) + tuple(gmat.rows[k][i] for k in range(m))
+            for i in range(n)]
+    a_eq += [zero + tuple(r) for r in eta_eq]
+    a_eq += [ctx.residual_row(h) for h in polar_eq]
+    a_ub = [zero + tuple(r) for r in eta_le]
+    a_ub += [ctx.residual_row(h) for h in polar_le]
     return n + m, a_eq, a_ub
-
-
-def _dqc_system(ctx, face_piece: PolyCone):
-    """The homogeneous system over eta of one face: eta in F, -B eta in
-    polar(K) cap F-perp, DPhi(x)^T eta = 0."""
-    bmat, gmat = ctx.system.penalty.B, ctx.gmat
-    m, n = ctx.system.m, ctx.system.n
-    a_ub = [tuple(b) for b in face_piece.rows]  # eta in F
-    a_eq = []
-    for h, kind in _residual_rows(ctx.kcone, face_piece):
-        (a_eq if kind == "eq" else a_ub).append(tuple(-v for v in bmat.matvec(h)))
-    for j in range(n):  # eta in ker(DPhi^T)
-        a_eq.append(tuple(gmat.rows[i][j] for i in range(m)))
-    return m, a_eq, a_ub
 
 
 def _nontrivial_point(nvars, a_eq, a_ub, coords):
@@ -283,6 +267,7 @@ class PointContext:
 
     def __init__(self, system, x, lam):
         self.system, self.x, self.lam = system, x, lam
+        self._row_images = {}
 
     @cached_property
     def zbar(self):
@@ -346,18 +331,34 @@ class PointContext:
     def faces(self):
         return self.kcone.faces()
 
+    def residual_row(self, h):
+        """The row (G^T h, -B h) of <h, G xi - B eta> over (xi, eta),
+        memoized per h."""
+        if h not in self._row_images:
+            self._row_images[h] = (
+                tuple(self.gmat.rmatvec(h))
+                + tuple(-v for v in self.system.penalty.B.matvec(h)))
+        return self._row_images[h]
+
+    @cached_property
+    def face_systems(self):
+        """The linearized system of each face F of K: eta in F and the
+        residual in polar(K - F) = polar(K) cap F-perp, which makes it
+        complementary to eta."""
+        return [_linearized_system(self, ((), f.piece.rows),
+                                   difference_polar(self.kcone, f.piece))
+                for f in self.faces]
+
     @cached_property
     def criticality(self) -> CriticalityVerdict:
         n, faces = self.system.n, self.faces
-        index = nontrivial_over((_face_system(self, f.piece) for f in faces),
-                                range(n))
+        index = nontrivial_over(self.face_systems, range(n))
         examined = faces if index is None else faces[:index]
         certificates = tuple((f.tight, "only xi = 0") for f in examined)
         if index is None:
             return CriticalityVerdict(critical=False, face_count=len(faces),
                                       face_certificates=certificates)
-        point = _nontrivial_point(*_face_system(self, faces[index].piece),
-                                  range(n))
+        point = _nontrivial_point(*self.face_systems[index], range(n))
         if point is None:
             raise InternalConsistencyError(
                 "the witness LP finds no point on a nontrivial face system")
@@ -370,8 +371,11 @@ class PointContext:
 
     @cached_property
     def dqc(self) -> bool:
-        return nontrivial_over((_dqc_system(self, f.piece) for f in self.faces),
-                               range(self.system.m)) is None
+        """The face systems at xi = 0: their eta columns."""
+        n = self.system.n
+        systems = ((nvars - n, [r[n:] for r in a_eq], [r[n:] for r in a_ub])
+                   for nvars, a_eq, a_ub in self.face_systems)
+        return nontrivial_over(systems, range(self.system.m)) is None
 
     @cached_property
     def regions(self):

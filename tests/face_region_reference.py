@@ -6,9 +6,8 @@ of {(u, y) : y in F, u - B y in polar(K) cap F-perp}, computed by
 `polyhedra.fm_project` (LP redundancy pruning after every elimination).
 """
 
-from plqstab.polyhedra import PolyCone, Polyhedron, fm_project
+from plqstab.polyhedra import PolyCone, Polyhedron, difference_polar, fm_project
 from plqstab.rational import ZERO
-from plqstab.stability import _residual_rows
 
 
 def face_region(ctx, face):
@@ -19,12 +18,10 @@ def face_region(ctx, face):
     for b in face.piece.rows:
         rows.append((ZERO,) * m + tuple(b))
         rhs.append(ZERO)
-    for h, kind in _residual_rows(ctx.kcone, face.piece):
-        row = tuple(h) + tuple(-v for v in bmat.matvec(h))
-        rows.append(row)
+    polar_eq, polar_le = difference_polar(ctx.kcone, face.piece)
+    # u - B y in polar(K - F), its eq rows as opposite pairs
+    for h in polar_le + polar_eq + [tuple(-v for v in h) for h in polar_eq]:
+        rows.append(tuple(h) + tuple(-v for v in bmat.matvec(h)))
         rhs.append(ZERO)
-        if kind == "eq":
-            rows.append(tuple(-v for v in row))
-            rhs.append(ZERO)
     lifted = Polyhedron(rows, rhs).with_dim(2 * m)
     return PolyCone(fm_project(lifted, range(m)).b, dim=m)

@@ -15,6 +15,7 @@ from plqstab import (ProblemFileError, analyze_problem, corpus_names,
 from plqstab.cli import main as cli_main
 from plqstab.exprparse import ParseError
 from plqstab.problemfile import MAX_DIMENSION, parse_problem_doc
+from support import random_enlp_docs
 
 
 def _doc(**overrides):
@@ -143,6 +144,24 @@ def test_cli_exact_report_bytes_are_pinned(capsys):
         assert cli_main(["analyze", corpus_path(name), "--report", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
+# sha256 over the concatenated `--report json` outputs of the benchmark's
+# random-enlp pools 1-20, five problems each, in pool order: 100 exact
+# reports whose verdicts exercise every criterion.
+_RANDOM_ENLP_REPORTS_SHA256 = (
+    "0ee4d22dfc132f9e028a876d1627a26f6ac89b2794dd65fb9816aa05fc131b5d")
+
+
+def test_cli_random_enlp_report_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for seed in range(1, 21):
+        for name, doc in random_enlp_docs(seed, 5):
+            path = tmp_path / (name + ".json")
+            path.write_text(json.dumps(doc))
+            assert cli_main(["analyze", str(path), "--report", "json"]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == _RANDOM_ENLP_REPORTS_SHA256
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -539,10 +539,11 @@ def test_lp_work_counts_on_example_6_2():
     # artificial pivot-out step included.  No nontriviality system solves
     # an LP: example_6_2's multiplier is noncritical, so no witness either.
     # The SOSC face regions solve none either (generators, no projection).
-    # What is left: the emptiness of Y, of the multiplier set and of the
-    # three normal cones the error-bound table projects onto, and the
-    # recession-ray LP of the point's theta QP, which runs once.
-    assert _example_6_2_work_counts()[:3] == ["5", "5", "16"]
+    # Y, the multiplier set and the three normal cones the error-bound
+    # table projects onto contain the origin, so their emptiness needs no
+    # LP.  What is left is the recession-ray LP of the point's theta QP,
+    # which runs once.
+    assert _example_6_2_work_counts()[:3] == ["1", "1", "4"]
 
 
 def test_projection_active_sets_on_example_6_2():
@@ -558,8 +559,9 @@ def test_nontriviality_systems_on_example_6_2():
 
 def test_exact_kernel_calls_on_example_6_2():
     # Calls of the fraction-free eliminations and dot products, in every
-    # module that binds them.
-    assert _example_6_2_work_counts()[7:9] == ["110", "923"]
+    # module that binds them.  Each face's span basis is reduced once, and
+    # each row of a polar is mapped to (G^T h, -B h) once per point.
+    assert _example_6_2_work_counts()[7:9] == ["101", "821"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():

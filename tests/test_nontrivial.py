@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import face_system_reference
 import nontrivial_reference
 import plqstab.enlp as enlp
 import plqstab.polyhedra as polyhedra
@@ -57,6 +58,67 @@ def test_analysis_systems_match_the_lp_reference(monkeypatch):
     assert {index is None for _, _, index in calls} == {True, False}
     for family, coords, index in calls:
         _assert_matches_reference(family, coords, index)
+
+
+def _criterion_systems(monkeypatch, criterion):
+    """The systems that one criterion call hands to `nontrivial_over`,
+    read in full."""
+    families = []
+    nontrivial_over = stability.nontrivial_over
+
+    def recorded(systems, coords):
+        families.append(list(systems))
+        return nontrivial_over(families[-1], coords)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stability, "nontrivial_over", recorded)
+        patch.setattr(enlp, "nontrivial_over", recorded)
+        criterion()
+    (systems,) = families
+    return systems
+
+
+def _assert_same_verdicts(got, want, coords):
+    assert len(got) == len(want)
+    for new, old in zip(got, want):
+        assert (stability.nontrivial_over([new], coords)
+                == stability.nontrivial_over([old], coords))
+    return sum(stability.nontrivial_over([new], coords) is not None
+               for new in got)
+
+
+def test_linearized_systems_match_the_mu_form_reference(monkeypatch):
+    # Dual qualification on each face and the coderivative test on each
+    # face pair, at the solution points of the corpus and of random-enlp
+    # pool seeds 1-3: each system over (xi, eta) decides as the reference
+    # system does (over eta, and over (xi, eta, mu)).
+    files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
+    files += [parse_problem_doc(doc) for seed in (1, 2, 3)
+              for _, doc in random_enlp_docs(seed, 10)]
+    counts = {"dqc": 0, "dqc hits": 0, "pairs": 0, "pair hits": 0}
+    for pf in files:
+        problem = pf.problem
+        system = getattr(problem, "to_varsys", lambda: problem)()
+        n, m = system.n, system.m
+        for x, lam in pf.points:
+            ctx = system.point(x, lam)
+            if not ctx.solves:
+                continue
+            got = _criterion_systems(monkeypatch, lambda: ctx.dqc)
+            want = [face_system_reference.dqc_system(ctx, f.piece)
+                    for f in ctx.faces]
+            counts["dqc hits"] += _assert_same_verdicts(got, want, range(m))
+            counts["dqc"] += len(got)
+            if not isinstance(problem, enlp.EnlpProblem):
+                continue
+            got = _criterion_systems(
+                monkeypatch, lambda: problem.lipschitz_like_skkt(x, lam))
+            want = [face_system_reference.face_pair_system(ctx, eq, le)
+                    for (eq, le), _ in polyhedra.face_differences(ctx.kcone)]
+            counts["pair hits"] += _assert_same_verdicts(got, want,
+                                                         range(n + m))
+            counts["pairs"] += len(got)
+    assert min(counts.values()) >= 5 and counts["pairs"] >= 50, counts
 
 
 def _random_system(rng, kind):

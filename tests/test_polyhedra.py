@@ -12,6 +12,7 @@ from plqstab import (PolyCone, Polyhedron, PolyUnion, analyze_problem,
                      rat, tangent_cone)
 from plqstab import enlp, stability
 from plqstab.linalg import rank
+from plqstab.lp import lp_feasible_point
 from plqstab.rational import vdot
 from dd_reference import cone_generators_by_lp, faces_by_lp, in_cone_span
 from projection_reference import project_by_subsets
@@ -202,6 +203,40 @@ def test_faces_closed_under_intersection():
         for f2 in faces:
             meet = PolyCone(list(f1.piece.rows) + list(f2.piece.rows), dim=3)
             assert any(meet.set_equal(f.piece) for f in faces)
+
+
+def test_difference_polar_matches_double_description():
+    # polar(F1 - F2) for every pair of faces F2 <= F1 of random cones, as
+    # rows from the faces' generators, against the polar that double
+    # description makes of the generators span(eq) + cone(le) of F1 - F2.
+    rng = random.Random(1996)
+    pairs = with_lineality = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        cone = rand_cone(rng, dim)
+        for (eq, le), (polar_eq, polar_le) in polyhedra.face_differences(cone):
+            rows = polar_le + polar_eq + [tuple(-v for v in h) for h in polar_eq]
+            got = PolyCone(rows, dim=dim)
+            assert got.set_equal(PolyCone.from_generators(eq, le, dim)), cone.rows
+            pairs += 1
+            with_lineality += bool(eq) and bool(le)
+    assert pairs >= 500 and with_lineality >= 50, (pairs, with_lineality)
+
+
+def test_emptiness_matches_the_lp():
+    # A polyhedron whose right-hand sides are all >= 0 holds the origin
+    # and is decided without an LP; every verdict agrees with one.
+    rng = random.Random(1168)
+    shortcut = 0
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        rows = [tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
+                for _ in range(rng.randint(1, 5))]
+        rhs = [rat(rng.randint(-2, 3)) for _ in rows]
+        p = Polyhedron(rows, rhs).with_dim(dim)
+        shortcut += all(a >= 0 for a in p.alpha)
+        assert p.is_empty() == (lp_feasible_point(p.b, p.alpha, n=dim) is None)
+    assert 20 <= shortcut <= 180, shortcut
 
 
 # -- double description and faces against the LP reference --------------------------
