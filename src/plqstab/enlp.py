@@ -14,8 +14,10 @@ from generators (`stability._face_region`), on it the penalty is an
 explicit quadratic form (solved on the span of the face with a rational
 pseudo-inverse), and strict or non-strict copositivity of each pulled
 back form is decided exactly: definiteness on the lineality space of
-the pulled back cone, then stationary families of the Schur complement
-over the simplex of its extreme rays (`copositive_on_cone`).
+the pulled back cone (`linalg.reduce_lineality`, the symmetric
+elimination behind every PSD and PD test), then stationary families of
+the Schur complement over the simplex of its extreme rays
+(`copositive_on_cone`).
 
 The criteria at (x, lam) share one memoized point context of the induced
 system (`stability.PointContext`): one solution check, and the Hessian,
@@ -42,15 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, solve_general
+from .linalg import RatMatrix, reduce_lineality, solve_general
 from .lp import lp_feasible_point
 from .plq import PlqPenalty
 from .polyhedra import (PolyCone, Polyhedron, _cone_generators,
                         face_differences, normal_cone)
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
-from .rational import (ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vscale,
-                       vsub)
+from .rational import ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vsub
 from .stability import (_linearized_system, classify_multiplier,
                         nontrivial_over, uniqueness_report)
 from .varsys import VarSystem
@@ -281,7 +282,8 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     description (`_cone_generators`, called directly, so no memo grows;
     every generator is checked against the cone's rows).  With
     M = [L R]^T Q [L R], blocks Q_LL, Q_LR, Q_RR, the lineality block is
-    eliminated by one symmetrically pivoted LDL^T (`_reduce_lineality`):
+    eliminated by one symmetrically pivoted LDL^T (`linalg.reduce_lineality`,
+    the elimination behind `psd_check` and `is_positive_definite` too):
     on a subspace, copositivity is definiteness (Martin and Jacobson,
     Linear Algebra Appl. 35, 1981), and the rays see the Schur complement
     S = Q_RR - Q_LR^T Q_LL^+ Q_LR (Hiriart-Urruty and Seeger, SIAM
@@ -308,8 +310,8 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     if not gens:
         return True, None
     gcols = RatMatrix.from_cols(gens)
-    coeffs, schur, lifts = _reduce_lineality(gcols.T @ qform @ gcols,
-                                             len(lin), strict)
+    coeffs, schur, lifts = reduce_lineality(gcols.T @ qform @ gcols,
+                                            len(lin), strict)
     if coeffs is None:
         c = _orthant_copositive(schur, strict)
         if c is None:
@@ -318,66 +320,6 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     witness = gcols.matvec(coeffs)
     _check_witness(qform, cone, witness, strict)
     return False, witness
-
-
-def _reduce_lineality(mhat: RatMatrix, nlin, strict):
-    """Eliminate the first `nlin` (lineality) coordinates of the form
-    c^T Mhat c by congruence, pivoting on positive diagonal entries.
-
-    Returns (coefficients of a witness, None, None) when the lineality
-    block is not positive definite (strict) or not PSD, or when a ray
-    column leaves its range (non-strict); otherwise (None, S, lifts),
-    with S the Schur complement on the ray coordinates and lifts[j] the
-    coefficient vector of ray j with its lineality part minimizing the
-    form, so that sum c_j lifts[j] attains c^T S c.  The working matrix is W = T^T Mhat T with T unit triangular, kept as
-    its pivot steps; `column(i)` is T e_i, so that W_ij is the form
-    between T e_i and T e_j.
-    """
-    size = mhat.nrows
-    w = [list(r) for r in mhat.rows]
-    steps = []  # (pivot, {i: W_pi / W_pp})
-    free = list(range(nlin))
-    rays = list(range(nlin, size))
-    while True:
-        piv = next((i for i in free if w[i][i] > 0), None)
-        if piv is None:
-            break
-        free.remove(piv)
-        d, prow = w[piv][piv], w[piv]
-        f = {i: prow[i] / d for i in free + rays if prow[i]}
-        for i, fi in f.items():
-            wi = w[i]
-            for j in f:
-                wi[j] -= fi * prow[j]
-        steps.append((piv, f))
-
-    def column(i):
-        v = [ZERO] * size
-        v[i] = ONE
-        for piv, f in reversed(steps):
-            s = sum(fj * v[j] for j, fj in f.items() if v[j])
-            if s:
-                v[piv] -= s
-        return v
-
-    # the unpivoted lineality block has no positive diagonal entry left
-    for i in free:
-        if w[i][i] < 0:
-            return column(i), None, None
-    for a, i in enumerate(free):
-        for j in free[a + 1:]:
-            if w[i][j]:
-                sign = ONE if w[i][j] < 0 else -ONE
-                return vadd(column(i), vscale(sign, column(j))), None, None
-    if free and strict:  # Q_LL singular: a kernel direction has value 0
-        return column(free[0]), None, None
-    for i in free:  # column(i) spans ker Q_LL together with the others
-        for j in rays:
-            if w[i][j]:  # Q_LR e_j leaves range(Q_LL)
-                t = -(abs(w[j][j]) + 1) / w[i][j]
-                return vadd(vscale(t, column(i)), column(j)), None, None
-    schur = RatMatrix(tuple(tuple(w[i][j] for j in rays) for i in rays))
-    return None, schur, [column(j) for j in rays]
 
 
 def _orthant_copositive(smat: RatMatrix, strict):

@@ -1,8 +1,12 @@
-"""Exact rational matrices, linear solving, and PSD tests."""
+"""Exact rational matrices, linear solving, and the sign of a symmetric
+form: one symmetrically pivoted LDL^T (`reduce_lineality`) decides PSD,
+PD and the lineality reduction of copositivity."""
 
 from __future__ import annotations
 
-from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints, vdot
+from .errors import InternalConsistencyError
+from .rational import (ONE, ZERO, Rat, primitive_ints, rat, scaled_ints, vadd,
+                       vdot, vscale)
 
 __all__ = [
     "RatMatrix",
@@ -14,6 +18,7 @@ __all__ = [
     "column_space_basis",
     "solve_general",
     "invert",
+    "reduce_lineality",
     "psd_check",
     "is_positive_definite",
     "pseudo_inverse_psd",
@@ -244,45 +249,80 @@ def _require_symmetric(mat):
     return m
 
 
+def reduce_lineality(mhat, nlin, strict):
+    """Eliminate the first `nlin` (lineality) coordinates of the form
+    c^T Mhat c by congruence: one symmetrically pivoted LDL^T, pivoting
+    on positive diagonal entries.  The remaining coordinates are rays.
+
+    Returns (coefficients of a witness, None, None) when the lineality
+    block is not positive definite (strict) or not PSD, or when a ray
+    column leaves its range (non-strict); otherwise (None, S, lifts),
+    with S the Schur complement on the ray coordinates and lifts[j] the
+    coefficient vector of ray j with its lineality part minimizing the
+    form, so that sum c_j lifts[j] attains c^T S c.  A witness c is
+    nonzero with c^T Mhat c < 0 (<= 0 when strict).  The working matrix
+    is W = T^T Mhat T with T unit triangular, kept as its pivot steps;
+    `column(i)` is T e_i, so that W_ij is the form between T e_i and
+    T e_j.  With nlin = size there are no rays, and the verdict is
+    `is_positive_definite` (strict) or `psd_check` of Mhat.
+    """
+    size = mhat.nrows
+    w = [list(r) for r in mhat.rows]
+    steps = []  # (pivot, {i: W_pi / W_pp})
+    free = list(range(nlin))
+    rays = list(range(nlin, size))
+    while True:
+        piv = next((i for i in free if w[i][i] > 0), None)
+        if piv is None:
+            break
+        free.remove(piv)
+        d, prow = w[piv][piv], w[piv]
+        f = {i: prow[i] / d for i in free + rays if prow[i]}
+        for i, fi in f.items():
+            wi = w[i]
+            for j in f:
+                wi[j] -= fi * prow[j]
+        steps.append((piv, f))
+
+    def column(i):
+        v = [ZERO] * size
+        v[i] = ONE
+        for piv, f in reversed(steps):
+            s = sum(fj * v[j] for j, fj in f.items() if v[j])
+            if s:
+                v[piv] -= s
+        return v
+
+    # the unpivoted lineality block has no positive diagonal entry left
+    for i in free:
+        if w[i][i] < 0:
+            return column(i), None, None
+    for a, i in enumerate(free):
+        for j in free[a + 1:]:
+            if w[i][j]:
+                sign = ONE if w[i][j] < 0 else -ONE
+                return vadd(column(i), vscale(sign, column(j))), None, None
+    if free and strict:  # singular block: a kernel direction has value 0
+        return column(free[0]), None, None
+    for i in free:  # the column(i) span the kernel of the block
+        for j in rays:
+            if w[i][j]:  # ray column j leaves the range of the block
+                t = -(abs(w[j][j]) + 1) / w[i][j]
+                return vadd(vscale(t, column(i)), column(j)), None, None
+    schur = RatMatrix(tuple(tuple(w[i][j] for j in rays) for i in rays))
+    return None, schur, [column(j) for j in rays]
+
+
 def psd_check(mat) -> bool:
-    """Exact positive-semidefiniteness via symmetrically pivoted LDL^T."""
+    """Exact positive-semidefiniteness: `reduce_lineality`, no rays."""
     m = _require_symmetric(mat)
-    n = m.nrows
-    a = [list(r) for r in m.rows]
-    idx = list(range(n))
-    k = 0
-    while k < n:
-        p = next((i for i in range(k, n) if a[i][i] > 0), None)
-        if p is None:
-            # all remaining diagonal entries are <= 0
-            for i in range(k, n):
-                if a[i][i] < 0:
-                    return False
-                for j in range(k, n):
-                    if a[i][j] != 0:
-                        return False
-            return True
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            for row in a:
-                row[k], row[p] = row[p], row[k]
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / piv
-                ai, ak = a[i], a[k]
-                for j in range(k, n):
-                    ai[j] -= f * ak[j]
-        for j in range(k, n):
-            a[k][j] = ZERO
-            a[j][k] = ZERO
-        k += 1
-    return True
+    return reduce_lineality(m, m.nrows, False)[0] is None
 
 
 def is_positive_definite(mat) -> bool:
+    """Exact positive-definiteness: `reduce_lineality`, no rays, strict."""
     m = _require_symmetric(mat)
-    return psd_check(m) and rank(m) == m.nrows
+    return reduce_lineality(m, m.nrows, True)[0] is None
 
 
 def pseudo_inverse_psd(mat):
@@ -298,5 +338,5 @@ def pseudo_inverse_psd(mat):
     w = v.T @ m @ v
     winv = invert(w)
     if winv is None:  # cannot happen for PSD M with V spanning range(M)
-        raise ArithmeticError("core block unexpectedly singular")
+        raise InternalConsistencyError("core block unexpectedly singular")
     return v @ winv @ v.T

@@ -8,10 +8,11 @@ at desk scale (at most 2^p subsets for p inequality rows):
 
 * positive definite Q: each linearly independent active set gives one
   bordered KKT system; the first consistent candidate that is feasible
-  with nonnegative multipliers is the unique minimizer;
-* singular PSD Q: after an explicit descent-ray test, each subset is
-  checked by an LP feasibility run over the full KKT conditions, whose
-  any solution is a global minimizer.
+  with nonnegative multipliers is the unique minimizer.  Such a Q needs
+  no descent-ray test and solves no LP: Q d = 0 forces d = 0;
+* singular PSD Q: after an explicit descent-ray test (one LP), each
+  subset is checked by an LP feasibility run over the full KKT
+  conditions, whose any solution is a global minimizer.
 
 Returned optima satisfy the KKT conditions exactly by construction.
 P is a `polyhedra.Polyhedron`; this module does not import `polyhedra`,
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, invert, is_positive_definite, psd_check, rank
+from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
+                     rref)
 from .lp import lp_feasible_point
 from .rational import ONE, ZERO, rat, to_float, vdot
 
@@ -76,8 +78,12 @@ def _descent_ray(qmat: RatMatrix, c, poly):
 
 
 def qp_solve(qmat: RatMatrix, c, poly):
-    """Exact outcome: QpInfeasible | QpUnbounded(ray) | QpOptimal(point, value)."""
-    if not psd_check(qmat):
+    """Exact outcome: QpInfeasible | QpUnbounded(ray) | QpOptimal(point, value).
+
+    One elimination decides a positive definite Q, which has no descent
+    ray (Q d = 0 forces d = 0); only another Q takes a second, PSD one."""
+    pd = is_positive_definite(qmat)
+    if not pd and not psd_check(qmat):
         raise ValueError("quadratic term must be symmetric positive semidefinite")
     c = tuple(rat(v) for v in c)
     n = qmat.nrows
@@ -86,13 +92,13 @@ def qp_solve(qmat: RatMatrix, c, poly):
     poly = poly.with_dim(n)
     if poly.is_empty():
         return QpInfeasible()
-    ray = _descent_ray(qmat, c, poly)
-    if ray is not None:
-        return QpUnbounded(ray=ray)
-    if is_positive_definite(qmat):
+    if pd:
         y = StrictQpSolver(qmat, poly).solve(c)
-        return QpOptimal(point=y, value=_objective(qmat, c, y))
-    y = _solve_singular(qmat, c, poly)
+    else:
+        ray = _descent_ray(qmat, c, poly)
+        if ray is not None:
+            return QpUnbounded(ray=ray)
+        y = _solve_singular(qmat, c, poly)
     return QpOptimal(point=y, value=_objective(qmat, c, y))
 
 
@@ -152,12 +158,11 @@ class StrictQpSolver:
         self.n = qmat.nrows
         self._solvers: dict = {}
         eq_rows, eq_rhs = poly.eq_system()
-        # dependent equality rows are implied (P nonempty): keep a basis
-        self._eq_rows, self._eq_rhs = [], []
-        for r, a in zip(eq_rows, eq_rhs):
-            if rank(self._eq_rows + [list(r)]) > len(self._eq_rows):
-                self._eq_rows.append(list(r))
-                self._eq_rhs.append(a)
+        # dependent equality rows are implied (P nonempty): keep the basis
+        # of the first independent rows, the pivot columns of the transpose
+        basis = rref(list(zip(*eq_rows)))[1] if eq_rows else []
+        self._eq_rows = [list(eq_rows[k]) for k in basis]
+        self._eq_rhs = [eq_rhs[k] for k in basis]
         _, self._ineq = poly._split()
         # the float scan of `solve_float`: (subset, float maps) of the
         # independent active sets reached so far, and the sets after them

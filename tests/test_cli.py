@@ -1,7 +1,9 @@
 """Problem files, analysis driver, CLI determinism and exit codes."""
 
+import ast
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 from datetime import timedelta
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plqstab
 from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
@@ -183,6 +186,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["analyze", str(missing)]) == 1
     capsys.readouterr()
+
+
+def test_no_assert_statements_in_the_package():
+    # Every correctness check raises explicitly, so that it survives
+    # `python -O`, which strips assert statements.
+    modules = sorted(pathlib.Path(plqstab.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_cli_rejects_zero_denominator(tmp_path, capsys):

@@ -5,18 +5,25 @@ import math
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import plqstab.linalg as linalg
+import plqstab.lp as lp
 from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
                      Polyhedron, Polynomial, QpInfeasible, QpOptimal,
                      QpUnbounded, RatMatrix, identity, lp_max, lp_solve,
                      psd_check, qp_solve, rat)
 from plqstab.lp import lp_max_each
+from plqstab.errors import InternalConsistencyError
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
-                            pseudo_inverse_psd, rank, rref, solve_general)
-from plqstab.rational import (ZERO, Rat, format_rat, norm2, parse_rat,
-                              primitive, sqrt_float, to_float, vdot)
+                            pseudo_inverse_psd, rank, reduce_lineality, rref,
+                            solve_general)
+from plqstab.qp import StrictQpSolver
+from plqstab.rational import (ZERO, Rat, format_rat, is_zero_vec, norm2,
+                              parse_rat, primitive, sqrt_float, to_float, vdot)
+from psd_reference import psd_reference
 from rational_reference import (eval_reference, invert_reference,
                                 kernel_basis_reference, primitive_reference,
                                 rank_reference, rref_reference,
@@ -541,9 +548,9 @@ def test_lp_work_counts_on_example_6_2():
     # The SOSC face regions solve none either (generators, no projection).
     # Y, the multiplier set and the three normal cones the error-bound
     # table projects onto contain the origin, so their emptiness needs no
-    # LP.  What is left is the recession-ray LP of the point's theta QP,
-    # which runs once.
-    assert _example_6_2_work_counts()[:3] == ["1", "1", "4"]
+    # LP.  The point's theta QP has a positive definite B, so it has no
+    # descent ray to look for, and the analysis solves no LP at all.
+    assert _example_6_2_work_counts()[:3] == ["0", "0", "0"]
 
 
 def test_projection_active_sets_on_example_6_2():
@@ -560,8 +567,9 @@ def test_nontriviality_systems_on_example_6_2():
 def test_exact_kernel_calls_on_example_6_2():
     # Calls of the fraction-free eliminations and dot products, in every
     # module that binds them.  Each face's span basis is reduced once, and
-    # each row of a polar is mapped to (G^T h, -B h) once per point.
-    assert _example_6_2_work_counts()[7:9] == ["101", "821"]
+    # each row of a polar is mapped to (G^T h, -B h) once per point.  A
+    # strict QP solver picks its equality basis with one elimination.
+    assert _example_6_2_work_counts()[7:9] == ["99", "821"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():
@@ -629,6 +637,59 @@ def test_psd_agrees_with_random_directions():
     # necessary-direction check only: PSD verdicts never see a negative value
 
 
+def _random_symmetric_pairs(rng, count):
+    """C^T C with k <= n rows, and the same with one symmetric +-1 entry
+    perturbation, n from 1 to 5."""
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        c = [[rng.randint(-2, 2) for _ in range(n)]
+             for _ in range(rng.randint(0, n))]
+        m = [[sum(r[i] * r[j] for r in c) for j in range(n)] for i in range(n)]
+        yield RatMatrix(m)
+        i, j, d = rng.randrange(n), rng.randrange(n), rng.choice((-1, 1))
+        m[i][j] += d
+        if i != j:
+            m[j][i] += d
+        yield RatMatrix(m)
+
+
+def test_psd_and_pd_match_the_reference_elimination():
+    # psd_check and is_positive_definite are the two verdicts of the one
+    # shared elimination over every coordinate; the reference is the
+    # stand-alone LDL^T psd_check ran before, and rank == n for PD.
+    rng = random.Random(1601)
+    mats = [RatMatrix(()), RatMatrix([(-1,)]), RatMatrix([(rat(-1, 3),)])]
+    mats += _random_symmetric_pairs(rng, 300)
+    verdicts = Counter()
+    for m in mats:
+        n = m.nrows
+        psd = psd_reference(m.rows)
+        pd = psd and rank(m) == n
+        assert psd_check(m) == psd, m
+        assert is_positive_definite(m) == pd, m
+        for strict, verdict in ((False, psd), (True, pd)):
+            witness, schur, lifts = reduce_lineality(m, n, strict)
+            if verdict:
+                assert witness is None and schur.nrows == 0 and lifts == []
+                continue
+            # every False verdict's witness is checked exactly
+            value = vdot(m.matvec(witness), witness)
+            assert not is_zero_vec(witness), m
+            assert value <= 0 if strict else value < 0, (m, strict)
+        verdicts[psd, pd] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_pseudo_inverse_psd_failure_is_an_internal_consistency_error(
+        monkeypatch):
+    # The singular core cannot happen; if it did, the CLI maps the error
+    # to exit 2 rather than a traceback.
+    monkeypatch.setattr(linalg, "invert", lambda mat: None)
+    with pytest.raises(InternalConsistencyError):
+        pseudo_inverse_psd(RatMatrix([(1, 1), (1, 1)]))
+
+
 # -- QP --------------------------------------------------------------------------
 
 
@@ -671,20 +732,25 @@ def test_qp_zero_quadratic_matches_lp():
             assert isinstance(lo, LpOptimal) and qo.value == -lo.value
 
 
+def _random_qp(rng, shift):
+    """(C^T C + shift I, linear term, polyhedron with the origin in it)."""
+    n = rng.randint(1, 3)
+    c0 = RatMatrix([[rat(rng.randint(-2, 2)) for _ in range(n)]
+                    for _ in range(rng.randint(0, n))] or [[rat(0)] * n])
+    q = c0.T @ c0 + identity(n).scale(shift)
+    rows = tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(n))
+                 for _ in range(rng.randint(1, 4)))
+    rhs = tuple(rat(rng.randint(0, 4)) for _ in rows)
+    lin = tuple(rat(rng.randint(-3, 3)) for _ in range(n))
+    return q, lin, Polyhedron(rows, rhs).with_dim(n)
+
+
 def test_qp_kkt_conditions_hold_exactly():
     rng = random.Random(41)
     from plqstab.polyhedra import normal_cone
 
     for _ in range(40):
-        n = rng.randint(1, 3)
-        c0 = RatMatrix([[rat(rng.randint(-2, 2)) for _ in range(n)]
-                        for _ in range(rng.randint(0, n))] or [[rat(0)] * n])
-        q = c0.T @ c0
-        rows = tuple(tuple(rat(rng.randint(-3, 3)) for _ in range(n))
-                     for _ in range(rng.randint(1, 4)))
-        rhs = tuple(rat(rng.randint(0, 4)) for _ in rows)
-        p = Polyhedron(rows, rhs).with_dim(n)
-        lin = tuple(rat(rng.randint(-3, 3)) for _ in range(n))
+        q, lin, p = _random_qp(rng, 0)
         out = qp_solve(q, lin, p)
         if isinstance(out, QpOptimal):
             y = out.point
@@ -692,3 +758,55 @@ def test_qp_kkt_conditions_hold_exactly():
             grad = tuple(v + w for v, w in zip(q.matvec(y), lin))
             # -grad must be a normal direction at y
             assert normal_cone(p, y).contains(tuple(-g for g in grad))
+
+
+def _count_qp_work(monkeypatch):
+    """Count LP feasibility runs, in every module that binds the function,
+    and symmetric eliminations."""
+    counts = {"lp": 0, "eliminations": 0}
+
+    def counter(key, original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    original = lp.lp_feasible_point
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.split(".")[0] == "plqstab":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counter("lp", original))
+    monkeypatch.setattr(linalg, "reduce_lineality",
+                        counter("eliminations", linalg.reduce_lineality))
+    return counts
+
+
+def test_qp_with_positive_definite_q_solves_no_lp(monkeypatch):
+    # A PD Q has no descent ray (Q d = 0 forces d = 0): one elimination
+    # sends it to the strict solver, and no LP runs.
+    rng = random.Random(41)
+    problems = [_random_qp(rng, 1) for _ in range(40)]
+    counts = _count_qp_work(monkeypatch)
+    for q, lin, p in problems:
+        out = qp_solve(q, lin, p)
+        assert isinstance(out, QpOptimal)
+        assert out.point == StrictQpSolver(q, p).solve(lin)
+    assert counts == {"lp": 0, "eliminations": 40}
+
+
+def test_qp_with_singular_q_takes_two_eliminations(monkeypatch):
+    # Only a Q that is not PD is validated by a second, PSD elimination.
+    rng = random.Random(42)
+    problems = [_random_qp(rng, 0) for _ in range(60)]
+    problems = [(q, lin, p) for q, lin, p in problems
+                if not is_positive_definite(q)]
+    assert len(problems) >= 30
+    counts = _count_qp_work(monkeypatch)
+    outcomes = Counter()
+    for q, lin, p in problems:
+        counts["eliminations"] = 0
+        outcomes[type(qp_solve(q, lin, p))] += 1
+        assert counts["eliminations"] == 2
+    assert outcomes[QpOptimal] and outcomes[QpUnbounded], outcomes
+    assert counts["lp"] > 0
