@@ -29,6 +29,7 @@ All values are exact rationals; +infinity is represented by ExtReal.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
@@ -37,8 +38,8 @@ from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
 from .qp import QpOptimal, QpUnbounded, StrictQpSolver, _subsets, qp_solve
 from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
 
-__all__ = ["ExtReal", "PLUS_INF", "PlqPenalty", "coderivative_contains",
-           "subdiff_graph_normal_cones"]
+__all__ = ["ExtReal", "NotPsdError", "PLUS_INF", "PlqPenalty",
+           "coderivative_contains", "subdiff_graph_normal_cones"]
 
 
 class ExtReal:
@@ -108,12 +109,17 @@ def _float_rows(mat: RatMatrix):
     return tuple(tuple(to_float(v) for v in row) for row in mat.rows)
 
 
+class NotPsdError(ValueError):
+    """B is not symmetric positive semidefinite; raised by `PlqPenalty`
+    before any check of Y, so that a problem file reports B first."""
+
+
 class PlqPenalty:
     """The pair (Y, B) and the calculus of its dualizing penalty."""
 
     def __init__(self, poly_y: Polyhedron, bmat: RatMatrix):
         if not psd_check(bmat):
-            raise ValueError("B must be symmetric positive semidefinite")
+            raise NotPsdError("B must be symmetric positive semidefinite")
         self.Y = poly_y.with_dim(bmat.nrows)
         self.B = bmat
         self.m = bmat.nrows
@@ -274,6 +280,12 @@ class PlqPenalty:
             raise InternalConsistencyError("active prox piece misses prox(x)")
         return jac, offset
 
+    @cached_property
+    def _float_jacs(self):
+        """The float Jacobian (an m x m numpy array) of each prox piece
+        `prox_float` has met, by active set."""
+        return {}
+
     def prox_float(self, v):
         """(prox(v), J) in float for a float point v: prox(v) a list of
         floats, J an m x m numpy array.
@@ -288,7 +300,7 @@ class PlqPenalty:
         needed, prox(v) and J are nan.
         """
         hit = self._prox_solver().solve_float([-a for a in v])
-        float_jacs = self._cache.setdefault("prox_float_jacs", {})
+        float_jacs = self._float_jacs
         if hit is not None and hit[0] in float_jacs:
             return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
         import numpy as np

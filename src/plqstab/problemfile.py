@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .enlp import EnlpProblem
 from .exprparse import ParseError, parse_expression
-from .linalg import RatMatrix, psd_check
-from .plq import PlqPenalty
+from .linalg import RatMatrix
+from .plq import NotPsdError, PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
 from .rational import parse_rat, to_float
@@ -162,10 +162,10 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
     bmat = _rat_matrix(_expect(doc, "B", list, "$"), m, m, "$.B")
     if not bmat.is_symmetric():
         raise ProblemFileError("$.B", "matrix is not symmetric")
-    if not psd_check(bmat):
-        raise ProblemFileError("$.B", "matrix is not positive semidefinite")
     try:
-        penalty = PlqPenalty(ypoly, bmat)
+        penalty = PlqPenalty(ypoly, bmat)  # checks B first, then Y
+    except NotPsdError:
+        raise ProblemFileError("$.B", "matrix is not positive semidefinite")
     except ValueError as e:
         raise ProblemFileError("$.Y", str(e))
 

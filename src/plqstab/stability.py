@@ -44,17 +44,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .lp import LpOptimal, lp_max_each
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         critical_cone, difference_polar, normal_cone)
+from .polymap import _float_values
 from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
                        sqrt_float, to_float_vec, vadd, vdot, vscale, vsub)
 from .varsys import VarSystem
 
 __all__ = [
+    "FloatKernel",
     "PointContext",
     "CriticalityVerdict",
     "UniquenessReport",
@@ -558,7 +561,8 @@ class NewtonResult:
     not), or "overflow" (a float residual or Newton matrix left float
     range; the iterate returned is the last one whose residual did not).
     `evaluations` counts the float residual evaluations: the start and
-    every line-search trial."""
+    every line-search trial, whether numpy finished it or the kernel's
+    rounding bound rejected it first (`FloatKernel.rejects`)."""
 
     converged: bool
     x: tuple
@@ -581,34 +585,120 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
     return norm2(r1 + r2)
 
 
-def _float_residual(system: VarSystem, p1, p2, x, lam):
-    """(R(x, lam), |R|, DPhi(x), J) in float, with J the prox Jacobian on
-    the active piece at lam + Phi(x) + p2; x, lam, p1 and p2 are lists of
-    floats, R, DPhi(x) and J numpy arrays.  |R| is inf or nan when a value
-    overflows.
-
-    Entrywise sums and differences run on Python floats, which round as
-    numpy's do.  DPhi(x)^T lam and the inner product under |R| stay in
-    numpy: a sequential Python sum can round differently from numpy's
-    (BLAS, fused multiply-add)."""
-    import numpy as np
-
-    g = system.phi.jacobian_at_float(x)
-    z = [a + b for a, b in zip(system.phi.eval_float(x), p2)]
-    prox_pt, pj = system.penalty.prox_float([a + b for a, b in zip(lam, z)])
-    gl = (g.T @ np.array(lam)).tolist()
-    r = np.array([a + b - c for a, b, c in zip(system.f.eval_float(x), gl, p1)]
-                 + [a - b for a, b in zip(z, prox_pt)])
-    return r, math.sqrt(r.dot(r)), g, pj
+# The line search's rejection bound (`FloatKernel.rejects`).  _C exceeds
+# 2 gamma_(n+m+2) = 2 (n+m+2) u / (1 - (n+m+2) u), u = 2^-53, whenever
+# n + m <= _BOUNDED_DIM (two problem-file dimensions); _BIG and _TINY keep
+# every square and sum of the bound, and of numpy's norm, in normal range.
+_C = 1e-12
+_BOUNDED_DIM = 2000
+_BIG = math.ldexp(1.0, 400)
+_TINY = math.ldexp(1.0, -400)
 
 
-def _psi_jacobian_x_float(system: VarSystem, x, lam):
-    """d(Psi)/dx = Df(x) + sum_i lam_i Hess(Phi_i)(x), in float."""
-    a = system.f.jacobian_at_float(x)
-    for i, li in enumerate(lam):
-        if li != 0:
-            a = a + li * system.phi.hessian_at_float(i, x)
-    return a
+class FloatKernel:
+    """The float residual and Newton matrix of one `VarSystem`, built once
+    per system (`VarSystem.float_kernel`).
+
+    `parts` evaluates f, Phi and DPhi at a float point in one
+    `polymap._float_values` pass over their concatenated term lists, reads
+    the prox piece through `PlqPenalty.prox_float` (the float active-set
+    scan) and forms the prox block r2 = z - prox(lam + z) of R,
+    z = Phi(x) + p2, all in Python floats.  `residual` finishes R in
+    numpy: DPhi(x)^T lam is `g.T @ lam` on the C-ordered m x n array g,
+    and |R| is `math.sqrt(r.dot(r))`; their BLAS sums can round
+    differently from a sequential Python sum, so they stay numpy.
+    `rejects` proves, in Python floats, that some trials' |R| would be no
+    smaller than the current one.
+    """
+
+    def __init__(self, system: VarSystem):
+        import numpy as np
+
+        self.np = np
+        self.n, self.m = system.n, system.m
+        self.f, self.phi = system.f, system.phi
+        self.prox_float = system.penalty.prox_float
+        self.terms = (system.f._component_terms + system.phi._component_terms
+                      + system.phi._jacobian_terms)
+        self.bounded = self.n + self.m <= _BOUNDED_DIM
+
+    def parts(self, x, lam, p2):
+        """(values, r2, J) at the float point (x, lam): `values` lists f(x),
+        Phi(x) and the rows of DPhi(x), r2 is the prox block of R and J the
+        prox Jacobian (m x m numpy array) of the piece at lam + z."""
+        n, m = self.n, self.m
+        values = _float_values(self.terms, x)
+        z = [a + b for a, b in zip(values[n:n + m], p2)]
+        v = [a + b for a, b in zip(lam, z)]
+        prox, pj = self.prox_float(v)
+        return values, [a - b for a, b in zip(z, prox)], pj
+
+    def residual(self, values, r2, lam, p1):
+        """(R, |R|, DPhi(x)) from `parts`, R and DPhi(x) numpy arrays.  The
+        entries of R are f_i + (DPhi^T lam)_i - p1_i, then r2; |R| is inf or
+        nan when a value overflows."""
+        np, n, m = self.np, self.n, self.m
+        g = np.array(values[n + m:], dtype=float).reshape(m, n)
+        gl = (g.T @ np.array(lam)).tolist()
+        r = np.array([a + b - c for a, b, c in zip(values, gl, p1)] + r2)
+        return r, math.sqrt(r.dot(r)), g
+
+    def floor(self, rnorm):
+        """|R|^2 (1 + _C), the square that `rejects` must prove a trial
+        beats; inf, so that no trial is rejected without numpy, when |R| is
+        below _TINY or the system has more than _BOUNDED_DIM coordinates."""
+        if self.bounded and rnorm >= _TINY:
+            return rnorm * rnorm * (1 + _C)
+        return math.inf
+
+    def rejects(self, values, r2, lam, p1, floor) -> bool:
+        """Whether the trial's |R|, as `residual` would compute it, is
+        provably finite and no smaller than the |R| of `floor`.
+
+        With e_i = f_i + sum_j DPhi_ji lam_j - p1_i and A_i = |f_i| +
+        sum_j |DPhi_ji lam_j| + |p1_i| in Python floats, numpy's r1_i and
+        e_i both lie within gamma_(m+2) A_i of the exact value, so
+        |r1_i| >= |e_i| - _C A_i.  True only when every |r2_i| and A_i is
+        below _BIG and L (1 - _C) >= floor, L = sum r2_i^2 +
+        sum max(|e_i| - _C A_i, 0)^2: numpy's dot of nonnegative terms is
+        then at least (1 - gamma_(n+m)) times their exact sum in any order,
+        with or without fused multiply-add, so it is at least |R|^2, and
+        its square root rounds to at least |R|.
+        """
+        total = 0.0
+        for v in r2:
+            if not abs(v) < _BIG:  # nan fails too
+                return False
+            total += v * v
+        n = self.n
+        g = values[n + self.m:]
+        for i in range(n):
+            e = values[i] - p1[i]
+            bound = abs(values[i]) + abs(p1[i])
+            for t in map(mul, g[i::n], lam):
+                e += t
+                bound += abs(t)
+            if not bound < _BIG:
+                return False
+            d = abs(e) - _C * bound
+            if d > 0:
+                total += d * d
+        return total * (1 - _C) >= floor
+
+    def newton_matrix(self, x, lam, g, pj):
+        """The generalized Jacobian [[A, g^T], [(I - J) g, -J]] of R at
+        (x, lam) in one array, A = Df(x) + sum_i lam_i Hess(Phi_i)(x)."""
+        np, n, m = self.np, self.n, self.m
+        a = self.f.jacobian_at_float(x)
+        for i, li in enumerate(lam):
+            if li != 0:
+                a = a + li * self.phi.hessian_at_float(i, x)
+        jmat = np.empty((n + m, n + m))
+        jmat[:n, :n] = a
+        jmat[:n, n:] = g.T
+        jmat[n:, :n] = (np.eye(m) - pj) @ g
+        jmat[n:, n:] = -pj
+        return jmat
 
 
 def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
@@ -617,25 +707,30 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     Residual R(x, lam) = (Psi(x, lam) - p1,
                           Phi(x) + p2 - prox(lam + Phi(x) + p2));
     generalized Jacobian elements come from the active piece of the
-    proximal map.  The iteration runs in float: the prox value and its
-    Jacobian come from cached exact affine pieces (`PlqPenalty.prox_float`).
-    Iterates, trial points and entrywise residual arithmetic are Python
-    floats; DPhi(x)^T lam, the norm's inner product and the Newton system
-    are numpy (see `_float_residual`).  A residual or Newton matrix past
-    float range stops the solve ("overflow"), with numpy's floating-point
-    warnings off.  The returned iterate gets one exact residual
-    evaluation, which decides `converged`.  Reports NewtonResult; never
-    raises on stagnation.
+    proximal map.  The iteration runs in float on the system's
+    `FloatKernel`: the prox value and its Jacobian come from cached exact
+    affine pieces, iterates, trial points and entrywise residual
+    arithmetic are Python floats, and DPhi(x)^T lam, the norm's inner
+    product and the Newton system are numpy.  A line-search trial is
+    rejected without numpy when `FloatKernel.rejects` proves that numpy's
+    |R| would be finite and no smaller than the current one, so the
+    iterates are those of the all-numpy residual to the last bit.  A
+    residual or Newton matrix past float range stops the solve
+    ("overflow"), with numpy's floating-point warnings off.  The returned
+    iterate gets one exact residual evaluation, which decides
+    `converged`.  Reports NewtonResult; never raises on stagnation.
     """
     import numpy as np
 
-    n, m = system.n, system.m
+    kernel = system.float_kernel
+    n = system.n
     p1f = [float(v) for v in p1]
     p2f = [float(v) for v in p2]
     x = [float(v) for v in start[0]]
     lam = [float(v) for v in start[1]]
     with np.errstate(over="ignore", invalid="ignore"):
-        r, rnorm, g, pj = _float_residual(system, p1f, p2f, x, lam)
+        values, r2, pj = kernel.parts(x, lam, p2f)
+        r, rnorm, g = kernel.residual(values, r2, lam, p1f)
         evaluations = 1
         iterations, reason = max_iter, "max_iter"
         for it in range(max_iter):
@@ -645,10 +740,7 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
             if not math.isfinite(rnorm):  # at the start; later steps check below
                 iterations, reason = it, "overflow"
                 break
-            a = _psi_jacobian_x_float(system, x, lam)
-            top = np.hstack([a, g.T])
-            bottom = np.hstack([(np.eye(m) - pj) @ g, -pj])
-            jmat = np.vstack([top, bottom])
+            jmat = kernel.newton_matrix(x, lam, g, pj)
             if not np.isfinite(jmat).all():
                 iterations, reason = it + 1, "overflow"
                 break
@@ -657,16 +749,19 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
             except np.linalg.LinAlgError:
                 step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
             step = step.tolist()
+            floor = kernel.floor(rnorm)
             damp = 1.0
             best = None
             for _ in range(30):
                 xn = [a + damp * b for a, b in zip(x, step)]
                 ln = [a + damp * b for a, b in zip(lam, step[n:])]
-                rn, rn_norm, gn, pjn = _float_residual(system, p1f, p2f, xn, ln)
+                values, r2, pjn = kernel.parts(xn, ln, p2f)
                 evaluations += 1
-                if rn_norm < rnorm or not math.isfinite(rn_norm):
-                    best = (xn, ln, rn, rn_norm, gn, pjn)
-                    break
+                if not kernel.rejects(values, r2, ln, p1f, floor):
+                    rn, rn_norm, gn = kernel.residual(values, r2, ln, p1f)
+                    if rn_norm < rnorm or not math.isfinite(rn_norm):
+                        best = (xn, ln, rn, rn_norm, gn, pjn)
+                        break
                 damp /= 2
             if best is None:
                 iterations, reason = it + 1, "no_descent"
@@ -693,8 +788,6 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
     recorded with NaN lhs and excluded from the modulus.
     """
     import random as _random
-
-    import numpy as np
 
     ctx = system.point(xbar, lam_bar).require(
         "probe is anchored at an exact solution")

@@ -13,6 +13,7 @@ subgradient of theta at Phi(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import RatMatrix
 from .plq import PlqPenalty
@@ -112,6 +113,14 @@ class VarSystem:
 
         key = ("point", tuple(rat(v) for v in x), tuple(rat(v) for v in lam))
         return self._cache.setdefault(key, PointContext(self, key[1], key[2]))
+
+    @cached_property
+    def float_kernel(self):
+        """The `stability.FloatKernel` of the Newton probe, built once on
+        this instance."""
+        from .stability import FloatKernel
+
+        return FloatKernel(self)
 
     def is_solution(self, x, lam) -> bool:
         return self.point(x, lam).solves

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plqstab
+import plqstab.linalg as linalg
 from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
@@ -186,6 +187,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["analyze", str(missing)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("y", [
+    {"b": [["-1", "0"], ["0", "-1"]], "alpha": ["0", "0"]},
+    {"b": [["1", "0"], ["-1", "0"]], "alpha": ["-1", "-1"]},  # empty Y
+])
+def test_cli_non_psd_b_is_an_input_error(tmp_path, y):
+    # B is symmetric and indefinite; an empty Y is reported after B
+    out = _run_cli(_doc(B=[["0", "1"], ["1", "0"]], Y=y), tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "input error: $.B: matrix is not positive semidefinite\n")
+
+
+def test_parse_checks_b_with_one_elimination(monkeypatch):
+    # one symmetric LDL^T per parse, in PlqPenalty; the parser adds none
+    calls = []
+    reduce_lineality = linalg.reduce_lineality
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_lineality(*args)
+
+    monkeypatch.setattr(linalg, "reduce_lineality", counted)
+    for name in corpus_names():
+        parse_problem_file(corpus_path(name))
+    assert len(calls) == len(corpus_names()) == 5
 
 
 def test_no_assert_statements_in_the_package():
