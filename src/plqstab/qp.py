@@ -174,9 +174,6 @@ class StrictQpSolver:
             return self._solvers[subset]
         act_rows = list(self._eq_rows) + [self.poly.b[i] for i in subset]
         act_rhs = list(self._eq_rhs) + [self.poly.alpha[i] for i in subset]
-        if act_rows and rank(act_rows) < len(act_rows):
-            self._solvers[subset] = None  # dependent rows: covered elsewhere
-            return None
         n, na = self.n, len(act_rows)
         kkt = [[ZERO] * (n + na) for _ in range(n + na)]
         for i in range(n):
@@ -185,8 +182,13 @@ class StrictQpSolver:
             for k in range(na):
                 kkt[i][n + k] = act_rows[k][i]
                 kkt[n + k][i] = act_rows[k][i]
+        # with Q PD the bordered system is singular exactly when the
+        # active rows are dependent, so only a singular one needs a rank
         inv = invert(RatMatrix(kkt))
         if inv is None:
+            if act_rows and rank(act_rows) < na:
+                self._solvers[subset] = None  # dependent rows: covered elsewhere
+                return None
             raise InternalConsistencyError(
                 "PD bordered system with independent rows is singular")
         self._solvers[subset] = (inv, tuple(act_rhs), len(self._eq_rows))
@@ -272,7 +274,8 @@ class StrictQpSolver:
         a kink more than one set passes in float, and the order decides
         which piece, and so which generalized Jacobian, is used.  Each
         inner product is `sum(map(mul, ...))`, the same float sum as a
-        loop over the pairs.
+        loop over the pairs.  `stability.FloatKernel` unrolls this scan,
+        over the sets reached so far, into its compiled line-search trial.
         """
         reached = self._reached
         i = 0

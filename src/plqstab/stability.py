@@ -561,8 +561,9 @@ class NewtonResult:
     not), or "overflow" (a float residual or Newton matrix left float
     range; the iterate returned is the last one whose residual did not).
     `evaluations` counts the float residual evaluations: the start and
-    every line-search trial, whether numpy finished it or the kernel's
-    rounding bound rejected it first (`FloatKernel.rejects`)."""
+    every line-search trial (`FloatKernel.trial`), compiled or generic,
+    whether numpy finished it or the kernel's rounding bound rejected it
+    first."""
 
     converged: bool
     x: tuple
@@ -594,6 +595,15 @@ _BOUNDED_DIM = 2000
 _BIG = math.ldexp(1.0, 400)
 _TINY = math.ldexp(1.0, -400)
 
+# The compiled line-search trial (`FloatKernel.trial`).  A kernel compiles
+# after _WARMUP generic trials: a build of the 60-115 lines of a corpus
+# system takes 1.1-1.6 ms, the time of some 100 generic trials, and most
+# probe analyses make fewer than 256 trials in all.  A trial function of
+# more than _MAX_LINES lines (5,000 take about 35 ms and 15 MB to compile)
+# is not built, and its system keeps the generic path.
+_WARMUP = 256
+_MAX_LINES = 5000
+
 
 class FloatKernel:
     """The float residual and Newton matrix of one `VarSystem`, built once
@@ -609,6 +619,19 @@ class FloatKernel:
     differently from a sequential Python sum, so they stay numpy.
     `rejects` proves, in Python floats, that some trials' |R| would be no
     smaller than the current one.
+
+    `trial` runs one line-search trial, `parts` and then `rejects`.  Once
+    the kernel has served _WARMUP trials that way, it compiles the same
+    float operations, in the same order, into one straight-line function
+    (`trialsource.trial_source`), with the prox scan unrolled over the active sets
+    reached so far and the Jacobians cached so far, and rebuilds it after
+    a generic trial when either has grown.  A trial the function cannot
+    finish (a power overflows, no unrolled set passes, or the passing set
+    has no cached Jacobian) takes the generic path, so every bit, and
+    every exact prox check, is as without it.  The function lives on the
+    kernel.  It is not built when it would have more than _MAX_LINES
+    lines, or where `sum` of floats is not the sequential sum (Python
+    3.12 compensates), whose scan the unrolled one would not match.
     """
 
     def __init__(self, system: VarSystem):
@@ -617,10 +640,19 @@ class FloatKernel:
         self.np = np
         self.n, self.m = system.n, system.m
         self.f, self.phi = system.f, system.phi
+        self.penalty = system.penalty
         self.prox_float = system.penalty.prox_float
         self.terms = (system.f._component_terms + system.phi._component_terms
                       + system.phi._jacobian_terms)
         self.bounded = self.n + self.m <= _BOUNDED_DIM
+        # the compiled trial, the sizes of the prox solver's reached sets
+        # and of the cached Jacobians it was built from, and the number of
+        # trials served the generic way; no build where the polynomials and
+        # the bound's 3 n m lines alone pass _MAX_LINES
+        self.compiled, self.built_from, self.generic = None, None, 0
+        sequential = sum((1.0, 1e100, 1.0, -1e100)) == 0.0
+        small = sum(map(len, self.terms)) + 3 * self.n * self.m <= _MAX_LINES
+        self.warmup = _WARMUP if sequential and small else math.inf
 
     def parts(self, x, lam, p2):
         """(values, r2, J) at the float point (x, lam): `values` lists f(x),
@@ -632,6 +664,41 @@ class FloatKernel:
         v = [a + b for a, b in zip(lam, z)]
         prox, pj = self.prox_float(v)
         return values, [a - b for a, b in zip(z, prox)], pj
+
+    def trial(self, x, lam, step, damp, p1, p2, floor):
+        """The line-search trial at (x, lam) + damp * step: (x', lam',
+        values, r2, J, rejected), with (values, r2, J) what `parts` gives
+        at (x', lam') and `rejected` what `rejects` then decides against
+        `floor`."""
+        if self.compiled is not None:
+            out = self.compiled(x, lam, step, damp, p1, p2, floor)
+            if out is not None:
+                return out
+        xn = [a + damp * b for a, b in zip(x, step)]
+        ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
+        values, r2, pj = self.parts(xn, ln, p2)
+        rejected = self.rejects(values, r2, ln, p1, floor)
+        self.generic += 1
+        if self.generic >= self.warmup:
+            self._build()
+        return xn, ln, values, r2, pj, rejected
+
+    def _build(self):
+        """Compile the trial function, unless the prox solver's reached
+        sets and the cached Jacobians are those it was last built from."""
+        reached = self.penalty._prox_solver()._reached
+        jacs = self.penalty._float_jacs
+        sizes = len(reached), len(jacs)
+        if sizes == self.built_from:
+            return
+        self.built_from = sizes
+        from .trialsource import compile_trial, trial_source
+
+        lines, consts = trial_source(self.n, self.m, self.terms, reached, jacs)
+        if len(lines) > _MAX_LINES:
+            self.warmup = math.inf  # it only grows: keep the last function
+            return
+        self.compiled = compile_trial(lines, consts)
 
     def residual(self, values, r2, lam, p1):
         """(R, |R|, DPhi(x)) from `parts`, R and DPhi(x) numpy arrays.  The
@@ -711,19 +778,20 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     `FloatKernel`: the prox value and its Jacobian come from cached exact
     affine pieces, iterates, trial points and entrywise residual
     arithmetic are Python floats, and DPhi(x)^T lam, the norm's inner
-    product and the Newton system are numpy.  A line-search trial is
-    rejected without numpy when `FloatKernel.rejects` proves that numpy's
-    |R| would be finite and no smaller than the current one, so the
-    iterates are those of the all-numpy residual to the last bit.  A
-    residual or Newton matrix past float range stops the solve
-    ("overflow"), with numpy's floating-point warnings off.  The returned
-    iterate gets one exact residual evaluation, which decides
+    product and the Newton system are numpy.  Each line-search trial is
+    one `FloatKernel.trial`: the trial point, its residual parts and the
+    rounding bound, in one compiled straight-line function once the
+    kernel has warmed up.  A trial is rejected without numpy when the
+    bound proves that numpy's |R| would be finite and no smaller than the
+    current one, so the iterates are those of the all-numpy residual to
+    the last bit.  A residual or Newton matrix past float range stops the
+    solve ("overflow"), with numpy's floating-point warnings off.  The
+    returned iterate gets one exact residual evaluation, which decides
     `converged`.  Reports NewtonResult; never raises on stagnation.
     """
     import numpy as np
 
     kernel = system.float_kernel
-    n = system.n
     p1f = [float(v) for v in p1]
     p2f = [float(v) for v in p2]
     x = [float(v) for v in start[0]]
@@ -753,11 +821,10 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
             damp = 1.0
             best = None
             for _ in range(30):
-                xn = [a + damp * b for a, b in zip(x, step)]
-                ln = [a + damp * b for a, b in zip(lam, step[n:])]
-                values, r2, pjn = kernel.parts(xn, ln, p2f)
+                xn, ln, values, r2, pjn, rejected = kernel.trial(
+                    x, lam, step, damp, p1f, p2f, floor)
                 evaluations += 1
-                if not kernel.rejects(values, r2, ln, p1f, floor):
+                if not rejected:
                     rn, rn_norm, gn = kernel.residual(values, r2, ln, p1f)
                     if rn_norm < rnorm or not math.isfinite(rn_norm):
                         best = (xn, ln, rn, rn_norm, gn, pjn)

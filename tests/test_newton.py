@@ -1,22 +1,27 @@
 """The float Newton probe against its numpy reference, bit for bit, and
 the soundness of the line search's rejection bound."""
 
+import io
 import json
+import keyword
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tokenize
 
 import newton_reference
 import plqstab
 import plqstab.stability as stability
+import plqstab.trialsource as trialsource
 from plqstab import (PlqPenalty, PolyMap, Polyhedron, Polynomial, VarSystem,
                      analyze_problem, corpus_names, corpus_path, identity,
                      parse_problem_file)
 from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import rat, vdot
-from plqstab.stability import FloatKernel
+from plqstab.stability import FloatKernel, solve_perturbed
 from support import quad_penalty_2d, random_enlp_docs, random_penalty
 
 
@@ -48,14 +53,14 @@ def _overflow_doc():
     return doc
 
 
-def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
-    # Every default-grid solve of the corpus, of random-enlp pool seeds 1-3
-    # and of a file whose residual overflows, and of the corpus again at
-    # tol = 1e-14, where the rejection bound works at small |R|: iterates,
-    # residual, iterations, reason and evaluations are the reference's to
-    # the last bit.  The reference runs after the program, on the same
-    # parsed systems; the piece caches it then finds warm decide only
-    # which first-met pieces get an exact prox check.
+def _check_against_the_reference(monkeypatch):
+    """Every default-grid solve of the corpus, of random-enlp pool seeds
+    1-3 and of a file whose residual overflows, and of the corpus again at
+    tol = 1e-14, where the rejection bound works at small |R|: iterates,
+    residual, iterations, reason and evaluations are the reference's to
+    the last bit.  The reference runs after the program, on the same
+    parsed systems; the piece caches it then finds warm decide only which
+    first-met pieces get an exact prox check.  Returns the solves."""
     runs = [(parse_problem_file(corpus_path(name)), None)
             for name in corpus_names()]
     runs += [(parse_problem_doc(doc), None)
@@ -70,6 +75,35 @@ def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
     for system, args, kwargs, result in calls:
         expected = newton_reference.solve_perturbed(system, *args, **kwargs)
         assert repr(result) == repr(expected)
+    return calls
+
+
+def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
+    # At the default warm-up: enlp_3_000 and example_3_3 compile their
+    # trial functions, the other systems stay on the generic path.
+    calls = _check_against_the_reference(monkeypatch)
+    compiled = {s for s, _, _, _ in calls if s.float_kernel.compiled}
+    assert 2 <= len(compiled) < len({s for s, _, _, _ in calls})
+
+
+def test_compiled_trials_match_the_numpy_reference(monkeypatch):
+    # With no warm-up, every system compiles at its first line-search
+    # trial, so every trial the compiled function can finish goes through
+    # it.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    generic = []
+    trial = FloatKernel.trial
+
+    def counted(self, *args):
+        before = self.generic
+        out = trial(self, *args)
+        generic.append(self.generic - before)
+        return out
+
+    monkeypatch.setattr(FloatKernel, "trial", counted)
+    calls = _check_against_the_reference(monkeypatch)
+    assert all(s.float_kernel.compiled for s, _, _, _ in calls)
+    assert len(generic) > 30000 and sum(generic) < len(generic) / 10
 
 
 def _boundary_terms(pen, rng):
@@ -149,15 +183,39 @@ def _norms_around(t):
     return near + fixed
 
 
+_BOUNDS = {}
+
+
+def _compiled_bound(n, m):
+    """The compiled trial's rejection bound alone: the template's lines
+    for n and m, compiled into (values, r2, lam, p1, floor) -> rejected
+    (parameters named apart from the template's r{j} and l{j})."""
+    if (n, m) not in _BOUNDS:
+        lines = ["def trial(values, prox_block, mult, p1, floor):"]
+        lines += ["    v%d = values[%d]" % (i, i) for i in range(n + m + m * n)]
+        lines += ["    r%d = prox_block[%d]" % (j, j) for j in range(m)]
+        lines += ["    l%d = mult[%d]" % (j, j) for j in range(m)]
+        lines += ["    " + line for line in trialsource.bound_lines(n, m)]
+        lines.append("    return rejected")
+        _BOUNDS[n, m] = trialsource.compile_trial(lines, [])
+    return _BOUNDS[n, m]
+
+
 def _check_rejections(kernel, values, r2, lam, p1, norms):
     """Whenever the kernel rejects the trial against a norm |R| of `norms`,
-    numpy's residual of the trial is finite with a norm >= |R|.  Returns
+    numpy's residual of the trial is finite with a norm >= |R|, and the
+    compiled trial's bound decides every norm as `rejects` does.  Returns
     the number of rejections."""
     with kernel.np.errstate(over="ignore", invalid="ignore"):
         _, trial_norm, _ = kernel.residual(values, r2, lam, p1)
+    bound = _compiled_bound(kernel.n, kernel.m)
     rejected = 0
     for rnorm in norms:
-        if kernel.rejects(values, r2, lam, p1, kernel.floor(rnorm)):
+        floor = kernel.floor(rnorm)
+        decision = kernel.rejects(values, r2, lam, p1, floor)
+        assert bound(values, r2, lam, p1, floor) is decision, (
+            values, r2, lam, p1, rnorm)
+        if decision:
             assert math.isfinite(trial_norm) and trial_norm >= rnorm, (
                 values, r2, lam, p1, rnorm, trial_norm)
             rejected += 1
@@ -167,28 +225,38 @@ def _check_rejections(kernel, values, r2, lam, p1, norms):
 def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
     # Every 5th line-search trial of the default-grid probes of the corpus
     # and of random-enlp pool seed 1, each against the norm its solve
-    # compared it with and against the norms around its own.
+    # compared it with and against the norms around its own.  Each of
+    # these trials, compiled or generic, holds what `parts` gives at its
+    # point and what `rejects` decides.
     trials, last = [], {}
-    floor, rejects = FloatKernel.floor, FloatKernel.rejects
+    floor, trial = FloatKernel.floor, FloatKernel.trial
 
     def recorded_floor(self, rnorm):
         last[self] = rnorm
         return floor(self, rnorm)
 
-    def recorded_rejects(self, values, r2, lam, p1, bound):
-        trials.append((self, last[self], values, r2, lam, p1))
-        return rejects(self, values, r2, lam, p1, bound)
+    def recorded_trial(self, x, lam, step, damp, p1, p2, bound):
+        out = trial(self, x, lam, step, damp, p1, p2, bound)
+        trials.append((self, last[self], out, p1, p2))
+        return out
 
     monkeypatch.setattr(FloatKernel, "floor", recorded_floor)
-    monkeypatch.setattr(FloatKernel, "rejects", recorded_rejects)
+    monkeypatch.setattr(FloatKernel, "trial", recorded_trial)
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     files += [parse_problem_doc(doc) for _, doc in random_enlp_docs(1, 5)]
     for pf in files:
         analyze_problem(pf, probe=True)
     monkeypatch.undo()
     assert len(trials) > 20000
+    assert any(kernel.compiled for kernel, *_ in trials)
     in_solve = rejected = 0
-    for kernel, rnorm, values, r2, lam, p1 in trials[::5]:
+    for kernel, rnorm, out, p1, p2 in trials[::5]:
+        xn, lam, values, r2, pj, decision = out
+        expected = kernel.parts(xn, lam, p2)
+        assert repr((values, r2, pj.tolist())) == repr(
+            (expected[0], expected[1], expected[2].tolist()))
+        assert decision is kernel.rejects(values, r2, lam, p1,
+                                          kernel.floor(rnorm))
         in_solve += _check_rejections(kernel, values, r2, lam, p1, [rnorm])
         t = kernel.residual(values, r2, lam, p1)[1]
         rejected += _check_rejections(kernel, values, r2, lam, p1,
@@ -276,11 +344,150 @@ def test_rejection_is_sound_on_adversarial_trials():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy is imported by the float probes only, inside their functions
+    # numpy is imported by the float probes only, inside their functions,
+    # and the trial template by a kernel's first build
     src = os.path.dirname(os.path.dirname(plqstab.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, plqstab; print('numpy' in sys.modules)"],
+         "import sys, plqstab; print('numpy' in sys.modules, "
+         "'plqstab.trialsource' in sys.modules)"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src})
-    assert (out.returncode, out.stdout) == (0, "False\n")
+    assert (out.returncode, out.stdout) == (0, "False False\n")
+
+
+def _compiled_sources(monkeypatch):
+    """The source lines of every trial function compiled from here on."""
+    sources = []
+    compile_trial = trialsource.compile_trial
+
+    def recorded(lines, consts):
+        sources.append(lines)
+        return compile_trial(lines, consts)
+
+    monkeypatch.setattr(trialsource, "compile_trial", recorded)
+    return sources
+
+
+_TEMPLATE_NAMES = re.compile(
+    r"[xlvzucyr]\d+|w\d+_\d+|trial|x|lam|step|damp|p1|p2|floor|K|ZERO|BIG|C|"
+    r"SHRINK|J|s|q|e|b|t|d|ok|total|rejected|abs|OverflowError")
+
+
+def test_compiled_source_holds_only_the_template(monkeypatch):
+    # Every trial function the corpus and random-enlp pool seed 1 compile
+    # with no warm-up, and one of a file with coefficients of its own:
+    # its tokens are template names, keywords, operators and integer
+    # literals (K[i] and exponents), so no float and no text of the
+    # problem file reaches `compile`.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    sources = _compiled_sources(monkeypatch)
+    doc = json.loads(open(corpus_path("example_3_3"), encoding="utf-8").read())
+    doc["f"] = ["-31415926/27182818*x1 - 1/7*x1^3"]
+    files = [parse_problem_doc(doc)]
+    files += [parse_problem_file(corpus_path(name)) for name in corpus_names()]
+    files += [parse_problem_doc(d) for _, d in random_enlp_docs(1, 5)]
+    for pf in files:
+        analyze_problem(pf, probe=True)
+    assert len(sources) >= len(files)
+    layout = {tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    for lines in sources:
+        text = "\n".join(lines) + "\n"
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            elif tok.type == tokenize.NAME:
+                assert (keyword.iskeyword(tok.string)
+                        or _TEMPLATE_NAMES.fullmatch(tok.string)), tok
+            else:
+                assert tok.type in layout, tok
+        assert "31415926" not in text and "27182818" not in text
+
+
+def test_a_thousand_term_polynomial_compiles(monkeypatch):
+    # f_1 has 1,035 terms, every x1^a x2^b with a + b <= 44: one statement
+    # per addition compiles where one nested sum would exhaust the
+    # compiler's recursion.  The solves match the reference bit for bit.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    sources = _compiled_sources(monkeypatch)
+    rng = random.Random(29)
+    big = Polynomial(2, {(a, b): rat(rng.randint(1, 9), 10 ** 4)
+                         for a in range(45) for b in range(45 - a)})
+    assert len(big.terms) >= 1000
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    system = VarSystem(PolyMap([x1 + big, x2 - x1]), PolyMap([x1, x2 * x2]),
+                       quad_penalty_2d())
+    solves = 0
+    for _ in range(8):
+        start = ([rng.uniform(-0.6, 0.6) for _ in range(2)],
+                 [rng.uniform(-1, 1) for _ in range(2)])
+        p1 = [rng.uniform(-1e-3, 1e-3) for _ in range(2)]
+        p2 = [rng.uniform(-1e-3, 1e-3) for _ in range(2)]
+        result = solve_perturbed(system, p1, p2, start)
+        expected = newton_reference.solve_perturbed(system, p1, p2, start)
+        assert repr(result) == repr(expected)
+        solves += result.evaluations > 1
+    assert solves >= 4 and system.float_kernel.compiled
+    assert max(sum(line.startswith("    v0 += ") for line in lines)
+               for lines in sources) >= 1000
+
+
+def test_trial_functions_built(monkeypatch):
+    # The four small corpus files serve fewer trials than the warm-up and
+    # build nothing; example_3_3 builds once, and again at most once per
+    # prox piece it meets after that.
+    builds = {}
+    build = FloatKernel._build
+
+    def counted(self):
+        before = self.compiled
+        build(self)
+        if self.compiled is not before:
+            builds[self] = builds.get(self, 0) + 1
+
+    monkeypatch.setattr(FloatKernel, "_build", counted)
+    for name in corpus_names():
+        builds.clear()
+        pf = parse_problem_file(corpus_path(name))
+        analyze_problem(pf, probe=True)
+        if name != "example_3_3":
+            assert builds == {}, name
+            continue
+        [(kernel, count)] = builds.items()
+        assert 1 <= count <= 1 + len(kernel.penalty._float_jacs)
+
+
+def test_optimized_interpreter_renders_the_same_probe_report():
+    # Nothing on the compiled path is an assert, so `python -O` takes the
+    # same trials and prints the same bytes.
+    src = os.path.dirname(os.path.dirname(plqstab.__file__))
+    cmd = ["-m", "plqstab.cli", "analyze", corpus_path("example_3_3"),
+           "--probe", "--report", "json"]
+    outs = [subprocess.run([sys.executable, *flags, *cmd], capture_output=True,
+                           timeout=120, env={**os.environ, "PYTHONPATH": src})
+            for flags in ([], ["-O"])]
+    assert [o.returncode for o in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and b'"newton"' in outs[0].stdout
+
+
+def test_trial_functions_past_the_line_cap(monkeypatch):
+    # A kernel whose polynomials (8 terms) and bound (3 n m = 18 lines)
+    # alone pass the cap never compiles.  One whose scan grows past it
+    # keeps its last function, a prefix of the scan, and its solves stay
+    # the reference's.
+    monkeypatch.setattr(stability, "_MAX_LINES", 25)
+    assert _kernel(2, 3).warmup == math.inf
+    monkeypatch.setattr(stability, "_MAX_LINES", 26)
+    assert _kernel(2, 3).warmup == stability._WARMUP
+    monkeypatch.setattr(stability, "_MAX_LINES", 70)
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    sources = _compiled_sources(monkeypatch)
+    pf = parse_problem_file(corpus_path("example_3_3"))
+    calls = _probe_solves(monkeypatch, [(pf, None)])
+    kernel = calls[0][0].float_kernel
+    assert [len(lines) for lines in sources] == [62]
+    assert kernel.compiled and kernel.warmup == math.inf
+    for system, args, kwargs, result in calls:
+        expected = newton_reference.solve_perturbed(system, *args, **kwargs)
+        assert repr(result) == repr(expected)
