@@ -14,7 +14,7 @@ import math
 import sys
 
 from .exprparse import ParseError
-from .problemfile import ProblemFileError, parse_problem_file
+from .problemfile import MAX_PROBE_GRID, ProblemFileError, parse_problem_file
 from .report import InternalConsistencyError, analyze_problem, render_json, \
     render_text
 
@@ -45,8 +45,9 @@ def _build_parser():
 
 def _flag_error(args):
     """Why an analysis flag is out of range, or None."""
-    if args.probe_grid is not None and args.probe_grid < 1:
-        return "--probe-grid must be a positive integer"
+    grid = args.probe_grid
+    if grid is not None and not 1 <= grid <= MAX_PROBE_GRID:
+        return "--probe-grid must be in 1..%d" % MAX_PROBE_GRID
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         return "--tol must be a positive finite number"
     if args.probe_csv is not None and not args.probe:

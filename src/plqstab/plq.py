@@ -282,19 +282,27 @@ class PlqPenalty:
 
     @cached_property
     def _float_jacs(self):
-        """The float Jacobian (an m x m numpy array) of each prox piece
-        `prox_float` has met, by active set."""
+        """The float Jacobian triple (J, I - J, -J), of m x m numpy arrays,
+        of each prox piece `prox_float` has met, by active set."""
         return {}
 
+    def _jac_triple(self, rows):
+        """(J, I - J, -J) of the float Jacobian with these rows: the blocks
+        the Newton matrix reads, computed once per piece."""
+        import numpy as np
+
+        jac = np.array(rows, dtype=float)
+        return jac, np.eye(self.m) - jac, -jac
+
     def prox_float(self, v):
-        """(prox(v), J) in float for a float point v: prox(v) a list of
-        floats, J an m x m numpy array.
+        """(prox(v), (J, I - J, -J)) in float for a float point v: prox(v)
+        a list of floats, J an m x m numpy array.
 
         The active piece is chosen by `StrictQpSolver.solve_float`, and
         prox(v) = v - y is one float subtraction per entry; J is the
-        piece's exact Jacobian rounded once, cached as an array per piece.
-        The first time a piece is chosen, `prox_linearization` runs the
-        exact prox at the exact value of v before the piece enters the
+        piece's exact Jacobian rounded once, cached with I - J and -J per
+        piece.  The first time a piece is chosen, `prox_linearization` runs
+        the exact prox at the exact value of v before the piece enters the
         cache; when no piece passes in float, the exact piece it returns
         is used.  A v past float range has no exact value; where one is
         needed, prox(v) and J are nan.
@@ -303,17 +311,16 @@ class PlqPenalty:
         float_jacs = self._float_jacs
         if hit is not None and hit[0] in float_jacs:
             return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
-        import numpy as np
-
         if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
             if not all(map(math.isfinite, v)):
-                return [math.nan] * self.m, np.full((self.m, self.m), math.nan)
+                return ([math.nan] * self.m,
+                        self._jac_triple([[math.nan] * self.m] * self.m))
             jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
             if hit is None:
                 jac = _float_rows(jac)
                 return ([sum(a * b for a, b in zip(row, v)) + to_float(o)
-                         for row, o in zip(jac, offset)], np.array(jac))
-        float_jacs[hit[0]] = np.array(_float_rows(self._piece(hit[0])[0]))
+                         for row, o in zip(jac, offset)], self._jac_triple(jac))
+        float_jacs[hit[0]] = self._jac_triple(_float_rows(self._piece(hit[0])[0]))
         return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
 
     # -- second-order objects ----------------------------------------------------------

@@ -232,7 +232,6 @@ class PolyMap:
         self.k = len(comps)
         self._jac = None
         self._hess = {}
-        self._hess_terms = {}
 
     def eval(self, point):
         return tuple(c.eval(point) for c in self.components)
@@ -245,6 +244,13 @@ class PolyMap:
     def _jacobian_terms(self):
         return tuple(p._float_coefficients() for row in self._jacobian_polys()
                      for p in row)
+
+    @cached_property
+    def _hessian_terms(self):
+        """The float terms of the Hessian of each component in turn, each
+        n x n row by row."""
+        return tuple(p._float_coefficients() for i in range(self.k)
+                     for row in self._hessian_polys(i) for p in row)
 
     def eval_float(self, point):
         """The value at a float point, each component as
@@ -261,14 +267,6 @@ class PolyMap:
         """k x n matrix of first partial derivatives at a rational point."""
         return RatMatrix(tuple(tuple(p.eval(point) for p in row)
                                for row in self._jacobian_polys()))
-
-    def jacobian_at_float(self, point):
-        """k x n numpy array of the first partials at a float point, each
-        entry as `Polynomial.eval_float` computes it."""
-        import numpy as np
-
-        return np.array(_float_values(self._jacobian_terms, point),
-                        dtype=float).reshape(self.k, self.n)
 
     def _hessian_polys(self, i):
         if i not in self._hess:
@@ -292,16 +290,6 @@ class PolyMap:
         if order >= 2:
             polys += [p for row in self._hessian_polys(i) for p in row]
         return all(p.fits_float() for p in polys)
-
-    def hessian_at_float(self, i, point):
-        import numpy as np
-
-        if i not in self._hess_terms:
-            self._hess_terms[i] = tuple(p._float_coefficients()
-                                        for row in self._hessian_polys(i)
-                                        for p in row)
-        return np.array(_float_values(self._hess_terms[i], point),
-                        dtype=float).reshape(self.n, self.n)
 
     def gradient_map(self) -> "PolyMap":
         """For a scalar map (k == 1), the gradient as an n -> n map."""

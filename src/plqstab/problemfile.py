@@ -35,11 +35,16 @@ from .polymap import PolyMap
 from .rational import parse_rat, to_float
 from .varsys import VarSystem
 
-__all__ = ["MAX_DIMENSION", "ProblemFile", "ProblemFileError",
-           "parse_problem_file", "parse_problem_doc"]
+__all__ = ["MAX_DIMENSION", "MAX_PROBE_GRID", "ProblemFile",
+           "ProblemFileError", "parse_problem_file", "parse_problem_doc"]
 
 # The largest n and m a file may declare, refused before anything is built.
 MAX_DIMENSION = 1000
+
+# The largest probe grid.  Solve k of the semi-isolated probe perturbs by
+# t = 10^-3 / 2^(k-1), which is 0.0 from k = 1067 on, so a larger grid
+# only repeats unperturbed solves (and a grid of 10^7 runs for hours).
+MAX_PROBE_GRID = 1066
 
 
 class ProblemFileError(ValueError):
@@ -208,8 +213,10 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.probe", "expected an object")
     grid = probe.get("grid", 8)
     tol = probe.get("tol", 1e-10)
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
-        raise ProblemFileError("$.probe.grid", "expected a positive integer")
+    if (not isinstance(grid, int) or isinstance(grid, bool)
+            or not 1 <= grid <= MAX_PROBE_GRID):
+        raise ProblemFileError("$.probe.grid",
+                               "expected an integer in 1..%d" % MAX_PROBE_GRID)
     # the upper bound rejects inf, and ints too large for a float; NaN
     # fails every comparison
     if (not isinstance(tol, (int, float)) or isinstance(tol, bool)

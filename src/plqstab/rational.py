@@ -34,7 +34,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 not installed: the fallback below runs
     _gcd = math.gcd
 
     class Rat(Fraction):

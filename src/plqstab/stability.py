@@ -561,9 +561,9 @@ class NewtonResult:
     not), or "overflow" (a float residual or Newton matrix left float
     range; the iterate returned is the last one whose residual did not).
     `evaluations` counts the float residual evaluations: the start and
-    every line-search trial (`FloatKernel.trial`), compiled or generic,
-    whether numpy finished it or the kernel's rounding bound rejected it
-    first."""
+    every line-search trial of `FloatKernel.line_search`, whether the
+    compiled search or the generic `FloatKernel.trial` made it, and
+    whether numpy finished it or the rounding bound rejected it first."""
 
     converged: bool
     x: tuple
@@ -595,19 +595,20 @@ _BOUNDED_DIM = 2000
 _BIG = math.ldexp(1.0, 400)
 _TINY = math.ldexp(1.0, -400)
 
-# The compiled line-search trial (`FloatKernel.trial`).  A kernel compiles
-# after _WARMUP generic trials: a build of the 60-115 lines of a corpus
-# system takes 1.1-1.6 ms, the time of some 100 generic trials, and most
-# probe analyses make fewer than 256 trials in all.  A trial function of
-# more than _MAX_LINES lines (5,000 take about 35 ms and 15 MB to compile)
-# is not built, and its system keeps the generic path.
+# The compiled line search (`FloatKernel.line_search`).  A kernel compiles
+# after _WARMUP generic trials: a build of a corpus system takes about as
+# long as 100 generic trials, and most probe analyses make fewer than 256
+# trials in all.  A search function of more than _MAX_LINES lines (5,000
+# take about 35 ms and 15 MB to compile) is not built, and its system
+# keeps the generic path.  A line search makes at most _TRIALS trials.
 _WARMUP = 256
 _MAX_LINES = 5000
+_TRIALS = 30
 
 
 class FloatKernel:
-    """The float residual and Newton matrix of one `VarSystem`, built once
-    per system (`VarSystem.float_kernel`).
+    """The float residual, line search and Newton step of one `VarSystem`,
+    built once per system (`VarSystem.float_kernel`).
 
     `parts` evaluates f, Phi and DPhi at a float point in one
     `polymap._float_values` pass over their concatenated term lists, reads
@@ -620,32 +621,48 @@ class FloatKernel:
     `rejects` proves, in Python floats, that some trials' |R| would be no
     smaller than the current one.
 
-    `trial` runs one line-search trial, `parts` and then `rejects`.  Once
-    the kernel has served _WARMUP trials that way, it compiles the same
-    float operations, in the same order, into one straight-line function
-    (`trialsource.trial_source`), with the prox scan unrolled over the active sets
-    reached so far and the Jacobians cached so far, and rebuilds it after
-    a generic trial when either has grown.  A trial the function cannot
-    finish (a power overflows, no unrolled set passes, or the passing set
-    has no cached Jacobian) takes the generic path, so every bit, and
-    every exact prox check, is as without it.  The function lives on the
-    kernel.  It is not built when it would have more than _MAX_LINES
-    lines, or where `sum` of floats is not the sequential sum (Python
-    3.12 compensates), whose scan the unrolled one would not match.
+    `line_search` backtracks, damp = 1, 1/2, ..., for at most _TRIALS
+    trials.  A trial is `parts` and then `rejects` (the generic `trial`),
+    and numpy's |R| only for a trial the bound does not reject.  Once the
+    kernel has served _WARMUP trials the generic way, it compiles the
+    whole backtracking loop, with the same float operations in the same
+    order, into one Python function (`trialsource.search_source`), with
+    the prox scan unrolled over the active sets reached so far and the
+    Jacobians cached so far; the function returns the first trial its
+    bound does not reject, and a rejected trial builds no list.  A trial
+    the function cannot finish (a power overflows, no unrolled set
+    passes, or the passing set has no cached Jacobian) goes to the
+    generic `trial`, which rebuilds the function when the reached sets or
+    the Jacobians have grown, and the search resumes at the next damp on
+    the current function.  So every bit, and every exact prox check, is
+    as without it.  The function lives on the kernel.  It is not built
+    when it would have more than _MAX_LINES lines, or where `sum` of
+    floats is not the sequential sum (Python 3.12 compensates), whose
+    scan the unrolled one would not match.
+
+    `newton_matrix` forms A = Df(x) + sum_i lam_i Hess(Phi_i)(x) in Python
+    floats, entry by entry as numpy's `a + lam_i * H` rounds it, and
+    `newton_step` solves the Newton system with LAPACK's solve, called
+    directly.
     """
 
     def __init__(self, system: VarSystem):
         import numpy as np
 
-        self.np = np
+        try:
+            from numpy.linalg._umath_linalg import solve1 as solve
+        except ImportError:
+            solve = np.linalg.solve
+        self.np, self.solve = np, solve
         self.n, self.m = system.n, system.m
-        self.f, self.phi = system.f, system.phi
         self.penalty = system.penalty
         self.prox_float = system.penalty.prox_float
         self.terms = (system.f._component_terms + system.phi._component_terms
                       + system.phi._jacobian_terms)
+        # Df(x), then the Hessian of each Phi_i, each n x n row by row
+        self.a_terms = system.f._jacobian_terms + system.phi._hessian_terms
         self.bounded = self.n + self.m <= _BOUNDED_DIM
-        # the compiled trial, the sizes of the prox solver's reached sets
+        # the compiled search, the sizes of the prox solver's reached sets
         # and of the cached Jacobians it was built from, and the number of
         # trials served the generic way; no build where the polynomials and
         # the bound's 3 n m lines alone pass _MAX_LINES
@@ -657,7 +674,8 @@ class FloatKernel:
     def parts(self, x, lam, p2):
         """(values, r2, J) at the float point (x, lam): `values` lists f(x),
         Phi(x) and the rows of DPhi(x), r2 is the prox block of R and J the
-        prox Jacobian (m x m numpy array) of the piece at lam + z."""
+        prox Jacobian triple (J, I - J, -J) of m x m numpy arrays of the
+        piece at lam + z."""
         n, m = self.n, self.m
         values = _float_values(self.terms, x)
         z = [a + b for a, b in zip(values[n:n + m], p2)]
@@ -666,14 +684,11 @@ class FloatKernel:
         return values, [a - b for a, b in zip(z, prox)], pj
 
     def trial(self, x, lam, step, damp, p1, p2, floor):
-        """The line-search trial at (x, lam) + damp * step: (x', lam',
-        values, r2, J, rejected), with (values, r2, J) what `parts` gives
-        at (x', lam') and `rejected` what `rejects` then decides against
-        `floor`."""
-        if self.compiled is not None:
-            out = self.compiled(x, lam, step, damp, p1, p2, floor)
-            if out is not None:
-                return out
+        """The generic line-search trial at (x, lam) + damp * step: (x',
+        lam', values, r2, J, rejected), with (values, r2, J) what `parts`
+        gives at (x', lam') and `rejected` what `rejects` then decides
+        against `floor`.  Past the warm-up it (re)builds the compiled
+        search."""
         xn = [a + damp * b for a, b in zip(x, step)]
         ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
         values, r2, pj = self.parts(xn, ln, p2)
@@ -683,8 +698,34 @@ class FloatKernel:
             self._build()
         return xn, ln, values, r2, pj, rejected
 
+    def line_search(self, x, lam, step, p1, p2, rnorm):
+        """The backtracking search from (x, lam) along `step`: (trials
+        made, best), best = (x', lam', values, R, |R|, DPhi, J) at the first
+        trial, damp = 2^-i for i < _TRIALS, whose numpy |R| is below
+        `rnorm` or not finite, or None when no trial is."""
+        floor = self.floor(rnorm)
+        i = 0
+        while i < _TRIALS:
+            trial = None
+            if self.compiled is not None:
+                i, trial = self.compiled(x, lam, step, i, p1, p2, floor)
+                if i == _TRIALS:  # it rejected every trial left
+                    break
+            if trial is None:
+                *trial, rejected = self.trial(x, lam, step, math.ldexp(1.0, -i),
+                                              p1, p2, floor)
+                if rejected:
+                    i += 1
+                    continue
+            xn, ln, values, r2, pj = trial
+            r, rn, g = self.residual(values, r2, ln, p1)
+            if rn < rnorm or not math.isfinite(rn):
+                return i + 1, (xn, ln, values, r, rn, g, pj)
+            i += 1
+        return _TRIALS, None
+
     def _build(self):
-        """Compile the trial function, unless the prox solver's reached
+        """Compile the search function, unless the prox solver's reached
         sets and the cached Jacobians are those it was last built from."""
         reached = self.penalty._prox_solver()._reached
         jacs = self.penalty._float_jacs
@@ -692,13 +733,14 @@ class FloatKernel:
         if sizes == self.built_from:
             return
         self.built_from = sizes
-        from .trialsource import compile_trial, trial_source
+        from .trialsource import compile_search, search_source
 
-        lines, consts = trial_source(self.n, self.m, self.terms, reached, jacs)
+        lines, consts = search_source(self.n, self.m, self.terms, reached,
+                                      jacs)
         if len(lines) > _MAX_LINES:
             self.warmup = math.inf  # it only grows: keep the last function
             return
-        self.compiled = compile_trial(lines, consts)
+        self.compiled = compile_search(lines, consts)
 
     def residual(self, values, r2, lam, p1):
         """(R, |R|, DPhi(x)) from `parts`, R and DPhi(x) numpy arrays.  The
@@ -752,20 +794,43 @@ class FloatKernel:
                 total += d * d
         return total * (1 - _C) >= floor
 
-    def newton_matrix(self, x, lam, g, pj):
+    def newton_matrix(self, x, lam, values, g, pj):
         """The generalized Jacobian [[A, g^T], [(I - J) g, -J]] of R at
-        (x, lam) in one array, A = Df(x) + sum_i lam_i Hess(Phi_i)(x)."""
+        (x, lam) in one array, A = Df(x) + sum_i lam_i Hess(Phi_i)(x), from
+        `values` and g (DPhi(x) as `parts` and `residual` give it) and the
+        Jacobian triple pj.  A is added up entry by entry in Python floats
+        from one `_float_values` pass, each entry a + lam_i * h as numpy's
+        `a + lam_i * H` rounds it; (I - J) g stays numpy."""
         np, n, m = self.np, self.n, self.m
-        a = self.f.jacobian_at_float(x)
+        nn = n * n
+        blocks = _float_values(self.a_terms, x)
+        a = blocks[:nn]
         for i, li in enumerate(lam):
             if li != 0:
-                a = a + li * self.phi.hessian_at_float(i, x)
+                a = [u + li * h
+                     for u, h in zip(a, blocks[nn * (i + 1):nn * (i + 2)])]
+        dphi = values[n + m:]
         jmat = np.empty((n + m, n + m))
-        jmat[:n, :n] = a
-        jmat[:n, n:] = g.T
-        jmat[n:, :n] = (np.eye(m) - pj) @ g
-        jmat[n:, n:] = -pj
+        jmat[:n] = [a[i * n:(i + 1) * n] + dphi[i::n] for i in range(n)]
+        jmat[n:, :n] = pj[1] @ g
+        jmat[n:, n:] = pj[2]
         return jmat
+
+    def newton_step(self, jmat, r):
+        """The Newton step s with jmat s = -r, as a list, bit for bit what
+        `np.linalg.solve` gives, or for a singular jmat least squares
+        (`np.linalg.lstsq`).  LAPACK's solve is called directly; its step
+        is nan for a singular jmat, and a step that is not finite is
+        recomputed through `np.linalg.solve`."""
+        np = self.np
+        try:
+            step = self.solve(jmat, -r).tolist()
+            if all(map(math.isfinite, step)):
+                return step
+            step = np.linalg.solve(jmat, -r)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
+        return step.tolist()
 
 
 def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
@@ -776,16 +841,18 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     generalized Jacobian elements come from the active piece of the
     proximal map.  The iteration runs in float on the system's
     `FloatKernel`: the prox value and its Jacobian come from cached exact
-    affine pieces, iterates, trial points and entrywise residual
-    arithmetic are Python floats, and DPhi(x)^T lam, the norm's inner
-    product and the Newton system are numpy.  Each line-search trial is
-    one `FloatKernel.trial`: the trial point, its residual parts and the
-    rounding bound, in one compiled straight-line function once the
-    kernel has warmed up.  A trial is rejected without numpy when the
-    bound proves that numpy's |R| would be finite and no smaller than the
-    current one, so the iterates are those of the all-numpy residual to
-    the last bit.  A residual or Newton matrix past float range stops the
-    solve ("overflow"), with numpy's floating-point warnings off.  The
+    affine pieces, iterates, trial points, entrywise residual arithmetic
+    and the Newton matrix's A block are Python floats, and
+    DPhi(x)^T lam, the norm's inner product, (I - J) DPhi(x) and the
+    Newton system (LAPACK's solve, least squares when it is singular) are
+    numpy.  Each step's line search is one `FloatKernel.line_search`: its
+    trials run in one compiled function once the kernel has warmed up, and
+    numpy's |R| is computed only for a trial that the rounding bound does
+    not reject.  The bound rejects a trial only when it proves that
+    numpy's |R| would be finite and no smaller than the current one, so
+    the iterates are those of the all-numpy residual to the last bit.  A
+    residual or Newton matrix past float range stops the solve
+    ("overflow"), with numpy's floating-point warnings off.  The
     returned iterate gets one exact residual evaluation, which decides
     `converged`.  Reports NewtonResult; never raises on stagnation.
     """
@@ -808,35 +875,20 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
             if not math.isfinite(rnorm):  # at the start; later steps check below
                 iterations, reason = it, "overflow"
                 break
-            jmat = kernel.newton_matrix(x, lam, g, pj)
+            jmat = kernel.newton_matrix(x, lam, values, g, pj)
             if not np.isfinite(jmat).all():
                 iterations, reason = it + 1, "overflow"
                 break
-            try:
-                step = np.linalg.solve(jmat, -r)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
-            step = step.tolist()
-            floor = kernel.floor(rnorm)
-            damp = 1.0
-            best = None
-            for _ in range(30):
-                xn, ln, values, r2, pjn, rejected = kernel.trial(
-                    x, lam, step, damp, p1f, p2f, floor)
-                evaluations += 1
-                if not rejected:
-                    rn, rn_norm, gn = kernel.residual(values, r2, ln, p1f)
-                    if rn_norm < rnorm or not math.isfinite(rn_norm):
-                        best = (xn, ln, rn, rn_norm, gn, pjn)
-                        break
-                damp /= 2
+            step = kernel.newton_step(jmat, r)
+            trials, best = kernel.line_search(x, lam, step, p1f, p2f, rnorm)
+            evaluations += trials
             if best is None:
                 iterations, reason = it + 1, "no_descent"
                 break
-            if not math.isfinite(best[3]):
+            if not math.isfinite(best[4]):
                 iterations, reason = it + 1, "overflow"
                 break
-            x, lam, r, rnorm, g, pj = best
+            x, lam, values, r, rnorm, g, pj = best
     exact_norm = _exact_residual_norm(system, p1, p2, x, lam)
     if exact_norm <= tol:
         reason = "converged"

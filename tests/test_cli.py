@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
 from plqstab.exprparse import ParseError
-from plqstab.problemfile import MAX_DIMENSION, parse_problem_doc
+from plqstab.problemfile import (MAX_DIMENSION, MAX_PROBE_GRID,
+                                 parse_problem_doc)
 from support import random_enlp_docs
 
 
@@ -71,6 +73,8 @@ def test_parse_corpus_files():
     (lambda d: d.update(n=True), "$.n"),
     (lambda d: d.update(m=True), "$.m"),
     (lambda d: d.update(probe={"grid": True}), "$.probe.grid"),
+    (lambda d: d.update(probe={"grid": MAX_PROBE_GRID + 1}),
+     "$.probe.grid: expected an integer in 1..1066"),
     (lambda d: d.update(n=MAX_DIMENSION + 1),
      "dimensions must be in 1..%d" % MAX_DIMENSION),
     (lambda d: d.update(m=10 ** 9), "$.n: dimensions must be in 1..%d"
@@ -244,6 +248,21 @@ def test_cli_rejects_out_of_range_flags(flags, capsys):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("input error: %s " % flags[0])
+
+
+def test_probe_grid_cap(capsys):
+    # From k = 1067 on the perturbation t = 10^-3 / 2^(k-1) is 0.0, so a
+    # larger grid only repeats unperturbed solves: the flag and the file
+    # field stop at 1066, and the error names the cap.
+    assert MAX_PROBE_GRID == 1066
+    assert math.ldexp(1e-3, -1065) > 0 and math.ldexp(1e-3, -1066) == 0.0
+    assert parse_problem_doc(_doc(probe={"grid": 1066})).probe_grid == 1066
+    for grid in ("1067", str(10 ** 7)):
+        rc = cli_main(["analyze", corpus_path("example_4_4"), "--probe",
+                       "--probe-grid", grid])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == "input error: --probe-grid must be in 1..1066\n"
 
 
 def test_cli_rejects_huge_exponent_quickly(tmp_path):

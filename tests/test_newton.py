@@ -12,6 +12,8 @@ import subprocess
 import sys
 import tokenize
 
+import numpy as np
+
 import newton_reference
 import plqstab
 import plqstab.stability as stability
@@ -88,22 +90,15 @@ def test_solve_perturbed_matches_the_numpy_reference(monkeypatch):
 
 def test_compiled_trials_match_the_numpy_reference(monkeypatch):
     # With no warm-up, every system compiles at its first line-search
-    # trial, so every trial the compiled function can finish goes through
-    # it.
+    # trial, so every trial the compiled search can finish runs in it.
+    # A solve's trials are its evaluations less the start; the generic
+    # ones are counted on each kernel.
     monkeypatch.setattr(stability, "_WARMUP", 0)
-    generic = []
-    trial = FloatKernel.trial
-
-    def counted(self, *args):
-        before = self.generic
-        out = trial(self, *args)
-        generic.append(self.generic - before)
-        return out
-
-    monkeypatch.setattr(FloatKernel, "trial", counted)
     calls = _check_against_the_reference(monkeypatch)
-    assert all(s.float_kernel.compiled for s, _, _, _ in calls)
-    assert len(generic) > 30000 and sum(generic) < len(generic) / 10
+    kernels = {s.float_kernel for s, _, _, _ in calls}
+    assert all(kernel.compiled for kernel in kernels)
+    trials = sum(r.evaluations - 1 for _, _, _, r in calls)
+    assert trials > 30000 and sum(k.generic for k in kernels) < trials / 10
 
 
 def _boundary_terms(pen, rng):
@@ -187,17 +182,19 @@ _BOUNDS = {}
 
 
 def _compiled_bound(n, m):
-    """The compiled trial's rejection bound alone: the template's lines
+    """The compiled search's rejection bound alone: the template's lines
     for n and m, compiled into (values, r2, lam, p1, floor) -> rejected
     (parameters named apart from the template's r{j} and l{j})."""
     if (n, m) not in _BOUNDS:
-        lines = ["def trial(values, prox_block, mult, p1, floor):"]
-        lines += ["    v%d = values[%d]" % (i, i) for i in range(n + m + m * n)]
-        lines += ["    r%d = prox_block[%d]" % (j, j) for j in range(m)]
-        lines += ["    l%d = mult[%d]" % (j, j) for j in range(m)]
-        lines += ["    " + line for line in trialsource.bound_lines(n, m)]
-        lines.append("    return rejected")
-        _BOUNDS[n, m] = trialsource.compile_trial(lines, [])
+        body = ["v%d = values[%d]" % (i, i) for i in range(n + m + m * n)]
+        body += ["r%d = prox_block[%d]" % (j, j) for j in range(m)]
+        body += ["l%d = mult[%d]" % (j, j) for j in range(m)]
+        body += trialsource.p1_lines(n) + trialsource.bound_lines(n, m)
+        body.append("return rejected")
+        lines = ["def make(K):",
+                 "    def bound(values, prox_block, mult, p1, floor):"]
+        lines += ["        " + line for line in body] + ["    return bound"]
+        _BOUNDS[n, m] = trialsource.compile_search(lines, [])
     return _BOUNDS[n, m]
 
 
@@ -222,45 +219,67 @@ def _check_rejections(kernel, values, r2, lam, p1, norms):
     return rejected
 
 
+def _replayed_trials(kernel, rnorm, args, out):
+    """The trials of one line search, (values, r2, lam, p1) each, as the
+    generic path computes them (`parts`, then `rejects`), checked against
+    the search's outcome `out`: each trial before the last is rejected by
+    the bound or has a numpy |R| of at least `rnorm`, and the last, when
+    the search returned it, is not rejected, has a numpy |R| below `rnorm`
+    or not finite, and is the returned one to the last bit."""
+    x, lam, step, p1, p2, _ = args
+    trials, best = out
+    floor = kernel.floor(rnorm)
+    replayed = []
+    for i in range(trials):
+        damp = math.ldexp(1.0, -i)
+        xn = [a + damp * b for a, b in zip(x, step)]
+        ln = [a + damp * b for a, b in zip(lam, step[kernel.n:])]
+        values, r2, pj = kernel.parts(xn, ln, p2)
+        rejected = kernel.rejects(values, r2, ln, p1, floor)
+        with kernel.np.errstate(over="ignore", invalid="ignore"):
+            r, norm, _ = kernel.residual(values, r2, ln, p1)
+        if best is not None and i == trials - 1:
+            assert not rejected and (norm < rnorm or not math.isfinite(norm))
+            assert repr((xn, ln, values, r.tolist(), pj[0].tolist())) == repr(
+                (best[0], best[1], best[2], best[3].tolist(),
+                 best[6][0].tolist()))
+        else:
+            assert rejected or (math.isfinite(norm) and norm >= rnorm)
+        replayed.append((values, r2, ln, p1))
+    return replayed
+
+
 def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
-    # Every 5th line-search trial of the default-grid probes of the corpus
-    # and of random-enlp pool seed 1, each against the norm its solve
-    # compared it with and against the norms around its own.  Each of
-    # these trials, compiled or generic, holds what `parts` gives at its
-    # point and what `rejects` decides.
-    trials, last = [], {}
-    floor, trial = FloatKernel.floor, FloatKernel.trial
+    # Every line-search trial of the default-grid probes of the corpus and
+    # of random-enlp pool seed 1, compiled or generic, replayed the generic
+    # way, decides as its search did; every 5th, against the norm its
+    # solve compared it with and against the norms around its own.
+    searches = []
+    line_search = FloatKernel.line_search
 
-    def recorded_floor(self, rnorm):
-        last[self] = rnorm
-        return floor(self, rnorm)
-
-    def recorded_trial(self, x, lam, step, damp, p1, p2, bound):
-        out = trial(self, x, lam, step, damp, p1, p2, bound)
-        trials.append((self, last[self], out, p1, p2))
+    def recorded(self, *args):
+        out = line_search(self, *args)
+        searches.append((self, args, out))
         return out
 
-    monkeypatch.setattr(FloatKernel, "floor", recorded_floor)
-    monkeypatch.setattr(FloatKernel, "trial", recorded_trial)
+    monkeypatch.setattr(FloatKernel, "line_search", recorded)
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     files += [parse_problem_doc(doc) for _, doc in random_enlp_docs(1, 5)]
     for pf in files:
         analyze_problem(pf, probe=True)
     monkeypatch.undo()
+    assert any(kernel.compiled for kernel, _, _ in searches)
+    trials = []
+    for kernel, args, out in searches:
+        rnorm = args[-1]
+        trials += [(kernel, rnorm, trial)
+                   for trial in _replayed_trials(kernel, rnorm, args, out)]
     assert len(trials) > 20000
-    assert any(kernel.compiled for kernel, *_ in trials)
     in_solve = rejected = 0
-    for kernel, rnorm, out, p1, p2 in trials[::5]:
-        xn, lam, values, r2, pj, decision = out
-        expected = kernel.parts(xn, lam, p2)
-        assert repr((values, r2, pj.tolist())) == repr(
-            (expected[0], expected[1], expected[2].tolist()))
-        assert decision is kernel.rejects(values, r2, lam, p1,
-                                          kernel.floor(rnorm))
-        in_solve += _check_rejections(kernel, values, r2, lam, p1, [rnorm])
-        t = kernel.residual(values, r2, lam, p1)[1]
-        rejected += _check_rejections(kernel, values, r2, lam, p1,
-                                      _norms_around(t))
+    for kernel, rnorm, trial in trials[::5]:
+        in_solve += _check_rejections(kernel, *trial, [rnorm])
+        rejected += _check_rejections(kernel, *trial,
+                                      _norms_around(_norm(kernel, trial)))
     assert in_solve > 2000 and rejected > 10000
 
 
@@ -357,29 +376,30 @@ def test_import_leaves_numpy_unloaded():
 
 
 def _compiled_sources(monkeypatch):
-    """The source lines of every trial function compiled from here on."""
+    """The source lines of every search function compiled from here on."""
     sources = []
-    compile_trial = trialsource.compile_trial
+    compile_search = trialsource.compile_search
 
     def recorded(lines, consts):
         sources.append(lines)
-        return compile_trial(lines, consts)
+        return compile_search(lines, consts)
 
-    monkeypatch.setattr(trialsource, "compile_trial", recorded)
+    monkeypatch.setattr(trialsource, "compile_search", recorded)
     return sources
 
 
 _TEMPLATE_NAMES = re.compile(
-    r"[xlvzucyr]\d+|w\d+_\d+|trial|x|lam|step|damp|p1|p2|floor|K|ZERO|BIG|C|"
-    r"SHRINK|J|s|q|e|b|t|d|ok|total|rejected|abs|OverflowError")
+    r"[xlvzucyrahqmok]\d+|w\d+_\d+|make|search|x|lam|step|i|p1|p2|floor|K|"
+    r"ZERO|BIG|C|SHRINK|DAMPS|damp|J|s|e|b|t|d|ok|total|rejected|abs|"
+    r"OverflowError")
 
 
 def test_compiled_source_holds_only_the_template(monkeypatch):
-    # Every trial function the corpus and random-enlp pool seed 1 compile
-    # with no warm-up, and one of a file with coefficients of its own:
-    # its tokens are template names, keywords, operators and integer
-    # literals (K[i] and exponents), so no float and no text of the
-    # problem file reaches `compile`.
+    # Every search function the corpus and random-enlp pool seed 1
+    # compile with no warm-up, and one of a file with coefficients of its
+    # own: its tokens are template names, keywords, operators and integer
+    # literals (indices, exponents and the trial cap), so no float and no
+    # text of the problem file reaches `compile`.
     monkeypatch.setattr(stability, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     doc = json.loads(open(corpus_path("example_3_3"), encoding="utf-8").read())
@@ -429,7 +449,7 @@ def test_a_thousand_term_polynomial_compiles(monkeypatch):
         assert repr(result) == repr(expected)
         solves += result.evaluations > 1
     assert solves >= 4 and system.float_kernel.compiled
-    assert max(sum(line.startswith("    v0 += ") for line in lines)
+    assert max(sum(line.strip().startswith("v0 += ") for line in lines)
                for lines in sources) >= 1000
 
 
@@ -480,14 +500,212 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
     assert _kernel(2, 3).warmup == math.inf
     monkeypatch.setattr(stability, "_MAX_LINES", 26)
     assert _kernel(2, 3).warmup == stability._WARMUP
-    monkeypatch.setattr(stability, "_MAX_LINES", 70)
+    monkeypatch.setattr(stability, "_MAX_LINES", 90)
     monkeypatch.setattr(stability, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     pf = parse_problem_file(corpus_path("example_3_3"))
     calls = _probe_solves(monkeypatch, [(pf, None)])
     kernel = calls[0][0].float_kernel
-    assert [len(lines) for lines in sources] == [62]
+    assert [len(lines) for lines in sources] == [79]
     assert kernel.compiled and kernel.warmup == math.inf
     for system, args, kwargs, result in calls:
         expected = newton_reference.solve_perturbed(system, *args, **kwargs)
         assert repr(result) == repr(expected)
+
+
+def _search_events(monkeypatch):
+    """The line-search events from here on, in order: ("build",) for each
+    search function compiled (a build that a generic trial causes comes
+    before that trial's event), ("compiled", first, i, found) for each
+    call of one (the trial it started at, the trial it stopped at, and
+    whether it returned that trial), and ("generic", i, rejected) for each
+    generic trial, i the trial's index (damp 2^-i)."""
+    events = []
+    compile_search = trialsource.compile_search
+    trial = FloatKernel.trial
+
+    def built(lines, consts):
+        search = compile_search(lines, consts)
+        events.append(("build",))
+
+        def recorded(x, lam, step, i, *args):
+            out = search(x, lam, step, i, *args)
+            events.append(("compiled", i, out[0], out[1] is not None))
+            return out
+
+        return recorded
+
+    def generic(self, x, lam, step, damp, *args):
+        out = trial(self, x, lam, step, damp, *args)
+        events.append(("generic", 1 - math.frexp(damp)[1], out[-1]))
+        return out
+
+    monkeypatch.setattr(trialsource, "compile_search", built)
+    monkeypatch.setattr(FloatKernel, "trial", generic)
+    return events
+
+
+def _far_step_system(overflow=False):
+    """f = (x1^2 + 1, x2), Phi = (x2, x2) with Y = R^2_+, B = I.  At
+    x1 = 1e-12 the Newton step in x1 is about -5e11, so every damped trial
+    has |R| > 1 = |R| at the start.  With `overflow`, f_1 has the term
+    10^-300 x1^30 too, whose power overflows at the first trial."""
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    f1 = x1 * x1 + Polynomial.constant(2, 1)
+    if overflow:
+        f1 = f1 + Polynomial(2, {(30, 0): rat(1, 10 ** 300)})
+    return VarSystem(PolyMap([f1, x2]), PolyMap([x2, x2]), quad_penalty_2d())
+
+
+def _solve_both(system, p1, p2, start):
+    result = solve_perturbed(system, p1, p2, start)
+    assert repr(result) == repr(
+        newton_reference.solve_perturbed(system, p1, p2, start))
+    return result
+
+
+def test_first_step_without_descent_makes_thirty_trials(monkeypatch):
+    # Once the kernel has compiled, one call of its search rejects every
+    # trial of the first step: 30 trials, so 31 evaluations with the
+    # start, and no generic trial.  The first solve compiles at its first
+    # trial, which it serves the generic way.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    events = _search_events(monkeypatch)
+    system = _far_step_system()
+    args = ([0.0, 0.0], [0.0, 0.0], ([1e-12, 0.0], [0.0, 0.0]))
+    for first in (True, False):
+        events.clear()
+        result = _solve_both(system, *args)
+        assert (result.reason, result.iterations, result.evaluations) == (
+            "no_descent", 1, 31)
+        assert events == ([("build",), ("generic", 0, True),
+                           ("compiled", 1, 30, False)] if first else
+                          [("compiled", 0, 30, False)])
+
+
+def test_overflowing_power_falls_back_to_the_generic_trial(monkeypatch):
+    # The compiled search hands the first trial of the far step to the
+    # generic path, whose nan values the bound does not reject; numpy's
+    # |R| is nan, and the solve ends as "overflow", as the reference's.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    events = _search_events(monkeypatch)
+    system = _far_step_system(overflow=True)
+    _solve_both(system, [0.0, 0.0], [0.0, 0.0], ([0.5, 0.0], [0.0, 0.0]))
+    assert system.float_kernel.compiled
+    events.clear()
+    result = _solve_both(system, [0.0, 0.0], [0.0, 0.0],
+                         ([1e-12, 0.0], [0.0, 0.0]))
+    assert (result.reason, result.iterations, result.evaluations) == (
+        "overflow", 1, 2)
+    assert events == [("compiled", 0, 0, False), ("generic", 0, False)]
+
+
+def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
+    # Seeded solves on fresh systems whose prox argument crosses the
+    # orthants of Y = R^2_+.  A trial in a piece without a cached
+    # Jacobian goes to the generic path; when the bound rejects it, the
+    # search resumes at the next damp, on the function rebuilt with the
+    # new piece, also after compiled trials of the same step (a rebuild
+    # in the middle of a step).  Every solve is the reference's.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    events = _search_events(monkeypatch)
+    rng = random.Random(2)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for _ in range(20):
+        system = VarSystem(
+            PolyMap([x1 * x1 + Polynomial.constant(2, 1), x2 - x1]),
+            PolyMap([x2 + x1, x2 - x1 - x1]), quad_penalty_2d())
+        for _ in range(3):
+            start = ([rng.uniform(-1, 1) for _ in range(2)],
+                     [rng.uniform(-1, 1) for _ in range(2)])
+            _solve_both(system, [rng.uniform(-1, 1) for _ in range(2)],
+                        [rng.uniform(-1, 1) for _ in range(2)], start)
+    resumed = mid_step = 0
+    for k in range(len(events) - 3):
+        call, build, trial, resume = events[k:k + 4]
+        if (call[0] == "compiled" and not call[3] and call[2] < 30
+                and build == ("build",) and trial == ("generic", call[2], True)
+                and resume[:2] == ("compiled", call[2] + 1)):
+            resumed += 1
+            mid_step += call[2] > call[1]
+    assert resumed >= 10 and mid_step >= 3
+
+
+def _block_newton_matrix(system, x, lam, g, jac):
+    """The Newton matrix written by numpy blocks, A from the reference's
+    per-polynomial evaluator."""
+    n, m = system.n, system.m
+    jmat = np.empty((n + m, n + m))
+    jmat[:n, :n] = newton_reference._psi_jacobian_x_float(
+        system, np.array(x), np.array(lam))
+    jmat[:n, n:] = g.T
+    jmat[n:, :n] = (np.eye(m) - jac) @ g
+    jmat[n:, n:] = -jac
+    return jmat
+
+
+def _numpy_step(jmat, r):
+    try:
+        return np.linalg.solve(jmat, -r).tolist(), False
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jmat, -r, rcond=None)[0].tolist(), True
+
+
+def test_newton_blocks_match_numpy_on_the_probe_iterates(monkeypatch):
+    # Every Newton matrix and step of the default-grid probes of the corpus
+    # and of random-enlp pool seeds 1-3: the matrix has the bytes of the
+    # block assembly, and the step, from LAPACK's solve called directly,
+    # is `np.linalg.solve`'s, or `lstsq`'s where that raises.
+    records = {"newton_matrix": [], "newton_step": []}
+    for name, records_of in records.items():
+        method = getattr(FloatKernel, name)
+
+        def recorded(self, *args, method=method, records_of=records_of):
+            out = method(self, *args)
+            records_of.append((self, args, out))
+            return out
+
+        monkeypatch.setattr(FloatKernel, name, recorded)
+    runs = [(parse_problem_file(corpus_path(name)), None)
+            for name in corpus_names()]
+    runs += [(parse_problem_doc(doc), None)
+             for seed in (1, 2, 3) for _, doc in random_enlp_docs(seed, 5)]
+    systems = {s.float_kernel: s for s, _, _, _ in _probe_solves(monkeypatch,
+                                                                  runs)}
+    assert len(records["newton_matrix"]) > 2500
+    for kernel, (x, lam, _, g, pj), jmat in records["newton_matrix"]:
+        expected = _block_newton_matrix(systems[kernel], x, lam, g, pj[0])
+        assert jmat.tobytes() == expected.tobytes()
+    singular = 0
+    for kernel, (jmat, r), step in records["newton_step"]:
+        expected, lstsq = _numpy_step(jmat, r)
+        assert repr(step) == repr(expected)
+        singular += lstsq
+    assert singular >= 30
+
+
+def test_newton_step_solves_as_numpy():
+    # The kernel calls numpy's LAPACK gufunc itself; on nonsingular
+    # matrices its step is `np.linalg.solve`'s, and a singular one (an
+    # exactly zero pivot) still gets `lstsq`'s.
+    from numpy.linalg import _umath_linalg
+
+    rng = np.random.default_rng(7)
+    for n, m in ((1, 1), (1, 2), (2, 2), (3, 3), (2, 5)):
+        kernel = _kernel(n, m)
+        assert kernel.solve is _umath_linalg.solve1
+        size = n + m
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(50):
+                jmat = rng.standard_normal((size, size))
+                jmat *= 10.0 ** rng.integers(-5, 6, size=(size, 1))
+                r = rng.standard_normal(size)
+                step, lstsq = _numpy_step(jmat, r)
+                assert not lstsq and repr(kernel.newton_step(jmat, r)) == repr(
+                    step)
+            for jmat in (np.zeros((size, size)), np.ones((size, size)),
+                         np.diag([1.0] * (size - 1) + [0.0])):
+                r = rng.standard_normal(size)
+                step, lstsq = _numpy_step(jmat, r)
+                assert lstsq and repr(kernel.newton_step(jmat, r)) == repr(
+                    step)

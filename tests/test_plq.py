@@ -150,7 +150,7 @@ def test_prox_float_matches_exact_prox_on_random_points():
             bound = 1e-12 * (1 + math.hypot(*v))
             assert max(abs(a - float(b)) for a, b in zip(p, exact)) <= bound
             jac_exact, _ = pen.prox_linearization(vr)
-            assert jac.tolist() == [[float(a) for a in row]
+            assert jac[0].tolist() == [[float(a) for a in row]
                                     for row in jac_exact.rows]
             points += 1
     assert points >= 1000
@@ -161,7 +161,7 @@ def test_prox_float_past_float_range():
     # exact value to run the exact prox at
     p, jac = quad_penalty_2d().prox_float((math.inf, 0.0))
     assert all(math.isnan(v) for v in p)
-    assert all(math.isnan(v) for row in jac for v in row)
+    assert all(math.isnan(v) for block in jac for row in block for v in row)
 
 
 def test_prox_linearization_is_the_active_piece():

@@ -9,9 +9,12 @@ and at least m - 1 rows in Y, named `m<m>_<index>`.  Each document is
 analyzed by `plqstab analyze --report json` in a fresh interpreter that
 imports plqstab from `--root`, under a wall cap; the script prints the
 analysis time (the `main` call, imports excluded) and the sha256 of the
-report bytes.  Run from the root of a checkout:
+report bytes.  With `--probe`, each child runs `plqstab analyze --probe`,
+so the digests and times cover the float probes too.  Run from the root
+of a checkout:
 
     python3 tools/scale_check.py --m 7 8 --cap 60
+    python3 tools/scale_check.py --m 7 --probe
     python3 tools/scale_check.py --root /path/to/other/checkout
 
 Comparing two checkouts' digests shows whether their reports are
@@ -39,7 +42,7 @@ from plqstab.cli import main
 out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(["analyze", "--report", "json", sys.argv[1]])
+    code = main(["analyze", "--report", "json"] + sys.argv[1:])
 seconds = time.perf_counter() - start
 print(json.dumps({"exit": code, "seconds": seconds,
                   "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
@@ -68,14 +71,15 @@ def scale_docs(m, count):
     return out
 
 
-def analyze_fresh(root, path, cap):
-    """{"exit", "seconds", "sha256"} of one fresh analysis, or None past
-    the cap."""
+def analyze_fresh(root, path, cap, flags=()):
+    """{"exit", "seconds", "sha256"} of one fresh analysis with the extra
+    analyze `flags`, or None past the cap."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run([sys.executable, "-c", _CHILD, path], env=env,
-                              capture_output=True, text=True, timeout=cap)
+        done = subprocess.run([sys.executable, "-c", _CHILD, path, *flags],
+                              env=env, capture_output=True, text=True,
+                              timeout=cap)
     except subprocess.TimeoutExpired:
         return None
     if done.returncode != 0:
@@ -91,6 +95,8 @@ def main(argv=None):
     ap.add_argument("--count", type=int, default=4)
     ap.add_argument("--cap", type=float, default=60.0,
                     help="wall cap per analysis, in seconds")
+    ap.add_argument("--probe", action="store_true",
+                    help="run each analysis with --probe")
     args = ap.parse_args(argv)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
@@ -99,7 +105,8 @@ def main(argv=None):
                 path = os.path.join(tmp, name + ".json")
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
-                res = analyze_fresh(os.path.abspath(args.root), path, args.cap)
+                res = analyze_fresh(os.path.abspath(args.root), path, args.cap,
+                                    ["--probe"] if args.probe else [])
                 shape = "n=%d m=%d rows=%d" % (doc["n"], doc["m"],
                                                 len(doc["Y"]["b"]))
                 if res is None:
