@@ -11,8 +11,9 @@ Grammar (whitespace insensitive):
 Variables are x1..xn; exponents are nonnegative integer literals of at
 most MAX_EXPONENT, a power may not raise the degree above it either, and
 no product may multiply out over MAX_EXPANSION term pairs, so that a
-short input cannot ask for an unbounded expansion.  Errors carry the
-character position.
+short input cannot ask for an unbounded expansion.  Parentheses nest at
+most MAX_NESTING deep, so that the recursion stays far inside the
+interpreter's limit.  Errors carry the character position.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ from __future__ import annotations
 from .polymap import Polynomial
 from .rational import Rat
 
-__all__ = ["MAX_EXPANSION", "MAX_EXPONENT", "ParseError", "parse_expression"]
+__all__ = ["MAX_EXPANSION", "MAX_EXPONENT", "MAX_NESTING", "ParseError",
+           "parse_expression"]
 
 # The largest exponent, and the largest degree of a power, that parses.
 MAX_EXPONENT = 64
 # The most term pairs one product may multiply out, checked before the
 # product is formed: a short power of a sum can ask for a huge expansion.
 MAX_EXPANSION = 100_000
+# The deepest nesting of parentheses that parses.  Each level costs four
+# parser frames (expr, term, factor, base), 400 at the cap, well inside
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -39,6 +45,7 @@ class _Scanner:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -136,10 +143,15 @@ def _base(sc, n):
     pos = sc.pos
     if ch == "(":
         sc.take()
+        sc.depth += 1
+        if sc.depth > MAX_NESTING:
+            raise ParseError("parentheses nested deeper than %d" % MAX_NESTING,
+                             pos)
         inner = _expr(sc, n)
         if sc.peek() != ")":
             raise ParseError("expected ')'", sc.pos)
         sc.take()
+        sc.depth -= 1
         return inner
     if ch == "x":
         sc.take()

@@ -236,6 +236,10 @@ def parse_problem_file(path) -> ProblemFile:
         raise ProblemFileError(str(path), "cannot read file (%s)" % e)
     except json.JSONDecodeError as e:
         raise ProblemFileError(str(path), "invalid JSON (%s)" % e)
+    except RecursionError:
+        raise ProblemFileError(str(path), "invalid JSON (nested deeper than "
+                               "the interpreter's recursion limit of %d)"
+                               % sys.getrecursionlimit()) from None
     import os
 
     hint = os.path.splitext(os.path.basename(str(path)))[0]

@@ -563,7 +563,8 @@ class NewtonResult:
     `evaluations` counts the float residual evaluations: the start and
     every line-search trial of `FloatKernel.line_search`, whether the
     compiled search or the generic `FloatKernel.trial` made it, and
-    whether numpy finished it or the rounding bound rejected it first."""
+    whether numpy finished it or a rounding bound rejected it first; the
+    trials left after one at the iterate count too, unevaluated."""
 
     converged: bool
     x: tuple
@@ -634,8 +635,11 @@ class FloatKernel:
     passes, or the passing set has no cached Jacobian) goes to the
     generic `trial`, which rebuilds the function when the reached sets or
     the Jacobians have grown, and the search resumes at the next damp on
-    the current function.  So every bit, and every exact prox check, is
-    as without it.  The function lives on the kernel.  It is not built
+    the current function.  So every bit is as without it.  Two rules end
+    work early: a trial point equal to the iterate ends the search, and
+    the compiled function rejects a trial by the bound's first block alone,
+    before its prox scan, where that proves `rejects` would (see
+    `trialsource`).  The function lives on the kernel.  It is not built
     when it would have more than _MAX_LINES lines, or where `sum` of
     floats is not the sequential sum (Python 3.12 compensates), whose
     scan the unrolled one would not match.
@@ -702,7 +706,9 @@ class FloatKernel:
         """The backtracking search from (x, lam) along `step`: (trials
         made, best), best = (x', lam', values, R, |R|, DPhi, J) at the first
         trial, damp = 2^-i for i < _TRIALS, whose numpy |R| is below
-        `rnorm` or not finite, or None when no trial is."""
+        `rnorm` or not finite, or None when no trial is.  A trial point
+        equal to the iterate ends the search with (_TRIALS, None): numpy
+        would reject it and every later trial, which count as made."""
         floor = self.floor(rnorm)
         i = 0
         while i < _TRIALS:
@@ -712,8 +718,15 @@ class FloatKernel:
                 if i == _TRIALS:  # it rejected every trial left
                     break
             if trial is None:
-                *trial, rejected = self.trial(x, lam, step, math.ldexp(1.0, -i),
-                                              p1, p2, floor)
+                damp = math.ldexp(1.0, -i)
+                # at the iterate numpy's |R| is the current one (== leaves
+                # only a zero's sign free, which reaches only the signs of
+                # zero results, and |R| squares every entry), and rounding
+                # is monotone, so every smaller damp lands there too
+                if all(a + damp * b == a for a, b in zip(x + lam, step)):
+                    break
+                *trial, rejected = self.trial(x, lam, step, damp, p1, p2,
+                                              floor)
                 if rejected:
                     i += 1
                     continue
@@ -727,15 +740,15 @@ class FloatKernel:
     def _build(self):
         """Compile the search function, unless the prox solver's reached
         sets and the cached Jacobians are those it was last built from."""
-        reached = self.penalty._prox_solver()._reached
+        solver = self.penalty._prox_solver()
         jacs = self.penalty._float_jacs
-        sizes = len(reached), len(jacs)
+        sizes = len(solver._reached), len(jacs)
         if sizes == self.built_from:
             return
         self.built_from = sizes
         from .trialsource import compile_search, search_source
 
-        lines, consts = search_source(self.n, self.m, self.terms, reached,
+        lines, consts = search_source(self.n, self.m, self.terms, solver,
                                       jacs)
         if len(lines) > _MAX_LINES:
             self.warmup = math.inf  # it only grows: keep the last function

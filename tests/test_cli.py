@@ -18,7 +18,7 @@ import plqstab.linalg as linalg
 from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
-from plqstab.exprparse import ParseError
+from plqstab.exprparse import MAX_NESTING, ParseError
 from plqstab.problemfile import (MAX_DIMENSION, MAX_PROBE_GRID,
                                  parse_problem_doc)
 from support import random_enlp_docs
@@ -191,6 +191,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["analyze", str(missing)]) == 1
     capsys.readouterr()
+
+    # nesting past a cap is an input error that names it, not a
+    # RecursionError: parentheses past MAX_NESTING in an expression, and
+    # arrays past the interpreter's recursion limit in the file itself
+    depth = MAX_NESTING
+    for levels, code in ((depth, 0), (depth + 1, 1), (250, 1)):
+        nested = tmp_path / ("nested%d.json" % levels)
+        nested.write_text(json.dumps(_doc(
+            f=["(" * levels + "-x1" + ")" * levels])))
+        assert cli_main(["analyze", str(nested)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("input error: $.f[0]: parentheses nested deeper "
+                           "than %d (at position %d)\n" % (depth, depth))
+    arrays = tmp_path / "arrays.json"
+    arrays.write_text('{"n": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert cli_main(["analyze", str(arrays)]) == 1
+    err = capsys.readouterr().err
+    assert "recursion limit of %d" % sys.getrecursionlimit() in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("y", [

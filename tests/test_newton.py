@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 import tokenize
@@ -21,6 +22,7 @@ import plqstab.trialsource as trialsource
 from plqstab import (PlqPenalty, PolyMap, Polyhedron, Polynomial, VarSystem,
                      analyze_problem, corpus_names, corpus_path, identity,
                      parse_problem_file)
+from plqstab.linalg import RatMatrix
 from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import rat, vdot
 from plqstab.stability import FloatKernel, solve_perturbed
@@ -219,17 +221,51 @@ def _check_rejections(kernel, values, r2, lam, p1, norms):
     return rejected
 
 
-def _replayed_trials(kernel, rnorm, args, out):
+_FIRST_BLOCKS = {}
+
+
+def _compiled_first_block(n, m):
+    """The compiled search's first-block rejection alone, compiled into
+    (values, mult, p1, p2, floor) -> (whether pre (1 - C) reaches the
+    floor with every A_i below BIG, whether the rule with its CAP guards
+    on z and u rejects)."""
+    if (n, m) not in _FIRST_BLOCKS:
+        body = ["v%d = values[%d]" % (i, i) for i in range(n + m + m * n)]
+        body += ["l%d = mult[%d]" % (j, j) for j in range(m)]
+        body += trialsource.p1_lines(n)
+        for j in range(m):
+            body += ["z%d = v%d + p2[%d]" % (j, n + j, j),
+                     "u%d = l%d + z%d" % (j, j, j)]
+        body += trialsource.first_block_lines(n, m)
+        body.append("return ok and pre * SHRINK >= floor, %s"
+                    % trialsource.first_block_rejects(m))
+        lines = ["def make(K):",
+                 "    def first(values, mult, p1, p2, floor):"]
+        lines += ["        " + line for line in body] + ["    return first"]
+        _FIRST_BLOCKS[n, m] = trialsource.compile_search(lines, [])
+    return _FIRST_BLOCKS[n, m]
+
+
+def _replayed_trials(kernel, rnorm, args, out, tags):
     """The trials of one line search, (values, r2, lam, p1) each, as the
     generic path computes them (`parts`, then `rejects`), checked against
-    the search's outcome `out`: each trial before the last is rejected by
-    the bound or has a numpy |R| of at least `rnorm`, and the last, when
-    the search returned it, is not rejected, has a numpy |R| below `rnorm`
-    or not finite, and is the returned one to the last bit."""
+    the search's outcome `out` and against numpy's |R|, each counted in
+    `tags` by the first rule that rejects it in the compiled search's
+    order: "iterate" (the trial point is the iterate), "first block" (the
+    bound's first block before the prox scan, where the prox offsets are
+    capped), "bound" (`rejects`) or "numpy".  Every rule that applies is
+    checked: at the iterate, numpy's |R| is `rnorm` to the bit and so is
+    every later trial's; where the first block rejects, so does
+    `rejects`; where `rejects` does, numpy's |R| is finite and at least
+    `rnorm`.  The last trial, when the search returned it, is rejected by
+    no rule and is the returned one to the last bit."""
     x, lam, step, p1, p2, _ = args
     trials, best = out
     floor = kernel.floor(rnorm)
+    capped = trialsource.offsets_capped(kernel.penalty._prox_solver())
+    first_block = _compiled_first_block(kernel.n, kernel.m)
     replayed = []
+    at_iterate = False
     for i in range(trials):
         damp = math.ldexp(1.0, -i)
         xn = [a + damp * b for a, b in zip(x, step)]
@@ -238,22 +274,34 @@ def _replayed_trials(kernel, rnorm, args, out):
         rejected = kernel.rejects(values, r2, ln, p1, floor)
         with kernel.np.errstate(over="ignore", invalid="ignore"):
             r, norm, _ = kernel.residual(values, r2, ln, p1)
+        early = capped and first_block(values, ln, p1, p2, floor)[1]
+        assert not early or rejected
+        assert not rejected or (math.isfinite(norm) and norm >= rnorm)
+        at = xn + ln == x + lam
+        assert at or not at_iterate  # every smaller damp lands there too
+        at_iterate = at
+        assert not at or norm == rnorm
         if best is not None and i == trials - 1:
-            assert not rejected and (norm < rnorm or not math.isfinite(norm))
+            assert not (at_iterate or early or rejected)
+            assert norm < rnorm or not math.isfinite(norm)
             assert repr((xn, ln, values, r.tolist(), pj[0].tolist())) == repr(
                 (best[0], best[1], best[2], best[3].tolist(),
                  best[6][0].tolist()))
         else:
-            assert rejected or (math.isfinite(norm) and norm >= rnorm)
-        replayed.append((values, r2, ln, p1))
+            assert math.isfinite(norm) and norm >= rnorm
+        tag = ("iterate" if at_iterate else "first block" if early
+               else "bound" if rejected else "numpy")
+        tags[tag] = tags.get(tag, 0) + 1
+        replayed.append((values, r2, ln, p1, p2))
     return replayed
 
 
 def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
     # Every line-search trial of the default-grid probes of the corpus and
     # of random-enlp pool seed 1, compiled or generic, replayed the generic
-    # way, decides as its search did; every 5th, against the norm its
-    # solve compared it with and against the norms around its own.
+    # way, decides as its search did, with each rule that rejects it
+    # checked against numpy; every 5th, against the norm its solve
+    # compared it with and against the norms around its own.
     searches = []
     line_search = FloatKernel.line_search
 
@@ -269,18 +317,36 @@ def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
         analyze_problem(pf, probe=True)
     monkeypatch.undo()
     assert any(kernel.compiled for kernel, _, _ in searches)
-    trials = []
+    trials, tags = [], {}
     for kernel, args, out in searches:
         rnorm = args[-1]
         trials += [(kernel, rnorm, trial)
-                   for trial in _replayed_trials(kernel, rnorm, args, out)]
+                   for trial in _replayed_trials(kernel, rnorm, args, out,
+                                                 tags)]
     assert len(trials) > 20000
-    in_solve = rejected = 0
-    for kernel, rnorm, trial in trials[::5]:
+    assert (tags["iterate"] > 500 and tags["first block"] > 10000
+            and tags["bound"] > 5000 and tags["numpy"] > 1000), tags
+    in_solve = rejected = early = 0
+    for kernel, rnorm, (*trial, p2) in trials[::5]:
         in_solve += _check_rejections(kernel, *trial, [rnorm])
-        rejected += _check_rejections(kernel, *trial,
-                                      _norms_around(_norm(kernel, trial)))
-    assert in_solve > 2000 and rejected > 10000
+        norms = _norms_around(_norm(kernel, trial))
+        rejected += _check_rejections(kernel, *trial, norms)
+        early += _check_first_block(kernel, *trial, p2, norms)
+    assert in_solve > 2000 and rejected > 10000 and early > 5000
+
+
+def _check_first_block(kernel, values, r2, lam, p1, p2, norms):
+    """Whenever the first block rejects the trial against a norm of
+    `norms`, `rejects` does too.  Returns the number of such norms."""
+    first_block = _compiled_first_block(kernel.n, kernel.m)
+    early = 0
+    for rnorm in norms:
+        floor = kernel.floor(rnorm)
+        if first_block(values, lam, p1, p2, floor)[1]:
+            assert kernel.rejects(values, r2, lam, p1, floor), (
+                values, r2, lam, p1, p2, rnorm)
+            early += 1
+    return early
 
 
 _EXPONENTS = (-1074, -1060, -1022, -600, -420, -401, -400, -399, -380, -200,
@@ -389,9 +455,9 @@ def _compiled_sources(monkeypatch):
 
 
 _TEMPLATE_NAMES = re.compile(
-    r"[xlvzucyrahqmok]\d+|w\d+_\d+|make|search|x|lam|step|i|p1|p2|floor|K|"
-    r"ZERO|BIG|C|SHRINK|DAMPS|damp|J|s|e|b|t|d|ok|total|rejected|abs|"
-    r"OverflowError")
+    r"[xlvzucyrahqmokg]\d+|w\d+_\d+|make|search|x|lam|step|i|p1|p2|floor|"
+    r"K|ZERO|BIG|C|SHRINK|CAP|DAMPS|damp|J|s|e|b|t|d|ok|pre|total|rejected|"
+    r"abs|OverflowError")
 
 
 def test_compiled_source_holds_only_the_template(monkeypatch):
@@ -500,13 +566,13 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
     assert _kernel(2, 3).warmup == math.inf
     monkeypatch.setattr(stability, "_MAX_LINES", 26)
     assert _kernel(2, 3).warmup == stability._WARMUP
-    monkeypatch.setattr(stability, "_MAX_LINES", 90)
+    monkeypatch.setattr(stability, "_MAX_LINES", 102)
     monkeypatch.setattr(stability, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     pf = parse_problem_file(corpus_path("example_3_3"))
     calls = _probe_solves(monkeypatch, [(pf, None)])
     kernel = calls[0][0].float_kernel
-    assert [len(lines) for lines in sources] == [79]
+    assert [len(lines) for lines in sources] == [91]
     assert kernel.compiled and kernel.warmup == math.inf
     for system, args, kwargs, result in calls:
         expected = newton_reference.solve_perturbed(system, *args, **kwargs)
@@ -606,12 +672,14 @@ def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
     # Jacobian goes to the generic path; when the bound rejects it, the
     # search resumes at the next damp, on the function rebuilt with the
     # new piece, also after compiled trials of the same step (a rebuild
-    # in the middle of a step).  Every solve is the reference's.
+    # in the middle of a step).  The first block rejects some such trials
+    # before their scan, so 30 systems give enough.  Every solve is the
+    # reference's.
     monkeypatch.setattr(stability, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     rng = random.Random(2)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    for _ in range(20):
+    for _ in range(30):
         system = VarSystem(
             PolyMap([x1 * x1 + Polynomial.constant(2, 1), x2 - x1]),
             PolyMap([x2 + x1, x2 - x1 - x1]), quad_penalty_2d())
@@ -629,6 +697,154 @@ def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
             resumed += 1
             mid_step += call[2] > call[1]
     assert resumed >= 10 and mid_step >= 3
+
+
+def _zero_step_system():
+    """f = x1^2 + 1, Phi = 0, Y = R_+ and B = 0.  At lam = 1 the prox
+    argument is 1, where the piece's Jacobian is 0; at x1 = 0 the Newton
+    matrix is then 0 and the least-squares step exactly zero, while
+    |R| = 1."""
+    x1 = Polynomial.variable(1, 0)
+    penalty = PlqPenalty(Polyhedron([(-1,)], [0]), RatMatrix([(0,)]))
+    return VarSystem(PolyMap([x1 * x1 + Polynomial.constant(1, 1)]),
+                     PolyMap([Polynomial.constant(1, 0)]), penalty)
+
+
+def _count_residuals(monkeypatch):
+    """The list whose length counts numpy residuals from here on."""
+    calls = []
+    residual = FloatKernel.residual
+
+    def counted(self, *args):
+        calls.append(None)
+        return residual(self, *args)
+
+    monkeypatch.setattr(FloatKernel, "residual", counted)
+    return calls
+
+
+def test_a_zero_step_evaluates_no_trial(monkeypatch):
+    # The first trial of a zero step is the iterate, so the search ends
+    # there, generic or compiled, with no trial evaluated and no numpy
+    # residual but the start's; its 30 trials still count, as the
+    # reference's.  Without the rule the compiled search would have
+    # returned trial 0 for numpy, since no bound rejects the iterate.
+    events = _search_events(monkeypatch)
+    residuals = _count_residuals(monkeypatch)
+    zero_step = ([0.0], [0.0], ([0.0], [1.0]))
+    for compiled in (False, True):
+        system = _zero_step_system()
+        if compiled:
+            monkeypatch.setattr(stability, "_WARMUP", 0)
+            _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
+            assert system.float_kernel.compiled
+        events.clear()
+        residuals.clear()
+        result = _solve_both(system, *zero_step)
+        assert (result.reason, result.iterations, result.evaluations) == (
+            "no_descent", 1, 31)
+        assert events == ([("compiled", 0, 30, False)] if compiled else [])
+        assert len(residuals) == 1
+
+
+def _reference_search(system, x, lam, step, p1, p2, rnorm):
+    """(trials, index of the trial returned or None) of the reference's
+    line search from (x, lam) along `step`."""
+    n = system.n
+    args = [np.array(v, dtype=float) for v in (p1, p2, x, lam, step)]
+    p1, p2, x, lam, step = args
+    damp = 1.0
+    for i in range(30):
+        _, norm, _, _ = newton_reference.float_residual(
+            system, p1, p2, x + damp * step[:n], lam + damp * step[n:])
+        if norm < rnorm or not math.isfinite(norm):
+            return i + 1, i
+        damp /= 2
+    return 30, None
+
+
+def test_a_step_below_an_ulp_rounds_onto_the_iterate(monkeypatch):
+    # From x1 = lam1 = 1 along (2^-50, 2^-51) the trials at damps 1, 1/2
+    # and 1/4 move x1 by 4, 2 and 1 ulps (lam1 by 2, 1 and 0), |R| rises
+    # and numpy rejects them; at 1/8 the trial rounds onto the iterate
+    # (ties to even), where the search ends with 30 trials counted, as the
+    # reference's.  Generic, then compiled.
+    events = _search_events(monkeypatch)
+    x, lam, step = [1.0], [1.0], [math.ldexp(1.0, -50), math.ldexp(1.0, -51)]
+    for compiled in (False, True):
+        system = _zero_step_system()
+        if compiled:
+            monkeypatch.setattr(stability, "_WARMUP", 0)
+            _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
+            assert system.float_kernel.compiled
+        kernel = system.float_kernel
+        values, r2, _ = kernel.parts(x, lam, [0.0])
+        _, rnorm, _ = kernel.residual(values, r2, lam, [0.0])
+        expected = _reference_search(system, x, lam, step, [0.0], [0.0],
+                                     rnorm)
+        assert expected == (30, None) and rnorm == 2.0
+        events.clear()
+        out = kernel.line_search(x, lam, step, [0.0], [0.0], rnorm)
+        assert out == expected
+        assert events == ([("compiled", i, i, True) for i in range(3)]
+                          + [("compiled", 3, 30, False)] if compiled else
+                          [("generic", i, False) for i in range(3)])
+
+
+def test_first_block_leaves_an_overflowing_trial_to_numpy(monkeypatch):
+    # The far step of `_far_step_system` with Phi_1 = x2 + x1^20: at its
+    # first trial f_1 is about 2.5e23, so the first block alone reaches
+    # the floor of |R| = 1, but Phi_1 is about 1e234, past CAP, and r2
+    # squared overflows numpy's |R|.  The compiled search hands the trial
+    # to numpy, and the solve ends as "overflow", as the reference's.
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    events = _search_events(monkeypatch)
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    system = VarSystem(
+        PolyMap([x1 * x1 + Polynomial.constant(2, 1), x2]),
+        PolyMap([x2 + Polynomial(2, {(20, 0): rat(1)}), x2]), quad_penalty_2d())
+    _solve_both(system, [0.0, 0.0], [0.0, 0.0], ([0.5, 0.0], [0.0, 0.0]))
+    kernel = system.float_kernel
+    assert kernel.compiled and trialsource.offsets_capped(
+        kernel.penalty._prox_solver())
+    searches = []
+    line_search = FloatKernel.line_search
+
+    def recorded(self, *args):
+        searches.append(args)
+        return line_search(self, *args)
+
+    monkeypatch.setattr(FloatKernel, "line_search", recorded)
+    events.clear()
+    result = _solve_both(system, [0.0, 0.0], [0.0, 0.0],
+                         ([1e-12, 0.0], [0.0, 0.0]))
+    assert (result.reason, result.iterations, result.evaluations) == (
+        "overflow", 1, 2)
+    assert events[0][:3] == ("compiled", 0, 0)
+    [(x, lam, step, p1, p2, rnorm)] = searches
+    xn = [a + b for a, b in zip(x, step)]
+    ln = [a + b for a, b in zip(lam, step[2:])]
+    values, r2, _ = kernel.parts(xn, ln, p2)
+    first = _compiled_first_block(2, 2)(values, ln, p1, p2, kernel.floor(rnorm))
+    assert first == (True, False) and values[2] > 1e200
+    with np.errstate(over="ignore"):
+        assert kernel.residual(values, r2, ln, p1)[1] == math.inf
+
+
+def test_a_first_power_is_the_float_itself():
+    # The compiled search writes x_j for x_j ** 1 (`trialsource._value_lines`):
+    # the bits agree on +-0, subnormals, +-max, +-inf, nans with and without
+    # a payload, and random floats of every exponent.
+    nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8DEADBEEF0001))[0]
+    values = [0.0, 5e-324, sys.float_info.min / 3, sys.float_info.min, 1.0,
+              math.nextafter(1.0, 0), 0.1, 3.5, sys.float_info.max, math.inf,
+              math.nan, nan_payload]
+    rng = random.Random(5)
+    values += [math.ldexp(rng.uniform(0.5, 1.0), rng.randint(-1074, 1024))
+               for _ in range(20000)]
+    for value in values:
+        for v in (value, -value):
+            assert struct.pack("<d", v ** 1) == struct.pack("<d", v)
 
 
 def _block_newton_matrix(system, x, lam, g, jac):
