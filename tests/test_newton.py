@@ -24,6 +24,7 @@ from plqstab import (PlqPenalty, PolyMap, Polyhedron, Polynomial, VarSystem,
                      parse_problem_file)
 from plqstab.linalg import RatMatrix
 from plqstab.problemfile import parse_problem_doc
+from plqstab.qp import _subsets
 from plqstab.rational import rat, vdot
 from plqstab.stability import FloatKernel, solve_perturbed
 from support import quad_penalty_2d, random_enlp_docs, random_penalty
@@ -829,6 +830,105 @@ def test_first_block_leaves_an_overflowing_trial_to_numpy(monkeypatch):
     assert first == (True, False) and values[2] > 1e200
     with np.errstate(over="ignore"):
         assert kernel.residual(values, r2, ln, p1)[1] == math.inf
+
+
+def _max_offset(solver):
+    """The largest |d_j| of y(c) = d - M c over every independent active
+    set of the prox QP `solver`, exactly (`StrictQpSolver.piece`)."""
+    best = 0
+    for subset in _subsets(tuple(solver._ineq)):
+        if solver._subset_solver(subset) is not None:
+            best = max([best] + [abs(v) for v in solver.piece(subset)[1]])
+    return best
+
+
+def test_offsets_capped_bounds_every_active_sets_offset():
+    # `trialsource.offsets_capped` may hold only where every active set's
+    # exact offset is below 2^200.  On Y = {lam <= a}, B = 0, the offset is
+    # a and the bound is sqrt(2 (1 + a^2)), within sqrt(2) of it: the
+    # answer turns at the largest a with 2 (1 + a^2) < 2^400, just below
+    # 2^199.5.  Then random penalties of up to 3 rational rows, each tight
+    # or slack at a point scaled by 2^170 to 2^205, with random B; and two
+    # nearly parallel rows whose vertex is 2^201 with right-hand sides of
+    # 2^101 at most.
+    cap = 2 ** 200
+    turn = math.isqrt(2 ** 399 - 2)
+    assert 2 * (1 + turn ** 2) < 2 ** 400 <= 2 * (1 + (turn + 1) ** 2)
+    cases = [(PlqPenalty(Polyhedron([(1,)], [a]), RatMatrix([(0,)])), a)
+             for a in (2 ** 150, 2 ** 199, turn, turn + 1, 3 * 2 ** 198,
+                       2 ** 200 - 1, 2 ** 200, 2 ** 300)]
+    rng = random.Random(11)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        scale = 2 ** rng.randint(170, 205)
+        rows = [tuple(rat(rng.randint(-3, 3), rng.randint(1, 4))
+                      for _ in range(m)) for _ in range(rng.randint(1, 3))]
+        rows = [b for b in rows if any(b)] or [(rat(1),) * m]
+        point = [scale * rat(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(m)]
+        alpha = [vdot(b, point) + scale * rng.randint(0, 2) for b in rows]
+        bmat = random_penalty(rng, m)[0].B
+        cases.append((PlqPenalty(Polyhedron(rows, alpha).with_dim(m), bmat),
+                      None))
+    eps = rat(1, 2 ** 100)
+    cases.append((PlqPenalty(Polyhedron([(1, 1), (1, 1 + eps)],
+                                        [0, 2 ** 101]), identity(2)), None))
+    outcomes = []
+    for penalty, a in cases:
+        solver = penalty._prox_solver()
+        capped = trialsource.offsets_capped(solver)
+        best = _max_offset(solver)
+        assert not capped or best < cap, (penalty.Y, best)
+        if a is not None:
+            assert best == a and capped is (a <= turn)
+        outcomes.append((capped, best >= cap))
+    assert outcomes[-1] == (False, True)
+    assert {(True, False), (False, True), (False, False)} <= set(outcomes)
+
+
+def _far_set_system():
+    """f = x1^2 + 1, Phi = 0, Y = {lam >= 2^600} and B = 0: prox(u) =
+    min(u - 2^600, 0), so the prox offset 2^600 is far past the cap of
+    `trialsource.offsets_capped`, and r2 = 2^600 - lam wherever lam is
+    below 2^600."""
+    x1 = Polynomial.variable(1, 0)
+    penalty = PlqPenalty(Polyhedron([(-1,)], [-2 ** 600]), RatMatrix([(0,)]))
+    return VarSystem(PolyMap([x1 * x1 + Polynomial.constant(1, 1)]),
+                     PolyMap([Polynomial.constant(1, 0)]), penalty)
+
+
+def test_uncapped_offsets_compile_no_first_block_rejection(monkeypatch):
+    # From x1 = 1e-12, lam = 2^600 (|R| = 1) along (-5e11, -2^600), the
+    # first trial has f_1 about 2.5e23, so its first block reaches the
+    # floor with z = u = 0 well inside CAP, while its prox value is -2^600
+    # and r2 squared overflows numpy's |R|.  Only the offset bound rules
+    # the early rejection out here: no search function of this system
+    # holds it, the trial reaches numpy, and the search returns it with
+    # |R| = inf, as the reference's line search does.
+    first_block = _compiled_first_block(1, 1)  # not a search function
+    monkeypatch.setattr(stability, "_WARMUP", 0)
+    sources = _compiled_sources(monkeypatch)
+    system = _far_set_system()
+    _solve_both(system, [0.0], [0.0], ([0.5], [2.0 ** 600]))  # compiles
+    kernel = system.float_kernel
+    assert kernel.compiled
+    assert not trialsource.offsets_capped(kernel.penalty._prox_solver())
+    x, lam, step = [1e-12], [2.0 ** 600], [-5e11, -2.0 ** 600]
+    values, r2, _ = kernel.parts(x, lam, [0.0])
+    _, rnorm, _ = kernel.residual(values, r2, lam, [0.0])
+    assert rnorm == 1.0
+    ln = [lam[0] + step[1]]
+    values, r2, _ = kernel.parts([x[0] + step[0]], ln, [0.0])
+    first = first_block(values, ln, [0.0], [0.0], kernel.floor(rnorm))
+    assert first == (True, True) and r2 == [2.0 ** 600]
+    with np.errstate(over="ignore"):
+        expected = _reference_search(system, x, lam, step, [0.0], [0.0],
+                                     rnorm)
+        trials, best = kernel.line_search(x, lam, step, [0.0], [0.0], rnorm)
+    assert expected == (1, 0) and (trials, best[4]) == (1, math.inf)
+    assert sources and not any(
+        trialsource.first_block_rejects(1) in "\n".join(lines)
+        for lines in sources)
 
 
 def test_a_first_power_is_the_float_itself():

@@ -8,11 +8,12 @@ from that checkout's src/, and alternates between them one analysis at a
 time: in each round every file is analyzed once by each checkout, the
 parent first in even rounds and the change first in odd ones.  An
 analysis is `plqstab analyze FILE --report json` (with `--probe` when
-asked), called in-process; only that call is timed.  Right before and
-right after it the child times the reference kernel of
-bench/hostspeed.py, and the analysis is scaled to the reference host by
-NOMINAL_S over the mean of the two, as the benchmark scales its analyses.
-The first `--warmup` rounds fill each child's caches and are not counted.
+asked), called in-process by tools/analysis_child.py; only that call is
+timed.  Right before and right after it the child times the reference
+kernel of bench/hostspeed.py, and the analysis is scaled to the reference
+host by NOMINAL_S over the mean of the two, as the benchmark scales its
+analyses.  The first WARMUP_ROUNDS rounds fill each child's caches and are
+not counted.
 
 On a shared host run-to-run spread can hide a gain of a fifth, while two
 analyses made a moment apart see nearly the same host.  Per file the
@@ -32,33 +33,13 @@ import statistics
 import subprocess
 import sys
 
+from analysis_child import command
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 BENCH = os.path.join(os.path.dirname(HERE), "bench")
 
-_CHILD = r"""
-import contextlib, hashlib, io, json, os, sys, time
-root, bench = sys.argv[1], sys.argv[2]
-sys.path.insert(0, bench)
-import hostspeed
-import plqstab
-from plqstab.cli import main
-if not os.path.abspath(plqstab.__file__).startswith(
-        os.path.join(root, "src") + os.sep):
-    sys.exit("plqstab was imported from %s" % plqstab.__file__)
-for line in sys.stdin:
-    argv = json.loads(line)
-    out, err = io.StringIO(), io.StringIO()
-    before = hostspeed.kernel_seconds()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    seconds = time.perf_counter() - start
-    after = hostspeed.kernel_seconds()
-    print(json.dumps({"exit": code, "seconds": seconds,
-                      "kernels": [before, after],
-                      "sha256": hashlib.sha256(
-                          out.getvalue().encode()).hexdigest()}), flush=True)
-"""
+# Rounds run first to fill each child's caches, not counted.
+WARMUP_ROUNDS = 1
 
 
 def _hostspeed():
@@ -73,11 +54,10 @@ class Child:
     """One interpreter analyzing files with plqstab from `root`."""
 
     def __init__(self, root):
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", _CHILD, root, BENCH], env=env, cwd=root,
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        argv, env = command(root, BENCH)
+        self.proc = subprocess.Popen(argv, env=env, cwd=root,
+                                     stdin=subprocess.PIPE,
+                                     stdout=subprocess.PIPE, text=True)
 
     def analyze(self, argv):
         self.proc.stdin.write(json.dumps(argv) + "\n")
@@ -109,8 +89,6 @@ def main(argv=None):
                     help="analyze with --probe")
     ap.add_argument("--rounds", type=int, default=10,
                     help="counted rounds (default 10)")
-    ap.add_argument("--warmup", type=int, default=1,
-                    help="uncounted rounds first (default 1)")
     args = ap.parse_args(argv)
     nominal = _hostspeed().NOMINAL_S
     roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
@@ -119,7 +97,7 @@ def main(argv=None):
     digests = {f: (set(), set()) for f in args.files}
     ok = True
     try:
-        for rnd in range(args.warmup + args.rounds):
+        for rnd in range(WARMUP_ROUNDS + args.rounds):
             order = (0, 1) if rnd % 2 == 0 else (1, 0)
             for path in args.files:
                 cmd = ["analyze", os.path.abspath(path), "--report", "json"]
@@ -128,7 +106,7 @@ def main(argv=None):
                     res = children[side].analyze(cmd)
                     ok = ok and res["exit"] == 0
                     digests[path][side].add(res["sha256"])
-                    if rnd >= args.warmup:
+                    if rnd >= WARMUP_ROUNDS:
                         mean = sum(res["kernels"]) / len(res["kernels"])
                         times[path][side].append(res["seconds"] * nominal
                                                  / mean)

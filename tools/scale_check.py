@@ -7,11 +7,11 @@ Rebuilds the scale set from the benchmark's ENLP generator
 and keeps the first `--count` documents that have that m, n >= m - 1
 and at least m - 1 rows in Y, named `m<m>_<index>`.  Each document is
 analyzed by `plqstab analyze --report json` in a fresh interpreter that
-imports plqstab from `--root`, under a wall cap; the script prints the
-analysis time (the `main` call, imports excluded) and the sha256 of the
-report bytes.  With `--probe`, each child runs `plqstab analyze --probe`,
-so the digests and times cover the float probes too.  Run from the root
-of a checkout:
+imports plqstab from `--root` (tools/analysis_child.py), under a wall cap;
+the script prints the analysis time (the `main` call, imports excluded)
+and the sha256 of the report bytes.  With `--probe`, each child runs
+`plqstab analyze --probe`, so the digests and times cover the float probes
+too.  Run from the root of a checkout:
 
     python3 tools/scale_check.py --m 7 8 --cap 60
     python3 tools/scale_check.py --m 7 --probe
@@ -33,21 +33,10 @@ import subprocess
 import sys
 import tempfile
 
+from analysis_child import command
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
-
-_CHILD = """
-import contextlib, hashlib, io, json, sys, time
-from plqstab.cli import main
-out, err = io.StringIO(), io.StringIO()
-start = time.perf_counter()
-with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(["analyze", "--report", "json"] + sys.argv[1:])
-seconds = time.perf_counter() - start
-print(json.dumps({"exit": code, "seconds": seconds,
-                  "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}))
-"""
-
 
 def _workloads():
     path = os.path.join(REPO, "bench", "workloads.py")
@@ -74,12 +63,11 @@ def scale_docs(m, count):
 def analyze_fresh(root, path, cap, flags=()):
     """{"exit", "seconds", "sha256"} of one fresh analysis with the extra
     analyze `flags`, or None past the cap."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+    argv, env = command(root)
+    request = json.dumps(["analyze", "--report", "json", path, *flags])
     try:
-        done = subprocess.run([sys.executable, "-c", _CHILD, path, *flags],
-                              env=env, capture_output=True, text=True,
-                              timeout=cap)
+        done = subprocess.run(argv, input=request + "\n", env=env,
+                              capture_output=True, text=True, timeout=cap)
     except subprocess.TimeoutExpired:
         return None
     if done.returncode != 0:
