@@ -22,12 +22,24 @@ from .problemfile import ProblemFile, ProblemFileError, parse_problem_file
 from .qp import QpInfeasible, QpOptimal, QpUnbounded, qp_solve
 from .rational import Rat, parse_rat, rat
 from .report import analyze_problem, render_json, render_text
-from .stability import (CriticalityVerdict, NewtonResult, ProbeTrace,
-                        UniquenessReport, classify_multiplier,
-                        critical_ray_probe, dqc_holds, error_bound_residuals,
-                        semi_isolated_probe, solve_perturbed,
-                        trace_is_divergent, uniqueness_report)
+from .stability import (CriticalityVerdict, UniquenessReport,
+                        classify_multiplier, dqc_holds, error_bound_residuals,
+                        uniqueness_report)
 from .varsys import MultiplierSet, VarSystem
+
+# The float probe's names, served from `probe` on first use (PEP 562), so
+# that importing the package neither compiles nor loads the probe.
+_PROBE_NAMES = frozenset(("NewtonResult", "ProbeTrace", "critical_ray_probe",
+                          "semi_isolated_probe", "solve_perturbed",
+                          "trace_is_divergent"))
+
+
+def __getattr__(name):
+    if name in _PROBE_NAMES:
+        from . import probe
+
+        return getattr(probe, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def corpus_path(name: str) -> str:

@@ -29,11 +29,11 @@ the pivots, point, multipliers and certificate of a fresh solve;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError
 from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints
+from .record import FrozenRecord, set_field
 
 __all__ = [
     "LpProblem",
@@ -52,22 +52,17 @@ def _rats(values):
     return tuple(v if type(v) is Rat else rat(v) for v in values)
 
 
-@dataclass(frozen=True)
-class LpProblem:
+class LpProblem(FrozenRecord):
     """max <objective, x>  s.t.  a_ub x <= b_ub,  a_eq x == b_eq."""
 
-    objective: tuple
-    a_ub: tuple = ()
-    b_ub: tuple = ()
-    a_eq: tuple = ()
-    b_eq: tuple = ()
+    __slots__ = ("objective", "a_ub", "b_ub", "a_eq", "b_eq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objective", _rats(self.objective))
-        object.__setattr__(self, "a_ub", tuple(_rats(r) for r in self.a_ub))
-        object.__setattr__(self, "b_ub", _rats(self.b_ub))
-        object.__setattr__(self, "a_eq", tuple(_rats(r) for r in self.a_eq))
-        object.__setattr__(self, "b_eq", _rats(self.b_eq))
+    def __init__(self, objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+        set_field(self, "objective", _rats(objective))
+        set_field(self, "a_ub", tuple(_rats(r) for r in a_ub))
+        set_field(self, "b_ub", _rats(b_ub))
+        set_field(self, "a_eq", tuple(_rats(r) for r in a_eq))
+        set_field(self, "b_eq", _rats(b_eq))
         n = len(self.objective)
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
             raise ValueError("constraint row length does not match objective")
@@ -75,24 +70,30 @@ class LpProblem:
             raise ValueError("constraint/right-hand-side count mismatch")
 
 
-@dataclass(frozen=True)
-class LpOptimal:
-    point: tuple
-    value: object
-    dual_ub: tuple
-    dual_eq: tuple
+class LpOptimal(FrozenRecord):
+    __slots__ = ("point", "value", "dual_ub", "dual_eq")
+
+    def __init__(self, point, value, dual_ub, dual_eq):
+        set_field(self, "point", point)
+        set_field(self, "value", value)
+        set_field(self, "dual_ub", dual_ub)
+        set_field(self, "dual_eq", dual_eq)
 
 
-@dataclass(frozen=True)
-class LpUnbounded:
-    ray: tuple
-    feasible_point: tuple
+class LpUnbounded(FrozenRecord):
+    __slots__ = ("ray", "feasible_point")
+
+    def __init__(self, ray, feasible_point):
+        set_field(self, "ray", ray)
+        set_field(self, "feasible_point", feasible_point)
 
 
-@dataclass(frozen=True)
-class LpInfeasible:
-    farkas_ub: tuple
-    farkas_eq: tuple
+class LpInfeasible(FrozenRecord):
+    __slots__ = ("farkas_ub", "farkas_eq")
+
+    def __init__(self, farkas_ub, farkas_eq):
+        set_field(self, "farkas_ub", farkas_ub)
+        set_field(self, "farkas_eq", farkas_eq)
 
 
 class _CertificateError(InternalConsistencyError):

@@ -19,14 +19,13 @@ neither solves an LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalConsistencyError
 from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
 from .qp import StrictQpSolver, _subsets
 from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
                        vscale, vsub)
+from .record import FrozenRecord, set_field
 
 __all__ = [
     "Polyhedron",
@@ -253,12 +252,14 @@ class Polyhedron:
         return "Polyhedron(rows=%d, dim=%s)" % (len(self.b), self._dim)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(FrozenRecord):
     """A face as its tight row indices plus the induced piece."""
 
-    tight: frozenset
-    piece: object
+    __slots__ = ("tight", "piece")
+
+    def __init__(self, tight, piece):
+        set_field(self, "tight", tight)
+        set_field(self, "piece", piece)
 
 
 class PolyCone:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .enlp import EnlpProblem
 from .exprparse import ParseError, parse_expression
@@ -33,6 +32,7 @@ from .plq import NotPsdError, PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
 from .rational import parse_rat, to_float
+from .record import Record
 from .varsys import VarSystem
 
 __all__ = ["MAX_DIMENSION", "MAX_PROBE_GRID", "ProblemFile",
@@ -53,18 +53,24 @@ class ProblemFileError(ValueError):
         self.path = path
 
 
-@dataclass
-class ProblemFile:
-    name: str
-    kind: str
-    n: int
-    m: int
-    problem: object          # EnlpProblem | VarSystem
-    points: list             # [(x tuple, lambda tuple), ...]
-    probe_grid: int
-    probe_tol: float
-    y_input: tuple           # (rows, alpha) of Y as written, before Polyhedron
-                             # scales rows to integers and drops duplicates
+class ProblemFile(Record):
+    __slots__ = ("name", "kind", "n", "m", "problem", "points", "probe_grid",
+                 "probe_tol", "y_input")
+
+    def __init__(self, name: str, kind: str, n: int, m: int, problem,
+                 points: list, probe_grid: int, probe_tol: float,
+                 y_input: tuple):
+        self.name = name
+        self.kind = kind
+        self.n = n
+        self.m = m
+        self.problem = problem          # EnlpProblem | VarSystem
+        self.points = points            # [(x tuple, lambda tuple), ...]
+        self.probe_grid = probe_grid
+        self.probe_tol = probe_tol
+        # (rows, alpha) of Y as written, before Polyhedron scales rows to
+        # integers and drops duplicates
+        self.y_input = y_input
 
     def require_float_data(self):
         """Raise ProblemFileError naming the first datum the float probes
@@ -114,11 +120,29 @@ def _expect(doc, key, types, path):
     return v
 
 
+# The longest text of a bad value, or of the reason it is bad, that an
+# error message quotes; longer text is cut and ends in "...".
+_QUOTE_CHARS = 60
+
+
+def _clip(text):
+    if len(text) <= _QUOTE_CHARS:
+        return text
+    return text[:_QUOTE_CHARS - 3] + "..."
+
+
 def _rat_at(value, path):
+    # an array or object is refused unread: its str() and repr() grow with
+    # its size and recurse with its depth
+    if isinstance(value, (list, dict)):
+        raise ProblemFileError(path, "bad rational: expected an integer or a "
+                               "string, not a JSON %s"
+                               % ("array" if isinstance(value, list) else "object"))
     try:
         return parse_rat(value)
     except (ValueError, TypeError) as e:
-        raise ProblemFileError(path, "bad rational %r (%s)" % (value, e))
+        raise ProblemFileError(path, "bad rational %s (%s)"
+                               % (_clip(repr(value)), _clip(str(e))))
 
 
 def _rat_vector(values, length, path):
@@ -146,7 +170,7 @@ def _expression(text, n, path):
 def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
     if not isinstance(doc, dict):
         raise ProblemFileError("$", "top level must be an object")
-    name = doc.get("name", name_hint)
+    name = _expect(doc, "name", str, "$") if "name" in doc else name_hint
     kind = _expect(doc, "kind", str, "$")
     if kind not in ("enlp", "varsys"):
         raise ProblemFileError("$.kind", "must be 'enlp' or 'varsys'")

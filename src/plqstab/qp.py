@@ -26,7 +26,6 @@ read its exact data (`piece`) without an exact solve per evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .errors import InternalConsistencyError
@@ -34,24 +33,28 @@ from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
 from .lp import lp_feasible_point
 from .rational import ONE, ZERO, rat, to_float, vdot
+from .record import FrozenRecord, set_field
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
 
 
-@dataclass(frozen=True)
-class QpOptimal:
-    point: tuple
-    value: object
+class QpOptimal(FrozenRecord):
+    __slots__ = ("point", "value")
+
+    def __init__(self, point, value):
+        set_field(self, "point", point)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class QpUnbounded:
-    ray: tuple
+class QpUnbounded(FrozenRecord):
+    __slots__ = ("ray",)
+
+    def __init__(self, ray):
+        set_field(self, "ray", ray)
 
 
-@dataclass(frozen=True)
-class QpInfeasible:
-    pass
+class QpInfeasible(FrozenRecord):
+    __slots__ = ()
 
 
 def _subsets(items):
@@ -274,7 +277,7 @@ class StrictQpSolver:
         a kink more than one set passes in float, and the order decides
         which piece, and so which generalized Jacobian, is used.  Each
         inner product is `sum(map(mul, ...))`, the same float sum as a
-        loop over the pairs.  `stability.FloatKernel` unrolls this scan,
+        loop over the pairs.  `probe.FloatKernel` unrolls this scan,
         over the sets reached so far, into its compiled line-search trial.
         """
         reached = self._reached

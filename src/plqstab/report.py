@@ -7,7 +7,8 @@ witness, the uniqueness report, a deterministic error-bound residual
 table, the (ENLP-only) stability report, and the opt-in floating-point
 probes.  The resulting document is pure data; `render_json` and
 `render_text` are two renderings of the same facts and are
-byte-deterministic for identical input and flags.
+byte-deterministic for identical input and flags.  The float probes
+(`probe`) are imported by an analysis with `probe` set, and by no other.
 
 Theorem-level equivalences are asserted during assembly; a violation
 raises InternalConsistencyError, which the CLI maps to exit code 2.
@@ -21,9 +22,8 @@ import math
 from .errors import InternalConsistencyError
 from .problemfile import ProblemFile
 from .rational import format_rat, rat, vadd
-from .stability import (classify_multiplier, critical_ray_probe,
-                        error_bound_residuals, semi_isolated_probe,
-                        trace_is_divergent, uniqueness_report)
+from .stability import (classify_multiplier, error_bound_residuals,
+                        uniqueness_report)
 
 __all__ = ["analyze_problem", "render_json", "render_text",
            "InternalConsistencyError"]
@@ -134,6 +134,9 @@ def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
         doc["stability"] = report.to_doc()
 
     if probe:
+        from .probe import (critical_ray_probe, semi_isolated_probe,
+                            trace_is_divergent)
+
         probes = {}
         trace, modulus = semi_isolated_probe(system, x, lam, grid=probe_grid,
                                              tol=tol)

@@ -1,7 +1,7 @@
-"""The source of `stability.FloatKernel`'s compiled line search.
+"""The source of `probe.FloatKernel`'s compiled line search.
 
 `search_source` writes one Python function that runs the backtracking
-loop of `stability.solve_perturbed`'s line search, damp = 1, 1/2, ...,
+loop of `probe.solve_perturbed`'s line search, damp = 1, 1/2, ...,
 and performs in each trial the float operations of a generic trial
 (`FloatKernel.trial`), in their order: the trial point,
 `polymap._float_values` over the kernel's term lists, the prox argument,
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 
-from .stability import _BIG, _C, _TRIALS
+from .probe import _BIG, _C, _TRIALS
 
 __all__ = ["bound_lines", "compile_search", "first_block_lines",
            "first_block_rejects", "offsets_capped", "p1_lines",

@@ -12,7 +12,6 @@ subgradient of theta at Phi(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import RatMatrix
@@ -20,19 +19,23 @@ from .plq import PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
 from .rational import rat, vadd
+from .record import FrozenRecord, set_field
 
 __all__ = ["VarSystem", "MultiplierSet"]
 
 
-@dataclass(frozen=True)
-class MultiplierSet:
+class MultiplierSet(FrozenRecord):
     """The multiplier polyhedron at a base point with its shape flags."""
 
-    poly: Polyhedron
-    empty: bool
-    singleton: bool
-    dimension: int
-    representative: tuple | None
+    __slots__ = ("poly", "empty", "singleton", "dimension", "representative")
+
+    def __init__(self, poly: Polyhedron, empty: bool, singleton: bool,
+                 dimension: int, representative: tuple | None):
+        set_field(self, "poly", poly)
+        set_field(self, "empty", empty)
+        set_field(self, "singleton", singleton)
+        set_field(self, "dimension", dimension)
+        set_field(self, "representative", representative)
 
     def contains(self, lam) -> bool:
         return self.poly.contains(lam)
@@ -116,9 +119,9 @@ class VarSystem:
 
     @cached_property
     def float_kernel(self):
-        """The `stability.FloatKernel` of the Newton probe, built once on
-        this instance."""
-        from .stability import FloatKernel
+        """The `probe.FloatKernel` of the Newton probe, built once on this
+        instance."""
+        from .probe import FloatKernel
 
         return FloatKernel(self)
 

@@ -1,7 +1,7 @@
 """Reference Newton probe for differential tests: the float residual on
 numpy arrays, the float active-set scan that restarts from the empty set
 with a per-subset map cache, and the numpy line search, as
-`plqstab.stability.solve_perturbed` computed them before its residual
+`plqstab.probe.solve_perturbed` computed them before its residual
 moved to Python floats.  Polynomials are evaluated term by term, one
 polynomial at a time.  `solve_perturbed` in the program must return the
 same `NewtonResult`, bit for bit, and `StrictQpSolver.solve_float` the
@@ -15,7 +15,7 @@ import numpy as np
 
 from plqstab.qp import _subsets
 from plqstab.rational import rat, to_float
-from plqstab.stability import NewtonResult, _exact_residual_norm
+from plqstab.probe import NewtonResult, _exact_residual_norm
 
 _MAPS = weakref.WeakKeyDictionary()  # solver -> {subset: float maps}
 

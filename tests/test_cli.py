@@ -258,6 +258,32 @@ def test_cli_rejects_zero_denominator(tmp_path, capsys):
     assert "$.Y.b[0][0]" in capsys.readouterr().err
 
 
+_NESTED = "[" * 900 + "]" * 900     # a JSON array nested 900 deep
+
+
+@pytest.mark.parametrize("name, x0, path", [
+    (_NESTED, '"0"', "$.name"),
+    ("7", '"0"', "$.name"),
+    ('"tiny"', _NESTED, "$.points[0].x[0]"),
+    ('"tiny"', '"%sx"' % ("1" * 5000), "$.points[0].x[0]"),
+], ids=["nested-name", "number-name", "nested-entry", "long-entry"])
+def test_cli_rejects_bad_values_in_one_short_line(tmp_path, name, x0, path):
+    # `name` must be a string, and a bad rational's message quotes at most
+    # a bounded prefix of the value and of the reason.  The values are
+    # spliced in as JSON text, so the test's own stack never recurses
+    # through them, and the analysis runs in a fresh interpreter, whose
+    # JSON parser has the whole recursion limit.
+    text = json.dumps(_doc(name="@name@",
+                           points=[{"x": ["@x0@"], "lambda": ["0", "1/2"]}]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"@name@"', name).replace('"@x0@"', x0))
+    out = subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                          str(bad)], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (1, ""), out.stderr[:200]
+    assert out.stderr.startswith("input error: %s: " % path)
+    assert out.stderr.count("\n") == 1 and len(out.stderr) < 200, out.stderr
+
+
 @pytest.mark.parametrize("flags", [
     ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"],
     ["--probe-grid", "0"], ["--probe-grid", "-3"],

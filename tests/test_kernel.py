@@ -406,26 +406,29 @@ def test_lp_max_each_is_lazy(monkeypatch):
 
 def _forgeries(out, rng):
     """Copies of an outcome with one certificate entry moved, some of
-    which stay valid (a scaled ray, an unchanged entry)."""
-    import dataclasses
+    which stay valid (a scaled ray, an unchanged entry).  Each copy is
+    built by the outcome's constructor from its slots."""
 
     def moved(v):
         return rng.choice((v + rat(1, 7), v - 1, -v, v * 2, rat(0), v))
 
+    def replace(name, value):
+        fields = {f: getattr(out, f) for f in type(out).__slots__}
+        return type(out)(**{**fields, name: value})
+
     forged = []
-    for f in dataclasses.fields(out):
-        value = getattr(out, f.name)
+    for name in type(out).__slots__:
+        value = getattr(out, name)
         if isinstance(value, tuple):
             for _ in range(2):
                 if value:
                     i = rng.randrange(len(value))
                     v = list(value)
                     v[i] = moved(v[i])
-                    forged.append(dataclasses.replace(out, **{f.name: tuple(v)}))
-            forged.append(dataclasses.replace(
-                out, **{f.name: tuple(2 * v for v in value)}))
+                    forged.append(replace(name, tuple(v)))
+            forged.append(replace(name, tuple(2 * v for v in value)))
         else:
-            forged.append(dataclasses.replace(out, **{f.name: moved(value)}))
+            forged.append(replace(name, moved(value)))
     return forged
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 import newton_reference
 import plqstab
-import plqstab.stability as stability
+import plqstab.probe as probe
 import plqstab.trialsource as trialsource
 from plqstab import (PlqPenalty, PolyMap, Polyhedron, Polynomial, VarSystem,
                      analyze_problem, corpus_names, corpus_path, identity,
@@ -26,7 +26,7 @@ from plqstab.linalg import RatMatrix
 from plqstab.problemfile import parse_problem_doc
 from plqstab.qp import _subsets
 from plqstab.rational import rat, vdot
-from plqstab.stability import FloatKernel, solve_perturbed
+from plqstab.probe import FloatKernel, solve_perturbed
 from support import quad_penalty_2d, random_enlp_docs, random_penalty
 
 
@@ -35,13 +35,13 @@ def _probe_solves(monkeypatch, runs):
     probe analyses make, one analysis per (problem file, tol) in `runs`
     (tol None: the file's own)."""
     calls = []
-    solve = stability.solve_perturbed
+    solve = probe.solve_perturbed
 
     def recorded(system, *args, **kwargs):
         calls.append((system, args, kwargs, solve(system, *args, **kwargs)))
         return calls[-1][3]
 
-    monkeypatch.setattr(stability, "solve_perturbed", recorded)
+    monkeypatch.setattr(probe, "solve_perturbed", recorded)
     for pf, tol in runs:
         analyze_problem(pf, probe=True, tol=tol)
     monkeypatch.undo()
@@ -96,7 +96,7 @@ def test_compiled_trials_match_the_numpy_reference(monkeypatch):
     # trial, so every trial the compiled search can finish runs in it.
     # A solve's trials are its evaluations less the start; the generic
     # ones are counted on each kernel.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     calls = _check_against_the_reference(monkeypatch)
     kernels = {s.float_kernel for s, _, _, _ in calls}
     assert all(kernel.compiled for kernel in kernels)
@@ -467,7 +467,7 @@ def test_compiled_source_holds_only_the_template(monkeypatch):
     # own: its tokens are template names, keywords, operators and integer
     # literals (indices, exponents and the trial cap), so no float and no
     # text of the problem file reaches `compile`.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     doc = json.loads(open(corpus_path("example_3_3"), encoding="utf-8").read())
     doc["f"] = ["-31415926/27182818*x1 - 1/7*x1^3"]
@@ -496,7 +496,7 @@ def test_a_thousand_term_polynomial_compiles(monkeypatch):
     # f_1 has 1,035 terms, every x1^a x2^b with a + b <= 44: one statement
     # per addition compiles where one nested sum would exhaust the
     # compiler's recursion.  The solves match the reference bit for bit.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     rng = random.Random(29)
     big = Polynomial(2, {(a, b): rat(rng.randint(1, 9), 10 ** 4)
@@ -563,12 +563,12 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
     # alone pass the cap never compiles.  One whose scan grows past it
     # keeps its last function, a prefix of the scan, and its solves stay
     # the reference's.
-    monkeypatch.setattr(stability, "_MAX_LINES", 25)
+    monkeypatch.setattr(probe, "_MAX_LINES", 25)
     assert _kernel(2, 3).warmup == math.inf
-    monkeypatch.setattr(stability, "_MAX_LINES", 26)
-    assert _kernel(2, 3).warmup == stability._WARMUP
-    monkeypatch.setattr(stability, "_MAX_LINES", 102)
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_MAX_LINES", 26)
+    assert _kernel(2, 3).warmup == probe._WARMUP
+    monkeypatch.setattr(probe, "_MAX_LINES", 102)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     pf = parse_problem_file(corpus_path("example_3_3"))
     calls = _probe_solves(monkeypatch, [(pf, None)])
@@ -636,7 +636,7 @@ def test_first_step_without_descent_makes_thirty_trials(monkeypatch):
     # trial of the first step: 30 trials, so 31 evaluations with the
     # start, and no generic trial.  The first solve compiles at its first
     # trial, which it serves the generic way.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     system = _far_step_system()
     args = ([0.0, 0.0], [0.0, 0.0], ([1e-12, 0.0], [0.0, 0.0]))
@@ -654,7 +654,7 @@ def test_overflowing_power_falls_back_to_the_generic_trial(monkeypatch):
     # The compiled search hands the first trial of the far step to the
     # generic path, whose nan values the bound does not reject; numpy's
     # |R| is nan, and the solve ends as "overflow", as the reference's.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     system = _far_step_system(overflow=True)
     _solve_both(system, [0.0, 0.0], [0.0, 0.0], ([0.5, 0.0], [0.0, 0.0]))
@@ -676,7 +676,7 @@ def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
     # in the middle of a step).  The first block rejects some such trials
     # before their scan, so 30 systems give enough.  Every solve is the
     # reference's.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     rng = random.Random(2)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
@@ -736,7 +736,7 @@ def test_a_zero_step_evaluates_no_trial(monkeypatch):
     for compiled in (False, True):
         system = _zero_step_system()
         if compiled:
-            monkeypatch.setattr(stability, "_WARMUP", 0)
+            monkeypatch.setattr(probe, "_WARMUP", 0)
             _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
             assert system.float_kernel.compiled
         events.clear()
@@ -775,7 +775,7 @@ def test_a_step_below_an_ulp_rounds_onto_the_iterate(monkeypatch):
     for compiled in (False, True):
         system = _zero_step_system()
         if compiled:
-            monkeypatch.setattr(stability, "_WARMUP", 0)
+            monkeypatch.setattr(probe, "_WARMUP", 0)
             _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
             assert system.float_kernel.compiled
         kernel = system.float_kernel
@@ -798,7 +798,7 @@ def test_first_block_leaves_an_overflowing_trial_to_numpy(monkeypatch):
     # the floor of |R| = 1, but Phi_1 is about 1e234, past CAP, and r2
     # squared overflows numpy's |R|.  The compiled search hands the trial
     # to numpy, and the solve ends as "overflow", as the reference's.
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     system = VarSystem(
@@ -906,7 +906,7 @@ def test_uncapped_offsets_compile_no_first_block_rejection(monkeypatch):
     # holds it, the trial reaches numpy, and the search returns it with
     # |R| = inf, as the reference's line search does.
     first_block = _compiled_first_block(1, 1)  # not a search function
-    monkeypatch.setattr(stability, "_WARMUP", 0)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
     sources = _compiled_sources(monkeypatch)
     system = _far_set_system()
     _solve_both(system, [0.0], [0.0], ([0.5], [2.0 ** 600]))  # compiles

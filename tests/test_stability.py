@@ -298,11 +298,11 @@ def test_probe_record_does_not_depend_on_earlier_solves():
 
 
 _PROBE_PROX_COUNTER_SCRIPT = """
-import plqstab.plq as plq, plqstab.stability as st
+import plqstab.plq as plq, plqstab.probe as probe
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 pf = parse_problem_file(corpus_path("example_3_3"))
 counts = {"prox": 0, "solves": 0, "inside": 0}
-prox, solve = plq.PlqPenalty.prox, st.solve_perturbed
+prox, solve = plq.PlqPenalty.prox, probe.solve_perturbed
 def counted_prox(self, x, **kwargs):
     counts["prox"] += counts["inside"]
     return prox(self, x, **kwargs)
@@ -314,7 +314,7 @@ def counted_solve(*args, **kwargs):
     finally:
         counts["inside"] = 0
 plq.PlqPenalty.prox = counted_prox
-st.solve_perturbed = counted_solve
+probe.solve_perturbed = counted_solve
 analyze_problem(pf, probe=True)
 print(counts["prox"], counts["solves"])
 """
@@ -332,14 +332,14 @@ def test_probe_exact_prox_work_on_example_3_3():
 
 _PROBE_NEWTON_COUNTER_SCRIPT = """
 import collections
-import plqstab.stability as st
+import plqstab.probe as probe
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 results = []
-solve = st.solve_perturbed
+solve = probe.solve_perturbed
 def recorded(*args, **kwargs):
     results.append(solve(*args, **kwargs))
     return results[-1]
-st.solve_perturbed = recorded
+probe.solve_perturbed = recorded
 analyze_problem(parse_problem_file(corpus_path("example_3_3")), probe=True)
 reasons = collections.Counter(r.reason for r in results)
 print(len(results), sum(r.iterations for r in results),

@@ -2,6 +2,7 @@
 """A/B timing of two checkouts on the same problem files, interleaved.
 
     python3 tools/ab_check.py PARENT CHANGE [--probe] [--rounds N] FILE...
+    python3 tools/ab_check.py PARENT CHANGE --startup [--probe] FILE...
 
 Starts one long-lived interpreter per checkout, each importing plqstab
 from that checkout's src/, and alternates between them one analysis at a
@@ -14,6 +15,15 @@ kernel of bench/hostspeed.py, and the analysis is scaled to the reference
 host by NOMINAL_S over the mean of the two, as the benchmark scales its
 analyses.  The first WARMUP_ROUNDS rounds fill each child's caches and are
 not counted.
+
+With `--startup`, every analysis runs in a fresh interpreter instead,
+started from that checkout and timed from its start to its exit, so the
+time is what a user waits for one `plqstab analyze`: start-up, imports
+and the compile of every source, and the analysis.  The child times the
+reference kernel after its analysis (tools/analysis_child.py `--once`),
+and the parent takes that time out of the child's and scales the rest by
+NOMINAL_S over it, as bench/run.py scales `setup_s`.  Checkouts without
+`__pycache__` directories compare as the benchmark's fresh checkouts do.
 
 On a shared host run-to-run spread can hide a gain of a fifth, while two
 analyses made a moment apart see nearly the same host.  Per file the
@@ -32,6 +42,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 
 from analysis_child import command
 
@@ -51,10 +62,12 @@ def _hostspeed():
 
 
 class Child:
-    """One interpreter analyzing files with plqstab from `root`."""
+    """One interpreter analyzing files with plqstab from `root`.  Each
+    result carries "scaled": the analysis in reference-host seconds."""
 
-    def __init__(self, root):
+    def __init__(self, root, nominal):
         argv, env = command(root, BENCH)
+        self.nominal = nominal
         self.proc = subprocess.Popen(argv, env=env, cwd=root,
                                      stdin=subprocess.PIPE,
                                      stdout=subprocess.PIPE, text=True)
@@ -65,11 +78,35 @@ class Child:
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError("child exited with status %s" % self.proc.wait())
-        return json.loads(line)
+        res = json.loads(line)
+        mean = sum(res["kernels"]) / len(res["kernels"])
+        res["scaled"] = res["seconds"] * self.nominal / mean
+        return res
 
     def close(self):
         self.proc.stdin.close()
         self.proc.wait()
+
+
+class FreshChild:
+    """A fresh interpreter per analysis, with plqstab from `root`; "scaled"
+    is the whole process in reference-host seconds."""
+
+    def __init__(self, root, nominal):
+        self.root, self.nominal = root, nominal
+
+    def analyze(self, argv):
+        cmd, env = command(self.root, BENCH, once=argv)
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, env=env, cwd=self.root, check=True,
+                              stdout=subprocess.PIPE, text=True)
+        elapsed = time.perf_counter() - start
+        res = json.loads(proc.stdout)
+        res["scaled"] = (elapsed - res["kernel"]) * self.nominal / res["kernel"]
+        return res
+
+    def close(self):
+        pass
 
 
 def quartiles(values):
@@ -89,10 +126,14 @@ def main(argv=None):
                     help="analyze with --probe")
     ap.add_argument("--rounds", type=int, default=10,
                     help="counted rounds (default 10)")
+    ap.add_argument("--startup", action="store_true",
+                    help="time a fresh interpreter per analysis, start-up "
+                         "included")
     args = ap.parse_args(argv)
     nominal = _hostspeed().NOMINAL_S
     roots = [os.path.abspath(args.parent), os.path.abspath(args.change)]
-    children = [Child(root) for root in roots]
+    kind = FreshChild if args.startup else Child
+    children = [kind(root, nominal) for root in roots]
     times = {f: ([], []) for f in args.files}
     digests = {f: (set(), set()) for f in args.files}
     ok = True
@@ -107,9 +148,7 @@ def main(argv=None):
                     ok = ok and res["exit"] == 0
                     digests[path][side].add(res["sha256"])
                     if rnd >= WARMUP_ROUNDS:
-                        mean = sum(res["kernels"]) / len(res["kernels"])
-                        times[path][side].append(res["seconds"] * nominal
-                                                 / mean)
+                        times[path][side].append(res["scaled"])
     finally:
         for child in children:
             child.close()
