@@ -113,11 +113,6 @@ class RatMatrix:
     def __repr__(self):
         return "RatMatrix(%r)" % (self.rows,)
 
-    def to_float(self):
-        import numpy as np
-
-        return np.array([[float(v) for v in r] for r in self.rows], dtype=float)
-
 
 def identity(n):
     return RatMatrix(tuple(tuple(ONE if i == j else ZERO for j in range(n))

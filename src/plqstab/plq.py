@@ -282,25 +282,26 @@ class PlqPenalty:
 
     @cached_property
     def _float_jacs(self):
-        """The float Jacobian triple (J, I - J, -J), of m x m numpy arrays,
-        of each prox piece `prox_float` has met, by active set."""
+        """The float Jacobian blocks (I - J, -J) of each prox piece
+        `prox_float` has met, by active set."""
         return {}
 
-    def _jac_triple(self, rows):
-        """(J, I - J, -J) of the float Jacobian with these rows: the blocks
-        the Newton matrix reads, computed once per piece."""
-        import numpy as np
-
-        jac = np.array(rows, dtype=float)
-        return jac, np.eye(self.m) - jac, -jac
+    def _jac_blocks(self, rows):
+        """(I - J, -J) as tuples of rows for the float Jacobian J with these
+        rows, each entry (1.0 or 0.0) - J_ik and -J_ik: the blocks the
+        Newton matrix reads, computed once per piece."""
+        return (tuple(tuple((1.0 if i == k else 0.0) - v
+                            for k, v in enumerate(row))
+                      for i, row in enumerate(rows)),
+                tuple(tuple(-v for v in row) for row in rows))
 
     def prox_float(self, v):
-        """(prox(v), (J, I - J, -J)) in float for a float point v: prox(v)
-        a list of floats, J an m x m numpy array.
+        """(prox(v), (I - J, -J)) in float for a float point v: prox(v) a
+        list of floats, J the piece's Jacobian (`_jac_blocks`).
 
         The active piece is chosen by `StrictQpSolver.solve_float`, and
         prox(v) = v - y is one float subtraction per entry; J is the
-        piece's exact Jacobian rounded once, cached with I - J and -J per
+        piece's exact Jacobian rounded once, cached as its blocks per
         piece.  The first time a piece is chosen, `prox_linearization` runs
         the exact prox at the exact value of v before the piece enters the
         cache; when no piece passes in float, the exact piece it returns
@@ -314,13 +315,13 @@ class PlqPenalty:
         if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
             if not all(map(math.isfinite, v)):
                 return ([math.nan] * self.m,
-                        self._jac_triple([[math.nan] * self.m] * self.m))
+                        self._jac_blocks([[math.nan] * self.m] * self.m))
             jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
             if hit is None:
                 jac = _float_rows(jac)
                 return ([sum(a * b for a, b in zip(row, v)) + to_float(o)
-                         for row, o in zip(jac, offset)], self._jac_triple(jac))
-        float_jacs[hit[0]] = self._jac_triple(_float_rows(self._piece(hit[0])[0]))
+                         for row, o in zip(jac, offset)], self._jac_blocks(jac))
+        float_jacs[hit[0]] = self._jac_blocks(_float_rows(self._piece(hit[0])[0]))
         return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
 
     # -- second-order objects ----------------------------------------------------------

@@ -4,8 +4,8 @@ Sparse monomial dictionaries keyed by exponent tuples; differentiation
 is symbolic, so evaluation, Jacobians and Hessians at rational points
 are exact.  The float evaluators (numeric probes only) use float
 coefficients cached once per polynomial, flattened into one list per
-map and derivative order, so that a map is evaluated in one loop with
-the float operations of the per-polynomial evaluator.  Canonical
+map and derivative order, so that a map is evaluated in one loop, term
+by term in a fixed order (`_float_values`).  Canonical
 printing orders monomials by descending total degree, then descending
 exponent tuple, and round-trips through the expression parser.
 """
@@ -24,21 +24,23 @@ __all__ = ["Polynomial", "PolyMap"]
 def _float_values(term_lists, point):
     """The value at a float point of each polynomial in `term_lists`, each
     given by its float terms (`Polynomial._float_coefficients`): the terms in
-    order, each multiplied by x_j ** k per power and added to a total that
-    starts at 0.0; nan when a power of a coordinate raises OverflowError.
-    One loop over flat lists, so the float evaluators of a map make no call
-    per polynomial."""
+    order, each coefficient multiplied by its powers left to right and
+    added to a total that starts at 0.0.  A power is multiplied out, w_j,1
+    = x_j and w_j,k = w_j,k-1 * x_j, never through the C library's `pow`;
+    past float range a value is +-inf or nan.  One loop over flat lists,
+    so the float evaluators of a map make no call per polynomial."""
     point = [float(v) for v in point]
+    table = [[1.0, v] for v in point]
     out = []
     for terms in term_lists:
         total = 0.0
-        try:
-            for term, powers in terms:
-                for j, k in powers:
-                    term *= point[j] ** k
-                total += term
-        except OverflowError:
-            total = math.nan
+        for term, powers in terms:
+            for j, k in powers:
+                row = table[j]
+                while len(row) <= k:
+                    row.append(row[-1] * point[j])
+                term *= row[k]
+            total += term
         out.append(total)
     return out
 
@@ -180,12 +182,6 @@ class Polynomial:
         """Whether every coefficient converts to a finite float."""
         return all(math.isfinite(c) for c, _ in self._float_coefficients())
 
-    def eval_float(self, point):
-        """Value at a float point, from float coefficients converted once.
-        Past float range a product gives +-inf; a power of a coordinate
-        raises OverflowError instead, and the value is then nan."""
-        return _float_values((self._float_coefficients(),), point)[0]
-
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
@@ -251,11 +247,6 @@ class PolyMap:
         n x n row by row."""
         return tuple(p._float_coefficients() for i in range(self.k)
                      for row in self._hessian_polys(i) for p in row)
-
-    def eval_float(self, point):
-        """The value at a float point, each component as
-        `Polynomial.eval_float` computes it."""
-        return tuple(_float_values(self._component_terms, point))
 
     def _jacobian_polys(self):
         if self._jac is None:

@@ -5,26 +5,28 @@ Newton probe of canonically perturbed systems.
 and verifies each step exactly.  `semi_isolated_probe` solves a
 deterministic family of canonically perturbed systems with
 `solve_perturbed` and records how far each solution moved.  The Newton
-iteration runs in float on the system's `FloatKernel`: the proximal map
-is affine on each active set of its QP, so its value and generalized
-Jacobian are read off a cached exact piece (Qi and Sun, Math. Prog. 58,
-1993), and the polynomial data are evaluated from cached float
-coefficients.  A piece enters the cache through one exact,
-postcondition-checked prox.  The returned iterate gets one exact
-residual evaluation, and only that value decides whether the solve
-converged.  The kernel's compiled line search is written by
+iteration runs in Python floats on the system's `FloatKernel`, every sum
+in one stated order, so its bits depend only on IEEE-754 arithmetic and
+the CPython version: the proximal map is affine on each active set of
+its QP, so its value and generalized Jacobian are read off a cached
+exact piece (Qi and Sun, Math. Prog. 58, 1993), the polynomial data are
+evaluated from cached float coefficients, and the Newton system is
+solved by LU with partial pivoting.  A piece enters the cache through
+one exact, postcondition-checked prox.  The returned iterate gets one
+exact residual evaluation, and only that value decides whether the
+solve converged.  The kernel's compiled line search is written by
 `trialsource`.
 
 `report` imports this module for a `--probe` analysis alone, so an
-exact analysis neither compiles it nor loads numpy, which only the
-probes' code paths import.
+exact analysis does not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import chain
 
+from .errors import InternalConsistencyError
 from .polymap import _float_values
 from .rational import norm2, rat, sqrt_float, to_float_vec, vadd, vscale, vsub
 from .record import FrozenRecord, set_field
@@ -154,13 +156,13 @@ class NewtonResult(FrozenRecord):
     `converged` means it is <= tol.  `reason` is "converged",
     "no_descent" (the line search found no decrease), "max_iter",
     "exact_check" (the float residual reached tol and the exact one did
-    not), or "overflow" (a float residual or Newton matrix left float
-    range; the iterate returned is the last one whose residual did not).
-    `evaluations` counts the float residual evaluations: the start and
-    every line-search trial of `FloatKernel.line_search`, whether the
-    compiled search or the generic `FloatKernel.trial` made it, and
-    whether numpy finished it or a rounding bound rejected it first; the
-    trials left after one at the iterate count too, unevaluated."""
+    not), or "overflow" (the float residual at the start, or a Newton
+    matrix, left float range; the iterate returned is the last one
+    reached).  `evaluations` counts the float residual evaluations: the
+    start and every line-search trial of `FloatKernel.line_search`,
+    whether the compiled search or the generic `FloatKernel.trial` made
+    it and whether its running sum rejected it early; the trials left
+    after one at the iterate count too, unevaluated."""
 
     __slots__ = ("converged", "x", "lam", "residual_norm", "iterations",
                  "reason", "evaluations")
@@ -189,15 +191,6 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
     return norm2(r1 + r2)
 
 
-# The line search's rejection bound (`FloatKernel.rejects`).  _C exceeds
-# 2 gamma_(n+m+2) = 2 (n+m+2) u / (1 - (n+m+2) u), u = 2^-53, whenever
-# n + m <= _BOUNDED_DIM (two problem-file dimensions); _BIG and _TINY keep
-# every square and sum of the bound, and of numpy's norm, in normal range.
-_C = 1e-12
-_BOUNDED_DIM = 2000
-_BIG = math.ldexp(1.0, 400)
-_TINY = math.ldexp(1.0, -400)
-
 # The compiled line search (`FloatKernel.line_search`).  A kernel compiles
 # after _WARMUP generic trials: a build of a corpus system takes about as
 # long as 100 generic trials, and most probe analyses make fewer than 256
@@ -208,58 +201,53 @@ _WARMUP = 256
 _MAX_LINES = 5000
 _TRIALS = 30
 
+# The machine epsilon of the rank rule of `_min_norm_step`.
+_EPS = math.ldexp(1.0, -52)
+
 
 class FloatKernel:
     """The float residual, line search and Newton step of one `VarSystem`,
-    built once per system (`VarSystem.float_kernel`).
+    built once per system (`VarSystem.float_kernel`), in Python floats
+    and in one stated order.
 
-    `parts` evaluates f, Phi and DPhi at a float point in one
-    `polymap._float_values` pass over their concatenated term lists, reads
-    the prox piece through `PlqPenalty.prox_float` (the float active-set
-    scan) and forms the prox block r2 = z - prox(lam + z) of R,
-    z = Phi(x) + p2, all in Python floats.  `residual` finishes R in
-    numpy: DPhi(x)^T lam is `g.T @ lam` on the C-ordered m x n array g,
-    and |R| is `math.sqrt(r.dot(r))`; their BLAS sums can round
-    differently from a sequential Python sum, so they stay numpy.
-    `rejects` proves, in Python floats, that some trials' |R| would be no
-    smaller than the current one.
+    `residual` evaluates f, Phi and DPhi at a float point in one
+    `polymap._float_values` pass over their concatenated term lists, then
+    R = (r1, r2): r1_i = f_i + DPhi_0i lam_0 + DPhi_1i lam_1 + ... - p1_i
+    left to right; the prox argument lam + z, z = Phi(x) + p2, whose piece
+    `PlqPenalty.prox_float` reads off the float active-set scan; and
+    r2 = z - prox(lam + z).  |R|^2 is 0.0 plus the squares of r1 and then
+    of r2, added in order.  A float sum of nonnegative terms never
+    decreases as terms are added, so once the running sum is not below
+    the current |R|^2 (`not s < cur`, which inf and nan also meet), the
+    trial's |R|^2 would not be below it either: `residual` gives up there,
+    after r1 (before the prox scan) or at the end.
 
     `line_search` backtracks, damp = 1, 1/2, ..., for at most _TRIALS
-    trials.  A trial is `parts` and then `rejects` (the generic `trial`),
-    and numpy's |R| only for a trial the bound does not reject.  Once the
-    kernel has served _WARMUP trials the generic way, it compiles the
-    whole backtracking loop, with the same float operations in the same
-    order, into one Python function (`trialsource.search_source`), with
-    the prox scan unrolled over the active sets reached so far and the
-    Jacobians cached so far; the function returns the first trial its
-    bound does not reject, and a rejected trial builds no list.  A trial
-    the function cannot finish (a power overflows, no unrolled set
-    passes, or the passing set has no cached Jacobian) goes to the
-    generic `trial`, which rebuilds the function when the reached sets or
-    the Jacobians have grown, and the search resumes at the next damp on
-    the current function.  So every bit is as without it.  Two rules end
-    work early: a trial point equal to the iterate ends the search, and
-    the compiled function rejects a trial by the bound's first block alone,
-    before its prox scan, where that proves `rejects` would (see
-    `trialsource`).  The function lives on the kernel.  It is not built
-    when it would have more than _MAX_LINES lines, or where `sum` of
-    floats is not the sequential sum (Python 3.12 compensates), whose
-    scan the unrolled one would not match.
+    trials, and returns the first trial whose |R|^2 is below the current
+    one.  A trial point equal to the iterate ends the search: its |R|^2 is
+    the current one, and every smaller damp lands there too.  Once the
+    kernel has served _WARMUP trials the generic way (`trial`), it
+    compiles the whole backtracking loop, with the same float operations
+    in the same order, into one Python function
+    (`trialsource.search_source`), with the prox scan unrolled over the
+    active sets reached so far and the Jacobians cached so far.  A trial
+    the function cannot finish (no unrolled set passes, or the passing
+    set has no cached Jacobian) goes to the generic `trial`, which
+    rebuilds the function when the reached sets or the Jacobians have
+    grown, and the search resumes at the next damp on the current
+    function.  So every bit is as without it.  The function lives on the
+    kernel.  It is not built when it would have more than _MAX_LINES
+    lines, or where `sum` of floats is not the sequential sum (Python
+    3.12 compensates), since `StrictQpSolver.solve_float` sums with `sum`
+    and the unrolled scan would not match it.
 
-    `newton_matrix` forms A = Df(x) + sum_i lam_i Hess(Phi_i)(x) in Python
-    floats, entry by entry as numpy's `a + lam_i * H` rounds it, and
-    `newton_step` solves the Newton system with LAPACK's solve, called
-    directly.
+    `newton_matrix` forms the generalized Jacobian of R, and `newton_step`
+    solves the Newton system by LU with partial pivoting (`_lu_solve`),
+    or, where a pivot is exactly zero, takes the minimum-norm
+    least-squares step (`_min_norm_step`).
     """
 
     def __init__(self, system: VarSystem):
-        import numpy as np
-
-        try:
-            from numpy.linalg._umath_linalg import solve1 as solve
-        except ImportError:
-            solve = np.linalg.solve
-        self.np, self.solve = np, solve
         self.n, self.m = system.n, system.m
         self.penalty = system.penalty
         self.prox_float = system.penalty.prox_float
@@ -267,75 +255,79 @@ class FloatKernel:
                       + system.phi._jacobian_terms)
         # Df(x), then the Hessian of each Phi_i, each n x n row by row
         self.a_terms = system.f._jacobian_terms + system.phi._hessian_terms
-        self.bounded = self.n + self.m <= _BOUNDED_DIM
         # the compiled search, the sizes of the prox solver's reached sets
         # and of the cached Jacobians it was built from, and the number of
         # trials served the generic way; no build where the polynomials and
-        # the bound's 3 n m lines alone pass _MAX_LINES
+        # the n m lines of r1 alone pass _MAX_LINES
         self.compiled, self.built_from, self.generic = None, None, 0
         sequential = sum((1.0, 1e100, 1.0, -1e100)) == 0.0
-        small = sum(map(len, self.terms)) + 3 * self.n * self.m <= _MAX_LINES
+        small = sum(map(len, self.terms)) + self.n * self.m <= _MAX_LINES
         self.warmup = _WARMUP if sequential and small else math.inf
 
-    def parts(self, x, lam, p2):
-        """(values, r2, J) at the float point (x, lam): `values` lists f(x),
-        Phi(x) and the rows of DPhi(x), r2 is the prox block of R and J the
-        prox Jacobian triple (J, I - J, -J) of m x m numpy arrays of the
-        piece at lam + z."""
+    def residual(self, x, lam, p1, p2, cur=math.inf):
+        """(values, R, |R|^2, J) at the float point (x, lam), or None once
+        the running sum of |R|^2 is not below `cur`: `values` lists f(x),
+        Phi(x) and the rows of DPhi(x), R is r1 then r2 as a list, and J
+        is the prox piece's Jacobian blocks (`PlqPenalty.prox_float`)."""
         n, m = self.n, self.m
         values = _float_values(self.terms, x)
+        dphi = values[n + m:]
+        r, s = [], 0.0
+        for i in range(n):
+            e = values[i]
+            for g, v in zip(dphi[i::n], lam):
+                e += g * v
+            e -= p1[i]
+            r.append(e)
+            s += e * e
+        if not s < cur:
+            return None
         z = [a + b for a, b in zip(values[n:n + m], p2)]
-        v = [a + b for a, b in zip(lam, z)]
-        prox, pj = self.prox_float(v)
-        return values, [a - b for a, b in zip(z, prox)], pj
+        prox, pj = self.prox_float([a + b for a, b in zip(lam, z)])
+        for a, b in zip(z, prox):
+            e = a - b
+            r.append(e)
+            s += e * e
+        if not s < cur:
+            return None
+        return values, r, s, pj
 
-    def trial(self, x, lam, step, damp, p1, p2, floor):
+    def trial(self, x, lam, step, damp, p1, p2, cur):
         """The generic line-search trial at (x, lam) + damp * step: (x',
-        lam', values, r2, J, rejected), with (values, r2, J) what `parts`
-        gives at (x', lam') and `rejected` what `rejects` then decides
-        against `floor`.  Past the warm-up it (re)builds the compiled
-        search."""
+        lam', values, R, |R|^2, J) as `residual` gives them at (x', lam'),
+        or None when its |R|^2 is not below `cur`.  Past the warm-up it
+        (re)builds the compiled search."""
         xn = [a + damp * b for a, b in zip(x, step)]
         ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
-        values, r2, pj = self.parts(xn, ln, p2)
-        rejected = self.rejects(values, r2, ln, p1, floor)
+        out = self.residual(xn, ln, p1, p2, cur)
         self.generic += 1
         if self.generic >= self.warmup:
             self._build()
-        return xn, ln, values, r2, pj, rejected
+        return None if out is None else (xn, ln, *out)
 
-    def line_search(self, x, lam, step, p1, p2, rnorm):
+    def line_search(self, x, lam, step, p1, p2, cur):
         """The backtracking search from (x, lam) along `step`: (trials
-        made, best), best = (x', lam', values, R, |R|, DPhi, J) at the first
-        trial, damp = 2^-i for i < _TRIALS, whose numpy |R| is below
-        `rnorm` or not finite, or None when no trial is.  A trial point
-        equal to the iterate ends the search with (_TRIALS, None): numpy
-        would reject it and every later trial, which count as made."""
-        floor = self.floor(rnorm)
+        made, best), best = (x', lam', values, R, |R|^2, J) at the first
+        trial, damp = 2^-i for i < _TRIALS, whose |R|^2 is below `cur`, or
+        None when no trial is.  A trial point equal to the iterate ends the
+        search with (_TRIALS, None); the trials it leaves count as made."""
         i = 0
         while i < _TRIALS:
-            trial = None
             if self.compiled is not None:
-                i, trial = self.compiled(x, lam, step, i, p1, p2, floor)
-                if i == _TRIALS:  # it rejected every trial left
+                i, best = self.compiled(x, lam, step, i, p1, p2, cur)
+                if best is not None:
+                    return i + 1, best
+                if i == _TRIALS:  # every trial left rejected, or the iterate
                     break
-            if trial is None:
-                damp = math.ldexp(1.0, -i)
-                # at the iterate numpy's |R| is the current one (== leaves
-                # only a zero's sign free, which reaches only the signs of
-                # zero results, and |R| squares every entry), and rounding
-                # is monotone, so every smaller damp lands there too
-                if all(a + damp * b == a for a, b in zip(x + lam, step)):
-                    break
-                *trial, rejected = self.trial(x, lam, step, damp, p1, p2,
-                                              floor)
-                if rejected:
-                    i += 1
-                    continue
-            xn, ln, values, r2, pj = trial
-            r, rn, g = self.residual(values, r2, ln, p1)
-            if rn < rnorm or not math.isfinite(rn):
-                return i + 1, (xn, ln, values, r, rn, g, pj)
+            damp = math.ldexp(1.0, -i)
+            # at the iterate R is the current one up to the signs of its
+            # zeros, and rounding is monotone, so every smaller damp lands
+            # there too
+            if all(a + damp * b == a for a, b in zip(x + lam, step)):
+                break
+            best = self.trial(x, lam, step, damp, p1, p2, cur)
+            if best is not None:
+                return i + 1, best
             i += 1
         return _TRIALS, None
 
@@ -357,66 +349,15 @@ class FloatKernel:
             return
         self.compiled = compile_search(lines, consts)
 
-    def residual(self, values, r2, lam, p1):
-        """(R, |R|, DPhi(x)) from `parts`, R and DPhi(x) numpy arrays.  The
-        entries of R are f_i + (DPhi^T lam)_i - p1_i, then r2; |R| is inf or
-        nan when a value overflows."""
-        np, n, m = self.np, self.n, self.m
-        g = np.array(values[n + m:], dtype=float).reshape(m, n)
-        gl = (g.T @ np.array(lam)).tolist()
-        r = np.array([a + b - c for a, b, c in zip(values, gl, p1)] + r2)
-        return r, math.sqrt(r.dot(r)), g
-
-    def floor(self, rnorm):
-        """|R|^2 (1 + _C), the square that `rejects` must prove a trial
-        beats; inf, so that no trial is rejected without numpy, when |R| is
-        below _TINY or the system has more than _BOUNDED_DIM coordinates."""
-        if self.bounded and rnorm >= _TINY:
-            return rnorm * rnorm * (1 + _C)
-        return math.inf
-
-    def rejects(self, values, r2, lam, p1, floor) -> bool:
-        """Whether the trial's |R|, as `residual` would compute it, is
-        provably finite and no smaller than the |R| of `floor`.
-
-        With e_i = f_i + sum_j DPhi_ji lam_j - p1_i and A_i = |f_i| +
-        sum_j |DPhi_ji lam_j| + |p1_i| in Python floats, numpy's r1_i and
-        e_i both lie within gamma_(m+2) A_i of the exact value, so
-        |r1_i| >= |e_i| - _C A_i.  True only when every |r2_i| and A_i is
-        below _BIG and L (1 - _C) >= floor, L = sum r2_i^2 +
-        sum max(|e_i| - _C A_i, 0)^2: numpy's dot of nonnegative terms is
-        then at least (1 - gamma_(n+m)) times their exact sum in any order,
-        with or without fused multiply-add, so it is at least |R|^2, and
-        its square root rounds to at least |R|.
-        """
-        total = 0.0
-        for v in r2:
-            if not abs(v) < _BIG:  # nan fails too
-                return False
-            total += v * v
-        n = self.n
-        g = values[n + self.m:]
-        for i in range(n):
-            e = values[i] - p1[i]
-            bound = abs(values[i]) + abs(p1[i])
-            for t in map(mul, g[i::n], lam):
-                e += t
-                bound += abs(t)
-            if not bound < _BIG:
-                return False
-            d = abs(e) - _C * bound
-            if d > 0:
-                total += d * d
-        return total * (1 - _C) >= floor
-
-    def newton_matrix(self, x, lam, values, g, pj):
-        """The generalized Jacobian [[A, g^T], [(I - J) g, -J]] of R at
-        (x, lam) in one array, A = Df(x) + sum_i lam_i Hess(Phi_i)(x), from
-        `values` and g (DPhi(x) as `parts` and `residual` give it) and the
-        Jacobian triple pj.  A is added up entry by entry in Python floats
-        from one `_float_values` pass, each entry a + lam_i * h as numpy's
-        `a + lam_i * H` rounds it; (I - J) g stays numpy."""
-        np, n, m = self.np, self.n, self.m
+    def newton_matrix(self, x, lam, values, pj):
+        """The generalized Jacobian [[A, DPhi^T], [(I - J) DPhi, -J]] of R
+        at (x, lam) as a list of rows, from `values` and the Jacobian blocks
+        pj = (I - J, -J) that `residual` gave there.  A = Df(x) +
+        sum_i lam_i Hess(Phi_i)(x), from one `_float_values` pass, adds the
+        Hessians entry by entry, a + lam_i * h, skipping each lam_i that
+        is 0; each entry of (I - J) DPhi is 0.0 plus the products of its
+        row and column, added in order."""
+        n, m = self.n, self.m
         nn = n * n
         blocks = _float_values(self.a_terms, x)
         a = blocks[:nn]
@@ -425,27 +366,148 @@ class FloatKernel:
                 a = [u + li * h
                      for u, h in zip(a, blocks[nn * (i + 1):nn * (i + 2)])]
         dphi = values[n + m:]
-        jmat = np.empty((n + m, n + m))
-        jmat[:n] = [a[i * n:(i + 1) * n] + dphi[i::n] for i in range(n)]
-        jmat[n:, :n] = pj[1] @ g
-        jmat[n:, n:] = pj[2]
-        return jmat
+        cols = [dphi[i::n] for i in range(n)]
+        rows = [a[i * n:(i + 1) * n] + cols[i] for i in range(n)]
+        for ij, nj in zip(*pj):
+            row = []
+            for col in cols:
+                s = 0.0
+                for u, v in zip(ij, col):
+                    s += u * v
+                row.append(s)
+            rows.append(row + list(nj))
+        return rows
 
     def newton_step(self, jmat, r):
-        """The Newton step s with jmat s = -r, as a list, bit for bit what
-        `np.linalg.solve` gives, or for a singular jmat least squares
-        (`np.linalg.lstsq`).  LAPACK's solve is called directly; its step
-        is nan for a singular jmat, and a step that is not finite is
-        recomputed through `np.linalg.solve`."""
-        np = self.np
-        try:
-            step = self.solve(jmat, -r).tolist()
-            if all(map(math.isfinite, step)):
-                return step
-            step = np.linalg.solve(jmat, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
-        return step.tolist()
+        """The Newton step s with jmat s = -r, as a list: LU with partial
+        pivoting, or the minimum-norm least-squares step where a pivot is
+        exactly zero."""
+        rhs = [-v for v in r]
+        step = _lu_solve(jmat, rhs)
+        return _min_norm_step(jmat, rhs) if step is None else step
+
+
+def _lu_solve(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting (LU),
+    or None when a pivot is exactly zero.  At column k the pivot row is
+    the first row i >= k of largest |a_ik|; every row i below it takes
+    l = a_ik / a_kk, then a_ij - l a_kj for j > k and b_i - l b_k.  Back
+    substitution sets x_i = (b_i - a_i,i+1 x_i+1 - a_i,i+2 x_i+2 - ...) /
+    a_ii, subtracting left to right."""
+    a = [list(row) for row in a]
+    b = list(b)
+    size = len(b)
+    for k in range(size):
+        p = max(range(k, size), key=lambda i: abs(a[i][k]))
+        if a[p][k] == 0:
+            return None
+        a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]
+        pivot = a[k]
+        for i in range(k + 1, size):
+            row = a[i]
+            l = row[k] / pivot[k]
+            for j in range(k + 1, size):
+                row[j] -= l * pivot[j]
+            b[i] -= l * b[k]
+    x = [0.0] * size
+    for i in reversed(range(size)):
+        s = b[i]
+        for j in range(i + 1, size):
+            s -= a[i][j] * x[j]
+        x[i] = s / a[i][i]
+    return x
+
+
+def _sum_squares(v):
+    s = 0.0
+    for e in v:
+        s += e * e
+    return s
+
+
+def _reflector(v):
+    """(alpha, w, beta) of the Householder reflector H = I - beta w w^T
+    with H v = (alpha, 0, ..., 0), or alpha = 0 for a zero v.  v is
+    scaled by s = max |v_i| first, so that no square over- or underflows:
+    alpha = -sign(v_0) s |v/s|, w = v/s - (alpha/s) e_0 and beta =
+    2 / (w . w), each sum 0.0 plus its terms in order."""
+    scale = max(map(abs, v))
+    if scale == 0:
+        return 0.0, None, 0.0
+    v = [e / scale for e in v]
+    alpha = -math.copysign(math.sqrt(_sum_squares(v)), v[0])
+    w = [v[0] - alpha] + v[1:]
+    return scale * alpha, w, 2.0 / _sum_squares(w)
+
+
+def _reflect(y, k, w, beta):
+    """y with its entries k, k + 1, ... replaced by H of them, H = I -
+    beta w w^T: t = beta (w . y[k:]), then y_k+i - t w_i."""
+    s = 0.0
+    for u, v in zip(w, y[k:]):
+        s += u * v
+    t = beta * s
+    for i, u in enumerate(w):
+        y[k + i] -= t * u
+
+
+def _min_norm_step(a, b):
+    """The minimum-norm x minimizing |a x - b| for a square a, from a
+    complete orthogonal decomposition.
+
+    Householder QR with column pivoting gives a P = Q R: at step k the
+    pivot is the first remaining column of largest 0.0 + sum of squares
+    of its entries k, k + 1, ...  The rank r is the number of leading
+    steps with |R_kk| > N 2^-52 |R_00| (N the size), where the
+    factorization stops; |R_kk| does not increase with k.  A Householder
+    QR (no pivoting) of the transpose of R's first r rows gives
+    [R11 R12]^T = Z [T; 0].  Then x = P Z u, with u_i = (c_i - T_0i u_0 -
+    ... - T_i-1,i u_i-1) / T_ii for c = (Q^T b)[:r], left to right, and
+    u_i = 0 past r.  Zero when a is zero."""
+    size = len(b)
+    cols = [[row[j] for row in a] for j in range(size)]
+    perm = list(range(size))
+    qtb = list(b)
+    rank = 0
+    for k in range(size):
+        norms = [_sum_squares(col[k:]) for col in cols[k:]]
+        p = k + max(range(size - k), key=norms.__getitem__)
+        cols[k], cols[p], perm[k], perm[p] = cols[p], cols[k], perm[p], perm[k]
+        alpha, w, beta = _reflector(cols[k][k:])
+        if k == 0:
+            cutoff = size * _EPS * abs(alpha)
+        if not abs(alpha) > cutoff:
+            break
+        cols[k][k:] = [alpha] + [0.0] * (size - k - 1)
+        for col in cols[k + 1:]:
+            _reflect(col, k, w, beta)
+        _reflect(qtb, k, w, beta)
+        rank = k + 1
+    # the columns of W = R's first r rows transposed, each of length N
+    wcols = [[cols[j][i] for j in range(size)] for i in range(rank)]
+    reflectors = []
+    for i in range(rank):
+        alpha, w, beta = _reflector(wcols[i][i:])
+        if alpha == 0:  # a row that rounding made dependent
+            rank = i
+            break
+        wcols[i][i:] = [alpha] + [0.0] * (size - i - 1)
+        for col in wcols[i + 1:]:
+            _reflect(col, i, w, beta)
+        reflectors.append((w, beta))
+    # T_ji = wcols[i][j] for j <= i; solve T^T u = c
+    u = [0.0] * size
+    for i in range(rank):
+        s = qtb[i]
+        for j in range(i):
+            s -= wcols[i][j] * u[j]
+        u[i] = s / wcols[i][i]
+    for i in reversed(range(rank)):  # Z u = H_0 H_1 ... H_r-1 u
+        _reflect(u, i, *reflectors[i])
+    x = [0.0] * size
+    for j, v in zip(perm, u):
+        x[j] = v
+    return x
 
 
 def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
@@ -454,56 +516,48 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     Residual R(x, lam) = (Psi(x, lam) - p1,
                           Phi(x) + p2 - prox(lam + Phi(x) + p2));
     generalized Jacobian elements come from the active piece of the
-    proximal map.  The iteration runs in float on the system's
-    `FloatKernel`: the prox value and its Jacobian come from cached exact
-    affine pieces, iterates, trial points, entrywise residual arithmetic
-    and the Newton matrix's A block are Python floats, and
-    DPhi(x)^T lam, the norm's inner product, (I - J) DPhi(x) and the
-    Newton system (LAPACK's solve, least squares when it is singular) are
-    numpy.  Each step's line search is one `FloatKernel.line_search`: its
-    trials run in one compiled function once the kernel has warmed up, and
-    numpy's |R| is computed only for a trial that the rounding bound does
-    not reject.  The bound rejects a trial only when it proves that
-    numpy's |R| would be finite and no smaller than the current one, so
-    the iterates are those of the all-numpy residual to the last bit.  A
-    residual or Newton matrix past float range stops the solve
-    ("overflow"), with numpy's floating-point warnings off.  The
-    returned iterate gets one exact residual evaluation, which decides
-    `converged`.  Reports NewtonResult; never raises on stagnation.
+    proximal map.  The iteration runs in Python floats on the system's
+    `FloatKernel`, every sum and product in its stated order: the prox
+    value and its Jacobian come from cached exact affine pieces, and the
+    Newton system is solved by LU with partial pivoting, or by minimum-norm
+    least squares where a pivot is exactly zero.  Each step's line search
+    is one `FloatKernel.line_search`, which accepts the first trial whose
+    |R|^2 is below the current one and compiles its trials into one
+    function once the kernel has warmed up; a trial whose |R|^2 overflows
+    is rejected.  A start residual or a Newton matrix past float range
+    stops the solve ("overflow").  The returned iterate gets one exact
+    residual evaluation, which decides `converged`.  Reports
+    NewtonResult; never raises on stagnation.
     """
-    import numpy as np
-
     kernel = system.float_kernel
     p1f = [float(v) for v in p1]
     p2f = [float(v) for v in p2]
     x = [float(v) for v in start[0]]
     lam = [float(v) for v in start[1]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, r2, pj = kernel.parts(x, lam, p2f)
-        r, rnorm, g = kernel.residual(values, r2, lam, p1f)
-        evaluations = 1
-        iterations, reason = max_iter, "max_iter"
-        for it in range(max_iter):
-            if rnorm <= tol:
-                iterations = it
-                break
-            if not math.isfinite(rnorm):  # at the start; later steps check below
-                iterations, reason = it, "overflow"
-                break
-            jmat = kernel.newton_matrix(x, lam, values, g, pj)
-            if not np.isfinite(jmat).all():
-                iterations, reason = it + 1, "overflow"
-                break
-            step = kernel.newton_step(jmat, r)
-            trials, best = kernel.line_search(x, lam, step, p1f, p2f, rnorm)
-            evaluations += trials
-            if best is None:
-                iterations, reason = it + 1, "no_descent"
-                break
-            if not math.isfinite(best[4]):
-                iterations, reason = it + 1, "overflow"
-                break
-            x, lam, values, r, rnorm, g, pj = best
+    state = kernel.residual(x, lam, p1f, p2f)
+    rnorm = math.inf if state is None else math.sqrt(state[2])
+    evaluations = 1
+    iterations, reason = max_iter, "max_iter"
+    for it in range(max_iter):
+        if rnorm <= tol:
+            iterations = it
+            break
+        if state is None:  # |R|^2 at the start is not finite
+            iterations, reason = it, "overflow"
+            break
+        values, r, rsq, pj = state
+        jmat = kernel.newton_matrix(x, lam, values, pj)
+        if not all(map(math.isfinite, chain.from_iterable(jmat))):
+            iterations, reason = it + 1, "overflow"
+            break
+        step = kernel.newton_step(jmat, r)
+        trials, best = kernel.line_search(x, lam, step, p1f, p2f, rsq)
+        evaluations += trials
+        if best is None:
+            iterations, reason = it + 1, "no_descent"
+            break
+        x, lam, *state = best
+        rnorm = math.sqrt(state[2])
     exact_norm = _exact_residual_norm(system, p1, p2, x, lam)
     if exact_norm <= tol:
         reason = "converged"

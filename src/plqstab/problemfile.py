@@ -133,11 +133,13 @@ def _clip(text):
 
 def _rat_at(value, path):
     # an array or object is refused unread: its str() and repr() grow with
-    # its size and recurse with its depth
-    if isinstance(value, (list, dict)):
+    # its size and recurse with its depth; JSON true/false are Python bools,
+    # which `parse_rat` would read as the integers 1 and 0
+    if isinstance(value, (list, dict, bool)):
+        kind = ("array" if isinstance(value, list) else
+                "object" if isinstance(value, dict) else "boolean")
         raise ProblemFileError(path, "bad rational: expected an integer or a "
-                               "string, not a JSON %s"
-                               % ("array" if isinstance(value, list) else "object"))
+                               "string, not a JSON %s" % kind)
     try:
         return parse_rat(value)
     except (ValueError, TypeError) as e:

@@ -4,11 +4,12 @@
 loop of `probe.solve_perturbed`'s line search, damp = 1, 1/2, ...,
 and performs in each trial the float operations of a generic trial
 (`FloatKernel.trial`), in their order: the trial point,
-`polymap._float_values` over the kernel's term lists, the prox argument,
-`StrictQpSolver.solve_float` unrolled over the active sets reached so
-far, the prox block r2 and `FloatKernel.rejects`.  It returns the first
-trial the bound does not reject; a rejected trial builds no list.  Each
-sum is 0.0 plus its terms, one statement per addition, as the generic
+`polymap._float_values` over the kernel's term lists with each power
+multiplied out once, r1 and the running sum of its squares, the prox
+argument, `StrictQpSolver.solve_float` unrolled over the active sets
+reached so far, r2 and the rest of the running sum.  It returns the
+first trial whose |R|^2 is below the current one; a rejected trial
+builds no list.  Each sum is one statement per addition, as the generic
 loops and `sum` add them, so the function returns the generic path's
 bits and a polynomial of any length compiles.  The source holds only
 template names, integer literals and operators; every float and every
@@ -17,29 +18,21 @@ Jacobian is one of the constants k0, k1, ..., which the enclosing
 file is written into it.  The kernel imports this module when it first
 builds, so runs without the probe never load it.
 
-Two rejections skip work without changing a bit.  A trial point equal
-to the iterate ends the search: numpy would reject it and every smaller
-damp (`FloatKernel.line_search`).  And the bound's first block, the e-part
-of `rejects`, runs before the prox scan: when it alone reaches the floor
-and the prox argument is below CAP, where `offsets_capped` has shown that
-no prox value of any path can push r2 to _BIG, `rejects` would have
-rejected the trial whatever the scan returns.
+Two rules skip work without changing a bit, as in the generic trial.  A
+trial point equal to the iterate ends the search
+(`FloatKernel.line_search`).  And a trial is rejected once the running
+sum of |R|^2 is not below the current one, which the function checks
+after r1, before the prox scan: the float sum of nonnegative terms never
+decreases, so the whole sum would not be below it either.
 """
 
 from __future__ import annotations
 
 import math
 
-from .probe import _BIG, _C, _TRIALS
+from .probe import _TRIALS
 
-__all__ = ["bound_lines", "compile_search", "first_block_lines",
-           "first_block_rejects", "offsets_capped", "p1_lines",
-           "search_source"]
-
-# The prox argument bound of the early rejection, and the bound that
-# `offsets_capped` proves on every prox offset: below 2^200 each, they keep
-# every prox value, and so r2, far below _BIG (see `offsets_capped`).
-_CAP = math.ldexp(1.0, 200)
+__all__ = ["compile_search", "search_source"]
 
 
 def _sum_lines(target, products):
@@ -65,28 +58,39 @@ def _dot_lines(target, row, names, consts):
 
 
 def _value_lines(terms, consts):
-    """`polymap._float_values(terms, x)` at the point x0, x1, ...: each
-    distinct power x_j ** k once, as w{j}_{k}, with an OverflowError
-    ending the search at this trial; then polynomial i as v{i}, its terms
-    in order, each coefficient times its powers left to right.
-
-    The first power is x_j itself, with no call of `pow`, and that is the
-    float x_j ** 1 gives: CPython's `float_pow` answers +-0, +-inf and nan
-    itself, and for a negative x it negates the power of -x, so `pow(x,
-    1.0)` of the C library sees only a positive finite x.  Its exact result
-    x is a float, one ulp of its own from each neighbouring float, so any
-    `pow` whose error is below one ulp returns x."""
-    powers = sorted({p for poly in terms for _, ps in poly for p in ps})
-    lines = ["w%d_1 = x%d" % (j, j) for j, k in powers if k == 1]
-    raised = ["    w%d_%d = x%d ** %d" % (j, k, j, k) for j, k in powers if k != 1]
-    if raised:
-        lines += ["try:"] + raised + ["except OverflowError:",
-                                      "    return i, None"]
+    """`polymap._float_values(terms, x)` at the point x0, x1, ...: the
+    powers of each coordinate multiplied out, w{j}_1 = x{j} and w{j}_{k} =
+    w{j}_{k-1} * x{j} up to its largest exponent; then polynomial i as
+    v{i}, its terms in order, each coefficient times its powers left to
+    right."""
+    top = {}
+    for poly in terms:
+        for _, ps in poly:
+            for j, k in ps:
+                top[j] = max(top.get(j, 0), k)
+    lines = []
+    for j in sorted(top):
+        lines.append("w%d_1 = x%d" % (j, j))
+        lines += ["w%d_%d = w%d_%d * x%d" % (j, k, j, k - 1, j)
+                  for k in range(2, top[j] + 1)]
     for i, poly in enumerate(terms):
         lines += _sum_lines("v%d" % i, [
             " * ".join([_const(consts, c)] + ["w%d_%d" % p for p in ps])
             for c, ps in poly])
     return lines
+
+
+def _r1_lines(n, m):
+    """r1 as `FloatKernel.residual` forms it, e{i} = v{i} + DPhi_0i l0 +
+    ... - q{i}, and the running sum sq of its squares from 0.0."""
+    lines = []
+    for i in range(n):
+        lines.append("e%d = v%d" % (i, i))
+        lines += ["e%d += v%d * l%d" % (i, n + m + j * n + i, j)
+                  for j in range(m)]
+        lines.append("e%d -= q%d" % (i, i))
+    return lines + ["sq = ZERO"] + ["sq += e%d * e%d" % (i, i)
+                                    for i in range(n)]
 
 
 def _scan_lines(m, reached, jacs, consts):
@@ -114,109 +118,17 @@ def _scan_lines(m, reached, jacs, consts):
     return lines + ["if J is None:", "    return i, None"]
 
 
-def p1_lines(n):
-    """p1's entries q{i} and their magnitudes m{i}, which every trial of a
-    search shares."""
-    return (["q%d = p1[%d]" % (i, i) for i in range(n)]
-            + ["m%d = abs(q%d)" % (i, i) for i in range(n)])
-
-
-def first_block_lines(n, m):
-    """The first block of `FloatKernel.rejects` over the values v{i}, the
-    trial multiplier l{j} and `p1_lines`' q{i} and m{i}, in its order:
-    g{i} = max(|e_i| - C A_i, 0)^2 (ZERO where that is 0), pre their float
-    sum, and ok cleared where an A_i is not below BIG (a comparison that
-    nan fails too), where `rejects` returns False."""
-    lines = ["ok = True", "pre = ZERO"]
-    for i in range(n):
-        lines += ["e = v%d - q%d" % (i, i), "b = abs(v%d) + m%d" % (i, i)]
-        for j in range(m):
-            lines += ["t = v%d * l%d" % (n + m + j * n + i, j), "e += t",
-                      "b += abs(t)"]
-        lines += ["if b < BIG:", "    d = abs(e) - C * b", "    if d > 0:",
-                  "        g%d = d * d" % i, "        pre += g%d" % i,
-                  "    else:", "        g%d = ZERO" % i,
-                  "else:", "    ok = False"]
-    return lines
-
-
-def first_block_rejects(m):
-    """The condition under which the first block alone rejects a trial,
-    before its prox scan: every A_i below BIG, pre (1 - C) >= floor, and
-    each z{j} and prox argument u{j} below CAP.  Where `offsets_capped`
-    holds, every prox value then keeps each |r2_j| below 2^216, so
-    `rejects` would find its guards met and, adding the r2 squares before
-    the same g{i} with a float sum that is monotone in each term, a total
-    no smaller than pre: it would reject the trial too."""
-    return " and ".join(["ok", "pre * SHRINK >= floor"]
-                        + ["-CAP < %s%d < CAP" % (v, j)
-                           for j in range(m) for v in "zu"])
-
-
-def bound_lines(n, m):
-    """`FloatKernel.rejects` over `first_block_lines`' names and the prox
-    block r{j}, leaving its decision in `rejected`."""
-    return first_block_lines(n, m) + _prox_block_lines(n, m)
-
-
-def _prox_block_lines(n, m):
-    """The rest of `bound_lines`: the r2 guards, then the total, the r2
-    squares and then each g{i}.  Adding a ZERO g{i} leaves the total's
-    bits as they are, since the total is never -0.0; the float operations
-    after a failed guard cannot raise."""
-    guards = " and ".join("-BIG < r%d < BIG" % j for j in range(m))
-    lines = ["rejected = ok and " + guards, "if rejected:", "    total = ZERO"]
-    lines += ["    total += r%d * r%d" % (j, j) for j in range(m)]
-    lines += ["    total += g%d" % i for i in range(n)]
-    return lines + ["    rejected = total * SHRINK >= floor"]
-
-
-def offsets_capped(solver):
-    """Whether every active set of the prox QP `solver` has its offset d
-    (y(c) = d - M c) below CAP, proven without factoring one.
-
-    Q = B + I is at least I, so M, the leading block of the bordered
-    inverse, has eigenvalues in [0, 1] and entries of magnitude at most
-    1, and so has J = I - M, the Jacobian of the piece; d solves the
-    bordered system with right-hand side (0, the active rows' rhs).  Each
-    row of that system times the least common denominator of its entries
-    (over every row of Y, not only the active ones) is an integer row, and
-    scaling rows keeps Cramer's ratios, so |d_j| is at most the integer
-    determinant with column j replaced, whose Hadamard bound is at most
-    sqrt(P), P the product below.  With |M|, |J| <= 1, |d| < 2^200 and a
-    prox argument below 2^200 in m <= 2000 coordinates, a float map's y,
-    the prox value u - y and the exact fallback's J u + o all stay below
-    2^215."""
-    rows = [(b, a) for b, a in zip(solver._eq_rows, solver._eq_rhs)]
-    rows += [(solver.poly.b[i], solver.poly.alpha[i]) for i in solver._ineq]
-    product = 1
-    for i, qrow in enumerate(solver.q.rows):
-        product *= _scaled_square(list(qrow) + [b[i] for b, _ in rows])
-    for b, alpha in rows:
-        product *= _scaled_square(list(b) + [alpha])
-    return product.bit_length() <= 400
-
-
-def _scaled_square(entries):
-    """max(1, |D v|^2) for the rational vector v and D the least common
-    denominator of its entries, an integer."""
-    scale = math.lcm(*(v.denominator for v in entries))
-    return max(1, sum((v.numerator * (scale // v.denominator)) ** 2
-                      for v in entries))
-
-
 def search_source(n, m, terms, solver, jacs):
     """(source lines, constants) of `FloatKernel.line_search`'s function
     over the sets the prox QP `solver` has reached and the Jacobians
     `jacs`: `make(K)` unpacks the constants K and returns `search(x, lam,
-    step, i, p1, p2, floor)`, which runs the trials i, i + 1, ... (damp
-    2^-i) and returns (i, (x', lam', values, r2, J)) for the first one its
-    bound does not reject, (i, None) for a trial i it cannot finish, and
-    (_TRIALS, None) when it rejects every one or reaches a trial point
-    equal to the iterate.  Where `offsets_capped(solver)` holds, the first
-    block rejects a trial before its prox scan where it can.  The source
-    holds only template names, integer literals, the constants' names
-    k{i} (a float or a Jacobian) and operators."""
+    step, i, p1, p2, cur)`, which runs the trials i, i + 1, ... (damp
+    2^-i) and returns (i, (x', lam', values, R, |R|^2, J)) for the first
+    one whose |R|^2 is below `cur`, (i, None) for a trial i it cannot
+    finish, and (_TRIALS, None) when it rejects every one or reaches a
+    trial point equal to the iterate.  The source holds only template
+    names, integer literals, the constants' names k{i} (a float or a
+    Jacobian) and operators."""
     consts = []
     loop = ["damp = DAMPS[i]"]
     loop += ["x%d = a%d + damp * h%d" % (j, j, j) for j in range(n)]
@@ -226,34 +138,33 @@ def search_source(n, m, terms, solver, jacs):
         + ["l%d == a%d" % (j, n + j) for j in range(m)]),
              "    return %d, None" % _TRIALS]
     loop += _value_lines(terms, consts)
+    loop += _r1_lines(n, m)
+    loop += ["if not sq < cur:", "    i += 1", "    continue"]
     for j in range(m):
         loop += ["z%d = v%d + o%d" % (j, n + j, j),
                  "u%d = l%d + z%d" % (j, j, j), "c%d = -u%d" % (j, j)]
-    loop += first_block_lines(n, m)
-    if offsets_capped(solver):
-        loop += ["if %s:" % first_block_rejects(m), "    i += 1",
-                 "    continue"]
     loop += _scan_lines(m, solver._reached, jacs, consts)
-    loop += ["r%d = z%d - (u%d - y%d)" % (j, j, j, j) for j in range(m)]
-    loop += _prox_block_lines(n, m)
+    for j in range(m):
+        loop += ["r%d = z%d - (u%d - y%d)" % (j, j, j, j),
+                 "sq += r%d * r%d" % (j, j)]
 
     def names(prefix, count):
         return ", ".join("%s%d" % (prefix, i) for i in range(count))
 
-    loop += ["if not rejected:",
-             "    return i, ([%s], [%s], [%s], [%s], J)" % (
+    loop += ["if sq < cur:",
+             "    return i, ([%s], [%s], [%s], [%s, %s], sq, J)" % (
                  names("x", n), names("l", m), names("v", len(terms)),
-                 names("r", m)),
+                 names("e", n), names("r", m)),
              "i += 1"]
     body = ["a%d = x[%d]" % (j, j) for j in range(n)]
     body += ["a%d = lam[%d]" % (n + j, j) for j in range(m)]
     body += ["h%d = step[%d]" % (j, j) for j in range(n + m)]
-    body += p1_lines(n)
+    body += ["q%d = p1[%d]" % (i, i) for i in range(n)]
     body += ["o%d = p2[%d]" % (j, j) for j in range(m)]
     body += ["while i < %d:" % _TRIALS] + ["    " + line for line in loop]
     body.append("return i, None")
     head = ["%s, = K" % names("k", len(consts))] if consts else []
-    head += ["def search(x, lam, step, i, p1, p2, floor):"]
+    head += ["def search(x, lam, step, i, p1, p2, cur):"]
     head += ["    " + line for line in body]
     return (["def make(K):"] + ["    " + line for line in head]
             + ["    return search"], consts)
@@ -261,9 +172,9 @@ def search_source(n, m, terms, solver, jacs):
 
 def compile_search(lines, consts):
     """The function `search` that `make(consts)` returns, `make` defined
-    by the source `lines` with ZERO, BIG, C, SHRINK and CAP bound to 0.0
-    and the bounds' constants and DAMPS to the damping factors 2^-i."""
-    env = {"ZERO": 0.0, "BIG": _BIG, "C": _C, "SHRINK": 1 - _C, "CAP": _CAP,
+    by the source `lines` with ZERO bound to 0.0 and DAMPS to the damping
+    factors 2^-i."""
+    env = {"ZERO": 0.0,
            "DAMPS": tuple(math.ldexp(1.0, -i) for i in range(_TRIALS))}
     exec(compile("\n".join(lines) + "\n", "<plqstab search>", "exec"), env)
     return env["make"](tuple(consts))

@@ -1,44 +1,41 @@
-"""Reference Newton probe for differential tests: the float residual on
-numpy arrays, the float active-set scan that restarts from the empty set
-with a per-subset map cache, and the numpy line search, as
-`plqstab.probe.solve_perturbed` computed them before its residual
-moved to Python floats.  Polynomials are evaluated term by term, one
-polynomial at a time.  `solve_perturbed` in the program must return the
-same `NewtonResult`, bit for bit, and `StrictQpSolver.solve_float` the
-same (subset, y).
+"""Reference Newton probe for differential tests: the plain-Python
+definition of `plqstab.probe.solve_perturbed`, with no compiled search
+and no early exit.  Polynomials are evaluated one at a time, term by
+term, each power multiplied out; the float active-set scan restarts
+from the empty set with a per-subset map cache; every trial's residual
+is evaluated in full and compared with the current one; and the Newton
+system is solved by Gaussian elimination with partial pivoting on the
+augmented matrix, or, where a pivot is exactly zero, by the program's
+minimum-norm step (which `test_newton.py` checks against the exact
+pseudo-inverse).  `solve_perturbed` in the program must return the same
+`NewtonResult`, bit for bit, and `StrictQpSolver.solve_float` the same
+(subset, y).
 """
 
 import math
 import weakref
 
-import numpy as np
-
 from plqstab.qp import _subsets
 from plqstab.rational import rat, to_float
-from plqstab.probe import NewtonResult, _exact_residual_norm
+from plqstab.probe import NewtonResult, _exact_residual_norm, _min_norm_step
 
 _MAPS = weakref.WeakKeyDictionary()  # solver -> {subset: float maps}
 
 
 def poly_float(poly, point):
     total = 0.0
-    try:
-        for term, powers in poly._float_coefficients():
-            for j, k in powers:
-                term *= float(point[j]) ** k
-            total += term
-    except OverflowError:
-        return math.nan
+    for term, powers in poly._float_coefficients():
+        for j, k in powers:
+            w = point[j]
+            for _ in range(k - 1):
+                w *= point[j]
+            term *= w
+        total += term
     return total
 
 
-def _map_float(pmap, point):
-    return tuple(poly_float(c, point) for c in pmap.components)
-
-
 def _matrix_float(polys, point):
-    return np.array([[poly_float(p, point) for p in row] for row in polys],
-                    dtype=float)
+    return [[poly_float(p, point) for p in row] for row in polys]
 
 
 def solve_float(solver, c):
@@ -80,77 +77,114 @@ def prox_float(penalty, v):
 
 
 def float_residual(system, p1, p2, x, lam):
-    xs = x.tolist()
-    g = _matrix_float(system.phi._jacobian_polys(), xs)
-    z = np.array(_map_float(system.phi, xs)) + p2
-    arg = lam + z
-    prox_pt, pj = prox_float(system.penalty, tuple(arg.tolist()))
-    r1 = np.array(_map_float(system.f, xs)) + g.T @ lam - p1
-    r2 = z - np.array(prox_pt)
-    r = np.concatenate([r1, r2])
-    return r, float(np.linalg.norm(r)), g, np.array(pj)
+    """(R, |R|^2, DPhi(x) as m rows, J) at (x, lam), in full."""
+    n, m = system.n, system.m
+    f = [poly_float(p, x) for p in system.f.components]
+    g = _matrix_float(system.phi._jacobian_polys(), x)
+    r = []
+    for i in range(n):
+        e = f[i]
+        for j in range(m):
+            e += g[j][i] * lam[j]
+        r.append(e - p1[i])
+    z = [poly_float(p, x) + b for p, b in zip(system.phi.components, p2)]
+    prox, jac = prox_float(system.penalty, [a + b for a, b in zip(lam, z)])
+    r += [a - b for a, b in zip(z, prox)]
+    rsq = 0.0
+    for e in r:
+        rsq += e * e
+    return r, rsq, g, jac
 
 
-def _psi_jacobian_x_float(system, x, lam):
-    xs = x.tolist()
-    a = _matrix_float(system.f._jacobian_polys(), xs)
-    for i, li in enumerate(lam.tolist()):
+def newton_matrix(system, x, lam, g, jac):
+    """[[A, DPhi^T], [(I - J) DPhi, -J]], A = Df + sum_i lam_i Hess(Phi_i)."""
+    n, m = system.n, system.m
+    a = _matrix_float(system.f._jacobian_polys(), x)
+    for i, li in enumerate(lam):
         if li != 0:
-            a = a + li * _matrix_float(system.phi._hessian_polys(i), xs)
-    return a
+            h = _matrix_float(system.phi._hessian_polys(i), x)
+            a = [[u + li * v for u, v in zip(ra, rh)] for ra, rh in zip(a, h)]
+    rows = [a[i] + [g[j][i] for j in range(m)] for i in range(n)]
+    for k in range(m):
+        row = []
+        for i in range(n):
+            s = 0.0
+            for j in range(m):
+                s += ((1.0 if j == k else 0.0) - jac[k][j]) * g[j][i]
+            row.append(s)
+        rows.append(row + [-v for v in jac[k]])
+    return rows
+
+
+def lu_solve(a, b):
+    """x with a x = b by Gaussian elimination with partial pivoting on the
+    augmented matrix, or None at an exactly zero pivot."""
+    size = len(b)
+    aug = [list(row) + [v] for row, v in zip(a, b)]
+    for k in range(size):
+        p = k
+        for i in range(k + 1, size):
+            if abs(aug[i][k]) > abs(aug[p][k]):
+                p = i
+        if aug[p][k] == 0:
+            return None
+        aug[k], aug[p] = aug[p], aug[k]
+        for i in range(k + 1, size):
+            l = aug[i][k] / aug[k][k]
+            for j in range(k + 1, size + 1):
+                aug[i][j] -= l * aug[k][j]
+    x = [0.0] * size
+    for i in reversed(range(size)):
+        s = aug[i][size]
+        for j in range(i + 1, size):
+            s -= aug[i][j] * x[j]
+        x[i] = s / aug[i][i]
+    return x
 
 
 def solve_perturbed(system, p1, p2, start, tol=1e-10, max_iter=200):
-    n, m = system.n, system.m
-    p1f = np.array([float(v) for v in p1], dtype=float)
-    p2f = np.array([float(v) for v in p2], dtype=float)
-    x = np.array([float(v) for v in start[0]], dtype=float)
-    lam = np.array([float(v) for v in start[1]], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, rnorm, g, pj = float_residual(system, p1f, p2f, x, lam)
-        evaluations = 1
-        iterations, reason = max_iter, "max_iter"
-        for it in range(max_iter):
-            if rnorm <= tol:
-                iterations = it
+    n = system.n
+    p1f = [float(v) for v in p1]
+    p2f = [float(v) for v in p2]
+    x = [float(v) for v in start[0]]
+    lam = [float(v) for v in start[1]]
+    r, rsq, g, jac = float_residual(system, p1f, p2f, x, lam)
+    evaluations = 1
+    iterations, reason = max_iter, "max_iter"
+    for it in range(max_iter):
+        if math.sqrt(rsq) <= tol:
+            iterations = it
+            break
+        if not rsq < math.inf:
+            iterations, reason = it, "overflow"
+            break
+        jmat = newton_matrix(system, x, lam, g, jac)
+        if not all(math.isfinite(v) for row in jmat for v in row):
+            iterations, reason = it + 1, "overflow"
+            break
+        rhs = [-v for v in r]
+        step = lu_solve(jmat, rhs)
+        if step is None:
+            step = _min_norm_step(jmat, rhs)
+        damp = 1.0
+        best = None
+        for _ in range(30):
+            xn = [a + damp * b for a, b in zip(x, step)]
+            ln = [a + damp * b for a, b in zip(lam, step[n:])]
+            trial = float_residual(system, p1f, p2f, xn, ln)
+            evaluations += 1
+            if trial[1] < rsq:
+                best = (xn, ln, *trial)
                 break
-            if not math.isfinite(rnorm):
-                iterations, reason = it, "overflow"
-                break
-            a = _psi_jacobian_x_float(system, x, lam)
-            top = np.hstack([a, g.T])
-            bottom = np.hstack([(np.eye(m) - pj) @ g, -pj])
-            jmat = np.vstack([top, bottom])
-            if not np.isfinite(jmat).all():
-                iterations, reason = it + 1, "overflow"
-                break
-            try:
-                step = np.linalg.solve(jmat, -r)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(jmat, -r, rcond=None)
-            damp = 1.0
-            best = None
-            for _ in range(30):
-                xn = x + damp * step[:n]
-                ln = lam + damp * step[n:]
-                rn, rn_norm, gn, pjn = float_residual(system, p1f, p2f, xn, ln)
-                evaluations += 1
-                if rn_norm < rnorm or not math.isfinite(rn_norm):
-                    best = (xn, ln, rn, rn_norm, gn, pjn)
-                    break
-                damp /= 2
-            if best is None:
-                iterations, reason = it + 1, "no_descent"
-                break
-            if not math.isfinite(best[3]):
-                iterations, reason = it + 1, "overflow"
-                break
-            x, lam, r, rnorm, g, pj = best
+            damp /= 2
+        if best is None:
+            iterations, reason = it + 1, "no_descent"
+            break
+        x, lam, r, rsq, g, jac = best
     exact_norm = _exact_residual_norm(system, p1, p2, x, lam)
     if exact_norm <= tol:
         reason = "converged"
-    elif rnorm <= tol:
+    elif math.sqrt(rsq) <= tol:
         reason = "exact_check"
-    return NewtonResult(exact_norm <= tol, tuple(x.tolist()),
-                        tuple(lam.tolist()), exact_norm, iterations, reason,
-                        evaluations)
+    return NewtonResult(exact_norm <= tol, tuple(x), tuple(lam), exact_norm,
+                        iterations, reason, evaluations)

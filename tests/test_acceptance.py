@@ -87,7 +87,7 @@ def _theta_float_bruteforce(pen, u):
     """Independent float oracle: active-set brute force by least squares."""
     yb = [[float(v) for v in row] for row in pen.Y.b]
     al = [float(a) for a in pen.Y.alpha]
-    bm = pen.B.to_float()
+    bm = np.array([[float(v) for v in r] for r in pen.B.rows], dtype=float)
     uf = np.array([float(v) for v in u])
     m = pen.m
     best = None

@@ -1,12 +1,16 @@
 """Problem files, analysis driver, CLI determinism and exit codes."""
 
 import ast
+import builtins
+import dis
 import hashlib
+import importlib
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import types
 from datetime import timedelta
 
 import pytest
@@ -64,6 +68,7 @@ def test_parse_corpus_files():
     (lambda d: d.update(f=["x2"]), "$.f[0]"),
     (lambda d: d.update(points=[{"x": ["0"], "lambda": ["0"]}]),
      "$.points[0].lambda"),
+    (lambda d: d["points"][0].update(x=[True]), "$.points[0].x[0]"),
     (lambda d: d.update(Y={"b": [["-1", "0"]], "alpha": ["0", "0"]}), "$.Y"),
     (lambda d: d.update(phi0="x1"), "$.phi0"),
     (lambda d: d["Y"]["b"][0].__setitem__(0, "1/0"), "$.Y.b[0][0]"),
@@ -133,10 +138,8 @@ def test_byte_determinism_across_runs():
 
 
 # sha256 of `plqstab analyze <file> --report json` per corpus file, without
-# --probe.  The exact reports carry no float that depends on the host's
-# BLAS, so their bytes are pinned here; a change to any byte must be
-# explained and the pin updated with it.  The probe reports are covered by
-# the bitwise differential test of the Newton solver instead.
+# --probe.  A change to any byte must be explained and the pin updated
+# with it; the probe reports are pinned below.
 _EXACT_REPORT_SHA256 = {
     "example_3_2a": "34792f3dd4f7b5217462ea92b7dbcac75177262d3aa5a0f1add9f02bf021d1fe",
     "example_3_2b": "3bafae1f87252169261be272c6d21ece6b1e05320e56b5f984fc00f52a15a017",
@@ -170,6 +173,52 @@ def test_cli_random_enlp_report_bytes_are_pinned(tmp_path, capsys):
             assert cli_main(["analyze", str(path), "--report", "json"]) == 0
             digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == _RANDOM_ENLP_REPORTS_SHA256
+
+
+# The same pins with --probe.  The Newton probe computes in Python floats
+# in one stated order, so its bytes depend on IEEE-754 doubles and on
+# CPython alone; they hold wherever `sum` of floats is sequential, which
+# the prox QP's float scan uses (Python 3.12 and later compensate it).
+_PROBE_REPORT_SHA256 = {
+    "example_3_2a": "f9e2a2a366d5c3cb339b59fdd97ec12ab649bd4e5c1aff7b9b5ee442ffa53838",
+    "example_3_2b": "ea5b154d1d91e90023e0c658f9b5fd1f94314ef11d3cce6b5b44fcf992b6025e",
+    "example_3_3": "0f3241de6bcd214d18e6c2ba22862d26e4779f121809bb198607532e634be669",
+    "example_4_4": "29123936943eb2686ac5e1a28e847a76e64cfdc53129b487f1b6e9a9db982bf8",
+    "example_6_2": "af9474efb24ade988d63d5997264b9d646a0db69795fd2c773651ab4d58660e4",
+}
+
+# sha256 over the concatenated `--probe --report json` outputs of
+# random-enlp pools 1-3, five problems each, in pool order.
+_RANDOM_ENLP_PROBE_REPORTS_SHA256 = (
+    "266ffa3515f26656504a8778fb798db9044b4852550811cf5b76a94feec7a36e")
+
+_SEQUENTIAL_SUM = pytest.mark.skipif(
+    sum((1.0, 1e100, 1.0, -1e100)) != 0.0,
+    reason="sum() of floats is compensated here; the probe pins are those "
+           "of a sequential sum")
+
+
+@_SEQUENTIAL_SUM
+def test_cli_probe_report_bytes_are_pinned(capsys):
+    assert sorted(_PROBE_REPORT_SHA256) == sorted(corpus_names())
+    for name, digest in _PROBE_REPORT_SHA256.items():
+        assert cli_main(["analyze", corpus_path(name), "--probe", "--report",
+                         "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
+
+
+@_SEQUENTIAL_SUM
+def test_cli_random_enlp_probe_report_bytes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for name, doc in random_enlp_docs(seed, 5):
+            path = tmp_path / (name + ".json")
+            path.write_text(json.dumps(doc))
+            assert cli_main(["analyze", str(path), "--probe", "--report",
+                             "json"]) == 0
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == _RANDOM_ENLP_PROBE_REPORTS_SHA256
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -247,6 +296,32 @@ def test_no_assert_statements_in_the_package():
     found = [f"{path.name}:{node.lineno}" for path in modules
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+def test_every_global_the_package_reads_is_bound():
+    # A name that a function reads as a global (LOAD_GLOBAL) but that its
+    # module never binds, and that is no builtin, raises NameError only
+    # when that line runs; so the bytecode of every module, nested
+    # functions and classes included, is scanned for one.
+    builtin_names = set(dir(builtins))
+    found = []
+    for path in sorted(pathlib.Path(plqstab.__file__).parent.glob("*.py")):
+        name = "plqstab" + ("" if path.stem == "__init__" else "." + path.stem)
+        bound = set(vars(importlib.import_module(name))) | builtin_names
+        code = compile(path.read_text(), str(path), "exec")
+        for co in _code_objects(code):
+            found += ["%s.%s: %s" % (path.stem, co.co_name, ins.argval)
+                      for ins in dis.get_instructions(co)
+                      if ins.opname == "LOAD_GLOBAL"
+                      and ins.argval not in bound]
     assert found == []
 
 
@@ -422,13 +497,16 @@ def test_cli_probe_saturates_derived_floats(tmp_path):
 
 def test_cli_probe_stops_newton_on_overflow(tmp_path):
     # the float residual at the line search's trial points is about
-    # 10^298: its squared norm overflows
+    # 10^298: its square overflows, so the search rejects each of them and
+    # backtracks, and where all 30 overflow the solve ends as "no_descent";
+    # "overflow" names only a start or a Newton matrix past float range
     doc = _example_3_2a(Phi=["x1 + 1" + "0" * 307 + "*x2^3", "0"])
     out = _run_cli(doc, tmp_path, "--probe", "--report", "json")
     assert out.returncode == 0 and out.stderr == ""
     records = json.loads(out.stdout)["points"][0]["probes"]["semi_isolated"][
         "records"]
-    assert "overflow" in [r["newton"] for r in records]
+    assert [r["newton"] for r in records] == (
+        ["converged"] * 2 + ["no_descent"] + ["converged"] * 5)
 
 
 def test_cli_corpus_probes_print_nothing_and_never_overflow(capfd):

@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plqstab import ParseError, PolyMap, Polynomial, parse_expression, rat
+from plqstab.polymap import _float_values
+
+
+def _eval_float(poly, point):
+    """The float value of one polynomial, as the Newton probe evaluates it."""
+    return _float_values((poly._float_coefficients(),), point)[0]
 
 
 def test_grammar_examples():
@@ -69,7 +75,7 @@ def test_symbolic_derivative_matches_finite_differences():
         h = 1e-6
         for _ in range(100):
             x = [rng.uniform(-1, 1) for _ in range(n)]
-            jac = [[c.diff(j).eval_float(x) for j in range(n)]
+            jac = [[_eval_float(c.diff(j), x) for j in range(n)]
                    for c in pmap.components]
             for i in range(pmap.k):
                 for j in range(n):
@@ -77,8 +83,8 @@ def test_symbolic_derivative_matches_finite_differences():
                     xp[j] += h
                     xm = list(x)
                     xm[j] -= h
-                    fd = (pmap.components[i].eval_float(xp)
-                          - pmap.components[i].eval_float(xm)) / (2 * h)
+                    fd = (_eval_float(pmap.components[i], xp)
+                          - _eval_float(pmap.components[i], xm)) / (2 * h)
                     assert abs(fd - jac[i][j]) < 1e-7 + 1e-6 * max(1.0, abs(jac[i][j]))
 
 
@@ -101,10 +107,16 @@ def test_polymap_jacobian_hessian_values():
 
 
 def test_eval_float_past_float_range():
-    # a product past float range gives inf; a power there raises in
-    # Python, and the value is nan
-    assert parse_expression("x1*x2", 2).eval_float((1e200, 1e200)) == math.inf
-    assert math.isnan(parse_expression("x1^2 + 1", 1).eval_float((1e200,)))
+    # powers are multiplied out, x^3 = (x * x) * x, so past float range a
+    # product or a power gives +-inf and inf - inf gives nan; nothing raises
+    assert _eval_float(parse_expression("x1*x2", 2), (1e200, 1e200)) == math.inf
+    assert _eval_float(parse_expression("x1^2 + 1", 1), (1e200,)) == math.inf
+    assert _eval_float(parse_expression("x1^3", 1), (-1e200,)) == -math.inf
+    assert math.isnan(_eval_float(parse_expression("x1^2 - x2^2", 2),
+                                  (1e200, 1e200)))
+    # 1.134^3 rounds to 1.4582741039999996, (1.134 * 1.134) * 1.134 to ...98
+    assert _eval_float(parse_expression("x1^3", 1), (1.134,)) \
+        == (1.134 * 1.134) * 1.134 == 1.4582741039999998
 
 
 def test_polymap_guards():

@@ -1,7 +1,7 @@
 """What a plqstab process loads: an exact analysis compiles and imports
-neither the float probe nor `dataclasses`, and the probe's names stay
-reachable from `plqstab` and, for the benchmark's two spans, from
-`stability`."""
+neither the float probe nor `dataclasses`, no run, `--probe` included,
+loads numpy, and the probe's names stay reachable from `plqstab` and,
+for the benchmark's two spans, from `stability`."""
 
 import os
 import subprocess
@@ -46,10 +46,10 @@ def test_exact_analyses_load_no_probe_and_no_dataclasses():
 
 
 def test_probe_analysis_loads_the_probe():
-    added = _added_modules("probe", "example_4_4")
-    # numpy loads `inspect` itself; plqstab still loads no `dataclasses`
-    assert {"plqstab.probe", "numpy"} <= added
-    assert "dataclasses" not in added
+    # every corpus file, so example_3_3 compiles its line search too
+    added = _added_modules("probe")
+    assert {"plqstab.probe", "plqstab.trialsource"} <= added
+    assert not added & {"dataclasses", "inspect", "numpy"}
 
 
 @pytest.mark.parametrize("name", sorted(plqstab._PROBE_NAMES))
