@@ -160,14 +160,14 @@ class EnlpProblem:
         x = tuple(rat(v) for v in x)
         if x not in self._bcq:
             phix = self.phi.eval(x)
-            dom = self.penalty.domain_cone()
+            dom = self.penalty.domain_cone
             if not dom.contains(phix):
                 raise ValueError("base point is infeasible for the penalty domain")
             gmat = self.phi.jacobian_at(x)
             a_eq = [tuple(gmat.rows[i][j] for i in range(self.m))
                     for j in range(self.n)]  # DPhi^T v = 0
             # v in the normal cone of the domain
-            a_ub = list(normal_cone(dom.as_polyhedron(), phix).rows)
+            a_ub = list(normal_cone(dom.as_polyhedron, phix).rows)
             self._bcq[x] = nontrivial_over([(self.m, a_eq, a_ub)],
                                            range(self.m)) is None
         return self._bcq[x]

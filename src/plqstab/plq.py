@@ -35,7 +35,8 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
                         face_differences, fm_project, normal_cone)
-from .qp import QpOptimal, QpUnbounded, StrictQpSolver, _subsets, qp_solve
+from .qp import (QpOptimal, QpUnbounded, StrictQpSolver, _fdot, _subsets,
+                 qp_solve)
 from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
 
 __all__ = ["ExtReal", "NotPsdError", "PLUS_INF", "PlqPenalty",
@@ -125,7 +126,11 @@ class PlqPenalty:
         self.m = bmat.nrows
         if self.Y.is_empty():
             raise ValueError("Y must be nonempty (penalty would be improper)")
-        self._cache: dict = {}
+        self._theta = {}  # exact u -> (theta(u), maximizer or None)
+        self._pieces = {}  # active set -> exact prox piece (J, o)
+        # active set -> float Jacobian blocks (I - J, -J) of the prox pieces
+        # `prox_float` has met
+        self._float_jacs = {}
 
     # -- evaluation ------------------------------------------------------------
     def theta_with_argmax(self, u):
@@ -134,34 +139,31 @@ class PlqPenalty:
         point (`subdiff_contains`) and its multiplier set (`subdiff`) share
         one QP at Phi(x)."""
         u = tuple(rat(v) for v in u)
-        memo = self._cache.setdefault("theta", {})
-        if u not in memo:
+        if u not in self._theta:
             out = qp_solve(self.B, tuple(-v for v in u), self.Y)
             if isinstance(out, QpUnbounded):
-                memo[u] = PLUS_INF, None
+                self._theta[u] = PLUS_INF, None
             elif isinstance(out, QpOptimal):
-                memo[u] = ExtReal(-out.value), out.point
+                self._theta[u] = ExtReal(-out.value), out.point
             else:  # Y nonempty was checked
                 raise InternalConsistencyError("QP over nonempty Y is infeasible")
-        return memo[u]
+        return self._theta[u]
 
     def theta(self, u) -> ExtReal:
         return self.theta_with_argmax(u)[0]
 
     # -- domain -----------------------------------------------------------------
+    @cached_property
     def domain_cone(self) -> PolyCone:
         """dom theta: nonpositive polar of (horizon of Y) intersect ker B."""
-        if "domain" not in self._cache:
-            rows = list(self.Y.b)
-            for r in self.B.rows:
-                rows.append(tuple(r))
-                rows.append(tuple(-v for v in r))
-            rec_ker = PolyCone(rows, dim=self.m)
-            self._cache["domain"] = rec_ker.polar()
-        return self._cache["domain"]
+        rows = list(self.Y.b)
+        for r in self.B.rows:
+            rows.append(tuple(r))
+            rows.append(tuple(-v for v in r))
+        return PolyCone(rows, dim=self.m).polar()
 
     def domain_contains(self, u) -> bool:
-        return self.domain_cone().contains(tuple(rat(v) for v in u))
+        return self.domain_cone.contains(tuple(rat(v) for v in u))
 
     # -- subdifferential ----------------------------------------------------------
     def subdiff(self, u) -> Polyhedron:
@@ -225,16 +227,15 @@ class PlqPenalty:
         lam = tuple(rat(v) for v in lam)
         if not self.Y.contains(lam):
             return None
-        cone = normal_cone(self.Y, lam).as_polyhedron()
+        cone = normal_cone(self.Y, lam).as_polyhedron
         return cone.project_point(vsub(u, self.B.matvec(lam)))[1]
 
     # -- proximal map ---------------------------------------------------------------
+    @cached_property
     def _prox_solver(self) -> StrictQpSolver:
-        if "prox" not in self._cache:
-            q = RatMatrix([[self.B.rows[i][j] + (ONE if i == j else ZERO)
-                            for j in range(self.m)] for i in range(self.m)])
-            self._cache["prox"] = StrictQpSolver(q, self.Y)
-        return self._cache["prox"]
+        q = RatMatrix([[self.B.rows[i][j] + (ONE if i == j else ZERO)
+                        for j in range(self.m)] for i in range(self.m)])
+        return StrictQpSolver(q, self.Y)
 
     def prox(self, x, with_subset=False):
         """Proximal point, via the conjugate pair: prox(x) = x - y*(x)
@@ -246,7 +247,7 @@ class PlqPenalty:
         prox(x) - B y* in N_Y(y*).
         """
         x = tuple(rat(v) for v in x)
-        ystar, subset = self._prox_solver().solve(tuple(-v for v in x),
+        ystar, subset = self._prox_solver.solve(tuple(-v for v in x),
                                                   with_subset=True)
         p = vsub(x, ystar)
         resid = vsub(p, self.B.matvec(ystar))
@@ -258,13 +259,12 @@ class PlqPenalty:
         """Exact (J, o) of prox on the active set `subset`: prox(v) =
         v - y*(v) = J v + o there, with y*(v) = M v + d and J = I - M,
         o = -d."""
-        pieces = self._cache.setdefault("prox_pieces", {})
-        if subset not in pieces:
-            mmat, d = self._prox_solver().piece(subset)
+        if subset not in self._pieces:
+            mmat, d = self._prox_solver.piece(subset)
             jac = RatMatrix([[(ONE if i == j else ZERO) - mmat[i][j]
                               for j in range(self.m)] for i in range(self.m)])
-            pieces[subset] = (jac, tuple(-v for v in d))
-        return pieces[subset]
+            self._pieces[subset] = (jac, tuple(-v for v in d))
+        return self._pieces[subset]
 
     def prox_linearization(self, x):
         """An active-piece affine model of prox at x: (matrix J, offset o).
@@ -279,12 +279,6 @@ class PlqPenalty:
         if vadd(jac.matvec(x), offset) != p:
             raise InternalConsistencyError("active prox piece misses prox(x)")
         return jac, offset
-
-    @cached_property
-    def _float_jacs(self):
-        """The float Jacobian blocks (I - J, -J) of each prox piece
-        `prox_float` has met, by active set."""
-        return {}
 
     def _jac_blocks(self, rows):
         """(I - J, -J) as tuples of rows for the float Jacobian J with these
@@ -308,18 +302,18 @@ class PlqPenalty:
         is used.  A v past float range has no exact value; where one is
         needed, prox(v) and J are nan.
         """
-        hit = self._prox_solver().solve_float([-a for a in v])
+        hit = self._prox_solver.solve_float([-a for a in v])
         float_jacs = self._float_jacs
         if hit is not None and hit[0] in float_jacs:
             return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
-        if hit is None or hit[0] not in self._cache.get("prox_pieces", {}):
+        if hit is None or hit[0] not in self._pieces:
             if not all(map(math.isfinite, v)):
                 return ([math.nan] * self.m,
                         self._jac_blocks([[math.nan] * self.m] * self.m))
             jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
             if hit is None:
                 jac = _float_rows(jac)
-                return ([sum(a * b for a, b in zip(row, v)) + to_float(o)
+                return ([_fdot(row, v) + to_float(o)
                          for row, o in zip(jac, offset)], self._jac_blocks(jac))
         float_jacs[hit[0]] = self._jac_blocks(_float_rows(self._piece(hit[0])[0]))
         return [a - b for a, b in zip(v, hit[1])], float_jacs[hit[0]]
@@ -335,7 +329,7 @@ class PlqPenalty:
 
     def restricted(self, cone: PolyCone) -> "PlqPenalty":
         """The penalty with Y replaced by a cone (same B)."""
-        return PlqPenalty(cone.as_polyhedron(), self.B)
+        return PlqPenalty(cone.as_polyhedron, self.B)
 
     def second_subderivative(self, zbar, lam, u) -> ExtReal:
         """Twice the restricted penalty of the critical cone at (zbar, lam)."""
@@ -384,10 +378,8 @@ class PlqPenalty:
         normals of `subdiff_graph_normal_cones`, through
         `polyhedra.limiting_normal_cone_union`; no verdict reads it.
         """
-        if "graph" in self._cache:
-            return self._cache["graph"]
         m = self.m
-        eq_pairs, ineq = self.Y._split()
+        eq_pairs, ineq = self.Y._split
         eq_rows, eq_rhs = self.Y.eq_system()
         pieces = []
         for subset in _subsets(tuple(ineq)):
@@ -430,8 +422,7 @@ class PlqPenalty:
             piece = fm_project(lifted, range(2 * m))
             if not piece.is_empty():
                 pieces.append(piece)
-        self._cache["graph"] = PolyUnion(pieces)
-        return self._cache["graph"]
+        return PolyUnion(pieces)
 
     # -- serialization ----------------------------------------------------------------------
     def to_doc(self):

@@ -19,6 +19,8 @@ neither solves an LP.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import InternalConsistencyError
 from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
@@ -89,7 +91,7 @@ class Polyhedron:
             self._dim = d
         else:
             self._dim = None
-        self._cache: dict = {}
+        self._normal_cones = {}  # tight row set -> normal cone (`normal_cone`)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -112,10 +114,9 @@ class Polyhedron:
         return self
 
     # -- derived equality/inequality split ----------------------------------
+    @cached_property
     def _split(self):
         """Indices: (equality pair list [(i, j)], inequality index list)."""
-        if "split" in self._cache:
-            return self._cache["split"]
         n = len(self.b)
         paired = {}
         eq_pairs = []
@@ -131,12 +132,11 @@ class Polyhedron:
                 used.add(i)
                 used.add(j)
         ineq = [i for i in range(n) if i not in used]
-        self._cache["split"] = (eq_pairs, ineq)
         return eq_pairs, ineq
 
     def eq_system(self):
         """(rows, rhs) of the recognized equality part."""
-        pairs, _ = self._split()
+        pairs, _ = self._split
         return ([self.b[i] for i, _ in pairs], [self.alpha[i] for i, _ in pairs])
 
     # -- membership --------------------------------------------------------
@@ -161,45 +161,39 @@ class Polyhedron:
 
     def is_empty(self) -> bool:
         """Decided by one LP, unless the origin satisfies every row."""
-        if "empty" in self._cache:
-            return self._cache["empty"]
         if self._dim is None or all(a >= 0 for a in self.alpha):
-            self._cache["empty"] = False
             return False
-        pt = lp_feasible_point(self.b, self.alpha, n=self.dim)
-        self._cache["empty"] = pt is None
-        if pt is not None:
-            self._cache["point"] = pt
-        return self._cache["empty"]
+        return self._feasible_point is None
+
+    @cached_property
+    def _feasible_point(self):
+        """The LP's feasible point, or None for the empty set."""
+        return lp_feasible_point(self.b, self.alpha, n=self.dim)
 
     def some_point(self):
         if self.is_empty():
             return None
-        if "point" not in self._cache:
-            self._cache["point"] = lp_feasible_point(self.b, self.alpha, n=self.dim)
-        return self._cache["point"]
+        return self._feasible_point
 
     # -- misc geometry -------------------------------------------------------
+    @cached_property
     def implicit_equality_rows(self):
         """Inequality rows satisfied with equality everywhere on the set."""
-        if "implicit" in self._cache:
-            return self._cache["implicit"]
-        _, ineq = self._split()
+        _, ineq = self._split
         out = []
         objectives = (tuple(-v for v in self.b[i]) for i in ineq)
         for i, o in zip(ineq, lp_max_each(objectives, self.b, self.alpha)):
             if isinstance(o, LpOptimal) and -o.value == self.alpha[i]:
                 out.append(i)
-        self._cache["implicit"] = out
         return out
 
     def affine_dimension(self):
         """Dimension of the affine hull; -1 for the empty set."""
         if self.is_empty():
             return -1
-        pairs, _ = self._split()
+        pairs, _ = self._split
         eq_rows = [self.b[i] for i, _ in pairs]
-        eq_rows += [self.b[i] for i in self.implicit_equality_rows()]
+        eq_rows += [self.b[i] for i in self.implicit_equality_rows]
         if not eq_rows:
             return self.dim
         return self.dim - rank(eq_rows)
@@ -238,10 +232,12 @@ class Polyhedron:
         x = tuple(rat(v) for v in x)
         if self.contains(x):
             return x, ZERO
-        if "projector" not in self._cache:
-            self._cache["projector"] = StrictQpSolver(identity(self.dim), self)
-        y = self._cache["projector"].solve(tuple(-v for v in x))
+        y = self._projector.solve(tuple(-v for v in x))
         return y, vdot(vsub(x, y), vsub(x, y))
+
+    @cached_property
+    def _projector(self):
+        return StrictQpSolver(identity(self.dim), self)
 
     # -- serialization ---------------------------------------------------------
     def to_doc(self):
@@ -292,8 +288,6 @@ class PolyCone:
             self._dim = dim
         if self._dim is None:
             raise ValueError("cone dimension cannot be inferred from no rows")
-        self._poly = None
-        self._span = None
 
     @property
     def dim(self):
@@ -319,13 +313,11 @@ class PolyCone:
             _FROM_GEN_MEMO[key] = PolyCone(rows, dim=dim)
         return _FROM_GEN_MEMO[key]
 
+    @cached_property
     def as_polyhedron(self) -> Polyhedron:
         """The cone as a Polyhedron, one instance per cone, so that its memo
         tables (emptiness, the projection solver) serve every caller."""
-        if self._poly is None:
-            self._poly = Polyhedron(self.rows, (ZERO,) * len(self.rows))
-            self._poly.with_dim(self.dim)
-        return self._poly
+        return Polyhedron(self.rows, (ZERO,) * len(self.rows)).with_dim(self.dim)
 
     def contains(self, v) -> bool:
         v = tuple(rat(x) for x in v)
@@ -354,17 +346,15 @@ class PolyCone:
     def extreme_rays(self):
         return self.generators()[1]
 
+    @cached_property
     def span_basis(self):
-        """Basis of the linear span of the cone, memoized on the instance."""
-        if self._span is None:
-            lin, rays = self.generators()
-            stacked = list(lin) + list(rays)
-            self._span = ()
-            if stacked:
-                red, piv = rref(stacked)
-                self._span = tuple(primitive(tuple(red[i]))
-                                   for i in range(len(piv)))
-        return self._span
+        """Basis of the linear span of the cone."""
+        lin, rays = self.generators()
+        stacked = list(lin) + list(rays)
+        if not stacked:
+            return ()
+        red, piv = rref(stacked)
+        return tuple(primitive(tuple(red[i])) for i in range(len(piv)))
 
     def is_trivial(self) -> bool:
         lin, rays = self.generators()
@@ -405,7 +395,7 @@ class PolyCone:
         """
         key = self._key()
         if key not in _FACES_MEMO:
-            pairs, ineq = self.as_polyhedron()._split()
+            pairs, ineq = self.as_polyhedron._split
             always = frozenset(i for pair in pairs for i in pair)
             zero_sets = [frozenset(i for i in ineq if vdot(self.rows[i], r) == 0)
                          for r in self.extreme_rays()]
@@ -509,11 +499,10 @@ def normal_cone(p: Polyhedron, y) -> PolyCone:
     if not p.contains(y):
         raise ValueError("normal cone requested at an exterior point")
     tight = p.tight_rows(y)
-    cache = p._cache.setdefault("normal_cones", {})
-    if tight not in cache:
-        cache[tight] = PolyCone.from_generators(
+    if tight not in p._normal_cones:
+        p._normal_cones[tight] = PolyCone.from_generators(
             (), [p.b[i] for i in sorted(tight)], p.dim)
-    return cache[tight]
+    return p._normal_cones[tight]
 
 
 def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
@@ -543,7 +532,7 @@ def difference_polar(f1: PolyCone, f2: PolyCone):
     description runs per pair.
     """
     lin, rays = f1.generators()
-    return list(lin) + list(f2.span_basis()), list(rays)
+    return list(lin) + list(f2.span_basis), list(rays)
 
 
 def face_differences(cone: PolyCone):

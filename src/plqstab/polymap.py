@@ -226,7 +226,6 @@ class PolyMap:
         if any(c.n != self.n for c in comps):
             raise ValueError("components over different variable counts")
         self.k = len(comps)
-        self._jac = None
         self._hess = {}
 
     def eval(self, point):
@@ -238,7 +237,7 @@ class PolyMap:
 
     @cached_property
     def _jacobian_terms(self):
-        return tuple(p._float_coefficients() for row in self._jacobian_polys()
+        return tuple(p._float_coefficients() for row in self._jacobian_polys
                      for p in row)
 
     @cached_property
@@ -248,20 +247,19 @@ class PolyMap:
         return tuple(p._float_coefficients() for i in range(self.k)
                      for row in self._hessian_polys(i) for p in row)
 
+    @cached_property
     def _jacobian_polys(self):
-        if self._jac is None:
-            self._jac = tuple(tuple(c.diff(j) for j in range(self.n))
-                              for c in self.components)
-        return self._jac
+        return tuple(tuple(c.diff(j) for j in range(self.n))
+                     for c in self.components)
 
     def jacobian_at(self, point) -> RatMatrix:
         """k x n matrix of first partial derivatives at a rational point."""
         return RatMatrix(tuple(tuple(p.eval(point) for p in row)
-                               for row in self._jacobian_polys()))
+                               for row in self._jacobian_polys))
 
     def _hessian_polys(self, i):
         if i not in self._hess:
-            grad = self._jacobian_polys()[i]
+            grad = self._jacobian_polys[i]
             self._hess[i] = tuple(tuple(g.diff(j) for j in range(self.n))
                                   for g in grad)
         return self._hess[i]
@@ -277,7 +275,7 @@ class PolyMap:
         float range."""
         polys = [self.components[i]]
         if order >= 1:
-            polys += self._jacobian_polys()[i]
+            polys += self._jacobian_polys[i]
         if order >= 2:
             polys += [p for row in self._hessian_polys(i) for p in row]
         return all(p.fits_float() for p in polys)

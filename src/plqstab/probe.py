@@ -6,8 +6,8 @@ and verifies each step exactly.  `semi_isolated_probe` solves a
 deterministic family of canonically perturbed systems with
 `solve_perturbed` and records how far each solution moved.  The Newton
 iteration runs in Python floats on the system's `FloatKernel`, every sum
-in one stated order, so its bits depend only on IEEE-754 arithmetic and
-the CPython version: the proximal map is affine on each active set of
+in one stated order, so its bits depend only on IEEE-754 arithmetic,
+whatever the CPython version: the proximal map is affine on each active set of
 its QP, so its value and generalized Jacobian are read off a cached
 exact piece (Qi and Sun, Math. Prog. 58, 1993), the polynomial data are
 evaluated from cached float coefficients, and the Newton system is
@@ -237,9 +237,7 @@ class FloatKernel:
     grown, and the search resumes at the next damp on the current
     function.  So every bit is as without it.  The function lives on the
     kernel.  It is not built when it would have more than _MAX_LINES
-    lines, or where `sum` of floats is not the sequential sum (Python
-    3.12 compensates), since `StrictQpSolver.solve_float` sums with `sum`
-    and the unrolled scan would not match it.
+    lines.
 
     `newton_matrix` forms the generalized Jacobian of R, and `newton_step`
     solves the Newton system by LU with partial pivoting (`_lu_solve`),
@@ -260,9 +258,8 @@ class FloatKernel:
         # trials served the generic way; no build where the polynomials and
         # the n m lines of r1 alone pass _MAX_LINES
         self.compiled, self.built_from, self.generic = None, None, 0
-        sequential = sum((1.0, 1e100, 1.0, -1e100)) == 0.0
         small = sum(map(len, self.terms)) + self.n * self.m <= _MAX_LINES
-        self.warmup = _WARMUP if sequential and small else math.inf
+        self.warmup = _WARMUP if small else math.inf
 
     def residual(self, x, lam, p1, p2, cur=math.inf):
         """(values, R, |R|^2, J) at the float point (x, lam), or None once
@@ -334,7 +331,7 @@ class FloatKernel:
     def _build(self):
         """Compile the search function, unless the prox solver's reached
         sets and the cached Jacobians are those it was last built from."""
-        solver = self.penalty._prox_solver()
+        solver = self.penalty._prox_solver
         jacs = self.penalty._float_jacs
         sizes = len(solver._reached), len(jacs)
         if sizes == self.built_from:

@@ -178,8 +178,10 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.kind", "must be 'enlp' or 'varsys'")
     n = _expect(doc, "n", int, "$")
     m = _expect(doc, "m", int, "$")
-    if not (1 <= n <= MAX_DIMENSION and 1 <= m <= MAX_DIMENSION):
-        raise ProblemFileError("$.n", "dimensions must be in 1..%d" % MAX_DIMENSION)
+    for key, value in (("n", n), ("m", m)):
+        if not 1 <= value <= MAX_DIMENSION:
+            raise ProblemFileError("$." + key,
+                                   "dimensions must be in 1..%d" % MAX_DIMENSION)
 
     ydoc = _expect(doc, "Y", dict, "$")
     brows = _expect(ydoc, "b", list, "$.Y")

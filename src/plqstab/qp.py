@@ -26,8 +26,6 @@ read its exact data (`piece`) without an exact solve per evaluation.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import InternalConsistencyError
 from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
@@ -36,6 +34,16 @@ from .rational import ONE, ZERO, rat, to_float, vdot
 from .record import FrozenRecord, set_field
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
+
+
+def _fdot(row, v):
+    """The float inner product 0.0 + row_0 v_0 + row_1 v_1 + ..., added in
+    order, so the same bits on every CPython (`sum` of floats is
+    compensated from 3.12 on)."""
+    s = 0.0
+    for a, b in zip(row, v):
+        s += a * b
+    return s
 
 
 class QpOptimal(FrozenRecord):
@@ -108,7 +116,7 @@ def qp_solve(qmat: RatMatrix, c, poly):
 def _solve_singular(qmat: RatMatrix, c, poly):
     """Subset enumeration with full-KKT LP feasibility checks."""
     eq_rows, eq_rhs = poly.eq_system()
-    _, ineq = poly._split()
+    _, ineq = poly._split
     n = qmat.nrows
     ne = len(eq_rows)
     for subset in _subsets(tuple(ineq)):
@@ -166,7 +174,7 @@ class StrictQpSolver:
         basis = rref(list(zip(*eq_rows)))[1] if eq_rows else []
         self._eq_rows = [list(eq_rows[k]) for k in basis]
         self._eq_rhs = [eq_rhs[k] for k in basis]
-        _, self._ineq = poly._split()
+        _, self._ineq = poly._split
         # the float scan of `solve_float`: (subset, float maps) of the
         # independent active sets reached so far, and the sets after them
         self._reached = []
@@ -276,8 +284,7 @@ class StrictQpSolver:
         one that passes).  The scan does not start at the last winner: at
         a kink more than one set passes in float, and the order decides
         which piece, and so which generalized Jacobian, is used.  Each
-        inner product is `sum(map(mul, ...))`, the same float sum as a
-        loop over the pairs.  `probe.FloatKernel` unrolls this scan,
+        inner product is `_fdot`'s.  `probe.FloatKernel` unrolls this scan,
         over the sets reached so far, into its compiled line-search trial.
         """
         reached = self._reached
@@ -286,12 +293,12 @@ class StrictQpSolver:
             subset, (yrows, murows, inactive) = reached[i]
             i += 1
             for row, d in murows:
-                if d - sum(map(mul, row, c)) < 0:
+                if d - _fdot(row, c) < 0:
                     break
             else:
-                y = [d - sum(map(mul, row, c)) for row, d in yrows]
+                y = [d - _fdot(row, c) for row, d in yrows]
                 for row, alpha in inactive:
-                    if not sum(map(mul, row, y)) <= alpha:
+                    if not _fdot(row, y) <= alpha:
                         break
                 else:
                     return subset, y

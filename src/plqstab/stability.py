@@ -72,18 +72,16 @@ def __getattr__(name):
 
 
 class CriticalityVerdict(FrozenRecord):
-    __slots__ = ("critical", "xi", "eta", "face_tight", "face_count",
-                 "face_certificates")
+    __slots__ = ("critical", "xi", "eta", "face_tight", "face_count")
 
     def __init__(self, critical: bool, xi: tuple | None = None,
                  eta: tuple | None = None, face_tight: frozenset | None = None,
-                 face_count: int = 0, face_certificates: tuple = ()):
+                 face_count: int = 0):
         set_field(self, "critical", critical)
         set_field(self, "xi", xi)
         set_field(self, "eta", eta)
         set_field(self, "face_tight", face_tight)
         set_field(self, "face_count", face_count)
-        set_field(self, "face_certificates", face_certificates)
 
     def __str__(self):
         return "Critical" if self.critical else "Noncritical"
@@ -298,11 +296,8 @@ class PointContext:
     def criticality(self) -> CriticalityVerdict:
         n, faces = self.system.n, self.faces
         index = nontrivial_over(self.face_systems, range(n))
-        examined = faces if index is None else faces[:index]
-        certificates = tuple((f.tight, "only xi = 0") for f in examined)
         if index is None:
-            return CriticalityVerdict(critical=False, face_count=len(faces),
-                                      face_certificates=certificates)
+            return CriticalityVerdict(critical=False, face_count=len(faces))
         point = _nontrivial_point(*self.face_systems[index], range(n))
         if point is None:
             raise InternalConsistencyError(
@@ -311,8 +306,7 @@ class PointContext:
         _assert_witness(self, xi, eta)
         return CriticalityVerdict(critical=True, xi=xi, eta=eta,
                                   face_tight=faces[index].tight,
-                                  face_count=len(faces),
-                                  face_certificates=certificates)
+                                  face_count=len(faces))
 
     @cached_property
     def dqc(self) -> bool:
@@ -329,7 +323,7 @@ class PointContext:
         bmat, m = self.system.penalty.B, self.system.m
         out = []
         for face in self.faces:
-            span = face.piece.span_basis()
+            span = face.piece.span_basis
             if span:
                 gspan = RatMatrix.from_cols(list(span))
                 core = gspan.T @ bmat @ gspan
@@ -440,7 +434,7 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
         psi, phix = system.psi(x, lam), system.phi.eval(x)
     psi_norm = norm2(psi)
     if at_lam_bar:
-        cone = ctx.ncone.as_polyhedron()
+        cone = ctx.ncone.as_polyhedron
         d2i = cone.project_point(vsub(phix, ctx.blam))[1]
     else:
         d2i = system.penalty.inverse_subdiff_dist2(phix, lam)

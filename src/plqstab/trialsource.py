@@ -10,7 +10,7 @@ argument, `StrictQpSolver.solve_float` unrolled over the active sets
 reached so far, r2 and the rest of the running sum.  It returns the
 first trial whose |R|^2 is below the current one; a rejected trial
 builds no list.  Each sum is one statement per addition, as the generic
-loops and `sum` add them, so the function returns the generic path's
+loops add them, so the function returns the generic path's
 bits and a polynomial of any length compiles.  The source holds only
 template names, integer literals and operators; every float and every
 Jacobian is one of the constants k0, k1, ..., which the enclosing
@@ -38,8 +38,7 @@ __all__ = ["compile_search", "search_source"]
 def _sum_lines(target, products):
     """Source lines leaving in `target` 0.0 plus each of `products` in
     order, one statement per addition: the float sum of
-    `polymap._float_values` and, for a nonempty row, of
-    `sum(map(mul, ...))`."""
+    `polymap._float_values` and of `qp._fdot`."""
     if not products:
         return ["%s = ZERO" % target]
     return (["%s = ZERO + %s" % (target, products[0])]

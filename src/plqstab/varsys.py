@@ -56,7 +56,8 @@ class VarSystem:
         self.penalty = penalty
         self.n = f.n
         self.m = phi.k
-        self._cache: dict = {}
+        self._multiplier_sets = {}  # exact x -> MultiplierSet
+        self._points = {}  # exact (x, lam) -> stability.PointContext
 
     # -- residual ----------------------------------------------------------
     def psi(self, x, lam):
@@ -85,9 +86,8 @@ class VarSystem:
     def multiplier_set(self, x) -> MultiplierSet:
         """All lam with Psi(x, lam) = 0 and lam a subgradient at Phi(x)."""
         x = tuple(rat(v) for v in x)
-        key = ("mult", x)
-        if key in self._cache:
-            return self._cache[key]
+        if x in self._multiplier_sets:
+            return self._multiplier_sets[x]
         jac = self.phi.jacobian_at(x)
         fx = self.f.eval(x)
         sub = self.penalty.subdiff(self.phi.eval(x))
@@ -106,7 +106,7 @@ class VarSystem:
             dim = poly.affine_dimension()
             rep, _ = poly.project_point((rat(0),) * self.m)
             out = MultiplierSet(poly, False, dim == 0, dim, rep)
-        self._cache[key] = out
+        self._multiplier_sets[x] = out
         return out
 
     def point(self, x, lam):
@@ -114,8 +114,10 @@ class VarSystem:
         instance: the criteria share its solution check and objects."""
         from .stability import PointContext
 
-        key = ("point", tuple(rat(v) for v in x), tuple(rat(v) for v in lam))
-        return self._cache.setdefault(key, PointContext(self, key[1], key[2]))
+        key = tuple(rat(v) for v in x), tuple(rat(v) for v in lam)
+        if key not in self._points:
+            self._points[key] = PointContext(self, *key)
+        return self._points[key]
 
     @cached_property
     def float_kernel(self):

@@ -21,7 +21,7 @@ def dqc_system(ctx, face_piece):
     a_ub = [tuple(b) for b in face_piece.rows]  # eta in F
     a_ub += [tuple(-v for v in bmat.matvec(h)) for h in rays]
     a_eq = [tuple(-v for v in bmat.matvec(h))
-            for h in list(lin) + list(face_piece.span_basis())]
+            for h in list(lin) + list(face_piece.span_basis)]
     for j in range(n):  # eta in ker(DPhi^T)
         a_eq.append(tuple(gmat.rows[i][j] for i in range(m)))
     return m, a_eq, a_ub

@@ -34,6 +34,14 @@ def poly_float(poly, point):
     return total
 
 
+def _dot(row, v):
+    """0.0 plus each product row_i v_i, added in order."""
+    total = 0.0
+    for a, b in zip(row, v):
+        total += a * b
+    return total
+
+
 def _matrix_float(polys, point):
     return [[poly_float(p, point) for p in row] for row in polys]
 
@@ -49,10 +57,10 @@ def solve_float(solver, c):
         if maps is None:
             continue
         yrows, murows, inactive = maps
-        if any(d - sum(a * b for a, b in zip(row, c)) < 0 for row, d in murows):
+        if any(d - _dot(row, c) < 0 for row, d in murows):
             continue
-        y = [d - sum(a * b for a, b in zip(row, c)) for row, d in yrows]
-        if all(sum(a * b for a, b in zip(row, y)) <= alpha for row, alpha in inactive):
+        y = [d - _dot(row, c) for row, d in yrows]
+        if all(_dot(row, y) <= alpha for row, alpha in inactive):
             return subset, y
     return None
 
@@ -63,14 +71,14 @@ def _float_rows(mat):
 
 def prox_float(penalty, v):
     """(prox(v), J as a tuple of rows) in float."""
-    hit = solve_float(penalty._prox_solver(), tuple(-a for a in v))
-    if hit is None or hit[0] not in penalty._cache.get("prox_pieces", {}):
+    hit = solve_float(penalty._prox_solver, tuple(-a for a in v))
+    if hit is None or hit[0] not in penalty._pieces:
         if not all(map(math.isfinite, v)):
             return (math.nan,) * penalty.m, ((math.nan,) * penalty.m,) * penalty.m
         jac, offset = penalty.prox_linearization(tuple(rat(a) for a in v))
         if hit is None:
             jac = _float_rows(jac)
-            return (tuple(sum(a * b for a, b in zip(row, v)) + to_float(o)
+            return (tuple(_dot(row, v) + to_float(o)
                           for row, o in zip(jac, offset)), jac)
     return (tuple(a - b for a, b in zip(v, hit[1])),
             _float_rows(penalty._piece(hit[0])[0]))
@@ -80,7 +88,7 @@ def float_residual(system, p1, p2, x, lam):
     """(R, |R|^2, DPhi(x) as m rows, J) at (x, lam), in full."""
     n, m = system.n, system.m
     f = [poly_float(p, x) for p in system.f.components]
-    g = _matrix_float(system.phi._jacobian_polys(), x)
+    g = _matrix_float(system.phi._jacobian_polys, x)
     r = []
     for i in range(n):
         e = f[i]
@@ -99,7 +107,7 @@ def float_residual(system, p1, p2, x, lam):
 def newton_matrix(system, x, lam, g, jac):
     """[[A, DPhi^T], [(I - J) DPhi, -J]], A = Df + sum_i lam_i Hess(Phi_i)."""
     n, m = system.n, system.m
-    a = _matrix_float(system.f._jacobian_polys(), x)
+    a = _matrix_float(system.f._jacobian_polys, x)
     for i, li in enumerate(lam):
         if li != 0:
             h = _matrix_float(system.phi._hessian_polys(i), x)

@@ -16,7 +16,7 @@ def project_by_subsets(poly, x):
     """(nearest point, squared distance) of x on the nonempty `poly`."""
     x = tuple(rat(v) for v in x)
     eq_rows, eq_rhs = poly.eq_system()
-    _, ineq = poly._split()
+    _, ineq = poly._split
     best, best_d = None, None
     for k in range(len(ineq) + 1):
         for subset in combinations(ineq, k):

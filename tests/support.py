@@ -220,11 +220,16 @@ def ball_sample(rng: random.Random, n, radius_num=1, radius_den=100):
     return tuple(scale * rat(rng.randint(-8, 8), 8) for _ in range(n))
 
 
+def bench_module(name):
+    """The benchmark's module `bench/<name>.py`, loaded from its file."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def random_enlp_docs(seed, count):
     """The problems of the benchmark's random-enlp pool `seed`."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        "workloads.py")
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.random_enlp_docs(seed, count)
+    return bench_module("workloads").random_enlp_docs(seed, count)

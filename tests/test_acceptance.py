@@ -153,7 +153,7 @@ def test_criterion_06_second_subderivative_difference_quotients():
                 z[j] += beta * pen.Y.b[i][j]
         zbar = tuple(z)
         kcone = pen.critical_cone_at(zbar, lam)
-        dom = pen.restricted(kcone).domain_cone()
+        dom = pen.restricted(kcone).domain_cone
         dirs = []
         for _ in range(60):
             w = random_rational_vec(rng, pen.m, num=3, den=3)

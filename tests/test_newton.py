@@ -116,7 +116,7 @@ def _boundary_terms(pen, rng):
     y = -Q^-1 c lies on the hyperplane of a row of Y: c = -Q y for such a
     y, rounded to float.  At these kinks more than one active set can pass
     in float."""
-    q = pen._prox_solver().q
+    q = pen._prox_solver.q
     rows = list(zip(pen.Y.b, pen.Y.alpha))
     out = []
     for b, alpha in rows:
@@ -146,7 +146,7 @@ def test_solve_float_matches_the_restarting_scan():
     penalties += [random_penalty(rng, rng.randint(1, 3))[0] for _ in range(40)]
     checked = inf_checked = 0
     for pen in penalties:
-        solver = pen._prox_solver()
+        solver = pen._prox_solver
         terms = [tuple(rng.uniform(-3, 3) for _ in range(pen.m))
                  for _ in range(15)]
         terms += _boundary_terms(pen, rng)

@@ -250,7 +250,7 @@ def test_difference_quotient_approaches_second_subderivative():
     pen = rank1_penalty_2d()
     zbar, lam = (0, 0), (0, 0)
     rng = random.Random(83)
-    dom = pen.restricted(pen.critical_cone_at(zbar, lam)).domain_cone()
+    dom = pen.restricted(pen.critical_cone_at(zbar, lam)).domain_cone
     found = 0
     for _ in range(500):
         if found >= 8:

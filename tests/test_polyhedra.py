@@ -223,9 +223,18 @@ def test_difference_polar_matches_double_description():
     assert pairs >= 500 and with_lineality >= 50, (pairs, with_lineality)
 
 
-def test_emptiness_matches_the_lp():
+def test_emptiness_matches_the_lp(monkeypatch):
     # A polyhedron whose right-hand sides are all >= 0 holds the origin
-    # and is decided without an LP; every verdict agrees with one.
+    # and is decided without an LP; every verdict agrees with one.  One LP
+    # answers both `is_empty` and `some_point`, and repeated calls solve
+    # none.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lp_feasible_point(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "lp_feasible_point", counted)
     rng = random.Random(1168)
     shortcut = 0
     for _ in range(200):
@@ -234,8 +243,17 @@ def test_emptiness_matches_the_lp():
                 for _ in range(rng.randint(1, 5))]
         rhs = [rat(rng.randint(-2, 3)) for _ in rows]
         p = Polyhedron(rows, rhs).with_dim(dim)
-        shortcut += all(a >= 0 for a in p.alpha)
-        assert p.is_empty() == (lp_feasible_point(p.b, p.alpha, n=dim) is None)
+        origin = all(a >= 0 for a in p.alpha)
+        shortcut += origin
+        calls.clear()
+        empty = p.is_empty()
+        assert len(calls) == (0 if origin else 1)
+        assert empty == (lp_feasible_point(p.b, p.alpha, n=dim) is None)
+        point = p.some_point()
+        assert len(calls) == 1
+        assert point is None if empty else p.contains(point)
+        assert (p.is_empty(), p.some_point()) == (empty, point)
+        assert len(calls) == 1
     assert 20 <= shortcut <= 180, shortcut
 
 
@@ -268,7 +286,7 @@ def test_double_description_and_faces_match_the_lp_reference(monkeypatch):
         lin, rays = cone.generators()
         seen["lineality"] += bool(lin) and bool(rays)
         seen["rays"] += len(rays) >= 3
-        seen["equality pair"] += bool(cone.as_polyhedron()._split()[0])
+        seen["equality pair"] += bool(cone.as_polyhedron._split[0])
         seen["many faces"] += len(cone.faces()) >= 8
     assert min(seen.values()) >= 20, seen
 
@@ -423,7 +441,7 @@ def test_project_point_matches_the_all_subsets_reference():
     seen = {"eq": 0, "dup": 0, "dependent": 0, "degenerate": 0}
     for _ in range(240):
         poly, y0, points, dup = _projection_instance(rng)
-        eq_pairs, ineq = poly._split()
+        eq_pairs, ineq = poly._split
         seen["dup"] += dup
         seen["eq"] += bool(eq_pairs)
         seen["dependent"] += len(ineq) > 1 and rank([poly.b[i] for i in ineq]) < len(ineq)

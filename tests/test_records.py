@@ -31,9 +31,8 @@ _CASES = [
     (QpOptimal, ("point", "value"), ((rat(1, 2),), rat(-1, 8)), ()),
     (QpUnbounded, ("ray",), ((rat(1),),), ()),
     (QpInfeasible, (), (), ()),
-    (CriticalityVerdict, ("critical", "xi", "eta", "face_tight", "face_count",
-                          "face_certificates"),
-     (False,), (None, None, None, 0, ())),
+    (CriticalityVerdict, ("critical", "xi", "eta", "face_tight", "face_count"),
+     (False,), (None, None, None, 0)),
     (UniquenessReport, ("singleton", "dqc"), (True, True), ()),
     (ProbeRecord, ("t", "p1", "p2", "x", "lam", "lhs", "rhs", "ratio",
                    "newton"),
@@ -115,7 +114,7 @@ def test_repr_lists_the_fields_in_order():
         "UniquenessReport(singleton=True, dqc=False)")
     assert repr(CriticalityVerdict(False)) == (
         "CriticalityVerdict(critical=False, xi=None, eta=None, "
-        "face_tight=None, face_count=0, face_certificates=())")
+        "face_tight=None, face_count=0)")
 
 
 def test_lp_problem_converts_and_checks_its_rows():

@@ -360,22 +360,24 @@ def test_probe_newton_work_on_example_3_3():
 
 _FORGED_PROX_SCRIPT = """
 import sys
+from functools import cached_property
 import plqstab.plq as plq
 from plqstab import corpus_path
 from plqstab.cli import main
 if not sys.flags.optimize:
     sys.exit(3)
-make_solver = plq.PlqPenalty._prox_solver
+make_solver = plq.PlqPenalty._prox_solver.func
 def forged_solver(self):
     solver = make_solver(self)
-    if "solve" not in vars(solver):
-        solve = solver.solve
-        def forged(c, with_subset=False):
-            y, subset = solve(c, with_subset=True)
-            y = tuple(v + 1 for v in y)
-            return (y, subset) if with_subset else y
-        solver.solve = forged
+    solve = solver.solve
+    def forged(c, with_subset=False):
+        y, subset = solve(c, with_subset=True)
+        y = tuple(v + 1 for v in y)
+        return (y, subset) if with_subset else y
+    solver.solve = forged
     return solver
+forged_solver = cached_property(forged_solver)
+forged_solver.__set_name__(plq.PlqPenalty, "_prox_solver")
 plq.PlqPenalty._prox_solver = forged_solver
 sys.exit(main(["analyze", corpus_path("example_4_4")]))
 """

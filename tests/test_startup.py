@@ -1,17 +1,21 @@
 """What a plqstab process loads: an exact analysis compiles and imports
 neither the float probe nor `dataclasses`, no run, `--probe` included,
 loads numpy, and the probe's names stay reachable from `plqstab` and,
-for the benchmark's two spans, from `stability`."""
+for the benchmark's two spans, from `stability`; every span target the
+benchmark wraps is a plain function."""
 
+import importlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import plqstab
 import plqstab.probe as probe
 import plqstab.stability as stability
+from support import bench_module
 
 # Each run prints the modules that `import plqstab` and the analyses of
 # the named corpus files added to sys.modules.
@@ -66,3 +70,19 @@ def test_stability_serves_only_the_benchmark_spans():
             getattr(stability, name)
     with pytest.raises(AttributeError):
         plqstab.no_such_name
+
+
+def test_every_benchmark_span_target_is_a_plain_function():
+    # bench/spans.py replaces a method by a wrapper of the object in its
+    # class __dict__, and a module-level name by a wrapper of what getattr
+    # returns; a cached property there would be wrapped as a function.
+    spans = bench_module("spans").SPANS
+    assert spans
+    for name, (mod_name, path) in spans.items():
+        module = importlib.import_module("plqstab." + mod_name)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            target = vars(getattr(module, cls_name))[attr]
+        else:
+            target = getattr(module, path)
+        assert isinstance(target, types.FunctionType), name
