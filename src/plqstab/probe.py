@@ -14,8 +14,9 @@ evaluated from cached float coefficients, and the Newton system is
 solved by LU with partial pivoting.  A piece enters the cache through
 one exact, postcondition-checked prox.  The returned iterate gets one
 exact residual evaluation, and only that value decides whether the
-solve converged.  The kernel's compiled line search is written by
-`trialsource`.
+solve converged.  After a warm-up the kernel compiles its line search
+and its Newton step, the Newton matrix and its LU in one function; both
+sources are written by `trialsource`.
 
 `report` imports this module for a `--probe` analysis alone, so an
 exact analysis does not compile it.
@@ -191,12 +192,13 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
     return norm2(r1 + r2)
 
 
-# The compiled line search (`FloatKernel.line_search`).  A kernel compiles
-# after _WARMUP generic trials: a build of a corpus system takes about as
-# long as 100 generic trials, and most probe analyses make fewer than 256
-# trials in all.  A search function of more than _MAX_LINES lines (5,000
-# take about 35 ms and 15 MB to compile) is not built, and its system
-# keeps the generic path.  A line search makes at most _TRIALS trials.
+# The compiled line search and Newton step (`FloatKernel.line_search` and
+# `FloatKernel.step`).  A kernel compiles after _WARMUP generic trials: a
+# build of a corpus system takes about as long as 100 generic trials, and
+# most probe analyses make fewer than 256 trials in all.  A search or step
+# function of more than _MAX_LINES lines (5,000 take about 35 ms and 15 MB
+# to compile) is not built, and its system keeps the generic search or
+# step.  A line search makes at most _TRIALS trials.
 _WARMUP = 256
 _MAX_LINES = 5000
 _TRIALS = 30
@@ -239,10 +241,17 @@ class FloatKernel:
     kernel.  It is not built when it would have more than _MAX_LINES
     lines.
 
-    `newton_matrix` forms the generalized Jacobian of R, and `newton_step`
-    solves the Newton system by LU with partial pivoting (`_lu_solve`),
-    or, where a pivot is exactly zero, takes the minimum-norm
-    least-squares step (`_min_norm_step`).
+    `step` gives the Newton step.  The generic way, `newton_matrix` forms
+    the generalized Jacobian of R, and `newton_step` solves the Newton
+    system by LU with partial pivoting (`_lu_solve`), or, where a pivot
+    is exactly zero, takes the minimum-norm least-squares step
+    (`_min_norm_step`).  The kernel's first build of the search also
+    compiles one step function (`trialsource.step_source`), which does
+    the float work of the Newton matrix, of its finiteness check and of
+    the LU in the same order, and hands the untouched matrix to
+    `_min_norm_step` where a pivot is exactly zero; every later step runs
+    in it.  It does not depend on the reached sets, so it is built once,
+    and not at all when it would have more than _MAX_LINES lines.
     """
 
     def __init__(self, system: VarSystem):
@@ -253,11 +262,12 @@ class FloatKernel:
                       + system.phi._jacobian_terms)
         # Df(x), then the Hessian of each Phi_i, each n x n row by row
         self.a_terms = system.f._jacobian_terms + system.phi._hessian_terms
-        # the compiled search, the sizes of the prox solver's reached sets
-        # and of the cached Jacobians it was built from, and the number of
-        # trials served the generic way; no build where the polynomials and
-        # the n m lines of r1 alone pass _MAX_LINES
-        self.compiled, self.built_from, self.generic = None, None, 0
+        # the compiled search and step, the sizes of the prox solver's
+        # reached sets and of the cached Jacobians the search was built
+        # from, and the number of trials served the generic way; no build
+        # where the polynomials and the n m lines of r1 alone pass _MAX_LINES
+        self.compiled = self.compiled_step = self.built_from = None
+        self.generic = 0
         small = sum(map(len, self.terms)) + self.n * self.m <= _MAX_LINES
         self.warmup = _WARMUP if small else math.inf
 
@@ -330,15 +340,21 @@ class FloatKernel:
 
     def _build(self):
         """Compile the search function, unless the prox solver's reached
-        sets and the cached Jacobians are those it was last built from."""
+        sets and the cached Jacobians are those it was last built from; at
+        the first build, compile the step function too."""
         solver = self.penalty._prox_solver
         jacs = self.penalty._float_jacs
         sizes = len(solver._reached), len(jacs)
         if sizes == self.built_from:
             return
-        self.built_from = sizes
-        from .trialsource import compile_search, search_source
+        from .trialsource import (compile_search, compile_step, search_source,
+                                  step_source)
 
+        if self.built_from is None:  # the step does not depend on the sets
+            lines, consts = step_source(self.n, self.m, self.a_terms)
+            if len(lines) <= _MAX_LINES:
+                self.compiled_step = compile_step(lines, consts)
+        self.built_from = sizes
         lines, consts = search_source(self.n, self.m, self.terms, solver,
                                       jacs)
         if len(lines) > _MAX_LINES:
@@ -374,6 +390,24 @@ class FloatKernel:
                 row.append(s)
             rows.append(row + list(nj))
         return rows
+
+    def step(self, x, lam, values, pj, r):
+        """The Newton step at (x, lam), from `values`, R = r and the
+        Jacobian blocks pj that `residual` gave there, as a list, or None
+        when the Newton matrix is not finite.  Once the search is compiled,
+        one compiled function (`trialsource.step_source`) does the work of
+        `newton_matrix` and `newton_step` in their float operations and
+        order, and hands the matrix to `_min_norm_step` where a pivot is
+        exactly zero."""
+        if self.compiled_step is not None:
+            out = self.compiled_step(x, lam, values, pj, r)
+            if type(out) is tuple:  # the untouched matrix: a zero pivot
+                return _min_norm_step(out, [-v for v in r])
+            return out
+        jmat = self.newton_matrix(x, lam, values, pj)
+        if not all(map(math.isfinite, chain.from_iterable(jmat))):
+            return None
+        return self.newton_step(jmat, r)
 
     def newton_step(self, jmat, r):
         """The Newton step s with jmat s = -r, as a list: LU with partial
@@ -517,7 +551,9 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     `FloatKernel`, every sum and product in its stated order: the prox
     value and its Jacobian come from cached exact affine pieces, and the
     Newton system is solved by LU with partial pivoting, or by minimum-norm
-    least squares where a pivot is exactly zero.  Each step's line search
+    least squares where a pivot is exactly zero; once the kernel has
+    warmed up, the Newton matrix and its LU run in one compiled function
+    (`FloatKernel.step`).  Each step's line search
     is one `FloatKernel.line_search`, which accepts the first trial whose
     |R|^2 is below the current one and compiles its trials into one
     function once the kernel has warmed up; a trial whose |R|^2 overflows
@@ -543,11 +579,10 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
             iterations, reason = it, "overflow"
             break
         values, r, rsq, pj = state
-        jmat = kernel.newton_matrix(x, lam, values, pj)
-        if not all(map(math.isfinite, chain.from_iterable(jmat))):
+        step = kernel.step(x, lam, values, pj, r)
+        if step is None:  # the Newton matrix is not finite
             iterations, reason = it + 1, "overflow"
             break
-        step = kernel.newton_step(jmat, r)
         trials, best = kernel.line_search(x, lam, step, p1f, p2f, rsq)
         evaluations += trials
         if best is None:

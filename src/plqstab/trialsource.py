@@ -1,4 +1,5 @@
-"""The source of `probe.FloatKernel`'s compiled line search.
+"""The sources of `probe.FloatKernel`'s compiled line search and Newton
+step.
 
 `search_source` writes one Python function that runs the backtracking
 loop of `probe.solve_perturbed`'s line search, damp = 1, 1/2, ...,
@@ -24,6 +25,15 @@ trial point equal to the iterate ends the search
 sum of |R|^2 is not below the current one, which the function checks
 after r1, before the prox scan: the float sum of nonnegative terms never
 decreases, so the whole sum would not be below it either.
+
+`step_source` writes, once per kernel, one more function of the same
+kind: the Newton step of `FloatKernel.step`, that is the Newton matrix
+[[A, DPhi^T], [(I - J) DPhi, -J]] with A's Hessian terms from
+`_value_lines`, its finiteness check, and LU with partial pivoting and
+back substitution (`_lu_lines`) on local variables, each float
+operation that of `FloatKernel.newton_matrix` and `probe._lu_solve`, in
+their order.  Where a pivot is exactly zero it returns the untouched
+matrix for the generic minimum-norm step.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import math
 
 from .probe import _TRIALS
 
-__all__ = ["compile_search", "search_source"]
+__all__ = ["compile_search", "compile_step", "search_source", "step_source"]
 
 
 def _sum_lines(target, products):
@@ -43,6 +53,10 @@ def _sum_lines(target, products):
         return ["%s = ZERO" % target]
     return (["%s = ZERO + %s" % (target, products[0])]
             + ["%s += %s" % (target, p) for p in products[1:]])
+
+
+def _names(prefix, count):
+    return ", ".join("%s%d" % (prefix, i) for i in range(count))
 
 
 def _const(consts, value):
@@ -146,14 +160,10 @@ def search_source(n, m, terms, solver, jacs):
     for j in range(m):
         loop += ["r%d = z%d - (u%d - y%d)" % (j, j, j, j),
                  "sq += r%d * r%d" % (j, j)]
-
-    def names(prefix, count):
-        return ", ".join("%s%d" % (prefix, i) for i in range(count))
-
     loop += ["if sq < cur:",
              "    return i, ([%s], [%s], [%s], [%s, %s], sq, J)" % (
-                 names("x", n), names("l", m), names("v", len(terms)),
-                 names("e", n), names("r", m)),
+                 _names("x", n), _names("l", m), _names("v", len(terms)),
+                 _names("e", n), _names("r", m)),
              "i += 1"]
     body = ["a%d = x[%d]" % (j, j) for j in range(n)]
     body += ["a%d = lam[%d]" % (n + j, j) for j in range(m)]
@@ -162,18 +172,127 @@ def search_source(n, m, terms, solver, jacs):
     body += ["o%d = p2[%d]" % (j, j) for j in range(m)]
     body += ["while i < %d:" % _TRIALS] + ["    " + line for line in loop]
     body.append("return i, None")
-    head = ["%s, = K" % names("k", len(consts))] if consts else []
-    head += ["def search(x, lam, step, i, p1, p2, cur):"]
-    head += ["    " + line for line in body]
-    return (["def make(K):"] + ["    " + line for line in head]
-            + ["    return search"], consts)
+    return _make_lines("search(x, lam, step, i, p1, p2, cur)", body,
+                       consts), consts
+
+
+def _make_lines(signature, body, consts):
+    """The source of `make(K)`, which unpacks the constants K into k0, k1,
+    ... and returns the function `signature` with `body`."""
+    head = ["%s, = K" % _names("k", len(consts))] if consts else []
+    head += ["def %s:" % signature] + ["    " + line for line in body]
+    head.append("return " + signature[:signature.index("(")])
+    return ["def make(K):"] + ["    " + line for line in head]
+
+
+def _lu_lines(grid):
+    """`probe._lu_solve` of the matrix whose entries the source names of
+    `grid` (a list of rows) hold, for the right-hand side b0, b1, ..., in
+    its float operations and their order.  The entries are copied to
+    a{i}_{j} first.  At column k the pivot row p is the first of largest
+    |a_ik| by a strict `>` scan in row order, the row `max` picks, also
+    where entries tie or are nan; rows k and p swap their entries k, k + 1,
+    ... and b; each row i below takes q = a_ik / a_kk, then a_ij - q a_kj
+    and b_i - q b_k.  Back substitution leaves y_i = (b_i - a_i,i+1 y_i+1
+    - ...) / a_ii, subtracting left to right, and the function returns
+    [y0, y1, ...].  Where a pivot is exactly zero it returns the matrix
+    untouched instead, as a tuple of row lists of `grid`'s names."""
+    size = len(grid)
+    lines = ["a%d_%d = %s" % (i, j, name)
+             for i, row in enumerate(grid) for j, name in enumerate(row)]
+    untouched = "    return (%s,)" % ", ".join(
+        "[%s]" % ", ".join(row) for row in grid)
+    for k in range(size):
+        lines.append("t = abs(a%d_%d)" % (k, k))
+        lines += ["p = %d" % k] if k + 1 < size else []
+        for i in range(k + 1, size):
+            lines += ["u = abs(a%d_%d)" % (i, k),
+                      "if u > t:", "    t = u", "    p = %d" % i]
+        pivot = ["a%d_%d" % (k, j) for j in range(k, size)] + ["b%d" % k]
+        for i in range(k + 1, size):
+            other = ["a%d_%d" % (i, j) for j in range(k, size)] + ["b%d" % i]
+            lines += ["%s p == %d:" % ("elif" if i > k + 1 else "if", i),
+                      "    %s = %s" % (", ".join(pivot + other),
+                                       ", ".join(other + pivot))]
+        lines += ["if t == 0:", untouched]
+        for i in range(k + 1, size):
+            lines.append("q = a%d_%d / a%d_%d" % (i, k, k, k))
+            lines += ["a%d_%d -= q * a%d_%d" % (i, j, k, j)
+                      for j in range(k + 1, size)]
+            lines.append("b%d -= q * b%d" % (i, k))
+    for i in reversed(range(size)):
+        lines += ["b%d -= a%d_%d * y%d" % (i, i, j, j)
+                  for j in range(i + 1, size)]
+        lines.append("y%d = b%d / a%d_%d" % (i, i, i, i))
+    return lines + ["return [%s]" % _names("y", size)]
+
+
+def step_source(n, m, a_terms):
+    """(source lines, constants) of `FloatKernel.step`'s function:
+    `make(K)` unpacks the constants K and returns `step(x, lam, values,
+    pj, r)`, which does the float work of `FloatKernel.newton_matrix`,
+    of its finiteness check and of `FloatKernel.newton_step` in their
+    order.  It evaluates the kernel's `a_terms` at x with
+    `_value_lines`; adds each Hessian block to A, a + lam_i h, for each
+    lam_i that is not 0; reads DPhi off `values` and the blocks (I - J,
+    -J) off `pj`; forms each entry of (I - J) DPhi as 0.0 plus its
+    products in order; returns None when an entry of the Newton matrix
+    is not finite (x - x is 0.0 exactly for a finite x, else nan); and
+    solves for the right-hand side -r by `_lu_lines`.  So it returns the
+    step as a list, None, or, where a pivot is exactly zero, the Newton
+    matrix as a tuple of row lists.  The source holds only template
+    names, integer literals, the constants' names k{i} (floats) and
+    operators."""
+    consts = []
+    nn = n * n
+    body = ["%s, = x" % _names("x", n), "%s, = lam" % _names("l", m)]
+    body += _value_lines(a_terms, consts)
+    for i in range(m):
+        body.append("if l%d != 0:" % i)
+        body += ["    v%d += l%d * v%d" % (e, i, nn * (i + 1) + e)
+                 for e in range(nn)]
+    body += ["d%d_%d = values[%d]" % (j, i, n + m + j * n + i)
+             for j in range(m) for i in range(n)]
+    body.append("(%s,), (%s,) = pj" % tuple(
+        ", ".join("(%s,)" % ", ".join("%s%d_%d" % (c, k, j)
+                                      for j in range(m))
+                  for k in range(m)) for c in "gn"))
+    for k in range(m):
+        for i in range(n):
+            body += _sum_lines("s%d_%d" % (k, i), [
+                "g%d_%d * d%d_%d" % (k, j, j, i) for j in range(m)])
+    grid = [["v%d" % (i * n + j) for j in range(n)]
+            + ["d%d_%d" % (j, i) for j in range(m)] for i in range(n)]
+    grid += [["s%d_%d" % (k, i) for i in range(n)]
+             + ["n%d_%d" % (k, j) for j in range(m)] for k in range(m)]
+    for row in grid:
+        body += ["if %s != 0:" % " + ".join("(%s - %s)" % (e, e)
+                                             for e in row),
+                 "    return None"]
+    body.append("%s, = r" % _names("b", n + m))
+    body += ["b%d = -b%d" % (i, i) for i in range(n + m)]
+    body += _lu_lines(grid)
+    return _make_lines("step(x, lam, values, pj, r)", body, consts), consts
+
+
+def _compiled(lines, consts, env, filename):
+    """The function that `make(consts)` returns, `make` defined by the
+    source `lines` in the globals `env`."""
+    exec(compile("\n".join(lines) + "\n", filename, "exec"), env)
+    return env["make"](tuple(consts))
 
 
 def compile_search(lines, consts):
     """The function `search` that `make(consts)` returns, `make` defined
     by the source `lines` with ZERO bound to 0.0 and DAMPS to the damping
     factors 2^-i."""
-    env = {"ZERO": 0.0,
-           "DAMPS": tuple(math.ldexp(1.0, -i) for i in range(_TRIALS))}
-    exec(compile("\n".join(lines) + "\n", "<plqstab search>", "exec"), env)
-    return env["make"](tuple(consts))
+    return _compiled(lines, consts, {
+        "ZERO": 0.0,
+        "DAMPS": tuple(math.ldexp(1.0, -i) for i in range(_TRIALS))},
+        "<plqstab search>")
+
+
+def compile_step(lines, consts):
+    """The function `step` that `make(consts)` returns, `make` defined by
+    the source `lines` with ZERO bound to 0.0."""
+    return _compiled(lines, consts, {"ZERO": 0.0}, "<plqstab step>")

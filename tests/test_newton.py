@@ -54,6 +54,31 @@ def _overflow_doc():
     return doc
 
 
+def _step_calls(monkeypatch):
+    """{compiled step function: calls} for every step function compiled
+    from here on, each wrapped to count its calls."""
+    calls = {}
+    compile_step = trialsource.compile_step
+
+    def built(lines, consts):
+        step = compile_step(lines, consts)
+
+        def counted(*args):
+            calls[counted] += 1
+            return step(*args)
+
+        calls[counted] = 0
+        return counted
+
+    monkeypatch.setattr(trialsource, "compile_step", built)
+    return calls
+
+
+def _system(pf):
+    """The `VarSystem` that the probe of a parsed problem file solves."""
+    return pf.problem if pf.kind == "varsys" else pf.problem.to_varsys()
+
+
 def _check_against_the_reference(monkeypatch):
     """Every default-grid solve of the corpus, of random-enlp pool seeds
     1-3 and of a file whose trial residuals overflow, and of the corpus
@@ -61,29 +86,31 @@ def _check_against_the_reference(monkeypatch):
     evaluations are the reference's to the last bit.  The reference runs
     after the program, on the same parsed systems; the piece caches it
     then finds warm decide only which first-met pieces get an exact prox
-    check.  Returns the solves."""
-    runs = [(parse_problem_file(corpus_path(name)), None)
-            for name in corpus_names()]
-    runs += [(parse_problem_doc(doc), None)
-             for seed in (1, 2, 3) for _, doc in random_enlp_docs(seed, 5)]
-    runs.append((parse_problem_doc(_overflow_doc()), None))
-    runs += [(parse_problem_file(corpus_path(name)), 1e-14)
+    check.  Returns the solves and {file name: float kernel}, the names
+    of the tol = 1e-14 runs ending in "@1e-14"."""
+    named = [(name, parse_problem_file(corpus_path(name)), None)
              for name in corpus_names()]
-    calls = _probe_solves(monkeypatch, runs)
+    named += [(name, parse_problem_doc(doc), None)
+              for seed in (1, 2, 3) for name, doc in random_enlp_docs(seed, 5)]
+    named.append(("overflow", parse_problem_doc(_overflow_doc()), None))
+    named += [(name + "@1e-14", parse_problem_file(corpus_path(name)), 1e-14)
+              for name in corpus_names()]
+    calls = _probe_solves(monkeypatch, [(pf, tol) for _, pf, tol in named])
     assert len(calls) >= 100
     assert {r.reason for _, _, _, r in calls} >= {"converged", "no_descent",
                                                   "max_iter"}
     for system, args, kwargs, result in calls:
         expected = newton_reference.solve_perturbed(system, *args, **kwargs)
         assert repr(result) == repr(expected)
-    return calls
+    return calls, {name: _system(pf).float_kernel for name, pf, _ in named}
 
 
 def test_solve_perturbed_matches_the_reference(monkeypatch):
-    # At the default warm-up: enlp_3_000 and example_3_3 compile their
-    # trial functions, the other systems stay on the generic path.  The
-    # solves meet an exactly zero pivot at 142 Newton steps, so the
-    # minimum-norm step is held to the reference too.
+    # At the default warm-up: enlp_1_000, enlp_3_000 and example_3_3 (at
+    # both tolerances) compile their search and step functions and run
+    # both, the other systems stay on the generic path.  The solves meet
+    # an exactly zero pivot at 142 Newton steps, so the minimum-norm step
+    # is held to the reference too.
     steps = []
     min_norm_step = probe._min_norm_step
 
@@ -92,21 +119,31 @@ def test_solve_perturbed_matches_the_reference(monkeypatch):
         return min_norm_step(a, b)
 
     monkeypatch.setattr(probe, "_min_norm_step", counted)
-    calls = _check_against_the_reference(monkeypatch)
+    step_calls = _step_calls(monkeypatch)
+    calls, kernels = _check_against_the_reference(monkeypatch)
     compiled = {s for s, _, _, _ in calls if s.float_kernel.compiled}
     assert 2 <= len(compiled) < len({s for s, _, _, _ in calls})
     assert len(steps) == 142
+    # the compiled search and the compiled step ran on the same kernels
+    searched = {name for name, k in kernels.items() if k.compiled}
+    stepped = {name for name, k in kernels.items()
+               if step_calls.get(k.compiled_step)}
+    assert searched == stepped == {"enlp_1_000", "enlp_3_000", "example_3_3",
+                                   "example_3_3@1e-14"}
 
 
 def test_compiled_trials_match_the_reference(monkeypatch):
     # With no warm-up, every system compiles at its first line-search
-    # trial, so every trial the compiled search can finish runs in it.
+    # trial, so every trial the compiled search can finish runs in it,
+    # and every Newton step after that in the compiled step.
     # A solve's trials are its evaluations less the start; the generic
     # ones are counted on each kernel.
     monkeypatch.setattr(probe, "_WARMUP", 0)
-    calls = _check_against_the_reference(monkeypatch)
+    step_calls = _step_calls(monkeypatch)
+    calls, named = _check_against_the_reference(monkeypatch)
     kernels = {s.float_kernel for s, _, _, _ in calls}
     assert all(kernel.compiled for kernel in kernels)
+    assert all(step_calls.get(k.compiled_step) for k in named.values())
     trials = sum(r.evaluations - 1 for _, _, _, r in calls)
     assert trials > 30000 and sum(k.generic for k in kernels) < trials / 10
 
@@ -208,7 +245,7 @@ def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
     systems = {}
     for pf in files:
         analyze_problem(pf, probe=True)
-        system = pf.problem if pf.kind == "varsys" else pf.problem.to_varsys()
+        system = _system(pf)
         systems[system.float_kernel] = system
     monkeypatch.undo()
     tags = {"iterate": 0, "r1": 0, "full": 0, "accepted": 0}
@@ -343,32 +380,37 @@ def test_import_leaves_numpy_unloaded():
     assert (out.returncode, out.stdout) == (0, "False False\n")
 
 
-def _compiled_sources(monkeypatch):
-    """The source lines of every search function compiled from here on."""
+def _compiled_sources(monkeypatch, compiler="compile_search"):
+    """The source lines of every search function (or, with compiler
+    "compile_step", step function) compiled from here on."""
     sources = []
-    compile_search = trialsource.compile_search
+    compile_function = getattr(trialsource, compiler)
 
     def recorded(lines, consts):
         sources.append(lines)
-        return compile_search(lines, consts)
+        return compile_function(lines, consts)
 
-    monkeypatch.setattr(trialsource, "compile_search", recorded)
+    monkeypatch.setattr(trialsource, compiler, recorded)
     return sources
 
 
 _TEMPLATE_NAMES = re.compile(
     r"[xlvzucyraheqok]\d+|w\d+_\d+|make|search|x|lam|step|i|p1|p2|cur|"
     r"K|ZERO|DAMPS|damp|J|s|sq")
+_STEP_TEMPLATE_NAMES = re.compile(
+    r"[xlvkby]\d+|[wdgnsa]\d+_\d+|make|step|x|lam|values|pj|r|K|ZERO|abs|"
+    r"[tupq]")
 
 
 def test_compiled_source_holds_only_the_template(monkeypatch):
-    # Every search function the corpus and random-enlp pool seed 1
-    # compile with no warm-up, and one of a file with coefficients of its
-    # own: its tokens are template names, keywords, operators and integer
-    # literals (indices and the trial cap), so no float and no text of
-    # the problem file reaches `compile`.
+    # Every search and step function the corpus and random-enlp pool seed
+    # 1 compile with no warm-up, and those of a file with coefficients of
+    # its own: their tokens are template names, keywords, operators and
+    # integer literals (indices and the trial cap), so no float and no
+    # text of the problem file reaches `compile`.
     monkeypatch.setattr(probe, "_WARMUP", 0)
-    sources = _compiled_sources(monkeypatch)
+    searches = _compiled_sources(monkeypatch)
+    steps = _compiled_sources(monkeypatch, "compile_step")
     doc = json.loads(open(corpus_path("example_3_3"), encoding="utf-8").read())
     doc["f"] = ["-31415926/27182818*x1 - 1/7*x1^3"]
     files = [parse_problem_doc(doc)]
@@ -376,20 +418,22 @@ def test_compiled_source_holds_only_the_template(monkeypatch):
     files += [parse_problem_doc(d) for _, d in random_enlp_docs(1, 5)]
     for pf in files:
         analyze_problem(pf, probe=True)
-    assert len(sources) >= len(files)
+    assert len(searches) >= len(files) and len(steps) == len(files)
     layout = {tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
               tokenize.DEDENT, tokenize.ENDMARKER}
-    for lines in sources:
-        text = "\n".join(lines) + "\n"
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NUMBER:
-                assert tok.string.isdigit(), tok
-            elif tok.type == tokenize.NAME:
-                assert (keyword.iskeyword(tok.string)
-                        or _TEMPLATE_NAMES.fullmatch(tok.string)), tok
-            else:
-                assert tok.type in layout, tok
-        assert "31415926" not in text and "27182818" not in text
+    for sources, names in ((searches, _TEMPLATE_NAMES),
+                           (steps, _STEP_TEMPLATE_NAMES)):
+        for lines in sources:
+            text = "\n".join(lines) + "\n"
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                if tok.type == tokenize.NUMBER:
+                    assert tok.string.isdigit(), tok
+                elif tok.type == tokenize.NAME:
+                    assert (keyword.iskeyword(tok.string)
+                            or names.fullmatch(tok.string)), tok
+                else:
+                    assert tok.type in layout, tok
+            assert "31415926" not in text and "27182818" not in text
 
 
 def test_a_thousand_term_polynomial_compiles(monkeypatch):
@@ -462,22 +506,29 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
     # A kernel whose polynomials (8 terms) and r1 (n m = 6 lines) alone
     # pass the cap never compiles.  One whose scan grows past it keeps
     # its last function, a prefix of the scan, and its solves stay the
-    # reference's.
+    # reference's.  example_3_3's step function has 86 lines: under a cap
+    # of 85 the kernel keeps the generic step beside its compiled search,
+    # and under 86 it compiles the step once, at the search's first build.
     monkeypatch.setattr(probe, "_MAX_LINES", 13)
     assert _kernel(2, 3).warmup == math.inf
     monkeypatch.setattr(probe, "_MAX_LINES", 14)
     assert _kernel(2, 3).warmup == probe._WARMUP
-    monkeypatch.setattr(probe, "_MAX_LINES", 75)
-    monkeypatch.setattr(probe, "_WARMUP", 0)
-    sources = _compiled_sources(monkeypatch)
-    pf = parse_problem_file(corpus_path("example_3_3"))
-    calls = _probe_solves(monkeypatch, [(pf, None)])
-    kernel = calls[0][0].float_kernel
-    assert [len(lines) for lines in sources] == [69]
-    assert kernel.compiled and kernel.warmup == math.inf
-    for system, args, kwargs, result in calls:
-        expected = newton_reference.solve_perturbed(system, *args, **kwargs)
-        assert repr(result) == repr(expected)
+    for cap, step_lines in ((75, []), (85, []), (86, [86])):
+        monkeypatch.setattr(probe, "_MAX_LINES", cap)
+        monkeypatch.setattr(probe, "_WARMUP", 0)
+        searches = _compiled_sources(monkeypatch)
+        steps = _compiled_sources(monkeypatch, "compile_step")
+        pf = parse_problem_file(corpus_path("example_3_3"))
+        calls = _probe_solves(monkeypatch, [(pf, None)])
+        kernel = calls[0][0].float_kernel
+        assert [len(lines) for lines in searches] == [69]
+        assert [len(lines) for lines in steps] == step_lines
+        assert kernel.compiled and kernel.warmup == math.inf
+        assert (kernel.compiled_step is not None) is bool(step_lines)
+        for system, args, kwargs, result in calls:
+            expected = newton_reference.solve_perturbed(system, *args,
+                                                        **kwargs)
+            assert repr(result) == repr(expected)
 
 
 def _search_events(monkeypatch):
@@ -575,21 +626,41 @@ def test_an_overflowing_trial_is_rejected(monkeypatch):
     assert events == [("compiled", 0, 30, False)]
 
 
-def test_overflow_ends_a_solve_at_the_start_or_at_the_newton_matrix():
+def test_overflow_ends_a_solve_at_the_start_or_at_the_newton_matrix(
+        monkeypatch):
     # "overflow" names a start whose |R|^2 is not finite (f_1 = x1^2 + 1
     # at x1 = 1e200), or a Newton matrix that is not (Phi = 10^300 x1^2,
-    # whose Hessian times lam = 1e10 overflows while R stays finite).
-    result = _solve_both(_far_step_system(), [0.0, 0.0], [0.0, 0.0],
-                         ([1e200, 0.0], [0.0, 0.0]))
-    assert (result.reason, result.iterations, result.evaluations) == (
-        "overflow", 0, 1)
+    # whose Hessian times lam = 1e10 overflows while R stays finite).  A
+    # Hessian whose lam_i is 0 is skipped even where it overflows (Phi =
+    # 22 10^306 x1^3 at x1 = 1.5, lam = 0, with Phi and DPhi finite), and
+    # the solve takes its step.  At the default warm-up the generic step
+    # decides; with no warm-up a first solve from x1 = lam = 0 compiles
+    # the kernel, and the compiled step decides, in the one call of the
+    # solve.
     x1 = Polynomial.variable(1, 0)
-    system = VarSystem(PolyMap([x1]),
-                       PolyMap([Polynomial(1, {(2,): rat(10 ** 300)})]),
-                       PlqPenalty(Polyhedron([(-1,)], [0]), RatMatrix([(0,)])))
-    result = _solve_both(system, [1e-3], [0.0], ([0.0], [1e10]))
-    assert (result.reason, result.iterations, result.evaluations) == (
-        "overflow", 1, 1)
+    for warmup in (probe._WARMUP, 0):
+        monkeypatch.setattr(probe, "_WARMUP", warmup)
+        step_calls = _step_calls(monkeypatch)
+        result = _solve_both(_far_step_system(), [0.0, 0.0], [0.0, 0.0],
+                             ([1e200, 0.0], [0.0, 0.0]))
+        assert (result.reason, result.iterations, result.evaluations) == (
+            "overflow", 0, 1)
+        for c, k, y_row, start, expected in (
+                (10 ** 300, 2, -1, ([0.0], [1e10]), ("overflow", 1, 1)),
+                (22 * 10 ** 306, 3, 1, ([1.5], [0.0]), ("converged", 1, 2))):
+            system = VarSystem(
+                PolyMap([x1]), PolyMap([Polynomial(1, {(k,): rat(c)})]),
+                PlqPenalty(Polyhedron([(y_row,)], [0]), RatMatrix([(0,)])))
+            if not warmup:
+                _solve_both(system, [1e-3], [0.0], ([0.0], [0.0]))  # compiles
+            kernel = system.float_kernel
+            assert (kernel.compiled_step is None) is bool(warmup)
+            before = step_calls.get(kernel.compiled_step, 0)
+            result = _solve_both(system, [1e-3], [0.0], start)
+            assert (result.reason, result.iterations,
+                    result.evaluations) == expected
+            assert step_calls.get(kernel.compiled_step, 0) == (
+                before + (not warmup))
 
 
 def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
@@ -723,6 +794,19 @@ def _close(step, exact):
     return all(abs(a - float(b)) <= 1e-9 * scale for a, b in zip(step, exact))
 
 
+def _compiled_lu(size):
+    """The compiled step's LU (`trialsource._lu_lines`) alone, as the
+    function lu(rows, rhs): the solution as a list, or the rows untouched
+    as a tuple of lists where a pivot is exactly zero."""
+    grid = [["m%d_%d" % (i, j) for j in range(size)] for i in range(size)]
+    body = ["%s = rows[%d][%d]" % (name, i, j)
+            for i, row in enumerate(grid) for j, name in enumerate(row)]
+    body += ["b%d = rhs[%d]" % (i, i) for i in range(size)]
+    body += trialsource._lu_lines(grid)
+    lines = trialsource._make_lines("lu(rows, rhs)", body, [])
+    return trialsource.compile_step(lines, [])
+
+
 def test_newton_step_is_lu_or_the_minimum_norm_step():
     # Nonsingular matrices with rows scaled over ten decades: the step is
     # the reference's elimination to the bit and the exact solution to
@@ -730,10 +814,13 @@ def test_newton_step_is_lu_or_the_minimum_norm_step():
     # pivot get the minimum-norm least-squares step, which is
     # pinv(A) b = pinv(A^T A) A^T b to within rounding; so does every
     # random rank-deficient product of integer matrices.  The rank rule
-    # drops |R_kk| <= N 2^-52 |R_00|.
+    # drops |R_kk| <= N 2^-52 |R_00|.  The compiled step's LU gives the
+    # reference's bits on the same matrices, and hands a matrix with a
+    # zero pivot back untouched.
     rng = random.Random(7)
     for size in (2, 3, 4, 5, 7):
         kernel = _kernel(1, size - 1)
+        lu = _compiled_lu(size)
         for _ in range(40):
             rows = [[rng.uniform(-1, 1) * 10.0 ** e for _ in range(size)]
                     for e in [rng.randint(-5, 5) for _ in range(size)]]
@@ -741,6 +828,7 @@ def test_newton_step_is_lu_or_the_minimum_norm_step():
             rhs = [-v for v in r]
             step = kernel.newton_step(rows, r)
             assert repr(step) == repr(newton_reference.lu_solve(rows, rhs))
+            assert repr(lu(rows, rhs)) == repr(step)
             exact = invert(_exact(rows)).matvec(tuple(rat(v) for v in rhs))
             assert _close(step, exact)
         singular = [[[0.0] * size for _ in range(size)],
@@ -759,8 +847,74 @@ def test_newton_step_is_lu_or_the_minimum_norm_step():
             if newton_reference.lu_solve(rows, [-v for v in r]) is None:
                 assert repr(kernel.newton_step(rows, r)) == repr(
                     probe._min_norm_step(rows, [-v for v in r]))
+                assert repr(lu(rows, [-v for v in r])) == repr(tuple(rows))
+            else:
+                assert repr(lu(rows, [-v for v in r])) == repr(
+                    kernel.newton_step(rows, r))
             assert _close(probe._min_norm_step(rows, [-v for v in r]), exact)
     assert probe._min_norm_step([[1.0, 0.0], [0.0, 1e-17]],
                                 [1.0, 1.0]) == [1.0, 0.0]
     assert probe._min_norm_step([[2.0, 0.0], [0.0, 1e-15]],
                                 [2.0, 1e-15]) == [1.0, 1.0]
+
+
+def test_compiled_lu_on_ties_signed_zeros_nan_and_zero_pivots(monkeypatch):
+    # Pivot ties, +x against -x among them, go to the first row of largest
+    # |a_ik|, as `max` picks it; a column whose candidates are all zero,
+    # -0.0 among them, at the start or left -0.0 by elimination (-0.0 -
+    # 0.5 * 0.0), is a zero pivot, where the compiled LU hands the rows
+    # back untouched; and a nan that first appears in elimination, inf -
+    # 0.5 inf of two overflowed finite sums, runs on as in the reference.
+    # Each is the reference's and the generic `_lu_solve`'s, bit for bit.
+    nan_case = [[2.0, 1.0, 1e308], [-2.0, 3.0, 1e308], [-2.0, 1.0, 1e308]]
+    cases = [[[1.0, 2.0], [-1.0, 3.0]],
+             [[-3.0, 1.0, 2.0], [3.0, -1.0, 5.0], [-3.0, 4.0, 1.0]],
+             [[1.0, 1.0, 1.0], [1.0, -2.0, 1.0], [-1.0, 2.0, 3.0]],
+             nan_case,
+             [[-0.0, 1.0], [0.0, 2.0]],
+             [[4.0, 0.0, 1.0], [2.0, -0.0, 3.0], [1.0, -0.0, 5.0]]]
+    rng = random.Random(5)
+    entries = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+    cases += [[[rng.choice(entries) for _ in range(size)]
+               for _ in range(size)]
+              for size in (2, 3, 4, 5) for _ in range(100)]
+    counts = {"solved": 0, "zero": 0, "nan": 0}
+    for rows in cases:
+        size = len(rows)
+        rhs = [rng.choice((-1.5, 0.5, 1.0)) for _ in range(size)]
+        got = _compiled_lu(size)(rows, rhs)
+        expected = newton_reference.lu_solve(rows, rhs)
+        assert repr(probe._lu_solve(rows, rhs)) == repr(expected)
+        if expected is None:
+            assert type(got) is tuple and repr(got) == repr(tuple(rows))
+            counts["zero"] += 1
+        else:
+            assert repr(got) == repr(expected)
+            counts["solved"] += 1
+            counts["nan"] += any(map(math.isnan, got))
+    assert repr(_compiled_lu(3)(nan_case, [1.0, 1.0, 1.0])) == repr(
+        [math.nan] * 3)
+    assert counts["solved"] > 250 and counts["zero"] > 75, counts
+    # Through a kernel: at x1 = 0, lam = 1 the zero-step system's Newton
+    # matrix is 0 (with -J = -0.0), and the compiled step hands exactly
+    # the generic matrix and -R to `_min_norm_step`.
+    monkeypatch.setattr(probe, "_WARMUP", 0)
+    system = _zero_step_system()
+    _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
+    kernel = system.float_kernel
+    assert kernel.compiled_step is not None
+    x, lam = [0.0], [1.0]
+    values, r, _, pj = kernel.residual(x, lam, [0.0], [0.0])
+    seen = []
+    min_norm_step = probe._min_norm_step
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return min_norm_step(a, b)
+
+    monkeypatch.setattr(probe, "_min_norm_step", recorded)
+    step = kernel.step(x, lam, values, pj, r)
+    jmat = kernel.newton_matrix(x, lam, values, pj)
+    assert repr(seen) == repr([(tuple(jmat), [-v for v in r])])
+    assert repr(jmat) == repr([[0.0, 0.0], [0.0, -0.0]])
+    assert repr(step) == repr(min_norm_step(jmat, [-v for v in r]))
