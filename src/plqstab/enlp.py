@@ -127,12 +127,6 @@ class EnlpProblem:
         blam = self.penalty.B.matvec(lam)
         return self.phi0.eval(x) + vdot(self.phi.eval(x), lam) - vdot(lam, blam) / 2
 
-    def lagrangian_gradient_x(self, x, lam):
-        return self._vs.psi(x, lam)
-
-    def lagrangian_hessian_xx(self, x, lam) -> RatMatrix:
-        return self._vs.psi_jacobian_x(x, lam)
-
     def objective(self, x):
         """phi0(x) + theta(Phi(x)) as an extended real."""
         return self.penalty.theta(self.phi.eval(x)) + self.phi0.eval(x)

@@ -161,9 +161,9 @@ class NewtonResult(FrozenRecord):
     matrix, left float range; the iterate returned is the last one
     reached).  `evaluations` counts the float residual evaluations: the
     start and every line-search trial of `FloatKernel.line_search`,
-    whether the compiled search or the generic `FloatKernel.trial` made
-    it and whether its running sum rejected it early; the trials left
-    after one at the iterate count too, unevaluated."""
+    whether the generic or the compiled search made it and whether its
+    running sum rejected it early; the trials left after one at the
+    iterate count too, unevaluated."""
 
     __slots__ = ("converged", "x", "lam", "residual_norm", "iterations",
                  "reason", "evaluations")
@@ -193,12 +193,13 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
 
 
 # The compiled line search and Newton step (`FloatKernel.line_search` and
-# `FloatKernel.step`).  A kernel compiles after _WARMUP generic trials: a
-# build of a corpus system takes about as long as 100 generic trials, and
-# most probe analyses make fewer than 256 trials in all.  A search or step
-# function of more than _MAX_LINES lines (5,000 take about 35 ms and 15 MB
-# to compile) is not built, and its system keeps the generic search or
-# step.  A line search makes at most _TRIALS trials.
+# `FloatKernel.step`).  A kernel compiles after the search in which its
+# _WARMUP-th generic trial falls: a build of a corpus system takes about as
+# long as 100 generic trials, and most probe analyses make fewer than 256
+# trials in all.  A search or step function of more than _MAX_LINES lines
+# (5,000 take about 35 ms and 15 MB to compile) is not built, and its
+# system keeps the generic search or step.  A line search makes at most
+# _TRIALS trials.
 _WARMUP = 256
 _MAX_LINES = 5000
 _TRIALS = 30
@@ -227,31 +228,28 @@ class FloatKernel:
     `line_search` backtracks, damp = 1, 1/2, ..., for at most _TRIALS
     trials, and returns the first trial whose |R|^2 is below the current
     one.  A trial point equal to the iterate ends the search: its |R|^2 is
-    the current one, and every smaller damp lands there too.  Once the
-    kernel has served _WARMUP trials the generic way (`trial`), it
+    the current one, and every smaller damp lands there too.  After the
+    search in which the kernel's _WARMUP-th generic trial falls, it
     compiles the whole backtracking loop, with the same float operations
     in the same order, into one Python function
-    (`trialsource.search_source`), with the prox scan unrolled over the
-    active sets reached so far and the Jacobians cached so far.  A trial
-    the function cannot finish (no unrolled set passes, or the passing
-    set has no cached Jacobian) goes to the generic `trial`, which
-    rebuilds the function when the reached sets or the Jacobians have
-    grown, and the search resumes at the next damp on the current
-    function.  So every bit is as without it.  The function lives on the
-    kernel.  It is not built when it would have more than _MAX_LINES
-    lines.
+    (`trialsource.search_source`) that runs every later search, with the
+    prox scan unrolled over the active sets reached so far and the
+    Jacobians cached so far.  A trial whose set or Jacobian is not
+    unrolled gets its prox from `prox_float` inside the function
+    (`_prox_miss`); after such a search the kernel rebuilds the function
+    if the reached sets or the Jacobians have grown.  So every bit is as
+    without it, and builds happen only between searches.  No function of
+    more than _MAX_LINES lines is built; once a rebuild would pass it, the
+    kernel keeps its last function.
 
-    `step` gives the Newton step.  The generic way, `newton_matrix` forms
-    the generalized Jacobian of R, and `newton_step` solves the Newton
-    system by LU with partial pivoting (`_lu_solve`), or, where a pivot
-    is exactly zero, takes the minimum-norm least-squares step
-    (`_min_norm_step`).  The kernel's first build of the search also
-    compiles one step function (`trialsource.step_source`), which does
-    the float work of the Newton matrix, of its finiteness check and of
-    the LU in the same order, and hands the untouched matrix to
-    `_min_norm_step` where a pivot is exactly zero; every later step runs
-    in it.  It does not depend on the reached sets, so it is built once,
-    and not at all when it would have more than _MAX_LINES lines.
+    `step` gives the Newton step: `newton_matrix` forms the generalized
+    Jacobian of R, and the Newton system is solved by LU with partial
+    pivoting (`_lu_solve`), or, where a pivot is exactly zero, by the
+    minimum-norm least-squares step (`_min_norm_step`).  The kernel's
+    first build also compiles a step function (`trialsource.step_source`)
+    doing the same float work in the same order, which runs every later
+    step.  It does not depend on the reached sets, so it is built once
+    (not at all past _MAX_LINES lines).
     """
 
     def __init__(self, system: VarSystem):
@@ -264,9 +262,11 @@ class FloatKernel:
         self.a_terms = system.f._jacobian_terms + system.phi._hessian_terms
         # the compiled search and step, the sizes of the prox solver's
         # reached sets and of the cached Jacobians the search was built
-        # from, and the number of trials served the generic way; no build
-        # where the polynomials and the n m lines of r1 alone pass _MAX_LINES
+        # from, whether a compiled trial has called `_prox_miss` since, and
+        # the number of trials served the generic way; no build where the
+        # polynomials and the n m lines of r1 alone pass _MAX_LINES
         self.compiled = self.compiled_step = self.built_from = None
+        self.missed = False
         self.generic = 0
         small = sum(map(len, self.terms)) + self.n * self.m <= _MAX_LINES
         self.warmup = _WARMUP if small else math.inf
@@ -299,53 +299,52 @@ class FloatKernel:
             return None
         return values, r, s, pj
 
-    def trial(self, x, lam, step, damp, p1, p2, cur):
-        """The generic line-search trial at (x, lam) + damp * step: (x',
-        lam', values, R, |R|^2, J) as `residual` gives them at (x', lam'),
-        or None when its |R|^2 is not below `cur`.  Past the warm-up it
-        (re)builds the compiled search."""
-        xn = [a + damp * b for a, b in zip(x, step)]
-        ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
-        out = self.residual(xn, ln, p1, p2, cur)
-        self.generic += 1
-        if self.generic >= self.warmup:
-            self._build()
-        return None if out is None else (xn, ln, *out)
-
     def line_search(self, x, lam, step, p1, p2, cur):
         """The backtracking search from (x, lam) along `step`: (trials
         made, best), best = (x', lam', values, R, |R|^2, J) at the first
         trial, damp = 2^-i for i < _TRIALS, whose |R|^2 is below `cur`, or
         None when no trial is.  A trial point equal to the iterate ends the
         search with (_TRIALS, None); the trials it leaves count as made."""
-        i = 0
-        while i < _TRIALS:
-            if self.compiled is not None:
-                i, best = self.compiled(x, lam, step, i, p1, p2, cur)
-                if best is not None:
-                    return i + 1, best
-                if i == _TRIALS:  # every trial left rejected, or the iterate
-                    break
+        if self.compiled is not None:
+            found = self.compiled(x, lam, step, p1, p2, cur)
+            if self.missed:
+                self._build()
+            return found
+        found = _TRIALS, None
+        for i in range(_TRIALS):
             damp = math.ldexp(1.0, -i)
             # at the iterate R is the current one up to the signs of its
             # zeros, and rounding is monotone, so every smaller damp lands
             # there too
             if all(a + damp * b == a for a, b in zip(x + lam, step)):
                 break
-            best = self.trial(x, lam, step, damp, p1, p2, cur)
-            if best is not None:
-                return i + 1, best
-            i += 1
-        return _TRIALS, None
+            xn = [a + damp * b for a, b in zip(x, step)]
+            ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
+            self.generic += 1
+            out = self.residual(xn, ln, p1, p2, cur)
+            if out is not None:
+                found = i + 1, (xn, ln, *out)
+                break
+        if self.generic >= self.warmup:
+            self._build()
+        return found
+
+    def _prox_miss(self, v):
+        """`prox_float(v)` for a compiled trial that the unrolled scan does
+        not finish; the kernel rebuilds after the search."""
+        self.missed = True
+        return self.prox_float(v)
 
     def _build(self):
         """Compile the search function, unless the prox solver's reached
-        sets and the cached Jacobians are those it was last built from; at
-        the first build, compile the step function too."""
+        sets and the cached Jacobians are those it was last built from or a
+        build has passed _MAX_LINES; at the first build, compile the step
+        function too."""
+        self.missed = False
         solver = self.penalty._prox_solver
         jacs = self.penalty._float_jacs
         sizes = len(solver._reached), len(jacs)
-        if sizes == self.built_from:
+        if sizes == self.built_from or self.warmup == math.inf:
             return
         from .trialsource import (compile_search, compile_step, search_source,
                                   step_source)
@@ -353,14 +352,15 @@ class FloatKernel:
         if self.built_from is None:  # the step does not depend on the sets
             lines, consts = step_source(self.n, self.m, self.a_terms)
             if len(lines) <= _MAX_LINES:
-                self.compiled_step = compile_step(lines, consts)
+                self.compiled_step = compile_step(lines, consts,
+                                                  _min_norm_step)
         self.built_from = sizes
         lines, consts = search_source(self.n, self.m, self.terms, solver,
                                       jacs)
         if len(lines) > _MAX_LINES:
             self.warmup = math.inf  # it only grows: keep the last function
             return
-        self.compiled = compile_search(lines, consts)
+        self.compiled = compile_search(lines, consts, self._prox_miss)
 
     def newton_matrix(self, x, lam, values, pj):
         """The generalized Jacobian [[A, DPhi^T], [(I - J) DPhi, -J]] of R
@@ -392,27 +392,14 @@ class FloatKernel:
         return rows
 
     def step(self, x, lam, values, pj, r):
-        """The Newton step at (x, lam), from `values`, R = r and the
-        Jacobian blocks pj that `residual` gave there, as a list, or None
-        when the Newton matrix is not finite.  Once the search is compiled,
-        one compiled function (`trialsource.step_source`) does the work of
-        `newton_matrix` and `newton_step` in their float operations and
-        order, and hands the matrix to `_min_norm_step` where a pivot is
-        exactly zero."""
+        """The Newton step s with jmat s = -r at (x, lam), from `values`, R
+        = r and the Jacobian blocks pj that `residual` gave there, as a
+        list, or None when the Newton matrix jmat is not finite."""
         if self.compiled_step is not None:
-            out = self.compiled_step(x, lam, values, pj, r)
-            if type(out) is tuple:  # the untouched matrix: a zero pivot
-                return _min_norm_step(out, [-v for v in r])
-            return out
+            return self.compiled_step(x, lam, values, pj, r)
         jmat = self.newton_matrix(x, lam, values, pj)
         if not all(map(math.isfinite, chain.from_iterable(jmat))):
             return None
-        return self.newton_step(jmat, r)
-
-    def newton_step(self, jmat, r):
-        """The Newton step s with jmat s = -r, as a list: LU with partial
-        pivoting, or the minimum-norm least-squares step where a pivot is
-        exactly zero."""
         rhs = [-v for v in r]
         step = _lu_solve(jmat, rhs)
         return _min_norm_step(jmat, rhs) if step is None else step

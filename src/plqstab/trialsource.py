@@ -2,29 +2,31 @@
 step.
 
 `search_source` writes one Python function that runs the backtracking
-loop of `probe.solve_perturbed`'s line search, damp = 1, 1/2, ...,
-and performs in each trial the float operations of a generic trial
-(`FloatKernel.trial`), in their order: the trial point,
-`polymap._float_values` over the kernel's term lists with each power
-multiplied out once, r1 and the running sum of its squares, the prox
-argument, `StrictQpSolver.solve_float` unrolled over the active sets
-reached so far, r2 and the rest of the running sum.  It returns the
-first trial whose |R|^2 is below the current one; a rejected trial
-builds no list.  Each sum is one statement per addition, as the generic
-loops add them, so the function returns the generic path's
-bits and a polynomial of any length compiles.  The source holds only
-template names, integer literals and operators; every float and every
-Jacobian is one of the constants k0, k1, ..., which the enclosing
-`make` unpacks from a tuple once per build, so nothing of the problem
-file is written into it.  The kernel imports this module when it first
-builds, so runs without the probe never load it.
+loop of `FloatKernel.line_search`, damp = 1, 1/2, ..., and performs in
+each trial the float operations of a generic trial, in their order: the
+trial point, `polymap._float_values` over the kernel's term lists with
+each power multiplied out once, r1 and the running sum of its squares,
+the prox argument, `StrictQpSolver.solve_float` unrolled over the active
+sets reached so far, r2 and the rest of the running sum.  A trial whose
+unrolled scan finds no passing set, or one with no cached Jacobian,
+takes its prox value and Jacobian from `PlqPenalty.prox_float` instead,
+as the generic trial does, so the function finishes every trial.  It
+returns the first trial whose |R|^2 is below the current one; a rejected
+trial builds no list.  Each sum is one statement per addition, as the
+generic loops add them, so the function returns the generic path's bits
+and a polynomial of any length compiles.  The source holds only template
+names, integer literals and operators; every float and every Jacobian is
+one of the constants k0, k1, ..., which the enclosing `make` unpacks
+from a tuple once per build, so nothing of the problem file is written
+into it.  The kernel imports this module when it first builds, so runs
+without the probe never load it.
 
 Two rules skip work without changing a bit, as in the generic trial.  A
-trial point equal to the iterate ends the search
-(`FloatKernel.line_search`).  And a trial is rejected once the running
-sum of |R|^2 is not below the current one, which the function checks
-after r1, before the prox scan: the float sum of nonnegative terms never
-decreases, so the whole sum would not be below it either.
+trial point equal to the iterate ends the search.  And a trial is
+rejected once the running sum of |R|^2 is not below the current one,
+which the function checks after r1, before the prox scan: the float sum
+of nonnegative terms never decreases, so the whole sum would not be
+below it either.
 
 `step_source` writes, once per kernel, one more function of the same
 kind: the Newton step of `FloatKernel.step`, that is the Newton matrix
@@ -32,8 +34,8 @@ kind: the Newton step of `FloatKernel.step`, that is the Newton matrix
 `_value_lines`, its finiteness check, and LU with partial pivoting and
 back substitution (`_lu_lines`) on local variables, each float
 operation that of `FloatKernel.newton_matrix` and `probe._lu_solve`, in
-their order.  Where a pivot is exactly zero it returns the untouched
-matrix for the generic minimum-norm step.
+their order.  Where a pivot is exactly zero it returns the minimum-norm
+step of the untouched matrix (`probe._min_norm_step`).
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ def _r1_lines(n, m):
 def _scan_lines(m, reached, jacs, consts):
     """`StrictQpSolver.solve_float` at c0, c1, ... over the sets of
     `reached`, in order, leaving the passing set's y in y0, y1, ... and
-    its Jacobian in J.  The search ends at this trial when no set passes
-    or when the passing set has no Jacobian in `jacs`."""
+    its Jacobian in J; J is None when no set passes, and False when the
+    passing set has no Jacobian in `jacs`."""
     cs = ["c%d" % j for j in range(m)]
     ys = ["y%d" % j for j in range(m)]
     lines = ["J = None"]
@@ -125,54 +127,56 @@ def _scan_lines(m, reached, jacs, consts):
         for row, alpha in inactive:
             body += _dot_lines("s", row, ys, consts)
             body += ["if not s <= %s:" % _const(consts, alpha), "    break"]
-        body.append("J = %s" % _const(consts, jacs[subset])
-                    if subset in jacs else "return i, None")
+        body.append("J = %s" % (_const(consts, jacs[subset])
+                                if subset in jacs else "False"))
         lines += ["while J is None:"] + ["    " + line for line in body]
-    return lines + ["if J is None:", "    return i, None"]
+    return lines
 
 
 def search_source(n, m, terms, solver, jacs):
     """(source lines, constants) of `FloatKernel.line_search`'s function
     over the sets the prox QP `solver` has reached and the Jacobians
     `jacs`: `make(K)` unpacks the constants K and returns `search(x, lam,
-    step, i, p1, p2, cur)`, which runs the trials i, i + 1, ... (damp
-    2^-i) and returns (i, (x', lam', values, R, |R|^2, J)) for the first
-    one whose |R|^2 is below `cur`, (i, None) for a trial i it cannot
-    finish, and (_TRIALS, None) when it rejects every one or reaches a
-    trial point equal to the iterate.  The source holds only template
-    names, integer literals, the constants' names k{i} (a float or a
-    Jacobian) and operators."""
+    step, p1, p2, cur)`, which runs the trials damp = 1, 1/2, ... and
+    returns (trials made, (x', lam', values, R, |R|^2, J)) for the first
+    one whose |R|^2 is below `cur`, or (_TRIALS, None) when it rejects
+    every one or reaches a trial point equal to the iterate.  A trial
+    the unrolled scan does not finish calls PROX, `prox_float` as the
+    kernel binds it.  The source holds only template names, integer
+    literals, the constants' names k{i} (a float or a Jacobian) and
+    operators."""
     consts = []
-    loop = ["damp = DAMPS[i]"]
-    loop += ["x%d = a%d + damp * h%d" % (j, j, j) for j in range(n)]
+    loop = ["x%d = a%d + damp * h%d" % (j, j, j) for j in range(n)]
     loop += ["l%d = a%d + damp * h%d" % (j, n + j, n + j) for j in range(m)]
     loop += ["if %s:" % " and ".join(
         ["x%d == a%d" % (j, j) for j in range(n)]
         + ["l%d == a%d" % (j, n + j) for j in range(m)]),
-             "    return %d, None" % _TRIALS]
+             "    break"]
     loop += _value_lines(terms, consts)
     loop += _r1_lines(n, m)
-    loop += ["if not sq < cur:", "    i += 1", "    continue"]
+    loop += ["if not sq < cur:", "    continue"]
     for j in range(m):
         loop += ["z%d = v%d + o%d" % (j, n + j, j),
                  "u%d = l%d + z%d" % (j, j, j), "c%d = -u%d" % (j, j)]
     loop += _scan_lines(m, solver._reached, jacs, consts)
-    for j in range(m):
-        loop += ["r%d = z%d - (u%d - y%d)" % (j, j, j, j),
-                 "sq += r%d * r%d" % (j, j)]
+    loop += ["if J:"] + ["    r%d = z%d - (u%d - y%d)" % (j, j, j, j)
+                         for j in range(m)]
+    loop += ["else:", "    P, J = PROX([%s])" % _names("u", m)]
+    loop += ["    r%d = z%d - P[%d]" % (j, j, j) for j in range(m)]
+    loop += ["sq += r%d * r%d" % (j, j) for j in range(m)]
     loop += ["if sq < cur:",
              "    return i, ([%s], [%s], [%s], [%s, %s], sq, J)" % (
                  _names("x", n), _names("l", m), _names("v", len(terms)),
-                 _names("e", n), _names("r", m)),
-             "i += 1"]
+                 _names("e", n), _names("r", m))]
     body = ["a%d = x[%d]" % (j, j) for j in range(n)]
     body += ["a%d = lam[%d]" % (n + j, j) for j in range(m)]
     body += ["h%d = step[%d]" % (j, j) for j in range(n + m)]
     body += ["q%d = p1[%d]" % (i, i) for i in range(n)]
     body += ["o%d = p2[%d]" % (j, j) for j in range(m)]
-    body += ["while i < %d:" % _TRIALS] + ["    " + line for line in loop]
-    body.append("return i, None")
-    return _make_lines("search(x, lam, step, i, p1, p2, cur)", body,
+    body += ["for i, damp in enumerate(DAMPS, 1):"]
+    body += ["    " + line for line in loop]
+    body.append("return %d, None" % _TRIALS)
+    return _make_lines("search(x, lam, step, p1, p2, cur)", body,
                        consts), consts
 
 
@@ -185,7 +189,7 @@ def _make_lines(signature, body, consts):
     return ["def make(K):"] + ["    " + line for line in head]
 
 
-def _lu_lines(grid):
+def _lu_lines(grid, rhs):
     """`probe._lu_solve` of the matrix whose entries the source names of
     `grid` (a list of rows) hold, for the right-hand side b0, b1, ..., in
     its float operations and their order.  The entries are copied to
@@ -195,13 +199,15 @@ def _lu_lines(grid):
     ... and b; each row i below takes q = a_ik / a_kk, then a_ij - q a_kj
     and b_i - q b_k.  Back substitution leaves y_i = (b_i - a_i,i+1 y_i+1
     - ...) / a_ii, subtracting left to right, and the function returns
-    [y0, y1, ...].  Where a pivot is exactly zero it returns the matrix
-    untouched instead, as a tuple of row lists of `grid`'s names."""
+    [y0, y1, ...].  Where a pivot is exactly zero it returns MIN_NORM
+    (`probe._min_norm_step`) of the untouched matrix, as a list of row
+    lists of `grid`'s names, and of the source `rhs` of the untouched
+    right-hand side."""
     size = len(grid)
     lines = ["a%d_%d = %s" % (i, j, name)
              for i, row in enumerate(grid) for j, name in enumerate(row)]
-    untouched = "    return (%s,)" % ", ".join(
-        "[%s]" % ", ".join(row) for row in grid)
+    untouched = "    return MIN_NORM([%s], %s)" % (", ".join(
+        "[%s]" % ", ".join(row) for row in grid), rhs)
     for k in range(size):
         lines.append("t = abs(a%d_%d)" % (k, k))
         lines += ["p = %d" % k] if k + 1 < size else []
@@ -230,18 +236,18 @@ def _lu_lines(grid):
 def step_source(n, m, a_terms):
     """(source lines, constants) of `FloatKernel.step`'s function:
     `make(K)` unpacks the constants K and returns `step(x, lam, values,
-    pj, r)`, which does the float work of `FloatKernel.newton_matrix`,
-    of its finiteness check and of `FloatKernel.newton_step` in their
+    pj, r)`, which does the float work of `FloatKernel.step`'s generic
+    way, `newton_matrix`, its finiteness check and the LU, in their
     order.  It evaluates the kernel's `a_terms` at x with
     `_value_lines`; adds each Hessian block to A, a + lam_i h, for each
     lam_i that is not 0; reads DPhi off `values` and the blocks (I - J,
     -J) off `pj`; forms each entry of (I - J) DPhi as 0.0 plus its
     products in order; returns None when an entry of the Newton matrix
     is not finite (x - x is 0.0 exactly for a finite x, else nan); and
-    solves for the right-hand side -r by `_lu_lines`.  So it returns the
-    step as a list, None, or, where a pivot is exactly zero, the Newton
-    matrix as a tuple of row lists.  The source holds only template
-    names, integer literals, the constants' names k{i} (floats) and
+    solves for the right-hand side -r by `_lu_lines`, which takes the
+    minimum-norm step where a pivot is exactly zero.  So it returns the
+    step as a list, or None.  The source holds only template names,
+    integer literals, the constants' names k{i} (floats) and
     operators."""
     consts = []
     nn = n * n
@@ -271,7 +277,7 @@ def step_source(n, m, a_terms):
                  "    return None"]
     body.append("%s, = r" % _names("b", n + m))
     body += ["b%d = -b%d" % (i, i) for i in range(n + m)]
-    body += _lu_lines(grid)
+    body += _lu_lines(grid, "[-e for e in r]")
     return _make_lines("step(x, lam, values, pj, r)", body, consts), consts
 
 
@@ -282,17 +288,19 @@ def _compiled(lines, consts, env, filename):
     return env["make"](tuple(consts))
 
 
-def compile_search(lines, consts):
+def compile_search(lines, consts, prox):
     """The function `search` that `make(consts)` returns, `make` defined
-    by the source `lines` with ZERO bound to 0.0 and DAMPS to the damping
-    factors 2^-i."""
+    by the source `lines` with ZERO bound to 0.0, DAMPS to the damping
+    factors 2^-i and PROX to `prox`."""
     return _compiled(lines, consts, {
-        "ZERO": 0.0,
+        "ZERO": 0.0, "PROX": prox,
         "DAMPS": tuple(math.ldexp(1.0, -i) for i in range(_TRIALS))},
         "<plqstab search>")
 
 
-def compile_step(lines, consts):
+def compile_step(lines, consts, min_norm):
     """The function `step` that `make(consts)` returns, `make` defined by
-    the source `lines` with ZERO bound to 0.0."""
-    return _compiled(lines, consts, {"ZERO": 0.0}, "<plqstab step>")
+    the source `lines` with ZERO bound to 0.0 and MIN_NORM to
+    `min_norm`."""
+    return _compiled(lines, consts, {"ZERO": 0.0, "MIN_NORM": min_norm},
+                     "<plqstab step>")

@@ -14,33 +14,41 @@ from support import (ball_sample, flat_enlp, parabola_enlp, pe,
 
 
 def test_lagrangian_values_and_derivatives():
+    # The induced system's Psi and d(Psi)/dx are the Lagrangian's
+    # gradient and Hessian in x.
     e = quad_cost_enlp(2)
+    s = e.to_varsys()
     x, lam = (rat(1), rat(-2)), (rat(3), rat(5))
     # L = |x|^2 + <x, lam> - |lam|^2/2
     assert e.lagrangian(x, lam) == 5 + (3 - 10) - rat(34, 2)
-    assert e.lagrangian_gradient_x(x, lam) == (rat(5), rat(1))  # 2x + lam
-    assert e.lagrangian_hessian_xx(x, lam) == identity(2).scale(2)
+    assert s.psi(x, lam) == (rat(5), rat(1))  # 2x + lam
+    assert s.psi_jacobian_x(x, lam) == identity(2).scale(2)
     # lam = 0 reduces to the cost
     assert e.lagrangian(x, (0, 0)) == e.phi0.eval(x)
 
 
 def test_lagrangian_gradient_matches_residual_of_induced_system():
-    e = parabola_enlp()
-    s = e.to_varsys()
+    # phi0 = -x^2/2 and Phi = (0, x^2): grad_x L = -x + 2 x lam_2
+    s = parabola_enlp().to_varsys()
     for x in (rat(0), rat(2), rat(-1, 3)):
         for l2 in (rat(0), rat(1), rat(1, 2)):
-            assert e.lagrangian_gradient_x((x,), (0, l2)) == s.psi((x,), (0, l2))
+            assert s.psi((x,), (0, l2)) == (-x + 2 * x * l2,)
 
 
 def test_hessian_equals_residual_jacobian_for_induced_systems():
+    # d(Psi)/dx is symmetric and equals the Lagrangian's Hessian in x,
+    # from the second partials of phi0 and of each Phi_i
     rng = random.Random(107)
     for _ in range(10):
         problem, xbar, lam = random_enlp_with_kkt(rng)
-        s = problem.to_varsys()
-        assert problem.lagrangian_hessian_xx(xbar, lam) == \
-            s.psi_jacobian_x(xbar, lam)
-        h = problem.lagrangian_hessian_xx(xbar, lam)
+        h = problem.to_varsys().psi_jacobian_x(xbar, lam)
+        n = problem.n
         assert h.is_symmetric()
+        assert h == RatMatrix([
+            [problem.phi0.diff(i).diff(j).eval(xbar)
+             + sum((rat(l) * c.diff(i).diff(j).eval(xbar)
+                    for l, c in zip(lam, problem.phi.components)), rat(0))
+             for j in range(n)] for i in range(n)])
 
 
 def test_kkt_check_examples():

@@ -1,6 +1,8 @@
 """The float Newton probe against its plain-Python reference, bit for
 bit, and the line search's running-sum rejection and Newton step."""
 
+import functools
+import inspect
 import io
 import json
 import keyword
@@ -56,16 +58,19 @@ def _overflow_doc():
 
 def _step_calls(monkeypatch):
     """{compiled step function: calls} for every step function compiled
-    from here on, each wrapped to count its calls."""
-    calls = {}
+    from here on, each wrapped to count its calls; the key "returned" holds
+    the set of the types they returned."""
+    calls = {"returned": set()}
     compile_step = trialsource.compile_step
 
-    def built(lines, consts):
-        step = compile_step(lines, consts)
+    def built(*args):
+        step = compile_step(*args)
 
         def counted(*args):
             calls[counted] += 1
-            return step(*args)
+            out = step(*args)
+            calls["returned"].add(type(out))
+            return out
 
         calls[counted] = 0
         return counted
@@ -133,19 +138,30 @@ def test_solve_perturbed_matches_the_reference(monkeypatch):
 
 
 def test_compiled_trials_match_the_reference(monkeypatch):
-    # With no warm-up, every system compiles at its first line-search
-    # trial, so every trial the compiled search can finish runs in it,
-    # and every Newton step after that in the compiled step.
+    # With no warm-up, every system compiles after its first line search,
+    # so every later search runs in the compiled search, which takes no
+    # trial index, and every Newton step after it in the compiled step,
+    # which returns a list (None is kept for a Newton matrix that
+    # overflows, which these solves never meet).
     # A solve's trials are its evaluations less the start; the generic
     # ones are counted on each kernel.
     monkeypatch.setattr(probe, "_WARMUP", 0)
     step_calls = _step_calls(monkeypatch)
+    events = _search_events(monkeypatch)
     calls, named = _check_against_the_reference(monkeypatch)
     kernels = {s.float_kernel for s, _, _, _ in calls}
     assert all(kernel.compiled for kernel in kernels)
     assert all(step_calls.get(k.compiled_step) for k in named.values())
+    assert step_calls["returned"] == {list}
+    assert all(list(inspect.signature(k.compiled).parameters)
+               == ["x", "lam", "step", "p1", "p2", "cur"] for k in kernels)
     trials = sum(r.evaluations - 1 for _, _, _, r in calls)
     assert trials > 30000 and sum(k.generic for k in kernels) < trials / 10
+    # one generic search per kernel, before its first build
+    searches = [e for e in events if e[0] != "miss"]
+    assert [e[0] for e in searches].count("generic") == len(kernels)
+    assert all(e[0] != "generic" or after == ("build",)
+               for e, after in zip(searches, searches[1:]))
 
 
 def _boundary_terms(pen, rng):
@@ -306,13 +322,13 @@ def test_rejection_is_sound_on_adversarial_trials():
     # Trials whose entries sit at the edges of float range, with R
     # overflowing, underflowing or nan, on systems with Y = R^m (one
     # active set) and Y = R^m_+: the generic `residual` and the compiled
-    # search (run at its last damp, 2^-29) reject a trial exactly when the
-    # reference's full |R|^2 is not below the current one, and what they
-    # accept is the reference's to the last bit.
+    # search (its first trial, along the step times 2^-29) reject a trial
+    # exactly when the reference's full |R|^2 is not below the current
+    # one, and what they accept is the reference's to the last bit.
     rng = random.Random(17)
     last = probe._TRIALS - 1
     damp = math.ldexp(1.0, -last)
-    counts = {"accepted": 0, "rejected": 0, "nonfinite": 0, "compiled": 0}
+    counts = {"accepted": 0, "rejected": 0, "nonfinite": 0}
     for n in (1, 2, 3):
         for m in (1, 2, 3):
             orthant = Polyhedron([[-int(i == j) for j in range(m)]
@@ -351,20 +367,17 @@ def test_rejection_is_sound_on_adversarial_trials():
                             assert repr((got[1], got[2])) == repr((r, rsq))
                         if xn + ln == a:
                             continue  # the search ends at the iterate
-                        i, best = kernel.compiled(a[:n], a[n:], h, last,
-                                                  p1, p2, cur)
-                        if best is not None:
-                            assert accept and i == last
+                        # the first trial along damp * h is the one at
+                        # damp 2^-29 along h: 1.0 * (damp * h) is damp * h
+                        i, best = kernel.compiled(
+                            a[:n], a[n:], [damp * v for v in h], p1, p2, cur)
+                        assert (best is not None and i == 1) is accept
+                        if accept:
                             assert repr((best[0], best[1], best[3], best[4])) \
                                 == repr((xn, ln, r, rsq))
-                            counts["compiled"] += 1
-                        elif i == probe._TRIALS:
-                            assert not accept
-                            counts["compiled"] += 1
                         counts["accepted" if accept else "rejected"] += 1
     assert (counts["accepted"] > 1500 and counts["rejected"] > 4000
-            and counts["nonfinite"] > 300
-            and counts["compiled"] > 6000), counts
+            and counts["nonfinite"] > 300), counts
 
 
 def test_import_leaves_numpy_unloaded():
@@ -386,9 +399,9 @@ def _compiled_sources(monkeypatch, compiler="compile_search"):
     sources = []
     compile_function = getattr(trialsource, compiler)
 
-    def recorded(lines, consts):
+    def recorded(lines, consts, bound):
         sources.append(lines)
-        return compile_function(lines, consts)
+        return compile_function(lines, consts, bound)
 
     monkeypatch.setattr(trialsource, compiler, recorded)
     return sources
@@ -396,10 +409,10 @@ def _compiled_sources(monkeypatch, compiler="compile_search"):
 
 _TEMPLATE_NAMES = re.compile(
     r"[xlvzucyraheqok]\d+|w\d+_\d+|make|search|x|lam|step|i|p1|p2|cur|"
-    r"K|ZERO|DAMPS|damp|J|s|sq")
+    r"K|ZERO|DAMPS|enumerate|damp|J|s|sq|PROX|P")
 _STEP_TEMPLATE_NAMES = re.compile(
     r"[xlvkby]\d+|[wdgnsa]\d+_\d+|make|step|x|lam|values|pj|r|K|ZERO|abs|"
-    r"[tupq]")
+    r"MIN_NORM|[tupqe]")
 
 
 def test_compiled_source_holds_only_the_template(monkeypatch):
@@ -506,9 +519,12 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
     # A kernel whose polynomials (8 terms) and r1 (n m = 6 lines) alone
     # pass the cap never compiles.  One whose scan grows past it keeps
     # its last function, a prefix of the scan, and its solves stay the
-    # reference's.  example_3_3's step function has 86 lines: under a cap
-    # of 85 the kernel keeps the generic step beside its compiled search,
-    # and under 86 it compiles the step once, at the search's first build.
+    # reference's.  example_3_3's step function has 86 lines and its
+    # search functions 69, then 101: under a cap of 85 the kernel keeps
+    # the generic step beside its compiled search, and under 86 it
+    # compiles the step once, at the search's first build.  The pieces
+    # it meets after that go through `prox_float` inside the kernel's
+    # last search function: no generic search runs after the build.
     monkeypatch.setattr(probe, "_MAX_LINES", 13)
     assert _kernel(2, 3).warmup == math.inf
     monkeypatch.setattr(probe, "_MAX_LINES", 14)
@@ -518,6 +534,7 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
         monkeypatch.setattr(probe, "_WARMUP", 0)
         searches = _compiled_sources(monkeypatch)
         steps = _compiled_sources(monkeypatch, "compile_step")
+        events = _search_events(monkeypatch)
         pf = parse_problem_file(corpus_path("example_3_3"))
         calls = _probe_solves(monkeypatch, [(pf, None)])
         kernel = calls[0][0].float_kernel
@@ -525,6 +542,10 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
         assert [len(lines) for lines in steps] == step_lines
         assert kernel.compiled and kernel.warmup == math.inf
         assert (kernel.compiled_step is not None) is bool(step_lines)
+        assert events[:2] == [("generic", 1, True), ("build",)]
+        assert {e[0] for e in events[2:]} == {"compiled", "miss"}
+        assert events.count(("miss",)) >= 10
+        assert len(kernel.penalty._float_jacs) > kernel.built_from[1]
         for system, args, kwargs, result in calls:
             expected = newton_reference.solve_perturbed(system, *args,
                                                         **kwargs)
@@ -532,34 +553,44 @@ def test_trial_functions_past_the_line_cap(monkeypatch):
 
 
 def _search_events(monkeypatch):
-    """The line-search events from here on, in order: ("build",) for each
-    search function compiled (a build that a generic trial causes comes
-    before that trial's event), ("compiled", first, i, found) for each
-    call of one (the trial it started at, the trial it stopped at, and
-    whether it returned that trial), and ("generic", i, rejected) for each
-    generic trial, i the trial's index (damp 2^-i)."""
+    """The line-search events from here on, in order: ("generic", trials,
+    found) for each search the generic way, ("compiled", trials, found)
+    for each call of a search function, ("miss",) for each call of
+    `prox_float` from inside one (before that call's event), and
+    ("build",) for each search function compiled."""
     events = []
     compile_search = trialsource.compile_search
-    trial = FloatKernel.trial
+    line_search = FloatKernel.line_search
+    prox_miss = FloatKernel._prox_miss
 
-    def built(lines, consts):
-        search = compile_search(lines, consts)
+    def built(lines, consts, prox):
+        search = compile_search(lines, consts, prox)
         events.append(("build",))
 
-        def recorded(x, lam, step, i, *args):
-            out = search(x, lam, step, i, *args)
-            events.append(("compiled", i, out[0], out[1] is not None))
-            return out
+        @functools.wraps(search)
+        def recorded(*args):
+            trials, best = search(*args)
+            events.append(("compiled", trials, best is not None))
+            return trials, best
 
         return recorded
 
-    def generic(self, x, lam, step, damp, *args):
-        out = trial(self, x, lam, step, damp, *args)
-        events.append(("generic", 1 - math.frexp(damp)[1], out is None))
-        return out
+    def searched(self, *args):
+        if self.compiled is not None:
+            return line_search(self, *args)
+        events.append(None)
+        k = len(events) - 1
+        trials, best = line_search(self, *args)
+        events[k] = ("generic", trials, best is not None)
+        return trials, best
+
+    def missed(self, v):
+        events.append(("miss",))
+        return prox_miss(self, v)
 
     monkeypatch.setattr(trialsource, "compile_search", built)
-    monkeypatch.setattr(FloatKernel, "trial", generic)
+    monkeypatch.setattr(FloatKernel, "line_search", searched)
+    monkeypatch.setattr(FloatKernel, "_prox_miss", missed)
     return events
 
 
@@ -585,8 +616,8 @@ def _solve_both(system, p1, p2, start):
 def test_first_step_without_descent_makes_thirty_trials(monkeypatch):
     # Once the kernel has compiled, one call of its search rejects every
     # trial of the first step: 30 trials, so 31 evaluations with the
-    # start, and no generic trial.  The first solve compiles at its first
-    # trial, which it serves the generic way.
+    # start, and no generic trial.  The first solve's search runs the
+    # generic way, and the kernel compiles after it.
     monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     system = _far_step_system()
@@ -596,9 +627,8 @@ def test_first_step_without_descent_makes_thirty_trials(monkeypatch):
         result = _solve_both(system, *args)
         assert (result.reason, result.iterations, result.evaluations) == (
             "no_descent", 1, 31)
-        assert events == ([("build",), ("generic", 0, True),
-                           ("compiled", 1, 30, False)] if first else
-                          [("compiled", 0, 30, False)])
+        assert events == ([("generic", 30, False), ("build",)] if first
+                          else [("compiled", 30, False)])
 
 
 def test_an_overflowing_trial_is_rejected(monkeypatch):
@@ -615,7 +645,7 @@ def test_an_overflowing_trial_is_rejected(monkeypatch):
     assert kernel.compiled
     x, lam, p = [1e-12, 0.0], [0.0, 0.0], [0.0, 0.0]
     values, r, rsq, pj = kernel.residual(x, lam, p, p)
-    step = kernel.newton_step(kernel.newton_matrix(x, lam, values, pj), r)
+    step = kernel.step(x, lam, values, pj, r)
     first = [a + b for a, b in zip(x, step)]
     assert newton_reference.float_residual(system, p, p, first, lam)[1] \
         == math.inf
@@ -623,7 +653,7 @@ def test_an_overflowing_trial_is_rejected(monkeypatch):
     result = _solve_both(system, p, p, (x, lam))
     assert (result.reason, result.iterations, result.evaluations) == (
         "no_descent", 1, 31)
-    assert events == [("compiled", 0, 30, False)]
+    assert events == [("compiled", 30, False)]
 
 
 def test_overflow_ends_a_solve_at_the_start_or_at_the_newton_matrix(
@@ -663,19 +693,22 @@ def test_overflow_ends_a_solve_at_the_start_or_at_the_newton_matrix(
                 before + (not warmup))
 
 
-def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
+def test_compiled_search_finishes_every_trial_and_rebuilds_between_searches(
+        monkeypatch):
     # Seeded solves on fresh systems whose prox argument crosses the
-    # orthants of Y = R^2_+.  A trial in a piece without a cached
-    # Jacobian goes to the generic path; when its |R|^2 is not below the
-    # current one, the search resumes at the next damp, on the function
-    # rebuilt with the new piece, also after compiled trials of the same
-    # step (a rebuild in the middle of a step).  Every solve is the
-    # reference's.
+    # orthants of Y = R^2_+.  After a kernel's first build every search
+    # runs in its search function, none the generic way.  A trial in a
+    # piece without a cached Jacobian calls `prox_float` inside the
+    # function, which goes on with that trial and the later ones; a
+    # rebuild comes right after a search with such a call, never inside
+    # one.  Every solve is the reference's.
     monkeypatch.setattr(probe, "_WARMUP", 0)
     events = _search_events(monkeypatch)
     rng = random.Random(2)
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    rebuilt = missed = went_on = 0
     for _ in range(30):
+        events.clear()
         system = VarSystem(
             PolyMap([x1 * x1 + Polynomial.constant(2, 1), x2 - x1]),
             PolyMap([x2 + x1, x2 - x1 - x1]), quad_penalty_2d())
@@ -684,15 +717,25 @@ def test_generic_trials_resume_the_search_at_the_next_damp(monkeypatch):
                      [rng.uniform(-1, 1) for _ in range(2)])
             _solve_both(system, [rng.uniform(-1, 1) for _ in range(2)],
                         [rng.uniform(-1, 1) for _ in range(2)], start)
-    resumed = mid_step = 0
-    for k in range(len(events) - 3):
-        call, build, trial, resume = events[k:k + 4]
-        if (call[0] == "compiled" and not call[3] and call[2] < 30
-                and build == ("build",) and trial == ("generic", call[2], True)
-                and resume[:2] == ("compiled", call[2] + 1)):
-            resumed += 1
-            mid_step += call[2] > call[1]
-    assert resumed >= 10 and mid_step >= 3
+        first = events.index(("build",))
+        assert events[first - 1][0] == "generic"
+        assert all(e[0] in ("compiled", "miss", "build")
+                   for e in events[first + 1:])
+        misses = 0
+        for k in range(first + 1, len(events)):
+            if events[k] == ("miss",):
+                misses += 1
+            elif events[k] == ("build",):
+                assert events[k - 1][0] == "compiled"
+                assert events[k - 2] == ("miss",)
+                rebuilt += 1
+            else:
+                # a second call in one search: the trial of the first one
+                # was finished, rejected, and the search went on
+                missed += misses > 0
+                went_on += misses > 1
+                misses = 0
+    assert rebuilt >= 30 and missed >= rebuilt and went_on >= 5
 
 
 def _zero_step_system():
@@ -738,7 +781,7 @@ def test_a_zero_step_evaluates_no_trial(monkeypatch):
         result = _solve_both(system, *zero_step)
         assert (result.reason, result.iterations, result.evaluations) == (
             "no_descent", 1, 31)
-        assert events == ([("compiled", 0, 30, False)] if compiled else [])
+        assert events == [("compiled" if compiled else "generic", 30, False)]
         assert len(residuals) == 1
 
 
@@ -762,9 +805,11 @@ def test_a_step_below_an_ulp_rounds_onto_the_iterate(monkeypatch):
     # and 1/4 move x1 by 4, 2 and 1 ulps (lam1 by 2, 1 and 0), and |R|
     # rises; at 1/8 the trial rounds onto the iterate (ties to even),
     # where the search ends with 30 trials counted, as the reference's.
-    # Generic, then compiled, where one call rejects the three trials
-    # after their r1 and stops at the iterate.
+    # Generic, where the search evaluates the three trials, then compiled,
+    # where one call rejects them after their r1 and stops at the
+    # iterate.
     events = _search_events(monkeypatch)
+    residuals = _count_residuals(monkeypatch)
     x, lam, step = [1.0], [1.0], [math.ldexp(1.0, -50), math.ldexp(1.0, -51)]
     for compiled in (False, True):
         system = _zero_step_system()
@@ -777,10 +822,11 @@ def test_a_step_below_an_ulp_rounds_onto_the_iterate(monkeypatch):
         expected = _reference_search(system, x, lam, step, [0.0], [0.0], rsq)
         assert expected == (30, None) and rsq == 4.0
         events.clear()
+        residuals.clear()
         out = kernel.line_search(x, lam, step, [0.0], [0.0], rsq)
         assert out == expected
-        assert events == ([("compiled", 0, 30, False)] if compiled else
-                          [("generic", i, True) for i in range(3)])
+        assert events == [("compiled" if compiled else "generic", 30, False)]
+        assert len(residuals) == (0 if compiled else 3)
 
 
 def _exact(rows):
@@ -796,15 +842,16 @@ def _close(step, exact):
 
 def _compiled_lu(size):
     """The compiled step's LU (`trialsource._lu_lines`) alone, as the
-    function lu(rows, rhs): the solution as a list, or the rows untouched
-    as a tuple of lists where a pivot is exactly zero."""
+    function lu(rows, rhs): the solution as a list, or, where a pivot is
+    exactly zero, the pair (rows, rhs) that it hands to the minimum-norm
+    step, as a tuple."""
     grid = [["m%d_%d" % (i, j) for j in range(size)] for i in range(size)]
     body = ["%s = rows[%d][%d]" % (name, i, j)
             for i, row in enumerate(grid) for j, name in enumerate(row)]
     body += ["b%d = rhs[%d]" % (i, i) for i in range(size)]
-    body += trialsource._lu_lines(grid)
+    body += trialsource._lu_lines(grid, "rhs")
     lines = trialsource._make_lines("lu(rows, rhs)", body, [])
-    return trialsource.compile_step(lines, [])
+    return trialsource.compile_step(lines, [], lambda a, b: (a, b))
 
 
 def test_newton_step_is_lu_or_the_minimum_norm_step():
@@ -816,17 +863,16 @@ def test_newton_step_is_lu_or_the_minimum_norm_step():
     # random rank-deficient product of integer matrices.  The rank rule
     # drops |R_kk| <= N 2^-52 |R_00|.  The compiled step's LU gives the
     # reference's bits on the same matrices, and hands a matrix with a
-    # zero pivot back untouched.
+    # zero pivot on untouched, with the right-hand side.
     rng = random.Random(7)
     for size in (2, 3, 4, 5, 7):
-        kernel = _kernel(1, size - 1)
         lu = _compiled_lu(size)
         for _ in range(40):
             rows = [[rng.uniform(-1, 1) * 10.0 ** e for _ in range(size)]
                     for e in [rng.randint(-5, 5) for _ in range(size)]]
             r = [rng.uniform(-1, 1) for _ in range(size)]
             rhs = [-v for v in r]
-            step = kernel.newton_step(rows, r)
+            step = probe._lu_solve(rows, rhs)
             assert repr(step) == repr(newton_reference.lu_solve(rows, rhs))
             assert repr(lu(rows, rhs)) == repr(step)
             exact = invert(_exact(rows)).matvec(tuple(rat(v) for v in rhs))
@@ -844,13 +890,11 @@ def test_newton_step_is_lu_or_the_minimum_norm_step():
             rhs = tuple(rat(-v) for v in r)
             a = _exact(rows)
             exact = pseudo_inverse_psd(a.T @ a).matvec(a.T.matvec(rhs))
-            if newton_reference.lu_solve(rows, [-v for v in r]) is None:
-                assert repr(kernel.newton_step(rows, r)) == repr(
-                    probe._min_norm_step(rows, [-v for v in r]))
-                assert repr(lu(rows, [-v for v in r])) == repr(tuple(rows))
-            else:
-                assert repr(lu(rows, [-v for v in r])) == repr(
-                    kernel.newton_step(rows, r))
+            step = probe._lu_solve(rows, [-v for v in r])
+            assert repr(step) == repr(
+                newton_reference.lu_solve(rows, [-v for v in r]))
+            assert repr(lu(rows, [-v for v in r])) == repr(
+                (rows, [-v for v in r]) if step is None else step)
             assert _close(probe._min_norm_step(rows, [-v for v in r]), exact)
     assert probe._min_norm_step([[1.0, 0.0], [0.0, 1e-17]],
                                 [1.0, 1.0]) == [1.0, 0.0]
@@ -863,7 +907,7 @@ def test_compiled_lu_on_ties_signed_zeros_nan_and_zero_pivots(monkeypatch):
     # |a_ik|, as `max` picks it; a column whose candidates are all zero,
     # -0.0 among them, at the start or left -0.0 by elimination (-0.0 -
     # 0.5 * 0.0), is a zero pivot, where the compiled LU hands the rows
-    # back untouched; and a nan that first appears in elimination, inf -
+    # on untouched; and a nan that first appears in elimination, inf -
     # 0.5 inf of two overflowed finite sums, runs on as in the reference.
     # Each is the reference's and the generic `_lu_solve`'s, bit for bit.
     nan_case = [[2.0, 1.0, 1e308], [-2.0, 3.0, 1e308], [-2.0, 1.0, 1e308]]
@@ -886,7 +930,7 @@ def test_compiled_lu_on_ties_signed_zeros_nan_and_zero_pivots(monkeypatch):
         expected = newton_reference.lu_solve(rows, rhs)
         assert repr(probe._lu_solve(rows, rhs)) == repr(expected)
         if expected is None:
-            assert type(got) is tuple and repr(got) == repr(tuple(rows))
+            assert repr(got) == repr((rows, rhs))
             counts["zero"] += 1
         else:
             assert repr(got) == repr(expected)
@@ -897,14 +941,8 @@ def test_compiled_lu_on_ties_signed_zeros_nan_and_zero_pivots(monkeypatch):
     assert counts["solved"] > 250 and counts["zero"] > 75, counts
     # Through a kernel: at x1 = 0, lam = 1 the zero-step system's Newton
     # matrix is 0 (with -J = -0.0), and the compiled step hands exactly
-    # the generic matrix and -R to `_min_norm_step`.
-    monkeypatch.setattr(probe, "_WARMUP", 0)
-    system = _zero_step_system()
-    _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
-    kernel = system.float_kernel
-    assert kernel.compiled_step is not None
-    x, lam = [0.0], [1.0]
-    values, r, _, pj = kernel.residual(x, lam, [0.0], [0.0])
+    # the generic matrix and -R to `_min_norm_step`, whose step it
+    # returns.
     seen = []
     min_norm_step = probe._min_norm_step
 
@@ -913,8 +951,16 @@ def test_compiled_lu_on_ties_signed_zeros_nan_and_zero_pivots(monkeypatch):
         return min_norm_step(a, b)
 
     monkeypatch.setattr(probe, "_min_norm_step", recorded)
+    monkeypatch.setattr(probe, "_WARMUP", 0)
+    system = _zero_step_system()
+    _solve_both(system, [0.0], [0.0], ([0.5], [1.0]))  # compiles
+    kernel = system.float_kernel
+    assert kernel.compiled_step is not None
+    x, lam = [0.0], [1.0]
+    values, r, _, pj = kernel.residual(x, lam, [0.0], [0.0])
+    seen.clear()
     step = kernel.step(x, lam, values, pj, r)
     jmat = kernel.newton_matrix(x, lam, values, pj)
-    assert repr(seen) == repr([(tuple(jmat), [-v for v in r])])
+    assert repr(seen) == repr([(jmat, [-v for v in r])])
     assert repr(jmat) == repr([[0.0, 0.0], [0.0, -0.0]])
     assert repr(step) == repr(min_norm_step(jmat, [-v for v in r]))
