@@ -14,9 +14,9 @@ evaluated from cached float coefficients, and the Newton system is
 solved by LU with partial pivoting.  A piece enters the cache through
 one exact, postcondition-checked prox.  The returned iterate gets one
 exact residual evaluation, and only that value decides whether the
-solve converged.  After a warm-up the kernel compiles its line search
-and its Newton step, the Newton matrix and its LU in one function; both
-sources are written by `trialsource`.
+solve converged.  A solve that stops making progress ends early
+(`stalled`): Newton-type iterates are drawn to critical multipliers and
+converge slowly near them (Izmailov and Solodov, TOP 23, 2015).
 
 `report` imports this module for a `--probe` analysis alone, so an
 exact analysis does not compile it.
@@ -155,15 +155,16 @@ class NewtonResult(FrozenRecord):
     """Outcome of one perturbed solve.  `residual_norm` is the exact
     residual at the returned float iterate, rounded to float, and
     `converged` means it is <= tol.  `reason` is "converged",
-    "no_descent" (the line search found no decrease), "max_iter",
-    "exact_check" (the float residual reached tol and the exact one did
-    not), or "overflow" (the float residual at the start, or a Newton
-    matrix, left float range; the iterate returned is the last one
-    reached).  `evaluations` counts the float residual evaluations: the
-    start and every line-search trial of `FloatKernel.line_search`,
-    whether the generic or the compiled search made it and whether its
-    running sum rejected it early; the trials left after one at the
-    iterate count too, unevaluated."""
+    "no_descent" (the line search found no decrease), "stalled" (the
+    float |R| is not below half its value _STALL_WINDOW iterations
+    earlier), "max_iter", "exact_check" (the float residual reached tol
+    and the exact one did not), or "overflow" (the float residual at the
+    start, or a Newton matrix, left float range; the iterate returned is
+    the last one reached).  `evaluations` counts the float residual
+    evaluations: the start and every line-search trial of
+    `FloatKernel.line_search`, whether or not its running sum rejected
+    it early; the trials left after one at the iterate count too,
+    unevaluated."""
 
     __slots__ = ("converged", "x", "lam", "residual_norm", "iterations",
                  "reason", "evaluations")
@@ -192,17 +193,10 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
     return norm2(r1 + r2)
 
 
-# The compiled line search and Newton step (`FloatKernel.line_search` and
-# `FloatKernel.step`).  A kernel compiles after the search in which its
-# _WARMUP-th generic trial falls: a build of a corpus system takes about as
-# long as 100 generic trials, and most probe analyses make fewer than 256
-# trials in all.  A search or step function of more than _MAX_LINES lines
-# (5,000 take about 35 ms and 15 MB to compile) is not built, and its
-# system keeps the generic search or step.  A line search makes at most
-# _TRIALS trials.
-_WARMUP = 256
-_MAX_LINES = 5000
+# A line search makes at most _TRIALS trials.  A solve whose float |R| is
+# not below half its value _STALL_WINDOW iterations earlier ends there.
 _TRIALS = 30
+_STALL_WINDOW = 10
 
 # The machine epsilon of the rank rule of `_min_norm_step`.
 _EPS = math.ldexp(1.0, -52)
@@ -228,48 +222,21 @@ class FloatKernel:
     `line_search` backtracks, damp = 1, 1/2, ..., for at most _TRIALS
     trials, and returns the first trial whose |R|^2 is below the current
     one.  A trial point equal to the iterate ends the search: its |R|^2 is
-    the current one, and every smaller damp lands there too.  After the
-    search in which the kernel's _WARMUP-th generic trial falls, it
-    compiles the whole backtracking loop, with the same float operations
-    in the same order, into one Python function
-    (`trialsource.search_source`) that runs every later search, with the
-    prox scan unrolled over the active sets reached so far and the
-    Jacobians cached so far.  A trial whose set or Jacobian is not
-    unrolled gets its prox from `prox_float` inside the function
-    (`_prox_miss`); after such a search the kernel rebuilds the function
-    if the reached sets or the Jacobians have grown.  So every bit is as
-    without it, and builds happen only between searches.  No function of
-    more than _MAX_LINES lines is built; once a rebuild would pass it, the
-    kernel keeps its last function.
+    the current one, and every smaller damp lands there too.
 
     `step` gives the Newton step: `newton_matrix` forms the generalized
     Jacobian of R, and the Newton system is solved by LU with partial
     pivoting (`_lu_solve`), or, where a pivot is exactly zero, by the
-    minimum-norm least-squares step (`_min_norm_step`).  The kernel's
-    first build also compiles a step function (`trialsource.step_source`)
-    doing the same float work in the same order, which runs every later
-    step.  It does not depend on the reached sets, so it is built once
-    (not at all past _MAX_LINES lines).
+    minimum-norm least-squares step (`_min_norm_step`).
     """
 
     def __init__(self, system: VarSystem):
         self.n, self.m = system.n, system.m
-        self.penalty = system.penalty
         self.prox_float = system.penalty.prox_float
         self.terms = (system.f._component_terms + system.phi._component_terms
                       + system.phi._jacobian_terms)
         # Df(x), then the Hessian of each Phi_i, each n x n row by row
         self.a_terms = system.f._jacobian_terms + system.phi._hessian_terms
-        # the compiled search and step, the sizes of the prox solver's
-        # reached sets and of the cached Jacobians the search was built
-        # from, whether a compiled trial has called `_prox_miss` since, and
-        # the number of trials served the generic way; no build where the
-        # polynomials and the n m lines of r1 alone pass _MAX_LINES
-        self.compiled = self.compiled_step = self.built_from = None
-        self.missed = False
-        self.generic = 0
-        small = sum(map(len, self.terms)) + self.n * self.m <= _MAX_LINES
-        self.warmup = _WARMUP if small else math.inf
 
     def residual(self, x, lam, p1, p2, cur=math.inf):
         """(values, R, |R|^2, J) at the float point (x, lam), or None once
@@ -305,12 +272,6 @@ class FloatKernel:
         trial, damp = 2^-i for i < _TRIALS, whose |R|^2 is below `cur`, or
         None when no trial is.  A trial point equal to the iterate ends the
         search with (_TRIALS, None); the trials it leaves count as made."""
-        if self.compiled is not None:
-            found = self.compiled(x, lam, step, p1, p2, cur)
-            if self.missed:
-                self._build()
-            return found
-        found = _TRIALS, None
         for i in range(_TRIALS):
             damp = math.ldexp(1.0, -i)
             # at the iterate R is the current one up to the signs of its
@@ -320,47 +281,10 @@ class FloatKernel:
                 break
             xn = [a + damp * b for a, b in zip(x, step)]
             ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
-            self.generic += 1
             out = self.residual(xn, ln, p1, p2, cur)
             if out is not None:
-                found = i + 1, (xn, ln, *out)
-                break
-        if self.generic >= self.warmup:
-            self._build()
-        return found
-
-    def _prox_miss(self, v):
-        """`prox_float(v)` for a compiled trial that the unrolled scan does
-        not finish; the kernel rebuilds after the search."""
-        self.missed = True
-        return self.prox_float(v)
-
-    def _build(self):
-        """Compile the search function, unless the prox solver's reached
-        sets and the cached Jacobians are those it was last built from or a
-        build has passed _MAX_LINES; at the first build, compile the step
-        function too."""
-        self.missed = False
-        solver = self.penalty._prox_solver
-        jacs = self.penalty._float_jacs
-        sizes = len(solver._reached), len(jacs)
-        if sizes == self.built_from or self.warmup == math.inf:
-            return
-        from .trialsource import (compile_search, compile_step, search_source,
-                                  step_source)
-
-        if self.built_from is None:  # the step does not depend on the sets
-            lines, consts = step_source(self.n, self.m, self.a_terms)
-            if len(lines) <= _MAX_LINES:
-                self.compiled_step = compile_step(lines, consts,
-                                                  _min_norm_step)
-        self.built_from = sizes
-        lines, consts = search_source(self.n, self.m, self.terms, solver,
-                                      jacs)
-        if len(lines) > _MAX_LINES:
-            self.warmup = math.inf  # it only grows: keep the last function
-            return
-        self.compiled = compile_search(lines, consts, self._prox_miss)
+                return i + 1, (xn, ln, *out)
+        return _TRIALS, None
 
     def newton_matrix(self, x, lam, values, pj):
         """The generalized Jacobian [[A, DPhi^T], [(I - J) DPhi, -J]] of R
@@ -395,8 +319,6 @@ class FloatKernel:
         """The Newton step s with jmat s = -r at (x, lam), from `values`, R
         = r and the Jacobian blocks pj that `residual` gave there, as a
         list, or None when the Newton matrix jmat is not finite."""
-        if self.compiled_step is not None:
-            return self.compiled_step(x, lam, values, pj, r)
         jmat = self.newton_matrix(x, lam, values, pj)
         if not all(map(math.isfinite, chain.from_iterable(jmat))):
             return None
@@ -538,16 +460,16 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     `FloatKernel`, every sum and product in its stated order: the prox
     value and its Jacobian come from cached exact affine pieces, and the
     Newton system is solved by LU with partial pivoting, or by minimum-norm
-    least squares where a pivot is exactly zero; once the kernel has
-    warmed up, the Newton matrix and its LU run in one compiled function
-    (`FloatKernel.step`).  Each step's line search
-    is one `FloatKernel.line_search`, which accepts the first trial whose
-    |R|^2 is below the current one and compiles its trials into one
-    function once the kernel has warmed up; a trial whose |R|^2 overflows
-    is rejected.  A start residual or a Newton matrix past float range
-    stops the solve ("overflow").  The returned iterate gets one exact
-    residual evaluation, which decides `converged`.  Reports
-    NewtonResult; never raises on stagnation.
+    least squares where a pivot is exactly zero (`FloatKernel.step`).
+    Each step's line search is one `FloatKernel.line_search`, which
+    accepts the first trial whose |R|^2 is below the current one; a trial
+    whose |R|^2 overflows is rejected.  A start residual or a Newton
+    matrix past float range stops the solve ("overflow").  At iteration
+    it >= _STALL_WINDOW, a float |R| not below half its value at
+    iteration it - _STALL_WINDOW stops it too ("stalled"); `max_iter`
+    stays the outer cap.  The returned iterate gets one exact residual
+    evaluation, which decides `converged`.  Reports NewtonResult; never
+    raises on stagnation.
     """
     kernel = system.float_kernel
     p1f = [float(v) for v in p1]
@@ -558,6 +480,7 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
     rnorm = math.inf if state is None else math.sqrt(state[2])
     evaluations = 1
     iterations, reason = max_iter, "max_iter"
+    history = []  # the float |R| at the start of each iteration
     for it in range(max_iter):
         if rnorm <= tol:
             iterations = it
@@ -565,6 +488,11 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
         if state is None:  # |R|^2 at the start is not finite
             iterations, reason = it, "overflow"
             break
+        if (it >= _STALL_WINDOW
+                and not rnorm < 0.5 * history[it - _STALL_WINDOW]):
+            iterations, reason = it, "stalled"
+            break
+        history.append(rnorm)
         values, r, rsq, pj = state
         step = kernel.step(x, lam, values, pj, r)
         if step is None:  # the Newton matrix is not finite

@@ -284,8 +284,9 @@ class StrictQpSolver:
         one that passes).  The scan does not start at the last winner: at
         a kink more than one set passes in float, and the order decides
         which piece, and so which generalized Jacobian, is used.  Each
-        inner product is `_fdot`'s.  `probe.FloatKernel` unrolls this scan,
-        over the sets reached so far, into its compiled line-search trial.
+        inner product is `_fdot`'s.  `probe.FloatKernel` runs this scan,
+        through `PlqPenalty.prox_float`, once per residual that reaches
+        the prox.
         """
         reached = self._reached
         i = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 from .errors import InternalConsistencyError
 from .problemfile import ProblemFile
@@ -243,8 +244,11 @@ def render_text(doc) -> str:
         if "probes" in pt:
             pr = pt["probes"]
             si = pr["semi_isolated"]
-            out.append("  probe (semi-isolated): modulus=%s over %d solves" % (
-                si["modulus"], len(si["records"])))
+            ended = Counter(r["newton"] for r in si["records"])
+            out.append("  probe (semi-isolated): modulus=%s over %d solves (%s)"
+                       % (si["modulus"], len(si["records"]),
+                          ", ".join("%s %d" % kv
+                                    for kv in sorted(ended.items()))))
             if "critical_ray" in pr:
                 cr = pr["critical_ray"]
                 ratios = ", ".join(str(r["ratio"]) for r in cr["records"][-5:])

@@ -1,15 +1,16 @@
 """Reference Newton probe for differential tests: the plain-Python
-definition of `plqstab.probe.solve_perturbed`, with no compiled search
-and no early exit.  Polynomials are evaluated one at a time, term by
-term, each power multiplied out; the float active-set scan restarts
-from the empty set with a per-subset map cache; every trial's residual
-is evaluated in full and compared with the current one; and the Newton
-system is solved by Gaussian elimination with partial pivoting on the
-augmented matrix, or, where a pivot is exactly zero, by the program's
-minimum-norm step (which `test_newton.py` checks against the exact
-pseudo-inverse).  `solve_perturbed` in the program must return the same
-`NewtonResult`, bit for bit, and `StrictQpSolver.solve_float` the same
-(subset, y).
+definition of `plqstab.probe.solve_perturbed`, with no early exit from
+a trial.  Polynomials are evaluated one at a time, term by term, each
+power multiplied out; the float active-set scan restarts from the empty
+set with a per-subset map cache; every trial's residual is evaluated in
+full and compared with the current one; and the Newton system is solved
+by Gaussian elimination with partial pivoting on the augmented matrix,
+or, where a pivot is exactly zero, by the program's minimum-norm step
+(which `test_newton.py` checks against the exact pseudo-inverse).  A
+solve whose |R| is not below half its value ten iterations earlier
+stops as "stalled".  `solve_perturbed` in the program must return the
+same `NewtonResult`, bit for bit, and `StrictQpSolver.solve_float` the
+same (subset, y).
 """
 
 import math
@@ -159,6 +160,7 @@ def solve_perturbed(system, p1, p2, start, tol=1e-10, max_iter=200):
     r, rsq, g, jac = float_residual(system, p1f, p2f, x, lam)
     evaluations = 1
     iterations, reason = max_iter, "max_iter"
+    norms = []
     for it in range(max_iter):
         if math.sqrt(rsq) <= tol:
             iterations = it
@@ -166,6 +168,11 @@ def solve_perturbed(system, p1, p2, start, tol=1e-10, max_iter=200):
         if not rsq < math.inf:
             iterations, reason = it, "overflow"
             break
+        # stalled: |R| not halved over the last ten iterations
+        if it >= 10 and not math.sqrt(rsq) < norms[it - 10] / 2:
+            iterations, reason = it, "stalled"
+            break
+        norms.append(math.sqrt(rsq))
         jmat = newton_matrix(system, x, lam, g, jac)
         if not all(math.isfinite(v) for row in jmat for v in row):
             iterations, reason = it + 1, "overflow"

@@ -116,6 +116,28 @@ def test_analysis_flags_propagate_and_probe_traces_emitted():
     assert probes["critical_ray"]["divergent"] is True
 
 
+def test_text_report_says_how_the_probe_solves_ended():
+    # each point's semi-isolated line counts its solves by `newton`
+    # reason, in name order, and the JSON records carry the same reasons
+    pf = parse_problem_file(corpus_path("example_3_3"))
+    doc, _ = analyze_problem(pf, probe=True)
+    lines = [line for line in render_text(doc).splitlines()
+             if line.startswith("  probe (semi-isolated):")]
+    assert lines[1] == ("  probe (semi-isolated): modulus=1.0 over 8 solves "
+                        "(converged 2, no_descent 2, stalled 4)")
+    ended = {}
+    for line, point in zip(lines, doc["points"]):
+        reasons = [r["newton"] for r in point["probes"]["semi_isolated"][
+            "records"]]
+        counts = line[line.rindex("(") + 1:-1].split(", ")
+        assert counts == ["%s %d" % (reason, reasons.count(reason))
+                          for reason in sorted(set(reasons))]
+        for reason in reasons:
+            ended[reason] = ended.get(reason, 0) + 1
+    assert len(lines) == len(doc["points"]) == 5
+    assert ended == {"converged": 13, "no_descent": 17, "stalled": 10}
+
+
 def test_renderings_expose_the_same_facts():
     pf = parse_problem_file(corpus_path("example_6_2"))
     doc, _ = analyze_problem(pf)
@@ -183,7 +205,7 @@ def test_cli_random_enlp_report_bytes_are_pinned(tmp_path, capsys):
 _PROBE_REPORT_SHA256 = {
     "example_3_2a": "f9e2a2a366d5c3cb339b59fdd97ec12ab649bd4e5c1aff7b9b5ee442ffa53838",
     "example_3_2b": "ea5b154d1d91e90023e0c658f9b5fd1f94314ef11d3cce6b5b44fcf992b6025e",
-    "example_3_3": "0f3241de6bcd214d18e6c2ba22862d26e4779f121809bb198607532e634be669",
+    "example_3_3": "9ed572981ec5028c2097cfc599ab09479b04fdb6c187504dc9ac1300c1e84c7e",
     "example_4_4": "29123936943eb2686ac5e1a28e847a76e64cfdc53129b487f1b6e9a9db982bf8",
     "example_6_2": "af9474efb24ade988d63d5997264b9d646a0db69795fd2c773651ab4d58660e4",
 }
@@ -191,7 +213,7 @@ _PROBE_REPORT_SHA256 = {
 # sha256 over the concatenated `--probe --report json` outputs of
 # random-enlp pools 1-3, five problems each, in pool order.
 _RANDOM_ENLP_PROBE_REPORTS_SHA256 = (
-    "266ffa3515f26656504a8778fb798db9044b4852550811cf5b76a94feec7a36e")
+    "5f3803afccee0561b8f87bab0a1c168a95061b01fde13fa52b7e79ffa30ab7e6")
 
 def test_cli_probe_report_bytes_are_pinned(capsys):
     assert sorted(_PROBE_REPORT_SHA256) == sorted(corpus_names())

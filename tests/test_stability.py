@@ -354,8 +354,8 @@ def test_probe_newton_work_on_example_3_3():
     # solve stopped.  Pinned in a fresh interpreter, as the exact-prox pin.
     out = subprocess.run([sys.executable, "-c", _PROBE_NEWTON_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["40", "1966", "28058", "converged=15",
-                                  "max_iter=7", "no_descent=18"]
+    assert out.stdout.split() == ["40", "148", "2161", "converged=13",
+                                  "no_descent=17", "stalled=10"]
 
 
 _FORGED_PROX_SCRIPT = """
