@@ -519,8 +519,11 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
     """Solve a deterministic family of perturbed systems and record the
     ratio (|x - xbar| + dist(lam, multipliers)) / (|p1| + |p2|).
 
-    Returns (ProbeTrace, estimated modulus).  Non-converged solves are
-    recorded with NaN lhs and excluded from the modulus.
+    Returns (ProbeTrace, estimated modulus).  Non-converged solves,
+    stalled ones included, are recorded with NaN lhs and excluded from
+    the modulus.  Near a critical multiplier the solves converge slowly
+    and stall, so a low modulus beside stalled records does not show
+    stability.
     """
     import random as _random
 

@@ -163,12 +163,13 @@ def _r1_sum(n, r):
 
 def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
     # Every line-search trial of the default-grid probes of the corpus and
-    # of random-enlp pool seed 1, evaluated in full by the reference:
-    # every trial the search rejected has a full |R|^2 not below the
-    # current one (at the iterate, equal to it), the one it returned is
-    # below it and is the reference's to the last bit, and each is counted
-    # by the first rule that rejects it in the search's order: the
-    # iterate, the running sum after r1, or the full sum.
+    # of random-enlp pool seeds 1-3, and of the corpus points' semi-isolated
+    # probes over 16 directions at direction seeds 1-8, evaluated in full
+    # by the reference: every trial the search rejected has a full |R|^2
+    # not below the current one (at the iterate, equal to it), the one it
+    # returned is below it and is the reference's to the last bit, and
+    # each is counted by the first rule that rejects it in the search's
+    # order: the iterate, the running sum after r1, or the full sum.
     searches = []
     line_search = FloatKernel.line_search
 
@@ -179,12 +180,20 @@ def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
 
     monkeypatch.setattr(FloatKernel, "line_search", recorded)
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
-    files += [parse_problem_doc(doc) for _, doc in random_enlp_docs(1, 5)]
+    files += [parse_problem_doc(doc)
+              for seed in (1, 2, 3) for _, doc in random_enlp_docs(seed, 5)]
     systems = {}
     for pf in files:
         analyze_problem(pf, probe=True)
         system = _system(pf)
         systems[system.float_kernel] = system
+    for name in corpus_names():
+        pf = parse_problem_file(corpus_path(name))
+        system = _system(pf)
+        systems[system.float_kernel] = system
+        for seed in range(1, 9):
+            for x, lam in pf.points:
+                probe.semi_isolated_probe(system, x, lam, grid=16, seed=seed)
     monkeypatch.undo()
     tags = {"iterate": 0, "r1": 0, "full": 0, "accepted": 0}
     for kernel, (x, lam, step, p1, p2, cur), (trials, best) in searches:
@@ -211,9 +220,9 @@ def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
             assert not at_iterate or rsq == cur
             tags["iterate" if at_iterate else
                  "r1" if not _r1_sum(n, r) < cur else "full"] += 1
-    assert sum(tags.values()) > 3000
-    assert (tags["iterate"] > 500 and tags["r1"] > 1000
-            and tags["full"] > 500 and tags["accepted"] > 200), tags
+    assert sum(tags.values()) > 20000
+    assert (tags["iterate"] > 500 and tags["r1"] > 10000
+            and tags["full"] > 5000 and tags["accepted"] > 1000), tags
 
 
 def _adversarial(rng):
