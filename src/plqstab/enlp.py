@@ -205,9 +205,10 @@ class EnlpProblem:
     # -- stability of the KKT solution map ----------------------------------------------
     def isolated_calmness_skkt(self, x, lam) -> bool:
         """Graphical-derivative criterion: the linearized KKT system
-        admits only the zero direction pair."""
+        admits only the zero direction pair: the verdict is noncritical,
+        and none of the face systems it solved has a generator."""
         ctx = self._require_kkt(x, lam)
-        return nontrivial_over(ctx.face_systems, range(self.n + self.m)) is None
+        return not ctx.criticality.critical and not any(ctx.face_solutions)
 
     def lipschitz_like_skkt(self, x, lam) -> bool:
         """Coderivative criterion: only the zero pair satisfies the

@@ -115,9 +115,11 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
                        verdict: CriticalityVerdict, t_grid=None) -> ProbeTrace:
     """Walk (xbar + t xi, lam_bar + t eta) along a critical witness.
 
-    Each step is verified exactly to solve the canonically perturbed
+    Each grid point is checked exactly to solve the canonically perturbed
     system with perturbations p1 = Psi(x_t, lam_t) and
-    p2 = z_t - Phi(x_t), z_t the linearization of Phi; the recorded
+    p2 = z_t - Phi(x_t), z_t the linearization of Phi.  The witness is
+    tangent to the subgradient graph, so every small t passes, a coarse
+    one may not: only passing points are recorded, and none raises.  The
     ratio |x_t - xbar| / (|p1| + |p2|) blows up when the multiplier is
     critical.  A perturbation that vanishes exactly yields an infinite
     ratio (the ray consists of unperturbed solutions)."""
@@ -139,8 +141,7 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
         p2 = vsub(zt, system.phi.eval(xt))
         # exact membership in the perturbed solution set
         if not system.penalty.subdiff_contains(vadd(system.phi.eval(xt), p2), lt):
-            raise InternalConsistencyError(
-                "ray point left the perturbed solution set; shrink the grid")
+            continue
         move = norm2(vsub(xt, xbar))
         pert = norm2(p1) + norm2(p2)
         ratio = move / pert if pert > 0 else math.inf
@@ -148,6 +149,9 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
                                    p2=to_float_vec(p2), x=to_float_vec(xt),
                                    lam=to_float_vec(lt), lhs=move, rhs=pert,
                                    ratio=ratio))
+    if not records:
+        raise InternalConsistencyError(
+            "no ray point lies in the perturbed solution set; shrink the grid")
     return ProbeTrace(records)
 
 

@@ -17,12 +17,12 @@ polar of a face difference F1 - F2, whose rows `polyhedra.difference_polar`
 reads off F1's generators and F2's span.  Criticality and isolated
 calmness take C = F with polar(K - F) = polar(K) cap F-perp, dual
 qualification takes the same face systems at xi = 0, and, in `enlp`,
-the coderivative test takes C = F1 - F2.  `nontrivial_over` decides a
-family of such homogeneous systems, each by double description on the
-kernel of its equality rows (Fukuda and Prodon, 1996), with no LP; the
-basic qualification makes that decision too.  Only a critical verdict
-solves LPs: its witness maximizes the tested coordinates of the first
-nontrivial face system under a box normalization.
+the coderivative test takes C = F1 - F2.  `_solutions` gives the
+generators of a system's solution cone by double description on the
+kernel of its equality rows (Fukuda and Prodon, 1996), with no LP, and
+`nontrivial_over` decides a family of systems from them.  Criticality
+keeps the generators of the face systems it walks: its witness is one of
+them, and isolated calmness is read off them too.
 
 Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
 `VarSystem.point`: one solution check, each per-point object built once.
@@ -40,7 +40,6 @@ from functools import cached_property
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
-from .lp import LpOptimal, lp_max_each
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         critical_cone, difference_polar, normal_cone)
 from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
@@ -124,43 +123,20 @@ def _linearized_system(ctx, eta_rows, polar_rows):
     return n + m, a_eq, a_ub
 
 
-def _nontrivial_point(nvars, a_eq, a_ub, coords):
-    """A point of the system (nvars, a_eq, a_ub) with some coordinate in
-    `coords` nonzero, or None.
-
-    Maximizes each tested coordinate under the box |coord| <= 1 (the
-    solution set is a cone, so any nonzero value rescales to the box), one
-    phase 1 for all of them, and stops at the first positive maximum.
-    """
-    box_ub = list(a_ub)
-    for j in coords:
-        for s in (ONE, -ONE):
-            row = [ZERO] * nvars
-            row[j] = s
-            box_ub.append(tuple(row))
-    box_rhs = [ZERO] * len(a_ub) + [ONE] * (len(box_ub) - len(a_ub))
-    objectives = (tuple(sign if k == j else ZERO for k in range(nvars))
-                  for j in coords for sign in (ONE, -ONE))
-    b_eq = [ZERO] * len(a_eq)
-    for out in lp_max_each(objectives, box_ub, box_rhs, a_eq, b_eq):
-        if isinstance(out, LpOptimal) and out.value > 0:
-            return out.point
-    return None
-
-
-def _is_nontrivial(nvars, a_eq, a_ub, coords) -> bool:
-    """Does {v : a_eq v = 0, a_ub v <= 0} hold a point nonzero in `coords`?
+def _solutions(nvars, a_eq, a_ub):
+    """Generators of the cone {v : a_eq v = 0, a_ub v <= 0}: the set is
+    their conic hull, and it is {0} when there are none.
 
     With N a basis of the kernel of the eq rows (the identity without eq
     rows), the set is N applied to the cone {z : (a_ub N) z <= 0}, whose
-    lineality basis and extreme rays come from double description.  The
-    set is nonzero in a coordinate iff one of those generators, lifted by
-    N, is.  Every lifted generator is checked against the unreduced rows.
+    lineality basis and extreme rays come from double description; each
+    is lifted by N, and every lifted generator is checked against the
+    unreduced rows.
     """
     if a_eq:
         basis = [primitive(g) for g in kernel_basis(a_eq)]
         if not basis:
-            return False
+            return []
     else:
         basis = [tuple(ONE if i == j else ZERO for j in range(nvars))
                  for i in range(nvars)]
@@ -174,23 +150,38 @@ def _is_nontrivial(nvars, a_eq, a_ub, coords) -> bool:
         if any(vdot(a, v) != 0 for a in a_eq) or any(vdot(a, v) > 0 for a in a_ub):
             raise InternalConsistencyError(
                 "lifted kernel generator leaves its system")
-    return any(v[j] != 0 for v in lifted for j in coords)
+    return lifted
+
+
+def _witness(gens, coords):
+    """The point `nontrivial_over` describes, or None."""
+    for j in coords:
+        v = (next((v for v in gens if v[j] > 0), None)
+             or next((v for v in gens if v[j] < 0), None))
+        if v is not None:
+            scale = max(abs(v[k]) for k in coords)
+            return tuple(a / scale for a in v)
+    return None
 
 
 def nontrivial_over(systems, coords):
-    """Index of the first homogeneous system with a point that is nonzero
-    in one of the coordinates `coords`, or None when every system vanishes
-    there.
+    """(index, point) of the first homogeneous system with a point that is
+    nonzero in one of the coordinates `coords`, or None when every system
+    vanishes there.
 
     Each system is (nvars, eq rows, le rows): {v : <a, v> = 0 for the eq
     rows, <a, v> <= 0 for the le rows}.  Systems are decided in order, each
-    by double description on the kernel of its eq rows (`_is_nontrivial`),
-    with no LP, and the iterable is read no further than the first hit, so
-    a lazy iterable builds no system past it.
+    by double description on the kernel of its eq rows (`_solutions`), with
+    no LP, and the iterable is read no further than the first hit, so a
+    lazy iterable builds no system past it.  The point is one of the hit's
+    generators (`_witness`): positive, else negative, in the first tested
+    coordinate where a generator is nonzero, scaled to max |v_j| = 1 over
+    the tested coordinates.
     """
-    for index, (nvars, a_eq, a_ub) in enumerate(systems):
-        if _is_nontrivial(nvars, a_eq, a_ub, coords):
-            return index
+    for index, system in enumerate(systems):
+        point = _witness(_solutions(*system), coords)
+        if point is not None:
+            return index, point
     return None
 
 
@@ -294,19 +285,20 @@ class PointContext:
 
     @cached_property
     def criticality(self) -> CriticalityVerdict:
+        """Keeps the generators of each face system it solves, every face's
+        when noncritical, in `face_solutions`."""
         n, faces = self.system.n, self.faces
-        index = nontrivial_over(self.face_systems, range(n))
-        if index is None:
-            return CriticalityVerdict(critical=False, face_count=len(faces))
-        point = _nontrivial_point(*self.face_systems[index], range(n))
-        if point is None:
-            raise InternalConsistencyError(
-                "the witness LP finds no point on a nontrivial face system")
-        xi, eta = tuple(point[:n]), tuple(point[n:])
-        _assert_witness(self, xi, eta)
-        return CriticalityVerdict(critical=True, xi=xi, eta=eta,
-                                  face_tight=faces[index].tight,
-                                  face_count=len(faces))
+        self.face_solutions = []
+        for index, system in enumerate(self.face_systems):
+            self.face_solutions.append(_solutions(*system))
+            point = _witness(self.face_solutions[-1], range(n))
+            if point is not None:
+                xi, eta = point[:n], point[n:]
+                _assert_witness(self, xi, eta)
+                return CriticalityVerdict(critical=True, xi=xi, eta=eta,
+                                          face_tight=faces[index].tight,
+                                          face_count=len(faces))
+        return CriticalityVerdict(critical=False, face_count=len(faces))
 
     @cached_property
     def dqc(self) -> bool:

@@ -22,6 +22,7 @@ import plqstab.linalg as linalg
 from plqstab import (ProblemFileError, analyze_problem, corpus_names,
                      corpus_path, parse_problem_file, render_json, render_text)
 from plqstab.cli import main as cli_main
+from plqstab.errors import InternalConsistencyError
 from plqstab.exprparse import MAX_NESTING, ParseError
 from plqstab.problemfile import (MAX_DIMENSION, MAX_PROBE_GRID,
                                  parse_problem_doc)
@@ -234,6 +235,30 @@ def test_cli_random_enlp_probe_report_bytes_are_pinned(tmp_path, capsys):
                              "json"]) == 0
             digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == _RANDOM_ENLP_PROBE_REPORTS_SHA256
+
+
+def test_cli_ray_probe_records_only_ray_points_inside_the_set(tmp_path,
+                                                             capsys):
+    # enlp_22_002's critical ray, xi = (1, 1/2) and eta = (-5, -5/2), is
+    # outside the perturbed solution set at t = 1/2 and 1/4 and inside
+    # from t = 1/8 on: the probe records those grid points and exits 0.
+    name, doc = random_enlp_docs(22, 5)[2]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps(doc))
+    assert cli_main(["analyze", str(path), "--probe", "--report",
+                     "json"]) == 0
+    (point,) = json.loads(capsys.readouterr().out)["points"]
+    assert point["criticality"]["witness"]["xi"] == ["1", "1/2"]
+    assert point["criticality"]["witness"]["eta"] == ["-5", "-5/2"]
+    records = point["probes"]["critical_ray"]["records"]
+    assert [r["t"] for r in records] == [2.0 ** -k for k in range(3, 11)]
+    # A grid with no point inside the set leaves nothing to record.
+    pf = parse_problem_doc(doc, name_hint=name)
+    system, ((x, lam),) = pf.problem.to_varsys(), pf.points
+    verdict = plqstab.classify_multiplier(system, x, lam)
+    with pytest.raises(InternalConsistencyError, match="no ray point"):
+        plqstab.critical_ray_probe(system, x, lam, verdict,
+                                   t_grid=["1/2", "1/4"])
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_bcq_decisions_of_one_robust_ic_report(monkeypatch):
     from plqstab import EnlpProblem
 
     per_call, inside = [], []
-    bcq, is_nontrivial = EnlpProblem.bcq_holds, stability._is_nontrivial
+    bcq, solutions = EnlpProblem.bcq_holds, stability._solutions
 
     def counted_bcq(self, x):
         per_call.append(0)
@@ -240,10 +240,10 @@ def test_bcq_decisions_of_one_robust_ic_report(monkeypatch):
     def counted_decision(*args):
         if inside:
             per_call[-1] += 1
-        return is_nontrivial(*args)
+        return solutions(*args)
 
     monkeypatch.setattr(EnlpProblem, "bcq_holds", counted_bcq)
-    monkeypatch.setattr(stability, "_is_nontrivial", counted_decision)
+    monkeypatch.setattr(stability, "_solutions", counted_decision)
     quad_cost_enlp(2).robust_ic_report((0, 0), (0, 0))
     assert per_call == [1, 0]
 

@@ -13,8 +13,8 @@ import plqstab.linalg as linalg
 import plqstab.lp as lp
 from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
                      Polyhedron, Polynomial, QpInfeasible, QpOptimal,
-                     QpUnbounded, RatMatrix, identity, lp_max, lp_solve,
-                     psd_check, qp_solve, rat)
+                     QpUnbounded, RatMatrix, corpus_names, identity, lp_max,
+                     lp_solve, psd_check, qp_solve, rat)
 from plqstab.lp import lp_max_each
 from plqstab.errors import InternalConsistencyError
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
@@ -471,7 +471,7 @@ import plqstab.qp as qp
 import plqstab.rational as rational
 import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_path, parse_problem_file
-pf = parse_problem_file(corpus_path("example_6_2"))
+pf = parse_problem_file(corpus_path(sys.argv[1]))
 counts = {"outcomes": 0, "tableaux": 0, "pivots": 0, "projecting": 0,
           "active_sets": 0, "systems": 0, "trivial_kernels": 0, "hits": 0,
           "rref": 0, "vdot": 0, "qp_solve": 0}
@@ -511,17 +511,17 @@ def counted_try_subset(self, subset, c):
     if counts["projecting"]:
         counts["active_sets"] += 1
     return try_subset(self, subset, c)
-is_nontrivial, kernel_basis = stability._is_nontrivial, stability.kernel_basis
-def counted_is_nontrivial(*args):
+solutions, kernel_basis = stability._solutions, stability.kernel_basis
+def counted_solutions(*args):
     counts["systems"] += 1
-    hit = is_nontrivial(*args)
-    counts["hits"] += hit
-    return hit
+    gens = solutions(*args)
+    counts["hits"] += bool(gens)
+    return gens
 def counted_kernel_basis(a_eq):
     basis = kernel_basis(a_eq)
     counts["trivial_kernels"] += not basis
     return basis
-stability._is_nontrivial = counted_is_nontrivial
+stability._solutions = counted_solutions
 stability.kernel_basis = counted_kernel_basis
 lp._solve_each = counted_solve_each
 lp._Tableau.__init__ = counted_init
@@ -536,35 +536,45 @@ print(counts["outcomes"], counts["tableaux"], counts["pivots"],
 
 
 @functools.lru_cache(maxsize=None)
-def _example_6_2_work_counts():
+def _work_counts(name):
     # A fresh interpreter: the polyhedra memo tables change the counts
     # once they are warm.
-    out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT],
+    out = subprocess.run([sys.executable, "-c", _WORK_COUNTER_SCRIPT, name],
                          capture_output=True, text=True, check=True)
     return out.stdout.split()
 
 
 def test_lp_work_counts_on_example_6_2():
     # LP outcomes, tableaux built (one phase 1 each) and pivots, the
-    # artificial pivot-out step included.  No nontriviality system solves
-    # an LP: example_6_2's multiplier is noncritical, so no witness either.
-    # The SOSC face regions solve none either (generators, no projection).
+    # artificial pivot-out step included.  No nontriviality system or
+    # criticality witness solves an LP.  The SOSC face regions solve none either (generators, no projection).
     # Y, the multiplier set and the three normal cones the error-bound
     # table projects onto contain the origin, so their emptiness needs no
     # LP.  The point's theta QP has a positive definite B, so it has no
     # descent ray to look for, and the analysis solves no LP at all.
-    assert _example_6_2_work_counts()[:3] == ["0", "0", "0"]
+    assert _work_counts("example_6_2")[:3] == ["0", "0", "0"]
+
+
+def test_lp_outcomes_of_fresh_corpus_analyses():
+    # Criticality and its witness solve no LP, critical or not.  What is
+    # left on example_3_3 and example_4_4 is the theta QP's descent-ray
+    # LP, its singular KKT LP and the multiplier set's implicit equality
+    # rows, one each.
+    assert {name: _work_counts(name)[0] for name in corpus_names()} == {
+        "example_3_2a": "0", "example_3_2b": "0", "example_3_3": "3",
+        "example_4_4": "3", "example_6_2": "0"}
 
 
 def test_projection_active_sets_on_example_6_2():
     # Active sets the exact projections try before one is certified.
-    assert _example_6_2_work_counts()[3] == "18"
+    assert _work_counts("example_6_2")[3] == "18"
 
 
 def test_nontriviality_systems_on_example_6_2():
-    # Homogeneous systems decided by double description, those whose eq
-    # rows leave only the zero kernel, and those found nontrivial.
-    assert _example_6_2_work_counts()[4:7] == ["22", "11", "0"]
+    # Homogeneous systems solved by double description, those whose eq
+    # rows leave only the zero kernel, and those with a nonzero solution.
+    # Isolated calmness reads the face systems that criticality solved.
+    assert _work_counts("example_6_2")[4:7] == ["18", "10", "0"]
 
 
 def test_exact_kernel_calls_on_example_6_2():
@@ -573,13 +583,13 @@ def test_exact_kernel_calls_on_example_6_2():
     # each row of a polar is mapped to (G^T h, -B h) once per point.  A
     # strict QP solver picks its equality basis with one elimination, and
     # ranks an active set only when its bordered system is singular.
-    assert _example_6_2_work_counts()[7:9] == ["94", "821"]
+    assert _work_counts("example_6_2")[7:9] == ["90", "779"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():
     # The solution check's Fenchel cross-check and the multiplier set's
     # subdifferential share one exact theta QP at Phi(xbar).
-    assert _example_6_2_work_counts()[9] == "1"
+    assert _work_counts("example_6_2")[9] == "1"
 
 
 _FORGED_DUALS_SCRIPT = """

@@ -15,12 +15,12 @@ import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_names, corpus_path, parse_problem_file
 from plqstab.linalg import kernel_basis
 from plqstab.problemfile import parse_problem_doc
-from plqstab.rational import rat
+from plqstab.rational import rat, vdot
 from support import random_enlp_docs
 
 
 def _recorded_families(monkeypatch, problem_files):
-    """(systems, coords, index) of every `nontrivial_over` call the analyses
+    """(systems, coords, result) of every `nontrivial_over` call the analyses
     of `problem_files` make, with the systems read in full."""
     calls = []
     nontrivial_over = stability.nontrivial_over
@@ -38,26 +38,83 @@ def _recorded_families(monkeypatch, problem_files):
     return calls
 
 
-def _assert_matches_reference(systems, coords, index):
-    assert index == nontrivial_reference.nontrivial_over(systems, coords)
+def _assert_solution(system, coords, point):
+    """`point` solves `system`, and max |v_j| over `coords` is 1."""
+    nvars, a_eq, a_ub = system
+    assert len(point) == nvars
+    assert all(vdot(a, point) == 0 for a in a_eq)
+    assert all(vdot(a, point) <= 0 for a in a_ub)
+    assert max(abs(point[j]) for j in coords) == 1
+
+
+def _assert_matches_reference(systems, coords, found, same_point=False):
+    """`found`, the (index, point) or None of the family, has the LP
+    reference's index (and point, with `same_point`), and so has each
+    system alone; each point solves its system and is scaled to 1 in
+    `coords`."""
+    want = nontrivial_reference.nontrivial_over(systems, coords)
+    assert (found is None) == (want is None)
+    if found is not None:
+        assert found[0] == want[0] and (found == want or not same_point)
+        _assert_solution(systems[found[0]], coords, found[1])
     for system in systems:
-        assert (stability.nontrivial_over([system], coords)
-                == nontrivial_reference.nontrivial_over([system], coords))
+        got = stability.nontrivial_over([system], coords)
+        assert ((got is None)
+                == (nontrivial_reference.nontrivial_over([system], coords)
+                    is None))
+        if got is not None:
+            _assert_solution(system, coords, got[1])
+
+
+def _criticality_walks(problem_files):
+    """(face systems, n, m, (index, witness) or None, isolated calmness or
+    None off an ENLP) at each solution point of `problem_files`, read from
+    the point contexts their analyses left."""
+    for pf in problem_files:
+        problem = pf.problem
+        system = getattr(problem, "to_varsys", lambda: problem)()
+        for x, lam in pf.points:
+            ctx = system.point(x, lam)
+            if not ctx.solves:
+                continue
+            verdict, index = ctx.criticality, len(ctx.face_solutions) - 1
+            found = None
+            if verdict.critical:
+                assert ctx.faces[index].tight == verdict.face_tight
+                found = index, verdict.xi + verdict.eta
+            calm = (problem.isolated_calmness_skkt(x, lam)
+                    if isinstance(problem, enlp.EnlpProblem) else None)
+            yield ctx.face_systems, system.n, system.m, found, calm
 
 
 def test_analysis_systems_match_the_lp_reference(monkeypatch):
     # Every system of the corpus analyses and of random-enlp pool seeds
     # 1-3: the same first hit as a family, the same verdict one by one.
+    # Criticality and isolated calmness read the face systems solved once:
+    # each criticality witness is the LP reference's point, and isolated
+    # calmness holds iff the reference finds no point over (xi, eta).
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     files += [parse_problem_doc(doc) for seed in (1, 2, 3)
               for _, doc in random_enlp_docs(seed, 10)]
     calls = _recorded_families(monkeypatch, files)
+    for family, coords, found in calls:
+        _assert_matches_reference(family, coords, found)
     systems = [s for family, _, _ in calls for s in family]
+    witnesses = calm_verdicts = 0
+    for family, n, m, found, calm in _criticality_walks(files):
+        _assert_matches_reference(family, range(n), found, same_point=True)
+        systems += family
+        witnesses += found is not None
+        if calm is not None:
+            everywhere = stability.nontrivial_over(family, range(n + m))
+            _assert_matches_reference(family, range(n + m), everywhere)
+            assert calm == (everywhere is None)
+            systems += family
+            calm_verdicts += calm
     assert len(systems) >= 200
     assert any(not kernel_basis(a_eq) for _, a_eq, _ in systems if a_eq)
-    assert {index is None for _, _, index in calls} == {True, False}
-    for family, coords, index in calls:
-        _assert_matches_reference(family, coords, index)
+    assert {found is None for _, _, found in calls} == {True, False}
+    assert witnesses >= 4 and calm_verdicts >= 20, (witnesses, calm_verdicts)
 
 
 def _criterion_systems(monkeypatch, criterion):
@@ -81,8 +138,8 @@ def _criterion_systems(monkeypatch, criterion):
 def _assert_same_verdicts(got, want, coords):
     assert len(got) == len(want)
     for new, old in zip(got, want):
-        assert (stability.nontrivial_over([new], coords)
-                == stability.nontrivial_over([old], coords))
+        assert ((stability.nontrivial_over([new], coords) is None)
+                == (stability.nontrivial_over([old], coords) is None))
     return sum(stability.nontrivial_over([new], coords) is not None
                for new in got)
 
@@ -214,8 +271,7 @@ sys.exit(main(["analyze", corpus_path(%r)]))
 """
 
 # Reversed extreme rays leave their cone, and generators of the whole
-# space leave the kernel of the eq rows; an LP that finds no point on a
-# system double description calls nontrivial cannot give a witness.
+# space leave the kernel of the eq rows.
 _FORGERIES = {
     "kernel": ("""
 def forged(a_eq):
@@ -230,9 +286,6 @@ def forged(rows, dim):
     return lin, tuple(tuple(-v for v in r) for r in rays)
 stability._cone_generators = forged
 """, "example_4_4", "lifted kernel generator leaves its system"),
-    "witness": ("""
-stability._nontrivial_point = lambda *args: None
-""", "example_3_2b", "the witness LP finds no point"),
 }
 
 

@@ -398,11 +398,11 @@ from plqstab import corpus_path
 from plqstab.cli import main
 if not sys.flags.optimize:
     sys.exit(3)
-nontrivial_point = stability._nontrivial_point
-def forged(*args):
-    point = nontrivial_point(*args)
+witness = stability._witness
+def forged(gens, coords):
+    point = witness(gens, coords)
     return None if point is None else tuple(v + 1 for v in point)
-stability._nontrivial_point = forged
+stability._witness = forged
 sys.exit(main(["analyze", corpus_path("example_4_4")]))
 """
 
