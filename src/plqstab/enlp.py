@@ -45,8 +45,7 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, reduce_lineality, solve_general
 from .lp import lp_feasible_point
 from .plq import PlqPenalty
-from .polyhedra import (PolyCone, Polyhedron, _cone_generators,
-                        face_differences, normal_cone)
+from .polyhedra import PolyCone, Polyhedron, _cone_generators, face_differences
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
 from .rational import ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vsub
@@ -155,13 +154,14 @@ class EnlpProblem:
         if x not in self._bcq:
             phix = self.phi.eval(x)
             dom = self.penalty.domain_cone
-            if not dom.contains(phix):
+            tight = dom.tight_rows(phix)
+            if tight is None:
                 raise ValueError("base point is infeasible for the penalty domain")
             gmat = self.phi.jacobian_at(x)
             a_eq = [tuple(gmat.rows[i][j] for i in range(self.m))
                     for j in range(self.n)]  # DPhi^T v = 0
             # v in the normal cone of the domain
-            a_ub = list(normal_cone(dom.as_polyhedron, phix).rows)
+            a_ub = list(dom.normal_cone_of(tight).rows)
             self._bcq[x] = nontrivial_over([(self.m, a_eq, a_ub)],
                                            range(self.m)) is None
         return self._bcq[x]

@@ -34,7 +34,7 @@ from functools import cached_property
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
 from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
-                        face_differences, fm_project, normal_cone)
+                        face_differences, fm_project)
 from .qp import (QpOptimal, QpUnbounded, StrictQpSolver, _fdot, _subsets,
                  qp_solve)
 from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
@@ -195,11 +195,10 @@ class PlqPenalty:
         """
         u = tuple(rat(v) for v in u)
         lam = tuple(rat(v) for v in lam)
-        if not self.Y.contains(lam):
+        nc = self._normal_cone_at(lam)
+        if nc is None:
             return False
-        resid = vsub(u, self.B.matvec(lam))
-        nc = normal_cone(self.Y, lam)
-        result = nc.contains(resid)
+        result = nc.contains(vsub(u, self.B.matvec(lam)))
         val = self.theta(u)
         fenchel = val.is_finite and \
             val.value == vdot(lam, u) - vdot(lam, self.B.matvec(lam)) / 2
@@ -211,10 +210,10 @@ class PlqPenalty:
     def inverse_subdiff(self, lam) -> Polyhedron:
         """{u : lam in subdiff(u)} = B lam + N_Y(lam); empty off Y."""
         lam = tuple(rat(v) for v in lam)
-        if not self.Y.contains(lam):
+        nc = self._normal_cone_at(lam)
+        if nc is None:
             return Polyhedron.empty(self.m)
         shift = self.B.matvec(lam)
-        nc = normal_cone(self.Y, lam)
         rows = nc.rows
         rhs = [vdot(r, shift) for r in rows]
         return Polyhedron(rows, rhs).with_dim(self.m)
@@ -225,10 +224,15 @@ class PlqPenalty:
         onto the normal cone, one memoized cone per tight set of Y."""
         u = tuple(rat(v) for v in u)
         lam = tuple(rat(v) for v in lam)
-        if not self.Y.contains(lam):
+        nc = self._normal_cone_at(lam)
+        if nc is None:
             return None
-        cone = normal_cone(self.Y, lam).as_polyhedron
-        return cone.project_point(vsub(u, self.B.matvec(lam)))[1]
+        return nc.project_point(vsub(u, self.B.matvec(lam)))[1]
+
+    def _normal_cone_at(self, lam):
+        """N_Y(lam) from one pass over the rows of Y, or None off Y."""
+        tight = self.Y.tight_rows(lam)
+        return None if tight is None else self.Y.normal_cone_of(tight)
 
     # -- proximal map ---------------------------------------------------------------
     @cached_property
@@ -250,8 +254,8 @@ class PlqPenalty:
         ystar, subset = self._prox_solver.solve(tuple(-v for v in x),
                                                   with_subset=True)
         p = vsub(x, ystar)
-        resid = vsub(p, self.B.matvec(ystar))
-        if not (self.Y.contains(ystar) and normal_cone(self.Y, ystar).contains(resid)):
+        nc = self._normal_cone_at(ystar)
+        if nc is None or not nc.contains(vsub(p, self.B.matvec(ystar))):
             raise InternalConsistencyError("proximal identity failed")
         return (p, subset) if with_subset else p
 
@@ -329,7 +333,7 @@ class PlqPenalty:
 
     def restricted(self, cone: PolyCone) -> "PlqPenalty":
         """The penalty with Y replaced by a cone (same B)."""
-        return PlqPenalty(cone.as_polyhedron, self.B)
+        return PlqPenalty(cone, self.B)
 
     def second_subderivative(self, zbar, lam, u) -> ExtReal:
         """Twice the restricted penalty of the critical cone at (zbar, lam)."""

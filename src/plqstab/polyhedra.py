@@ -91,7 +91,7 @@ class Polyhedron:
             self._dim = d
         else:
             self._dim = None
-        self._normal_cones = {}  # tight row set -> normal cone (`normal_cone`)
+        self._normal_cones = {}  # tight row set -> normal cone (`normal_cone_of`)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -147,14 +147,30 @@ class Polyhedron:
         return all(vdot(b, y) <= a for b, a in zip(self.b, self.alpha))
 
     def tight_rows(self, y):
+        """Indices of the rows tight at y, or None when y violates a row:
+        membership and the active set in one pass over the rows."""
         y = tuple(rat(v) for v in y)
-        return frozenset(i for i in range(len(self.b))
-                         if vdot(self.b[i], y) == self.alpha[i])
+        if self._dim is not None and len(y) != self._dim:
+            raise ValueError("point dimension mismatch")
+        tight = []
+        for i, (b, a) in enumerate(zip(self.b, self.alpha)):
+            s = vdot(b, y)
+            if s > a:
+                return None
+            if s == a:
+                tight.append(i)
+        return frozenset(tight)
+
+    def normal_cone_of(self, tight) -> "PolyCone":
+        """The cone generated by the rows in `tight`, one per tight set:
+        the normal cone at every point whose tight rows those are."""
+        if tight not in self._normal_cones:
+            self._normal_cones[tight] = PolyCone.from_generators(
+                (), [self.b[i] for i in sorted(tight)], self.dim)
+        return self._normal_cones[tight]
 
     def active_set(self, y) -> "Face":
-        if not self.contains(y):
-            raise ValueError("active set requested at an exterior point")
-        tight = self.tight_rows(y)
+        tight = _tight_or_raise(self, y, "active set")
         rows = list(self.b) + [tuple(-v for v in self.b[i]) for i in sorted(tight)]
         rhs = list(self.alpha) + [-self.alpha[i] for i in sorted(tight)]
         return Face(tight=tight, piece=Polyhedron(rows, rhs).with_dim(self.dim))
@@ -258,8 +274,9 @@ class Face(FrozenRecord):
         set_field(self, "piece", piece)
 
 
-class PolyCone:
-    """Polyhedral cone {x : <b_i, x> <= 0} with lazy generators.
+class PolyCone(Polyhedron):
+    """Polyhedral cone {x : <b_i, x> <= 0}: a polyhedron whose right-hand
+    sides are all zero, with lazy generators.
 
     The generator form (lineality basis + extreme rays modulo lineality)
     is produced by double description and memoized per canonical
@@ -269,61 +286,29 @@ class PolyCone:
     """
 
     def __init__(self, rows, dim=None):
-        canon = []
-        seen = set()
-        for r in rows:
-            c = primitive(tuple(rat(v) for v in r))
-            if is_zero_vec(c):
-                continue
-            if c not in seen:
-                seen.add(c)
-                canon.append(c)
-        self.rows = tuple(canon)
-        if self.rows:
-            d = len(self.rows[0])
-            if any(len(r) != d for r in self.rows):
-                raise ValueError("inconsistent row dimensions")
-            self._dim = d
-        else:
-            self._dim = dim
+        rows = list(rows)
+        super().__init__(rows, (ZERO,) * len(rows))
         if self._dim is None:
-            raise ValueError("cone dimension cannot be inferred from no rows")
+            if dim is None:
+                raise ValueError("cone dimension cannot be inferred from no rows")
+            self._dim = dim
 
     @property
-    def dim(self):
-        return self._dim
+    def rows(self):
+        """The primitive integer rows, deduplicated in order, zero rows
+        dropped: the cone's name for `b`."""
+        return self.b
 
     @staticmethod
     def from_generators(lineality, rays, dim):
         """Cone spanned by a lineality space and nonnegative ray combinations."""
-        polar_rows = [tuple(rat(v) for v in r) for r in rays]
-        for l in lineality:
-            l = tuple(rat(v) for v in l)
-            polar_rows.append(l)
-            polar_rows.append(tuple(-v for v in l))
-        canon = tuple(sorted({primitive(r) for r in polar_rows
-                              if not is_zero_vec(primitive(r))}))
+        gens = _all_generator_vectors((lineality, rays))
+        canon = tuple(sorted(PolyCone(gens, dim).rows))
         key = (dim, canon)
         if key not in _FROM_GEN_MEMO:
-            lin, ray = _cone_generators(canon, dim)
-            rows = list(ray)
-            for l in lin:
-                rows.append(l)
-                rows.append(tuple(-v for v in l))
-            _FROM_GEN_MEMO[key] = PolyCone(rows, dim=dim)
+            _FROM_GEN_MEMO[key] = PolyCone(
+                _all_generator_vectors(_cone_generators(canon, dim)), dim=dim)
         return _FROM_GEN_MEMO[key]
-
-    @cached_property
-    def as_polyhedron(self) -> Polyhedron:
-        """The cone as a Polyhedron, one instance per cone, so that its memo
-        tables (emptiness, the projection solver) serve every caller."""
-        return Polyhedron(self.rows, (ZERO,) * len(self.rows)).with_dim(self.dim)
-
-    def contains(self, v) -> bool:
-        v = tuple(rat(x) for x in v)
-        if len(v) != self.dim:
-            raise ValueError("vector dimension mismatch")
-        return all(vdot(b, v) <= 0 for b in self.rows)
 
     def _key(self):
         return (self.dim, frozenset(self.rows))
@@ -395,7 +380,7 @@ class PolyCone:
         """
         key = self._key()
         if key not in _FACES_MEMO:
-            pairs, ineq = self.as_polyhedron._split
+            pairs, ineq = self._split
             always = frozenset(i for pair in pairs for i in pair)
             zero_sets = [frozenset(i for i in ineq if vdot(self.rows[i], r) == 0)
                          for r in self.extreme_rays()]
@@ -486,35 +471,35 @@ def _cone_generators(rows, dim):
 
 # -- cone operations on polyhedra -------------------------------------------
 
+def _tight_or_raise(p: Polyhedron, y, what):
+    tight = p.tight_rows(y)
+    if tight is None:
+        raise ValueError("%s requested at an exterior point" % what)
+    return tight
+
+
 def tangent_cone(p: Polyhedron, y) -> PolyCone:
     """Feasible-direction cone at a point: relax the non-tight rows."""
-    if not p.contains(y):
-        raise ValueError("tangent cone requested at an exterior point")
-    tight = p.tight_rows(y)
+    tight = _tight_or_raise(p, y, "tangent cone")
     return PolyCone([p.b[i] for i in sorted(tight)], dim=p.dim)
 
 
 def normal_cone(p: Polyhedron, y) -> PolyCone:
     """Cone generated by the tight rows; equals the polar of the tangent cone."""
-    if not p.contains(y):
-        raise ValueError("normal cone requested at an exterior point")
-    tight = p.tight_rows(y)
-    if tight not in p._normal_cones:
-        p._normal_cones[tight] = PolyCone.from_generators(
-            (), [p.b[i] for i in sorted(tight)], p.dim)
-    return p._normal_cones[tight]
+    return p.normal_cone_of(_tight_or_raise(p, y, "normal cone"))
 
 
 def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
     """Tangent cone at lam intersected with the orthogonal complement of v.
 
-    Requires v to be a normal vector at lam (verified exactly).
+    Requires v to be a normal vector at lam (verified exactly).  The tight
+    rows at lam are read in one pass and give both cones.
     """
-    t = tangent_cone(p, lam)
+    tight = _tight_or_raise(p, lam, "tangent cone")
     v = tuple(rat(x) for x in v)
-    if not normal_cone(p, lam).contains(v):
+    if not p.normal_cone_of(tight).contains(v):
         raise ValueError("v is not in the normal cone at the base point")
-    rows = list(t.rows)
+    rows = [p.b[i] for i in sorted(tight)]
     if not is_zero_vec(v):
         rows.append(v)
         rows.append(tuple(-x for x in v))

@@ -95,20 +95,17 @@ class ProbeTrace:
         return "\n".join(lines) + "\n"
 
 
-def trace_is_divergent(trace: ProbeTrace, tail=5, threshold=1e3) -> bool:
-    """Ratios grow strictly over the last `tail` records and exceed the
-    threshold; records whose perturbation vanished exactly carry an
-    infinite ratio and count as grown."""
-    rs = trace.ratios()
-    if len(rs) < tail:
+def trace_is_divergent(trace: ProbeTrace, tail=5) -> bool:
+    """The ratio grows like 1/t over the last `tail` records: each record's
+    ratio * t is at least 3/4 of the previous record's.  A ratio c/t keeps
+    ratio * t near c, whatever c, while a bounded ratio halves ratio * t at
+    each halving of t; records whose perturbation vanished exactly carry
+    an infinite ratio and count as grown."""
+    if len(trace) < tail:
         return False
-    tail_rs = rs[-tail:]
-    for a, b in zip(tail_rs, tail_rs[1:]):
-        if math.isinf(a) and math.isinf(b):
-            continue
-        if not b > a:
-            return False
-    return tail_rs[-1] > threshold
+    growth = [r.ratio * r.t for r in trace.records[-tail:]]
+    return all(math.isinf(b) or b >= 0.75 * a
+               for a, b in zip(growth, growth[1:]))
 
 
 def critical_ray_probe(system: VarSystem, xbar, lam_bar,
@@ -139,8 +136,8 @@ def critical_ray_probe(system: VarSystem, xbar, lam_bar,
         zt = vadd(zbar, vscale(t, gmat.matvec(xi)))
         p1 = system.psi(xt, lt)
         p2 = vsub(zt, system.phi.eval(xt))
-        # exact membership in the perturbed solution set
-        if not system.penalty.subdiff_contains(vadd(system.phi.eval(xt), p2), lt):
+        # exact membership in the perturbed solution set: Phi(x_t) + p2 = z_t
+        if not system.penalty.subdiff_contains(zt, lt):
             continue
         move = norm2(vsub(xt, xbar))
         pert = norm2(p1) + norm2(p2)

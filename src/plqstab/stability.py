@@ -42,8 +42,8 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         critical_cone, difference_polar, normal_cone)
-from .rational import (ONE, ZERO, is_zero_vec, norm2, primitive, rat,
-                       sqrt_float, vadd, vdot, vsub)
+from .rational import (ONE, ZERO, norm2, primitive, rat, sqrt_float, vadd,
+                       vdot, vsub)
 from .record import FrozenRecord, set_field
 from .varsys import VarSystem
 
@@ -140,9 +140,9 @@ def _solutions(nvars, a_eq, a_ub):
     else:
         basis = [tuple(ONE if i == j else ZERO for j in range(nvars))
                  for i in range(nvars)]
-    rows = dict.fromkeys(primitive(tuple(vdot(a, g) for g in basis))
-                         for a in a_ub)
-    gens = _cone_generators([r for r in rows if not is_zero_vec(r)], len(basis))
+    rows = PolyCone([tuple(vdot(a, g) for g in basis) for a in a_ub],
+                    len(basis)).rows
+    gens = _cone_generators(rows, len(basis))
     lifted = [tuple(sum(c * g[j] for c, g in zip(z, basis) if c)
                     for j in range(nvars))
               for z in _all_generator_vectors(gens)]
@@ -347,9 +347,7 @@ def _face_region(ctx: PointContext, face) -> PolyCone:
         bl = bmat.matvec(l)
         gens += [bl, tuple(-v for v in bl)]
     gens += [ctx.kcone.rows[i] for i in sorted(face.tight)]
-    rows = dict.fromkeys(primitive(g) for g in gens)
-    polar = _cone_generators([r for r in rows if not is_zero_vec(r)],
-                             ctx.system.m)
+    polar = _cone_generators(PolyCone(gens, ctx.system.m).rows, ctx.system.m)
     return PolyCone(_all_generator_vectors(polar), dim=ctx.system.m)
 
 
@@ -426,8 +424,7 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
         psi, phix = system.psi(x, lam), system.phi.eval(x)
     psi_norm = norm2(psi)
     if at_lam_bar:
-        cone = ctx.ncone.as_polyhedron
-        d2i = cone.project_point(vsub(phix, ctx.blam))[1]
+        d2i = ctx.ncone.project_point(vsub(phix, ctx.blam))[1]
     else:
         d2i = system.penalty.inverse_subdiff_dist2(phix, lam)
     rhs_iii = math.inf if d2i is None else psi_norm + sqrt_float(d2i)

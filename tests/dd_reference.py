@@ -1,6 +1,7 @@
 """Reference double description and face enumeration for differential
-tests: the LP-based versions that `polyhedra` replaced by incidence tests.
+tests.
 
+The LP-based versions that `polyhedra` replaced by incidence tests:
 `cone_generators_by_lp` combines every positive ray with every negative
 one and then drops each ray that a feasibility LP finds in the cone of
 the others plus the lineality space.  `faces_by_lp` closes each subset
@@ -8,7 +9,16 @@ of the inequality rows with a relative-interior LP and, when that LP
 finds the face thinner, one LP per remaining row, all under a box
 normalisation.  `in_cone_span` is the LP membership test v in
 cone(rays) + span(lineality).
+
+The LP-free versions, by enumeration on the elimination of
+`rational_reference`: `cone_generators_by_subsets` reads each extreme
+ray off a row subset of rank dim - 1 (the lineality basis counted), and
+`faces_by_incidence` closes each subset of the inequality rows through
+the rays that vanish on it.  `canonical_generators` puts a generator
+pair in the form both return.
 """
+
+from itertools import combinations
 
 from plqstab.linalg import rref
 from plqstab.lp import LpOptimal, lp_feasible_point, lp_max, lp_max_each
@@ -16,6 +26,8 @@ from plqstab.polyhedra import PolyCone
 from plqstab.qp import _subsets
 from plqstab.rational import (ONE, ZERO, is_zero_vec, primitive, vadd, vdot,
                               vscale, vsub)
+from rational_reference import (kernel_basis_reference, primitive_reference,
+                                rank_reference, rref_reference)
 
 
 def cone_generators_by_lp(rows, dim):
@@ -140,3 +152,72 @@ def _face_closure(cone, subset, ineq):
         if o.value == 0:
             closure.add(i)
     return frozenset(closure)
+
+
+# -- LP-free: row subsets and ray incidences -------------------------------------
+
+
+def _reduced_basis(vectors):
+    """The primitive rows of the reduced echelon form of the vectors' span."""
+    red, pivots = rref_reference(vectors) if vectors else ([], [])
+    return tuple(primitive_reference(red[i]) for i in range(len(pivots))), pivots
+
+
+def canonical_generators(lineality, rays):
+    """(reduced lineality basis, frozenset of rays), each ray reduced
+    modulo the lineality space (zero in its pivot columns) and made
+    primitive: two generator pairs of one cone agree in this form."""
+    basis, pivots = _reduced_basis(list(lineality))
+    out = set()
+    for r in rays:
+        for b, c in zip(basis, pivots):
+            r = vsub(r, vscale(r[c] / b[c], b))
+        out.add(primitive_reference(r))
+    return basis, frozenset(out)
+
+
+def cone_generators_by_subsets(rows, dim):
+    """(reduced lineality basis, frozenset of extreme rays) of the cone
+    {x : <b, x> <= 0 for b in rows}, with no LP.
+
+    The lineality space is the kernel of the rows.  An extreme ray
+    orthogonal to it is, up to sign, the one-dimensional kernel of some
+    row subset stacked on the lineality basis with rank dim - 1; it is
+    kept when it satisfies every row.  Subsets of dim - 1 - (lineality
+    dimension) rows suffice."""
+    rows = [tuple(r) for r in rows]
+    unit = [tuple(ONE if j == i else ZERO for j in range(dim))
+            for i in range(dim)]
+    lin = kernel_basis_reference(rows) if rows else unit
+    rays = set()
+    if len(lin) == dim:  # the whole space
+        return canonical_generators(lin, rays)
+    for subset in combinations(rows, dim - 1 - len(lin)):
+        stacked = list(subset) + list(lin)
+        if rank_reference(stacked) != dim - 1:
+            continue
+        ray = (kernel_basis_reference(stacked) if stacked else unit)[0]
+        for r in (ray, tuple(-v for v in ray)):
+            if all(vdot(b, r) <= 0 for b in rows):
+                rays.add(primitive_reference(r))
+    return canonical_generators(lin, rays)
+
+
+def faces_by_incidence(cone, rays):
+    """((tight row indices, face piece rows), ...) in `PolyCone.faces`
+    order: the face tight on a subset S of the inequality rows is spanned
+    by the lineality space and the rays vanishing on S, so every
+    inequality row vanishing on all of those rays is tight on all of it."""
+    pairs, ineq = _opposite_pairs(cone.rows)
+    always = frozenset(i for pair in pairs for i in pair)
+    zero_sets = [frozenset(i for i in ineq if vdot(cone.rows[i], r) == 0)
+                 for r in rays]
+    found = {}
+    for subset in _subsets(tuple(ineq)):
+        closure = frozenset(ineq).intersection(
+            *(z for z in zero_sets if z.issuperset(subset)))
+        if closure not in found:
+            rows = list(cone.rows) + [tuple(-v for v in cone.rows[i])
+                                      for i in sorted(closure)]
+            found[closure] = (closure | always, PolyCone(rows, dim=cone.dim).rows)
+    return tuple(found.values())

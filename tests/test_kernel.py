@@ -583,7 +583,7 @@ def test_exact_kernel_calls_on_example_6_2():
     # each row of a polar is mapped to (G^T h, -B h) once per point.  A
     # strict QP solver picks its equality basis with one elimination, and
     # ranks an active set only when its bordered system is singular.
-    assert _work_counts("example_6_2")[7:9] == ["90", "779"]
+    assert _work_counts("example_6_2")[7:9] == ["90", "719"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():

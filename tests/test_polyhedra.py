@@ -13,8 +13,10 @@ from plqstab import (PolyCone, Polyhedron, PolyUnion, analyze_problem,
 from plqstab import enlp, stability
 from plqstab.linalg import rank
 from plqstab.lp import lp_feasible_point
-from plqstab.rational import vdot
-from dd_reference import cone_generators_by_lp, faces_by_lp, in_cone_span
+from plqstab.rational import primitive, vdot
+from dd_reference import (canonical_generators, cone_generators_by_lp,
+                          cone_generators_by_subsets, faces_by_incidence,
+                          faces_by_lp, in_cone_span)
 from projection_reference import project_by_subsets
 
 ORTHANT2 = Polyhedron([(-1, 0), (0, -1)], [0, 0])
@@ -257,10 +259,11 @@ def test_emptiness_matches_the_lp(monkeypatch):
     assert 20 <= shortcut <= 180, shortcut
 
 
-# -- double description and faces against the LP reference --------------------------
+# -- double description and faces against the references ----------------------------
 
 
 def _assert_matches_dd_reference(cone, monkeypatch):
+    # The LP-based sweep makes the same rays in the same order.
     assert (polyhedra._cone_generators(cone.rows, cone.dim)
             == cone_generators_by_lp(cone.rows, cone.dim)), cone.rows
     monkeypatch.setattr(polyhedra, "_FACES_MEMO", {})
@@ -268,27 +271,137 @@ def _assert_matches_dd_reference(cone, monkeypatch):
     assert got == faces_by_lp(cone), cone.rows
 
 
-def test_double_description_and_faces_match_the_lp_reference(monkeypatch):
-    # A cone over a square cut by x <= 0 along one diagonal: the rays of
-    # the other diagonal are not adjacent, and the only third rays on
-    # their common face lie on the cutting hyperplane.
-    pyramid = [(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (1, 0, 0)]
-    _assert_matches_dd_reference(PolyCone(pyramid, dim=3), monkeypatch)
-    assert len(PolyCone(pyramid, dim=3).extreme_rays()) == 3
+def _assert_matches_subset_reference(cone, monkeypatch):
+    # The LP-free reference finds the rays orthogonal to the lineality
+    # space, in no order: the sweep's lineality basis must equal its own,
+    # and its rays, primitive and distinct, the same rays modulo lineality.
+    lin, rays = polyhedra._cone_generators(cone.rows, cone.dim)
+    ref_lin, ref_rays = cone_generators_by_subsets(cone.rows, cone.dim)
+    assert lin == ref_lin, cone.rows
+    assert canonical_generators(lin, rays) == (ref_lin, ref_rays), cone.rows
+    assert len(rays) == len(ref_rays), cone.rows
+    assert all(r == primitive(r) for r in rays), cone.rows
+    monkeypatch.setattr(polyhedra, "_FACES_MEMO", {})
+    got = tuple((f.tight, f.piece.rows) for f in cone.faces())
+    assert got == faces_by_incidence(cone, ref_rays), cone.rows
+
+
+# A cone over a square cut by x <= 0 along one diagonal: the rays of the
+# other diagonal are not adjacent, and the only third rays on their common
+# face lie on the cutting hyperplane.
+PYRAMID = [(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (1, 0, 0)]
+
+
+def _random_cones():
+    """The 300 random cones (dim <= 5, <= 7 rows) of the double
+    description tests, the same stream on every call."""
     rng = random.Random(1953)
-    seen = {"lineality": 0, "rays": 0, "equality pair": 0, "many faces": 0}
     for _ in range(300):
         dim = rng.randint(1, 5)
         rows = [tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
                 for _ in range(rng.randint(0, 7))]
-        cone = PolyCone(rows, dim=dim)
-        _assert_matches_dd_reference(cone, monkeypatch)
+        yield PolyCone(rows, dim=dim)
+
+
+def test_subset_reference_matches_the_lp_reference(monkeypatch):
+    # The LP-free reference is itself checked against the LP reference on
+    # a fixed handful of cones: the pyramid, the orthant, {0}, the whole
+    # space, cones with lineality and equality pairs, and the first ten
+    # random cones of dimension >= 3.
+    handful = [PolyCone(PYRAMID, dim=3),
+               PolyCone([(-1, 0, 0), (0, -1, 0), (0, 0, -1)], dim=3),
+               PolyCone([(1, 0), (-1, 0), (0, 1), (0, -1)], dim=2),
+               PolyCone([], dim=2),
+               PolyCone([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 1, 0),
+                         (0, -1, 0, 1)], dim=4),
+               PolyCone([(1, 1, 0, 0, 0), (-1, 0, 1, 0, 0),
+                         (0, -1, -1, 1, 0)], dim=5)]
+    handful += [c for c in _random_cones() if c.dim >= 3][:10]
+    for cone in handful:
+        by_lp = cone_generators_by_lp(cone.rows, cone.dim)
+        assert polyhedra._cone_generators(cone.rows, cone.dim) == by_lp, cone.rows
+        ref = cone_generators_by_subsets(cone.rows, cone.dim)
+        assert canonical_generators(*by_lp) == ref, cone.rows
+        assert faces_by_incidence(cone, ref[1]) == faces_by_lp(cone), cone.rows
+        _assert_matches_subset_reference(cone, monkeypatch)
+    assert len(PolyCone(PYRAMID, dim=3).extreme_rays()) == 3
+
+
+def test_double_description_and_faces_match_the_subset_reference(monkeypatch):
+    _assert_matches_subset_reference(PolyCone(PYRAMID, dim=3), monkeypatch)
+    seen = {"lineality": 0, "rays": 0, "equality pair": 0, "many faces": 0}
+    for cone in _random_cones():
+        _assert_matches_subset_reference(cone, monkeypatch)
         lin, rays = cone.generators()
         seen["lineality"] += bool(lin) and bool(rays)
         seen["rays"] += len(rays) >= 3
-        seen["equality pair"] += bool(cone.as_polyhedron._split[0])
+        seen["equality pair"] += bool(cone._split[0])
         seen["many faces"] += len(cone.faces()) >= 8
     assert min(seen.values()) >= 20, seen
+
+
+def _canonical_cone_rows(rows):
+    """The cone rows as `PolyCone` canonicalized them before it became a
+    `Polyhedron`: each row primitive, deduplicated in order, zero rows
+    dropped."""
+    out = []
+    for r in rows:
+        c = primitive(tuple(rat(v) for v in r))
+        if any(v != 0 for v in c) and c not in out:
+            out.append(c)
+    return tuple(out)
+
+
+def test_cone_rows_are_the_polyhedron_rows_of_zero_right_hand_sides():
+    for cone in _random_cones():
+        assert cone.rows == cone.b and set(cone.alpha) <= {0}
+        assert len(cone.alpha) == len(cone.b)
+    rng = random.Random(1953)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        rows = [tuple(rat(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                      for _ in range(dim)) for _ in range(rng.randint(0, 7))]
+        rows += rows[:rng.randint(0, len(rows))]
+        assert PolyCone(rows, dim=dim).rows == _canonical_cone_rows(rows), rows
+
+
+def _tight_kind(p, y):
+    """"outside", "tight" or "interior", after checking `tight_rows`
+    against `contains` and the row-by-row tight set."""
+    tight = p.tight_rows(y)
+    assert (tight is None) == (not p.contains(y)), (p.b, p.alpha, y)
+    if tight is None:
+        return "outside"
+    y = tuple(rat(v) for v in y)
+    assert tight == frozenset(i for i in range(len(p.b))
+                              if vdot(p.b[i], y) == p.alpha[i]), (p.b, y)
+    return "tight" if tight else "interior"
+
+
+def test_tight_rows_is_none_exactly_off_the_set():
+    rng = random.Random(2019)
+    kinds = {"outside": 0, "tight": 0, "interior": 0}
+    for cone in _random_cones():
+        for _ in range(3):
+            y = [rng.randint(-1, 1) for _ in range(cone.dim)]
+            kinds[_tight_kind(cone, y)] += 1
+    checked = 0
+    while checked < 300:
+        p = rand_polyhedron(rng, rng.randint(1, 4), nonempty=False)
+        if all(a == 0 for a in p.alpha):
+            continue  # a cone: the loop above
+        checked += 1
+        points = [[rng.randint(-2, 2) for _ in range(p.dim)] for _ in range(3)]
+        if not p.is_empty():
+            points.append(p.some_point())
+        for y in points:
+            kind = _tight_kind(p, y)
+            kinds[kind] += 1
+            if kind == "outside":
+                for build in (normal_cone, tangent_cone, Polyhedron.active_set):
+                    with pytest.raises(ValueError, match="exterior point"):
+                        build(p, y)
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_corpus_cones_match_the_lp_reference(monkeypatch):

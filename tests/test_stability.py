@@ -179,6 +179,35 @@ def test_ray_probe_diverges_on_critical_goldens():
     assert trace_is_divergent(tb)
 
 
+def _ratio_trace(ts, ratio):
+    from plqstab.probe import ProbeRecord, ProbeTrace
+
+    return ProbeTrace(ProbeRecord(t=t, p1=(), p2=(), x=(), lam=(), lhs=0.0,
+                                  rhs=0.0, ratio=ratio(t)) for t in ts)
+
+
+def test_divergence_reads_the_growth_of_the_ratio_not_its_size():
+    grid = [2.0 ** -k for k in range(1, 11)]
+    # c/t diverges whatever c, on the full grid and with early points left
+    # out; a ratio that stays bounded does not, however large it is
+    for c in (1e-3, 0.34, 2.0, 1e6):
+        assert trace_is_divergent(_ratio_trace(grid, lambda t: c / t))
+        assert trace_is_divergent(_ratio_trace(grid[3:], lambda t: c / t))
+    assert trace_is_divergent(_ratio_trace([0.5, 0.125, 2.0 ** -5, 2.0 ** -6,
+                                            2.0 ** -8], lambda t: 0.3 / t))
+    for bounded in (lambda t: 5e3 - t, lambda t: 1e3 * (2 - t), lambda t: 7.0):
+        assert not trace_is_divergent(_ratio_trace(grid, bounded))
+    # 1/sqrt(t) grows too slowly: ratio * t falls by 1/sqrt(2) per halving
+    assert not trace_is_divergent(_ratio_trace(grid, lambda t: t ** -0.5))
+    # infinite ratios count as grown, a finite one after an infinite not
+    assert trace_is_divergent(_ratio_trace(grid, lambda t: math.inf))
+    assert trace_is_divergent(_ratio_trace(
+        grid, lambda t: math.inf if t < 2.0 ** -7 else 1.0 / t))
+    assert not trace_is_divergent(_ratio_trace(
+        grid, lambda t: math.inf if t > 2.0 ** -9 else 1.0 / t))
+    assert not trace_is_divergent(_ratio_trace(grid[:4], lambda t: 1.0 / t))
+
+
 def test_ray_probe_requires_critical_verdict():
     a = embed_system_full_rank()
     verdict = classify_multiplier(a, (0, 0), (0, 0))
