@@ -193,12 +193,18 @@ class PlqPenalty:
         Cross-checked against the Fenchel equality
         theta(u) == <lam, u> - 1/2 <lam, B lam>.
         """
+        lam = tuple(rat(v) for v in lam)
+        return self.subdiff_contains_at(u, lam, self.Y.tight_rows(lam))
+
+    def subdiff_contains_at(self, u, lam, tight) -> bool:
+        """`subdiff_contains(u, lam)` with `tight` the rows of Y tight at
+        lam (`Polyhedron.tight_rows`, None off Y), read by the caller."""
+        if tight is None:
+            return False
         u = tuple(rat(v) for v in u)
         lam = tuple(rat(v) for v in lam)
-        nc = self._normal_cone_at(lam)
-        if nc is None:
-            return False
-        result = nc.contains(vsub(u, self.B.matvec(lam)))
+        result = self.Y.normal_cone_of(tight).contains(
+            vsub(u, self.B.matvec(lam)))
         val = self.theta(u)
         fenchel = val.is_finite and \
             val.value == vdot(lam, u) - vdot(lam, self.B.matvec(lam)) / 2

@@ -169,6 +169,19 @@ class Polyhedron:
                 (), [self.b[i] for i in sorted(tight)], self.dim)
         return self._normal_cones[tight]
 
+    def critical_cone_of(self, tight, v) -> "PolyCone":
+        """The tangent cone at a point whose tight rows are `tight`,
+        intersected with the orthogonal complement of v, which must be a
+        normal vector there (verified exactly)."""
+        v = tuple(rat(x) for x in v)
+        if not self.normal_cone_of(tight).contains(v):
+            raise ValueError("v is not in the normal cone at the base point")
+        rows = [self.b[i] for i in sorted(tight)]
+        if not is_zero_vec(v):
+            rows.append(v)
+            rows.append(tuple(-x for x in v))
+        return PolyCone(rows, dim=self.dim)
+
     def active_set(self, y) -> "Face":
         tight = _tight_or_raise(self, y, "active set")
         rows = list(self.b) + [tuple(-v for v in self.b[i]) for i in sorted(tight)]
@@ -493,17 +506,10 @@ def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
     """Tangent cone at lam intersected with the orthogonal complement of v.
 
     Requires v to be a normal vector at lam (verified exactly).  The tight
-    rows at lam are read in one pass and give both cones.
+    rows at lam are read in one pass and give both cones
+    (`Polyhedron.critical_cone_of`).
     """
-    tight = _tight_or_raise(p, lam, "tangent cone")
-    v = tuple(rat(x) for x in v)
-    if not p.normal_cone_of(tight).contains(v):
-        raise ValueError("v is not in the normal cone at the base point")
-    rows = [p.b[i] for i in sorted(tight)]
-    if not is_zero_vec(v):
-        rows.append(v)
-        rows.append(tuple(-x for x in v))
-    return PolyCone(rows, dim=p.dim)
+    return p.critical_cone_of(_tight_or_raise(p, lam, "tangent cone"), v)
 
 
 def difference_polar(f1: PolyCone, f2: PolyCone):

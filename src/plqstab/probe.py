@@ -220,10 +220,11 @@ class FloatKernel:
     trial's |R|^2 would not be below it either: `residual` gives up there,
     after r1 (before the prox scan) or at the end.
 
-    `line_search` backtracks, damp = 1, 1/2, ..., for at most _TRIALS
-    trials, and returns the first trial whose |R|^2 is below the current
-    one.  A trial point equal to the iterate ends the search: its |R|^2 is
-    the current one, and every smaller damp lands there too.
+    `line_search` backtracks, damp = 1, 1/2, ... (halved by multiplying
+    by 0.5, exact), for at most _TRIALS trials, and returns the first
+    trial whose |R|^2 is below the current one.  Each trial point is built
+    once; one equal to the iterate, compared as lists, ends the search:
+    its |R|^2 is the current one, and every smaller damp lands there too.
 
     `step` gives the Newton step: `newton_matrix` forms the generalized
     Jacobian of R, and the Newton system is solved by LU with partial
@@ -271,20 +272,24 @@ class FloatKernel:
         """The backtracking search from (x, lam) along `step`: (trials
         made, best), best = (x', lam', values, R, |R|^2, J) at the first
         trial, damp = 2^-i for i < _TRIALS, whose |R|^2 is below `cur`, or
-        None when no trial is.  A trial point equal to the iterate ends the
-        search with (_TRIALS, None); the trials it leaves count as made."""
+        None when no trial is.  x and lam are lists.  Each trial point is
+        built once, a + damp * b per entry, and a trial point equal to the
+        iterate (`xn == x and ln == lam`) ends the search with
+        (_TRIALS, None); the trials it leaves count as made."""
+        lam_step = step[self.n:]
+        damp = 1.0
         for i in range(_TRIALS):
-            damp = math.ldexp(1.0, -i)
+            xn = [a + damp * b for a, b in zip(x, step)]
+            ln = [a + damp * b for a, b in zip(lam, lam_step)]
             # at the iterate R is the current one up to the signs of its
             # zeros, and rounding is monotone, so every smaller damp lands
             # there too
-            if all(a + damp * b == a for a, b in zip(x + lam, step)):
+            if xn == x and ln == lam:
                 break
-            xn = [a + damp * b for a, b in zip(x, step)]
-            ln = [a + damp * b for a, b in zip(lam, step[self.n:])]
             out = self.residual(xn, ln, p1, p2, cur)
             if out is not None:
                 return i + 1, (xn, ln, *out)
+            damp *= 0.5
         return _TRIALS, None
 
     def newton_matrix(self, x, lam, values, pj):
@@ -331,7 +336,9 @@ class FloatKernel:
 def _lu_solve(a, b):
     """x with a x = b, by Gaussian elimination with partial pivoting (LU),
     or None when a pivot is exactly zero.  At column k the pivot row is
-    the first row i >= k of largest |a_ik|; every row i below it takes
+    the first row i >= k of largest |a_ik|, found by a scan that moves
+    only to a strictly larger |a_ik|, as `max` does (a nan below row k
+    never wins, and one in row k is kept); every row i below it takes
     l = a_ik / a_kk, then a_ij - l a_kj for j > k and b_i - l b_k.  Back
     substitution sets x_i = (b_i - a_i,i+1 x_i+1 - a_i,i+2 x_i+2 - ...) /
     a_ii, subtracting left to right."""
@@ -339,7 +346,11 @@ def _lu_solve(a, b):
     b = list(b)
     size = len(b)
     for k in range(size):
-        p = max(range(k, size), key=lambda i: abs(a[i][k]))
+        p, big = k, abs(a[k][k])
+        for i in range(k + 1, size):
+            v = abs(a[i][k])
+            if v > big:
+                p, big = i, v
         if a[p][k] == 0:
             return None
         a[k], a[p], b[k], b[p] = a[p], a[k], b[p], b[k]

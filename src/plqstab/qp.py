@@ -284,9 +284,9 @@ class StrictQpSolver:
         one that passes).  The scan does not start at the last winner: at
         a kink more than one set passes in float, and the order decides
         which piece, and so which generalized Jacobian, is used.  Each
-        inner product is `_fdot`'s.  `probe.FloatKernel` runs this scan,
-        through `PlqPenalty.prox_float`, once per residual that reaches
-        the prox.
+        inner product is `_fdot`'s, 0.0 plus the products in order, written
+        out inline.  `probe.FloatKernel` runs this scan, through
+        `PlqPenalty.prox_float`, once per residual that reaches the prox.
         """
         reached = self._reached
         i = 0
@@ -294,12 +294,23 @@ class StrictQpSolver:
             subset, (yrows, murows, inactive) = reached[i]
             i += 1
             for row, d in murows:
-                if d - _fdot(row, c) < 0:
+                s = 0.0
+                for a, b in zip(row, c):
+                    s += a * b
+                if d - s < 0:
                     break
             else:
-                y = [d - _fdot(row, c) for row, d in yrows]
+                y = []
+                for row, d in yrows:
+                    s = 0.0
+                    for a, b in zip(row, c):
+                        s += a * b
+                    y.append(d - s)
                 for row, alpha in inactive:
-                    if not _fdot(row, y) <= alpha:
+                    s = 0.0
+                    for a, b in zip(row, y):
+                        s += a * b
+                    if not s <= alpha:
                         break
                 else:
                     return subset, y

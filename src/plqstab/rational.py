@@ -214,8 +214,9 @@ def rat(value, den=None):
     if den is not None:
         return Rat(value, den)
     if isinstance(value, float):
-        # exact binary expansion, no rounding
-        return Rat(Fraction(value))
+        # exact binary expansion, no rounding; nan and inf raise as in
+        # Fraction(value)
+        return Rat(*value.as_integer_ratio())
     return Rat(value)
 
 

@@ -16,9 +16,9 @@ raises InternalConsistencyError, which the CLI maps to exit code 2.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InternalConsistencyError
 from .problemfile import ProblemFile
@@ -191,7 +191,61 @@ def analyze_problem(pf: ProblemFile, probe=False, probe_grid=None, tol=None):
 
 
 def render_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """`doc` as JSON text: the bytes of json.dumps(doc, sort_keys=True,
+    indent=2, allow_nan=False) plus a newline, from a direct writer.
+
+    json.dumps with an indent runs the pure-Python encoder; this writer
+    covers the value types a report holds and writes each as that encoder
+    does: strings through `json.encoder.encode_basestring_ascii`, ints and
+    floats by `int.__repr__` and `float.__repr__`, null, true and false,
+    lists and tuples as arrays, dicts as objects with sorted keys, two
+    spaces of indent per level, and "[]" and "{}" when empty.  A nan or
+    infinite float raises ValueError, as json.dumps does here.  A key that
+    is not a str, or a value of another type (a subclass of these types
+    included), raises TypeError: a report holds none.
+    """
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline):
+    """The JSON text of `value` at the nesting whose line break and indent
+    is `newline`."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: %r" % value)
+        return float.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json(v, inner)
+                                                  for v in value])
+                + newline + "]")
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError("keys must be str, not %s"
+                                % type(key).__name__)
+            items.append(_json_str(key) + ": " + _json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % kind.__name__)
 
 
 def _vec_str(values):

@@ -41,7 +41,7 @@ from functools import cached_property
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
-                        critical_cone, difference_polar, normal_cone)
+                        difference_polar)
 from .rational import (ONE, ZERO, norm2, primitive, rat, sqrt_float, vadd,
                        vdot, vsub)
 from .record import FrozenRecord, set_field
@@ -195,8 +195,10 @@ class PointContext:
     instance, so each member is computed at most once per parsed problem;
     every member is a pure function of (system, x, lam).  `solves` is the
     one exact solution check: Psi(x, lam) = 0 and lam a subgradient at
-    Phi(x), through `subdiff_contains` and its Fenchel cross-check.  The
-    members from `kcone` on exist at solutions only.
+    Phi(x), through `subdiff_contains_at` and its Fenchel cross-check.
+    The rows of Y tight at lam are read once (`tight`) and serve that
+    check, `kcone` and `ncone`.  The members from `kcone` on exist at
+    solutions only.
     """
 
     def __init__(self, system, x, lam):
@@ -221,8 +223,15 @@ class PointContext:
         return vadd(self.fx, self.gmat.rmatvec(self.lam))
 
     @cached_property
+    def tight(self):
+        """The rows of Y tight at lam, or None off Y: read once, for the
+        subgradient test and both cones."""
+        return self.system.penalty.Y.tight_rows(self.lam)
+
+    @cached_property
     def in_subdiff(self) -> bool:
-        return self.system.penalty.subdiff_contains(self.zbar, self.lam)
+        return self.system.penalty.subdiff_contains_at(self.zbar, self.lam,
+                                                       self.tight)
 
     @cached_property
     def solves(self) -> bool:
@@ -248,13 +257,15 @@ class PointContext:
     def kcone(self) -> PolyCone:
         """The critical cone K_Y(lam, zbar - B lam) of the verified pair."""
         self.require("the critical cone needs an exact solution")
-        return critical_cone(self.system.penalty.Y, self.lam,
-                             vsub(self.zbar, self.blam))
+        return self.system.penalty.Y.critical_cone_of(
+            self.tight, vsub(self.zbar, self.blam))
 
     @cached_property
     def ncone(self) -> PolyCone:
         """The normal cone N_Y(lam)."""
-        return normal_cone(self.system.penalty.Y, self.lam)
+        if self.tight is None:
+            raise ValueError("normal cone requested at an exterior point")
+        return self.system.penalty.Y.normal_cone_of(self.tight)
 
     @cached_property
     def multiplier_dist2(self):

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import collections
 import dis
 import hashlib
 import importlib
@@ -160,6 +161,66 @@ def test_byte_determinism_across_runs():
         doc2, _ = analyze_problem(pf2, probe=True, probe_grid=3)
         assert render_json(doc1) == render_json(doc2)
         assert render_text(doc1) == render_text(doc2)
+
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _keys(doc):
+    """Every dict key in a JSON-like document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(doc, (list, tuple)):
+        for value in doc:
+            yield from _keys(value)
+
+
+def test_render_json_writes_the_bytes_of_json_dumps():
+    # The direct writer against json.dumps on every corpus report, exact
+    # and with --probe, on random-enlp pools 1-3, and on a crafted
+    # document with every value type and edge the writer covers.
+    docs = []
+    for pf in ([parse_problem_file(corpus_path(name)) for name in corpus_names()]
+               + [parse_problem_doc(doc) for seed in (1, 2, 3)
+                  for _, doc in random_enlp_docs(seed, 5)]):
+        for probe in (False, True):
+            docs.append(analyze_problem(pf, probe=probe)[0])
+    for doc in docs:
+        assert all(type(key) is str for key in _keys(doc))
+        assert render_json(doc) == _json_dumps(doc)
+    crafted = {
+        "ascii": "plain", "non-ascii": "\u00e9\u65e5\U0001f600",
+        "control": "\x00\x01\x1f\t\n\r\b\f\x7f", "quotes": "\"'\\/",
+        "\u00e9 key \"\n": [{}, [], [[]], {"a": {}}, [{}, []]],
+        "": "", "tuple": (1, (2.5, "x"), ()), "floats": [
+            -0.0, 0.0, 5e-324, 1e308, -1e308, 1.0, 0.1, 1e16, 1e-7, 123.456],
+        "ints": [0, -1, 2 ** 100, -(2 ** 70)], "bools": [True, False],
+        "none": None, "nested": {"b": {"c": [None, True, {"d": -0.0}]}},
+        "B": 1, "a": 2, "_": 3,
+    }
+    assert render_json(crafted) == _json_dumps(crafted)
+    for doc in ([], {}, "s", 1, 1.5, None, True, [[[]]], ()):
+        assert render_json(doc) == _json_dumps(doc)
+    for bad in (math.nan, math.inf, -math.inf):
+        for doc in (bad, [1.0, bad], {"a": {"b": bad}}):
+            with pytest.raises(ValueError):
+                _json_dumps(doc)
+            with pytest.raises(ValueError):
+                render_json(doc)
+    # stricter than json.dumps: no key but a str, no subclass of a value type
+    for doc in ({1: "a"}, {"a": {None: 1}}, [{(1, 2): 3}], {1.5: 0},
+                type("F", (float,), {})(2.5), [type("S", (str,), {})("s")],
+                {"a": collections.OrderedDict(b=1)}):
+        with pytest.raises(TypeError):
+            render_json(doc)
+    for doc in ({1, 2}, [object()], {"a": b"bytes"}):
+        with pytest.raises(TypeError):
+            _json_dumps(doc)
+        with pytest.raises(TypeError):
+            render_json(doc)
 
 
 # sha256 of `plqstab analyze <file> --report json` per corpus file, without

@@ -361,7 +361,7 @@ def test_probe_exact_prox_work_on_example_3_3():
 
 _PROBE_NEWTON_COUNTER_SCRIPT = """
 import collections
-import plqstab.probe as probe
+import plqstab.plq as plq, plqstab.probe as probe
 from plqstab import analyze_problem, corpus_path, parse_problem_file
 results = []
 solve = probe.solve_perturbed
@@ -369,11 +369,27 @@ def recorded(*args, **kwargs):
     results.append(solve(*args, **kwargs))
     return results[-1]
 probe.solve_perturbed = recorded
+scans = [0]
+prox_float = plq.PlqPenalty.prox_float
+def scanned(self, v):
+    scans[0] += 1
+    return prox_float(self, v)
+plq.PlqPenalty.prox_float = scanned
+ends = collections.Counter()
+residual = probe.FloatKernel.residual
+def evaluated(self, *args):
+    before = scans[0]
+    out = residual(self, *args)
+    ends["kept" if out is not None else
+         "r1" if scans[0] == before else "end"] += 1
+    return out
+probe.FloatKernel.residual = evaluated
 analyze_problem(parse_problem_file(corpus_path("example_3_3")), probe=True)
 reasons = collections.Counter(r.reason for r in results)
 print(len(results), sum(r.iterations for r in results),
       sum(r.evaluations for r in results),
       *("%s=%d" % kv for kv in sorted(reasons.items())))
+print(sum(ends.values()), *("%s=%d" % kv for kv in sorted(ends.items())))
 """
 
 
@@ -381,10 +397,17 @@ def test_probe_newton_work_on_example_3_3():
     # The 40 Newton solves at the default grid: iterations, float residual
     # evaluations (the start and every line-search trial) and how each
     # solve stopped.  Pinned in a fresh interpreter, as the exact-prox pin.
+    # The second line counts the `FloatKernel.residual` calls that really
+    # run: 1,773 of the 2,161 evaluations (the trials a search leaves
+    # after one at the iterate count, unevaluated), 171 kept (40 starts
+    # and 131 accepted trials), 1,026 rejected after r1, before the prox
+    # scan, and 576 at the end.
     out = subprocess.run([sys.executable, "-c", _PROBE_NEWTON_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["40", "148", "2161", "converged=13",
-                                  "no_descent=17", "stalled=10"]
+    work, residuals = out.stdout.splitlines()
+    assert work.split() == ["40", "148", "2161", "converged=13",
+                            "no_descent=17", "stalled=10"]
+    assert residuals.split() == ["1773", "end=576", "kept=171", "r1=1026"]
 
 
 _FORGED_PROX_SCRIPT = """
@@ -470,6 +493,34 @@ def test_theta_qps_of_a_fresh_example_6_2_analysis():
     out = subprocess.run([sys.executable, "-c", _THETA_COUNTER_SCRIPT],
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["2"]
+
+
+_TIGHT_ROWS_COUNTER_SCRIPT = """
+import plqstab.polyhedra as polyhedra
+from plqstab import analyze_problem, corpus_path, parse_problem_file, rat
+pf = parse_problem_file(corpus_path("example_6_2"))
+ymat = pf.problem.to_varsys().penalty.Y
+(_, lam_bar), = pf.points
+lam_bar = tuple(rat(v) for v in lam_bar)
+calls = {"all": 0, "at_lam_bar": 0}
+tight_rows = polyhedra.Polyhedron.tight_rows
+def counted(self, y):
+    calls["all"] += 1
+    calls["at_lam_bar"] += self is ymat and tuple(rat(v) for v in y) == lam_bar
+    return tight_rows(self, y)
+polyhedra.Polyhedron.tight_rows = counted
+analyze_problem(pf)
+print(calls["all"], calls["at_lam_bar"])
+"""
+
+
+def test_tight_rows_reads_of_a_fresh_example_6_2_analysis():
+    # The point context reads the rows of Y tight at lam_bar once, for the
+    # solution check, the critical cone and the normal cone; the other 13
+    # reads are at other points or of other polyhedra.
+    out = subprocess.run([sys.executable, "-c", _TIGHT_ROWS_COUNTER_SCRIPT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["14", "1"]
 
 
 def _criterion_calls(pf, idx, pdoc):
