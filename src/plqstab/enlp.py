@@ -49,7 +49,7 @@ from .polyhedra import PolyCone, Polyhedron, _cone_generators, face_differences
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
 from .rational import ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vsub
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 from .stability import (_linearized_system, classify_multiplier,
                         nontrivial_over, uniqueness_report)
 from .varsys import VarSystem
@@ -63,24 +63,11 @@ __all__ = [
 
 
 class StabilityReport(FrozenRecord):
+    # sonc is True, False or "inconclusive"; robust_ic is True, False or
+    # "not-certified"; the other verdicts are bools
     __slots__ = ("bcq", "sosc", "sonc", "unique", "noncritical",
                  "isolated_calm_skkt", "lipschitz_like_skkt", "robust_ic",
                  "consistency_notes")
-
-    def __init__(self, bcq: bool, sosc: bool, sonc, unique: bool,
-                 noncritical: bool, isolated_calm_skkt: bool,
-                 lipschitz_like_skkt: bool, robust_ic, consistency_notes: tuple):
-        # sonc is True, False or "inconclusive"; robust_ic is True, False or
-        # "not-certified"
-        set_field(self, "bcq", bcq)
-        set_field(self, "sosc", sosc)
-        set_field(self, "sonc", sonc)
-        set_field(self, "unique", unique)
-        set_field(self, "noncritical", noncritical)
-        set_field(self, "isolated_calm_skkt", isolated_calm_skkt)
-        set_field(self, "lipschitz_like_skkt", lipschitz_like_skkt)
-        set_field(self, "robust_ic", robust_ic)
-        set_field(self, "consistency_notes", consistency_notes)
 
     def to_doc(self):
         def enc(v):

@@ -33,7 +33,7 @@ from math import gcd, lcm
 
 from .errors import InternalConsistencyError
 from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 __all__ = [
     "LpProblem",
@@ -58,11 +58,9 @@ class LpProblem(FrozenRecord):
     __slots__ = ("objective", "a_ub", "b_ub", "a_eq", "b_eq")
 
     def __init__(self, objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-        set_field(self, "objective", _rats(objective))
-        set_field(self, "a_ub", tuple(_rats(r) for r in a_ub))
-        set_field(self, "b_ub", _rats(b_ub))
-        set_field(self, "a_eq", tuple(_rats(r) for r in a_eq))
-        set_field(self, "b_eq", _rats(b_eq))
+        super().__init__(_rats(objective), tuple(_rats(r) for r in a_ub),
+                         _rats(b_ub), tuple(_rats(r) for r in a_eq),
+                         _rats(b_eq))
         n = len(self.objective)
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
             raise ValueError("constraint row length does not match objective")
@@ -73,27 +71,13 @@ class LpProblem(FrozenRecord):
 class LpOptimal(FrozenRecord):
     __slots__ = ("point", "value", "dual_ub", "dual_eq")
 
-    def __init__(self, point, value, dual_ub, dual_eq):
-        set_field(self, "point", point)
-        set_field(self, "value", value)
-        set_field(self, "dual_ub", dual_ub)
-        set_field(self, "dual_eq", dual_eq)
-
 
 class LpUnbounded(FrozenRecord):
     __slots__ = ("ray", "feasible_point")
 
-    def __init__(self, ray, feasible_point):
-        set_field(self, "ray", ray)
-        set_field(self, "feasible_point", feasible_point)
-
 
 class LpInfeasible(FrozenRecord):
     __slots__ = ("farkas_ub", "farkas_eq")
-
-    def __init__(self, farkas_ub, farkas_eq):
-        set_field(self, "farkas_ub", farkas_ub)
-        set_field(self, "farkas_eq", farkas_eq)
 
 
 class _CertificateError(InternalConsistencyError):

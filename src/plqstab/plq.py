@@ -121,7 +121,9 @@ class PlqPenalty:
     def __init__(self, poly_y: Polyhedron, bmat: RatMatrix):
         if not psd_check(bmat):
             raise NotPsdError("B must be symmetric positive semidefinite")
-        self.Y = poly_y.with_dim(bmat.nrows)
+        if poly_y.dim != bmat.nrows:
+            raise ValueError("Y and B dimension mismatch")
+        self.Y = poly_y
         self.B = bmat
         self.m = bmat.nrows
         if self.Y.is_empty():
@@ -185,7 +187,7 @@ class PlqPenalty:
         rhs.append(vdot(grad, ystar))
         rows.append(tuple(-v for v in grad))
         rhs.append(-vdot(grad, ystar))
-        return Polyhedron(rows, rhs).with_dim(self.m)
+        return Polyhedron(rows, rhs, self.m)
 
     def subdiff_contains(self, u, lam) -> bool:
         """lam in the subdifferential at u, i.e. u - B lam normal to Y at lam.
@@ -222,7 +224,7 @@ class PlqPenalty:
         shift = self.B.matvec(lam)
         rows = nc.rows
         rhs = [vdot(r, shift) for r in rows]
-        return Polyhedron(rows, rhs).with_dim(self.m)
+        return Polyhedron(rows, rhs, self.m)
 
     def inverse_subdiff_dist2(self, u, lam):
         """Squared distance from u to `inverse_subdiff(lam)`, exact; None
@@ -428,7 +430,7 @@ class PlqPenalty:
                 row = [ZERO] * dim
                 row[2 * m + k] = -ONE
                 rows.append(tuple(row)); rhs.append(ZERO)
-            lifted = Polyhedron(rows, rhs).with_dim(dim)
+            lifted = Polyhedron(rows, rhs, dim)
             piece = fm_project(lifted, range(2 * m))
             if not piece.is_empty():
                 pieces.append(piece)

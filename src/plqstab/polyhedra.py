@@ -27,7 +27,7 @@ from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
 from .qp import StrictQpSolver, _subsets
 from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
                        vscale, vsub)
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 __all__ = [
     "Polyhedron",
@@ -59,18 +59,28 @@ def _canon_row(b, a):
 
 
 class Polyhedron:
-    """{y : <b_i, y> <= alpha_i, i = 1..p} with exact rational data.
+    """{y : <b_i, y> <= alpha_i, i = 1..p} in R^dim with exact rational data.
 
-    Rows are normalized to primitive integer form and deduplicated;
-    opposite row pairs are recognized internally as equalities so that
-    enumerative routines only branch on genuine inequalities.
+    The dimension is the length of the rows; a polyhedron given no rows
+    must be given `dim`, and one given both must agree.  Rows are
+    normalized to primitive integer form and deduplicated; opposite row
+    pairs are recognized internally as equalities so that enumerative
+    routines only branch on genuine inequalities.
     """
 
-    def __init__(self, b_rows, alpha):
+    def __init__(self, b_rows, alpha, dim=None):
         b_rows = list(b_rows)
         alpha = list(alpha)
         if len(b_rows) != len(alpha):
             raise ValueError("row/alpha count mismatch")
+        if b_rows:
+            if dim is None:
+                dim = len(b_rows[0])
+            if any(len(b) != dim for b in b_rows):
+                raise ValueError("row length does not match the dimension")
+        elif dim is None:
+            raise ValueError("a polyhedron without rows needs its dimension")
+        self.dim = dim
         rows = []
         seen = set()
         for b, a in zip(b_rows, alpha):
@@ -84,34 +94,12 @@ class Polyhedron:
             rows.append(key)
         self.b = tuple(r for r, _ in rows)
         self.alpha = tuple(a for _, a in rows)
-        if self.b:
-            d = len(self.b[0])
-            if any(len(r) != d for r in self.b):
-                raise ValueError("inconsistent row dimensions")
-            self._dim = d
-        else:
-            self._dim = None
         self._normal_cones = {}  # tight row set -> normal cone (`normal_cone_of`)
 
     # -- construction ------------------------------------------------------
     @staticmethod
     def empty(dim):
-        p = Polyhedron(((ZERO,) * dim,), (-ONE,))
-        p._dim = dim
-        return p
-
-    @property
-    def dim(self):
-        if self._dim is None:
-            raise ValueError("dimension of a constraint-free polyhedron is unset")
-        return self._dim
-
-    def with_dim(self, dim):
-        if self._dim is None:
-            self._dim = dim
-        elif self._dim != dim:
-            raise ValueError("dimension mismatch")
-        return self
+        return Polyhedron(((ZERO,) * dim,), (-ONE,))
 
     # -- derived equality/inequality split ----------------------------------
     @cached_property
@@ -142,7 +130,7 @@ class Polyhedron:
     # -- membership --------------------------------------------------------
     def contains(self, y) -> bool:
         y = tuple(rat(v) for v in y)
-        if self._dim is not None and len(y) != self._dim:
+        if len(y) != self.dim:
             raise ValueError("point dimension mismatch")
         return all(vdot(b, y) <= a for b, a in zip(self.b, self.alpha))
 
@@ -150,7 +138,7 @@ class Polyhedron:
         """Indices of the rows tight at y, or None when y violates a row:
         membership and the active set in one pass over the rows."""
         y = tuple(rat(v) for v in y)
-        if self._dim is not None and len(y) != self._dim:
+        if len(y) != self.dim:
             raise ValueError("point dimension mismatch")
         tight = []
         for i, (b, a) in enumerate(zip(self.b, self.alpha)):
@@ -186,11 +174,11 @@ class Polyhedron:
         tight = _tight_or_raise(self, y, "active set")
         rows = list(self.b) + [tuple(-v for v in self.b[i]) for i in sorted(tight)]
         rhs = list(self.alpha) + [-self.alpha[i] for i in sorted(tight)]
-        return Face(tight=tight, piece=Polyhedron(rows, rhs).with_dim(self.dim))
+        return Face(tight=tight, piece=Polyhedron(rows, rhs, self.dim))
 
     def is_empty(self) -> bool:
         """Decided by one LP, unless the origin satisfies every row."""
-        if self._dim is None or all(a >= 0 for a in self.alpha):
+        if all(a >= 0 for a in self.alpha):
             return False
         return self._feasible_point is None
 
@@ -243,7 +231,7 @@ class Polyhedron:
                 rhs.pop(i)
             else:
                 i += 1
-        return Polyhedron(rows, rhs).with_dim(self.dim)
+        return Polyhedron(rows, rhs, self.dim)
 
     # -- Euclidean projection -------------------------------------------------
     def project_point(self, x):
@@ -274,17 +262,13 @@ class Polyhedron:
                 "alpha": [str(a) for a in self.alpha]}
 
     def __repr__(self):
-        return "Polyhedron(rows=%d, dim=%s)" % (len(self.b), self._dim)
+        return "Polyhedron(rows=%d, dim=%d)" % (len(self.b), self.dim)
 
 
 class Face(FrozenRecord):
     """A face as its tight row indices plus the induced piece."""
 
     __slots__ = ("tight", "piece")
-
-    def __init__(self, tight, piece):
-        set_field(self, "tight", tight)
-        set_field(self, "piece", piece)
 
 
 class PolyCone(Polyhedron):
@@ -300,11 +284,7 @@ class PolyCone(Polyhedron):
 
     def __init__(self, rows, dim=None):
         rows = list(rows)
-        super().__init__(rows, (ZERO,) * len(rows))
-        if self._dim is None:
-            if dim is None:
-                raise ValueError("cone dimension cannot be inferred from no rows")
-            self._dim = dim
+        super().__init__(rows, (ZERO,) * len(rows), dim)
 
     @property
     def rows(self):
@@ -585,7 +565,7 @@ def fm_project(p: Polyhedron, keep) -> Polyhedron:
 
     for v in drop:
         rows, rhs = _eliminate_var(rows, rhs, v)
-        pr = Polyhedron([tuple(r) for r in rows], rhs).with_dim(d).irredundant()
+        pr = Polyhedron([tuple(r) for r in rows], rhs, d).irredundant()
         rows = [list(r) for r in pr.b]
         rhs = list(pr.alpha)
 
@@ -594,7 +574,7 @@ def fm_project(p: Polyhedron, keep) -> Polyhedron:
         if any(r[j] != 0 for j in drop):
             raise InternalConsistencyError("eliminated coordinate survives")
         out_rows.append(tuple(r[j] for j in keep))
-    return Polyhedron(out_rows, rhs).with_dim(len(keep))
+    return Polyhedron(out_rows, rhs, len(keep))
 
 
 def _eliminate_var(rows, rhs, v):

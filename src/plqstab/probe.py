@@ -30,7 +30,7 @@ from itertools import chain
 from .errors import InternalConsistencyError
 from .polymap import _float_values
 from .rational import norm2, rat, sqrt_float, to_float_vec, vadd, vscale, vsub
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 from .stability import CriticalityVerdict
 from .varsys import VarSystem
 
@@ -47,21 +47,9 @@ __all__ = [
 
 
 class ProbeRecord(FrozenRecord):
+    # newton is the NewtonResult.reason of a perturbed solve
     __slots__ = ("t", "p1", "p2", "x", "lam", "lhs", "rhs", "ratio", "newton")
-
-    def __init__(self, t: float, p1: tuple, p2: tuple, x: tuple, lam: tuple,
-                 lhs: float, rhs: float, ratio: float,
-                 newton: str | None = None):
-        set_field(self, "t", t)
-        set_field(self, "p1", p1)
-        set_field(self, "p2", p2)
-        set_field(self, "x", x)
-        set_field(self, "lam", lam)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "ratio", ratio)
-        # NewtonResult.reason of a perturbed solve
-        set_field(self, "newton", newton)
+    _defaults = {"newton": None}
 
 
 class ProbeTrace:
@@ -169,17 +157,7 @@ class NewtonResult(FrozenRecord):
 
     __slots__ = ("converged", "x", "lam", "residual_norm", "iterations",
                  "reason", "evaluations")
-
-    def __init__(self, converged: bool, x: tuple, lam: tuple,
-                 residual_norm: float, iterations: int, reason: str,
-                 evaluations: int = 0):
-        set_field(self, "converged", converged)
-        set_field(self, "x", x)
-        set_field(self, "lam", lam)
-        set_field(self, "residual_norm", residual_norm)
-        set_field(self, "iterations", iterations)
-        set_field(self, "reason", reason)
-        set_field(self, "evaluations", evaluations)
+    _defaults = {"evaluations": 0}
 
 
 def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):

@@ -54,23 +54,13 @@ class ProblemFileError(ValueError):
 
 
 class ProblemFile(Record):
+    """A parsed problem file.  `problem` is an EnlpProblem or a
+    VarSystem, `points` the list of (x tuple, lambda tuple), and
+    `y_input` the (rows, alpha) of Y as written, kept because Polyhedron
+    scales rows to integers and drops duplicates."""
+
     __slots__ = ("name", "kind", "n", "m", "problem", "points", "probe_grid",
                  "probe_tol", "y_input")
-
-    def __init__(self, name: str, kind: str, n: int, m: int, problem,
-                 points: list, probe_grid: int, probe_tol: float,
-                 y_input: tuple):
-        self.name = name
-        self.kind = kind
-        self.n = n
-        self.m = m
-        self.problem = problem          # EnlpProblem | VarSystem
-        self.points = points            # [(x tuple, lambda tuple), ...]
-        self.probe_grid = probe_grid
-        self.probe_tol = probe_tol
-        # (rows, alpha) of Y as written, before Polyhedron scales rows to
-        # integers and drops duplicates
-        self.y_input = y_input
 
     def require_float_data(self):
         """Raise ProblemFileError naming the first datum the float probes
@@ -190,7 +180,7 @@ def parse_problem_doc(doc, name_hint="problem") -> ProblemFile:
         raise ProblemFileError("$.Y", "b and alpha lengths differ")
     yrows = [_rat_vector(r, m, "$.Y.b[%d]" % i) for i, r in enumerate(brows)]
     yalpha = [_rat_at(a, "$.Y.alpha[%d]" % i) for i, a in enumerate(alpha)]
-    ypoly = Polyhedron(yrows, yalpha).with_dim(m)
+    ypoly = Polyhedron(yrows, yalpha, m)
 
     bmat = _rat_matrix(_expect(doc, "B", list, "$"), m, m, "$.B")
     if not bmat.is_symmetric():

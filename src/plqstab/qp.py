@@ -31,7 +31,7 @@ from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
 from .lp import lp_feasible_point
 from .rational import ONE, ZERO, rat, to_float, vdot
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
 
@@ -49,16 +49,9 @@ def _fdot(row, v):
 class QpOptimal(FrozenRecord):
     __slots__ = ("point", "value")
 
-    def __init__(self, point, value):
-        set_field(self, "point", point)
-        set_field(self, "value", value)
-
 
 class QpUnbounded(FrozenRecord):
     __slots__ = ("ray",)
-
-    def __init__(self, ray):
-        set_field(self, "ray", ray)
 
 
 class QpInfeasible(FrozenRecord):
@@ -100,7 +93,8 @@ def qp_solve(qmat: RatMatrix, c, poly):
     n = qmat.nrows
     if len(c) != n:
         raise ValueError("linear term dimension mismatch")
-    poly = poly.with_dim(n)
+    if poly.dim != n:
+        raise ValueError("polyhedron dimension mismatch")
     if poly.is_empty():
         return QpInfeasible()
     if pd:
@@ -164,8 +158,10 @@ class StrictQpSolver:
     """
 
     def __init__(self, qmat: RatMatrix, poly):
+        if poly.dim != qmat.nrows:
+            raise ValueError("polyhedron dimension mismatch")
         self.q = qmat
-        self.poly = poly.with_dim(qmat.nrows)
+        self.poly = poly
         self.n = qmat.nrows
         self._solvers: dict = {}
         eq_rows, eq_rhs = poly.eq_system()

@@ -2,30 +2,68 @@
 
 plqstab's result classes (LP and QP outcomes, faces, verdicts, reports,
 probe records) are plain classes whose `__slots__` name their fields in
-order, each with an explicit `__init__`.  `Record` gives them, from the
-slots, what a dataclass would generate: equality between instances of
-one class with equal fields, and the repr `Name(field=value, ...)`.  It
-generates no code, so importing a record class costs no `exec`, and the
+order, once.  `Record` gives them, from the slots, what a dataclass
+would generate: a constructor, equality between instances of one class
+with equal fields, and the repr `Name(field=value, ...)`.  It generates
+no code, so importing a record class costs no `exec`, and the
 `dataclasses` module, with `inspect` and `ast` behind it, is never
 loaded.
 
+The constructor binds positional arguments to the slots in order and
+keyword arguments by name.  A field left out takes its value from the
+class's `_defaults` dict (the trailing fields that have defaults); an
+unknown, repeated or missing field, or a positional argument too many,
+raises TypeError, as a generated `__init__` would.  Fields are set
+through `set_field`, which is `object.__setattr__`, so the constructor
+also fills a `FrozenRecord`.
+
 `FrozenRecord` also hashes the field tuple, as a frozen dataclass does,
-and refuses assignment and deletion; its `__init__`s set their fields
-through `set_field`, which is `object.__setattr__`.  A plain `Record` is
-mutable and, having `__eq__`, unhashable.
+and refuses assignment and deletion.  A plain `Record` is mutable and,
+having `__eq__`, unhashable.
 """
 
 from __future__ import annotations
 
-__all__ = ["FrozenRecord", "Record", "set_field"]
+__all__ = ["FrozenRecord", "Record"]
 
 set_field = object.__setattr__
 
 
 class Record:
-    """Equality and repr over `__slots__`."""
+    """Constructor, equality and repr over `__slots__`."""
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if not kwargs and len(args) == len(names):
+            for name, value in zip(names, args):
+                set_field(self, name, value)
+            return
+        cls = type(self).__name__
+        if len(args) > len(names):
+            raise TypeError("%s() takes %d positional arguments but %d were "
+                            "given" % (cls, len(names), len(args)))
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError("%s() got multiple values for argument %r"
+                                % (cls, name))
+            set_field(self, name, value)
+        defaults = self._defaults
+        bound = 0
+        for name in names[len(args):]:
+            if name in kwargs:
+                set_field(self, name, kwargs[name])
+                bound += 1
+            elif name in defaults:
+                set_field(self, name, defaults[name])
+            else:
+                raise TypeError("%s() missing required argument %r"
+                                % (cls, name))
+        if bound != len(kwargs):
+            raise TypeError("%s() got an unexpected keyword argument %r"
+                            % (cls, next(k for k in kwargs if k not in names)))
 
     def _values(self):
         return tuple([getattr(self, name) for name in self.__slots__])

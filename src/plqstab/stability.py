@@ -44,7 +44,7 @@ from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         difference_polar)
 from .rational import (ONE, ZERO, norm2, primitive, rat, sqrt_float, vadd,
                        vdot, vsub)
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 from .varsys import VarSystem
 
 __all__ = [
@@ -72,15 +72,7 @@ def __getattr__(name):
 
 class CriticalityVerdict(FrozenRecord):
     __slots__ = ("critical", "xi", "eta", "face_tight", "face_count")
-
-    def __init__(self, critical: bool, xi: tuple | None = None,
-                 eta: tuple | None = None, face_tight: frozenset | None = None,
-                 face_count: int = 0):
-        set_field(self, "critical", critical)
-        set_field(self, "xi", xi)
-        set_field(self, "eta", eta)
-        set_field(self, "face_tight", face_tight)
-        set_field(self, "face_count", face_count)
+    _defaults = {"xi": None, "eta": None, "face_tight": None, "face_count": 0}
 
     def __str__(self):
         return "Critical" if self.critical else "Noncritical"
@@ -88,10 +80,6 @@ class CriticalityVerdict(FrozenRecord):
 
 class UniquenessReport(FrozenRecord):
     __slots__ = ("singleton", "dqc")
-
-    def __init__(self, singleton: bool, dqc: bool):
-        set_field(self, "singleton", singleton)
-        set_field(self, "dqc", dqc)
 
     @property
     def consistent(self) -> bool:

@@ -19,7 +19,7 @@ from .plq import PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
 from .rational import rat, vadd
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 __all__ = ["VarSystem", "MultiplierSet"]
 
@@ -28,14 +28,6 @@ class MultiplierSet(FrozenRecord):
     """The multiplier polyhedron at a base point with its shape flags."""
 
     __slots__ = ("poly", "empty", "singleton", "dimension", "representative")
-
-    def __init__(self, poly: Polyhedron, empty: bool, singleton: bool,
-                 dimension: int, representative: tuple | None):
-        set_field(self, "poly", poly)
-        set_field(self, "empty", empty)
-        set_field(self, "singleton", singleton)
-        set_field(self, "dimension", dimension)
-        set_field(self, "representative", representative)
 
     def contains(self, lam) -> bool:
         return self.poly.contains(lam)
@@ -99,7 +91,7 @@ class VarSystem:
             rhs.append(-fx[j])
             rows.append(tuple(-v for v in col))
             rhs.append(fx[j])
-        poly = Polyhedron(rows, rhs).with_dim(self.m)
+        poly = Polyhedron(rows, rhs, self.m)
         if poly.is_empty():
             out = MultiplierSet(poly, True, False, -1, None)
         else:

@@ -23,5 +23,5 @@ def face_region(ctx, face):
     for h in polar_le + polar_eq + [tuple(-v for v in h) for h in polar_eq]:
         rows.append(tuple(h) + tuple(-v for v in bmat.matvec(h)))
         rhs.append(ZERO)
-    lifted = Polyhedron(rows, rhs).with_dim(2 * m)
+    lifted = Polyhedron(rows, rhs, 2 * m)
     return PolyCone(fm_project(lifted, range(m)).b, dim=m)

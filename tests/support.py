@@ -102,7 +102,7 @@ def flat_enlp() -> EnlpProblem:
 
 def smooth_enlp() -> EnlpProblem:
     """min x^2/2 + theta(x) with Y = R, B = 1 (everywhere smooth)."""
-    pen = PlqPenalty(Polyhedron((), ()).with_dim(1), RatMatrix([(1,)]))
+    pen = PlqPenalty(Polyhedron((), (), 1), RatMatrix([(1,)]))
     return EnlpProblem(pe("1/2*x1^2", 1), PolyMap([pe("x1", 1)]), pen)
 
 
@@ -124,7 +124,7 @@ def random_penalty(rng: random.Random, m, p_max=3, b_rank_max=None):
         else:
             rows.append(b)
             alpha.append(val + rat(rng.randint(1, 3)))  # strictly slack
-    ypoly = Polyhedron(rows, alpha).with_dim(m)
+    ypoly = Polyhedron(rows, alpha, m)
     k = rng.randint(0, m if b_rank_max is None else b_rank_max)
     if k:
         c = RatMatrix([[rat(rng.randint(-1, 1)) for _ in range(m)]

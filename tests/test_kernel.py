@@ -12,9 +12,9 @@ import pytest
 import plqstab.linalg as linalg
 import plqstab.lp as lp
 from plqstab import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,
-                     Polyhedron, Polynomial, QpInfeasible, QpOptimal,
-                     QpUnbounded, RatMatrix, corpus_names, identity, lp_max,
-                     lp_solve, psd_check, qp_solve, rat)
+                     PlqPenalty, Polyhedron, Polynomial, QpInfeasible,
+                     QpOptimal, QpUnbounded, RatMatrix, corpus_names, identity,
+                     lp_max, lp_solve, psd_check, qp_solve, rat)
 from plqstab.lp import lp_max_each
 from plqstab.errors import InternalConsistencyError
 from plqstab.linalg import (invert, is_positive_definite, kernel_basis,
@@ -721,9 +721,37 @@ def test_qp_scalar_examples():
     assert out.ray[0] > 0
 
 
+def test_a_polyhedron_keeps_the_dimension_it_was_built_with():
+    # a rowless polyhedron has no rows to infer a dimension from
+    with pytest.raises(ValueError):
+        Polyhedron([], [])
+    with pytest.raises(ValueError):
+        Polyhedron([(1, 0)], [1], dim=3)
+    assert Polyhedron([(1, 0)], [1]).dim == 2
+    whole = Polyhedron([], [], dim=2)
+    assert whole.contains((1, 1))
+    with pytest.raises(ValueError):
+        whole.contains((1, 1, 1))
+    assert qp_solve(identity(2), (1, 1), whole) == QpOptimal(
+        point=(rat(-1), rat(-1)), value=rat(-1))
+    # a caller of another dimension is refused, and the polyhedron it was
+    # handed is left as it was
+    with pytest.raises(ValueError):
+        qp_solve(identity(3), (1, 1, 1), whole)
+    with pytest.raises(ValueError):
+        StrictQpSolver(identity(3), whole)
+    with pytest.raises(ValueError):
+        PlqPenalty(whole, identity(3))
+    assert whole.dim == 2
+    assert qp_solve(identity(2), (1, 1), whole) == QpOptimal(
+        point=(rat(-1), rat(-1)), value=rat(-1))
+    assert isinstance(qp_solve(identity(3), (1, 1, 1), Polyhedron([], [], 3)),
+                      QpOptimal)
+
+
 def test_qp_rejects_indefinite():
     with pytest.raises(ValueError):
-        qp_solve(RatMatrix([(0, 1), (1, 0)]), (0, 0), Polyhedron((), ()).with_dim(2))
+        qp_solve(RatMatrix([(0, 1), (1, 0)]), (0, 0), Polyhedron((), (), 2))
 
 
 def test_qp_zero_quadratic_matches_lp():
@@ -736,7 +764,7 @@ def test_qp_zero_quadratic_matches_lp():
                      for _ in range(rng.randint(1, 4)))
         rhs = tuple(rat(rng.randint(-1, 4)) for _ in rows)
         c = tuple(rat(rng.randint(-3, 3)) for _ in range(n))
-        p = Polyhedron(rows, rhs).with_dim(n)
+        p = Polyhedron(rows, rhs, n)
         qo = qp_solve(zeros(n, n), c, p)
         lo = lp_max(tuple(-v for v in c), rows, rhs)
         if isinstance(qo, QpInfeasible):
@@ -757,7 +785,7 @@ def _random_qp(rng, shift):
                  for _ in range(rng.randint(1, 4)))
     rhs = tuple(rat(rng.randint(0, 4)) for _ in rows)
     lin = tuple(rat(rng.randint(-3, 3)) for _ in range(n))
-    return q, lin, Polyhedron(rows, rhs).with_dim(n)
+    return q, lin, Polyhedron(rows, rhs, n)
 
 
 def test_qp_kkt_conditions_hold_exactly():

@@ -263,7 +263,7 @@ def test_rejection_is_sound_on_adversarial_trials():
         for m in (1, 2, 3):
             orthant = Polyhedron([[-int(i == j) for j in range(m)]
                                   for i in range(m)], [0] * m)
-            for poly_y in (Polyhedron((), ()).with_dim(m), orthant):
+            for poly_y in (Polyhedron((), (), m), orthant):
                 system = _small_system(n, m, poly_y)
                 kernel = system.float_kernel
                 for _ in range(40):  # reach the pieces

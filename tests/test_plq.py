@@ -290,7 +290,7 @@ def test_theta_convexity_sampled():
 
 
 def test_coderivative_smooth_case_is_singleton_slope():
-    pen = PlqPenalty(Polyhedron((), ()).with_dim(1), RatMatrix([(1,)]))
+    pen = PlqPenalty(Polyhedron((), (), 1), RatMatrix([(1,)]))
     assert coderivative_contains(pen, (0,), (0,), (3,), (3,))
     assert not coderivative_contains(pen, (0,), (0,), (3,), (2,))
     assert coderivative_contains(pen, (0,), (0,), (0,), (0,))

@@ -33,7 +33,7 @@ def rand_polyhedron(rng, dim, nonempty=True):
         rows = [tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
                 for _ in range(rng.randint(1, 4))]
         rhs = [rat(rng.randint(0 if nonempty else -2, 3)) for _ in rows]
-        p = Polyhedron(rows, rhs).with_dim(dim)
+        p = Polyhedron(rows, rhs, dim)
         if not nonempty or not p.is_empty():
             return p
 
@@ -244,7 +244,7 @@ def test_emptiness_matches_the_lp(monkeypatch):
         rows = [tuple(rat(rng.randint(-2, 2)) for _ in range(dim))
                 for _ in range(rng.randint(1, 5))]
         rhs = [rat(rng.randint(-2, 3)) for _ in rows]
-        p = Polyhedron(rows, rhs).with_dim(dim)
+        p = Polyhedron(rows, rhs, dim)
         origin = all(a >= 0 for a in p.alpha)
         shortcut += origin
         calls.clear()
@@ -463,7 +463,7 @@ def test_horizon_cone_examples():
     assert orth_h.set_equal(PolyCone([(-1, 0), (0, -1)], dim=2))
     box = Polyhedron([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 1, 1])
     assert horizon_cone(box).is_trivial()
-    half = Polyhedron([(1, 0)], [1]).with_dim(2)
+    half = Polyhedron([(1, 0)], [1])
     h = horizon_cone(half)
     assert h.contains((-2, 5)) and not h.contains((1, 0))
     with pytest.raises(ValueError):
@@ -472,7 +472,7 @@ def test_horizon_cone_examples():
 
 def test_horizon_cone_by_scaling_samples():
     rng = random.Random(29)
-    half = Polyhedron([(1, 0)], [1]).with_dim(2)
+    half = Polyhedron([(1, 0)], [1])
     h = horizon_cone(half)
     for _ in range(50):
         pt = (rat(rng.randint(-6, 1)), rat(rng.randint(-5, 5)))
@@ -539,7 +539,7 @@ def _projection_instance(rng):
         else:
             rows.append(b)
             rhs.append(vdot(b, y0) + (rng.randint(1, 3) if kind == "slack" else 0))
-    poly = Polyhedron(rows, rhs).with_dim(dim)
+    poly = Polyhedron(rows, rhs, dim)
     tight = [poly.b[i] for i in sorted(poly.tight_rows(y0))]
     # y0 plus a normal vector at y0 (zero weights included) projects to y0
     normal = [rat(rng.randint(0, 2), rng.randint(1, 3)) for _ in tight]
@@ -572,7 +572,7 @@ def test_project_point_matches_the_all_subsets_reference():
 
 
 def test_fm_project_examples():
-    p = Polyhedron([(1, 1), (0, -1)], [1, 0]).with_dim(2)
+    p = Polyhedron([(1, 1), (0, -1)], [1, 0])
     r = fm_project(p, [0])
     assert r.contains((1,)) and r.contains((-5,)) and not r.contains((2,))
 
@@ -645,7 +645,7 @@ def test_limiting_normals_single_polyhedron_collapse():
 
 
 def test_limiting_normals_whole_space_trivial():
-    w = Polyhedron((), ()).with_dim(2)
+    w = Polyhedron((), (), 2)
     cones = limiting_normal_cone_union(PolyUnion([w]), (1, 1))
     assert all(c.is_trivial() for c in cones)
     with pytest.raises(ValueError):

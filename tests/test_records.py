@@ -1,6 +1,7 @@
 """The slotted result classes keep the contract of the dataclasses they
-replaced: constructor signatures and defaults, frozenness, equality and
-hashing by fields, and the `Name(field=value, ...)` repr."""
+replaced: constructor signatures and defaults, a TypeError for an
+unknown, repeated or missing field, frozenness, equality and hashing by
+fields, and the `Name(field=value, ...)` repr."""
 
 import pytest
 
@@ -54,6 +55,9 @@ _IDS = [case[0].__name__ for case in _CASES]
 @pytest.mark.parametrize("cls, names, given, defaults", _CASES, ids=_IDS)
 def test_construction_by_position_and_keyword(cls, names, given, defaults):
     assert cls.__slots__ == names
+    # `Record.__init__` binds the slots; only LpProblem, which converts
+    # and checks its rows first, writes a constructor of its own
+    assert ("__init__" in vars(cls)) == (cls is LpProblem)
     by_position = cls(*given)
     by_keyword = cls(**dict(zip(names, given)))
     values = given + defaults
@@ -63,6 +67,15 @@ def test_construction_by_position_and_keyword(cls, names, given, defaults):
     assert by_position == by_keyword
     with pytest.raises(TypeError):
         cls(*values, "one too many")
+    with pytest.raises(TypeError, match="'not_a_field'"):
+        cls(*given, not_a_field=None)
+    if given:
+        # a field given by position and by keyword; the last required
+        # field left out
+        with pytest.raises(TypeError, match="'%s'" % names[0]):
+            cls(*given, **{names[0]: given[0]})
+        with pytest.raises(TypeError, match="'%s'" % names[len(given) - 1]):
+            cls(*given[:-1])
 
 
 @pytest.mark.parametrize("cls, names, given, defaults", _CASES, ids=_IDS)
