@@ -37,10 +37,6 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if not kwargs and len(args) == len(names):
-            for name, value in zip(names, args):
-                set_field(self, name, value)
-            return
         cls = type(self).__name__
         if len(args) > len(names):
             raise TypeError("%s() takes %d positional arguments but %d were "
