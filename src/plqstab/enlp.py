@@ -70,20 +70,11 @@ class StabilityReport(FrozenRecord):
                  "consistency_notes")
 
     def to_doc(self):
-        def enc(v):
-            return v if isinstance(v, (bool, str)) else str(v)
-
-        return {
-            "bcq": self.bcq,
-            "sosc": self.sosc,
-            "sonc": enc(self.sonc),
-            "unique": self.unique,
-            "noncritical": self.noncritical,
-            "isolated_calm_skkt": self.isolated_calm_skkt,
-            "lipschitz_like_skkt": self.lipschitz_like_skkt,
-            "robust_ic": enc(self.robust_ic),
-            "consistency_notes": list(self.consistency_notes),
-        }
+        """Each field by its name: a tuple as a list, a bool or str as
+        itself, any other value as its str."""
+        return {name: list(v) if isinstance(v, tuple) else
+                v if isinstance(v, (bool, str)) else str(v)
+                for name, v in zip(self.__slots__, self._values())}
 
 
 class EnlpProblem:

@@ -242,13 +242,14 @@ class Polyhedron:
         polyhedron) tries active sets by increasing size and returns the
         first whose exact KKT certificate holds, multipliers >= 0 and
         every inactive row feasible.  The minimizer is unique, so the
-        first certified active set gives it.
+        first certified active set gives it.  The first set tried has no
+        inequality rows, and for an x in P it gives y = x.
         """
         if self.is_empty():
             raise ValueError("projection onto an empty polyhedron")
         x = tuple(rat(v) for v in x)
-        if self.contains(x):
-            return x, ZERO
+        if len(x) != self.dim:
+            raise ValueError("point dimension mismatch")
         y = self._projector.solve(tuple(-v for v in x))
         return y, vdot(vsub(x, y), vsub(x, y))
 

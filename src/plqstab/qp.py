@@ -18,10 +18,10 @@ Returned optima satisfy the KKT conditions exactly by construction.
 P is a `polyhedra.Polyhedron`; this module does not import `polyhedra`,
 which projects points with `StrictQpSolver` (Q = I).
 
-For the proximal map's repeated solves, `StrictQpSolver` also keeps a
-float copy of each active set's affine solution map, so that the
-numeric probes can pick the active piece in float (`solve_float`) and
-read its exact data (`piece`) without an exact solve per evaluation.
+For the proximal map's repeated solves, `StrictQpSolver` keeps one record
+per active set, which its exact and float scans walk in one order, so the
+numeric probes can pick the active piece in float (`solve_float`) and read
+its exact data (`piece`) without an exact solve per evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
 from .lp import lp_feasible_point
 from .rational import ONE, ZERO, rat, to_float, vdot
-from .record import FrozenRecord
+from .record import FrozenRecord, Record
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
 
@@ -147,14 +147,26 @@ def _solve_singular(qmat: RatMatrix, c, poly):
     raise InternalConsistencyError("feasible bounded QP without a KKT point")
 
 
+class _ActiveSet(Record):
+    """One independent active set S, from the inverse of its bordered KKT
+    matrix: with rhs = (-c, act_rhs), y_i = <yrows_i, rhs> on S, and the
+    inequality rows of S have multipliers mu_k = <murows_k, rhs>.
+    `inactive` holds the inequality rows outside S; `floats` is the float
+    copy `solve_float` makes when it first meets S."""
+
+    __slots__ = ("subset", "yrows", "murows", "act_rhs", "inactive", "floats")
+    _defaults = {"floats": None}
+
+
 class StrictQpSolver:
     """Repeated exact solves of min 1/2 y^T Q y + c^T y over a fixed P, Q PD.
 
-    Bordered KKT systems are factored once per active set and reused
-    across calls (the proximal map evaluates this with varying c).  On
-    an active set the solution is affine in c, y(c) = d - M c, and so
-    are its multipliers; `piece` gives (M, d) exactly and `solve_float`
-    tests the active sets in float from cached float copies of both maps.
+    Each independent active set gets one record (`_ActiveSet`) the first
+    time a scan reaches it, and the reached records are kept in one list
+    in `_subsets` order.  `solve` walks the list exactly and `solve_float`
+    in float, both from the first record, so both try the active sets in
+    the same order.  On an active set the solution is affine in c,
+    y(c) = d - M c, and so are its multipliers; `piece` gives (M, d).
     """
 
     def __init__(self, qmat: RatMatrix, poly):
@@ -163,24 +175,24 @@ class StrictQpSolver:
         self.q = qmat
         self.poly = poly
         self.n = qmat.nrows
-        self._solvers: dict = {}
         eq_rows, eq_rhs = poly.eq_system()
         # dependent equality rows are implied (P nonempty): keep the basis
         # of the first independent rows, the pivot columns of the transpose
         basis = rref(list(zip(*eq_rows)))[1] if eq_rows else []
         self._eq_rows = [list(eq_rows[k]) for k in basis]
-        self._eq_rhs = [eq_rhs[k] for k in basis]
+        self._eq_rhs = tuple(eq_rhs[k] for k in basis)
         _, self._ineq = poly._split
-        # the float scan of `solve_float`: (subset, float maps) of the
-        # independent active sets reached so far, and the sets after them
-        self._reached = []
-        self._unreached = _subsets(tuple(self._ineq))
+        # every record built, by subset (None for dependent rows); the
+        # records reached, in order; the independent sets after them
+        self._built: dict = {}
+        self._records = []
+        self._unreached = filter(None, map(self._record,
+                                           _subsets(tuple(self._ineq))))
 
-    def _subset_solver(self, subset):
-        if subset in self._solvers:
-            return self._solvers[subset]
-        act_rows = list(self._eq_rows) + [self.poly.b[i] for i in subset]
-        act_rhs = list(self._eq_rhs) + [self.poly.alpha[i] for i in subset]
+    def _record(self, subset):
+        if subset in self._built:
+            return self._built[subset]
+        act_rows = self._eq_rows + [self.poly.b[i] for i in subset]
         n, na = self.n, len(act_rows)
         kkt = [[ZERO] * (n + na) for _ in range(n + na)]
         for i in range(n):
@@ -192,81 +204,58 @@ class StrictQpSolver:
         # with Q PD the bordered system is singular exactly when the
         # active rows are dependent, so only a singular one needs a rank
         inv = invert(RatMatrix(kkt))
-        if inv is None:
-            if act_rows and rank(act_rows) < na:
-                self._solvers[subset] = None  # dependent rows: covered elsewhere
-                return None
+        if inv is not None:
+            rec = _ActiveSet(
+                subset, inv.rows[:n], inv.rows[n + len(self._eq_rows):],
+                self._eq_rhs + tuple(self.poly.alpha[i] for i in subset),
+                tuple(i for i in self._ineq if i not in subset))
+        elif act_rows and rank(act_rows) < na:
+            rec = None  # dependent rows: an independent subset covers them
+        else:
             raise InternalConsistencyError(
                 "PD bordered system with independent rows is singular")
-        self._solvers[subset] = (inv, tuple(act_rhs), len(self._eq_rows))
-        return self._solvers[subset]
+        self._built[subset] = rec
+        return rec
 
-    def _try_subset(self, subset, c):
-        solver = self._subset_solver(subset)
-        if solver is None:
-            return None
-        inv, act_rhs, ne = solver
-        rhs = tuple(-v for v in c) + act_rhs
-        sol = inv.matvec(rhs)
-        y = sol[:self.n]
-        mus = sol[self.n + ne:]
-        if any(m < 0 for m in mus):
-            return None
-        if all(vdot(self.poly.b[i], y) <= self.poly.alpha[i]
-               for i in self._ineq if i not in subset):
-            return tuple(y)
-        return None
+    def _scan(self):
+        """The records in order: those reached, then each next independent
+        set, appended as it is reached while the caller reads on (so a file
+        with many slack rows factors no set beyond the one that passes)."""
+        yield from self._records
+        for rec in self._unreached:
+            self._records.append(rec)
+            yield rec
 
     def solve(self, c, with_subset=False):
         """The unique minimizer for the linear term c; with `with_subset`,
         the pair (minimizer, active set that produced it).
 
-        The active sets are tried in one fixed order, so the active set
-        is a function of c alone.
+        The first record whose multipliers are >= 0 and whose y satisfies
+        every inactive row wins, so the active set is a function of c
+        alone.  A set is rejected at its first negative multiplier, and
+        y is formed only for a set whose multipliers all pass.
         """
-        c = tuple(rat(v) for v in c)
-        for subset in _subsets(tuple(self._ineq)):
-            y = self._try_subset(subset, c)
-            if y is not None:
-                return (y, subset) if with_subset else y
+        neg_c = tuple(-rat(v) for v in c)
+        b, alpha = self.poly.b, self.poly.alpha
+        for rec in self._scan():
+            rhs = neg_c + rec.act_rhs
+            if any(vdot(row, rhs) < 0 for row in rec.murows):
+                continue
+            y = tuple(vdot(row, rhs) for row in rec.yrows)
+            if all(vdot(b[i], y) <= alpha[i] for i in rec.inactive):
+                return (y, rec.subset) if with_subset else y
         raise InternalConsistencyError(
             "strictly convex QP over nonempty P has a minimizer")
 
+    def _affine(self, rows, act_rhs):
+        """(M_i, d_i) with <row_i, (-c, act_rhs)> = d_i - <M_i, c>."""
+        n = self.n
+        return [(row[:n], vdot(row[n:], act_rhs)) for row in rows]
+
     def piece(self, subset):
         """Exact (M, d) with y(c) = d - M c on the active set `subset`."""
-        inv, act_rhs, _ = self._subset_solver(subset)
-        n = self.n
-        mmat = tuple(tuple(row[:n]) for row in inv.rows[:n])
-        d = tuple(vdot(row[n:], act_rhs) for row in inv.rows[:n])
-        return mmat, d
-
-    def _float_maps(self, subset):
-        """Float copies of the affine maps of `subset`, or None for a
-        dependent subset: (row of M, d) pairs with y_i(c) = d_i - <M_i, c>,
-        the same pairs for the inequality multipliers mu(c), and the
-        (b_i, alpha_i) of the inequality rows outside the subset.  Values
-        past float range become +-inf (`rational.to_float`)."""
-        solver = self._subset_solver(subset)
-        if solver is None:
-            return None
-        inv, act_rhs, ne = solver
-        n = self.n
-        rows = [([to_float(v) for v in row[:n]],
-                 to_float(vdot(row[n:], act_rhs))) for row in inv.rows]
-        inactive = [([to_float(v) for v in self.poly.b[i]],
-                     to_float(self.poly.alpha[i]))
-                    for i in self._ineq if i not in subset]
-        return rows[:n], rows[n + ne:], inactive
-
-    def _reach(self) -> bool:
-        """Append the next independent active set of the scan, with its
-        float maps, to `_reached`; False once every set is reached."""
-        for subset in self._unreached:
-            maps = self._float_maps(subset)
-            if maps is not None:
-                self._reached.append((subset, maps))
-                return True
-        return False
+        rec = self._record(subset)
+        return tuple(zip(*self._affine(rec.yrows, rec.act_rhs)))
 
     def solve_float(self, c):
         """(subset, y) for the first active set, in the order of `solve`,
@@ -274,21 +263,25 @@ class StrictQpSolver:
         >= 0 and every inactive row feasible.  None when no set passes,
         which rounding can cause at a kink.
 
-        Every call scans from the first set, over the list of sets the
-        scan has reached so far, which grows only when a scan runs past
-        its end (so a file with many slack rows factors no set beyond the
-        one that passes).  The scan does not start at the last winner: at
-        a kink more than one set passes in float, and the order decides
-        which piece, and so which generalized Jacobian, is used.  Each
-        inner product is `_fdot`'s, 0.0 plus the products in order, written
-        out inline.  `probe.FloatKernel` runs this scan, through
-        `PlqPenalty.prox_float`, once per residual that reaches the prox.
+        The scan starts at the first record, not at the last winner: at a
+        kink more than one set passes in float, and the order decides
+        which piece, and so which generalized Jacobian, is used.  A
+        record's float copy holds its (M_i, d_i) pairs for y and for the
+        multipliers and its inactive (b_i, alpha_i), each exact value
+        rounded once (`rational.to_float`: +-inf past float range).  Inner
+        products are `_fdot`'s, written out inline.  `probe.FloatKernel`
+        runs this scan, through `PlqPenalty.prox_float`, once per residual
+        that reaches the prox.
         """
-        reached = self._reached
-        i = 0
-        while i < len(reached) or self._reach():
-            subset, (yrows, murows, inactive) = reached[i]
-            i += 1
+        for rec in self._scan():
+            if rec.floats is None:
+                rec.floats = tuple(
+                    [([to_float(v) for v in row], to_float(d)) for row, d in pairs]
+                    for pairs in (self._affine(rec.yrows, rec.act_rhs),
+                                  self._affine(rec.murows, rec.act_rhs),
+                                  [(self.poly.b[i], self.poly.alpha[i])
+                                   for i in rec.inactive]))
+            yrows, murows, inactive = rec.floats
             for row, d in murows:
                 s = 0.0
                 for a, b in zip(row, c):
@@ -309,5 +302,5 @@ class StrictQpSolver:
                     if not s <= alpha:
                         break
                 else:
-                    return subset, y
+                    return rec.subset, y
         return None

@@ -17,7 +17,7 @@ import math
 import weakref
 
 from plqstab.qp import _subsets
-from plqstab.rational import rat, to_float
+from plqstab.rational import rat, to_float, vdot
 from plqstab.probe import NewtonResult, _exact_residual_norm, _min_norm_step
 
 _MAPS = weakref.WeakKeyDictionary()  # solver -> {subset: float maps}
@@ -47,13 +47,33 @@ def _matrix_float(polys, point):
     return [[poly_float(p, point) for p in row] for row in polys]
 
 
+def _float_maps(solver, subset):
+    """The float maps of the exact record of `subset`, rounded here, or
+    None for a dependent subset: (row of M, d) pairs with y_i(c) = d_i -
+    <M_i, c>, the same pairs for the inequality multipliers, and the
+    (b_i, alpha_i) of the inequality rows outside the subset."""
+    rec = solver._record(subset)
+    if rec is None:
+        return None
+    n = solver.n
+
+    def pairs(rows):
+        return [([to_float(v) for v in row[:n]],
+                 to_float(vdot(row[n:], rec.act_rhs))) for row in rows]
+
+    poly = solver.poly
+    return (pairs(rec.yrows), pairs(rec.murows),
+            [([to_float(v) for v in poly.b[i]], to_float(poly.alpha[i]))
+             for i in solver._ineq if i not in subset])
+
+
 def solve_float(solver, c):
     """(subset, y) of the first active set, in the order of the exact
     solve, whose float maps pass for the float linear term c, or None."""
     cache = _MAPS.setdefault(solver, {})
     for subset in _subsets(tuple(solver._ineq)):
         if subset not in cache:
-            cache[subset] = solver._float_maps(subset)
+            cache[subset] = _float_maps(solver, subset)
         maps = cache[subset]
         if maps is None:
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
+import sys
 
 from plqstab import (EnlpProblem, PlqPenalty, PolyMap, Polyhedron, Polynomial,
                      RatMatrix, VarSystem, identity, parse_expression, rat)
@@ -220,16 +221,32 @@ def ball_sample(rng: random.Random, n, radius_num=1, radius_den=100):
     return tuple(scale * rat(rng.randint(-8, 8), 8) for _ in range(n))
 
 
+def _file_module(folder, name):
+    """The module `<folder>/<name>.py` of the checkout, loaded from its
+    file, with `<folder>` on the import path while it loads."""
+    folder = os.path.join(os.path.dirname(__file__), os.pardir, folder)
+    spec = importlib.util.spec_from_file_location(
+        os.path.basename(folder) + "_" + name, os.path.join(folder, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, folder)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(folder)
+    return module
+
+
 def bench_module(name):
     """The benchmark's module `bench/<name>.py`, loaded from its file."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                        name + ".py")
-    spec = importlib.util.spec_from_file_location("bench_" + name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _file_module("bench", name)
 
 
 def random_enlp_docs(seed, count):
     """The problems of the benchmark's random-enlp pool `seed`."""
     return bench_module("workloads").random_enlp_docs(seed, count)
+
+
+def scale_docs(m, count):
+    """(name, document) of the first `count` documents of the scale set at
+    m, as `tools/scale_check.py` builds them."""
+    return _file_module("tools", "scale_check").scale_docs(m, count)

@@ -27,7 +27,7 @@ from plqstab.errors import InternalConsistencyError
 from plqstab.exprparse import MAX_NESTING, ParseError
 from plqstab.problemfile import (MAX_DIMENSION, MAX_PROBE_GRID,
                                  parse_problem_doc)
-from support import random_enlp_docs
+from support import random_enlp_docs, scale_docs
 
 
 def _doc(**overrides):
@@ -296,6 +296,35 @@ def test_cli_random_enlp_probe_report_bytes_are_pinned(tmp_path, capsys):
                              "json"]) == 0
             digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == _RANDOM_ENLP_PROBE_REPORTS_SHA256
+
+
+# sha256 of `plqstab analyze <file> --report json` for the first three
+# documents of the scale set (tools/scale_check.py) at m = 7 and m = 8, and
+# of the m = 7 ones with --probe.  Their Y have 6 to 8 rows, so their exact
+# QPs certify larger active sets than any pinned above, whose Y have at
+# most 3 rows.
+_SCALE_REPORT_SHA256 = {
+    ("m7_0", False): "b4c175d186d8fe53ddc93b3106297fcd6dba6ee453c32d1a32a94f28b5fb229e",
+    ("m7_1", False): "e17e262049f466741948e2494e0bb2c8da564cd966eed6dd47b297a3a203a99b",
+    ("m7_2", False): "d873e1ab45ba3d57b0d5edae1e5eeeab7567b9d3f0b2d6693f53f96cfeea6750",
+    ("m8_0", False): "c1c85fc96e3064568bd9c913cdcc7b2fad3bfaad97e3311acca0db8d681298d3",
+    ("m8_1", False): "3a3bdedfbc88ccf90adbad0a9b0d9f80b66df1e9ee426683a577ba3895b38ca2",
+    ("m8_2", False): "64dfd24fad5b61d53cf3458b5cf762ed8a8f8799663893d494e362ac5e65d462",
+    ("m7_0", True): "0e9cf9ad52cfc21bbbe8328fd22f97f5aa85720cd1b8846bc78718680b48bebc",
+    ("m7_1", True): "fbea21c8ebfff12175e04814f6641c35dc0cef829565a2af0aee5e5a68701276",
+    ("m7_2", True): "aa69e1943b339d0ac2be8fa27a4cfa11376eca4d378eefa3d4ad8ccbd6bc42c2",
+}
+
+
+def test_cli_scale_report_bytes_are_pinned(tmp_path, capsys):
+    docs = dict(scale_docs(7, 3) + scale_docs(8, 3))
+    for (name, probe), digest in _SCALE_REPORT_SHA256.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(docs[name]))
+        argv = ["analyze", str(path), "--report", "json"]
+        assert cli_main(argv + ["--probe"] * probe) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, name
 
 
 def test_cli_ray_probe_records_only_ray_points_inside_the_set(tmp_path,

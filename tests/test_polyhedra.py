@@ -17,7 +17,7 @@ from plqstab.rational import primitive, vdot
 from dd_reference import (canonical_generators, cone_generators_by_lp,
                           cone_generators_by_subsets, faces_by_incidence,
                           faces_by_lp, in_cone_span)
-from projection_reference import project_by_subsets
+from projection_reference import first_certified_subset, project_by_subsets
 
 ORTHANT2 = Polyhedron([(-1, 0), (0, -1)], [0, 0])
 
@@ -561,6 +561,10 @@ def test_project_point_matches_the_all_subsets_reference():
         for x in points:
             pt, d2 = poly.project_point(x)
             assert (pt, d2) == project_by_subsets(poly, x), (poly.b, poly.alpha, x)
+            # the exact scan skips dependent active sets, yet certifies the
+            # first set, in size order, that any multipliers certify
+            subset = poly._projector.solve(tuple(-v for v in x), with_subset=True)[1]
+            assert subset == first_certified_subset(poly, x), (poly.b, poly.alpha, x)
             tight = [poly.b[i] for i in poly.tight_rows(pt)]
             seen["degenerate"] += d2 > 0 and rank(tight) < len(tight)
         assert poly.project_point(points[1])[0] == y0
