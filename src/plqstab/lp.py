@@ -19,12 +19,9 @@ tableau would, so the pivots are the same; points, rays and multipliers
 are returned as Rat.  The certificates are checked on the input rows
 scaled to integers, by cross-multiplying.
 
-One phase 1 serves every objective over one constraint system:
-`lp_max_each` runs phase 1 and the artificial pivot-out step once, then
-phase 2 for each objective on a copy of that tableau.  Under Bland's rule
-every pivot is a function of the tableau alone, so each objective gets
-the pivots, point, multipliers and certificate of a fresh solve;
-`lp_solve` is the one-objective case.  Desk-scale solver: dense.
+`lp_solve` is the one solve path: it builds the tableau, runs phase 1,
+the artificial pivot-out step and phase 2, and checks the outcome, so
+every LP of the package is one `lp_solve` call.  Desk-scale solver: dense.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "LpInfeasible",
     "lp_solve",
     "lp_max",
-    "lp_max_each",
     "lp_feasible_point",
 ]
 
@@ -134,16 +130,6 @@ class _Tableau:
         self.art0 = 2 * n + mu
         self.z = [0] * (self.ncols + 1)
         self.zden = 1
-
-    def copy(self):
-        """A tableau that pivots apart from this one.  Pivots and cost
-        updates replace rows and the cost row rather than edit them, so
-        only the row list and the basis are copied."""
-        twin = object.__new__(_Tableau)
-        twin.__dict__.update(self.__dict__)
-        twin.t = self.t[:]
-        twin.basis = self.basis[:]
-        return twin
 
     def is_artificial(self, j):
         return j >= self.art0
@@ -308,41 +294,8 @@ def _check_infeasible(t, out: LpInfeasible):
 
 # -- solving -------------------------------------------------------------------
 
-def _objective(c, n):
-    c = _rats(c)
-    if len(c) != n:
-        raise ValueError("objective length does not match the constraint rows")
-    return c
-
-
-def _phase_2(t: _Tableau, c):
-    """The checked outcome for objective c, from a copy of the tableau t
-    left by phase 1 and the artificial pivot-out step."""
-    t = t.copy()
-    # artificials may stay basic at zero but never re-enter
-    cost = list(c) + [-v for v in c] + [ZERO] * (t.mu + t.m)
-    status, enter = t.run(cost, allow_artificial=False)
-    if status == "unbounded":
-        out = LpUnbounded(ray=t.ray_x(enter), feasible_point=t.solution_x())
-        _check_unbounded(t, c, out)
-        return out
-    y = t.duals(cost)
-    # z[-1] / zden is the objective value of the basic solution
-    out = LpOptimal(point=t.solution_x(), value=Rat(t.z[-1], t.zden),
-                    dual_ub=tuple(y[:t.mu]), dual_eq=tuple(y[t.mu:]))
-    _check_optimal(t, c, out)
-    return out
-
-
-def _solve_each(p: LpProblem, more=()):
-    """Outcomes for p's objective and then for each objective in `more`,
-    all over p's constraints, computed as they are asked for.
-
-    The tableau, phase 1 and the artificial pivot-out step are made once;
-    each objective runs phase 2 on its own copy of that tableau.  An
-    infeasible system gets one Farkas certificate, checked once, for every
-    objective.
-    """
+def lp_solve(p: LpProblem):
+    """Solve exactly; outcome is LpOptimal | LpUnbounded | LpInfeasible."""
     t = _Tableau(p)
     n, mu, m = t.n, t.mu, t.m
 
@@ -356,11 +309,7 @@ def _solve_each(p: LpProblem, more=()):
         y = t.duals(cost1)
         out = LpInfeasible(farkas_ub=tuple(y[:mu]), farkas_eq=tuple(y[mu:]))
         _check_infeasible(t, out)
-        yield out
-        for c in more:
-            _objective(c, n)
-            yield out
-        return
+        return out
 
     # pivot remaining zero-valued artificials out of the basis when possible
     for i in range(m):
@@ -369,30 +318,25 @@ def _solve_each(p: LpProblem, more=()):
             if j is not None:
                 t.pivot(i, j)
 
-    yield _phase_2(t, p.objective)
-    for c in more:
-        yield _phase_2(t, _objective(c, n))
-
-
-def lp_solve(p: LpProblem):
-    """Solve exactly; outcome is LpOptimal | LpUnbounded | LpInfeasible."""
-    return next(_solve_each(p))
+    # phase 2: artificials may stay basic at zero but never re-enter
+    c = p.objective
+    cost = list(c) + [-v for v in c] + [ZERO] * (mu + m)
+    status, enter = t.run(cost, allow_artificial=False)
+    if status == "unbounded":
+        out = LpUnbounded(ray=t.ray_x(enter), feasible_point=t.solution_x())
+        _check_unbounded(t, c, out)
+        return out
+    y = t.duals(cost)
+    # z[-1] / zden is the objective value of the basic solution
+    out = LpOptimal(point=t.solution_x(), value=Rat(t.z[-1], t.zden),
+                    dual_ub=tuple(y[:mu]), dual_eq=tuple(y[mu:]))
+    _check_optimal(t, c, out)
+    return out
 
 
 def lp_max(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return lp_solve(LpProblem(tuple(objective), tuple(a_ub), tuple(b_ub),
                               tuple(a_eq), tuple(b_eq)))
-
-
-def lp_max_each(objectives, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """The outcome of max <c, x> over one constraint system for each c in
-    `objectives`, in order and lazily: no LP work is done for an objective
-    before its outcome is asked for.  Phase 1 runs once, for the first."""
-    objectives = iter(objectives)
-    first = next(objectives, None)
-    if first is not None:
-        yield from _solve_each(LpProblem(first, a_ub, b_ub, a_eq, b_eq),
-                               objectives)
 
 
 def lp_feasible_point(a_ub=(), b_ub=(), a_eq=(), b_eq=(), n=None):

@@ -14,7 +14,8 @@ description sweep and are intended for desk scale (dimension <= 8 or
 so); complexity is exponential in the number of rows.  The sweep and
 the face enumeration are combinatorial: rays are combined only when
 adjacent, and face closures are read off the rays' zero sets, so
-neither solves an LP.
+neither solves an LP.  The affine dimension of a polyhedron is the rank
+of its tangent cone's generators, so it needs no LP beyond emptiness.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 from .errors import InternalConsistencyError
 from .linalg import identity, rank, rref
-from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max, lp_max_each
+from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max
 from .qp import StrictQpSolver, _subsets
 from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
                        vscale, vsub)
@@ -193,27 +194,24 @@ class Polyhedron:
         return self._feasible_point
 
     # -- misc geometry -------------------------------------------------------
-    @cached_property
-    def implicit_equality_rows(self):
-        """Inequality rows satisfied with equality everywhere on the set."""
-        _, ineq = self._split
-        out = []
-        objectives = (tuple(-v for v in self.b[i]) for i in ineq)
-        for i, o in zip(ineq, lp_max_each(objectives, self.b, self.alpha)):
-            if isinstance(o, LpOptimal) and -o.value == self.alpha[i]:
-                out.append(i)
-        return out
-
     def affine_dimension(self):
-        """Dimension of the affine hull; -1 for the empty set."""
+        """Dimension of the affine hull; -1 for the empty set.
+
+        Without inequality rows the set is an affine subspace.  Otherwise
+        its affine hull is y plus the span of its tangent cone at y, the
+        origin when that satisfies every row, else the emptiness LP's
+        point: the rank of the cone's generators, with no further LP.
+        """
         if self.is_empty():
             return -1
-        pairs, _ = self._split
-        eq_rows = [self.b[i] for i, _ in pairs]
-        eq_rows += [self.b[i] for i in self.implicit_equality_rows]
-        if not eq_rows:
-            return self.dim
-        return self.dim - rank(eq_rows)
+        pairs, ineq = self._split
+        if not ineq:
+            return self.dim - rank([self.b[i] for i, _ in pairs])
+        y = ((ZERO,) * self.dim if all(a >= 0 for a in self.alpha)
+             else self._feasible_point)
+        lin, rays = _cone_generators(
+            [self.b[i] for i in sorted(self.tight_rows(y))], self.dim)
+        return rank(lin + rays)
 
     def irredundant(self) -> "Polyhedron":
         """Equivalent description with LP-redundant rows removed."""

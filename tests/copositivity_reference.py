@@ -12,7 +12,7 @@ represented direction are decided by LPs.
 """
 
 from plqstab.linalg import RatMatrix, solve_general
-from plqstab.lp import LpOptimal, lp_feasible_point, lp_max_each
+from plqstab.lp import LpOptimal, lp_feasible_point, lp_max
 from plqstab.polyhedra import _all_generator_vectors
 from plqstab.qp import _subsets
 from plqstab.rational import ONE, ZERO
@@ -102,7 +102,8 @@ def _nonzero_direction(a_eq, b_eq, k, gens, subset):
     a_ub, b_ub = _simplex_rows(k)
     objectives = (tuple(gens[i][j] * sign for i in subset) + (ZERO,)
                   for j in range(n) for sign in (1, -1))
-    for o in lp_max_each(objectives, a_ub, b_ub, a_eq, b_eq):
+    for c in objectives:
+        o = lp_max(c, a_ub, b_ub, a_eq, b_eq)
         if isinstance(o, LpOptimal) and o.value > 0:
             return _combine(gens, subset, o.point[:k])
     return None

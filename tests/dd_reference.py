@@ -21,7 +21,7 @@ pair in the form both return.
 from itertools import combinations
 
 from plqstab.linalg import rref
-from plqstab.lp import LpOptimal, lp_feasible_point, lp_max, lp_max_each
+from plqstab.lp import LpOptimal, lp_feasible_point, lp_max
 from plqstab.polyhedra import PolyCone
 from plqstab.qp import _subsets
 from plqstab.rational import (ONE, ZERO, is_zero_vec, primitive, vadd, vdot,
@@ -143,10 +143,9 @@ def _face_closure(cone, subset, ineq):
         return frozenset(subset)
     # row i is identically zero on the face iff max -<b_i, x> is 0 there
     closure = set(subset)
-    objectives = (tuple(-v for v in cone.rows[i]) for i in others)
-    outcomes = lp_max_each(objectives, list(cone.rows) + box_rows,
-                           [ZERO] * len(cone.rows) + box_rhs, eq, [ZERO] * len(eq))
-    for i, o in zip(others, outcomes):
+    for i in others:
+        o = lp_max(tuple(-v for v in cone.rows[i]), list(cone.rows) + box_rows,
+                   [ZERO] * len(cone.rows) + box_rhs, eq, [ZERO] * len(eq))
         if not isinstance(o, LpOptimal):
             raise AssertionError("face closure LP is not optimal")
         if o.value == 0:

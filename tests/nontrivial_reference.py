@@ -5,10 +5,10 @@ witness before generators did.
 
 A system is nontrivial when the box-normalized LPs of `nontrivial_point`
 (each tested coordinate maximized and minimized under |coord| <= 1, one
-phase 1 per system) find a point with a tested coordinate nonzero.
+LP each) find a point with a tested coordinate nonzero.
 """
 
-from plqstab.lp import LpOptimal, lp_max_each
+from plqstab.lp import LpOptimal, lp_max
 from plqstab.rational import ONE, ZERO
 
 
@@ -18,7 +18,7 @@ def nontrivial_point(nvars, a_eq, a_ub, coords):
 
     Maximizes each tested coordinate under the box |coord| <= 1 (the
     solution set is a cone, so any nonzero value rescales to the box), one
-    phase 1 for all of them, and stops at the first positive maximum.
+    LP each, and stops at the first positive maximum.
     """
     box_ub = list(a_ub)
     for j in coords:
@@ -30,7 +30,8 @@ def nontrivial_point(nvars, a_eq, a_ub, coords):
     objectives = (tuple(sign if k == j else ZERO for k in range(nvars))
                   for j in coords for sign in (ONE, -ONE))
     b_eq = [ZERO] * len(a_eq)
-    for out in lp_max_each(objectives, box_ub, box_rhs, a_eq, b_eq):
+    for c in objectives:
+        out = lp_max(c, box_ub, box_rhs, a_eq, b_eq)
         if isinstance(out, LpOptimal) and out.value > 0:
             return tuple(out.point)
     return None

@@ -13,11 +13,14 @@ from plqstab import (PolyCone, Polyhedron, PolyUnion, analyze_problem,
 from plqstab import enlp, stability
 from plqstab.linalg import rank
 from plqstab.lp import lp_feasible_point
+from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import primitive, vdot
+from affine_reference import affine_dimension_by_lp
 from dd_reference import (canonical_generators, cone_generators_by_lp,
                           cone_generators_by_subsets, faces_by_incidence,
                           faces_by_lp, in_cone_span)
 from projection_reference import first_certified_subset, project_by_subsets
+from support import random_enlp_docs
 
 ORTHANT2 = Polyhedron([(-1, 0), (0, -1)], [0, 0])
 
@@ -257,6 +260,95 @@ def test_emptiness_matches_the_lp(monkeypatch):
         assert (p.is_empty(), p.some_point()) == (empty, point)
         assert len(calls) == 1
     assert 20 <= shortcut <= 180, shortcut
+
+
+def _affine_case(rng, kind):
+    """A random polyhedron of the given kind in R^1..R^4.  Rows pass
+    through or near an integer point y0, so the origin lies outside many
+    of them and their emptiness and points come from the LP."""
+    dim = rng.randint(1, 4)
+
+    def vec():
+        return tuple(rng.randint(-2, 2) for _ in range(dim))
+
+    y0 = vec()
+    rows, rhs = [], []
+
+    def through(b, slack=0):
+        rows.append(b)
+        rhs.append(sum(u * v for u, v in zip(b, y0)) + slack)
+
+    if kind == "equality":
+        for _ in range(rng.randint(1, 3)):
+            b = vec()
+            through(b)
+            through(tuple(-v for v in b))
+    elif kind == "cycle":
+        # rows that sum to zero, all tight at y0: each holds with equality
+        # on the set, though no two of them need be opposite
+        bs = [vec() for _ in range(rng.randint(2, 3))]
+        bs.append(tuple(-sum(c) for c in zip(*bs)))
+        for b in bs:
+            through(b)
+    elif kind == "scaled":
+        for _ in range(rng.randint(1, 3)):
+            b, slack, k = vec(), rng.randint(0, 2), rng.randint(1, 3)
+            through(b, slack)
+            through(tuple(k * v for v in b), k * slack)
+            through(tuple(-v for v in b), -slack * rng.randint(0, 1))
+    elif kind == "empty":
+        b, gap = vec(), rng.randint(1, 2)
+        through(b)
+        through(tuple(-v for v in b), -gap)
+    for _ in range(rng.randint(0, 2) if kind != "unbounded" else 1):
+        through(vec(), rng.randint(0, 2))
+    return Polyhedron(rows, rhs, dim)
+
+
+def test_affine_dimension_matches_the_row_lps():
+    # The generators of the tangent cone at one point span the affine
+    # hull; the reference solves one LP per row for the implicit
+    # equalities.
+    rng = random.Random(3301)
+    kinds = ("equality", "cycle", "scaled", "empty", "unbounded", "random")
+    seen = {kind: set() for kind in kinds}
+    implicit = origin = 0
+    for _ in range(120):
+        for kind in kinds:
+            p = _affine_case(rng, kind)
+            dim = p.affine_dimension()
+            assert dim == affine_dimension_by_lp(p), (kind, p.b, p.alpha)
+            seen[kind].add(dim)
+            # lower-dimensional with no opposite row pair to say so
+            implicit += 0 <= dim < p.dim and not p.eq_system()[0]
+            origin += all(a >= 0 for a in p.alpha)
+    assert seen["empty"] == {-1} and len(seen["cycle"]) >= 3, seen
+    assert all(len(dims) >= 3 for kind, dims in seen.items()
+               if kind != "empty"), seen
+    assert implicit >= 50 and 50 <= origin <= 600, (implicit, origin)
+
+
+def test_multiplier_set_dimensions_match_the_row_lps(monkeypatch):
+    # Every multiplier set of the corpus and random-enlp pools 1-3.
+    from plqstab.varsys import VarSystem
+
+    sets = {}
+    multiplier_set = VarSystem.multiplier_set
+
+    def recorded(self, x):
+        out = multiplier_set(self, x)
+        sets[id(out)] = out
+        return out
+
+    monkeypatch.setattr(VarSystem, "multiplier_set", recorded)
+    files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
+    files += [parse_problem_doc(doc, name_hint=name) for seed in (1, 2, 3)
+              for name, doc in random_enlp_docs(seed, 5)]
+    for pf in files:
+        analyze_problem(pf)
+    dims = [mset.dimension for mset in sets.values()]
+    assert dims == [affine_dimension_by_lp(mset.poly) for mset in sets.values()]
+    assert {0, 1} <= set(dims) and len(dims) >= 20, dims
 
 
 # -- double description and faces against the references ----------------------------
