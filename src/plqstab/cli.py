@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 
+from .errors import OversizeError
 from .exprparse import ParseError
 from .problemfile import MAX_PROBE_GRID, ProblemFileError, parse_problem_file
 from .report import InternalConsistencyError, analyze_problem, render_json, \
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
         pf = parse_problem_file(args.file)
         doc, csvs = analyze_problem(pf, probe=args.probe,
                                     probe_grid=args.probe_grid, tol=args.tol)
-    except (ProblemFileError, ParseError) as e:
+    except (ProblemFileError, ParseError, OversizeError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return 1
     except InternalConsistencyError as e:

@@ -6,21 +6,21 @@ linear-quadratic penalty theta; its Lagrangian is
 
     L(x, lam) = phi0(x) + <Phi(x), lam> - 1/2 <lam, B lam>,
 
-so the induced variational system has f = grad(phi0) and the residual
-Jacobian equals the Lagrangian Hessian.  The second-order engine
-decomposes the domain of the restricted penalty by the faces of the
-critical cone; the region attached to a face is a Minkowski sum built
-from generators (`stability._face_region`), on it the penalty is an
-explicit quadratic form (solved on the span of the face with a rational
-pseudo-inverse), and strict or non-strict copositivity of each pulled
-back form is decided exactly: definiteness on the lineality space of
-the pulled back cone (`linalg.reduce_lineality`, the symmetric
-elimination behind every PSD and PD test), then stationary families of
-the Schur complement over the simplex of its extreme rays
-(`copositive_on_cone`).
+so the problem is the variational system with f = grad(phi0)
+(`EnlpProblem` is a `VarSystem`), and the residual Jacobian equals the
+Lagrangian Hessian.  The second-order engine decomposes the domain of
+the restricted penalty by the faces of the critical cone; the region
+attached to a face is a Minkowski sum built from generators
+(`stability._face_region`), on it the penalty is an explicit quadratic
+form (solved on the span of the face with a rational pseudo-inverse),
+and strict or non-strict copositivity of each pulled back form is
+decided exactly: definiteness on the lineality space of the pulled back
+cone (`linalg.reduce_lineality`, the symmetric elimination behind every
+PSD and PD test), then stationary families of the Schur complement over
+the simplex of its extreme rays (`copositive_on_cone`).
 
-The criteria at (x, lam) share one memoized point context of the induced
-system (`stability.PointContext`): one solution check, and the Hessian,
+The criteria at (x, lam) share the problem's own memoized point context
+(`stability.PointContext`): one solution check, and the Hessian,
 critical cone, faces and face regions built once.
 
 The coderivative (Lipschitz-like) criterion reads the limiting normals
@@ -77,25 +77,16 @@ class StabilityReport(FrozenRecord):
                 for name, v in zip(self.__slots__, self._values())}
 
 
-class EnlpProblem:
-    """Cost polynomial, constraint map, and penalty."""
+class EnlpProblem(VarSystem):
+    """Cost polynomial, constraint map, and penalty: the variational
+    system with f = grad(phi0), the same Phi and the same penalty."""
 
     def __init__(self, phi0: Polynomial, phi: PolyMap, penalty: PlqPenalty):
         if phi0.n != phi.n:
             raise ValueError("cost and constraint map disagree on dimension")
-        if phi.k != penalty.m:
-            raise ValueError("constraint range does not match the penalty")
+        super().__init__(PolyMap([phi0]).gradient_map(), phi, penalty)
         self.phi0 = phi0
-        self.phi = phi
-        self.penalty = penalty
-        self.n = phi.n
-        self.m = phi.k
-        self._grad0 = PolyMap(tuple(phi0.diff(j) for j in range(self.n)), n=self.n)
-        self._vs = VarSystem(self._grad0, phi, penalty)
         self._bcq: dict = {}
-
-    def to_varsys(self) -> VarSystem:
-        return self._vs
 
     # -- Lagrangian -----------------------------------------------------------
     def lagrangian(self, x, lam):
@@ -111,18 +102,15 @@ class EnlpProblem:
     # -- first-order tests -------------------------------------------------------
     def kkt_check(self, x, lam):
         """(exact KKT truth, float residual)."""
-        ctx = self._vs.point(x, lam)
+        ctx = self.point(x, lam)
         resid = norm2(ctx.psi)
         if not ctx.in_subdiff:
             resid += norm2(vsub(ctx.zbar, self.penalty.prox(vadd(ctx.lam, ctx.zbar))))
         return ctx.solves, resid
 
     def _require_kkt(self, x, lam):
-        return self._vs.point(x, lam).require(
+        return self.point(x, lam).require(
             "the pair does not solve the KKT system exactly")
-
-    def multiplier_set(self, x):
-        return self._vs.multiplier_set(x)
 
     def bcq_holds(self, x) -> bool:
         """Normals of dom(theta) at Phi(x) meet ker(DPhi^T) only at zero.
@@ -168,7 +156,7 @@ class EnlpProblem:
 
         def check(lam) -> bool:
             return all(copositive_on_cone(qform, wcone, strict=False)[0]
-                       for wcone, qform in self._vs.point(x, lam).regions)
+                       for wcone, qform in self.point(x, lam).regions)
 
         if mset.singleton:
             return check(mset.representative)
@@ -203,10 +191,10 @@ class EnlpProblem:
     def robust_ic_report(self, x, lam) -> StabilityReport:
         """Full stability report with exact theorem-level cross-checks."""
         ctx = self._require_kkt(x, lam)
-        x, lam, vs = ctx.x, ctx.lam, self._vs
-        verdict = classify_multiplier(vs, x, lam)
+        x, lam = ctx.x, ctx.lam
+        verdict = classify_multiplier(self, x, lam)
         noncritical = not verdict.critical
-        uniq = uniqueness_report(vs, x, lam)
+        uniq = uniqueness_report(self, x, lam)
         bcq = self.bcq_holds(x)
         sosc = self.sosc_holds(x, lam)
         try:

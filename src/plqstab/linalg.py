@@ -52,15 +52,8 @@ class RatMatrix:
         return RatMatrix(tuple(zip(*cols)))
 
     # -- basic access ----------------------------------------------------
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
 
     @property
     def T(self):
@@ -136,8 +129,8 @@ def rref(rows):
     a nonzero multiple of the row that elimination in ``Rat`` arithmetic
     holds, so the pivots and the row order are the same, and so is the
     RREF, which is unique.  Entries are read through ``numerator`` and
-    ``denominator`` only, so either ``Rat`` backend (and int entries)
-    works; every output entry is a ``Rat``, and a zero one builds none.
+    ``denominator`` only, so ``Rat`` and int entries both work; every
+    output entry is a ``Rat``, and a zero one builds none.
     """
     m = [primitive_ints(scaled_ints(r)[0]) for r in rows]
     nr = len(m)

@@ -55,10 +55,6 @@ class ExtReal:
     def is_finite(self):
         return self.value is not None
 
-    @staticmethod
-    def finite(v):
-        return ExtReal(v)
-
     def __add__(self, other):
         if isinstance(other, ExtReal):
             if self.is_finite and other.is_finite:
@@ -95,9 +91,6 @@ class ExtReal:
 
     def __hash__(self):
         return hash(self.value)
-
-    def to_float(self):
-        return float("inf") if not self.is_finite else float(self.value)
 
     def __repr__(self):
         return "+inf" if not self.is_finite else "ExtReal(%s)" % (self.value,)
@@ -435,11 +428,6 @@ class PlqPenalty:
             if not piece.is_empty():
                 pieces.append(piece)
         return PolyUnion(pieces)
-
-    # -- serialization ----------------------------------------------------------------------
-    def to_doc(self):
-        return {"Y": self.Y.to_doc(),
-                "B": [[str(v) for v in row] for row in self.B.rows]}
 
     def __repr__(self):
         return "PlqPenalty(m=%d, rows=%d)" % (self.m, len(self.Y.b))

@@ -26,8 +26,8 @@ from .errors import InternalConsistencyError
 from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max
 from .qp import StrictQpSolver, _subsets
-from .rational import (ONE, ZERO, is_zero_vec, primitive, rat, vadd, vdot,
-                       vscale, vsub)
+from .rational import (ONE, ZERO, format_rat, is_zero_vec, primitive, rat,
+                       vadd, vdot, vscale, vsub)
 from .record import FrozenRecord
 
 __all__ = [
@@ -257,8 +257,8 @@ class Polyhedron:
 
     # -- serialization ---------------------------------------------------------
     def to_doc(self):
-        return {"b": [[str(v) for v in row] for row in self.b],
-                "alpha": [str(a) for a in self.alpha]}
+        return {"b": [[format_rat(v) for v in row] for row in self.b],
+                "alpha": [format_rat(a) for a in self.alpha]}
 
     def __repr__(self):
         return "Polyhedron(rows=%d, dim=%d)" % (len(self.b), self.dim)

@@ -113,11 +113,8 @@ class Polynomial:
                 out[e] = out.get(e, ZERO) + c1 * c2
         return Polynomial(self.n, out)
 
-    def __pow__(self, k):
-        return self.power(k)
-
     def power(self, k, mul=lambda a, b: a * b):
-        """self ** k by binary powering, each product formed by `mul`,
+        """The k-th power by binary powering, each product formed by `mul`,
         which may check the factors first and refuse by raising."""
         if k < 0:
             raise ValueError("negative exponent")

@@ -15,7 +15,8 @@ A problem file is a UTF-8 JSON document:
       "probe": {"grid": 8, "tol": 1e-10}   # optional defaults for --probe
     }
 
-All numerals are exact rationals: JSON integers or strings "p/q".
+All numerals are exact rationals: JSON integers, or strings holding an
+optional sign and ASCII digits as an integer, "p/q" or a plain decimal.
 Validation failures raise ProblemFileError with the offending path.
 """
 
@@ -54,8 +55,8 @@ class ProblemFileError(ValueError):
 
 
 class ProblemFile(Record):
-    """A parsed problem file.  `problem` is an EnlpProblem or a
-    VarSystem, `points` the list of (x tuple, lambda tuple), and
+    """A parsed problem file.  `problem` is a VarSystem (an EnlpProblem
+    for an enlp file), `points` the list of (x tuple, lambda tuple), and
     `y_input` the (rows, alpha) of Y as written, kept because Polyhedron
     scales rows to integers and drops duplicates."""
 
@@ -77,12 +78,11 @@ class ProblemFile(Record):
                 if not math.isfinite(to_float(value)):
                     raise ProblemFileError(
                         name, "beyond float range; --probe evaluates it in float")
-        if self.kind == "enlp":
-            system, f_names = self.problem.to_varsys(), ["$.phi0"] * self.n
-        else:
-            system, f_names = self.problem, ["$.f[%d]" % i for i in range(self.n)]
-        named = [(name, system.f, i, 1) for i, name in enumerate(f_names)]
-        named += [("$.Phi[%d]" % i, system.phi, i, 2) for i in range(self.m)]
+        problem = self.problem
+        f_names = (["$.phi0"] * self.n if self.kind == "enlp" else
+                   ["$.f[%d]" % i for i in range(self.n)])
+        named = [(name, problem.f, i, 1) for i, name in enumerate(f_names)]
+        named += [("$.Phi[%d]" % i, problem.phi, i, 2) for i in range(self.m)]
         for name, pmap, i, order in named:
             if not pmap.fits_float(i, order):
                 raise ProblemFileError(
@@ -254,6 +254,8 @@ def parse_problem_file(path) -> ProblemFile:
         raise ProblemFileError(str(path), "cannot read file (%s)" % e)
     except json.JSONDecodeError as e:
         raise ProblemFileError(str(path), "invalid JSON (%s)" % e)
+    except ValueError as e:  # not UTF-8, or an integer past the digit limit
+        raise ProblemFileError(str(path), "cannot read JSON (%s)" % e)
     except RecursionError:
         raise ProblemFileError(str(path), "invalid JSON (nested deeper than "
                                "the interpreter's recursion limit of %d)"

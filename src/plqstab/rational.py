@@ -2,205 +2,206 @@
 
 Every kernel computation in this package is exact; floating point only
 appears in the numeric probes, which go through ``to_float``.  ``Rat``
-has two backends:
-
-* ``gmpy2.mpq`` when gmpy2 is installed, a drop-in rational in C;
-* otherwise a ``fractions.Fraction`` subclass with integer fast paths.
-  Its constructor from ints, ``+``, ``-``, ``*``, ``/``, negation,
-  ``abs``, the comparisons and the hash of an integer read
-  ``_numerator`` and ``_denominator`` directly when the other operand is
-  a ``Rat`` or an ``int``, and return a ``Rat``.  Sums and products
-  reduce by gcds as in Henrici's method (Knuth, TAOCP Vol. 2, 4.5.1), so
-  each result is in lowest terms without a final normalization.  Any
-  other operand (a ``float``, a plain ``Fraction``) goes to the
-  ``Fraction`` method, so values, ``str``, hashes and equality with
-  ``int`` and ``Fraction`` are those of ``Fraction``.
+is a ``fractions.Fraction`` subclass with integer fast paths.  Its
+constructor from ints, ``+``, ``-``, ``*``, ``/``, negation, ``abs``,
+the comparisons and the hash of an integer read ``_numerator`` and
+``_denominator`` directly when the other operand is a ``Rat`` or an
+``int``, and return a ``Rat``.  Sums and products reduce by gcds as in
+Henrici's method (Knuth, TAOCP Vol. 2, 4.5.1), so each result is in
+lowest terms without a final normalization.  Any other operand (a
+``float``, a plain ``Fraction``) goes to the ``Fraction`` method, so
+values, ``str``, hashes and equality with ``int`` and ``Fraction`` are
+those of ``Fraction``.
 
 The scalar kernels (``vdot``, ``primitive`` and ``linalg.rref``) are
 fraction-free: a product with a zero factor is skipped and builds no
 ``Rat``, and a sum or an elimination runs on integer numerators over
 integer denominators, with one normalization at the end.  They read only
 ``numerator``, ``denominator`` and the truth value of their entries and
-build results with ``Rat(n, d)``, so they run unchanged on either
-backend, and their results are the values that step-by-step ``Rat``
-arithmetic gives.
+build results with ``Rat(n, d)``, and their results are the values that
+step-by-step ``Rat`` arithmetic gives.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # gmpy2 not installed: the fallback below runs
-    _gcd = math.gcd
+from .errors import OversizeError
 
-    class Rat(Fraction):
-        """A ``Fraction`` with fast paths for ``Rat`` and ``int`` operands;
-        see the module docstring."""
+_gcd = math.gcd
 
-        __slots__ = ()
 
-        def __new__(cls, numerator=0, denominator=None):
-            if type(numerator) is int:
-                if denominator is None:
-                    return _make(numerator, 1)
-                if type(denominator) is int:
-                    if not denominator:
-                        raise ZeroDivisionError("Fraction(%s, 0)" % numerator)
-                    g = _gcd(numerator, denominator)
-                    if denominator < 0:
-                        g = -g
-                    return _make(numerator // g, denominator // g)
-            return Fraction.__new__(cls, numerator, denominator)
+class Rat(Fraction):
+    """A ``Fraction`` with fast paths for ``Rat`` and ``int`` operands;
+    see the module docstring."""
 
-        def __add__(a, b):
-            if type(b) is Rat:
-                return _add(a._numerator, a._denominator,
-                            b._numerator, b._denominator)
-            if type(b) is int:
-                return _make(a._numerator + b * a._denominator, a._denominator)
-            return Fraction.__add__(a, b)
+    __slots__ = ()
 
-        def __radd__(a, b):
-            if type(b) is int:
-                return _make(a._numerator + b * a._denominator, a._denominator)
-            return Fraction.__radd__(a, b)
+    def __new__(cls, numerator=0, denominator=None):
+        if type(numerator) is int:
+            if denominator is None:
+                return _make(numerator, 1)
+            if type(denominator) is int:
+                if not denominator:
+                    raise ZeroDivisionError("Fraction(%s, 0)" % numerator)
+                g = _gcd(numerator, denominator)
+                if denominator < 0:
+                    g = -g
+                return _make(numerator // g, denominator // g)
+        return Fraction.__new__(cls, numerator, denominator)
 
-        def __sub__(a, b):
-            if type(b) is Rat:
-                return _add(a._numerator, a._denominator,
-                            -b._numerator, b._denominator)
-            if type(b) is int:
-                return _make(a._numerator - b * a._denominator, a._denominator)
-            return Fraction.__sub__(a, b)
+    def __add__(a, b):
+        if type(b) is Rat:
+            return _add(a._numerator, a._denominator,
+                        b._numerator, b._denominator)
+        if type(b) is int:
+            return _make(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
 
-        def __rsub__(a, b):
-            if type(b) is int:
-                return _make(b * a._denominator - a._numerator, a._denominator)
-            return Fraction.__rsub__(a, b)
+    def __radd__(a, b):
+        if type(b) is int:
+            return _make(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__radd__(a, b)
 
-        def __mul__(a, b):
-            if type(b) is Rat:
-                na, da, nb, db = (a._numerator, a._denominator,
-                                  b._numerator, b._denominator)
-                g = _gcd(na, db)
-                if g > 1:
-                    na //= g
-                    db //= g
-                g = _gcd(nb, da)
-                if g > 1:
-                    nb //= g
-                    da //= g
-                return _make(na * nb, da * db)
-            if type(b) is int:
-                g = _gcd(b, a._denominator)
-                return _make(a._numerator * (b // g), a._denominator // g)
-            return Fraction.__mul__(a, b)
+    def __sub__(a, b):
+        if type(b) is Rat:
+            return _add(a._numerator, a._denominator,
+                        -b._numerator, b._denominator)
+        if type(b) is int:
+            return _make(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
 
-        def __rmul__(a, b):
-            if type(b) is int:
-                g = _gcd(b, a._denominator)
-                return _make(a._numerator * (b // g), a._denominator // g)
-            return Fraction.__rmul__(a, b)
+    def __rsub__(a, b):
+        if type(b) is int:
+            return _make(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
 
-        def __truediv__(a, b):
-            if type(b) is Rat:
-                return _div(a._numerator, a._denominator,
-                            b._numerator, b._denominator)
-            if type(b) is int:
-                return _div(a._numerator, a._denominator, b, 1)
-            return Fraction.__truediv__(a, b)
+    def __mul__(a, b):
+        if type(b) is Rat:
+            na, da, nb, db = (a._numerator, a._denominator,
+                              b._numerator, b._denominator)
+            g = _gcd(na, db)
+            if g > 1:
+                na //= g
+                db //= g
+            g = _gcd(nb, da)
+            if g > 1:
+                nb //= g
+                da //= g
+            return _make(na * nb, da * db)
+        if type(b) is int:
+            g = _gcd(b, a._denominator)
+            return _make(a._numerator * (b // g), a._denominator // g)
+        return Fraction.__mul__(a, b)
 
-        def __rtruediv__(a, b):
-            if type(b) is int:
-                return _div(b, 1, a._numerator, a._denominator)
-            return Fraction.__rtruediv__(a, b)
+    def __rmul__(a, b):
+        if type(b) is int:
+            g = _gcd(b, a._denominator)
+            return _make(a._numerator * (b // g), a._denominator // g)
+        return Fraction.__rmul__(a, b)
 
-        def __neg__(a):
-            return _make(-a._numerator, a._denominator)
+    def __truediv__(a, b):
+        if type(b) is Rat:
+            return _div(a._numerator, a._denominator,
+                        b._numerator, b._denominator)
+        if type(b) is int:
+            return _div(a._numerator, a._denominator, b, 1)
+        return Fraction.__truediv__(a, b)
 
-        def __abs__(a):
-            return _make(abs(a._numerator), a._denominator)
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            return _div(b, 1, a._numerator, a._denominator)
+        return Fraction.__rtruediv__(a, b)
 
-        def __eq__(a, b):
-            if type(b) is Rat:
-                return (a._numerator == b._numerator
-                        and a._denominator == b._denominator)
-            if type(b) is int:
-                return a._numerator == b and a._denominator == 1
-            return Fraction.__eq__(a, b)
+    def __neg__(a):
+        return _make(-a._numerator, a._denominator)
 
-        def __lt__(a, b):
-            if type(b) is Rat:
-                return a._numerator * b._denominator < b._numerator * a._denominator
-            if type(b) is int:
-                return a._numerator < b * a._denominator
-            return Fraction.__lt__(a, b)
+    def __abs__(a):
+        return _make(abs(a._numerator), a._denominator)
 
-        def __le__(a, b):
-            if type(b) is Rat:
-                return a._numerator * b._denominator <= b._numerator * a._denominator
-            if type(b) is int:
-                return a._numerator <= b * a._denominator
-            return Fraction.__le__(a, b)
+    def __eq__(a, b):
+        if type(b) is Rat:
+            return (a._numerator == b._numerator
+                    and a._denominator == b._denominator)
+        if type(b) is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
 
-        def __gt__(a, b):
-            if type(b) is Rat:
-                return a._numerator * b._denominator > b._numerator * a._denominator
-            if type(b) is int:
-                return a._numerator > b * a._denominator
-            return Fraction.__gt__(a, b)
+    def __lt__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
 
-        def __ge__(a, b):
-            if type(b) is Rat:
-                return a._numerator * b._denominator >= b._numerator * a._denominator
-            if type(b) is int:
-                return a._numerator >= b * a._denominator
-            return Fraction.__ge__(a, b)
+    def __le__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
 
-        def __hash__(a):
-            # Fraction's hash of n/1 is hash(n)
-            if a._denominator == 1:
-                return hash(a._numerator)
-            return Fraction.__hash__(a)
+    def __gt__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
 
-    def _make(n, d):
-        """The Rat n/d of a reduced pair with d > 0, not normalized again."""
-        q = object.__new__(Rat)
-        q._numerator = n
-        q._denominator = d
-        return q
+    def __ge__(a, b):
+        if type(b) is Rat:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        if type(b) is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
 
-    def _add(na, da, nb, db):
-        """na/da + nb/db in lowest terms (Henrici): with g = gcd(da, db),
-        only gcd(t, g) can divide the numerator t over da/g * db."""
-        g = _gcd(da, db)
-        if g == 1:
-            return _make(na * db + nb * da, da * db)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g2 = _gcd(t, g)
-        if g2 == 1:
-            return _make(t, s * db)
-        return _make(t // g2, s * (db // g2))
+    def __hash__(a):
+        # Fraction's hash of n/1 is hash(n)
+        if a._denominator == 1:
+            return hash(a._numerator)
+        return Fraction.__hash__(a)
 
-    def _div(na, da, nb, db):
-        """(na/da) / (nb/db) in lowest terms, by cross-cancellation."""
-        if not nb:
-            raise ZeroDivisionError("Fraction(%s, 0)" % (na * db))
-        g = _gcd(na, nb)
-        if g > 1:
-            na //= g
-            nb //= g
-        g = _gcd(db, da)
-        if g > 1:
-            da //= g
-            db //= g
-        n, d = na * db, nb * da
-        return _make(-n, -d) if d < 0 else _make(n, d)
+
+def _make(n, d):
+    """The Rat n/d of a reduced pair with d > 0, not normalized again."""
+    q = object.__new__(Rat)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _add(na, da, nb, db):
+    """na/da + nb/db in lowest terms (Henrici): with g = gcd(da, db),
+    only gcd(t, g) can divide the numerator t over da/g * db."""
+    g = _gcd(da, db)
+    if g == 1:
+        return _make(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _make(t, s * db)
+    return _make(t // g2, s * (db // g2))
+
+
+def _div(na, da, nb, db):
+    """(na/da) / (nb/db) in lowest terms, by cross-cancellation."""
+    if not nb:
+        raise ZeroDivisionError("Fraction(%s, 0)" % (na * db))
+    g = _gcd(na, nb)
+    if g > 1:
+        na //= g
+        nb //= g
+    g = _gcd(db, da)
+    if g > 1:
+        da //= g
+        db //= g
+    n, d = na * db, nb * da
+    return _make(-n, -d) if d < 0 else _make(n, d)
+
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -220,28 +221,40 @@ def rat(value, den=None):
     return Rat(value)
 
 
+# The text `parse_rat` reads: an optional sign and ASCII digits, as an
+# integer, "p/q" or a plain decimal ("0.05", ".5", "5.").
+_RAT_TEXT = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def parse_rat(text):
     """Parse ``"p/q"``, integer, or plain decimal text to an exact Rat.
 
-    Raises ValueError on anything else (floats in scientific notation,
-    empty strings, ...).
+    Raises ValueError on anything else (scientific notation, underscores,
+    digits other than ASCII, empty strings, ...) before building a number.
     """
     if isinstance(text, int):
         return Rat(text)
     if isinstance(text, float):
         raise ValueError("refusing float %r; use a string 'p/q' or an int" % text)
     s = str(text).strip()
-    if not s:
-        raise ValueError("empty rational literal")
+    if not _RAT_TEXT.fullmatch(s):
+        raise ValueError("expected an integer, 'p/q' or a plain decimal")
     try:
-        return Rat(Fraction(s))
+        return Rat(s)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
 
 
 def format_rat(value) -> str:
-    """Render as ``"p"`` or ``"p/q"`` (gcd-reduced, positive denominator)."""
-    return str(value)
+    """Render as ``"p"`` or ``"p/q"`` (gcd-reduced, positive denominator).
+
+    A numerator or denominator with more digits than the interpreter
+    writes as text (its int-to-str limit) raises OversizeError."""
+    try:
+        return str(value)
+    except ValueError:
+        raise OversizeError("a rational of the report has more digits than "
+                            "the interpreter writes as text") from None
 
 
 def to_float(value) -> float:

@@ -83,15 +83,14 @@ def _trace_doc(trace):
 
 def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
     is_enlp = pf.kind == "enlp"
-    problem = pf.problem
-    system = problem.to_varsys() if is_enlp else problem
+    system = pf.problem
 
     doc = {"x": _fmt_vec(x), "lambda": _fmt_vec(lam)}
     ctx = system.point(x, lam)
     x, lam, solves = ctx.x, ctx.lam, ctx.solves
     doc["is_solution"] = solves
     if is_enlp:
-        kkt_ok, kkt_res = problem.kkt_check(x, lam)
+        kkt_ok, kkt_res = system.kkt_check(x, lam)
         doc["kkt"] = {"holds": kkt_ok, "residual": _fmt_float(kkt_res)}
 
     mset = system.multiplier_set(x)
@@ -131,7 +130,7 @@ def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
     doc["error_bound_samples"] = _residual_table(system, x, lam, pf.n, pf.m)
 
     if is_enlp:
-        report = problem.robust_ic_report(x, lam)
+        report = system.robust_ic_report(x, lam)
         doc["stability"] = report.to_doc()
 
     if probe:

@@ -1,10 +1,10 @@
 """Reference LP solver for differential tests: a dense simplex tableau of
-`Rat` entries (`Fraction` without gmpy2) with the column layout, Bland's
-rule, the two phases and the artificial pivot-out step of `plqstab.lp`,
-one fresh solve per objective, and certificate checks by substitution
-into the `Rat` data.  The integer tableau in `plqstab.lp` must take the
-same pivots and return the same outcomes, and its integer certificate
-checks must accept and reject what these checks do.
+`Rat` entries with the column layout, Bland's rule, the two phases and
+the artificial pivot-out step of `plqstab.lp`, one fresh solve per
+objective, and certificate checks by substitution into the `Rat` data.
+The integer tableau in `plqstab.lp` must take the same pivots and return
+the same outcomes, and its integer certificate checks must accept and
+reject what these checks do.
 """
 
 from plqstab.lp import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded,

@@ -196,8 +196,8 @@ def test_criterion_08_error_bound_dichotomy():
          (rat(0), rat(0)), (rat(0), rat(0))),
         (parse_problem_file(corpus_path("example_3_3")).problem,
          (rat(0),), (rat(0), rat(1))),
-        (quad_cost_enlp(2).to_varsys(), (rat(0), rat(0)), (rat(0), rat(0))),
-        (smooth_enlp().to_varsys(), (rat(0),), (rat(0),)),
+        (quad_cost_enlp(2), (rat(0), rat(0)), (rat(0), rat(0))),
+        (smooth_enlp(), (rat(0),), (rat(0),)),
     ]
     for system, xbar, lam in noncritical:
         assert not classify_multiplier(system, xbar, lam).critical
@@ -240,7 +240,7 @@ def test_criterion_09_sufficiency_implies_noncriticality():
     for problem, xbar, lam in goldens + randoms:
         if problem.sosc_holds(xbar, lam):
             sosc_count += 1
-            verdict = classify_multiplier(problem.to_varsys(), xbar, lam)
+            verdict = classify_multiplier(problem, xbar, lam)
             assert not verdict.critical
     assert sosc_count >= 3
     _ok("criterion 9", "%d sufficient instances, all noncritical" % sosc_count)

@@ -344,7 +344,7 @@ def test_cli_ray_probe_records_only_ray_points_inside_the_set(tmp_path,
     assert [r["t"] for r in records] == [2.0 ** -k for k in range(3, 11)]
     # A grid with no point inside the set leaves nothing to record.
     pf = parse_problem_doc(doc, name_hint=name)
-    system, ((x, lam),) = pf.problem.to_varsys(), pf.points
+    system, ((x, lam),) = pf.problem, pf.points
     verdict = plqstab.classify_multiplier(system, x, lam)
     with pytest.raises(InternalConsistencyError, match="no ray point"):
         plqstab.critical_ray_probe(system, x, lam, verdict,
@@ -677,6 +677,46 @@ def test_cli_rejects_huge_numerals(tmp_path, expr, pos):
     assert out.returncode == 1, out.stderr
     assert out.stderr == ("input error: $.f[0]: numeral of 5000 digits is too "
                           "long (at position %d)\n" % pos)
+
+
+def _alpha_file(alpha0):
+    """The bytes of `_doc()` with the JSON text `alpha0` as $.Y.alpha[0]."""
+    text = json.dumps(_doc(Y={"b": [["-1", "0"], ["0", "-1"]],
+                              "alpha": ["@alpha0@", "0"]}))
+    return text.replace('"@alpha0@"', alpha0).encode()
+
+
+def _long_row_file():
+    """A valid file whose literals all lie far below the interpreter's
+    int-to-str limit of 4300 digits, while the canonical (primitive
+    integer) row of Y that the report prints has about 4400 digits."""
+    p, q, r = 10 ** 2200 + 1, 10 ** 2199 + 3, 10 ** 2198 + 7
+    return json.dumps(_doc(
+        n=2, f=["x1", "x2"], Phi=["x1", "x2"],
+        Y={"b": [["1/%d" % p, "1/%d" % q]], "alpha": ["1/%d" % r]},
+        B=[["1", "0"], ["0", "1"]],
+        points=[{"x": ["0", "0"], "lambda": ["0", "0"]}])).encode()
+
+
+@pytest.mark.parametrize("data, reason", [
+    (_alpha_file('"1e5000"'), "$.Y.alpha[0]: bad rational '1e5000'"),
+    (_alpha_file('"1e100000000"'), "$.Y.alpha[0]: bad rational '1e100000000'"),
+    (_alpha_file("1" * 5000), "cannot read JSON (Exceeds the limit"),
+    (_long_row_file(), "a rational of the report has more digits than"),
+    (b"\xff\xfe{}", "cannot read JSON ('utf-8' codec can't decode"),
+], ids=["exponent", "huge-exponent", "json-integer", "long-row", "not-utf8"])
+def test_cli_oversized_input_is_one_input_error_line(tmp_path, data, reason):
+    # Each ends at once in exit 1 with one line, under the interpreter's
+    # own int-to-str limit: Fraction("1e100000000") alone runs for
+    # seconds, json.load refuses an integer of more than 4300 digits with
+    # a plain ValueError, and str() refuses a longer report rational.
+    bad = tmp_path / "oversized.json"
+    bad.write_bytes(data)
+    out = subprocess.run([sys.executable, "-m", "plqstab.cli", "analyze",
+                          str(bad)], capture_output=True, text=True, timeout=5)
+    assert (out.returncode, out.stdout) == (1, ""), out.stderr[-300:]
+    assert out.stderr.startswith("input error: ") and reason in out.stderr
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
 def test_cli_probe_csv_files(tmp_path, capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from plqstab import (PlqPenalty, PolyCone, Polyhedron, RatMatrix,
-                     classify_multiplier, identity, rat)
+                     VarSystem, classify_multiplier, identity, rat)
 from plqstab.enlp import copositive_on_cone
 from plqstab.rational import vdot
 from support import (ball_sample, flat_enlp, parabola_enlp, pe,
@@ -14,22 +14,22 @@ from support import (ball_sample, flat_enlp, parabola_enlp, pe,
 
 
 def test_lagrangian_values_and_derivatives():
-    # The induced system's Psi and d(Psi)/dx are the Lagrangian's
-    # gradient and Hessian in x.
+    # The problem is its variational system, f = grad(phi0): its Psi and
+    # d(Psi)/dx are the Lagrangian's gradient and Hessian in x.
     e = quad_cost_enlp(2)
-    s = e.to_varsys()
     x, lam = (rat(1), rat(-2)), (rat(3), rat(5))
+    assert isinstance(e, VarSystem) and e.f.eval(x) == (2, -4)
     # L = |x|^2 + <x, lam> - |lam|^2/2
     assert e.lagrangian(x, lam) == 5 + (3 - 10) - rat(34, 2)
-    assert s.psi(x, lam) == (rat(5), rat(1))  # 2x + lam
-    assert s.psi_jacobian_x(x, lam) == identity(2).scale(2)
+    assert e.psi(x, lam) == (rat(5), rat(1))  # 2x + lam
+    assert e.psi_jacobian_x(x, lam) == identity(2).scale(2)
     # lam = 0 reduces to the cost
     assert e.lagrangian(x, (0, 0)) == e.phi0.eval(x)
 
 
 def test_lagrangian_gradient_matches_residual_of_induced_system():
     # phi0 = -x^2/2 and Phi = (0, x^2): grad_x L = -x + 2 x lam_2
-    s = parabola_enlp().to_varsys()
+    s = parabola_enlp()
     for x in (rat(0), rat(2), rat(-1, 3)):
         for l2 in (rat(0), rat(1), rat(1, 2)):
             assert s.psi((x,), (0, l2)) == (-x + 2 * x * l2,)
@@ -41,7 +41,7 @@ def test_hessian_equals_residual_jacobian_for_induced_systems():
     rng = random.Random(107)
     for _ in range(10):
         problem, xbar, lam = random_enlp_with_kkt(rng)
-        h = problem.to_varsys().psi_jacobian_x(xbar, lam)
+        h = problem.psi_jacobian_x(xbar, lam)
         n = problem.n
         assert h.is_symmetric()
         assert h == RatMatrix([
@@ -204,7 +204,7 @@ def test_sosc_implies_noncritical_randomized():
     for _ in range(50):
         problem, xbar, lam = random_enlp_with_kkt(rng)
         if problem.sosc_holds(xbar, lam):
-            verdict = classify_multiplier(problem.to_varsys(), xbar, lam)
+            verdict = classify_multiplier(problem, xbar, lam)
             assert not verdict.critical
 
 

@@ -20,7 +20,7 @@ def reference_lipschitz_like(problem, x, lam) -> bool:
     """The coderivative criterion on the reference normal cones: only the
     zero pair (xi, eta) has H xi + G^T eta = 0 and (eta, -G xi) in one of
     the cones."""
-    ctx = problem.to_varsys().point(x, lam)
+    ctx = problem.point(x, lam)
     hess, gmat, n, m = ctx.amat, ctx.gmat, problem.n, problem.m
     a_eq = [tuple(hess.rows[i]) + tuple(gmat.rows[k][i] for k in range(m))
             for i in range(n)]

@@ -45,6 +45,24 @@ def test_rational_parsing_and_formatting():
         parse_rat(0.1)
 
 
+def test_parse_rat_reads_only_the_documented_forms():
+    # an optional sign and ASCII digits, as an integer, "p/q" or a plain
+    # decimal; surrounding blanks are stripped
+    for text, want in (("+3", rat(3)), (" -12 ", rat(-12)), (".5", rat(1, 2)),
+                       ("5.", rat(5)), ("-0.25", rat(-1, 4)),
+                       ("10/4", rat(5, 2))):
+        assert parse_rat(text) == want, text
+    # scientific notation, digit separators, other digits and a blank
+    # inside are refused, before any number is built: "1e100000000" alone
+    # keeps Fraction busy for many seconds
+    for text in ("1e5", "1E5", "1e100000000", "2.5e-3", "1_000", "1/1_0",
+                 "\u0663", "1\u0663", "1 / 2", "1/-2", "--1", "0x10", "inf",
+                 "nan", "1/2/3", ".", "/2", "1/"):
+        with pytest.raises(ValueError, match="expected an integer, 'p/q' or "
+                                             "a plain decimal"):
+            parse_rat(text)
+
+
 def test_norm2_beyond_float_range():
     assert norm2((10 ** 200,)) == 1e200          # the square overflows a float
     assert norm2((10 ** 400,)) == math.inf       # the norm itself does

@@ -50,11 +50,6 @@ def _overflow_doc():
     return doc
 
 
-def _system(pf):
-    """The `VarSystem` that the probe of a parsed problem file solves."""
-    return pf.problem if pf.kind == "varsys" else pf.problem.to_varsys()
-
-
 def _check_against_the_reference(monkeypatch):
     """Every default-grid solve of the corpus, of random-enlp pool seeds
     1-3 and of a file whose trial residuals overflow, and of the corpus
@@ -185,11 +180,11 @@ def test_rejection_is_sound_on_the_probe_trials(monkeypatch):
     systems = {}
     for pf in files:
         analyze_problem(pf, probe=True)
-        system = _system(pf)
+        system = pf.problem
         systems[system.float_kernel] = system
     for name in corpus_names():
         pf = parse_problem_file(corpus_path(name))
-        system = _system(pf)
+        system = pf.problem
         systems[system.float_kernel] = system
         for seed in range(1, 9):
             for x, lam in pf.points:
@@ -391,7 +386,7 @@ def test_a_stalled_solve_ends_after_ten_iterations():
     # within every window of ten iterations, and the solve converges at
     # iteration 21 without being cut.  (c) With max_iter <= 10 the rule is
     # never reached, and the stalling solve ends in "max_iter".
-    system = _system(parse_problem_file(corpus_path("example_3_3")))
+    system = parse_problem_file(corpus_path("example_3_3")).problem
     p1, p2, start = [1e-3], [0.0, 0.0], ([0.0], [0.0, 0.25])
     result = _solve_both(system, p1, p2, start)
     assert (result.reason, result.iterations) == ("stalled", 11)

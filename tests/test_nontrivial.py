@@ -72,9 +72,8 @@ def _criticality_walks(problem_files):
     the point contexts their analyses left."""
     for pf in problem_files:
         problem = pf.problem
-        system = getattr(problem, "to_varsys", lambda: problem)()
         for x, lam in pf.points:
-            ctx = system.point(x, lam)
+            ctx = problem.point(x, lam)
             if not ctx.solves:
                 continue
             verdict, index = ctx.criticality, len(ctx.face_solutions) - 1
@@ -84,7 +83,7 @@ def _criticality_walks(problem_files):
                 found = index, verdict.xi + verdict.eta
             calm = (problem.isolated_calmness_skkt(x, lam)
                     if isinstance(problem, enlp.EnlpProblem) else None)
-            yield ctx.face_systems, system.n, system.m, found, calm
+            yield ctx.face_systems, problem.n, problem.m, found, calm
 
 
 def test_analysis_systems_match_the_lp_reference(monkeypatch):
@@ -155,10 +154,9 @@ def test_linearized_systems_match_the_mu_form_reference(monkeypatch):
     counts = {"dqc": 0, "dqc hits": 0, "pairs": 0, "pair hits": 0}
     for pf in files:
         problem = pf.problem
-        system = getattr(problem, "to_varsys", lambda: problem)()
-        n, m = system.n, system.m
+        n, m = problem.n, problem.m
         for x, lam in pf.points:
-            ctx = system.point(x, lam)
+            ctx = problem.point(x, lam)
             if not ctx.solves:
                 continue
             got = _criterion_systems(monkeypatch, lambda: ctx.dqc)
@@ -245,7 +243,7 @@ def test_decisions_leave_the_generator_memos_alone():
         if not mset.singleton:
             lams += enlp._vertices_and_rays(mset.poly)[0]
         for point in lams:
-            ctx = problem.to_varsys().point(x, point)
+            ctx = problem.point(x, point)
             ctx.kcone.generators()
             for face in ctx.faces:
                 face.piece.generators()
@@ -254,7 +252,7 @@ def test_decisions_leave_the_generator_memos_alone():
         if bcq:
             problem.sonc_holds(x)
         assert [len(memo) for memo in memos] == sizes, name
-        checked += sum(len(problem.to_varsys().point(x, point).regions)
+        checked += sum(len(problem.point(x, point).regions)
                        for point in lams)
     assert checked >= 30, checked
 

@@ -1,5 +1,4 @@
-"""The `Rat` fallback (a `Fraction` subclass with integer fast paths)
-against stdlib `fractions.Fraction`: every overridden operation, with
+"""`Rat` (a `Fraction` subclass with integer fast paths) against stdlib `fractions.Fraction`: every overridden operation, with
 `Rat`, `int`, `Fraction` and `float` as the other operand, on both sides.
 """
 
@@ -13,9 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plqstab.rational import Rat
-
-pytestmark = pytest.mark.skipif(
-    not issubclass(Rat, Fraction), reason="Rat is gmpy2.mpq, not the fallback")
 
 _BIG = 2 ** 64
 

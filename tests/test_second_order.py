@@ -174,7 +174,6 @@ def _solution_contexts():
                   for name, doc in random_enlp_docs(seed, 10)]
     for pf in files:
         system = pf.problem
-        system = getattr(system, "to_varsys", lambda: system)()
         for x, lam in pf.points:
             ctx = system.point(x, lam)
             if ctx.solves:

@@ -499,7 +499,7 @@ _TIGHT_ROWS_COUNTER_SCRIPT = """
 import plqstab.polyhedra as polyhedra
 from plqstab import analyze_problem, corpus_path, parse_problem_file, rat
 pf = parse_problem_file(corpus_path("example_6_2"))
-ymat = pf.problem.to_varsys().penalty.Y
+ymat = pf.problem.penalty.Y
 (_, lam_bar), = pf.points
 lam_bar = tuple(rat(v) for v in lam_bar)
 calls = {"all": 0, "at_lam_bar": 0}
@@ -527,21 +527,20 @@ def _criterion_calls(pf, idx, pdoc):
     """(name, thunk, value the report holds) for each public criterion at
     point idx of a parsed problem file."""
     problem = pf.problem
-    system = problem.to_varsys() if pf.kind == "enlp" else problem
     x, lam = pf.points[idx]
-    calls = [("is_solution", lambda: system.is_solution(x, lam),
+    calls = [("is_solution", lambda: problem.is_solution(x, lam),
               pdoc["is_solution"])]
     if not pdoc["is_solution"]:
         return calls
 
     def criticality():
-        v = classify_multiplier(system, x, lam)
+        v = classify_multiplier(problem, x, lam)
         return (str(v).lower(), v.face_count, None if not v.critical else
                 {"xi": [str(a) for a in v.xi], "eta": [str(a) for a in v.eta],
                  "face_tight_rows": sorted(v.face_tight)})
 
     def uniqueness():
-        u = uniqueness_report(system, x, lam)
+        u = uniqueness_report(problem, x, lam)
         return {"singleton": u.singleton, "dqc": u.dqc, "consistent": u.consistent}
 
     def error_bounds():
@@ -550,7 +549,7 @@ def _criterion_calls(pf, idx, pdoc):
             xr = vadd(x, tuple(rat(v) for v in row["dx"]))
             lr = vadd(lam, tuple(rat(v) for v in row["dlambda"]))
             rows.append([v if math.isfinite(v) else str(v)
-                         for v in error_bound_residuals(system, x, lam, xr, lr)])
+                         for v in error_bound_residuals(problem, x, lam, xr, lr)])
         return rows
 
     crit = pdoc["criticality"]
@@ -558,7 +557,7 @@ def _criterion_calls(pf, idx, pdoc):
         ("criticality", criticality,
          (crit["verdict"], crit["faces_examined"], crit["witness"])),
         ("uniqueness", uniqueness, pdoc["uniqueness"]),
-        ("dqc", lambda: dqc_holds(system, x, lam), pdoc["uniqueness"]["dqc"]),
+        ("dqc", lambda: dqc_holds(problem, x, lam), pdoc["uniqueness"]["dqc"]),
         ("error_bounds", error_bounds,
          [[r["lhs"], r["rhs_inverse_subdiff"], r["rhs_prox"]]
           for r in pdoc["error_bound_samples"]]),
@@ -647,6 +646,6 @@ def test_non_solutions_raise_the_same_value_errors():
             call(ex, bad_lam)
         assert str(err.value) == "the pair does not solve the KKT system exactly"
     with pytest.raises(ValueError) as err:
-        classify_multiplier(problem.to_varsys(), ex, bad_lam)
+        classify_multiplier(problem, ex, bad_lam)
     assert str(err.value) == "criticality is defined at exact solutions only"
     assert problem.kkt_check(ex, elam)[0] is True
