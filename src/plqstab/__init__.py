@@ -13,10 +13,8 @@ from .linalg import RatMatrix, identity, psd_check
 from .lp import (LpInfeasible, LpOptimal, LpProblem, LpUnbounded, lp_max,
                  lp_solve)
 from .plq import ExtReal, PLUS_INF, PlqPenalty, coderivative_contains
-from .polyhedra import (Face, PolyCone, Polyhedron, PolyUnion, critical_cone,
-                        dual_cone, fm_project, horizon_cone,
-                        limiting_normal_cone_union, normal_cone, polar_cone,
-                        tangent_cone)
+from .polyhedra import (Face, PolyCone, Polyhedron, PolyUnion, fm_project,
+                        horizon_cone, limiting_normal_cone_union, tangent_cone)
 from .polymap import Polynomial, PolyMap
 from .problemfile import ProblemFile, ProblemFileError, parse_problem_file
 from .qp import QpInfeasible, QpOptimal, QpUnbounded, qp_solve

@@ -33,8 +33,8 @@ from functools import cached_property
 
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, psd_check
-from .polyhedra import (PolyCone, Polyhedron, PolyUnion, critical_cone,
-                        face_differences, fm_project)
+from .polyhedra import (PolyCone, Polyhedron, PolyUnion, face_differences,
+                        fm_project)
 from .qp import (QpOptimal, QpUnbounded, StrictQpSolver, _fdot, _subsets,
                  qp_solve)
 from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
@@ -156,9 +156,6 @@ class PlqPenalty:
             rows.append(tuple(r))
             rows.append(tuple(-v for v in r))
         return PolyCone(rows, dim=self.m).polar()
-
-    def domain_contains(self, u) -> bool:
-        return self.domain_cone.contains(tuple(rat(v) for v in u))
 
     # -- subdifferential ----------------------------------------------------------
     def subdiff(self, u) -> Polyhedron:
@@ -328,18 +325,15 @@ class PlqPenalty:
         """K_Y(lam, zbar - B lam) for a verified graph pair (zbar, lam)."""
         zbar = tuple(rat(v) for v in zbar)
         lam = tuple(rat(v) for v in lam)
-        if not self.subdiff_contains(zbar, lam):
+        tight = self.Y.tight_rows(lam)
+        if not self.subdiff_contains_at(zbar, lam, tight):
             raise ValueError("(zbar, lam) is not in the subdifferential graph")
-        return critical_cone(self.Y, lam, vsub(zbar, self.B.matvec(lam)))
-
-    def restricted(self, cone: PolyCone) -> "PlqPenalty":
-        """The penalty with Y replaced by a cone (same B)."""
-        return PlqPenalty(cone, self.B)
+        return self.Y.critical_cone_of(tight, vsub(zbar, self.B.matvec(lam)))
 
     def second_subderivative(self, zbar, lam, u) -> ExtReal:
-        """Twice the restricted penalty of the critical cone at (zbar, lam)."""
+        """Twice theta with Y replaced by the critical cone at (zbar, lam)."""
         k = self.critical_cone_at(zbar, lam)
-        return self.restricted(k).theta(u).scale(2)
+        return PlqPenalty(k, self.B).theta(u).scale(2)
 
     def graph_derivative_contains(self, zbar, lam, u, eta) -> bool:
         """eta in D(subdiff)(zbar, lam)(u), by the conic reformulation:

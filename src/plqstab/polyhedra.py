@@ -1,10 +1,11 @@
 """Exact polyhedral geometry.
 
 H-representation polyhedra and cones over the rationals, with the cone
-calculus used by the stability analyses: tangent, normal, critical and
-polar cones, face enumeration, the differences F1 - F2 of nested faces
-and their polars, horizon cones, Euclidean projection (a strictly convex
-QP solved by `qp.StrictQpSolver`), and, off the verdict path, Fourier-Motzkin
+calculus used by the stability analyses: tangent cones, normal and
+critical cones on a point's `tight_rows`, the polar and dual of a cone,
+face enumeration, the differences F1 - F2 of nested faces and their
+polars, horizon cones, Euclidean projection (a strictly convex QP solved
+by `qp.StrictQpSolver`), and, off the verdict path, Fourier-Motzkin
 projection (for `plq.PlqPenalty.graph_pieces`) and limiting normal
 cones of finite unions (through a hyperplane arrangement; the reference
 for the face-pair formula in `plq`).
@@ -36,12 +37,8 @@ __all__ = [
     "Face",
     "PolyUnion",
     "tangent_cone",
-    "normal_cone",
-    "critical_cone",
     "face_differences",
     "difference_polar",
-    "dual_cone",
-    "polar_cone",
     "horizon_cone",
     "fm_project",
     "limiting_normal_cone_union",
@@ -172,7 +169,9 @@ class Polyhedron:
         return PolyCone(rows, dim=self.dim)
 
     def active_set(self, y) -> "Face":
-        tight = _tight_or_raise(self, y, "active set")
+        tight = self.tight_rows(y)
+        if tight is None:
+            raise ValueError("active set requested at an exterior point")
         rows = list(self.b) + [tuple(-v for v in self.b[i]) for i in sorted(tight)]
         rhs = list(self.alpha) + [-self.alpha[i] for i in sorted(tight)]
         return Face(tight=tight, piece=Polyhedron(rows, rhs, self.dim))
@@ -317,12 +316,6 @@ class PolyCone(Polyhedron):
             _GEN_MEMO[key] = gens
         return _GEN_MEMO[key]
 
-    def lineality_basis(self):
-        return self.generators()[0]
-
-    def extreme_rays(self):
-        return self.generators()[1]
-
     @cached_property
     def span_basis(self):
         """Basis of the linear span of the cone."""
@@ -332,10 +325,6 @@ class PolyCone(Polyhedron):
             return ()
         red, piv = rref(stacked)
         return tuple(primitive(tuple(red[i])) for i in range(len(piv)))
-
-    def is_trivial(self) -> bool:
-        lin, rays = self.generators()
-        return not lin and not rays
 
     # -- polarity ---------------------------------------------------------------
     def polar(self) -> "PolyCone":
@@ -375,7 +364,7 @@ class PolyCone(Polyhedron):
             pairs, ineq = self._split
             always = frozenset(i for pair in pairs for i in pair)
             zero_sets = [frozenset(i for i in ineq if vdot(self.rows[i], r) == 0)
-                         for r in self.extreme_rays()]
+                         for r in self.generators()[1]]
             found = {}
             for subset in _subsets(tuple(ineq)):
                 closure = frozenset(ineq).intersection(
@@ -463,32 +452,12 @@ def _cone_generators(rows, dim):
 
 # -- cone operations on polyhedra -------------------------------------------
 
-def _tight_or_raise(p: Polyhedron, y, what):
-    tight = p.tight_rows(y)
-    if tight is None:
-        raise ValueError("%s requested at an exterior point" % what)
-    return tight
-
-
 def tangent_cone(p: Polyhedron, y) -> PolyCone:
     """Feasible-direction cone at a point: relax the non-tight rows."""
-    tight = _tight_or_raise(p, y, "tangent cone")
+    tight = p.tight_rows(y)
+    if tight is None:
+        raise ValueError("tangent cone requested at an exterior point")
     return PolyCone([p.b[i] for i in sorted(tight)], dim=p.dim)
-
-
-def normal_cone(p: Polyhedron, y) -> PolyCone:
-    """Cone generated by the tight rows; equals the polar of the tangent cone."""
-    return p.normal_cone_of(_tight_or_raise(p, y, "normal cone"))
-
-
-def critical_cone(p: Polyhedron, lam, v) -> PolyCone:
-    """Tangent cone at lam intersected with the orthogonal complement of v.
-
-    Requires v to be a normal vector at lam (verified exactly).  The tight
-    rows at lam are read in one pass and give both cones
-    (`Polyhedron.critical_cone_of`).
-    """
-    return p.critical_cone_of(_tight_or_raise(p, lam, "tangent cone"), v)
 
 
 def difference_polar(f1: PolyCone, f2: PolyCone):
@@ -526,16 +495,6 @@ def face_differences(cone: PolyCone):
                 le = [cone.rows[i] for i in sorted(f2.tight - f1.tight)]
                 out.append(((eq, le), difference_polar(f1.piece, f2.piece)))
     return out
-
-
-def dual_cone(c: PolyCone) -> PolyCone:
-    """Nonnegative polar; (R^m_+)* == R^m_+ under this convention."""
-    return c.dual()
-
-
-def polar_cone(c: PolyCone) -> PolyCone:
-    """Nonpositive polar, the sign used by the criticality systems."""
-    return c.polar()
 
 
 def horizon_cone(p: Polyhedron) -> PolyCone:

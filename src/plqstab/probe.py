@@ -66,9 +66,6 @@ class ProbeTrace:
     def __iter__(self):
         return iter(self.records)
 
-    def ratios(self):
-        return [r.ratio for r in self.records]
-
     def to_csv(self) -> str:
         def cell(v):
             if isinstance(v, tuple):
@@ -83,15 +80,15 @@ class ProbeTrace:
         return "\n".join(lines) + "\n"
 
 
-def trace_is_divergent(trace: ProbeTrace, tail=5) -> bool:
-    """The ratio grows like 1/t over the last `tail` records: each record's
+def trace_is_divergent(trace: ProbeTrace) -> bool:
+    """The ratio grows like 1/t over the last _TAIL records: each record's
     ratio * t is at least 3/4 of the previous record's.  A ratio c/t keeps
     ratio * t near c, whatever c, while a bounded ratio halves ratio * t at
     each halving of t; records whose perturbation vanished exactly carry
     an infinite ratio and count as grown."""
-    if len(trace) < tail:
+    if len(trace) < _TAIL:
         return False
-    growth = [r.ratio * r.t for r in trace.records[-tail:]]
+    growth = [r.ratio * r.t for r in trace.records[-_TAIL:]]
     return all(math.isinf(b) or b >= 0.75 * a
                for a, b in zip(growth, growth[1:]))
 
@@ -176,6 +173,8 @@ def _exact_residual_norm(system: VarSystem, p1, p2, x, lam):
 # not below half its value _STALL_WINDOW iterations earlier ends there.
 _TRIALS = 30
 _STALL_WINDOW = 10
+_SCALE = 1e-3
+_TAIL = 5
 
 # The machine epsilon of the rank rule of `_min_norm_step`.
 _EPS = math.ldexp(1.0, -52)
@@ -504,10 +503,10 @@ def solve_perturbed(system: VarSystem, p1, p2, start, tol=1e-10, max_iter=200):
                         iterations, reason, evaluations)
 
 
-def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
-                        tol=1e-10, seed=0):
-    """Solve a deterministic family of perturbed systems and record the
-    ratio (|x - xbar| + dist(lam, multipliers)) / (|p1| + |p2|).
+def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, tol=1e-10,
+                        seed=0):
+    """Solve `grid` perturbed systems, the k-th of size _SCALE / 2^(k-1),
+    and record the ratio (|x - xbar| + dist(lam, multipliers)) / (|p1| + |p2|).
 
     Returns (ProbeTrace, estimated modulus).  Non-converged solves,
     stalled ones included, are recorded with NaN lhs and excluded from
@@ -543,7 +542,7 @@ def semi_isolated_probe(system: VarSystem, xbar, lam_bar, grid=8, scale=1e-3,
     records = []
     modulus = 0.0
     for k in range(1, grid + 1):
-        t = math.ldexp(scale, 1 - k)  # scale / 2^(k-1), 0.0 past underflow
+        t = math.ldexp(_SCALE, 1 - k)  # 0.0 past underflow
         d1, d2 = dirs[(k - 1) % len(dirs)]
         p1 = tuple(t * v for v in d1)
         p2 = tuple(t * v for v in d2)

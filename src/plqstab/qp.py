@@ -26,6 +26,8 @@ its exact data (`piece`) without an exact solve per evaluation.
 
 from __future__ import annotations
 
+import threading
+
 from .errors import InternalConsistencyError
 from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
@@ -161,12 +163,12 @@ class _ActiveSet(Record):
 class StrictQpSolver:
     """Repeated exact solves of min 1/2 y^T Q y + c^T y over a fixed P, Q PD.
 
-    Each independent active set gets one record (`_ActiveSet`) the first
-    time a scan reaches it, and the reached records are kept in one list
-    in `_subsets` order.  `solve` walks the list exactly and `solve_float`
-    in float, both from the first record, so both try the active sets in
-    the same order.  On an active set the solution is affine in c,
-    y(c) = d - M c, and so are its multipliers; `piece` gives (M, d).
+    Each independent active set gets one record (`_ActiveSet`) when a scan
+    first reaches it, in one list in `_subsets` order that scans read by
+    position and grow under one lock, so threads can share a solver.
+    `solve` walks it exactly and `solve_float` in float, both from the first
+    record, in one order.  The solution on an active set, y(c) = d - M c,
+    and its multipliers are affine in c; `piece` gives (M, d).
     """
 
     def __init__(self, qmat: RatMatrix, poly):
@@ -186,6 +188,7 @@ class StrictQpSolver:
         # records reached, in order; the independent sets after them
         self._built: dict = {}
         self._records = []
+        self._lock = threading.Lock()
         self._unreached = filter(None, map(self._record,
                                            _subsets(tuple(self._ineq))))
 
@@ -218,13 +221,21 @@ class StrictQpSolver:
         return rec
 
     def _scan(self):
-        """The records in order: those reached, then each next independent
-        set, appended as it is reached while the caller reads on (so a file
-        with many slack rows factors no set beyond the one that passes)."""
-        yield from self._records
-        for rec in self._unreached:
-            self._records.append(rec)
-            yield rec
+        """The records in order, read by position: those reached, then each
+        next independent set, appended under the lock as it is reached while
+        the caller reads on (so a file with many slack rows factors no set
+        beyond the one that passes)."""
+        records, i = self._records, 0
+        while True:
+            if i == len(records):
+                with self._lock:
+                    if i == len(records):
+                        rec = next(self._unreached, None)
+                        if rec is None:
+                            return
+                        records.append(rec)
+            yield records[i]
+            i += 1
 
     def solve(self, c, with_subset=False):
         """The unique minimizer for the linear term c; with `with_subset`,

@@ -285,18 +285,20 @@ class PointContext:
     @cached_property
     def criticality(self) -> CriticalityVerdict:
         """Keeps the generators of each face system it solves, every face's
-        when noncritical, in `face_solutions`."""
+        when noncritical, in `face_solutions`, assigned once complete."""
         n, faces = self.system.n, self.faces
-        self.face_solutions = []
+        solutions = []
         for index, system in enumerate(self.face_systems):
-            self.face_solutions.append(_solutions(*system))
-            point = _witness(self.face_solutions[-1], range(n))
+            solutions.append(_solutions(*system))
+            point = _witness(solutions[-1], range(n))
             if point is not None:
                 xi, eta = point[:n], point[n:]
                 _assert_witness(self, xi, eta)
+                self.face_solutions = solutions
                 return CriticalityVerdict(critical=True, xi=xi, eta=eta,
                                           face_tight=faces[index].tight,
                                           face_count=len(faces))
+        self.face_solutions = solutions
         return CriticalityVerdict(critical=False, face_count=len(faces))
 
     @cached_property

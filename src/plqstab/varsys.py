@@ -29,9 +29,6 @@ class MultiplierSet(FrozenRecord):
 
     __slots__ = ("poly", "empty", "singleton", "dimension", "representative")
 
-    def contains(self, lam) -> bool:
-        return self.poly.contains(lam)
-
 
 class VarSystem:
     """The data (f, Phi, penalty) with exact residual calculus."""
@@ -118,9 +115,3 @@ class VarSystem:
         from .probe import FloatKernel
 
         return FloatKernel(self)
-
-    def is_solution(self, x, lam) -> bool:
-        return self.point(x, lam).solves
-
-    def is_stationary(self, x) -> bool:
-        return not self.multiplier_set(x).empty

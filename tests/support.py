@@ -167,7 +167,7 @@ def _random_polymap(rng, n, m, const, quadratic=True):
 
 
 def random_varsys_with_solution(rng: random.Random, n_max=3, m_max=3, p_max=3):
-    """(system, xbar=0, lam_bar) with is_solution exact by construction."""
+    """(system, xbar=0, lam_bar), an exact solution by construction."""
     n = rng.randint(1, n_max)
     m = rng.randint(1, m_max)
     pen, lam_bar = random_penalty(rng, m, p_max=p_max)
@@ -178,7 +178,7 @@ def random_varsys_with_solution(rng: random.Random, n_max=3, m_max=3, p_max=3):
     fmap = _random_polymap(rng, n, n, fconst)
     system = VarSystem(fmap, phi, pen)
     xbar = (rat(0),) * n
-    assert system.is_solution(xbar, lam_bar), "generator must produce solutions"
+    assert system.point(xbar, lam_bar).solves, "generator must produce solutions"
     return system, xbar, lam_bar
 
 

@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -772,8 +773,6 @@ def _random_qp(rng, shift):
 
 def test_qp_kkt_conditions_hold_exactly():
     rng = random.Random(41)
-    from plqstab.polyhedra import normal_cone
-
     for _ in range(40):
         q, lin, p = _random_qp(rng, 0)
         out = qp_solve(q, lin, p)
@@ -782,7 +781,8 @@ def test_qp_kkt_conditions_hold_exactly():
             assert p.contains(y)
             grad = tuple(v + w for v, w in zip(q.matvec(y), lin))
             # -grad must be a normal direction at y
-            assert normal_cone(p, y).contains(tuple(-g for g in grad))
+            assert p.normal_cone_of(p.tight_rows(y)).contains(
+                tuple(-g for g in grad))
 
 
 def _count_qp_work(monkeypatch):
@@ -835,3 +835,53 @@ def test_qp_with_singular_q_takes_two_eliminations(monkeypatch):
         assert counts["eliminations"] == 2
     assert outcomes[QpOptimal] and outcomes[QpUnbounded], outcomes
     assert counts["lp"] > 0
+
+
+def test_a_resumed_scan_reads_the_records_another_scan_appended():
+    # |y_i| <= 1 in R^2 with Q = I has 9 independent active sets.  A scan
+    # paused after its first record resumes after a second scan reached
+    # all 9, and must read on through the 8 that scan appended.
+    square = Polyhedron([(1, 0), (-1, 0), (0, 1), (0, -1)], [1] * 4)
+    solver = StrictQpSolver(identity(2), square)
+    first = solver._scan()
+    head = next(first)
+    whole = list(solver._scan())
+    assert len(whole) == 9 and whole[0] is head
+    assert [head] + list(first) == whole
+
+
+def test_threads_sharing_a_penalty_get_the_sequential_proxes():
+    # Four threads prox eight points through one fresh penalty at a time:
+    # each scan of the shared solver may be paused while another grows
+    # the record list, and must still find every active set.
+    y = Polyhedron([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                    (1, 1, 1, 1)], [1, 1, 1, 1, 2])
+    rng = random.Random(5)
+    points = [tuple(rat(rng.randint(-9, 9), rng.randint(1, 3))
+                    for _ in range(4)) for _ in range(8)]
+    expected = [PlqPenalty(y, identity(4)).prox(p) for p in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            penalty = PlqPenalty(y, identity(4))
+            got, errors = {}, []
+
+            def work(share):
+                try:
+                    for i in share:
+                        got[i] = penalty.prox(points[i])
+                except Exception as exc:  # reported below, from this thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(range(k, 8, 4),))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors
+            assert [got[i] for i in range(8)] == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -45,18 +45,20 @@ def test_theta_rank1_domain_and_values():
     assert pen.theta((0, 1)) == PLUS_INF
     val, arg = pen.theta_with_argmax((2, -3))
     assert val == ExtReal(2) and arg == (rat(2), rat(0))
-    assert pen.domain_contains((0, -1)) and not pen.domain_contains((0, 1))
-    assert pen.domain_contains((7, 0))
+    dom = pen.domain_cone
+    assert dom.contains((0, -1)) and not dom.contains((0, 1))
+    assert dom.contains((7, 0))
 
 
 def test_domain_cone_trivial_cases():
     # nonsingular B: whole space
     pen = quad_penalty_2d()
-    assert pen.domain_contains((9, -9))
+    assert pen.domain_cone.contains((9, -9))
     # bounded Y: whole space
     box = Polyhedron([(1,), (-1,)], [1, 1])
     penb = PlqPenalty(box, RatMatrix([(0,)]))
-    assert penb.domain_contains((123,)) and penb.domain_contains((-123,))
+    assert penb.domain_cone.contains((123,))
+    assert penb.domain_cone.contains((-123,))
 
 
 def test_theta_finite_iff_domain_member():
@@ -64,7 +66,7 @@ def test_theta_finite_iff_domain_member():
     for _ in range(40):
         pen, _ = random_penalty(rng, rng.randint(1, 3))
         u = random_rational_vec(rng, pen.m)
-        assert pen.theta(u).is_finite == pen.domain_contains(u)
+        assert pen.theta(u).is_finite == pen.domain_cone.contains(u)
 
 
 def test_subdiff_set_examples():
@@ -250,7 +252,7 @@ def test_difference_quotient_approaches_second_subderivative():
     pen = rank1_penalty_2d()
     zbar, lam = (0, 0), (0, 0)
     rng = random.Random(83)
-    dom = pen.restricted(pen.critical_cone_at(zbar, lam)).domain_cone
+    dom = PlqPenalty(pen.critical_cone_at(zbar, lam), pen.B).domain_cone
     found = 0
     for _ in range(500):
         if found >= 8:

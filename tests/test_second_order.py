@@ -55,7 +55,7 @@ def test_copositivity_matches_the_subset_loop_reference():
     for _ in range(400):
         dim = rng.randint(1, 5)
         cone, qform = _random_cone(rng, dim), _random_form(rng, dim)
-        lineal += bool(cone.lineality_basis() and cone.extreme_rays())
+        lineal += all(cone.generators())
         for strict in (True, False):
             got, witness = copositive_on_cone(qform, cone, strict)
             want, _ = copositivity_reference.copositive_on_cone(qform, cone,
@@ -88,8 +88,8 @@ def test_copositivity_on_a_subspace_tries_no_subset_and_no_lp(monkeypatch):
     counts = _counting(monkeypatch, "solve_general", "lp_feasible_point")
     normal = (1, -2, 0, 1, 0, 3, -1)
     cone = PolyCone([normal, tuple(-v for v in normal)], dim=7)
-    basis = cone.lineality_basis()
-    assert len(basis) == 6 and not cone.extreme_rays()
+    basis, rays = cone.generators()
+    assert len(basis) == 6 and not rays
     nmat = RatMatrix.from_cols(basis)
     seen = set()
     for _ in range(12):

@@ -154,7 +154,7 @@ def test_residuals_vanish_exactly_on_the_solution_graph():
     s = parabola_system()
     # every (0, (0, t)) with t >= 0 solves the unperturbed system
     for t in (rat(0), rat(1, 3), rat(2), rat(1, 2)):
-        assert s.is_solution((0,), (0, t))
+        assert s.point((0,), (0, t)).solves
         lhs, rhs_iii, rhs_iv = error_bound_residuals(
             s, (0,), (0, 1), (0,), (0, t))
         assert lhs == 0.0 and rhs_iii == 0.0 and rhs_iv == 0.0
@@ -169,9 +169,9 @@ def test_ray_probe_diverges_on_critical_goldens():
     verdict = classify_multiplier(s, (0,), (0, rat(1, 2)))
     trace = critical_ray_probe(s, (0,), (0, rat(1, 2)), verdict)
     assert trace_is_divergent(trace)
-    assert trace.ratios()[-1] > 1e3
+    assert trace.records[-1].ratio > 1e3
     # ratio is 1/t along this ray
-    assert abs(trace.ratios()[0] - 2.0) < 1e-12
+    assert abs(trace.records[0].ratio - 2.0) < 1e-12
 
     b = embed_system_rank_drop()
     vb = classify_multiplier(b, (0, 0), (0, 0))
@@ -268,7 +268,7 @@ def test_semi_isolated_probe_blows_up_along_critical_ray():
     verdict = classify_multiplier(s, (0,), (0, rat(1, 2)))
     trace = critical_ray_probe(s, (0,), (0, rat(1, 2)), verdict)
     # the proof-ray perturbations themselves witness unbounded ratios
-    assert trace.ratios()[-1] > 1e3
+    assert trace.records[-1].ratio > 1e3
 
 
 def test_semi_isolated_zero_perturbation_ratio_zero():
@@ -528,7 +528,7 @@ def _criterion_calls(pf, idx, pdoc):
     point idx of a parsed problem file."""
     problem = pf.problem
     x, lam = pf.points[idx]
-    calls = [("is_solution", lambda: problem.is_solution(x, lam),
+    calls = [("is_solution", lambda: problem.point(x, lam).solves,
               pdoc["is_solution"])]
     if not pdoc["is_solution"]:
         return calls
@@ -625,14 +625,14 @@ def test_non_solutions_raise_the_same_value_errors():
     assert psi_off.point((1, 0), (1, 0)).in_subdiff
     for system, bad in [(pf.problem, (x, off_y)),
                         (psi_off, ((1, 0), (1, 0)))]:
-        assert not system.is_solution(*bad)
+        assert not system.point(*bad).solves
         for call, message in _VARSYS_MESSAGES:
             for _ in range(2):                # the memoized context raises again
                 with pytest.raises(ValueError) as err:
                     call(system, *bad)
                 assert str(err.value) == message
     # the solution next to them is unaffected
-    assert pf.problem.is_solution(x, lam)
+    assert pf.problem.point(x, lam).solves
     assert classify_multiplier(pf.problem, x, lam).critical is False
 
     enlp = parse_problem_file(corpus_path("example_6_2"))

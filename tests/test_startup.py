@@ -2,10 +2,12 @@
 neither the float probe nor `dataclasses`, no run, `--probe` included,
 loads numpy, and the probe's names stay reachable from `plqstab` and,
 for the benchmark's two spans, from `stability`; every span target the
-benchmark wraps is a plain function."""
+benchmark wraps is a plain function, and every name a module's `__all__`
+lists is bound."""
 
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -88,3 +90,15 @@ def test_every_benchmark_span_target_is_a_plain_function():
         else:
             target = getattr(module, path)
         assert isinstance(target, types.FunctionType), name
+
+
+def test_every_name_in_a_module_all_is_bound():
+    # `from plqstab.<module> import *` fails on a name left in `__all__`
+    # after its definition went.
+    checked = 0
+    for info in pkgutil.iter_modules(plqstab.__path__):
+        module = importlib.import_module("plqstab." + info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
+            checked += 1
+    assert checked >= 50, checked

@@ -42,8 +42,8 @@ def test_multiplier_sets_on_goldens():
     s = parabola_system()
     m = s.multiplier_set((0,))
     assert not m.empty and not m.singleton and m.dimension == 1
-    assert m.contains((0, 9)) and not m.contains((1, 0))
-    assert not m.contains((0, -1))
+    assert m.poly.contains((0, 9)) and not m.poly.contains((1, 0))
+    assert not m.poly.contains((0, -1))
 
     a = embed_system_full_rank()
     ma = a.multiplier_set((0, 0))
@@ -56,12 +56,12 @@ def test_multiplier_sets_on_goldens():
 
 def test_solution_and_stationarity_checks():
     s = parabola_system()
-    assert s.is_solution((0,), (0, rat(1, 2)))
-    assert not s.is_solution((0,), (-1, 0))       # lam off Y
-    assert not s.is_solution((1,), (0, 0))        # Psi != 0
-    assert s.is_stationary((0,))
+    assert s.point((0,), (0, rat(1, 2))).solves
+    assert not s.point((0,), (-1, 0)).solves      # lam off Y
+    assert not s.point((1,), (0, 0)).solves       # Psi != 0
+    assert not s.multiplier_set((0,)).empty       # stationary
     b = embed_system_rank_drop()
-    assert b.is_solution((0, 0), (0, 0))
+    assert b.point((0, 0), (0, 0)).solves
 
 
 def test_multiplier_representative_is_a_solution():
@@ -70,8 +70,8 @@ def test_multiplier_representative_is_a_solution():
         system, xbar, lam = random_varsys_with_solution(rng)
         mset = system.multiplier_set(xbar)
         assert not mset.empty
-        assert system.is_solution(xbar, mset.representative)
-        assert mset.contains(lam)
+        assert system.point(xbar, mset.representative).solves
+        assert mset.poly.contains(lam)
 
 
 def test_dimension_checks():
