@@ -27,8 +27,9 @@ from .errors import InternalConsistencyError
 from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max
 from .qp import StrictQpSolver, _subsets
-from .rational import (ONE, ZERO, format_rat, is_zero_vec, primitive, rat,
-                       vadd, vdot, vscale, vsub)
+from .rational import (ONE, ZERO, Rat, format_rat, is_zero_vec, primitive,
+                       primitive_ints, rat, scaled_ints, vadd, vdot, vscale,
+                       vsub)
 from .record import FrozenRecord
 
 __all__ = [
@@ -60,10 +61,12 @@ class Polyhedron:
     """{y : <b_i, y> <= alpha_i, i = 1..p} in R^dim with exact rational data.
 
     The dimension is the length of the rows; a polyhedron given no rows
-    must be given `dim`, and one given both must agree.  Rows are
-    normalized to primitive integer form and deduplicated; opposite row
-    pairs are recognized internally as equalities so that enumerative
-    routines only branch on genuine inequalities.
+    must be given `dim`, and one given both must agree.  Each row
+    (b_i, alpha_i) is canonicalized once, as a tuple of primitive
+    integers that keys the deduplication (first occurrences kept, in
+    order), and only the kept rows become `Rat`s; opposite row pairs are
+    recognized internally as equalities so that enumerative routines only
+    branch on genuine inequalities.
     """
 
     def __init__(self, b_rows, alpha, dim=None):
@@ -79,19 +82,13 @@ class Polyhedron:
         elif dim is None:
             raise ValueError("a polyhedron without rows needs its dimension")
         self.dim = dim
-        rows = []
-        seen = set()
+        rows = {}  # primitive integer (b, alpha) tuples, first occurrences
         for b, a in zip(b_rows, alpha):
-            cb, ca = _canon_row(tuple(rat(v) for v in b), rat(a))
-            key = (cb, ca)
-            if key in seen:
-                continue
-            if is_zero_vec(cb) and ca >= 0:
-                continue  # trivially true
-            seen.add(key)
-            rows.append(key)
-        self.b = tuple(r for r, _ in rows)
-        self.alpha = tuple(a for _, a in rows)
+            row = tuple(primitive_ints(scaled_ints([*map(rat, b), rat(a)])[0]))
+            if row[-1] < 0 or any(row[:-1]):  # else trivially true
+                rows[row] = None
+        self.b = tuple(tuple(Rat(v) for v in r[:-1]) for r in rows)
+        self.alpha = tuple(Rat(r[-1]) for r in rows)
         self._normal_cones = {}  # tight row set -> normal cone (`normal_cone_of`)
 
     # -- construction ------------------------------------------------------
@@ -150,6 +147,8 @@ class Polyhedron:
     def normal_cone_of(self, tight) -> "PolyCone":
         """The cone generated by the rows in `tight`, one per tight set:
         the normal cone at every point whose tight rows those are."""
+        if tight is None:
+            raise ValueError("normal cone requested at an exterior point")
         if tight not in self._normal_cones:
             self._normal_cones[tight] = PolyCone.from_generators(
                 (), [self.b[i] for i in sorted(tight)], self.dim)
@@ -159,6 +158,8 @@ class Polyhedron:
         """The tangent cone at a point whose tight rows are `tight`,
         intersected with the orthogonal complement of v, which must be a
         normal vector there (verified exactly)."""
+        if tight is None:
+            raise ValueError("critical cone requested at an exterior point")
         v = tuple(rat(x) for x in v)
         if not self.normal_cone_of(tight).contains(v):
             raise ValueError("v is not in the normal cone at the base point")

@@ -17,9 +17,12 @@ The scalar kernels (``vdot``, ``primitive`` and ``linalg.rref``) are
 fraction-free: a product with a zero factor is skipped and builds no
 ``Rat``, and a sum or an elimination runs on integer numerators over
 integer denominators, with one normalization at the end.  They read only
-``numerator``, ``denominator`` and the truth value of their entries and
-build results with ``Rat(n, d)``, and their results are the values that
-step-by-step ``Rat`` arithmetic gives.
+``numerator``, ``denominator`` and the truth value of their entries, and
+their results are the values that step-by-step ``Rat`` arithmetic gives.
+On a ``Rat``, ``numerator`` and ``denominator`` are ``Fraction``'s slots
+themselves, read in C, not its Python-level properties; like
+``_numerator`` they are writable, and ``Rat`` values are immutable by
+convention only.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ class Rat(Fraction):
     see the module docstring."""
 
     __slots__ = ()
+    # the slots themselves, not Fraction's Python-level properties
+    numerator = Fraction._numerator
+    denominator = Fraction._denominator
 
     def __new__(cls, numerator=0, denominator=None):
         if type(numerator) is int:
@@ -222,8 +228,10 @@ def rat(value, den=None):
 
 
 # The text `parse_rat` reads: an optional sign and ASCII digits, as an
-# integer, "p/q" or a plain decimal ("0.05", ".5", "5.").
-_RAT_TEXT = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+# integer, "p/q" or a plain decimal ("0.05", ".5", "5."); the groups are
+# the sign, the digits before "/" or ".", and those after "/" and ".".
+_RAT_TEXT = re.compile(r"([-+]?)(?=[0-9]|\.[0-9])([0-9]*)"
+                       r"(?:/([0-9]+)|\.([0-9]*))?")
 
 
 def parse_rat(text):
@@ -236,11 +244,16 @@ def parse_rat(text):
         return Rat(text)
     if isinstance(text, float):
         raise ValueError("refusing float %r; use a string 'p/q' or an int" % text)
-    s = str(text).strip()
-    if not _RAT_TEXT.fullmatch(s):
+    m = _RAT_TEXT.fullmatch(str(text).strip())
+    if not m:
         raise ValueError("expected an integer, 'p/q' or a plain decimal")
+    sign, num, den, dec = m.groups()
+    num, den = int(num or "0"), int(den or "1")
+    if dec:  # each part is read on its own, as Fraction reads it
+        den = 10 ** len(dec)
+        num = num * den + int(dec)
     try:
-        return Rat(s)
+        return Rat(-num if sign == "-" else num, den)
     except ZeroDivisionError:
         raise ValueError("zero denominator") from None
 
@@ -297,7 +310,10 @@ def vdot(a, b):
                     g = math.gcd(den, q)
                     num = num * (q // g) + xn * yn * (den // g)
                     den = den // g * q
-    return Rat(num, den) if num else ZERO
+    if not num:
+        return ZERO
+    g = math.gcd(num, den)
+    return _make(num // g, den // g)
 
 
 def norm_sq(a):
@@ -340,7 +356,7 @@ def to_float_vec(a):
 
 def scaled_ints(values):
     """(ints, scale): the values times their least common denominator."""
-    fracs = [(int(v.numerator), int(v.denominator)) for v in values]
+    fracs = [(v.numerator, v.denominator) for v in values]
     scale = math.lcm(*[d for _, d in fracs])
     return [num * (scale // d) for num, d in fracs], scale
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -53,12 +54,20 @@ def test_parse_rat_reads_only_the_documented_forms():
                        ("5.", rat(5)), ("-0.25", rat(-1, 4)),
                        ("10/4", rat(5, 2))):
         assert parse_rat(text) == want, text
+    # the integers it builds from the digits are the Rat of Fraction(text)
+    for text in ("-0", "+5", "007", "-3/6", "4/2", ".5", "5.", "-0.050",
+                 "-.5", "+3/9", "10/4", "-12.50"):
+        got, want = parse_rat(text), Fraction(text)
+        assert type(got) is Rat and got == want, text
+        assert str(got) == str(want) and hash(got) == hash(want), text
+    with pytest.raises(ValueError, match="^zero denominator$"):
+        parse_rat("1/0")
     # scientific notation, digit separators, other digits and a blank
     # inside are refused, before any number is built: "1e100000000" alone
     # keeps Fraction busy for many seconds
-    for text in ("1e5", "1E5", "1e100000000", "2.5e-3", "1_000", "1/1_0",
-                 "\u0663", "1\u0663", "1 / 2", "1/-2", "--1", "0x10", "inf",
-                 "nan", "1/2/3", ".", "/2", "1/"):
+    for text in ("1e3", "1e5", "1E5", "1e100000000", "2.5e-3", "1_000",
+                 "1/1_0", "\u0663", "1\u0663", "1 / 2", "1/-2", "--1", "0x10",
+                 "inf", "nan", "1/2/3", ".", "/2", "1/", "-.", "+"):
         with pytest.raises(ValueError, match="expected an integer, 'p/q' or "
                                              "a plain decimal"):
             parse_rat(text)

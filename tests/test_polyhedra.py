@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from plqstab import enlp, stability
 from plqstab.linalg import rank
 from plqstab.lp import lp_feasible_point
 from plqstab.problemfile import parse_problem_doc
-from plqstab.rational import primitive, vdot
+from plqstab.rational import Rat, primitive, vdot
 from affine_reference import affine_dimension_by_lp
 from dd_reference import (canonical_generators, cone_generators_by_lp,
                           cone_generators_by_subsets, faces_by_incidence,
@@ -59,6 +60,75 @@ def test_active_set_by_substitution():
     assert face.tight == frozenset({0, 2})
 
 
+def _rows_reference(b_rows, alpha):
+    """(b, alpha) of `Polyhedron` as it built them from `Rat` tuples: each
+    row through `_canon_row`, first occurrences kept in a `seen` set, a
+    zero b with alpha >= 0 dropped."""
+    rows = []
+    seen = set()
+    for b, a in zip(b_rows, alpha):
+        key = polyhedra._canon_row(tuple(rat(v) for v in b), rat(a))
+        if key in seen:
+            continue
+        if all(v == 0 for v in key[0]) and key[1] >= 0:
+            continue
+        seen.add(key)
+        rows.append(key)
+    return tuple(r for r, _ in rows), tuple(a for _, a in rows)
+
+
+def _entry(rng, q):
+    """The Rat q as given to `Polyhedron`: an int, a str of an integer, an
+    unreduced "p/q" str or a Rat."""
+    kind = rng.choice(("int", "str", "p/q", "rat"))
+    if kind == "int" and q.denominator == 1:
+        return int(q)
+    if kind == "str" and q.denominator == 1:
+        return str(q)
+    if kind == "p/q":
+        k = rng.randint(1, 3)
+        return "%d/%d" % (q.numerator * k, q.denominator * k)
+    return q
+
+
+def test_polyhedron_rows_match_the_rat_tuple_reference():
+    rng = random.Random(36)
+
+    def some_rat():
+        return Rat(rng.randint(-3, 3), rng.randint(1, 3))
+
+    seen = {"duplicate": 0, "zero dropped": 0, "zero kept": 0, "pair": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        base = [([some_rat() for _ in range(dim)], some_rat())
+                for _ in range(rng.randint(1, 3))]
+        base.append(([Rat(0)] * dim, Rat(rng.randint(-2, 2))))
+        b_rows, alpha = [], []
+        for _ in range(rng.randint(1, 8)):
+            b, a = rng.choice(base)
+            # a positive multiple is the same row; a negative one is its
+            # opposite, and the two make an equality pair
+            t = Rat(rng.choice((1, 1, 2, 3, -1, -2)), rng.randint(1, 3))
+            b_rows.append([_entry(rng, t * v) for v in b])
+            alpha.append(_entry(rng, t * a))
+        p = Polyhedron(b_rows, alpha, dim)
+        ref_b, ref_alpha = _rows_reference(b_rows, alpha)
+        assert (p.b, p.alpha) == (ref_b, ref_alpha), (b_rows, alpha)
+        assert all(type(v) is Rat for r in p.b for v in r)
+        assert all(type(a) is Rat for a in p.alpha)
+        ref_split = Polyhedron._split.func(
+            SimpleNamespace(b=ref_b, alpha=ref_alpha))
+        assert p._split == ref_split
+        zero = [rat(a) for b, a in zip(b_rows, alpha)
+                if all(rat(v) == 0 for v in b)]
+        dropped = sum(a >= 0 for a in zero)
+        seen["duplicate"] += len(ref_b) < len(b_rows) - dropped
+        seen["zero dropped"] += dropped > 0
+        seen["zero kept"] += any(a < 0 for a in zero)
+        seen["pair"] += bool(ref_split[0])
+    assert min(seen.values()) >= 30, seen
+
+
 # -- tangent / normal / critical ----------------------------------------------------
 
 
@@ -82,6 +152,10 @@ def test_normal_cone_examples():
     n_edge = ORTHANT2.normal_cone_of(ORTHANT2.tight_rows((0, 1)))  # R_- x {0}
     assert n_edge.contains((-3, 0))
     assert not n_edge.contains((0, 1)) and not n_edge.contains((1, 0))
+    assert ORTHANT2.tight_rows((-1, 0)) is None
+    with pytest.raises(ValueError, match="^normal cone requested at an "
+                                         "exterior point$"):
+        ORTHANT2.normal_cone_of(ORTHANT2.tight_rows((-1, 0)))
 
 
 def test_normal_is_polar_of_tangent_on_random_boundary_points():
@@ -107,6 +181,9 @@ def test_critical_cone_examples():
     assert k2.contains((0, 0)) and not k2.contains((1, 1))
     with pytest.raises(ValueError):
         ORTHANT2.critical_cone_of(tight, (1, 1))   # not a normal vector
+    with pytest.raises(ValueError, match="^critical cone requested at an "
+                                         "exterior point$"):
+        ORTHANT2.critical_cone_of(ORTHANT2.tight_rows((-1, 0)), (0, 0))
 
 
 def test_critical_cone_inside_tangent_cone_randomized():
@@ -494,6 +571,10 @@ def test_tight_rows_is_none_exactly_off_the_set():
                 for build in (tangent_cone, Polyhedron.active_set):
                     with pytest.raises(ValueError, match="exterior point"):
                         build(p, y)
+                with pytest.raises(ValueError, match="exterior point"):
+                    p.normal_cone_of(p.tight_rows(y))
+                with pytest.raises(ValueError, match="exterior point"):
+                    p.critical_cone_of(p.tight_rows(y), (0,) * p.dim)
     assert min(kinds.values()) >= 100, kinds
 
 

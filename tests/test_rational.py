@@ -1,5 +1,7 @@
 """`Rat` (a `Fraction` subclass with integer fast paths) against stdlib `fractions.Fraction`: every overridden operation, with
-`Rat`, `int`, `Fraction` and `float` as the other operand, on both sides.
+`Rat`, `int`, `Fraction` and `float` as the other operand, on both sides;
+the reads of `Fraction`'s slots that `Rat` binds in place of its
+properties; and `vdot` against a step-by-step `Fraction` sum.
 """
 
 import math
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plqstab.rational import Rat
+from plqstab.rational import Rat, vdot
 
 _BIG = 2 ** 64
 
@@ -113,3 +115,33 @@ def test_rat_from_other_types_is_a_rat():
         Rat(0) / 0
     with pytest.raises(ZeroDivisionError):
         1 / Rat(0, 5)
+
+
+@settings(derandomize=True, max_examples=300,
+          deadline=timedelta(seconds=2))
+@given(pairs)
+def test_rat_slot_reads_match_fraction(pair):
+    # `numerator` and `denominator` are Fraction's slots on a Rat, so this
+    # also checks the slot layout of the running CPython's Fraction
+    a, ref = Rat(*pair), Fraction(*pair)
+    assert type(a.numerator) is int and type(a.denominator) is int
+    assert (a.numerator, a.denominator) == (ref.numerator, ref.denominator)
+    assert float(a) == float(ref)
+    assert hash(a) == hash(ref)
+    assert bool(a) is bool(ref)
+
+
+# vdot's entries: Rats, ints and zeros of both kinds, which it skips
+entries = st.one_of(pairs.map(lambda p: Rat(*p)), ints,
+                    st.sampled_from([0, Rat(0)]))
+
+
+@settings(derandomize=True, max_examples=300,
+          deadline=timedelta(seconds=2))
+@given(st.lists(st.tuples(entries, entries), max_size=6))
+def test_vdot_matches_the_stepwise_fraction_sum(terms):
+    want = Fraction(0)
+    for x, y in terms:
+        want += Fraction(x) * Fraction(y)
+    got = vdot([x for x, _ in terms], [y for _, y in terms])
+    assert type(got) is Rat and got == want and str(got) == str(want)
