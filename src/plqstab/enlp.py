@@ -17,7 +17,9 @@ and strict or non-strict copositivity of each pulled back form is
 decided exactly: definiteness on the lineality space of the pulled back
 cone (`linalg.reduce_lineality`, the symmetric elimination behind every
 PSD and PD test), then stationary families of the Schur complement over
-the simplex of its extreme rays (`copositive_on_cone`).
+the simplex of its extreme rays (`copositive_on_cone`).  A region's
+generators, pulled-back form and families are kept on its own cone, so
+SOSC and SONC at one multiplier prepare each region once.
 
 The criteria at (x, lam) share the problem's own memoized point context
 (`stability.PointContext`): one solution check, and the Hessian,
@@ -41,6 +43,9 @@ compare against.
 
 from __future__ import annotations
 
+import threading
+from functools import cached_property
+
 from .errors import InternalConsistencyError
 from .linalg import RatMatrix, reduce_lineality, solve_general
 from .lp import lp_feasible_point
@@ -48,7 +53,7 @@ from .plq import PlqPenalty
 from .polyhedra import PolyCone, Polyhedron, _cone_generators, face_differences
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
-from .rational import ONE, ZERO, is_zero_vec, norm2, rat, vadd, vdot, vsub
+from .rational import ONE, ZERO, is_zero_vec, norm2, rats, vadd, vdot, vsub
 from .record import FrozenRecord
 from .stability import (_linearized_system, classify_multiplier,
                         nontrivial_over, uniqueness_report)
@@ -90,8 +95,8 @@ class EnlpProblem(VarSystem):
 
     # -- Lagrangian -----------------------------------------------------------
     def lagrangian(self, x, lam):
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
+        x = rats(x)
+        lam = rats(lam)
         blam = self.penalty.B.matvec(lam)
         return self.phi0.eval(x) + vdot(self.phi.eval(x), lam) - vdot(lam, blam) / 2
 
@@ -116,7 +121,7 @@ class EnlpProblem(VarSystem):
         """Normals of dom(theta) at Phi(x) meet ker(DPhi^T) only at zero.
 
         Decided once per exact x and kept on the instance."""
-        x = tuple(rat(v) for v in x)
+        x = rats(x)
         if x not in self._bcq:
             phix = self.phi.eval(x)
             dom = self.penalty.domain_cone
@@ -147,7 +152,7 @@ class EnlpProblem(VarSystem):
         condition over its own region decomposition, else
         "inconclusive" (the regions induced by different multipliers
         need not agree)."""
-        x = tuple(rat(v) for v in x)
+        x = rats(x)
         if not self.bcq_holds(x):
             raise ValueError("the basic constraint qualification fails")
         mset = self.multiplier_set(x)
@@ -197,10 +202,14 @@ class EnlpProblem(VarSystem):
         uniq = uniqueness_report(self, x, lam)
         bcq = self.bcq_holds(x)
         sosc = self.sosc_holds(x, lam)
+        # sonc_holds raises ValueError without BCQ, guarded here, or without
+        # multipliers, and lam is one; a ValueError is an internal fault
         try:
             sonc = self.sonc_holds(x) if bcq else "inconclusive"
-        except ValueError:
-            sonc = "inconclusive"
+        except ValueError as err:
+            raise InternalConsistencyError(
+                "the necessary condition failed at a solution: %s" % err
+            ) from err
         icalm = self.isolated_calmness_skkt(x, lam)
         liplike = self.lipschitz_like_skkt(x, lam)
 
@@ -267,31 +276,82 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     a subspace.  A nonzero ray coefficient vector gives a nonzero
     direction, since the cone is pointed modulo its lineality space.
 
+    The checked generators, M and the stationary families of S do not
+    depend on `strict`, so they are kept on the cone for its form Q
+    (`_CopositivityForm`): the strict and the non-strict test of one
+    second-order region, SOSC's and SONC's, share them, and no module memo
+    grows.
+
     Returns (verdict, witness direction or None).  A False verdict's
     witness w is checked exactly: nonzero, in the cone, and w^T Q w < 0
     (<= 0 when strict); a failure raises InternalConsistencyError.
     """
-    lin, rays = _cone_generators(cone.rows, cone.dim)
-    gens = list(lin) + list(rays)
-    if not all(cone.contains(g) for g in gens):
-        raise InternalConsistencyError("generator violates H-representation")
-    if not gens:
+    form = _CopositivityForm.of(qform, cone)
+    if form.gcols is None:
         return True, None
-    gcols = RatMatrix.from_cols(gens)
-    coeffs, schur, lifts = reduce_lineality(gcols.T @ qform @ gcols,
-                                            len(lin), strict)
+    coeffs, schur, lifts = reduce_lineality(form.mhat, form.nlin, strict)
     if coeffs is None:
-        c = _orthant_copositive(schur, strict)
+        c = _orthant_copositive(form.families(schur), strict)
         if c is None:
             return True, None
         coeffs = [vdot(c, row) for row in zip(*lifts)]  # sum of c_j lifts_j
-    witness = gcols.matvec(coeffs)
+    witness = form.gcols.matvec(coeffs)
     _check_witness(qform, cone, witness, strict)
     return False, witness
 
 
-def _orthant_copositive(smat: RatMatrix, strict):
-    """A nonzero c >= 0 with c^T S c < 0 (<= 0 when strict), or None.
+class _CopositivityForm:
+    """A form Q on a cone, prepared once for both tests and kept on the
+    cone (its `_copositivity`) while Q is the form asked about: the
+    checked generators as the columns of [L R] (None for the zero cone),
+    the number of lineality columns, M = [L R]^T Q [L R], and the
+    stationary families of the Schur complement that scans have solved."""
+
+    def __init__(self, qform, cone):
+        lin, rays = _cone_generators(cone.rows, cone.dim)
+        gens = list(lin) + list(rays)
+        if not all(cone.contains(g) for g in gens):
+            raise InternalConsistencyError("generator violates H-representation")
+        self.qform, self.nlin = qform, len(lin)
+        self.gcols = RatMatrix.from_cols(gens) if gens else None
+        self.mhat = self.gcols.T @ qform @ self.gcols if gens else None
+        self._families = []
+        self._unreached = None
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def of(qform, cone):
+        form = cone.__dict__.get("_copositivity")
+        if form is None or form.qform is not qform:
+            form = cone._copositivity = _CopositivityForm(qform, cone)
+        return form
+
+    def families(self, schur):
+        """The consistent stationary families of c^T S c over the faces of
+        the simplex, in `_subsets` order.  S is the same whichever test
+        forms it, so the first S serves.  A family is solved when a scan
+        first reaches it and kept: scans read the list by position and
+        append to it under one lock, as `qp.StrictQpSolver` does."""
+        records, i = self._families, 0
+        while True:
+            if i == len(records):
+                with self._lock:
+                    if self._unreached is None:
+                        self._unreached = filter(None, (
+                            _family(schur, subset) for subset in
+                            _subsets(tuple(range(schur.nrows))) if subset))
+                    if i == len(records):
+                        family = next(self._unreached, None)
+                        if family is None:
+                            return
+                        records.append(family)
+            yield records[i]
+            i += 1
+
+
+def _orthant_copositive(families, strict):
+    """A nonzero c >= 0 with c^T S c < 0 (<= 0 when strict), or None, from
+    the consistent stationary families of S in order.
 
     The minimum of the form over the simplex is attained at a stationary
     family of some simplex face: 2 (S c)_i = nu on the face's support,
@@ -300,29 +360,47 @@ def _orthant_copositive(smat: RatMatrix, strict):
     nonnegative family point is found by an LP.  On the simplex c is
     never zero, so a zero value under the strict test is a witness too.
     """
-    k = smat.nrows
-    for subset in _subsets(tuple(range(k))):
-        if not subset:
+    for family in families:
+        if family.value > 0 or (family.value == 0 and not strict):
             continue
-        size = len(subset)
-        a = [tuple([2 * smat.rows[i][j] for j in subset] + [-ONE])
-             for i in subset]
-        a.append(tuple([ONE] * size + [ZERO]))
-        b = [ZERO] * size + [ONE]
-        fam = solve_general(a, b)
-        if fam is None:
-            continue
-        val = _form_value(smat, subset, fam[0][:size])
-        if val > 0 or (val == 0 and not strict):
-            continue
-        feasible = _family_point(a, b, size)
+        if family.point is not None:
+            return family.point
+    return None
+
+
+def _family(smat: RatMatrix, subset):
+    """The stationary family of the simplex face `subset`, or None when
+    its system is inconsistent."""
+    size = len(subset)
+    a = [tuple([2 * smat.rows[i][j] for j in subset] + [-ONE])
+         for i in subset]
+    a.append(tuple([ONE] * size + [ZERO]))
+    b = [ZERO] * size + [ONE]
+    fam = solve_general(a, b)
+    if fam is None:
+        return None
+    return _Family(smat.nrows, subset, a, b,
+                   _form_value(smat, subset, fam[0][:size]))
+
+
+class _Family:
+    """One consistent stationary family: its face (`subset`) of the simplex
+    in R^k, its system (a, b) over (c on the face, nu) and its value."""
+
+    def __init__(self, k, subset, a, b, value):
+        self.k, self.subset, self.a, self.b = k, subset, a, b
+        self.value = value
+
+    @cached_property
+    def point(self):
+        """A family point c >= 0 on the simplex face, by an LP, or None."""
+        feasible = _family_point(self.a, self.b, len(self.subset))
         if feasible is None:
-            continue
-        c = [ZERO] * k
-        for i, v in zip(subset, feasible):
+            return None
+        c = [ZERO] * self.k
+        for i, v in zip(self.subset, feasible):
             c[i] = v
         return tuple(c)
-    return None
 
 
 def _form_value(mhat: RatMatrix, subset, coeffs):

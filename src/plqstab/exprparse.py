@@ -14,12 +14,20 @@ no product may multiply out over MAX_EXPANSION term pairs, so that a
 short input cannot ask for an unbounded expansion.  Parentheses nest at
 most MAX_NESTING deep, so that the recursion stays far inside the
 interpreter's limit.  Errors carry the character position.
+
+Every subexpression is a plain {exponent tuple: Rat} dict with no zero
+coefficient, combined by the term-dict operations that `Polynomial`'s
+ring operations use (`polymap._add_terms`, `_mul_terms` and
+`_binary_power`), so the terms come in the order those give, which fixes
+the float evaluation order of the probe.  A sum adds each further term
+into its first term's dict in place, and one `Polynomial` is built per
+expression.
 """
 
 from __future__ import annotations
 
-from .polymap import Polynomial
-from .rational import Rat
+from .polymap import Polynomial, _add_terms, _binary_power, _mul_terms
+from .rational import ONE, Rat
 
 __all__ = ["MAX_EXPANSION", "MAX_EXPONENT", "MAX_NESTING", "ParseError",
            "parse_expression"]
@@ -83,22 +91,23 @@ class _Scanner:
 def parse_expression(text, n) -> Polynomial:
     """Parse `text` into a canonical polynomial in variables x1..xn."""
     sc = _Scanner(text)
-    poly = _expr(sc, n)
+    terms = _expr(sc, n)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ParseError("unexpected trailing input %r" % sc.text[sc.pos:], sc.pos)
-    return poly
+    return Polynomial(n, terms)
 
 
 def _expr(sc, n):
     sign = 1
     if sc.peek() in ("+", "-"):
         sign = -1 if sc.take() == "-" else 1
-    total = _term(sc, n).scale(sign)
+    total = _term(sc, n)
+    if sign < 0:
+        total = {e: -c for e, c in total.items()}
     while sc.peek() in ("+", "-"):
-        op = sc.take()
-        t = _term(sc, n)
-        total = total + t if op == "+" else total - t
+        sign = -1 if sc.take() == "-" else 1
+        _add_terms(total, _term(sc, n), sign)
     return total
 
 
@@ -113,9 +122,9 @@ def _term(sc, n):
 
 def _product(a, b, pos):
     """a * b, refused before it is formed past MAX_EXPANSION term pairs."""
-    if len(a.terms) * len(b.terms) > MAX_EXPANSION:
+    if len(a) * len(b) > MAX_EXPANSION:
         raise ParseError("product of over %d term pairs" % MAX_EXPANSION, pos)
-    return a * b
+    return _mul_terms(a, b)
 
 
 def _factor(sc, n):
@@ -132,9 +141,10 @@ def _factor(sc, n):
         if len(text) > len(str(MAX_EXPONENT)) or int(text) > MAX_EXPONENT:
             raise ParseError("exponent above %d" % MAX_EXPONENT, pos)
         power = int(text)
-        if base.degree() * power > MAX_EXPONENT:
+        if max(map(sum, base), default=0) * power > MAX_EXPONENT:
             raise ParseError("power of degree above %d" % MAX_EXPONENT, pos)
-        return base.power(power, lambda a, b: _product(a, b, pos))
+        return _binary_power({(0,) * n: ONE}, base, power,
+                             lambda a, b: _product(a, b, pos))
     return base
 
 
@@ -158,7 +168,7 @@ def _base(sc, n):
         idx = sc.integer()
         if not 1 <= idx <= n:
             raise ParseError("variable x%d out of range 1..%d" % (idx, n), pos)
-        return Polynomial.variable(n, idx - 1)
+        return {tuple([1 if j == idx - 1 else 0 for j in range(n)]): ONE}
     if "0" <= ch <= "9":  # ASCII only: str.isdigit() admits other digits
         num = sc.integer()
         if sc.peek() == "/":
@@ -166,6 +176,8 @@ def _base(sc, n):
             den = sc.integer()
             if den == 0:
                 raise ParseError("zero denominator", pos)
-            return Polynomial.constant(n, Rat(num, den))
-        return Polynomial.constant(n, num)
+            value = Rat(num, den)
+        else:
+            value = Rat(num)
+        return {(0,) * n: value} if value else {}
     raise ParseError("expected a rational, a variable, or '('", pos)

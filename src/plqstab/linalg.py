@@ -5,8 +5,8 @@ PD and the lineality reduction of copositivity."""
 from __future__ import annotations
 
 from .errors import InternalConsistencyError
-from .rational import (ONE, ZERO, Rat, primitive_ints, rat, scaled_ints, vadd,
-                       vdot, vscale)
+from .rational import (ONE, ZERO, Rat, primitive_ints, rat, rats, scaled_ints,
+                       vadd, vdot, vscale)
 
 __all__ = [
     "RatMatrix",
@@ -31,7 +31,7 @@ class RatMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
-        rows = tuple(tuple(rat(v) for v in r) for r in rows)
+        rows = tuple(rats(r) for r in rows)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -46,7 +46,7 @@ class RatMatrix:
     # -- construction ---------------------------------------------------
     @staticmethod
     def from_cols(cols):
-        cols = [tuple(rat(v) for v in c) for c in cols]
+        cols = [rats(c) for c in cols]
         if not cols:
             return RatMatrix(())
         return RatMatrix(tuple(zip(*cols)))
@@ -196,7 +196,7 @@ def column_space_basis(mat):
 def solve_general(amat, b):
     """All solutions of A x = b: (particular, nullspace basis) or None."""
     rows = amat.rows if isinstance(amat, RatMatrix) else tuple(amat)
-    b = tuple(rat(v) for v in b)
+    b = rats(b)
     if not rows:
         return ((), []) if all(v == 0 for v in b) else None
     nc = len(rows[0])

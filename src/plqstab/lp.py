@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import InternalConsistencyError
-from .rational import ONE, ZERO, Rat, primitive_ints, rat, scaled_ints
+from .rational import ONE, ZERO, Rat, primitive_ints, rats, scaled_ints
 from .record import FrozenRecord
 
 __all__ = [
@@ -43,20 +43,15 @@ __all__ = [
 ]
 
 
-def _rats(values):
-    """The values as a tuple of Rat, converting only entries of another type."""
-    return tuple(v if type(v) is Rat else rat(v) for v in values)
-
-
 class LpProblem(FrozenRecord):
     """max <objective, x>  s.t.  a_ub x <= b_ub,  a_eq x == b_eq."""
 
     __slots__ = ("objective", "a_ub", "b_ub", "a_eq", "b_eq")
 
     def __init__(self, objective, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-        super().__init__(_rats(objective), tuple(_rats(r) for r in a_ub),
-                         _rats(b_ub), tuple(_rats(r) for r in a_eq),
-                         _rats(b_eq))
+        super().__init__(rats(objective), tuple(rats(r) for r in a_ub),
+                         rats(b_ub), tuple(rats(r) for r in a_eq),
+                         rats(b_eq))
         n = len(self.objective)
         if any(len(r) != n for r in self.a_ub) or any(len(r) != n for r in self.a_eq):
             raise ValueError("constraint row length does not match objective")

@@ -37,7 +37,7 @@ from .polyhedra import (PolyCone, Polyhedron, PolyUnion, face_differences,
                         fm_project)
 from .qp import (QpOptimal, QpUnbounded, StrictQpSolver, _fdot, _subsets,
                  qp_solve)
-from .rational import ONE, ZERO, rat, to_float, vadd, vdot, vscale, vsub
+from .rational import ONE, ZERO, rat, rats, to_float, vadd, vdot, vscale, vsub
 
 __all__ = ["ExtReal", "NotPsdError", "PLUS_INF", "PlqPenalty",
            "coderivative_contains", "subdiff_graph_normal_cones"]
@@ -133,7 +133,7 @@ class PlqPenalty:
         memoized per exact u on this instance: the solution check of a
         point (`subdiff_contains`) and its multiplier set (`subdiff`) share
         one QP at Phi(x)."""
-        u = tuple(rat(v) for v in u)
+        u = rats(u)
         if u not in self._theta:
             out = qp_solve(self.B, tuple(-v for v in u), self.Y)
             if isinstance(out, QpUnbounded):
@@ -160,7 +160,7 @@ class PlqPenalty:
     # -- subdifferential ----------------------------------------------------------
     def subdiff(self, u) -> Polyhedron:
         """The exact maximizer polyhedron; empty iff u is outside the domain."""
-        u = tuple(rat(v) for v in u)
+        u = rats(u)
         val, ystar = self.theta_with_argmax(u)
         if ystar is None:
             return Polyhedron.empty(self.m)
@@ -185,7 +185,7 @@ class PlqPenalty:
         Cross-checked against the Fenchel equality
         theta(u) == <lam, u> - 1/2 <lam, B lam>.
         """
-        lam = tuple(rat(v) for v in lam)
+        lam = rats(lam)
         return self.subdiff_contains_at(u, lam, self.Y.tight_rows(lam))
 
     def subdiff_contains_at(self, u, lam, tight) -> bool:
@@ -193,8 +193,8 @@ class PlqPenalty:
         lam (`Polyhedron.tight_rows`, None off Y), read by the caller."""
         if tight is None:
             return False
-        u = tuple(rat(v) for v in u)
-        lam = tuple(rat(v) for v in lam)
+        u = rats(u)
+        lam = rats(lam)
         result = self.Y.normal_cone_of(tight).contains(
             vsub(u, self.B.matvec(lam)))
         val = self.theta(u)
@@ -207,7 +207,7 @@ class PlqPenalty:
 
     def inverse_subdiff(self, lam) -> Polyhedron:
         """{u : lam in subdiff(u)} = B lam + N_Y(lam); empty off Y."""
-        lam = tuple(rat(v) for v in lam)
+        lam = rats(lam)
         nc = self._normal_cone_at(lam)
         if nc is None:
             return Polyhedron.empty(self.m)
@@ -220,8 +220,8 @@ class PlqPenalty:
         """Squared distance from u to `inverse_subdiff(lam)`, exact; None
         off Y.  The set is B lam + N_Y(lam), so this projects u - B lam
         onto the normal cone, one memoized cone per tight set of Y."""
-        u = tuple(rat(v) for v in u)
-        lam = tuple(rat(v) for v in lam)
+        u = rats(u)
+        lam = rats(lam)
         nc = self._normal_cone_at(lam)
         if nc is None:
             return None
@@ -248,7 +248,7 @@ class PlqPenalty:
         subgradient at prox(x), through the normal-cone characterization
         prox(x) - B y* in N_Y(y*).
         """
-        x = tuple(rat(v) for v in x)
+        x = rats(x)
         ystar, subset = self._prox_solver.solve(tuple(-v for v in x),
                                                   with_subset=True)
         p = vsub(x, ystar)
@@ -275,7 +275,7 @@ class PlqPenalty:
         map is affine, prox(v) = J v + o; J is a generalized Jacobian
         element at kinks.
         """
-        x = tuple(rat(v) for v in x)
+        x = rats(x)
         p, subset = self.prox(x, with_subset=True)
         jac, offset = self._piece(subset)
         if vadd(jac.matvec(x), offset) != p:
@@ -312,7 +312,7 @@ class PlqPenalty:
             if not all(map(math.isfinite, v)):
                 return ([math.nan] * self.m,
                         self._jac_blocks([[math.nan] * self.m] * self.m))
-            jac, offset = self.prox_linearization(tuple(rat(a) for a in v))
+            jac, offset = self.prox_linearization(rats(v))
             if hit is None:
                 jac = _float_rows(jac)
                 return ([_fdot(row, v) + to_float(o)
@@ -323,8 +323,8 @@ class PlqPenalty:
     # -- second-order objects ----------------------------------------------------------
     def critical_cone_at(self, zbar, lam) -> PolyCone:
         """K_Y(lam, zbar - B lam) for a verified graph pair (zbar, lam)."""
-        zbar = tuple(rat(v) for v in zbar)
-        lam = tuple(rat(v) for v in lam)
+        zbar = rats(zbar)
+        lam = rats(lam)
         tight = self.Y.tight_rows(lam)
         if not self.subdiff_contains_at(zbar, lam, tight):
             raise ValueError("(zbar, lam) is not in the subdifferential graph")
@@ -340,8 +340,8 @@ class PlqPenalty:
         eta in K, u - B eta in polar(K), <u - B eta, eta> = 0.
         """
         k = self.critical_cone_at(zbar, lam)
-        u = tuple(rat(v) for v in u)
-        eta = tuple(rat(v) for v in eta)
+        u = rats(u)
+        eta = rats(eta)
         if not k.contains(eta):
             return False
         resid = vsub(u, self.B.matvec(eta))
@@ -359,12 +359,12 @@ class PlqPenalty:
         base = self.theta(xbar)
         if not base.is_finite:
             raise ValueError("base point outside the domain")
-        xbar = tuple(rat(v) for v in xbar)
-        w = tuple(rat(v) for v in w)
+        xbar = rats(xbar)
+        w = rats(w)
         shifted = self.theta(vadd(xbar, vscale(t, w)))
         if not shifted.is_finite:
             return PLUS_INF
-        num = shifted.value - base.value - t * vdot(tuple(rat(v) for v in ybar), w)
+        num = shifted.value - base.value - t * vdot(rats(ybar), w)
         return ExtReal(num / (t * t / 2))
 
     # -- graph structure ------------------------------------------------------------------
@@ -452,4 +452,4 @@ def coderivative_contains(penalty: PlqPenalty, zbar, lam, w, u) -> bool:
     """u in D*(subdiff)(zbar, lam)(w), i.e. (u, -w) is a limiting normal
     of the subdifferential graph at (zbar, lam)."""
     cones = subdiff_graph_normal_cones(penalty, zbar, lam)
-    return cones.contains(tuple(rat(v) for v in u) + tuple(-rat(v) for v in w))
+    return cones.contains(rats(u) + tuple(-rat(v) for v in w))

@@ -28,8 +28,8 @@ from .linalg import identity, rank, rref
 from .lp import LpInfeasible, LpOptimal, lp_feasible_point, lp_max
 from .qp import StrictQpSolver, _subsets
 from .rational import (ONE, ZERO, Rat, format_rat, is_zero_vec, primitive,
-                       primitive_ints, rat, scaled_ints, vadd, vdot, vscale,
-                       vsub)
+                       primitive_ints, rat, rats, scaled_ints, vadd, vdot,
+                       vscale, vsub)
 from .record import FrozenRecord
 
 __all__ = [
@@ -124,7 +124,7 @@ class Polyhedron:
 
     # -- membership --------------------------------------------------------
     def contains(self, y) -> bool:
-        y = tuple(rat(v) for v in y)
+        y = rats(y)
         if len(y) != self.dim:
             raise ValueError("point dimension mismatch")
         return all(vdot(b, y) <= a for b, a in zip(self.b, self.alpha))
@@ -132,7 +132,7 @@ class Polyhedron:
     def tight_rows(self, y):
         """Indices of the rows tight at y, or None when y violates a row:
         membership and the active set in one pass over the rows."""
-        y = tuple(rat(v) for v in y)
+        y = rats(y)
         if len(y) != self.dim:
             raise ValueError("point dimension mismatch")
         tight = []
@@ -160,7 +160,7 @@ class Polyhedron:
         normal vector there (verified exactly)."""
         if tight is None:
             raise ValueError("critical cone requested at an exterior point")
-        v = tuple(rat(x) for x in v)
+        v = rats(v)
         if not self.normal_cone_of(tight).contains(v):
             raise ValueError("v is not in the normal cone at the base point")
         rows = [self.b[i] for i in sorted(tight)]
@@ -178,14 +178,17 @@ class Polyhedron:
         return Face(tight=tight, piece=Polyhedron(rows, rhs, self.dim))
 
     def is_empty(self) -> bool:
-        """Decided by one LP, unless the origin satisfies every row."""
+        """Decided by one LP, unless the origin satisfies every row or a
+        point of the set is known (`_feasible_point`)."""
         if all(a >= 0 for a in self.alpha):
             return False
         return self._feasible_point is None
 
     @cached_property
     def _feasible_point(self):
-        """The LP's feasible point, or None for the empty set."""
+        """A point of the set, or None for the empty set: the LP's, unless
+        a caller that holds a point checked by `contains` assigned it first
+        (`VarSystem.multiplier_set`, with a certified multiplier)."""
         return lp_feasible_point(self.b, self.alpha, n=self.dim)
 
     def some_point(self):
@@ -199,8 +202,8 @@ class Polyhedron:
 
         Without inequality rows the set is an affine subspace.  Otherwise
         its affine hull is y plus the span of its tangent cone at y, the
-        origin when that satisfies every row, else the emptiness LP's
-        point: the rank of the cone's generators, with no further LP.
+        origin when that satisfies every row, else `_feasible_point`: the
+        rank of the cone's generators, with no further LP.
         """
         if self.is_empty():
             return -1
@@ -245,7 +248,7 @@ class Polyhedron:
         """
         if self.is_empty():
             raise ValueError("projection onto an empty polyhedron")
-        x = tuple(rat(v) for v in x)
+        x = rats(x)
         if len(x) != self.dim:
             raise ValueError("point dimension mismatch")
         y = self._projector.solve(tuple(-v for v in x))
@@ -613,7 +616,7 @@ def limiting_normal_cone_union(union: PolyUnion, point):
     contained in the local union, of the intersections of the normal
     cones of the covering pieces.  Returns a PolyUnion of PolyCone.
     """
-    point = tuple(rat(v) for v in point)
+    point = rats(point)
     holders = [p for p in union.pieces if p.contains(point)]
     if not holders:
         raise ValueError("point outside the union")

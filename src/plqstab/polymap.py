@@ -16,7 +16,7 @@ import math
 from functools import cached_property
 
 from .linalg import RatMatrix
-from .rational import ONE, ZERO, format_rat, rat
+from .rational import ONE, ZERO, format_rat, rat, rats
 
 __all__ = ["Polynomial", "PolyMap"]
 
@@ -43,6 +43,50 @@ def _float_values(term_lists, point):
             total += term
         out.append(total)
     return out
+
+
+# Ring operations on term dicts {exponent tuple: Rat} with no zero
+# coefficient, shared by `Polynomial` and the expression parser; each
+# fixes the order of the terms it returns.
+
+def _add_terms(total, terms, sign=1):
+    """`total` plus `sign` (1 or -1) times `terms`, added into `total` in
+    place: a new monomial is appended, one that cancels is dropped."""
+    for e, c in terms.items():
+        old = total.get(e)
+        if old is None:
+            total[e] = c if sign > 0 else -c
+            continue
+        new = old + c if sign > 0 else old - c
+        if new:
+            total[e] = new
+        else:
+            del total[e]
+    return total
+
+
+def _mul_terms(a, b):
+    """The terms of a * b, each monomial where its first pair lands; those
+    that sum to zero are dropped once the product is complete."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple([i + j for i, j in zip(e1, e2)])
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _binary_power(one, base, k, mul):
+    """base^k by binary powering from `one`, each product formed by `mul`;
+    no squaring past the last bit."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
 
 
 class Polynomial:
@@ -85,15 +129,13 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, other)
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Polynomial(self.n, out)
+        return Polynomial(self.n, _add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.n, other)
-        return self + other.scale(-1)
+        self._check(other)
+        return Polynomial(self.n, _add_terms(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return self.scale(-1)
@@ -106,27 +148,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, ZERO) + c1 * c2
-        return Polynomial(self.n, out)
+        return Polynomial(self.n, _mul_terms(self.terms, other.terms))
 
     def power(self, k, mul=lambda a, b: a * b):
         """The k-th power by binary powering, each product formed by `mul`,
         which may check the factors first and refuse by raising."""
         if k < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            k >>= 1
-            if k:  # no squaring past the last bit
-                base = mul(base, base)
-        return result
+        return _binary_power(Polynomial.constant(self.n, 1), self, k, mul)
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.n == other.n \
@@ -146,7 +175,7 @@ class Polynomial:
         return Polynomial(self.n, out)
 
     def eval(self, point):
-        point = tuple(rat(v) for v in point)
+        point = rats(point)
         if len(point) != self.n:
             raise ValueError("point dimension mismatch")
         total = ZERO

@@ -32,7 +32,7 @@ from .errors import InternalConsistencyError
 from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
 from .lp import lp_feasible_point
-from .rational import ONE, ZERO, rat, to_float, vdot
+from .rational import ONE, ZERO, rat, rats, to_float, vdot
 from .record import FrozenRecord, Record
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
@@ -91,7 +91,7 @@ def qp_solve(qmat: RatMatrix, c, poly):
     pd = is_positive_definite(qmat)
     if not pd and not psd_check(qmat):
         raise ValueError("quadratic term must be symmetric positive semidefinite")
-    c = tuple(rat(v) for v in c)
+    c = rats(c)
     n = qmat.nrows
     if len(c) != n:
         raise ValueError("linear term dimension mismatch")

@@ -258,6 +258,18 @@ def parse_rat(text):
         raise ValueError("zero denominator") from None
 
 
+def rats(values):
+    """The values as a tuple of Rat: `values` itself when it already is
+    one, else each entry through `rat`."""
+    if type(values) is tuple:
+        for v in values:
+            if type(v) is not Rat:
+                break
+        else:
+            return values
+    return tuple(rat(v) for v in values)
+
+
 def format_rat(value) -> str:
     """Render as ``"p"`` or ``"p/q"`` (gcd-reduced, positive denominator).
 

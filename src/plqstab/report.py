@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InternalConsistencyError
 from .problemfile import ProblemFile
-from .rational import format_rat, rat, vadd
+from .rational import format_rat, rat
 from .stability import (classify_multiplier, error_bound_residuals,
                         uniqueness_report)
 
@@ -43,21 +43,24 @@ def _fmt_float(x):
 
 
 def _residual_table(system, xbar, lam_bar, n, m):
+    """The error-bound rows at the exact anchor (xbar, lam_bar), tuples of
+    Rat: each offsets one coordinate by 1/10, then each by 1/100."""
     rows = []
     for scale in (rat(1, 10), rat(1, 100)):
+        offset = format_rat(scale)
         for j in range(n + m):
-            dx = [rat(0)] * n
-            dl = [rat(0)] * m
+            x, lam = xbar, lam_bar
             if j < n:
-                dx[j] = scale
+                x = xbar[:j] + (xbar[j] + scale,) + xbar[j + 1:]
             else:
-                dl[j - n] = scale
-            x = vadd(xbar, tuple(dx))
-            lam = vadd(lam_bar, tuple(dl))
+                k = j - n
+                lam = lam_bar[:k] + (lam_bar[k] + scale,) + lam_bar[k + 1:]
             lhs, r3, r4 = error_bound_residuals(system, xbar, lam_bar, x, lam)
+            delta = ["0"] * (n + m)
+            delta[j] = offset
             rows.append({
-                "dx": _fmt_vec(dx),
-                "dlambda": _fmt_vec(dl),
+                "dx": delta[:n],
+                "dlambda": delta[n:],
                 "lhs": _fmt_float(lhs),
                 "rhs_inverse_subdiff": _fmt_float(r3),
                 "rhs_prox": _fmt_float(r4),

@@ -42,7 +42,7 @@ from .errors import InternalConsistencyError
 from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         difference_polar)
-from .rational import (ONE, ZERO, norm2, primitive, rat, sqrt_float, vadd,
+from .rational import (ONE, ZERO, norm2, primitive, rats, sqrt_float, vadd,
                        vdot, vsub)
 from .record import FrozenRecord
 from .varsys import VarSystem
@@ -256,11 +256,6 @@ class PointContext:
         return self.system.penalty.Y.normal_cone_of(self.tight)
 
     @cached_property
-    def multiplier_dist2(self):
-        """Squared distance from lam to the multiplier set at x."""
-        return self.system.multiplier_set(self.x).poly.project_point(self.lam)[1]
-
-    @cached_property
     def faces(self):
         return self.kcone.faces()
 
@@ -403,20 +398,27 @@ def error_bound_residuals(system: VarSystem, xbar, lam_bar, x, lam):
 
     The distance in rhs_iii is `PlqPenalty.inverse_subdiff_dist2`, a
     projection onto the normal cone N_Y(lam); it is inf off Y.  Every
-    distance is exact and rounded once.  A row with lam = lam_bar reads
-    its distance to the multiplier set, N_Y(lam_bar) and B lam_bar from
-    the point context, and a row with x = xbar reads f(xbar), DPhi(xbar)
-    and Phi(xbar) from it.
+    distance is exact and rounded once.  lam_bar lies in the multiplier
+    set (`VarSystem.multiplier_set` checks it exactly once the anchor is
+    certified), so its distance is 0, and when the set is the singleton
+    {lam_bar} the distance of lam is |lam - lam_bar|: neither projects.
+    A row with lam = lam_bar reads N_Y(lam_bar) and B lam_bar from the
+    point context, and a row with x = xbar reads f(xbar), DPhi(xbar) and
+    Phi(xbar) from it.
     """
     ctx = system.point(xbar, lam_bar).require(
         "error bounds are anchored at an exact solution")
-    x = tuple(rat(v) for v in x)
-    lam = tuple(rat(v) for v in lam)
+    x = rats(x)
+    lam = rats(lam)
     at_lam_bar = lam == ctx.lam
-    if at_lam_bar:
-        d2 = ctx.multiplier_dist2
+    mset = system.multiplier_set(ctx.x)
+    if at_lam_bar:  # lam_bar solves, so it is in the multiplier set
+        d2 = ZERO
+    elif mset.singleton:  # the set is {lam_bar}
+        diff = vsub(lam, ctx.lam)
+        d2 = vdot(diff, diff)
     else:
-        _, d2 = system.multiplier_set(ctx.x).poly.project_point(lam)
+        _, d2 = mset.poly.project_point(lam)
     lhs = norm2(vsub(x, ctx.x)) + sqrt_float(d2)
 
     if x == ctx.x:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from functools import cached_property
 
+from .errors import InternalConsistencyError
 from .linalg import RatMatrix
 from .plq import PlqPenalty
 from .polyhedra import Polyhedron
 from .polymap import PolyMap
-from .rational import rat, vadd
+from .rational import rat, rats, vadd
 from .record import FrozenRecord
 
 __all__ = ["VarSystem", "MultiplierSet"]
@@ -51,15 +52,15 @@ class VarSystem:
     # -- residual ----------------------------------------------------------
     def psi(self, x, lam):
         """Psi(x, lam) = f(x) + DPhi(x)^T lam, exactly."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
+        x = rats(x)
+        lam = rats(lam)
         jac = self.phi.jacobian_at(x)
         return vadd(self.f.eval(x), jac.rmatvec(lam))
 
     def psi_jacobian_x(self, x, lam) -> RatMatrix:
         """d(Psi)/dx = Df(x) + sum_i lam_i Hess(Phi_i)(x)."""
-        x = tuple(rat(v) for v in x)
-        lam = tuple(rat(v) for v in lam)
+        x = rats(x)
+        lam = rats(lam)
         jac = self.f.jacobian_at(x)
         rows = [list(r) for r in jac.rows]
         for i in range(self.m):
@@ -73,8 +74,18 @@ class VarSystem:
 
     # -- multipliers ----------------------------------------------------------
     def multiplier_set(self, x) -> MultiplierSet:
-        """All lam with Psi(x, lam) = 0 and lam a subgradient at Phi(x)."""
-        x = tuple(rat(v) for v in x)
+        """All lam with Psi(x, lam) = 0 and lam a subgradient at Phi(x),
+        memoized per exact x.
+
+        When a point context at x has certified its multiplier (`solves`),
+        that multiplier is checked against the polyhedron exactly, and
+        InternalConsistencyError is raised if it lies outside: a
+        solution's multiplier is in its multiplier set.  It then decides
+        emptiness and serves as the base point of the affine dimension, so
+        no LP runs; elsewhere the emptiness LP decides.  Dimension,
+        singleton flag and representative do not depend on the base point.
+        """
+        x = rats(x)
         if x in self._multiplier_sets:
             return self._multiplier_sets[x]
         jac = self.phi.jacobian_at(x)
@@ -89,6 +100,12 @@ class VarSystem:
             rows.append(tuple(-v for v in col))
             rhs.append(fx[j])
         poly = Polyhedron(rows, rhs, self.m)
+        lam = self._certified_multiplier(x)
+        if lam is not None:
+            if not poly.contains(lam):
+                raise InternalConsistencyError(
+                    "a certified multiplier lies outside its multiplier set")
+            poly._feasible_point = lam  # emptiness and a base point, no LP
         if poly.is_empty():
             out = MultiplierSet(poly, True, False, -1, None)
         else:
@@ -98,12 +115,20 @@ class VarSystem:
         self._multiplier_sets[x] = out
         return out
 
+    def _certified_multiplier(self, x):
+        """The multiplier of a point context at x whose solution check has
+        already passed, or None."""
+        for (px, _), ctx in list(self._points.items()):
+            if px == x and ctx.__dict__.get("solves"):
+                return ctx.lam
+        return None
+
     def point(self, x, lam):
         """The `stability.PointContext` of (x, lam), one per pair on this
         instance: the criteria share its solution check and objects."""
         from .stability import PointContext
 
-        key = tuple(rat(v) for v in x), tuple(rat(v) for v in lam)
+        key = rats(x), rats(lam)
         if key not in self._points:
             self._points[key] = PointContext(self, *key)
         return self._points[key]

@@ -2,6 +2,8 @@
 and stability of the KKT solution map."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -246,6 +248,35 @@ def test_bcq_decisions_of_one_robust_ic_report(monkeypatch):
     monkeypatch.setattr(stability, "_solutions", counted_decision)
     quad_cost_enlp(2).robust_ic_report((0, 0), (0, 0))
     assert per_call == [1, 0]
+
+
+_FORGED_SONC_SCRIPT = """
+import sys
+import plqstab.enlp as enlp
+from plqstab import corpus_path
+from plqstab.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+copositive = enlp.copositive_on_cone
+def forged(qform, cone, strict):
+    if not strict:  # the necessary condition's test, not SOSC's
+        raise ValueError("forged inside SONC")
+    return copositive(qform, cone, strict)
+enlp.copositive_on_cone = forged
+sys.exit(main(["analyze", corpus_path("example_6_2")]))
+"""
+
+
+def test_a_value_error_inside_sonc_exits_2_under_optimize():
+    # BCQ holds at example_6_2 and its multiplier is certified, so SONC has
+    # no documented reason to raise: a ValueError there is an internal
+    # fault, not an "inconclusive" verdict.
+    out = subprocess.run([sys.executable, "-O", "-c", _FORGED_SONC_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("internal consistency failure:")
+    assert "forged inside SONC" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_robust_ic_reports_randomized_consistency():

@@ -556,8 +556,10 @@ def test_projection_active_sets_on_example_6_2():
     # Active sets the exact projections try before one is certified.  A
     # point already in P is certified by the first set, which has no
     # inequality rows: the multiplier set's representative, the origin,
-    # and lam_bar's distance to the multiplier set take one each.
-    assert _work_counts("example_6_2")[3] == "20"
+    # takes one.  The multiplier set is the singleton {lam_bar}, so the
+    # error-bound table reads each distance to it as |lam - lam_bar| and
+    # projects onto it nowhere.
+    assert _work_counts("example_6_2")[3] == "15"
 
 
 def test_nontriviality_systems_on_example_6_2():
@@ -575,8 +577,11 @@ def test_exact_kernel_calls_on_example_6_2():
     # ranks an active set only when its bordered system is singular.  It
     # rejects an active set at its first negative multiplier, before it
     # forms y, and a projection makes no membership test of its own.  The
-    # point context reads the rows of Y tight at lam_bar once.
-    assert _work_counts("example_6_2")[7:9] == ["90", "669"]
+    # point context reads the rows of Y tight at lam_bar once.  SONC reads
+    # the generators, pulled-back forms and stationary families that SOSC
+    # left on the same regions, and the multiplier set checks lam_bar's
+    # membership once instead of the table projecting onto the set.
+    assert _work_counts("example_6_2")[7:9] == ["66", "598"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():

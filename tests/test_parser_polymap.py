@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exprparse_reference
 from plqstab import ParseError, PolyMap, Polynomial, parse_expression, rat
 from plqstab.polymap import _float_values
 
@@ -196,3 +197,93 @@ def test_only_ascii_digits_are_numerals():
     for text in ("x٣", "x1^٣"):
         with pytest.raises(ParseError, match="expected digits"):
             parse_expression(text, 3)
+
+
+# -- the dict parser against the Polynomial-ring reference -------------------------
+
+
+def _random_expression(rng, n, depth):
+    """Grammar text with unary signs, nested parentheses, powers of sums,
+    and sums and products that cancel."""
+    def leaf():
+        kind = rng.random()
+        if kind < 0.5:
+            return "x%d" % rng.randint(1, n)
+        if kind < 0.8:
+            return str(rng.randint(0, 9))
+        return "%d/%d" % (rng.randint(0, 9), rng.randint(1, 9))
+
+    def base(d):
+        if d and rng.random() < 0.45:
+            inner = expr(d - 1)
+            if rng.random() < 0.25:  # a sum that cancels to zero
+                return "(%s - (%s))" % (inner, inner)
+            return "(%s)" % inner
+        return leaf()
+
+    def factor(d):
+        out = base(d)
+        if rng.random() < 0.3:
+            out += "^%d" % rng.randint(0, 4)
+        return out
+
+    def term(d):
+        if rng.random() < 0.15:  # a product whose cross terms cancel
+            a, b = leaf(), leaf()
+            return "(%s + %s) * (%s - %s)" % (a, b, a, b)
+        return " * ".join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def expr(d):
+        terms = [term(d) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:  # a term and its negative, later in the sum
+            terms += [terms[0], terms[0]]
+            ops = [rng.choice("+-") for _ in terms[1:-2]] + ["+", "-"]
+        else:
+            ops = [rng.choice("+-") for _ in terms[1:]]
+        text = rng.choice(("", "-", "+")) + terms[0]
+        return text + "".join(" %s %s" % pair for pair in zip(ops, terms[1:]))
+
+    return expr(depth)
+
+
+def _outcome(parse, text, n):
+    try:
+        return list(parse(text, n).terms.items())
+    except ParseError as err:
+        return "ParseError", str(err), err.pos
+
+
+def test_parser_matches_the_polynomial_ring_reference():
+    rng = random.Random(3801)
+    shapes = {"cancelled": 0, "refused": 0}
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        text = _random_expression(rng, n, rng.randint(1, 3))
+        got = _outcome(parse_expression, text, n)
+        # terms by value and in the reference's insertion order
+        assert got == _outcome(exprparse_reference.parse_expression, text, n), text
+        shapes["cancelled"] += "- (" in text and isinstance(got, list)
+        shapes["refused"] += isinstance(got, tuple)
+    assert shapes["cancelled"] >= 40, shapes
+
+
+_MALFORMED = ["x3", "x0", "x1^-2", "x1^1/2", "2/0", "x1 +", "(x1", "y1", "",
+              "* x1", "²", "1٣", "x٣", "x1^٣", "x1^65", "x1^99999999999",
+              "(x1^9)^8", "(x1+x2+x3+x4)^40", "(" * 101 + "x1" + ")" * 101,
+              "1" * 5000, "x1 x2", "x1^", "3/", "(x1))", "x1 * ", "x1^2^2"]
+
+
+def test_parser_errors_match_the_polynomial_ring_reference():
+    rng = random.Random(3802)
+    cases = [(text, 3) for text in _MALFORMED]
+    for _ in range(300):  # one character of a valid text replaced
+        text = _random_expression(rng, 2, 2)
+        at = rng.randrange(len(text))
+        cases.append((text[:at] + rng.choice("x0^/()*+- ") + text[at + 1:], 2))
+    refused = 0
+    for text, n in cases:
+        got = _outcome(parse_expression, text, n)
+        assert got == _outcome(exprparse_reference.parse_expression, text, n), \
+            text
+        refused += isinstance(got, tuple)
+    assert refused >= len(_MALFORMED) + 50, refused

@@ -67,6 +67,26 @@ def test_copositivity_matches_the_subset_loop_reference():
     assert min(verdicts.values()) >= 150 and lineal >= 50, (verdicts, lineal)
 
 
+def test_copositivity_shared_on_a_cone_matches_fresh_cones():
+    # Verdicts and witnesses do not depend on what an earlier test of the
+    # same cone left on it: with the same form, in either order of the two
+    # tests, or with another form.
+    rng = random.Random(1303)
+    shared = 0
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        cone = _random_cone(rng, dim)
+        forms = [_random_form(rng, dim), _random_form(rng, dim)]
+        order = (True, False) if rng.random() < 0.5 else (False, True)
+        for qform, strict in [(forms[0], s) for s in order] + [(forms[1], True)]:
+            fresh = PolyCone(cone.rows, dim=dim)
+            assert copositive_on_cone(qform, cone, strict) == \
+                copositive_on_cone(qform, fresh, strict)
+            shared += (qform is forms[0] and strict == order[1]
+                       and cone._copositivity.families is not None)
+    assert shared >= 50, shared
+
+
 def _counting(monkeypatch, *names):
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -108,19 +128,20 @@ def test_copositivity_on_a_subspace_tries_no_subset_and_no_lp(monkeypatch):
 
 def test_copositivity_tries_at_most_one_subset_per_ray_family(monkeypatch):
     # Lineality in the first two coordinates, k = 3 rays: at most
-    # 2^3 - 1 subset trials, not 2^(2*2 + 3) - 1.
+    # 2^3 - 1 subset trials, not 2^(2*2 + 3) - 1, for both tests together:
+    # the non-strict test reads the families the strict one solved on the
+    # same cone and form.
     counts = _counting(monkeypatch, "solve_general")
     cone = PolyCone([(0, 0, -1, 0, 0), (0, 0, 0, -1, 0), (0, 0, 0, 0, -1)],
                     dim=5)
     qform = RatMatrix([[2, 1, 0, 0, 1], [1, 2, 0, 1, 0], [0, 0, 1, 0, 0],
                        [0, 1, 0, 1, 0], [1, 0, 0, 0, 1]])
     for strict in (True, False):
-        counts["solve_general"] = 0
         got, _ = copositive_on_cone(qform, cone, strict)
         want, _ = copositivity_reference.copositive_on_cone(qform, cone,
                                                             strict)
         assert got == want
-        assert 0 < counts["solve_general"] <= 2 ** 3 - 1
+    assert 0 < counts["solve_general"] <= 2 ** 3 - 1
 
 
 _FORGED_WITNESS_SCRIPT = """
