@@ -17,7 +17,9 @@ and strict or non-strict copositivity of each pulled back form is
 decided exactly: definiteness on the lineality space of the pulled back
 cone (`linalg.reduce_lineality`, the symmetric elimination behind every
 PSD and PD test), then stationary families of the Schur complement over
-the simplex of its extreme rays (`copositive_on_cone`).  A region's
+the simplex of its extreme rays (`copositive_on_cone`).  A positive
+definite form (strict) or a PSD one (non-strict) is copositive on any
+cone and is decided by one elimination, with no generator.  A region's
 generators, pulled-back form and families are kept on its own cone, so
 SOSC and SONC at one multiplier prepare each region once.
 
@@ -35,10 +37,13 @@ critical cone K (Dontchev and Rockafellar, SIAM J. Optim. 6, 1996; see
 one homogeneous system per face pair over (xi, eta) alone, written by
 `stability._linearized_system` with the rows of
 polar(D) = polar(F1) cap span(F2)-perp (`polyhedra.difference_polar`),
-and decided by `stability.nontrivial_over`.  No graph decomposition or
-hyperplane arrangement is built; `PlqPenalty.graph_pieces` and
-`polyhedra.limiting_normal_cone_union` remain as the reference the tests
-compare against.
+and decided by `stability.nontrivial_over`.  Since eta in D,
+<B eta - G xi, eta> <= 0 gives eta^T B eta + xi^T H xi <= 0, so where H
+is positive definite and ker B cap ker G^T = {0} (the point context's
+two certificates) only the zero pair solves any of them, and none is
+built.  No graph decomposition or hyperplane arrangement is built;
+`PlqPenalty.graph_pieces` and `polyhedra.limiting_normal_cone_union`
+remain as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ import threading
 from functools import cached_property
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, reduce_lineality, solve_general
+from .linalg import (RatMatrix, is_positive_definite, psd_check,
+                     reduce_lineality, solve_general)
 from .lp import lp_feasible_point
 from .plq import PlqPenalty
 from .polyhedra import PolyCone, Polyhedron, _cone_generators, face_differences
@@ -177,7 +183,8 @@ class EnlpProblem(VarSystem):
     def isolated_calmness_skkt(self, x, lam) -> bool:
         """Graphical-derivative criterion: the linearized KKT system
         admits only the zero direction pair: the verdict is noncritical,
-        and none of the face systems it solved has a generator."""
+        and no face system has a generator (none is solved when the
+        point's two certificates hold)."""
         ctx = self._require_kkt(x, lam)
         return not ctx.criticality.critical and not any(ctx.face_solutions)
 
@@ -185,13 +192,13 @@ class EnlpProblem(VarSystem):
         """Coderivative criterion: only the zero pair satisfies the
         linearized inclusion through the limiting normals of the
         subdifferential graph, read from the face pairs of the critical
-        cone."""
+        cone.  Holds with no face pair built when the point's two
+        certificates hold (`stability.PointContext.systems_trivial`)."""
         ctx = self._require_kkt(x, lam)
-        # B eta - G xi in polar(D): <-h, G xi - B eta> <= 0 on its le rows h
-        systems = (_linearized_system(ctx, diff,
-                                      (peq, [tuple(-v for v in h) for h in ple]))
-                   for diff, (peq, ple) in face_differences(ctx.kcone))
-        return nontrivial_over(systems, range(self.n + self.m)) is None
+        if ctx.systems_trivial:
+            return True
+        return nontrivial_over(_face_pair_systems(ctx),
+                               range(self.n + self.m)) is None
 
     def robust_ic_report(self, x, lam) -> StabilityReport:
         """Full stability report with exact theorem-level cross-checks."""
@@ -249,6 +256,15 @@ class EnlpProblem(VarSystem):
                                consistency_notes=tuple(notes))
 
 
+def _face_pair_systems(ctx):
+    """The coderivative system of each face pair of the critical cone at a
+    point context, over (xi, eta), built lazily."""
+    # B eta - G xi in polar(D): <-h, G xi - B eta> <= 0 on its le rows h
+    return (_linearized_system(ctx, diff,
+                               (peq, [tuple(-v for v in h) for h in ple]))
+            for diff, (peq, ple) in face_differences(ctx.kcone))
+
+
 # -- exact copositivity ---------------------------------------------------------------
 
 
@@ -282,10 +298,17 @@ def copositive_on_cone(qform: RatMatrix, cone: PolyCone, strict: bool):
     second-order region, SOSC's and SONC's, share them, and no module memo
     grows.
 
+    A positive definite Q (strict) or a PSD Q (non-strict) is copositive
+    on every cone, so it returns (True, None) before it builds generators
+    (`is_positive_definite`, `psd_check`); no `_copositivity` is kept on
+    the cone then.
+
     Returns (verdict, witness direction or None).  A False verdict's
     witness w is checked exactly: nonzero, in the cone, and w^T Q w < 0
     (<= 0 when strict); a failure raises InternalConsistencyError.
     """
+    if (is_positive_definite if strict else psd_check)(qform):
+        return True, None
     form = _CopositivityForm.of(qform, cone)
     if form.gcols is None:
         return True, None

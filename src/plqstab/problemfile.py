@@ -99,14 +99,19 @@ def _entries(path, values):
             yield "%s[%d]" % (path, i), v
 
 
-def _expect(doc, key, types, path):
+# The JSON type that each Python type `_expect` is asked for reads as.
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string",
+                    int: "an integer"}
+
+
+def _expect(doc, key, type_, path):
     if key not in doc:
         raise ProblemFileError("%s.%s" % (path, key), "missing field")
     v = doc[key]
     # JSON true/false are Python bools, and bool is a subclass of int
-    if not isinstance(v, types) or isinstance(v, bool):
+    if not isinstance(v, type_) or isinstance(v, bool):
         raise ProblemFileError("%s.%s" % (path, key),
-                               "expected %s" % (types,))
+                               "expected %s" % _JSON_TYPE_NAMES[type_])
     return v
 
 

@@ -24,6 +24,23 @@ kernel of its equality rows (Fukuda and Prodon, 1996), with no LP, and
 keeps the generators of the face systems it walks: its witness is one of
 them, and isolated calmness is read off them too.
 
+Two exact certificates, one elimination each and kept on the point
+context, settle many of these systems before any is built:
+
+- (1) the symmetric part of A is positive definite
+  (`linalg.is_positive_definite`);
+- (2) ker B cap ker G^T = {0} (`linalg.rank` of B's rows stacked with
+  G's columns is m).
+
+In a face system, <G xi - B eta, eta> = 0 and A xi = -G^T eta give
+xi^T A xi = -eta^T B eta <= 0, with B PSD; in a face-pair system,
+<B eta - G xi, eta> <= 0 gives eta^T B eta + xi^T A xi <= 0.  Under (1)
+both force xi = 0, and at xi = 0 both leave B eta = 0 and G^T eta = 0.
+So (1) makes the multiplier noncritical (Izmailov and Solodov, TOP 23,
+2015), (2) makes dual qualification hold, and (1) with (2) makes every
+face and face-pair system trivial.  A point where a certificate fails
+walks its systems as above.
+
 Every criterion at (x, lam) reads the pair's `PointContext`, memoized by
 `VarSystem.point`: one solution check, each per-point object built once.
 
@@ -39,7 +56,8 @@ import math
 from functools import cached_property
 
 from .errors import InternalConsistencyError
-from .linalg import RatMatrix, kernel_basis, pseudo_inverse_psd, zeros
+from .linalg import (RatMatrix, is_positive_definite, kernel_basis,
+                     pseudo_inverse_psd, rank, zeros)
 from .polyhedra import (PolyCone, _all_generator_vectors, _cone_generators,
                         difference_polar)
 from .rational import (ONE, ZERO, norm2, primitive, rats, sqrt_float, vadd,
@@ -186,7 +204,9 @@ class PointContext:
     Phi(x), through `subdiff_contains_at` and its Fenchel cross-check.
     The rows of Y tight at lam are read once (`tight`) and serve that
     check, `kcone` and `ncone`.  The members from `kcone` on exist at
-    solutions only.
+    solutions only.  `definite` and `kernels_meet_at_zero` are the two
+    certificates of the module docstring, one elimination each; the
+    verdicts read them before they build any face system.
     """
 
     def __init__(self, system, x, lam):
@@ -242,6 +262,27 @@ class PointContext:
         return self.system.penalty.B.matvec(self.lam)
 
     @cached_property
+    def definite(self) -> bool:
+        """Certificate (1): the symmetric part of A is positive definite,
+        decided on A + A^T, twice that part."""
+        return is_positive_definite(self.amat + self.amat.T)
+
+    @cached_property
+    def kernels_meet_at_zero(self) -> bool:
+        """Certificate (2): ker B cap ker G^T = {0}, that is, the rows of
+        B stacked with the columns of G have rank m."""
+        gmat, m = self.gmat, self.system.m
+        rows = list(self.system.penalty.B.rows)
+        rows += [gmat.col(j) for j in range(gmat.ncols)]
+        return rank(rows) == m
+
+    @cached_property
+    def systems_trivial(self) -> bool:
+        """Both certificates hold, so every face system and every
+        face-pair system has only the zero solution."""
+        return self.definite and self.kernels_meet_at_zero
+
+    @cached_property
     def kcone(self) -> PolyCone:
         """The critical cone K_Y(lam, zbar - B lam) of the verified pair."""
         self.require("the critical cone needs an exact solution")
@@ -278,10 +319,25 @@ class PointContext:
                 for f in self.faces]
 
     @cached_property
+    def face_solutions(self):
+        """The generators of each face system's solution cone, in face
+        order.  A noncritical walk of `criticality` leaves them; when both
+        certificates hold no system is solved, since each is trivial."""
+        if self.systems_trivial:
+            return [[] for _ in self.faces]
+        return [_solutions(*system) for system in self.face_systems]
+
+    @cached_property
     def criticality(self) -> CriticalityVerdict:
-        """Keeps the generators of each face system it solves, every face's
-        when noncritical, in `face_solutions`, assigned once complete."""
+        """Noncritical without a face walk under certificate (1): in a face
+        system <G xi - B eta, eta> = 0 and A xi = -G^T eta give
+        xi^T A xi = -eta^T B eta <= 0, so xi = 0.  Otherwise the face
+        systems are solved in order up to the first with xi != 0; a walk
+        that finds none keeps every face's generators as
+        `face_solutions`.  `face_count` counts the faces either way."""
         n, faces = self.system.n, self.faces
+        if self.definite:
+            return CriticalityVerdict(critical=False, face_count=len(faces))
         solutions = []
         for index, system in enumerate(self.face_systems):
             solutions.append(_solutions(*system))
@@ -289,7 +345,6 @@ class PointContext:
             if point is not None:
                 xi, eta = point[:n], point[n:]
                 _assert_witness(self, xi, eta)
-                self.face_solutions = solutions
                 return CriticalityVerdict(critical=True, xi=xi, eta=eta,
                                           face_tight=faces[index].tight,
                                           face_count=len(faces))
@@ -298,11 +353,19 @@ class PointContext:
 
     @cached_property
     def dqc(self) -> bool:
-        """The face systems at xi = 0: their eta columns."""
+        """Holds under certificate (2): at xi = 0 a face system gives
+        eta^T B eta = 0, so B eta = 0 (B is PSD), and G^T eta = 0, and
+        only eta = 0 lies in both kernels.  Otherwise the face systems at
+        xi = 0 are decided (`dqc_systems`)."""
+        if self.kernels_meet_at_zero:
+            return True
+        return nontrivial_over(self.dqc_systems(), range(self.system.m)) is None
+
+    def dqc_systems(self):
+        """The face systems at xi = 0, over eta alone, built lazily."""
         n = self.system.n
-        systems = ((nvars - n, [r[n:] for r in a_eq], [r[n:] for r in a_ub])
-                   for nvars, a_eq, a_ub in self.face_systems)
-        return nontrivial_over(systems, range(self.system.m)) is None
+        return ((nvars - n, [r[n:] for r in a_eq], [r[n:] for r in a_ub])
+                for nvars, a_eq, a_ub in self.face_systems)
 
     @cached_property
     def regions(self):

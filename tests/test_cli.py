@@ -97,6 +97,48 @@ def test_schema_violations_carry_paths(mutate, path_hint):
     assert path_hint in str(err.value)
 
 
+def _as_enlp_with_phi0(value):
+    def mutate(d):
+        del d["f"]
+        d.update(kind="enlp", phi0=value)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(name=7), "$.name: expected a string"),
+    (lambda d: d.update(kind=["varsys"]), "$.kind: expected a string"),
+    (lambda d: d.update(n="1"), "$.n: expected an integer"),
+    (lambda d: d.update(m=2.0), "$.m: expected an integer"),
+    (lambda d: d.update(n=False), "$.n: expected an integer"),
+    (lambda d: d.update(Y=[]), "$.Y: expected an object"),
+    (lambda d: d["Y"].update(b={}), "$.Y.b: expected an array"),
+    (lambda d: d["Y"].update(alpha="0"), "$.Y.alpha: expected an array"),
+    (lambda d: d.update(B=None), "$.B: expected an array"),
+    (lambda d: d.update(Phi="0"), "$.Phi: expected an array"),
+    (lambda d: d.update(f={"0": "-x1"}), "$.f: expected an array"),
+    (_as_enlp_with_phi0(1), "$.phi0: expected a string"),
+    (lambda d: d.update(points={}), "$.points: expected an array"),
+    (lambda d: d["points"][0].update(x="0"),
+     "$.points[0].x: expected an array"),
+    (lambda d: d["points"][0].update({"lambda": 0}),
+     "$.points[0].lambda: expected an array"),
+])
+def test_wrongly_typed_fields_name_their_json_type(mutate, message):
+    # each field kind names the JSON type it expects, as the other input
+    # errors do, not a Python class
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem_doc(doc)
+    assert str(err.value) == message
+
+
+def test_cli_names_the_json_type_of_a_wrongly_typed_field(tmp_path):
+    out = _run_cli(_doc(Y=[]), tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        1, "", "input error: $.Y: expected an object\n")
+
+
 def test_analysis_document_shape():
     pf = parse_problem_file(corpus_path("example_3_3"))
     doc, csvs = analyze_problem(pf)

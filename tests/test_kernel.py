@@ -565,8 +565,11 @@ def test_projection_active_sets_on_example_6_2():
 def test_nontriviality_systems_on_example_6_2():
     # Homogeneous systems solved by double description, those whose eq
     # rows leave only the zero kernel, and those with a nonzero solution.
-    # Isolated calmness reads the face systems that criticality solved.
-    assert _work_counts("example_6_2")[4:7] == ["18", "10", "0"]
+    # The Hessian is positive definite and ker B meets ker DPhi^T only at
+    # zero, so the point context's two certificates decide criticality,
+    # dual qualification, isolated calmness and the face-pair test with no
+    # system solved: what is left is BCQ's one system, decided per x.
+    assert _work_counts("example_6_2")[4:7] == ["1", "1", "0"]
 
 
 def test_exact_kernel_calls_on_example_6_2():
@@ -580,8 +583,12 @@ def test_exact_kernel_calls_on_example_6_2():
     # point context reads the rows of Y tight at lam_bar once.  SONC reads
     # the generators, pulled-back forms and stationary families that SOSC
     # left on the same regions, and the multiplier set checks lam_bar's
-    # membership once instead of the table projecting onto the set.
-    assert _work_counts("example_6_2")[7:9] == ["66", "598"]
+    # membership once instead of the table projecting onto the set.  The
+    # certificate ker B cap ker DPhi^T = {0} costs one elimination, and it
+    # and the definite Hessian leave no face or face-pair system to build
+    # or reduce; every SOSC region form is positive definite, so neither
+    # copositivity test builds a region's generators.
+    assert _work_counts("example_6_2")[7:9] == ["26", "432"]
 
 
 def test_theta_qp_once_per_point_on_example_6_2():

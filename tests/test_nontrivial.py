@@ -7,13 +7,14 @@ import sys
 
 import pytest
 
+import copositivity_reference
 import face_system_reference
 import nontrivial_reference
 import plqstab.enlp as enlp
 import plqstab.polyhedra as polyhedra
 import plqstab.stability as stability
 from plqstab import analyze_problem, corpus_names, corpus_path, parse_problem_file
-from plqstab.linalg import kernel_basis
+from plqstab.linalg import is_positive_definite, kernel_basis, psd_check
 from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import rat, vdot
 from support import random_enlp_docs
@@ -76,10 +77,10 @@ def _criticality_walks(problem_files):
             ctx = problem.point(x, lam)
             if not ctx.solves:
                 continue
-            verdict, index = ctx.criticality, len(ctx.face_solutions) - 1
-            found = None
+            verdict, found = ctx.criticality, None
             if verdict.critical:
-                assert ctx.faces[index].tight == verdict.face_tight
+                index = next(i for i, f in enumerate(ctx.faces)
+                             if f.tight == verdict.face_tight)
                 found = index, verdict.xi + verdict.eta
             calm = (problem.isolated_calmness_skkt(x, lam)
                     if isinstance(problem, enlp.EnlpProblem) else None)
@@ -116,24 +117,6 @@ def test_analysis_systems_match_the_lp_reference(monkeypatch):
     assert witnesses >= 4 and calm_verdicts >= 20, (witnesses, calm_verdicts)
 
 
-def _criterion_systems(monkeypatch, criterion):
-    """The systems that one criterion call hands to `nontrivial_over`,
-    read in full."""
-    families = []
-    nontrivial_over = stability.nontrivial_over
-
-    def recorded(systems, coords):
-        families.append(list(systems))
-        return nontrivial_over(families[-1], coords)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(stability, "nontrivial_over", recorded)
-        patch.setattr(enlp, "nontrivial_over", recorded)
-        criterion()
-    (systems,) = families
-    return systems
-
-
 def _assert_same_verdicts(got, want, coords):
     assert len(got) == len(want)
     for new, old in zip(got, want):
@@ -143,11 +126,13 @@ def _assert_same_verdicts(got, want, coords):
                for new in got)
 
 
-def test_linearized_systems_match_the_mu_form_reference(monkeypatch):
+def test_linearized_systems_match_the_mu_form_reference():
     # Dual qualification on each face and the coderivative test on each
     # face pair, at the solution points of the corpus and of random-enlp
     # pool seeds 1-3: each system over (xi, eta) decides as the reference
-    # system does (over eta, and over (xi, eta, mu)).
+    # system does (over eta, and over (xi, eta, mu)).  The systems are
+    # built directly, also where the point's certificates decide the
+    # criteria without them.
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     files += [parse_problem_doc(doc) for seed in (1, 2, 3)
               for _, doc in random_enlp_docs(seed, 10)]
@@ -159,21 +144,98 @@ def test_linearized_systems_match_the_mu_form_reference(monkeypatch):
             ctx = problem.point(x, lam)
             if not ctx.solves:
                 continue
-            got = _criterion_systems(monkeypatch, lambda: ctx.dqc)
+            got = list(ctx.dqc_systems())
             want = [face_system_reference.dqc_system(ctx, f.piece)
                     for f in ctx.faces]
             counts["dqc hits"] += _assert_same_verdicts(got, want, range(m))
             counts["dqc"] += len(got)
             if not isinstance(problem, enlp.EnlpProblem):
                 continue
-            got = _criterion_systems(
-                monkeypatch, lambda: problem.lipschitz_like_skkt(x, lam))
+            got = list(enlp._face_pair_systems(ctx))
             want = [face_system_reference.face_pair_system(ctx, eq, le)
                     for (eq, le), _ in polyhedra.face_differences(ctx.kcone)]
             counts["pair hits"] += _assert_same_verdicts(got, want,
                                                          range(n + m))
             counts["pairs"] += len(got)
     assert min(counts.values()) >= 5 and counts["pairs"] >= 50, counts
+
+
+def _certified_verdicts(problem_files):
+    """Counts of the certificates and definite region forms at the solution
+    points of `problem_files`, each verdict they decide checked against
+    the LP references on the way."""
+    counts = dict.fromkeys(("points", "definite", "kernels", "both",
+                            "forms", "psd forms", "pd forms"), 0)
+    for pf in problem_files:
+        problem = pf.problem
+        n, m = problem.n, problem.m
+        is_enlp = isinstance(problem, enlp.EnlpProblem)
+        for x, lam in pf.points:
+            ctx = problem.point(x, lam)
+            if not ctx.solves:
+                continue
+            counts["points"] += 1
+            counts["definite"] += ctx.definite
+            counts["kernels"] += ctx.kernels_meet_at_zero
+            counts["both"] += ctx.systems_trivial
+            # criticality and dual qualification at every point, so a
+            # verdict certified by the wrong certificate shows too
+            critical = nontrivial_reference.nontrivial_over(
+                ctx.face_systems, range(n)) is not None
+            assert ctx.criticality.critical == critical, pf.name
+            dqc_systems = [face_system_reference.dqc_system(ctx, f.piece)
+                           for f in ctx.faces]
+            dqc = nontrivial_reference.nontrivial_over(
+                dqc_systems, range(m)) is None
+            assert ctx.dqc == dqc, pf.name
+            if ctx.systems_trivial:
+                assert nontrivial_reference.nontrivial_over(
+                    ctx.face_systems, range(n + m)) is None, pf.name
+            if ctx.systems_trivial and is_enlp:
+                assert problem.isolated_calmness_skkt(x, lam)
+                assert problem.lipschitz_like_skkt(x, lam)
+                pairs = [face_system_reference.face_pair_system(ctx, eq, le)
+                         for (eq, le), _ in
+                         polyhedra.face_differences(ctx.kcone)]
+                assert nontrivial_reference.nontrivial_over(
+                    pairs, range(n + m)) is None, pf.name
+            if not is_enlp:
+                continue
+            for wcone, qform in ctx.regions:
+                counts["forms"] += 1
+                if not psd_check(qform):
+                    continue
+                counts["psd forms"] += 1
+                counts["pd forms"] += is_positive_definite(qform)
+                for strict in (True, False):
+                    got, _ = enlp.copositive_on_cone(qform, wcone, strict)
+                    want, _ = copositivity_reference.copositive_on_cone(
+                        qform, wcone, strict)
+                    assert got == want, (pf.name, strict)
+    return counts
+
+
+def test_certified_verdicts_match_the_lp_references():
+    # The point context's certificates, (1) A + A^T positive definite and
+    # (2) ker B cap ker DPhi^T = {0}, decide criticality (1), dual
+    # qualification (2), and isolated calmness and the face-pair test
+    # (both) with no face walk, and a PD (strict) or PSD (non-strict)
+    # region form is copositive before any generator is built.  At every
+    # solution point of the corpus and of random-enlp pools 1-30 those
+    # verdicts agree with the LP references: criticality and dual
+    # qualification at every point, the others where both certificates
+    # hold, and both copositivity tests of every PSD region form.  The
+    # counts pin how often each certificate holds, so a weaker or a
+    # stronger certificate shows even where its verdicts stay right.
+    corpus = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
+    pools = [parse_problem_doc(doc, name_hint=name) for seed in range(1, 31)
+             for name, doc in random_enlp_docs(seed, 5)]
+    assert _certified_verdicts(corpus) == {
+        "points": 9, "definite": 4, "kernels": 3, "both": 2,
+        "forms": 4, "psd forms": 4, "pd forms": 4}
+    assert _certified_verdicts(pools) == {
+        "points": 150, "definite": 27, "kernels": 124, "both": 18,
+        "forms": 181, "psd forms": 61, "pd forms": 48}
 
 
 def _random_system(rng, kind):

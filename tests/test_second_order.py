@@ -82,8 +82,10 @@ def test_copositivity_shared_on_a_cone_matches_fresh_cones():
             fresh = PolyCone(cone.rows, dim=dim)
             assert copositive_on_cone(qform, cone, strict) == \
                 copositive_on_cone(qform, fresh, strict)
+            # a definite form is decided before any is kept on the cone
+            kept = cone.__dict__.get("_copositivity")
             shared += (qform is forms[0] and strict == order[1]
-                       and cone._copositivity.families is not None)
+                       and kept is not None and kept.qform is qform)
     assert shared >= 50, shared
 
 
@@ -147,14 +149,15 @@ def test_copositivity_tries_at_most_one_subset_per_ray_family(monkeypatch):
 _FORGED_WITNESS_SCRIPT = """
 import sys
 import plqstab.enlp as enlp
-from plqstab import PolyCone, identity
+from plqstab import PolyCone, RatMatrix
 from plqstab.errors import InternalConsistencyError
 if not sys.flags.optimize:
     sys.exit(3)
 %s
 try:
-    enlp.copositive_on_cone(identity(2), PolyCone([(-1, 0), (0, -1)], dim=2),
-                            strict=True)
+    # not copositive on the orthant, so not decided by its definiteness
+    enlp.copositive_on_cone(RatMatrix([(1, -2), (-2, 1)]),
+                            PolyCone([(-1, 0), (0, -1)], dim=2), strict=True)
 except InternalConsistencyError as e:
     print(e)
     sys.exit(0)
