@@ -48,7 +48,6 @@ remain as the reference the tests compare against.
 
 from __future__ import annotations
 
-import threading
 from functools import cached_property
 
 from .errors import InternalConsistencyError
@@ -60,7 +59,7 @@ from .polyhedra import PolyCone, Polyhedron, _cone_generators, face_differences
 from .polymap import Polynomial, PolyMap
 from .qp import _subsets
 from .rational import ONE, ZERO, is_zero_vec, norm2, rats, vadd, vdot, vsub
-from .record import FrozenRecord
+from .record import FrozenRecord, GrownRecords
 from .stability import (_linearized_system, classify_multiplier,
                         nontrivial_over, uniqueness_report)
 from .varsys import VarSystem
@@ -182,11 +181,13 @@ class EnlpProblem(VarSystem):
     # -- stability of the KKT solution map ----------------------------------------------
     def isolated_calmness_skkt(self, x, lam) -> bool:
         """Graphical-derivative criterion: the linearized KKT system
-        admits only the zero direction pair: the verdict is noncritical,
-        and no face system has a generator (none is solved when the
-        point's two certificates hold)."""
+        admits only the zero direction pair, that is, the multiplier is
+        noncritical and dual qualification (uniqueness) holds.  At a
+        noncritical multiplier every solution of a face system over
+        (xi, eta) has xi = 0, so it decides as its system at xi = 0 does;
+        no system is solved here."""
         ctx = self._require_kkt(x, lam)
-        return not ctx.criticality.critical and not any(ctx.face_solutions)
+        return not ctx.criticality.critical and ctx.dqc
 
     def lipschitz_like_skkt(self, x, lam) -> bool:
         """Coderivative criterion: only the zero pair satisfies the
@@ -221,18 +222,12 @@ class EnlpProblem(VarSystem):
         liplike = self.lipschitz_like_skkt(x, lam)
 
         notes = []
-        if not uniq.consistent:
-            raise InternalConsistencyError(
-                "multiplier uniqueness disagrees with the dual qualification")
         if sosc and not noncritical:
             raise InternalConsistencyError(
                 "second-order sufficiency with a critical multiplier")
         if liplike and not icalm:
             raise InternalConsistencyError(
                 "Lipschitz-like map that is not isolatedly calm")
-        if icalm != (noncritical and uniq.singleton):
-            raise InternalConsistencyError(
-                "isolated calmness disagrees with noncriticality + uniqueness")
         if sonc is False and sosc:
             raise InternalConsistencyError(
                 "sufficient condition holds while the necessary one fails")
@@ -338,9 +333,7 @@ class _CopositivityForm:
         self.qform, self.nlin = qform, len(lin)
         self.gcols = RatMatrix.from_cols(gens) if gens else None
         self.mhat = self.gcols.T @ qform @ self.gcols if gens else None
-        self._families = []
-        self._unreached = None
-        self._lock = threading.Lock()
+        self._families = GrownRecords()
 
     @staticmethod
     def of(qform, cone):
@@ -353,23 +346,11 @@ class _CopositivityForm:
         """The consistent stationary families of c^T S c over the faces of
         the simplex, in `_subsets` order.  S is the same whichever test
         forms it, so the first S serves.  A family is solved when a scan
-        first reaches it and kept: scans read the list by position and
-        append to it under one lock, as `qp.StrictQpSolver` does."""
-        records, i = self._families, 0
-        while True:
-            if i == len(records):
-                with self._lock:
-                    if self._unreached is None:
-                        self._unreached = filter(None, (
-                            _family(schur, subset) for subset in
-                            _subsets(tuple(range(schur.nrows))) if subset))
-                    if i == len(records):
-                        family = next(self._unreached, None)
-                        if family is None:
-                            return
-                        records.append(family)
-            yield records[i]
-            i += 1
+        first reaches it and kept (`record.GrownRecords`, as in
+        `qp.StrictQpSolver`)."""
+        return self._families.scan(lambda: filter(None, (
+            _family(schur, subset)
+            for subset in _subsets(tuple(range(schur.nrows))) if subset)))
 
 
 def _orthant_copositive(families, strict):

@@ -26,14 +26,12 @@ its exact data (`piece`) without an exact solve per evaluation.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import InternalConsistencyError
 from .linalg import (RatMatrix, invert, is_positive_definite, psd_check, rank,
                      rref)
 from .lp import lp_feasible_point
 from .rational import ONE, ZERO, rat, rats, to_float, vdot
-from .record import FrozenRecord, Record
+from .record import FrozenRecord, GrownRecords, Record
 
 __all__ = ["QpOptimal", "QpUnbounded", "QpInfeasible", "qp_solve", "StrictQpSolver"]
 
@@ -185,12 +183,9 @@ class StrictQpSolver:
         self._eq_rhs = tuple(eq_rhs[k] for k in basis)
         _, self._ineq = poly._split
         # every record built, by subset (None for dependent rows); the
-        # records reached, in order; the independent sets after them
+        # records reached, in order
         self._built: dict = {}
-        self._records = []
-        self._lock = threading.Lock()
-        self._unreached = filter(None, map(self._record,
-                                           _subsets(tuple(self._ineq))))
+        self._records = GrownRecords()
 
     def _record(self, subset):
         if subset in self._built:
@@ -222,20 +217,11 @@ class StrictQpSolver:
 
     def _scan(self):
         """The records in order, read by position: those reached, then each
-        next independent set, appended under the lock as it is reached while
-        the caller reads on (so a file with many slack rows factors no set
-        beyond the one that passes)."""
-        records, i = self._records, 0
-        while True:
-            if i == len(records):
-                with self._lock:
-                    if i == len(records):
-                        rec = next(self._unreached, None)
-                        if rec is None:
-                            return
-                        records.append(rec)
-            yield records[i]
-            i += 1
+        next independent set, appended as it is reached while the caller
+        reads on (so a file with many slack rows factors no set beyond the
+        one that passes)."""
+        return self._records.scan(lambda: filter(None, map(
+            self._record, _subsets(tuple(self._ineq)))))
 
     def solve(self, c, with_subset=False):
         """The unique minimizer for the linear term c; with `with_subset`,

@@ -20,11 +20,18 @@ also fills a `FrozenRecord`.
 `FrozenRecord` also hashes the field tuple, as a frozen dataclass does,
 and refuses assignment and deletion.  A plain `Record` is mutable and,
 having `__eq__`, unhashable.
+
+`GrownRecords` is the list of records that a lazy scan reaches, grown
+from one source under one lock and read by position, so threads can
+share it: the active sets of `qp.StrictQpSolver` and the stationary
+families of `enlp._CopositivityForm`.
 """
 
 from __future__ import annotations
 
-__all__ = ["FrozenRecord", "Record"]
+import threading
+
+__all__ = ["FrozenRecord", "GrownRecords", "Record"]
 
 set_field = object.__setattr__
 
@@ -89,3 +96,37 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of a frozen %s"
                              % (name, type(self).__name__))
+
+
+class GrownRecords:
+    """Records in source order, each made once, when a scan first reaches it.
+
+    `scan(source)` yields the records reached so far, then appends each
+    next item of the source's iterator under the lock as the caller reads
+    on; a None item ends the source.  `source` is a factory, called once,
+    under the lock, by the first scan that needs an item, and every later
+    scan draws from the iterator it made.  A scan reads by position, so
+    one paused while another appended reads on through what was appended.
+    """
+
+    __slots__ = ("_items", "_unreached", "_lock")
+
+    def __init__(self):
+        self._items = []
+        self._unreached = None
+        self._lock = threading.Lock()
+
+    def scan(self, source):
+        items, i = self._items, 0
+        while True:
+            if i == len(items):
+                with self._lock:
+                    if i == len(items):
+                        if self._unreached is None:
+                            self._unreached = source()
+                        item = next(self._unreached, None)
+                        if item is None:
+                            return
+                        items.append(item)
+            yield items[i]
+            i += 1

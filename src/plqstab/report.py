@@ -10,8 +10,13 @@ probes.  The resulting document is pure data; `render_json` and
 byte-deterministic for identical input and flags.  The float probes
 (`probe`) are imported by an analysis with `probe` set, and by no other.
 
-Theorem-level equivalences are asserted during assembly; a violation
-raises InternalConsistencyError, which the CLI maps to exit code 2.
+The theorem-level checks live with the verdicts they check, not here:
+`stability.uniqueness_report` (a singleton multiplier set iff dual
+qualification), the criticality witness check of
+`stability.PointContext.criticality`, and `EnlpProblem.robust_ic_report`
+(SOSC against criticality and against SONC, Lipschitz-likeness against
+isolated calmness).  A violation raises InternalConsistencyError, which
+the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -124,9 +129,6 @@ def _analyze_point(pf: ProblemFile, x, lam, probe, probe_grid, tol):
     }
 
     uniq = uniqueness_report(system, x, lam)
-    if not uniq.consistent:
-        raise InternalConsistencyError(
-            "multiplier uniqueness disagrees with the dual qualification")
     doc["uniqueness"] = {"singleton": uniq.singleton, "dqc": uniq.dqc,
                          "consistent": uniq.consistent}
 

@@ -20,9 +20,14 @@ qualification takes the same face systems at xi = 0, and, in `enlp`,
 the coderivative test takes C = F1 - F2.  `_solutions` gives the
 generators of a system's solution cone by double description on the
 kernel of its equality rows (Fukuda and Prodon, 1996), with no LP, and
-`nontrivial_over` decides a family of systems from them.  Criticality
-keeps the generators of the face systems it walks: its witness is one of
-them, and isolated calmness is read off them too.
+`nontrivial_over`, the one caller of `_solutions`, decides a family of
+systems from them: criticality (coordinates xi), dual qualification
+(eta, at xi = 0), BCQ and the coderivative test each go through it, and
+no generator is kept.  Isolated calmness is no further computation: the
+multiplier is noncritical and unique (Izmailov and Solodov, TOP 23,
+2015), and uniqueness is dual qualification.  At a noncritical
+multiplier no face system has a solution with xi != 0, so each face
+system's solution cone is {0} times its dual-qualification system's.
 
 Two exact certificates, one elimination each and kept on the point
 context, settle many of these systems before any is built:
@@ -206,7 +211,9 @@ class PointContext:
     check, `kcone` and `ncone`.  The members from `kcone` on exist at
     solutions only.  `definite` and `kernels_meet_at_zero` are the two
     certificates of the module docstring, one elimination each; the
-    verdicts read them before they build any face system.
+    verdicts read them before they build any face system, and every
+    system they build is decided by `nontrivial_over`, which keeps no
+    generator.
     """
 
     def __init__(self, system, x, lam):
@@ -319,37 +326,23 @@ class PointContext:
                 for f in self.faces]
 
     @cached_property
-    def face_solutions(self):
-        """The generators of each face system's solution cone, in face
-        order.  A noncritical walk of `criticality` leaves them; when both
-        certificates hold no system is solved, since each is trivial."""
-        if self.systems_trivial:
-            return [[] for _ in self.faces]
-        return [_solutions(*system) for system in self.face_systems]
-
-    @cached_property
     def criticality(self) -> CriticalityVerdict:
         """Noncritical without a face walk under certificate (1): in a face
         system <G xi - B eta, eta> = 0 and A xi = -G^T eta give
-        xi^T A xi = -eta^T B eta <= 0, so xi = 0.  Otherwise the face
-        systems are solved in order up to the first with xi != 0; a walk
-        that finds none keeps every face's generators as
-        `face_solutions`.  `face_count` counts the faces either way."""
+        xi^T A xi = -eta^T B eta <= 0, so xi = 0.  Otherwise
+        `nontrivial_over` decides the face systems over xi, and its hit is
+        the checked witness.  `face_count` counts the faces either way."""
         n, faces = self.system.n, self.faces
-        if self.definite:
+        hit = None if self.definite else nontrivial_over(self.face_systems,
+                                                         range(n))
+        if hit is None:
             return CriticalityVerdict(critical=False, face_count=len(faces))
-        solutions = []
-        for index, system in enumerate(self.face_systems):
-            solutions.append(_solutions(*system))
-            point = _witness(solutions[-1], range(n))
-            if point is not None:
-                xi, eta = point[:n], point[n:]
-                _assert_witness(self, xi, eta)
-                return CriticalityVerdict(critical=True, xi=xi, eta=eta,
-                                          face_tight=faces[index].tight,
-                                          face_count=len(faces))
-        self.face_solutions = solutions
-        return CriticalityVerdict(critical=False, face_count=len(faces))
+        index, point = hit
+        xi, eta = point[:n], point[n:]
+        _assert_witness(self, xi, eta)
+        return CriticalityVerdict(critical=True, xi=xi, eta=eta,
+                                  face_tight=faces[index].tight,
+                                  face_count=len(faces))
 
     @cached_property
     def dqc(self) -> bool:
@@ -442,11 +435,16 @@ def dqc_holds(system: VarSystem, xbar, lam) -> bool:
 
 
 def uniqueness_report(system: VarSystem, xbar, lam) -> UniquenessReport:
-    """Multiplier uniqueness, directly and through dual qualification."""
+    """Multiplier uniqueness, directly and through dual qualification;
+    InternalConsistencyError when the two disagree."""
     ctx = system.point(xbar, lam).require(
         "uniqueness report needs an exact solution")
-    return UniquenessReport(singleton=system.multiplier_set(ctx.x).singleton,
-                            dqc=dqc_holds(system, ctx.x, ctx.lam))
+    report = UniquenessReport(singleton=system.multiplier_set(ctx.x).singleton,
+                              dqc=dqc_holds(system, ctx.x, ctx.lam))
+    if not report.consistent:
+        raise InternalConsistencyError(
+            "multiplier uniqueness disagrees with the dual qualification")
+    return report
 
 
 # -- error bounds --------------------------------------------------------------------

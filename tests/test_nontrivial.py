@@ -90,9 +90,9 @@ def _criticality_walks(problem_files):
 def test_analysis_systems_match_the_lp_reference(monkeypatch):
     # Every system of the corpus analyses and of random-enlp pool seeds
     # 1-3: the same first hit as a family, the same verdict one by one.
-    # Criticality and isolated calmness read the face systems solved once:
-    # each criticality witness is the LP reference's point, and isolated
-    # calmness holds iff the reference finds no point over (xi, eta).
+    # Each criticality witness is the LP reference's point, and isolated
+    # calmness holds iff the reference finds no point over (xi, eta) in
+    # the face systems.
     files = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     files += [parse_problem_doc(doc) for seed in (1, 2, 3)
               for _, doc in random_enlp_docs(seed, 10)]
@@ -160,12 +160,28 @@ def test_linearized_systems_match_the_mu_form_reference():
     assert min(counts.values()) >= 5 and counts["pairs"] >= 50, counts
 
 
+def _calmness_and_solves(problem, x, lam):
+    """Isolated calmness at (x, lam) and the `stability._solutions` calls
+    made to decide it."""
+    solutions, calls = stability._solutions, []
+
+    def counted(*system):
+        calls.append(system)
+        return solutions(*system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_solutions", counted)
+        calm = problem.isolated_calmness_skkt(x, lam)
+    return calm, len(calls)
+
+
 def _certified_verdicts(problem_files):
-    """Counts of the certificates and definite region forms at the solution
-    points of `problem_files`, each verdict they decide checked against
-    the LP references on the way."""
+    """Counts of the certificates, definite region forms and isolated
+    calmness at the solution points of `problem_files`, each verdict they
+    decide checked against the LP references on the way."""
     counts = dict.fromkeys(("points", "definite", "kernels", "both",
-                            "forms", "psd forms", "pd forms"), 0)
+                            "forms", "psd forms", "pd forms", "calm",
+                            "calmness solves"), 0)
     for pf in problem_files:
         problem = pf.problem
         n, m = problem.n, problem.m
@@ -191,16 +207,24 @@ def _certified_verdicts(problem_files):
             if ctx.systems_trivial:
                 assert nontrivial_reference.nontrivial_over(
                     ctx.face_systems, range(n + m)) is None, pf.name
-            if ctx.systems_trivial and is_enlp:
-                assert problem.isolated_calmness_skkt(x, lam)
+            if not is_enlp:
+                continue
+            # isolated calmness at every point, after criticality and dual
+            # qualification, from which it follows with no system solved
+            calm, solves = _calmness_and_solves(problem, x, lam)
+            everywhere = nontrivial_reference.nontrivial_over(
+                ctx.face_systems, range(n + m)) is None
+            singleton = problem.multiplier_set(x).singleton
+            assert calm == everywhere == (not critical and singleton), pf.name
+            counts["calm"] += calm
+            counts["calmness solves"] += solves
+            if ctx.systems_trivial:
                 assert problem.lipschitz_like_skkt(x, lam)
                 pairs = [face_system_reference.face_pair_system(ctx, eq, le)
                          for (eq, le), _ in
                          polyhedra.face_differences(ctx.kcone)]
                 assert nontrivial_reference.nontrivial_over(
                     pairs, range(n + m)) is None, pf.name
-            if not is_enlp:
-                continue
             for wcone, qform in ctx.regions:
                 counts["forms"] += 1
                 if not psd_check(qform):
@@ -223,19 +247,25 @@ def test_certified_verdicts_match_the_lp_references():
     # region form is copositive before any generator is built.  At every
     # solution point of the corpus and of random-enlp pools 1-30 those
     # verdicts agree with the LP references: criticality and dual
-    # qualification at every point, the others where both certificates
-    # hold, and both copositivity tests of every PSD region form.  The
-    # counts pin how often each certificate holds, so a weaker or a
-    # stronger certificate shows even where its verdicts stay right.
+    # qualification at every point, the face-pair test where both
+    # certificates hold, and both copositivity tests of every PSD region
+    # form.  Isolated calmness, at every ENLP point, holds iff the
+    # reference finds no point over (xi, eta) in any face system and iff
+    # the multiplier is noncritical and unique, and deciding it after
+    # criticality and dual qualification solves no system.  The counts
+    # pin how often each certificate holds, so a weaker or a stronger
+    # certificate shows even where its verdicts stay right.
     corpus = [parse_problem_file(corpus_path(name)) for name in corpus_names()]
     pools = [parse_problem_doc(doc, name_hint=name) for seed in range(1, 31)
              for name, doc in random_enlp_docs(seed, 5)]
     assert _certified_verdicts(corpus) == {
         "points": 9, "definite": 4, "kernels": 3, "both": 2,
-        "forms": 4, "psd forms": 4, "pd forms": 4}
+        "forms": 4, "psd forms": 4, "pd forms": 4, "calm": 1,
+        "calmness solves": 0}
     assert _certified_verdicts(pools) == {
         "points": 150, "definite": 27, "kernels": 124, "both": 18,
-        "forms": 181, "psd forms": 61, "pd forms": 48}
+        "forms": 181, "psd forms": 61, "pd forms": 48, "calm": 119,
+        "calmness solves": 0}
 
 
 def _random_system(rng, kind):

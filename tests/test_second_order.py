@@ -13,7 +13,7 @@ import plqstab.stability as stability
 from plqstab import (PolyCone, RatMatrix, corpus_names, corpus_path,
                      identity, parse_problem_file)
 from plqstab.enlp import copositive_on_cone
-from plqstab.linalg import rank
+from plqstab.linalg import rank, reduce_lineality
 from plqstab.problemfile import parse_problem_doc
 from plqstab.rational import is_zero_vec, vdot
 from psd_reference import psd_reference
@@ -88,6 +88,22 @@ def test_copositivity_shared_on_a_cone_matches_fresh_cones():
                        and kept is not None and kept.qform is qform)
     assert shared >= 50, shared
 
+
+
+def test_a_resumed_family_scan_reads_the_families_another_scan_appended():
+    # On the orthant of R^3 this form has a consistent stationary family
+    # on each of the 7 faces of the simplex.  A scan paused after its
+    # first family resumes after a second scan reached all 7, and must
+    # read on through the 6 that scan appended.
+    cone = PolyCone([(-1, 0, 0), (0, -1, 0), (0, 0, -1)], dim=3)
+    qform = RatMatrix([[1, -2, 0], [-2, 1, -1], [0, -1, 2]])
+    form = enlp._CopositivityForm(qform, cone)
+    _, schur, _ = reduce_lineality(form.mhat, form.nlin, True)
+    first = form.families(schur)
+    head = next(first)
+    whole = list(form.families(schur))
+    assert len(whole) == 7 and whole[0] is head
+    assert [head] + list(first) == whole
 
 def _counting(monkeypatch, *names):
     counts = dict.fromkeys(names, 0)

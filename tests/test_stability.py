@@ -467,6 +467,35 @@ def test_witness_failure_exits_2_under_optimize():
     assert "Traceback" not in out.stderr
 
 
+
+_FORGED_DQC_SCRIPT = """
+import sys
+from functools import cached_property
+import plqstab.stability as stability
+from plqstab import corpus_path
+from plqstab.cli import main
+if not sys.flags.optimize:
+    sys.exit(3)
+dqc = stability.PointContext.dqc.func
+forged = cached_property(lambda self: not dqc(self))
+forged.__set_name__(stability.PointContext, "dqc")
+stability.PointContext.dqc = forged
+sys.exit(main(["analyze", corpus_path("example_6_2")]))
+"""
+
+
+def test_uniqueness_failure_exits_2_under_optimize():
+    # The multiplier of example_6_2 is unique: a flipped dual
+    # qualification disagrees with its multiplier set.
+    out = subprocess.run([sys.executable, "-O", "-c", _FORGED_DQC_SCRIPT],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(
+        "internal consistency failure: multiplier uniqueness disagrees "
+        "with the dual qualification")
+    assert "Traceback" not in out.stderr
+
+
 # -- the per-point context ----------------------------------------------------------
 
 _THETA_COUNTER_SCRIPT = """
